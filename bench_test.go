@@ -224,7 +224,7 @@ func BenchmarkCoverageGrid(b *testing.B) {
 // (100 hosts, 5x5 map, adaptive counter), in a ladder/heap pair. The
 // timer and the allocation accounting cover only Run, not network
 // construction, so allocs/event is the steady-state per-event heap
-// traffic the zero-allocation core is pinned to (budget: at most 1).
+// traffic manet.TestAllocationBudgets holds to at most 1.
 func BenchmarkBroadcastSim(b *testing.B) {
 	for _, mode := range []struct {
 		name string
@@ -284,8 +284,9 @@ func (nopListener) DeliverGarbled(*packet.Frame) {}
 // neighborhood; the legacy arm is the original global scan over every
 // active transmission with per-record garbled maps. The ratio between
 // the arms is the localized engine's speedup; allocs/event on the
-// localized arm is pinned (budget: at most 1), where an event is one
-// frame resolved end of airtime included.
+// localized arm counts one event per frame resolved, end of airtime
+// included (phy.TestTransmitZeroAllocSteadyState pins the transmit
+// cycle itself at zero).
 func BenchmarkSaturatedChannel(b *testing.B) {
 	const (
 		hosts   = 1000
@@ -464,11 +465,11 @@ func BenchmarkScaling(b *testing.B) {
 // spatial index maintenance, interference buckets) carries the full
 // population.
 //
-// Two things are gated via cmd/benchjson: the benchmark completing at
-// all (construction or run state scaling as O(hosts^2) makes 100k hosts
-// unreachable), and run-bytes/op — the heap allocated during Run — which
-// must track the event count and the handful of active broadcasts, not
-// the population or the total number of broadcasts ever issued.
+// It reports run-bytes/op — the heap allocated during Run — which must
+// track the event count and the handful of active broadcasts, not the
+// population or the total number of broadcasts ever issued
+// (manet.TestRecordArenaStaysFlat pins that). The 100k-host world is the
+// bench workload mega-sharded; the million-host arm exists only here.
 func BenchmarkMegaScale(b *testing.B) {
 	cases := []struct{ hosts, mapUnits, requests int }{
 		{100_000, 300, 20},
@@ -516,221 +517,6 @@ func BenchmarkMegaScale(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(events)/float64(b.N), "events/op")
 			b.ReportMetric(float64(runBytes)/float64(b.N), "run-bytes/op")
-		})
-	}
-}
-
-// shardedScalingConfig is the 100k-host mega-map workload every
-// BenchmarkShardedScaling arm runs.
-func shardedScalingConfig(engine manet.Engine, shards int, arena *manet.Arena, seed uint64) manet.Config {
-	return manet.Config{
-		Hosts:    100_000,
-		MapUnits: 300,
-		Scheme:   scheme.Flooding{},
-		Requests: 20,
-		// The paper's 10 km/h-per-unit rule extrapolates to thousands of
-		// km/h on mega maps; pin vehicular speed.
-		MaxSpeedKMH: 50,
-		Engine:      engine,
-		Shards:      shards,
-		Arena:       arena,
-		Seed:        seed,
-	}
-}
-
-// BenchmarkShardedScaling measures the sharded engine against the
-// sequential oracle on the 100k-host mega map, with construction and
-// run reported as separate sub-benchmarks: phase=construct isolates the
-// shard-batched slab build (where the arena's allocation win lives),
-// phase=run isolates the event loop (where the parallel barrier drains
-// spend cores). Every arm produces the byte-identical summary
-// (TestShardedMatchesSequential pins that); the arms differ only in
-// wall-clock cost. cmd/benchjson -suite shard gates the construct
-// phase's allocation budget and ratio, and — on runners with >= 4 procs
-// (run the benchmark with -cpu 1,4) — the parallel-efficiency ratio of
-// the shards=1 vs shards=4 run phases.
-//
-// The sharded arms thread one Arena per arm — the engine's documented
-// sweep shape, where consecutive same-size constructions reuse the
-// previous world's slabs. The sequential oracle has no arena path, so
-// its arm measures the per-world allocation cost a sweep actually pays
-// on that engine.
-func BenchmarkShardedScaling(b *testing.B) {
-	arms := []struct {
-		name   string
-		engine manet.Engine
-		shards int
-	}{
-		{"engine=sequential", manet.EngineSequentialOracle, 0},
-		{"shards=1", manet.EngineSharded, 1},
-		{"shards=2", manet.EngineSharded, 2},
-		{"shards=4", manet.EngineSharded, 4},
-		{"shards=8", manet.EngineSharded, 8},
-		// The mobile mega map is ineligible for speculation, so this arm
-		// measures the speculative engine's graceful degradation: it must
-		// track the shards=4 arm, paying nothing for the unused machinery.
-		{"engine=speculative", manet.EngineSpeculative, 4},
-	}
-	for _, arm := range arms {
-		arm := arm
-		b.Run(arm.name, func(b *testing.B) {
-			b.Run("phase=construct", func(b *testing.B) {
-				var arena *manet.Arena
-				if arm.engine != manet.EngineSequentialOracle {
-					arena = manet.NewArena()
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					n, err := manet.New(shardedScalingConfig(arm.engine, arm.shards, arena, uint64(i+1)))
-					if err != nil {
-						b.Fatal(err)
-					}
-					// Release the worker pool outside the timed region; an
-					// unrun network holds its goroutines until Close.
-					b.StopTimer()
-					n.Close()
-					b.StartTimer()
-				}
-			})
-			b.Run("phase=run", func(b *testing.B) {
-				var events uint64
-				var arena *manet.Arena
-				if arm.engine != manet.EngineSequentialOracle {
-					arena = manet.NewArena()
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					n, err := manet.New(shardedScalingConfig(arm.engine, arm.shards, arena, uint64(i+1)))
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					s := n.Run()
-					events += s.Events
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(events)/float64(b.N), "events/op")
-			})
-		})
-	}
-}
-
-// speculativeScalingWorld is the banded cluster placement the
-// speculative benchmark runs: 8 clusters of 200 hosts each, round-robin
-// over the 4 shard bands of a 20 km map, every cluster placed so its
-// hosts' interaction disks stay strictly interior to their band (the
-// guard covers the cluster half-extent plus the radio radius). A
-// broadcast floods its own cluster — a dense local storm — and never
-// reaches a shard border, so radio traffic in different bands is
-// genuinely independent: the world a static campus/convoy deployment
-// produces and the best case the speculative engine is built for.
-func speculativeScalingWorld() []geom.Point {
-	const (
-		side    = 40 * 500.0 // MapUnits 40 at the default 500 m unit
-		bands   = 4
-		perBand = side / bands
-		spread  = 450.0          // cluster half-extent, meters
-		guard   = spread + 510.0 // + radio radius + drift margin
-	)
-	rng := sim.NewRNG(99)
-	pts := make([]geom.Point, 0, 8*200)
-	for c := 0; c < 8; c++ {
-		base := float64(c%bands) * perBand
-		cy := base + guard + rng.Float64()*(perBand-2*guard)
-		cx := spread + 10 + rng.Float64()*(side-2*(spread+10))
-		for i := 0; i < 200; i++ {
-			pts = append(pts, geom.Point{
-				X: cx + (rng.Float64()*2-1)*spread,
-				Y: cy + (rng.Float64()*2-1)*spread,
-			})
-		}
-	}
-	return pts
-}
-
-// speculativeScalingConfig is the static cluster workload both
-// BenchmarkSpeculativeWindows arms run, differing only in engine.
-func speculativeScalingConfig(engine manet.Engine, pts []geom.Point, arena *manet.Arena, seed uint64) manet.Config {
-	return manet.Config{
-		Hosts:     len(pts),
-		MapUnits:  40,
-		Placement: pts,
-		Static:    true,
-		Scheme:    scheme.Flooding{},
-		Requests:  40,
-		Engine:    engine,
-		Shards:    4,
-		Arena:     arena,
-		Seed:      seed,
-	}
-}
-
-// BenchmarkSpeculativeWindows measures the speculative engine against
-// the sharded engine's border lane on the static banded-cluster world.
-// On a static world the sharded engine executes every event on the
-// border lane — correct but sequential — while the speculative engine
-// drains the same windows band-parallel over pooled micro-checkpoints,
-// so the run-phase gap between the two arms is exactly the
-// validate-or-replay machinery's net worth: lane parallelism minus the
-// checkpoint, classification, and oracle-order commit overhead.
-// cmd/benchjson -suite spec gates the ratio at >= 4 procs (run with
-// -cpu 1,4) and derives events/sec for throughput comparison across
-// arms. Both arms produce byte-identical summaries
-// (TestSpeculativeMatchesSequential pins that).
-func BenchmarkSpeculativeWindows(b *testing.B) {
-	world := speculativeScalingWorld()
-	arms := []struct {
-		name   string
-		engine manet.Engine
-	}{
-		{"engine=sharded", manet.EngineSharded},
-		{"engine=speculative", manet.EngineSpeculative},
-	}
-	for _, arm := range arms {
-		arm := arm
-		b.Run(arm.name, func(b *testing.B) {
-			b.Run("phase=construct", func(b *testing.B) {
-				arena := manet.NewArena()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					n, err := manet.New(speculativeScalingConfig(arm.engine, world, arena, uint64(i+1)))
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.StopTimer()
-					n.Close()
-					b.StartTimer()
-				}
-			})
-			b.Run("phase=run", func(b *testing.B) {
-				var events uint64
-				var committed, speculated int
-				arena := manet.NewArena()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					n, err := manet.New(speculativeScalingConfig(arm.engine, world, arena, uint64(i+1)))
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					s := n.Run()
-					events += s.Events
-					st := n.ParallelStats()
-					committed += st.Committed
-					speculated += st.Speculated
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(events)/float64(b.N), "events/op")
-				if speculated > 0 {
-					b.ReportMetric(float64(committed)/float64(speculated), "commit-rate")
-				}
-			})
 		})
 	}
 }

@@ -52,7 +52,7 @@ func main() {
 // output streams), so tests drive it as a function. The exit code
 // follows the flag package's convention: 2 for usage errors, 1 for
 // runtime failures.
-func run(argv []string, stdout, stderr io.Writer) int {
+func run(argv []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("stormsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -111,15 +111,35 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return fail(2, fmt.Errorf("-fork-seed requires -resume"))
 	}
 
-	stopProf, err := obs.StartProfiles(*cpuprofile, *memprofile)
-	if err != nil {
-		return fail(1, err)
-	}
-
 	engine, err := manet.ParseEngine(*engineName)
 	if err != nil {
 		return fail(2, err)
 	}
+	var helloMode manet.HelloMode
+	switch *hello {
+	case "auto":
+		// leave zero value; defaults enable HELLO when the scheme needs it
+	case "off":
+		helloMode = manet.HelloOff
+	case "fixed":
+		helloMode = manet.HelloFixed
+	case "dynamic":
+		helloMode = manet.HelloDynamic
+	default:
+		return fail(2, fmt.Errorf("unknown hello mode %q", *hello))
+	}
+
+	stopProf, err := obs.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		return fail(1, err)
+	}
+	// Every return below flushes the profiles: a failed or cancelled run
+	// is the one a profile is most wanted for.
+	defer func() {
+		if err := stopProf(); err != nil && code == 0 {
+			code = fail(1, err)
+		}
+	}()
 
 	cfg := manet.Config{
 		Hosts:         *hosts,
@@ -128,22 +148,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		Static:        *static,
 		Scheme:        sch,
 		Requests:      *requests,
+		HelloMode:     helloMode,
 		HelloInterval: sim.Duration(*helloMS) * sim.Millisecond,
 		Engine:        engine,
 		Shards:        *shards,
 		Seed:          *seed,
-	}
-	switch *hello {
-	case "auto":
-		// leave zero value; defaults enable HELLO when the scheme needs it
-	case "off":
-		cfg.HelloMode = manet.HelloOff
-	case "fixed":
-		cfg.HelloMode = manet.HelloFixed
-	case "dynamic":
-		cfg.HelloMode = manet.HelloDynamic
-	default:
-		return fail(2, fmt.Errorf("unknown hello mode %q", *hello))
 	}
 
 	var col *obs.Collector
@@ -251,9 +260,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, viz.ConnectivitySummary(pts, n.Config().Radius))
 	}
 
-	if err := stopProf(); err != nil {
-		return fail(1, err)
-	}
 	return 0
 }
 

@@ -124,8 +124,8 @@ func TestResumeContradictoryConfig(t *testing.T) {
 
 func TestFlagContradictions(t *testing.T) {
 	cases := [][]string{
-		base("-checkpoint", "x.ck"),                  // -checkpoint without cadence
-		base("-checkpoint-every", "1000"),            // cadence without a file
+		base("-checkpoint", "x.ck"),       // -checkpoint without cadence
+		base("-checkpoint-every", "1000"), // cadence without a file
 		base("-checkpoint", "x.ck", "-checkpoint-every", "-5"),
 		base("-fork-seed", "9"), // fork without -resume
 	}
@@ -133,5 +133,36 @@ func TestFlagContradictions(t *testing.T) {
 		if code, _, _ := runTool(t, argv); code != 2 {
 			t.Fatalf("%v: exit %d, want usage error 2", argv, code)
 		}
+	}
+}
+
+// An early exit must not leave the process-wide CPU profiler running:
+// after each one, a successful profiled run in the same process has to
+// start its own profile and flush it.
+func TestEarlyExitStopsProfile(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		argv []string
+		code int
+	}{
+		{"bad engine", base("-engine", "bogus"), 2},
+		{"bad hello", base("-hello", "bogus"), 2},
+		{"resume missing file", base("-resume", filepath.Join(dir, "missing.ck")), 1},
+		{"shards not a power of two", base("-shards", "3"), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			argv := append(tc.argv, "-cpuprofile", filepath.Join(dir, "early.prof"))
+			if code, _, errs := runTool(t, argv); code != tc.code {
+				t.Fatalf("exit %d, want %d (stderr: %s)", code, tc.code, errs)
+			}
+			prof := filepath.Join(dir, "ok.prof")
+			if code, _, errs := runTool(t, base("-cpuprofile", prof)); code != 0 {
+				t.Fatalf("profiled run after the early exit exited %d: %s", code, errs)
+			}
+			if st, err := os.Stat(prof); err != nil || st.Size() == 0 {
+				t.Fatalf("profile missing or empty: %v", err)
+			}
+		})
 	}
 }

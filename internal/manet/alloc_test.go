@@ -1,0 +1,74 @@
+package manet
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/scheme"
+)
+
+// TestAllocationBudgets holds the manet layer's two machine-independent
+// allocation budgets. Both are steady-state figures: each row first
+// makes one unmeasured pass so pools and slabs are primed, then counts
+// heap objects (runtime.MemStats.Mallocs) around the measured call.
+func TestAllocationBudgets(t *testing.T) {
+	mustNew := func(t *testing.T, cfg Config) *Network {
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	mallocsAround := func(f func()) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs - before.Mallocs)
+	}
+
+	for _, row := range []struct {
+		name string
+		per  string
+		// measure returns the objects allocated by the guarded call and
+		// the number of units they are budgeted against.
+		measure func(t *testing.T) (mallocs, units float64)
+	}{
+		// The event core: a paper-scale run allocates at most once per
+		// executed event once the event, frame, judge and record pools
+		// have been through one run.
+		{"Run at AC 5x5", "event", func(t *testing.T) (float64, float64) {
+			cfg := Config{Scheme: scheme.AdaptiveCounter{}, MapUnits: 5, Requests: 20, Seed: 1}
+			mustNew(t, cfg).Run()
+			cfg.Seed = 2
+			n := mustNew(t, cfg)
+			var events uint64
+			mallocs := mallocsAround(func() { events = n.Run().Events })
+			return mallocs, float64(events)
+		}},
+		// The arena: sharded construction builds hosts in slabs and a
+		// second same-shape New takes them back from the arena, so
+		// nothing in it may allocate per host.
+		{"New into a warm Arena", "host", func(t *testing.T) (float64, float64) {
+			cfg := Config{
+				Hosts: 10_000, MapUnits: 95, MaxSpeedKMH: 50, Scheme: scheme.Flooding{},
+				Requests: 1, Engine: EngineSharded, Arena: NewArena(), Seed: 1,
+			}
+			mustNew(t, cfg).Close()
+			cfg.Seed = 2
+			var n *Network
+			mallocs := mallocsAround(func() { n = mustNew(t, cfg) })
+			n.Close()
+			return mallocs, float64(cfg.Hosts)
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			mallocs, units := row.measure(t)
+			t.Logf("%.0f allocs / %.0f %ss = %.3f", mallocs, units, row.per, mallocs/units)
+			if mallocs > units {
+				t.Errorf("%.0f allocs for %.0f %ss = %.2f allocs/%s, budget 1",
+					mallocs, units, row.per, mallocs/units, row.per)
+			}
+		})
+	}
+}

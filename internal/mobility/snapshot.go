@@ -28,7 +28,7 @@ type RoamerState struct {
 	RNG     [4]uint64
 
 	// Armed turn event, absent for stopped (static) roamers.
-	HasTurn bool
+	HasTurn      bool
 	TurnEventAt  sim.Time
 	TurnEventSeq uint64
 }

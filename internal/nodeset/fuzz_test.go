@@ -15,10 +15,10 @@ import (
 // scale.
 func FuzzNodeSet(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 5, 0, 5, 2, 5, 1, 5, 2, 5})        // add, re-add, contains, remove
-	f.Add([]byte{0, 63, 0, 64, 0, 127, 5, 0, 3, 0})    // word-boundary ids, verify, clear
-	f.Add([]byte{0, 1, 0, 200, 4, 0, 0, 7, 5, 0})      // copy then diverge
-	f.Add([]byte{0, 255, 1, 254, 2, 255, 3, 0, 5, 0})  // top id, absent remove
+	f.Add([]byte{0, 5, 0, 5, 2, 5, 1, 5, 2, 5})          // add, re-add, contains, remove
+	f.Add([]byte{0, 63, 0, 64, 0, 127, 5, 0, 3, 0})      // word-boundary ids, verify, clear
+	f.Add([]byte{0, 1, 0, 200, 4, 0, 0, 7, 5, 0})        // copy then diverge
+	f.Add([]byte{0, 255, 1, 254, 2, 255, 3, 0, 5, 0})    // top id, absent remove
 	f.Add([]byte{0, 10, 0, 20, 0, 30, 4, 0, 3, 0, 5, 0}) // copy survives source clear
 
 	verify := func(t *testing.T, s *Set, oracle map[packet.NodeID]bool, label string) {

@@ -112,7 +112,7 @@ func testCheckpoint() *Checkpoint {
 					HasInflight: true, Inflight: mac.PendingState{FrameRef: 1, ObsRef: 3, Started: true},
 					HasAwait: true, Await: mac.PendingState{FrameRef: 4, Retransmit: true, Started: true},
 					AwaitTimerAt: 13000, AwaitTimerSeq: 95,
-					HasTxEvent:   true, TxEventAt: 12500, TxEventSeq: 93, TxEventBase: 12400, TxEventSlots: 4,
+					HasTxEvent: true, TxEventAt: 12500, TxEventSeq: 93, TxEventBase: 12400, TxEventSlots: 4,
 					HasAck: true, AckTo: 9, AckAt: 12410, AckSeq: 94,
 					FreeLen: 2,
 				},

@@ -1,16 +1,15 @@
-package core_test
+package storm_test
 
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/scheme"
+	"repro/storm"
 )
 
-// core.Run is the one-call entry point: scheme, map size, broadcast
+// storm.Run is the one-call entry point: scheme, map size, broadcast
 // count, seed.
 func ExampleRun() {
-	s, err := core.Run(scheme.NeighborCoverage{}, 3, 15, 11)
+	s, err := storm.Run(storm.NeighborCoverage{}, 3, 15, 11)
 	if err != nil {
 		panic(err)
 	}

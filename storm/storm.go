@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"repro/internal/check"
-	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/manet"
 	"repro/internal/metrics"
@@ -193,14 +192,38 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 func New(cfg Config) (*Network, error) { return manet.New(cfg) }
 
 // Run simulates one broadcast workload with the paper's defaults: hosts
-// roaming a units x units map, issuing requests broadcasts under sch.
+// roaming a units x units map (one unit = the 500 m radio radius),
+// issuing requests broadcasts under sch. It is the programmatic
+// equivalent of cmd/stormsim.
 func Run(sch Scheme, units, requests int, seed uint64) (Summary, error) {
-	return core.Run(sch, units, requests, seed)
+	n, err := New(Config{
+		Scheme:   sch,
+		MapUnits: units,
+		Requests: requests,
+		Seed:     seed,
+	})
+	if err != nil {
+		return Summary{}, err
+	}
+	return n.Run(), nil
 }
 
 // Schemes returns one representative instance of every scheme in the
-// study, in the paper's presentation order.
-func Schemes() []Scheme { return core.Schemes() }
+// study, in the paper's presentation order: the baselines from the
+// MOBICOM '99 work and this paper's adaptive schemes.
+func Schemes() []Scheme {
+	return []Scheme{
+		Flooding{},
+		Probabilistic{P: 0.7},
+		Counter{C: 3},
+		Distance{D: 40},
+		Location{A: 0.0469},
+		Cluster{},
+		AdaptiveCounter{},
+		AdaptiveLocation{},
+		NeighborCoverage{},
+	}
+}
 
 // ParseScheme builds a scheme from its textual spec (e.g. "flooding",
 // "counter:C=3", "al:n1=6,n2=12") — the same syntax every cmd tool uses.

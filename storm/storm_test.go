@@ -64,3 +64,41 @@ func TestSchemeNamesParse(t *testing.T) {
 		t.Fatal("no scheme instances")
 	}
 }
+
+func TestRunEndToEnd(t *testing.T) {
+	s, err := storm.Run(storm.AdaptiveCounter{}, 3, 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Broadcasts != 10 {
+		t.Errorf("broadcasts = %d", s.Broadcasts)
+	}
+	if s.MeanRE <= 0 || s.MeanRE > 1 {
+		t.Errorf("RE = %v out of range", s.MeanRE)
+	}
+}
+
+func TestRunRejectsBadConfig(t *testing.T) {
+	if _, err := storm.Run(storm.Flooding{}, -1, 10, 1); err == nil {
+		t.Error("negative map accepted")
+	}
+}
+
+func TestSchemesComplete(t *testing.T) {
+	ss := storm.Schemes()
+	if len(ss) != 9 {
+		t.Fatalf("scheme roster = %d, want 9", len(ss))
+	}
+	names := map[string]bool{}
+	for _, s := range ss {
+		if names[s.Name()] {
+			t.Errorf("duplicate scheme %s", s.Name())
+		}
+		names[s.Name()] = true
+	}
+	for _, want := range []string{"flooding", "AC", "AL", "NC"} {
+		if !names[want] {
+			t.Errorf("roster missing %s", want)
+		}
+	}
+}
