@@ -221,47 +221,38 @@ func BenchmarkCoverageGrid(b *testing.B) {
 }
 
 // BenchmarkBroadcastSim measures end-to-end simulation cost per run
-// (100 hosts, 5x5 map, adaptive counter), in a ladder/heap pair. The
-// timer and the allocation accounting cover only Run, not network
-// construction, so allocs/event is the steady-state per-event heap
-// traffic manet.TestAllocationBudgets holds to at most 1.
+// (100 hosts, 5x5 map, adaptive counter). The timer and the allocation
+// accounting cover only Run, not network construction, so allocs/event
+// is the steady-state per-event heap traffic
+// manet.TestAllocationBudgets holds to at most 1.
 func BenchmarkBroadcastSim(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		heap bool
-	}{{"queue=ladder", false}, {"queue=heap", true}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			var events, mallocs uint64
-			var ms0, ms1 runtime.MemStats
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				n, err := manet.New(manet.Config{
-					MapUnits:           5,
-					Scheme:             scheme.AdaptiveCounter{},
-					Requests:           20,
-					Seed:               uint64(i + 1),
-					DisableLadderQueue: mode.heap,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				runtime.ReadMemStats(&ms0)
-				b.StartTimer()
-				s := n.Run()
-				b.StopTimer()
-				runtime.ReadMemStats(&ms1)
-				events += s.Events
-				mallocs += ms1.Mallocs - ms0.Mallocs
-				b.StartTimer()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(events)/float64(b.N), "events/op")
-			b.ReportMetric(float64(mallocs)/float64(events), "allocs/event")
+	var events, mallocs uint64
+	var ms0, ms1 runtime.MemStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		n, err := manet.New(manet.Config{
+			MapUnits: 5,
+			Scheme:   scheme.AdaptiveCounter{},
+			Requests: 20,
+			Seed:     uint64(i + 1),
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms0)
+		b.StartTimer()
+		s := n.Run()
+		b.StopTimer()
+		runtime.ReadMemStats(&ms1)
+		events += s.Events
+		mallocs += ms1.Mallocs - ms0.Mallocs
+		b.StartTimer()
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(mallocs)/float64(events), "allocs/event")
 }
 
 // nopListener discards channel callbacks; the saturated-channel
@@ -279,14 +270,11 @@ func (nopListener) DeliverGarbled(*packet.Frame) {}
 // paper's 500 m unit and radius) each retransmit a 280-byte broadcast
 // at a random cadence tuned to keep a mean of ~75 flights in the air,
 // and each op advances the channel through 100 ms of that saturated
-// steady state. The localized arm buckets active senders by grid cell
-// and intersects receiver bitsets only inside the 2xradius interference
-// neighborhood; the legacy arm is the original global scan over every
-// active transmission with per-record garbled maps. The ratio between
-// the arms is the localized engine's speedup; allocs/event on the
-// localized arm counts one event per frame resolved, end of airtime
-// included (phy.TestTransmitZeroAllocSteadyState pins the transmit
-// cycle itself at zero).
+// steady state. The channel buckets active senders by grid cell and
+// intersects receiver bitsets only inside the 2xradius interference
+// neighborhood; allocs/event counts one event per frame resolved, end of
+// airtime included (phy.TestTransmitZeroAllocSteadyState pins the
+// transmit cycle itself at zero).
 func BenchmarkSaturatedChannel(b *testing.B) {
 	const (
 		hosts   = 1000
@@ -295,50 +283,41 @@ func BenchmarkSaturatedChannel(b *testing.B) {
 		meanGap = 32 * sim.Millisecond // ~75 concurrent flights
 		slice   = 100 * sim.Millisecond
 	)
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"engine=localized", false}, {"engine=legacy", true}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			sched := sim.NewScheduler()
-			ch := phy.NewChannel(sched, phy.DSSSTiming(), radius)
-			ch.DisableInterference = mode.legacy
-			ch.SetMaxSpeed(0)
-			rng := sim.NewRNG(7)
-			air := ch.Timing().Airtime(280)
-			for i := 0; i < hosts; i++ {
-				i := i
-				p := geom.Point{X: rng.UniformFloat(0, side), Y: rng.UniformFloat(0, side)}
-				ch.Attach(phy.PositionFunc(func(sim.Time) geom.Point { return p }), nopListener{})
-				f := packet.NewBroadcast(packet.BroadcastID{Source: packet.NodeID(i), Seq: 1},
-					packet.NodeID(i), p)
-				var rearm func()
-				rearm = func() {
-					ch.Transmit(i, f, nil)
-					// The gap always exceeds the airtime, so the host (and
-					// its frame) are free again before the next shot.
-					sched.After(rng.UniformDuration(air+sim.Millisecond, 2*meanGap), rearm)
-				}
-				sched.After(rng.UniformDuration(0, 2*meanGap), rearm)
-			}
-			// Reach pool and offered-load steady state before measuring.
-			sched.RunUntil(sim.Time(2 * sim.Second))
-			var ms0, ms1 runtime.MemStats
-			tx0 := ch.Stats().Transmissions
-			runtime.ReadMemStats(&ms0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sched.RunUntil(sched.Now().Add(slice))
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&ms1)
-			events := ch.Stats().Transmissions - tx0
-			b.ReportMetric(float64(events)/float64(b.N), "tx/op")
-			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(events), "allocs/event")
-		})
+	sched := sim.NewScheduler()
+	ch := phy.NewChannel(sched, phy.DSSSTiming(), radius)
+	ch.SetMaxSpeed(0)
+	rng := sim.NewRNG(7)
+	air := ch.Timing().Airtime(280)
+	for i := 0; i < hosts; i++ {
+		i := i
+		p := geom.Point{X: rng.UniformFloat(0, side), Y: rng.UniformFloat(0, side)}
+		ch.Attach(phy.PositionFunc(func(sim.Time) geom.Point { return p }), nopListener{})
+		f := packet.NewBroadcast(packet.BroadcastID{Source: packet.NodeID(i), Seq: 1},
+			packet.NodeID(i), p)
+		var rearm func()
+		rearm = func() {
+			ch.Transmit(i, f, nil)
+			// The gap always exceeds the airtime, so the host (and
+			// its frame) are free again before the next shot.
+			sched.After(rng.UniformDuration(air+sim.Millisecond, 2*meanGap), rearm)
+		}
+		sched.After(rng.UniformDuration(0, 2*meanGap), rearm)
 	}
+	// Reach pool and offered-load steady state before measuring.
+	sched.RunUntil(sim.Time(2 * sim.Second))
+	var ms0, ms1 runtime.MemStats
+	tx0 := ch.Stats().Transmissions
+	runtime.ReadMemStats(&ms0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sched.RunUntil(sched.Now().Add(slice))
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
+	events := ch.Stats().Transmissions - tx0
+	b.ReportMetric(float64(events)/float64(b.N), "tx/op")
+	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(events), "allocs/event")
 }
 
 // BenchmarkSchemeDecision measures a single scheme decision (the per-
@@ -419,39 +398,31 @@ func BenchmarkRouteDiscovery(b *testing.B) {
 }
 
 // BenchmarkScaling measures how simulation cost grows with population at
-// the paper's density (4 hosts per unit cell). The grid arm routes every
-// unit-disk query through the spatial index; the linear arm forces the
-// original O(hosts) scans, so the ratio between the two at each scale is
-// the index's speedup (it widens with population, since the grid's query
-// cost tracks local density rather than the total count).
+// the paper's density (4 hosts per unit cell): every unit-disk query goes
+// through the spatial index, whose query cost tracks local density
+// rather than the total count.
 func BenchmarkScaling(b *testing.B) {
 	cases := []struct{ hosts, mapUnits int }{
 		{100, 5}, {400, 10}, {1000, 16},
 	}
 	for _, tc := range cases {
-		for _, mode := range []struct {
-			name   string
-			linear bool
-		}{{"grid", false}, {"linear", true}} {
-			tc, mode := tc, mode
-			b.Run(fmt.Sprintf("hosts=%d/%s", tc.hosts, mode.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					n, err := manet.New(manet.Config{
-						Hosts:               tc.hosts,
-						MapUnits:            tc.mapUnits,
-						Scheme:              scheme.AdaptiveCounter{},
-						Requests:            10,
-						Seed:                uint64(i + 1),
-						DisableSpatialIndex: mode.linear,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					n.Run()
+		tc := tc
+		b.Run(fmt.Sprintf("hosts=%d", tc.hosts), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				n, err := manet.New(manet.Config{
+					Hosts:    tc.hosts,
+					MapUnits: tc.mapUnits,
+					Scheme:   scheme.AdaptiveCounter{},
+					Requests: 10,
+					Seed:     uint64(i + 1),
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				n.Run()
+			}
+		})
 	}
 }
 

@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,51 +32,65 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole tool behind an injectable surface (arguments and
+// output streams), so tests drive it as a function. Exit codes follow
+// the flag package's convention: 2 for usage errors, 1 for runtime
+// failures.
+func run(argv []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		fig      = flag.String("fig", "", "figure id to regenerate (fig1..fig13), or 'all'")
-		list     = flag.Bool("list", false, "list available figures")
-		requests = flag.Int("requests", 0, "broadcasts per replica (default 40; paper used 10000)")
-		replicas = flag.Int("replicas", 0, "independently seeded repetitions per point (default 2)")
-		hosts    = flag.Int("hosts", 0, "hosts per simulation (default 100)")
-		seed     = flag.Uint64("seed", 0, "base random seed (default 1)")
-		workers  = flag.Int("workers", 0, "parallel simulations (default GOMAXPROCS)")
-		trials   = flag.Int("trials", 0, "Monte-Carlo trials for fig1/fig2 (default 3000)")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		out      = flag.String("out", "", "also write each table as CSV into this directory")
-		ci       = flag.Bool("ci", false, "show 95% confidence half-widths on RE (use with -replicas >= 3)")
-		paper    = flag.Bool("paper", true, "print the paper's reported result for comparison")
-		compare  = flag.String("compare", "", "whitespace-separated scheme specs to sweep over all maps (run -schemes for syntax)")
-		schemes  = flag.Bool("schemes", false, "print the scheme spec syntax and exit")
-		telem    = flag.String("telemetry", "", "print a channel-load report for a stormsim -telemetry JSONL file instead of simulating")
-		progress = flag.Bool("progress", false, "report matrix progress (replicas done, events/s, ETA) on stderr")
-		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof  = flag.String("memprofile", "", "write a heap profile to this file")
+		fig      = fs.String("fig", "", "figure id to regenerate (fig1..fig13), or 'all'")
+		list     = fs.Bool("list", false, "list available figures")
+		requests = fs.Int("requests", 0, "broadcasts per replica (default 40; paper used 10000)")
+		replicas = fs.Int("replicas", 0, "independently seeded repetitions per point (default 2)")
+		hosts    = fs.Int("hosts", 0, "hosts per simulation (default 100)")
+		seed     = fs.Uint64("seed", 0, "base random seed (default 1)")
+		workers  = fs.Int("workers", 0, "parallel simulations (default GOMAXPROCS)")
+		trials   = fs.Int("trials", 0, "Monte-Carlo trials for fig1/fig2 (default 3000)")
+		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text")
+		out      = fs.String("out", "", "also write each table as CSV into this directory")
+		ci       = fs.Bool("ci", false, "show 95% confidence half-widths on RE (use with -replicas >= 3)")
+		paper    = fs.Bool("paper", true, "print the paper's reported result for comparison")
+		compare  = fs.String("compare", "", "whitespace-separated scheme specs to sweep over all maps (run -schemes for syntax)")
+		schemes  = fs.Bool("schemes", false, "print the scheme spec syntax and exit")
+		telem    = fs.String("telemetry", "", "print a channel-load report for a stormsim -telemetry JSONL file instead of simulating")
+		progress = fs.Bool("progress", false, "report matrix progress (replicas done, events/s, ETA) on stderr")
+		cpuprof  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprof  = fs.String("memprofile", "", "write a heap profile to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "figures:", err)
+		return code
+	}
 
 	if *schemes {
-		fmt.Print("scheme specs:\n", scheme.Usage())
-		return
+		fmt.Fprint(stdout, "scheme specs:\n", scheme.Usage())
+		return 0
 	}
 	if *telem != "" {
-		if err := loadReport(*telem, *csv); err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+		if err := loadReport(stdout, *telem, *csv); err != nil {
+			return fail(1, err)
 		}
-		return
+		return 0
 	}
 	if *list {
 		for _, s := range experiment.Registry() {
-			fmt.Printf("%-13s  %s\n", s.ID, s.Title)
+			fmt.Fprintf(stdout, "%-13s  %s\n", s.ID, s.Title)
 		}
 		for _, s := range experiment.Ablations() {
-			fmt.Printf("%-13s  %s\n", s.ID, s.Title)
+			fmt.Fprintf(stdout, "%-13s  %s\n", s.ID, s.Title)
 		}
-		return
+		return 0
 	}
 	if *fig == "" && *compare == "" {
-		fmt.Fprintln(os.Stderr, "figures: -fig, -compare, or -list required (try -fig fig7)")
-		os.Exit(2)
+		return fail(2, fmt.Errorf("-fig, -compare, or -list required (try -fig fig7)"))
 	}
 
 	opts := experiment.Options{
@@ -88,14 +103,18 @@ func main() {
 		CI:       *ci,
 	}
 	if *progress {
-		opts.Progress = os.Stderr
+		opts.Progress = stderr
 	}
 
 	stopProf, err := obs.StartProfiles(*cpuprof, *memprof)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
+	defer func() {
+		if err := stopProf(); err != nil && code == 0 {
+			code = fail(1, err)
+		}
+	}()
 
 	var specs []experiment.Spec
 	switch {
@@ -104,8 +123,7 @@ func main() {
 		for _, spec := range strings.Fields(*compare) {
 			s, err := scheme.Parse(spec)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "figures:", err)
-				os.Exit(2)
+				return fail(2, err)
 			}
 			parsed = append(parsed, s)
 		}
@@ -117,53 +135,46 @@ func main() {
 	default:
 		s, ok := experiment.LookupAny(*fig)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "figures: unknown figure %q (use -list)\n", *fig)
-			os.Exit(2)
+			return fail(2, fmt.Errorf("unknown figure %q (use -list)", *fig))
 		}
 		specs = []experiment.Spec{s}
 	}
 
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 	}
 	for _, s := range specs {
 		start := time.Now()
 		tables := s.Run(opts)
-		fmt.Printf("== %s: %s ==\n", s.ID, s.Title)
+		fmt.Fprintf(stdout, "== %s: %s ==\n", s.ID, s.Title)
 		if *paper {
-			fmt.Printf("paper: %s\n", s.Paper)
+			fmt.Fprintf(stdout, "paper: %s\n", s.Paper)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		for i, t := range tables {
 			if *csv {
-				fmt.Print(t.CSV())
+				fmt.Fprint(stdout, t.CSV())
 			} else {
-				fmt.Print(t.Text())
+				fmt.Fprint(stdout, t.Text())
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 			if *out != "" {
 				name := filepath.Join(*out, fmt.Sprintf("%s_%d.csv", s.ID, i+1))
 				if err := os.WriteFile(name, []byte(t.CSV()), 0o644); err != nil {
-					fmt.Fprintln(os.Stderr, "figures:", err)
-					os.Exit(1)
+					return fail(1, err)
 				}
 			}
 		}
-		fmt.Printf("(%s regenerated in %v)\n\n", s.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "(%s regenerated in %v)\n\n", s.ID, time.Since(start).Round(time.Millisecond))
 	}
-
-	if err := stopProf(); err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
-	}
+	return 0
 }
 
 // loadReport decodes a stormsim -telemetry export and prints its
 // per-interval channel-load table.
-func loadReport(path string, asCSV bool) error {
+func loadReport(stdout io.Writer, path string, asCSV bool) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -178,9 +189,9 @@ func loadReport(path string, asCSV bool) error {
 		return err
 	}
 	if asCSV {
-		fmt.Print(t.CSV())
+		fmt.Fprint(stdout, t.CSV())
 	} else {
-		fmt.Print(t.Text())
+		fmt.Fprint(stdout, t.Text())
 	}
 	return nil
 }

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -23,47 +24,65 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole tool behind an injectable surface (arguments and
+// output streams), so tests drive it as a function. Exit codes follow
+// the flag package's convention: 2 for usage errors, 1 for runtime
+// failures.
+func run(argv []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("routesim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		schemeSpec  = flag.String("scheme", "flooding", "scheme spec, e.g. counter:C=3 (run -schemes for syntax)")
-		listSchemes = flag.Bool("schemes", false, "print the scheme spec syntax and exit")
-		mapUnits    = flag.Int("map", 5, "square map side in 500m units")
-		hosts       = flag.Int("hosts", 100, "number of mobile hosts")
-		discoveries = flag.Int("discoveries", 50, "route discoveries to attempt")
-		speed       = flag.Float64("speed", 0, "max host speed km/h (0 = paper rule)")
-		static      = flag.Bool("static", false, "freeze hosts")
-		rts         = flag.Int("rts", 0, "RTS/CTS threshold in bytes for unicast replies (0 = off)")
-		ring        = flag.String("ring", "", "expanding-ring TTLs, comma separated (e.g. 2,0); empty = full flood")
-		data        = flag.Int("data", 0, "data packets to push along each established route (route maintenance)")
-		seed        = flag.Uint64("seed", 1, "random seed")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile  = flag.String("memprofile", "", "write a heap profile to this file")
+		schemeSpec  = fs.String("scheme", "flooding", "scheme spec, e.g. counter:C=3 (run -schemes for syntax)")
+		listSchemes = fs.Bool("schemes", false, "print the scheme spec syntax and exit")
+		mapUnits    = fs.Int("map", 5, "square map side in 500m units")
+		hosts       = fs.Int("hosts", 100, "number of mobile hosts")
+		discoveries = fs.Int("discoveries", 50, "route discoveries to attempt")
+		speed       = fs.Float64("speed", 0, "max host speed km/h (0 = paper rule)")
+		static      = fs.Bool("static", false, "freeze hosts")
+		rts         = fs.Int("rts", 0, "RTS/CTS threshold in bytes for unicast replies (0 = off)")
+		ring        = fs.String("ring", "", "expanding-ring TTLs, comma separated (e.g. 2,0); empty = full flood")
+		data        = fs.Int("data", 0, "data packets to push along each established route (route maintenance)")
+		seed        = fs.Uint64("seed", 1, "random seed")
+		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile  = fs.String("memprofile", "", "write a heap profile to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "routesim:", err)
+		return code
+	}
 
 	if *listSchemes {
-		fmt.Print("scheme specs:\n", scheme.Usage())
-		return
+		fmt.Fprint(stdout, "scheme specs:\n", scheme.Usage())
+		return 0
 	}
 
 	sch, err := scheme.Parse(*schemeSpec)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "routesim:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 
 	stopProf, err := obs.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "routesim:", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
+	defer func() {
+		if err := stopProf(); err != nil && code == 0 {
+			code = fail(1, err)
+		}
+	}()
 
 	var ttls []int
 	if *ring != "" {
 		for _, part := range strings.Split(*ring, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil || v < 0 {
-				fmt.Fprintf(os.Stderr, "routesim: bad -ring value %q\n", part)
-				os.Exit(2)
+				return fail(2, fmt.Errorf("bad -ring value %q", part))
 			}
 			ttls = append(ttls, v)
 		}
@@ -82,34 +101,29 @@ func main() {
 		Seed:         *seed,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "routesim:", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
 	r := n.Run()
 
-	fmt.Printf("scheme                  %s\n", sch.Name())
-	fmt.Printf("discoveries             %d\n", r.Discoveries)
-	fmt.Printf("target reached          %d (%.1f%%)\n",
+	fmt.Fprintf(stdout, "scheme                  %s\n", sch.Name())
+	fmt.Fprintf(stdout, "discoveries             %d\n", r.Discoveries)
+	fmt.Fprintf(stdout, "target reached          %d (%.1f%%)\n",
 		r.TargetReached, 100*float64(r.TargetReached)/float64(max(1, r.Discoveries)))
-	fmt.Printf("routes established      %d (%.1f%%)\n", r.Succeeded, 100*r.SuccessRate())
-	fmt.Printf("mean route length       %.2f hops\n", r.MeanRouteHops)
-	fmt.Printf("mean discovery latency  %.1f ms\n", r.MeanDiscoveryLatency.Milliseconds())
-	fmt.Printf("RREQ tx per discovery   %.1f\n", r.RequestsPerDiscovery())
-	fmt.Printf("ring escalations        %d\n", r.RingEscalations)
-	fmt.Printf("RREP retries / drops    %d / %d\n", r.UnicastRetries, r.UnicastDrops)
-	fmt.Printf("replies dropped (no reverse route)  %d\n", r.RepliesDropped)
+	fmt.Fprintf(stdout, "routes established      %d (%.1f%%)\n", r.Succeeded, 100*r.SuccessRate())
+	fmt.Fprintf(stdout, "mean route length       %.2f hops\n", r.MeanRouteHops)
+	fmt.Fprintf(stdout, "mean discovery latency  %.1f ms\n", r.MeanDiscoveryLatency.Milliseconds())
+	fmt.Fprintf(stdout, "RREQ tx per discovery   %.1f\n", r.RequestsPerDiscovery())
+	fmt.Fprintf(stdout, "ring escalations        %d\n", r.RingEscalations)
+	fmt.Fprintf(stdout, "RREP retries / drops    %d / %d\n", r.UnicastRetries, r.UnicastDrops)
+	fmt.Fprintf(stdout, "replies dropped (no reverse route)  %d\n", r.RepliesDropped)
 	if r.DataSent > 0 {
-		fmt.Printf("data sent / delivered   %d / %d (%.1f%%)\n",
+		fmt.Fprintf(stdout, "data sent / delivered   %d / %d (%.1f%%)\n",
 			r.DataSent, r.DataDelivered, 100*float64(r.DataDelivered)/float64(r.DataSent))
-		fmt.Printf("path breaks             %d\n", r.PathBreaks)
+		fmt.Fprintf(stdout, "path breaks             %d\n", r.PathBreaks)
 	}
-	fmt.Printf("hello packets           %d\n", r.HelloSent)
-	fmt.Printf("total tx / collisions   %d / %d\n", r.Transmissions, r.Collisions)
-
-	if err := stopProf(); err != nil {
-		fmt.Fprintln(os.Stderr, "routesim:", err)
-		os.Exit(1)
-	}
+	fmt.Fprintf(stdout, "hello packets           %d\n", r.HelloSent)
+	fmt.Fprintf(stdout, "total tx / collisions   %d / %d\n", r.Transmissions, r.Collisions)
+	return 0
 }
 
 func max(a, b int) int {

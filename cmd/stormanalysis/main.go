@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/analysis"
@@ -23,45 +24,58 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole tool behind an injectable surface (arguments and
+// output streams), so tests drive it as a function. Exit codes follow
+// the flag package's convention: 2 for usage errors, 1 for runtime
+// failures.
+func run(argv []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("stormanalysis", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		eacMax      = flag.Int("eac", 0, "print EAC(k) for k=1..N")
-		cfMax       = flag.Int("cf", 0, "print cf(n,k) distributions for n=1..N")
-		constants   = flag.Bool("constants", false, "print the paper's analytic constants")
-		trials      = flag.Int("trials", 20000, "Monte-Carlo trials")
-		seed        = flag.Uint64("seed", 1, "random seed")
-		schemeSpec  = flag.String("scheme", "", "scheme spec to analyze with -funcs (run -schemes for syntax)")
-		funcsMax    = flag.Int("funcs", 0, "tabulate the -scheme spec's threshold/decision function for n=0..N")
-		listSchemes = flag.Bool("schemes", false, "print the scheme spec syntax and exit")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile  = flag.String("memprofile", "", "write a heap profile to this file")
+		eacMax      = fs.Int("eac", 0, "print EAC(k) for k=1..N")
+		cfMax       = fs.Int("cf", 0, "print cf(n,k) distributions for n=1..N")
+		constants   = fs.Bool("constants", false, "print the paper's analytic constants")
+		trials      = fs.Int("trials", 20000, "Monte-Carlo trials")
+		seed        = fs.Uint64("seed", 1, "random seed")
+		schemeSpec  = fs.String("scheme", "", "scheme spec to analyze with -funcs (run -schemes for syntax)")
+		funcsMax    = fs.Int("funcs", 0, "tabulate the -scheme spec's threshold/decision function for n=0..N")
+		listSchemes = fs.Bool("schemes", false, "print the scheme spec syntax and exit")
+		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile  = fs.String("memprofile", "", "write a heap profile to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "stormanalysis:", err)
+		return code
+	}
 
 	if *listSchemes {
-		fmt.Print("scheme specs:\n", scheme.Usage())
-		return
+		fmt.Fprint(stdout, "scheme specs:\n", scheme.Usage())
+		return 0
 	}
 
 	stopProf, err := obs.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stormanalysis:", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
 	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "stormanalysis:", err)
-			os.Exit(1)
+		if err := stopProf(); err != nil && code == 0 {
+			code = fail(1, err)
 		}
 	}()
 	if *schemeSpec != "" {
 		if *funcsMax == 0 {
 			*funcsMax = 15
 		}
-		if err := printSchemeFuncs(*schemeSpec, *funcsMax); err != nil {
-			fmt.Fprintln(os.Stderr, "stormanalysis:", err)
-			os.Exit(2)
+		if err := printSchemeFuncs(stdout, *schemeSpec, *funcsMax); err != nil {
+			return fail(2, err)
 		}
-		return
+		return 0
 	}
 
 	if !*constants && *eacMax == 0 && *cfMax == 0 {
@@ -72,33 +86,34 @@ func main() {
 
 	if *constants {
 		const r = 500.0
-		fmt.Println("analytic constants (radius-independent):")
-		fmt.Printf("  max additional coverage at d=r:      %.4f of pi*r^2 (paper: ~0.61)\n",
+		fmt.Fprintln(stdout, "analytic constants (radius-independent):")
+		fmt.Fprintf(stdout, "  max additional coverage at d=r:      %.4f of pi*r^2 (paper: ~0.61)\n",
 			geom.AdditionalCoverageFraction(r, r))
-		fmt.Printf("  mean additional coverage (1 sender): %.4f of pi*r^2 (paper: ~0.41)\n",
+		fmt.Fprintf(stdout, "  mean additional coverage (1 sender): %.4f of pi*r^2 (paper: ~0.41)\n",
 			geom.ExpectedAdditionalCoverageFraction(r))
-		fmt.Printf("  pairwise contention probability:     %.4f           (paper: ~0.59)\n",
+		fmt.Fprintf(stdout, "  pairwise contention probability:     %.4f           (paper: ~0.59)\n",
 			geom.ExpectedContentionProbability(r))
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if *eacMax > 0 {
 		rng := sim.NewRNG(*seed)
-		fmt.Printf("EAC(k)/(pi r^2), %d trials (paper Fig. 1):\n", *trials)
+		fmt.Fprintf(stdout, "EAC(k)/(pi r^2), %d trials (paper Fig. 1):\n", *trials)
 		for k, v := range analysis.EACSeries(*eacMax, *trials, 64, rng) {
-			fmt.Printf("  k=%-2d  %.4f\n", k+1, v)
+			fmt.Fprintf(stdout, "  k=%-2d  %.4f\n", k+1, v)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
-	printCF(*cfMax, *trials, *seed)
+	printCF(stdout, *cfMax, *trials, *seed)
+	return 0
 }
 
 // printSchemeFuncs tabulates the decision threshold a parsed spec would
 // apply at each neighbor count n — the paper's C(n) and A(n) curves
 // (Figs. 5, 7) for the adaptive schemes, or the constant threshold for
 // the fixed ones.
-func printSchemeFuncs(spec string, maxN int) error {
+func printSchemeFuncs(stdout io.Writer, spec string, maxN int) error {
 	s, err := scheme.Parse(spec)
 	if err != nil {
 		return err
@@ -109,50 +124,50 @@ func printSchemeFuncs(spec string, maxN int) error {
 		if fn == nil {
 			fn = scheme.DefaultCounterFunc()
 		}
-		fmt.Printf("%s counter threshold C(n):\n", v.Name())
+		fmt.Fprintf(stdout, "%s counter threshold C(n):\n", v.Name())
 		for n := 0; n <= maxN; n++ {
-			fmt.Printf("  n=%-3d  C=%d\n", n, fn(n))
+			fmt.Fprintf(stdout, "  n=%-3d  C=%d\n", n, fn(n))
 		}
 	case scheme.AdaptiveLocation:
 		fn := v.A
 		if fn == nil {
 			fn = scheme.DefaultLocationFunc()
 		}
-		fmt.Printf("%s coverage threshold A(n), fraction of pi*r^2:\n", v.Name())
+		fmt.Fprintf(stdout, "%s coverage threshold A(n), fraction of pi*r^2:\n", v.Name())
 		for n := 0; n <= maxN; n++ {
-			fmt.Printf("  n=%-3d  A=%.4f\n", n, fn(n))
+			fmt.Fprintf(stdout, "  n=%-3d  A=%.4f\n", n, fn(n))
 		}
 	case scheme.Counter:
-		fmt.Printf("%s: fixed counter threshold C=%d for all n\n", v.Name(), v.C)
+		fmt.Fprintf(stdout, "%s: fixed counter threshold C=%d for all n\n", v.Name(), v.C)
 	case scheme.Distance:
-		fmt.Printf("%s: fixed distance threshold D=%g m for all n\n", v.Name(), v.D)
+		fmt.Fprintf(stdout, "%s: fixed distance threshold D=%g m for all n\n", v.Name(), v.D)
 	case scheme.Location:
-		fmt.Printf("%s: fixed coverage threshold A=%g for all n\n", v.Name(), v.A)
+		fmt.Fprintf(stdout, "%s: fixed coverage threshold A=%g for all n\n", v.Name(), v.A)
 	case scheme.Probabilistic:
-		fmt.Printf("%s: rebroadcast probability P=%g for all n\n", v.Name(), v.P)
+		fmt.Fprintf(stdout, "%s: rebroadcast probability P=%g for all n\n", v.Name(), v.P)
 	default:
-		fmt.Printf("%s: no tunable threshold function (decision is structural)\n", s.Name())
+		fmt.Fprintf(stdout, "%s: no tunable threshold function (decision is structural)\n", s.Name())
 	}
 	return nil
 }
 
-func printCF(cfMax, trials int, seed uint64) {
+func printCF(stdout io.Writer, cfMax, trials int, seed uint64) {
 	if cfMax <= 0 {
 		return
 	}
 	rng := sim.NewRNG(seed + 1)
-	fmt.Printf("cf(n,k), %d trials (paper Fig. 2):\n", trials)
+	fmt.Fprintf(stdout, "cf(n,k), %d trials (paper Fig. 2):\n", trials)
 	table := analysis.ContentionFreeTable(cfMax, trials, rng)
-	fmt.Printf("  %-3s", "n")
+	fmt.Fprintf(stdout, "  %-3s", "n")
 	for k := 0; k <= 4; k++ {
-		fmt.Printf("  k=%-6d", k)
+		fmt.Fprintf(stdout, "  k=%-6d", k)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	for n := 1; n <= cfMax; n++ {
-		fmt.Printf("  %-3d", n)
+		fmt.Fprintf(stdout, "  %-3d", n)
 		for k := 0; k <= 4 && k < len(table[n-1]); k++ {
-			fmt.Printf("  %.4f  ", table[n-1][k])
+			fmt.Fprintf(stdout, "  %.4f  ", table[n-1][k])
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 }

@@ -150,11 +150,17 @@ func TestEarlyExitStopsProfile(t *testing.T) {
 		{"bad hello", base("-hello", "bogus"), 2},
 		{"resume missing file", base("-resume", filepath.Join(dir, "missing.ck")), 1},
 		{"shards not a power of two", base("-shards", "3"), 1},
+		{"negative speed", base("-speed", "-5"), 1},
+		{"negative hello interval", base("-hello-interval", "-5"), 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			argv := append(tc.argv, "-cpuprofile", filepath.Join(dir, "early.prof"))
-			if code, _, errs := runTool(t, argv); code != tc.code {
+			code, _, errs := runTool(t, argv)
+			if code != tc.code {
 				t.Fatalf("exit %d, want %d (stderr: %s)", code, tc.code, errs)
+			}
+			if strings.Count(errs, "\n") != 1 {
+				t.Fatalf("want one stderr line and no stack, got:\n%s", errs)
 			}
 			prof := filepath.Join(dir, "ok.prof")
 			if code, _, errs := runTool(t, base("-cpuprofile", prof)); code != 0 {

@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/manet"
@@ -23,47 +24,59 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole tool behind an injectable surface (arguments and
+// output streams), so tests drive it as a function. Exit codes follow
+// the flag package's convention: 2 for usage errors, 1 for runtime
+// failures.
+func run(argv []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("stormtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		schemeSpec  = flag.String("scheme", "flooding", "scheme spec, e.g. counter:C=3 (run -schemes for syntax)")
-		listSchemes = flag.Bool("schemes", false, "print the scheme spec syntax and exit")
-		mapUnits    = flag.Int("map", 3, "square map side in 500m units")
-		hosts       = flag.Int("hosts", 30, "number of mobile hosts")
-		requests    = flag.Int("requests", 3, "broadcasts to trace")
-		seed        = flag.Uint64("seed", 1, "random seed")
-		jsonl       = flag.String("jsonl", "", "also write the event stream as JSONL to this file")
-		decode      = flag.String("decode", "", "decode a JSONL telemetry/trace file and print its event totals instead of simulating")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile  = flag.String("memprofile", "", "write a heap profile to this file")
+		schemeSpec  = fs.String("scheme", "flooding", "scheme spec, e.g. counter:C=3 (run -schemes for syntax)")
+		listSchemes = fs.Bool("schemes", false, "print the scheme spec syntax and exit")
+		mapUnits    = fs.Int("map", 3, "square map side in 500m units")
+		hosts       = fs.Int("hosts", 30, "number of mobile hosts")
+		requests    = fs.Int("requests", 3, "broadcasts to trace")
+		seed        = fs.Uint64("seed", 1, "random seed")
+		jsonl       = fs.String("jsonl", "", "also write the event stream as JSONL to this file")
+		decode      = fs.String("decode", "", "decode a JSONL telemetry/trace file and print its event totals instead of simulating")
+		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile  = fs.String("memprofile", "", "write a heap profile to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "stormtrace:", err)
+		return code
+	}
 
 	if *listSchemes {
-		fmt.Print("scheme specs:\n", scheme.Usage())
-		return
+		fmt.Fprint(stdout, "scheme specs:\n", scheme.Usage())
+		return 0
 	}
 	if *decode != "" {
-		if err := decodeFile(*decode); err != nil {
-			fmt.Fprintln(os.Stderr, "stormtrace:", err)
-			os.Exit(1)
+		if err := decodeFile(stdout, *decode); err != nil {
+			return fail(1, err)
 		}
-		return
+		return 0
 	}
 
 	sch, err := scheme.Parse(*schemeSpec)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stormtrace:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 
 	stopProf, err := obs.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stormtrace:", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
 	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "stormtrace:", err)
-			os.Exit(1)
+		if err := stopProf(); err != nil && code == 0 {
+			code = fail(1, err)
 		}
 	}()
 
@@ -78,46 +91,44 @@ func main() {
 		RetainRecords: true,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stormtrace:", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
 	rec := trace.NewRecorder(0)
 	net.Tracer = rec
 	s := net.Run()
 
 	for _, br := range net.Records() {
-		fmt.Print(rec.Dump(br.ID))
-		fmt.Printf("  => e=%d r=%d t=%d RE=%.3f SRB=%.3f latency=%.1fms\n\n",
+		fmt.Fprint(stdout, rec.Dump(br.ID))
+		fmt.Fprintf(stdout, "  => e=%d r=%d t=%d RE=%.3f SRB=%.3f latency=%.1fms\n\n",
 			br.Reachable, br.Received, br.Transmitted, br.RE(), br.SRB(),
 			br.Latency().Milliseconds())
 	}
 
-	printTotals(rec.CountByKind())
-	fmt.Printf("channel: %d transmissions, %d deliveries, %d collisions\n",
+	printTotals(stdout, rec.CountByKind())
+	fmt.Fprintf(stdout, "channel: %d transmissions, %d deliveries, %d collisions\n",
 		s.Transmissions, s.Deliveries, s.Collisions)
 
 	if *jsonl != "" {
 		f, err := os.Create(*jsonl)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "stormtrace:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		err = rec.EncodeJSONL(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "stormtrace:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		fmt.Printf("wrote %d events to %s (schema v%d)\n", rec.Len(), *jsonl, trace.JSONLVersion)
+		fmt.Fprintf(stdout, "wrote %d events to %s (schema v%d)\n", rec.Len(), *jsonl, trace.JSONLVersion)
 	}
+	return 0
 }
 
 // decodeFile reads a JSONL stream written by -jsonl (or by stormsim
 // -telemetry / obs.Export — non-event lines are skipped) and prints its
 // event totals, proving the stream round-trips.
-func decodeFile(path string) error {
+func decodeFile(stdout io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -129,7 +140,7 @@ func decodeFile(path string) error {
 	var events []trace.Event
 	if dump, obsErr := obs.Decode(f); obsErr == nil {
 		events = dump.Events
-		fmt.Printf("telemetry export: scheme=%s hosts=%d map=%d seed=%d, %d samples\n",
+		fmt.Fprintf(stdout, "telemetry export: scheme=%s hosts=%d map=%d seed=%d, %d samples\n",
 			dump.Meta.Scheme, dump.Meta.Hosts, dump.Meta.MapUnits, dump.Meta.Seed, len(dump.Samples))
 	} else {
 		if _, err := f.Seek(0, 0); err != nil {
@@ -144,13 +155,13 @@ func decodeFile(path string) error {
 	for _, e := range events {
 		counts[e.Kind]++
 	}
-	fmt.Printf("%s: %d events\n", path, len(events))
-	printTotals(counts)
+	fmt.Fprintf(stdout, "%s: %d events\n", path, len(events))
+	printTotals(stdout, counts)
 	return nil
 }
 
-func printTotals(counts map[trace.Kind]int) {
-	fmt.Printf("totals: %d originate, %d deliver, %d duplicate, %d transmit, %d inhibit, %d garbled\n",
+func printTotals(stdout io.Writer, counts map[trace.Kind]int) {
+	fmt.Fprintf(stdout, "totals: %d originate, %d deliver, %d duplicate, %d transmit, %d inhibit, %d garbled\n",
 		counts[trace.Originate], counts[trace.Deliver], counts[trace.Duplicate],
 		counts[trace.Transmit], counts[trace.Inhibit], counts[trace.Garbled])
 }

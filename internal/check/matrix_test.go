@@ -70,8 +70,7 @@ func TestMatrixAudited(t *testing.T) {
 // TestMatrixAuditedVariants extends the matrix across the simulator's
 // feature switches, so every invariant is also exercised under the loss
 // model, the capture effect, the repair extension, dynamic HELLO, group
-// and waypoint mobility, the legacy heap scheduler, the linear-scan
-// channel, and the ideal-HELLO ablation.
+// and waypoint mobility, and the ideal-HELLO ablation.
 func TestMatrixAuditedVariants(t *testing.T) {
 	variants := []struct {
 		name   string
@@ -84,9 +83,6 @@ func TestMatrixAuditedVariants(t *testing.T) {
 		{"dynamic-hello", func(c *manet.Config) { c.HelloMode = manet.HelloDynamic }},
 		{"groups", func(c *manet.Config) { c.Groups = 4 }},
 		{"waypoint", func(c *manet.Config) { c.Mobility = manet.MobilityWaypoint }},
-		{"heap-scheduler", func(c *manet.Config) { c.DisableLadderQueue = true }},
-		{"linear-channel", func(c *manet.Config) { c.DisableSpatialIndex = true }},
-		{"global-interference", func(c *manet.Config) { c.DisableInterferenceIndex = true }},
 		{"ideal-hello", func(c *manet.Config) { c.IdealHello = true }},
 	}
 	for _, v := range variants {

@@ -167,53 +167,6 @@ type Config struct {
 	// in-range host instantly without consuming airtime, isolating the
 	// cost and staleness of running neighbor discovery over the real MAC.
 	IdealHello bool
-	// DisableSpatialIndex answers every unit-disk range query (receiver
-	// discovery, reachability, neighbor ground truth) with the original
-	// O(hosts) linear scans instead of the spatial grid index. The index
-	// is a pure optimization with no model effect, so results must be
-	// identical either way; the switch exists for the equivalence tests
-	// and benchmarks that verify exactly that.
-	//
-	// Deprecated: the Disable* switches are legacy ablations of the
-	// sequential engine, kept as shims for existing configs and the
-	// equivalence tests. Select engines with Engine/Shards instead;
-	// combining a Disable* switch with the sharded engine is a Validate
-	// error.
-	DisableSpatialIndex bool
-	// DisableInterferenceIndex resolves transmission overlap with the
-	// legacy engine: a global scan over every active transmission with
-	// per-record garbled maps, instead of grid-bucketed senders and
-	// word-parallel receiver-bitset intersections localized to the
-	// 2×radius (+ mobility drift) interference neighborhood. A pure
-	// optimization with no model effect, so results must be identical
-	// either way; the switch exists for the equivalence tests and
-	// benchmarks that verify exactly that.
-	//
-	// Deprecated: see DisableSpatialIndex; select engines with
-	// Engine/Shards instead.
-	DisableInterferenceIndex bool
-	// DisableDenseState runs the per-host waiting state and per-broadcast
-	// bookkeeping on the legacy map-backed stores (per-host pending and
-	// NACK maps, a broadcast-keyed record map with completed records
-	// retained until summarize) instead of the dense layout (index-linked
-	// pending lists, a sequence-indexed record arena whose completed
-	// records are folded into streaming aggregates and released). A pure
-	// storage change with no model effect, so results must be
-	// byte-identical either way; the switch exists for the equivalence
-	// tests and benchmarks that verify exactly that.
-	//
-	// Deprecated: see DisableSpatialIndex; select engines with
-	// Engine/Shards instead.
-	DisableDenseState bool
-	// DisableLadderQueue runs the scheduler on the legacy binary heap
-	// (eager cancellation, per-event allocation) instead of the default
-	// ladder queue. Both fire events in the identical (time, seq) order,
-	// so results must be byte-identical either way; the switch exists for
-	// the equivalence tests and benchmarks that verify exactly that.
-	//
-	// Deprecated: see DisableSpatialIndex; select engines with
-	// Engine/Shards instead.
-	DisableLadderQueue bool
 	// LossRate injects independent per-reception Bernoulli loss
 	// (fading/shadowing) on top of the unit-disk collision model.
 	// 0 (the paper's model) disables it; must stay below 1.
@@ -232,10 +185,10 @@ type Config struct {
 	RepairWindow sim.Duration
 
 	// RetainRecords keeps every per-broadcast record alive until the end
-	// of the run so Records() can return them. By default the dense
-	// bookkeeping folds a record into the run aggregates and releases it
-	// as soon as its broadcast can no longer change — the memory fix that
-	// keeps long runs O(active broadcasts) — after which Records() panics.
+	// of the run so Records() can return them. By default a record is
+	// folded into the run aggregates and released as soon as its
+	// broadcast can no longer change — the memory fix that keeps long
+	// runs O(active broadcasts) — after which Records() panics.
 	RetainRecords bool
 
 	// Telemetry, when non-nil, collects run time series (channel load,
@@ -369,6 +322,18 @@ func (c Config) Validate() error {
 		return errors.New("manet: negative assessment slots")
 	case c.Groups < 0:
 		return errors.New("manet: negative group count")
+	case c.UnitMeters < 0:
+		return fmt.Errorf("manet: negative map unit %g m", c.UnitMeters)
+	case c.MaxSpeedKMH < 0:
+		return fmt.Errorf("manet: negative max speed %g km/h", c.MaxSpeedKMH)
+	case c.ArrivalSpread < 0:
+		return fmt.Errorf("manet: negative arrival spread %v", c.ArrivalSpread)
+	case c.HelloInterval < 0:
+		return fmt.Errorf("manet: negative hello interval %v", c.HelloInterval)
+	case c.Warmup < 0:
+		return fmt.Errorf("manet: negative warmup %v", c.Warmup)
+	case c.Drain < 0:
+		return fmt.Errorf("manet: negative drain %v", c.Drain)
 	}
 	if c.Groups > 0 && (c.Static || c.Mobility == MobilityWaypoint) {
 		return errors.New("manet: group mobility excludes Static and Waypoint modes")

@@ -8,100 +8,6 @@ import (
 	"repro/internal/sim"
 )
 
-// The dense host/broadcast state (index-linked pending lists, the
-// sequence-indexed record arena with streaming fold) must be a pure
-// storage change: for a fixed seed a run must produce the identical
-// Summary field for field whether the bookkeeping lives in the legacy
-// maps or the dense layout. Any divergence means the refactor changed
-// the model — or the streaming fold changed the arithmetic — not just
-// the cost.
-func TestDenseStateMatchesMap(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		{"flooding-mobile", Config{
-			Scheme: scheme.Flooding{}, MapUnits: 3, Hosts: 40, Requests: 12,
-		}},
-		{"adaptive-counter-hello", Config{
-			Scheme: scheme.AdaptiveCounter{}, MapUnits: 5, Hosts: 50, Requests: 12,
-		}},
-		{"location-waypoint", Config{
-			Scheme: scheme.AdaptiveLocation{}, MapUnits: 5, Hosts: 40, Requests: 10,
-			Mobility: MobilityWaypoint,
-		}},
-		{"counter-loss-capture", Config{
-			Scheme: scheme.Counter{C: 3}, MapUnits: 3, Hosts: 40, Requests: 12,
-			LossRate: 0.1, CaptureRatio: 4,
-		}},
-		{"neighbor-coverage-groups", Config{
-			Scheme: scheme.NeighborCoverage{}, MapUnits: 3, Hosts: 30, Requests: 8,
-			Groups: 3,
-		}},
-		{"flooding-static-dense", Config{
-			Scheme: scheme.Flooding{}, MapUnits: 1, Hosts: 60, Requests: 10,
-			Static: true,
-		}},
-		{"repair-dynamic-hello", Config{
-			Scheme: scheme.AdaptiveCounter{}, MapUnits: 5, Hosts: 30, Requests: 8,
-			HelloMode: HelloDynamic, Repair: true, Warmup: 5 * sim.Second,
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			for seed := uint64(1); seed <= 3; seed++ {
-				dense := tc.cfg
-				dense.Seed = seed
-				legacy := tc.cfg
-				legacy.Seed = seed
-				legacy.DisableDenseState = true
-
-				dn, err := New(dense)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ln, err := New(legacy)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ds, ls := dn.Run(), ln.Run()
-				if ds != ls {
-					t.Fatalf("seed %d: dense and map summaries diverge:\ndense: %+v\nmap:   %+v", seed, ds, ls)
-				}
-			}
-		})
-	}
-}
-
-// Retention must match too: with RetainRecords the dense arena keeps
-// every record, and the per-record values must equal the legacy map's.
-func TestDenseRetainedRecordsMatchMap(t *testing.T) {
-	base := Config{Scheme: scheme.AdaptiveCounter{}, MapUnits: 3, Hosts: 40, Requests: 10, Seed: 5}
-	dense := base
-	dense.RetainRecords = true
-	legacy := base
-	legacy.DisableDenseState = true
-	dn, err := New(dense)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := New(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dn.Run()
-	ln.Run()
-	dr, lr := dn.Records(), ln.Records()
-	if len(dr) != len(lr) {
-		t.Fatalf("record counts differ: dense %d, map %d", len(dr), len(lr))
-	}
-	for i := range dr {
-		if *dr[i] != *lr[i] {
-			t.Fatalf("record %d differs:\ndense: %+v\nmap:   %+v", i, *dr[i], *lr[i])
-		}
-	}
-}
-
 // Records() without retention must fail loudly, not return a partial
 // set: the default dense bookkeeping has already folded and released
 // completed records.

@@ -1,9 +1,6 @@
 package manet
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Engine selects the simulation engine a Network runs on. All engines
 // execute the identical event stream — (time, seq) order is part of the
@@ -16,13 +13,11 @@ type Engine int
 
 const (
 	// EngineAuto resolves to EngineSharded when Config.Shards > 0 and to
-	// EngineSequentialOracle otherwise (honoring the deprecated Disable*
-	// ablation switches, which only the sequential engine supports).
+	// EngineSequentialOracle otherwise.
 	EngineAuto Engine = iota
 
 	// EngineSequentialOracle is the single-threaded reference engine:
-	// one ladder queue, no worker pool. The Disable* switches select its
-	// legacy data-structure ablations. It is the oracle the sharded
+	// one ladder queue, no worker pool. It is the oracle the sharded
 	// engine's equivalence tests compare against.
 	EngineSequentialOracle
 
@@ -32,7 +27,7 @@ const (
 	// with the central ladder in strict (time, seq) order, and a worker
 	// in the shared pool that parallelizes construction, snapshot
 	// rebuilds, and reachability walks with bounded-channel border
-	// exchange. Requires all Disable* switches off.
+	// exchange.
 	EngineSharded
 
 	// EngineSpeculative is the sharded engine plus optimistic barrier
@@ -81,30 +76,17 @@ func ParseEngine(name string) (Engine, error) {
 	return EngineAuto, fmt.Errorf("manet: unknown engine %q (want auto, sequential-oracle, sharded, or speculative)", name)
 }
 
-// Features describes the concrete data-structure and parallelism
-// choices an engine runs with. Shards is 0 for the sequential engines
-// and the resolved worker/wheel count for the sharded engine.
+// Features describes the parallelism choices an engine runs with.
 type Features struct {
-	LadderQueue       bool // ladder-queue scheduler (vs legacy binary heap)
-	SpatialIndex      bool // grid spatial index (vs linear scans)
-	InterferenceIndex bool // grid-bucketed interference (vs global scan)
-	DenseState        bool // dense host/record state (vs map-backed)
-	Sharded           bool // shard wheels + worker pool
-	Speculative       bool // validate-or-replay band windows over micro-checkpoints
-	Shards            int
+	Sharded     bool // shard wheels + worker pool
+	Speculative bool // validate-or-replay band windows over micro-checkpoints
 }
 
-// Features reports what the engine uses at its defaults. The deprecated
-// Disable* switches can turn individual features off on the sequential
-// engines; Config.EngineFeatures resolves that full picture.
+// Features reports what the engine uses.
 func (e Engine) Features() Features {
 	return Features{
-		LadderQueue:       true,
-		SpatialIndex:      true,
-		InterferenceIndex: true,
-		DenseState:        true,
-		Sharded:           e == EngineSharded || e == EngineSpeculative,
-		Speculative:       e == EngineSpeculative,
+		Sharded:     e == EngineSharded || e == EngineSpeculative,
+		Speculative: e == EngineSpeculative,
 	}
 }
 
@@ -118,17 +100,9 @@ const DefaultShards = 4
 // border channels cost more than any plausible hardware gives back.
 const maxShards = 64
 
-// legacySwitches reports whether any deprecated Disable* ablation switch
-// is set. They select the sequential engine's legacy data structures and
-// are mutually exclusive with the sharded engine.
-func (c Config) legacySwitches() bool {
-	return c.DisableSpatialIndex || c.DisableInterferenceIndex ||
-		c.DisableDenseState || c.DisableLadderQueue
-}
-
-// resolveEngine maps (Engine, Shards, deprecated Disable* switches) onto
-// the concrete engine and shard count, rejecting contradictions. The
-// returned shard count is 0 for sequential engines.
+// resolveEngine maps (Engine, Shards) onto the concrete engine and shard
+// count, rejecting contradictions. The returned shard count is 0 for the
+// sequential engine.
 func (c Config) resolveEngine() (Engine, int, error) {
 	if c.Shards < 0 {
 		return 0, 0, fmt.Errorf("manet: negative shard count %d", c.Shards)
@@ -144,9 +118,6 @@ func (c Config) resolveEngine() (Engine, int, error) {
 		if c.Shards == 0 {
 			return EngineSequentialOracle, 0, nil
 		}
-		if c.legacySwitches() {
-			return 0, 0, errors.New("manet: Shards > 0 selects the sharded engine, which excludes the deprecated Disable* switches; use Engine: EngineSequentialOracle for ablations")
-		}
 		return EngineSharded, c.Shards, nil
 	case EngineSequentialOracle:
 		if c.Shards > 0 {
@@ -154,9 +125,6 @@ func (c Config) resolveEngine() (Engine, int, error) {
 		}
 		return EngineSequentialOracle, 0, nil
 	case EngineSharded, EngineSpeculative:
-		if c.legacySwitches() {
-			return 0, 0, fmt.Errorf("manet: %v excludes the deprecated Disable* switches (they select legacy sequential data structures)", c.Engine)
-		}
 		if c.Shards == 0 {
 			return c.Engine, DefaultShards, nil
 		}
@@ -164,24 +132,4 @@ func (c Config) resolveEngine() (Engine, int, error) {
 	default:
 		return 0, 0, fmt.Errorf("manet: unknown engine %v", c.Engine)
 	}
-}
-
-// EngineFeatures resolves the engine selection (including the deprecated
-// Disable* switches) and reports the concrete feature set a run of this
-// config will use. It returns the same errors Validate does for
-// contradictory selections.
-func (c Config) EngineFeatures() (Features, error) {
-	engine, shards, err := c.resolveEngine()
-	if err != nil {
-		return Features{}, err
-	}
-	f := engine.Features()
-	f.Shards = shards
-	if engine != EngineSharded {
-		f.LadderQueue = !c.DisableLadderQueue
-		f.SpatialIndex = !c.DisableSpatialIndex
-		f.InterferenceIndex = !c.DisableInterferenceIndex
-		f.DenseState = !c.DisableDenseState
-	}
-	return f, nil
 }

@@ -29,15 +29,12 @@ type host struct {
 	// notes, and pool traffic route through it while a window is open.
 	lane int32
 
-	// Broadcasts whose rebroadcast decision is still open. The dense
-	// layout (the default) keeps them in an unordered slice with each
-	// record carrying its own index (live) for O(1) swap-remove — the
-	// open set per host is a handful of entries, so lookup is a short
-	// linear scan and the map's hashing and bucket storage are pure
-	// overhead. The map layout remains behind Config.DisableDenseState
-	// (pending non-nil) as the equivalence oracle. prFree recycles
-	// resolved records so a storm allocates no waiting state once warm.
-	pending     map[packet.BroadcastID]*pendingRebroadcast
+	// Broadcasts whose rebroadcast decision is still open, in an
+	// unordered slice with each record carrying its own index (live) for
+	// O(1) swap-remove — the open set per host is a handful of entries,
+	// so lookup is a short linear scan and a map's hashing and bucket
+	// storage would be pure overhead. prFree recycles resolved records so
+	// a storm allocates no waiting state once warm.
 	livePending []*pendingRebroadcast
 	prFree      []*pendingRebroadcast
 
@@ -74,7 +71,7 @@ type pendingRebroadcast struct {
 	frame    *packet.Frame // the enqueued rebroadcast frame
 	started  bool          // transmission began; decision locked
 	resolved bool          // inhibited or completed
-	live     int32         // index in host.livePending (dense layout)
+	live     int32         // index in host.livePending
 }
 
 // TxStarted implements mac.TxObserver: the rebroadcast's transmission
@@ -127,19 +124,12 @@ func (h *host) recyclePendingRebroadcast(p *pendingRebroadcast) {
 
 // trackPending registers an open rebroadcast decision.
 func (h *host) trackPending(p *pendingRebroadcast) {
-	if h.pending != nil {
-		h.pending[p.bid] = p
-		return
-	}
 	p.live = int32(len(h.livePending))
 	h.livePending = append(h.livePending, p)
 }
 
 // lookupPending finds the open decision for bid, nil if none.
 func (h *host) lookupPending(bid packet.BroadcastID) *pendingRebroadcast {
-	if h.pending != nil {
-		return h.pending[bid]
-	}
 	for _, p := range h.livePending {
 		if p.bid == bid {
 			return p
@@ -148,13 +138,8 @@ func (h *host) lookupPending(bid packet.BroadcastID) *pendingRebroadcast {
 	return nil
 }
 
-// untrackPending removes a resolved decision (O(1) swap-remove on the
-// dense layout).
+// untrackPending removes a resolved decision (O(1) swap-remove).
 func (h *host) untrackPending(p *pendingRebroadcast) {
-	if h.pending != nil {
-		delete(h.pending, p.bid)
-		return
-	}
 	l := len(h.livePending) - 1
 	last := h.livePending[l]
 	h.livePending[p.live] = last
@@ -164,12 +149,7 @@ func (h *host) untrackPending(p *pendingRebroadcast) {
 }
 
 // pendingCount returns the number of open rebroadcast decisions.
-func (h *host) pendingCount() int {
-	if h.pending != nil {
-		return len(h.pending)
-	}
-	return len(h.livePending)
-}
+func (h *host) pendingCount() int { return len(h.livePending) }
 
 var (
 	_ scheme.HostView      = (*host)(nil)

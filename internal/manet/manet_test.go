@@ -379,6 +379,21 @@ func TestConfigValidation(t *testing.T) {
 	if c2.HelloMode == HelloOff {
 		t.Error("defaults did not enable HELLO for a HELLO-dependent scheme")
 	}
+	// Negative durations and speeds used to reach New and panic there
+	// (or, for Drain, return an empty Summary with no error).
+	for name, cfg := range map[string]Config{
+		"negative speed":          {MaxSpeedKMH: -5},
+		"negative hello interval": {Scheme: scheme.NeighborCoverage{}, HelloInterval: -5 * sim.Millisecond},
+		"negative warmup":         {Scheme: scheme.NeighborCoverage{}, Warmup: -sim.Second},
+		"negative drain":          {Drain: -sim.Second},
+		"negative arrival spread": {ArrivalSpread: -sim.Second},
+		"negative map unit":       {UnitMeters: -500},
+	} {
+		cfg.Hosts, cfg.Requests = 10, 2
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s passed validation", name)
+		}
+	}
 }
 
 func TestRunTwicePanics(t *testing.T) {

@@ -95,13 +95,7 @@ type Network struct {
 	framePool []*packet.Frame
 	helloPool []*packet.Frame
 
-	// Legacy map-backed bookkeeping (cfg.DisableDenseState): records keyed
-	// by broadcast id, all retained until summarize, iterated in arrival
-	// order via order.
-	records map[packet.BroadcastID]*metrics.BroadcastRecord
-	order   []packet.BroadcastID
-
-	// Dense bookkeeping (the default): records live in an arena ordered by
+	// Per-broadcast bookkeeping: records live in an arena ordered by
 	// origination. The broadcast with Seq s sits at recs[s-1-recBase];
 	// recOpen counts the references still holding it open (the source's
 	// in-flight transmission plus every undecided pendingRebroadcast).
@@ -190,9 +184,6 @@ func New(cfg Config) (*Network, error) {
 		return nil, err // unreachable after Validate; kept for clarity
 	}
 	sched := sim.NewScheduler()
-	if cfg.DisableLadderQueue {
-		sched = sim.NewHeapScheduler()
-	}
 	n := &Network{
 		cfg:    cfg,
 		sched:  sched,
@@ -206,17 +197,11 @@ func New(cfg Config) (*Network, error) {
 		n.ch.SetPool(n.pool)
 		sched.ConfigureShards(shards, sim.Second)
 	}
-	if cfg.DisableDenseState {
-		n.records = make(map[packet.BroadcastID]*metrics.BroadcastRecord, cfg.Requests)
-	} else {
-		// Folding is off when records must survive the run: RetainRecords
-		// by request, Repair because a repaired delivery can reopen a
-		// broadcast long after its best-effort wave completed.
-		n.fold = !cfg.RetainRecords && !cfg.Repair
-	}
+	// Folding is off when records must survive the run: RetainRecords by
+	// request, Repair because a repaired delivery can reopen a broadcast
+	// long after its best-effort wave completed.
+	n.fold = !cfg.RetainRecords && !cfg.Repair
 	n.ch.DisableCollisions = cfg.DisableCollisions
-	n.ch.DisableIndex = cfg.DisableSpatialIndex
-	n.ch.DisableInterference = cfg.DisableInterferenceIndex
 	if cfg.CaptureRatio > 0 {
 		n.ch.SetCapture(cfg.CaptureRatio)
 	}
@@ -267,9 +252,6 @@ func New(cfg Config) (*Network, error) {
 			dedup: packet.NewDedupTable(),
 			rng:   hostRNG.Fork(uint64(i)),
 			lane:  -1,
-		}
-		if cfg.DisableDenseState {
-			h.pending = make(map[packet.BroadcastID]*pendingRebroadcast)
 		}
 		switch {
 		case cfg.Groups > 0:
@@ -893,18 +875,11 @@ func (n *Network) auditNeighborSweep(now sim.Time) {
 func (n *Network) originate(src *host) {
 	n.seq++
 	bid := packet.BroadcastID{Source: src.id, Seq: n.seq}
-	if n.records != nil {
-		rec := metrics.NewBroadcastRecord(bid, n.sched.Now(), n.reachableFrom(src))
-		rec.Received = 1 // the source holds the packet
-		n.records[bid] = rec
-		n.order = append(n.order, bid)
-	} else {
-		n.recs = append(n.recs, metrics.MakeBroadcastRecord(bid, n.sched.Now(), n.reachableFrom(src)))
-		n.recs[len(n.recs)-1].Received = 1 // the source holds the packet
-		// Open until the source's own transmission completes; every
-		// pendingRebroadcast the wave spawns adds its own hold.
-		n.recOpen = append(n.recOpen, 1)
-	}
+	n.recs = append(n.recs, metrics.MakeBroadcastRecord(bid, n.sched.Now(), n.reachableFrom(src)))
+	n.recs[len(n.recs)-1].Received = 1 // the source holds the packet
+	// Open until the source's own transmission completes; every
+	// pendingRebroadcast the wave spawns adds its own hold.
+	n.recOpen = append(n.recOpen, 1)
 	if n.DeliveryHook != nil {
 		n.DeliveryHook(bid, src.id)
 	}
@@ -955,13 +930,6 @@ func (n *Network) reachableFrom(src *host) int {
 // already-folded records (possible only through misuse or an open-count
 // bug) panic loudly rather than silently skewing metrics.
 func (n *Network) record(bid packet.BroadcastID) *metrics.BroadcastRecord {
-	if n.records != nil {
-		rec, ok := n.records[bid]
-		if !ok {
-			panic(fmt.Sprintf("manet: no record for %v", bid))
-		}
-		return rec
-	}
 	// Seq is the global origination counter (starting at 1), so the
 	// arena index is direct. A folded broadcast wraps the unsigned
 	// subtraction to a huge index and fails the bounds check.
@@ -972,15 +940,12 @@ func (n *Network) record(bid packet.BroadcastID) *metrics.BroadcastRecord {
 	return &n.recs[idx]
 }
 
-// openInc adds one hold on a broadcast's record (dense bookkeeping only):
-// the record cannot fold while any transmission or rebroadcast decision
-// that can still mutate it is outstanding. h is the acting host: while a
-// speculative window is open the op is journaled on its lane instead of
-// mutating the shared arena.
+// openInc adds one hold on a broadcast's record: the record cannot fold
+// while any transmission or rebroadcast decision that can still mutate
+// it is outstanding. h is the acting host: while a speculative window is
+// open the op is journaled on its lane instead of mutating the shared
+// arena.
 func (n *Network) openInc(bid packet.BroadcastID, h *host) {
-	if n.records != nil {
-		return
-	}
 	if n.specOpen && h.lane >= 0 {
 		n.specNote(h.lane, recOpOpenInc, bid)
 		return
@@ -992,9 +957,6 @@ func (n *Network) openInc(bid packet.BroadcastID, h *host) {
 // fully closed it is folded into the streaming aggregates and released.
 // Call after the final record mutations of the closing event.
 func (n *Network) openDec(bid packet.BroadcastID, h *host) {
-	if n.records != nil {
-		return
-	}
 	if n.specOpen && h.lane >= 0 {
 		n.specNote(h.lane, recOpOpenDec, bid)
 		return
@@ -1071,31 +1033,17 @@ func (n *Network) noteActivity(bid packet.BroadcastID, h *host) {
 // run summary.
 func (n *Network) summarize() metrics.Summary {
 	now := n.sched.Now()
-	var s metrics.Summary
-	if n.records != nil {
-		recs := make([]*metrics.BroadcastRecord, 0, len(n.order))
-		for _, bid := range n.order {
-			recs = append(recs, n.records[bid])
-		}
-		s = metrics.Summarize(recs)
+	// Fold the stragglers: a record still held open when the clock runs
+	// out is final now. They stay in the arena (not released), so
+	// Records() keeps working under RetainRecords.
+	for i := range n.recs {
+		rec := &n.recs[i]
+		n.stream.Fold(rec)
 		if n.audit != nil {
-			for _, rec := range recs {
-				n.audit.AuditRecord(now, rec)
-			}
+			n.audit.AuditRecord(now, rec)
 		}
-	} else {
-		// Fold the stragglers: a record still held open when the clock
-		// runs out is final now. They stay in the arena (not released),
-		// so Records() keeps working under RetainRecords.
-		for i := range n.recs {
-			rec := &n.recs[i]
-			n.stream.Fold(rec)
-			if n.audit != nil {
-				n.audit.AuditRecord(now, rec)
-			}
-		}
-		s = n.stream.Summary()
 	}
+	s := n.stream.Summary()
 	st := n.ch.Stats()
 	s.HelloSent = n.helloSent
 	s.RepairsRequested = n.repairsRequested
@@ -1112,18 +1060,10 @@ func (n *Network) summarize() metrics.Summary {
 }
 
 // Records returns the per-broadcast records in arrival order (available
-// after Run; used by tests and detailed analyses). The default dense
-// bookkeeping folds completed records into the run aggregates and
-// releases them mid-run, so callers that need the full set must set
-// Config.RetainRecords.
+// after Run; used by tests and detailed analyses). By default completed
+// records are folded into the run aggregates and released mid-run, so
+// callers that need the full set must set Config.RetainRecords.
 func (n *Network) Records() []*metrics.BroadcastRecord {
-	if n.records != nil {
-		recs := make([]*metrics.BroadcastRecord, 0, len(n.order))
-		for _, bid := range n.order {
-			recs = append(recs, n.records[bid])
-		}
-		return recs
-	}
 	if len(n.recs) != int(n.seq) {
 		panic("manet: records were folded and released mid-run; set Config.RetainRecords to keep them")
 	}

@@ -143,17 +143,15 @@ func TestShardedAuditClean(t *testing.T) {
 // explicit engines, and every contradiction Validate must reject.
 func TestEngineResolution(t *testing.T) {
 	ok := []struct {
-		name           string
-		cfg            Config
-		engine         Engine
-		shards         int
-		sharded, dense bool
+		name    string
+		cfg     Config
+		engine  Engine
+		shards  int
+		sharded bool
 	}{
-		{"auto-default", Config{}, EngineSequentialOracle, 0, false, true},
-		{"auto-with-shards", Config{Shards: 2}, EngineSharded, 2, true, true},
-		{"sharded-default-shards", Config{Engine: EngineSharded}, EngineSharded, DefaultShards, true, true},
-		{"oracle-legacy-shims", Config{Engine: EngineSequentialOracle, DisableDenseState: true},
-			EngineSequentialOracle, 0, false, false},
+		{"auto-default", Config{}, EngineSequentialOracle, 0, false},
+		{"auto-with-shards", Config{Shards: 2}, EngineSharded, 2, true},
+		{"sharded-default-shards", Config{Engine: EngineSharded}, EngineSharded, DefaultShards, true},
 	}
 	for _, tc := range ok {
 		t.Run(tc.name, func(t *testing.T) {
@@ -161,17 +159,12 @@ func TestEngineResolution(t *testing.T) {
 			if err := cfg.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			f, err := cfg.EngineFeatures()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if f.Sharded != tc.sharded || f.Shards != tc.shards || f.DenseState != tc.dense {
-				t.Fatalf("features %+v, want sharded=%v shards=%d dense=%v",
-					f, tc.sharded, tc.shards, tc.dense)
-			}
 			engine, shards, err := cfg.resolveEngine()
 			if err != nil || engine != tc.engine || shards != tc.shards {
 				t.Fatalf("resolved (%v, %d, %v), want (%v, %d)", engine, shards, err, tc.engine, tc.shards)
+			}
+			if f := engine.Features(); f.Sharded != tc.sharded {
+				t.Fatalf("features %+v, want sharded=%v", f, tc.sharded)
 			}
 		})
 	}
@@ -181,8 +174,6 @@ func TestEngineResolution(t *testing.T) {
 		cfg  Config
 	}{
 		{"oracle-with-shards", Config{Engine: EngineSequentialOracle, Shards: 4}},
-		{"sharded-with-shim", Config{Engine: EngineSharded, DisableLadderQueue: true}},
-		{"auto-shards-with-shim", Config{Shards: 2, DisableSpatialIndex: true}},
 		{"non-power-of-two", Config{Shards: 3}},
 		{"negative-shards", Config{Shards: -1}},
 		{"oversized-shards", Config{Shards: 128}},

@@ -35,6 +35,12 @@ import (
 // continuing the original run. The resolved engine and shard count are
 // part of the digest — cross-engine resume is excluded by design (the
 // shard-lane sequence namespaces are engine-specific).
+//
+// The v1 string is frozen: nogrid/nointerf/nodense/noladder stamped the
+// four Disable* data-structure switches deleted in PR 16. Dropping the
+// slots would orphan every checkpoint written before, so they stay as
+// the constant false; a document stamped true names a configuration
+// that can no longer be built and is refused like any contradiction.
 func (n *Network) checkpointDigest() string {
 	if n.digestCache != "" {
 		return n.digestCache
@@ -42,26 +48,21 @@ func (n *Network) checkpointDigest() string {
 	c := n.cfg
 	n.digestCache = fmt.Sprintf("v1 hosts=%d map=%d unit=%g radius=%g speed=%g static=%t mobility=%d pause=%d groups=%d spread=%g placement=%v "+
 		"scheme=%q requests=%d arrival=%d hello=%d hi=%d dhi=%+v expiry=%d slots=%d warmup=%d drain=%d timing=%+v "+
-		"engine=%d shards=%d nocoll=%t idealhello=%t nogrid=%t nointerf=%t nodense=%t noladder=%t "+
+		"engine=%d shards=%d nocoll=%t idealhello=%t nogrid=false nointerf=false nodense=false noladder=false "+
 		"loss=%g capture=%g repair=%t window=%d retain=%t seed=%d",
 		c.Hosts, c.MapUnits, c.UnitMeters, c.Radius, c.MaxSpeedKMH, c.Static, c.Mobility, c.WaypointPause, c.Groups, c.GroupSpread, c.Placement,
 		c.Scheme.Name(), c.Requests, c.ArrivalSpread, c.HelloMode, c.HelloInterval, c.DHI, c.ExpiryIntervals, c.AssessmentSlots, c.Warmup, c.Drain, c.Timing,
-		n.engine, n.shards, c.DisableCollisions, c.IdealHello, c.DisableSpatialIndex, c.DisableInterferenceIndex, c.DisableDenseState, c.DisableLadderQueue,
+		n.engine, n.shards, c.DisableCollisions, c.IdealHello,
 		c.LossRate, c.CaptureRatio, c.Repair, c.RepairWindow, c.RetainRecords, c.Seed)
 	return n.digestCache
 }
 
 // checkpointable reports why this network cannot be checkpointed, nil
-// if it can. The unsupported features are all either legacy ablations
-// (map-backed state, the heap scheduler) or carry state no layer
-// snapshot covers (telemetry series, group/waypoint movers).
+// if it can. The unsupported features all carry state no layer snapshot
+// covers (telemetry series, group/waypoint movers).
 func (n *Network) checkpointable() error {
 	c := n.cfg
 	switch {
-	case c.DisableLadderQueue:
-		return fmt.Errorf("manet: checkpoint unsupported with the legacy heap scheduler")
-	case c.DisableDenseState:
-		return fmt.Errorf("manet: checkpoint unsupported with the legacy map-backed bookkeeping")
 	case n.obs != nil:
 		return fmt.Errorf("manet: checkpoint unsupported with telemetry attached")
 	case c.Groups > 0:

@@ -215,16 +215,14 @@ func TestRestoreIntoArena(t *testing.T) {
 	}
 }
 
-// TestCheckpointUnsupportedConfigs pins the refusal list: legacy
-// engines, telemetry, and movers without snapshot support must error at
-// checkpoint time instead of writing a document that cannot resume.
+// TestCheckpointUnsupportedConfigs pins the refusal list: telemetry and
+// movers without snapshot support must error at checkpoint time instead
+// of writing a document that cannot resume.
 func TestCheckpointUnsupportedConfigs(t *testing.T) {
 	cases := []struct {
 		name  string
 		apply func(*Config)
 	}{
-		{"heap-scheduler", func(c *Config) { c.DisableLadderQueue = true }},
-		{"map-bookkeeping", func(c *Config) { c.DisableDenseState = true }},
 		{"telemetry", func(c *Config) { c.Telemetry = obs.New(sim.Second) }},
 		{"groups", func(c *Config) { c.Groups = 3 }},
 		{"waypoint", func(c *Config) { c.Mobility = MobilityWaypoint }},
@@ -278,6 +276,30 @@ func TestRestoreContradictoryConfig(t *testing.T) {
 			t.Fatal("RestoreNetwork accepted a truncated checkpoint")
 		}
 	})
+}
+
+// TestCheckpointDigestPinned pins the full v1 digest of one fixed
+// config, literal recorded at 30b7406. RestoreNetwork refuses on any
+// difference, so a change to the format string — a dropped slot, a
+// renamed key — orphans every checkpoint already on disk; this is the
+// test that has to be edited to do that.
+func TestCheckpointDigestPinned(t *testing.T) {
+	cfg := resumeBase(scheme.Counter{C: 3}, 2)
+	cfg.LossRate = 0.1
+	cfg.IdealHello = true
+	net, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	const want = `v1 hosts=30 map=3 unit=500 radius=500 speed=30 static=false mobility=0 pause=0 groups=0 spread=0 placement=[] ` +
+		`scheme="C=3" requests=8 arrival=2000000 hello=0 hi=1000000 dhi={NVMax:0.02 HIMin:1s HIMax:10s} expiry=2 slots=31 warmup=0 drain=2000000 ` +
+		`timing={BitRateMbps:1 PLCPPreamble:144µs PLCPHeader:48µs SlotTime:20µs SIFS:10µs DIFS:50µs CWMin:31 CWMax:1023 AssessmentMax:31} ` +
+		`engine=1 shards=0 nocoll=false idealhello=true nogrid=false nointerf=false nodense=false noladder=false ` +
+		`loss=0.1 capture=0 repair=false window=10000000 retain=false seed=2`
+	if got := net.checkpointDigest(); got != want {
+		t.Fatalf("checkpoint digest changed; earlier checkpoints no longer resume:\n got: %s\nwant: %s", got, want)
+	}
 }
 
 // TestCheckpointHookErrorAborts verifies a hook error stops the run at

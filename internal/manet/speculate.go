@@ -111,7 +111,6 @@ func (n *Network) speculativeEligible() bool {
 		!c.Repair &&
 		c.LossRate == 0 &&
 		c.CaptureRatio == 0 &&
-		n.records == nil && // dense record arena
 		n.fold && // streaming fold (no RetainRecords)
 		n.obs == nil &&
 		n.audit == nil &&

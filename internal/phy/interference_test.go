@@ -11,28 +11,24 @@ import (
 	"repro/internal/sim"
 )
 
-// engines enumerates the three overlap-resolution paths: the localized
-// grid-bucketed engine (needs a speed bound), the bitset engine's
-// global-scan fallback (no bound declared), and the legacy map-based
-// global scan. Every collision edge case must behave identically on all
-// three.
+// engines enumerates the two overlap-resolution paths, selected by
+// whether a speed bound was declared: the localized grid-bucketed scan
+// (SetMaxSpeed called) and the global scan over every active
+// transmission (no bound). Every collision edge case must behave
+// identically on both.
 var engines = []struct {
 	name      string
 	configure func(ch *Channel)
 }{
 	{"localized", func(ch *Channel) { ch.SetMaxSpeed(0) }},
 	{"global-bitset", func(ch *Channel) {}},
-	{"legacy", func(ch *Channel) {
-		ch.DisableInterference = true
-		ch.SetMaxSpeed(0)
-	}},
 }
 
 // The capture comparison is >= on both branches, so an exact power tie
 // with the threshold resolves in favor of the frame tested first: when
 // db == da*ratio the earlier frame a captures, and when da == db*ratio
 // the later frame b captures. The tie behavior is part of the pinned
-// model; all three engines must agree on it.
+// model; both engines must agree on it.
 func TestCaptureTieBoundaryEarlierFrameCaptures(t *testing.T) {
 	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
@@ -132,8 +128,9 @@ func TestReceiverAlreadyTransmitting(t *testing.T) {
 		t.Run(eng.name, func(t *testing.T) {
 			sched := sim.NewScheduler()
 			ch := NewChannel(sched, DSSSTiming(), 500)
-			ch.DisableInterference = eng.name == "legacy"
-			ch.SetMaxSpeed(speed)
+			if eng.name == "localized" {
+				ch.SetMaxSpeed(speed)
+			}
 
 			// r starts at X=1200 (out of s's range) moving toward s; by
 			// t=1500us it is at X=450, inside. c sits near r's start so r's
@@ -243,12 +240,36 @@ func runScript(hosts int, mkPos func(i int) PositionFunc, capture float64, confi
 	return log, ch.Stats()
 }
 
+// diffAgainstGlobal runs the script on the localized engine (speed bound
+// declared) and on the reference global scan (no bound, so every active
+// transmission is checked and the grid is exact at every timestamp) and
+// requires identical per-copy outcome logs and stats.
+func diffAgainstGlobal(t *testing.T, hosts int, mkPos func(i int) PositionFunc, capture, bound float64, script txScript) {
+	t.Helper()
+	refLog, refStats := runScript(hosts, mkPos, capture, func(ch *Channel) {}, script)
+	if refStats.Collisions == 0 {
+		t.Fatalf("script produced no collisions; differential test is vacuous")
+	}
+	log, stats := runScript(hosts, mkPos, capture, func(ch *Channel) { ch.SetMaxSpeed(bound) }, script)
+	if stats != refStats {
+		t.Fatalf("localized stats diverge from global scan:\n%+v\nvs\n%+v", stats, refStats)
+	}
+	if len(log) != len(refLog) {
+		t.Fatalf("localized: %d outcomes vs global scan %d", len(log), len(refLog))
+	}
+	for i := range log {
+		if log[i] != refLog[i] {
+			t.Fatalf("outcome %d diverges:\n%s\nvs global scan\n%s", i, log[i], refLog[i])
+		}
+	}
+}
+
 // TestInterferenceDifferentialMegaMap repeats the engine cross-check on
 // a map large enough that the grid's macro level actually coarsens
 // (MacroShift > 0), with hosts clustered into distant patches so
 // collisions still occur locally. This pins the macro-bucketed
-// interference index against the legacy global scan in exactly the
-// regime the hierarchical grid exists for.
+// interference index against the global scan in exactly the regime the
+// hierarchical grid exists for.
 func TestInterferenceDifferentialMegaMap(t *testing.T) {
 	const (
 		side     = 60000.0 // 120x120 fine cells at radius 500
@@ -288,27 +309,7 @@ func TestInterferenceDifferentialMegaMap(t *testing.T) {
 			air := DSSSTiming().Airtime(280)
 			script := genScript(rng, hosts, 500, 40000*sim.Microsecond, air)
 
-			refLog, refStats := runScript(hosts, mkPos, 0, func(ch *Channel) {
-				ch.DisableInterference = true
-				ch.SetMaxSpeed(speed)
-			}, script)
-			if refStats.Collisions == 0 {
-				t.Fatalf("script produced no collisions; differential test is vacuous")
-			}
-			log, stats := runScript(hosts, mkPos, 0, func(ch *Channel) {
-				ch.SetMaxSpeed(speed)
-			}, script)
-			if stats != refStats {
-				t.Fatalf("localized stats diverge from legacy:\n%+v\nvs\n%+v", stats, refStats)
-			}
-			if len(log) != len(refLog) {
-				t.Fatalf("localized: %d outcomes vs legacy %d", len(log), len(refLog))
-			}
-			for i := range log {
-				if log[i] != refLog[i] {
-					t.Fatalf("outcome %d diverges:\n%s\nvs legacy\n%s", i, log[i], refLog[i])
-				}
-			}
+			diffAgainstGlobal(t, hosts, mkPos, 0, speed, script)
 			// The regime check: the snapshot grid over this population must
 			// actually have coarsened, or the test is not exercising the
 			// macro path.
@@ -328,7 +329,7 @@ func TestInterferenceDifferentialMegaMap(t *testing.T) {
 	}
 }
 
-// TestInterferenceDifferential cross-checks the three overlap engines on
+// TestInterferenceDifferential cross-checks the two overlap engines on
 // randomized saturating traffic: same seeds, same scripts, same mover
 // trajectories — every per-receiver copy outcome (delivered vs garbled,
 // ordered by time) and every channel counter must be identical across
@@ -377,42 +378,7 @@ func TestInterferenceDifferential(t *testing.T) {
 						if mobile {
 							bound = speed
 						}
-						refLog, refStats := runScript(g.hosts, mkPos, capture, func(ch *Channel) {
-							ch.DisableInterference = true
-							ch.SetMaxSpeed(bound)
-						}, script)
-						if refStats.Collisions == 0 {
-							t.Fatalf("script produced no collisions; differential test is vacuous")
-						}
-						arms := []struct {
-							name      string
-							configure func(ch *Channel)
-						}{
-							{"localized", func(ch *Channel) { ch.SetMaxSpeed(bound) }},
-							{"global-bitset", func(ch *Channel) {}},
-							{"linear-localized", func(ch *Channel) {
-								// No grid: the bitset engine must fall back
-								// even though a bound is declared... except
-								// receiver discovery also goes linear, which
-								// must not matter either.
-								ch.DisableIndex = true
-								ch.SetMaxSpeed(bound)
-							}},
-						}
-						for _, arm := range arms {
-							log, stats := runScript(g.hosts, mkPos, capture, arm.configure, script)
-							if stats != refStats {
-								t.Fatalf("%s: stats diverge from legacy:\n%+v\nvs\n%+v", arm.name, stats, refStats)
-							}
-							if len(log) != len(refLog) {
-								t.Fatalf("%s: %d outcomes vs legacy %d", arm.name, len(log), len(refLog))
-							}
-							for i := range log {
-								if log[i] != refLog[i] {
-									t.Fatalf("%s: outcome %d diverges:\n%s\nvs legacy\n%s", arm.name, i, log[i], refLog[i])
-								}
-							}
-						}
+						diffAgainstGlobal(t, g.hosts, mkPos, capture, bound, script)
 					})
 				}
 			}

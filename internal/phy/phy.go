@@ -142,14 +142,10 @@ type transmission struct {
 	senderPos geom.Point // sender position at transmission start
 	end       sim.Time
 	receivers []int // radio indices in range at start (excluding sender)
-	// Exactly one garbled-set representation is live per channel:
-	// the bitset engine (the default) keeps the receiver set and the
-	// destroyed-copy set as word-parallel bitsets, while the legacy
-	// engine (DisableInterference) keeps the original map. The map
-	// doubles as the mode discriminator: non-nil means legacy.
+	// The receiver set and the destroyed-copy set as word-parallel
+	// bitsets, so overlap resolves by intersecting backing words.
 	recvSet    *nodeset.Set // receiver bitset (mirror of receivers)
 	garbledSet *nodeset.Set // receivers whose copy was destroyed
-	garbled    map[int]bool // legacy representation of garbledSet
 	// cell is the interference-index bucket currently holding this
 	// record (-1 while unindexed).
 	cell int32
@@ -182,23 +178,11 @@ func TransmissionSender(r sim.Runner) (int, bool) {
 	return tx.sender, true
 }
 
-// garble marks receiver i's copy destroyed in whichever representation
-// this record carries.
-func (tx *transmission) garble(i int) {
-	if tx.garbled != nil {
-		tx.garbled[i] = true
-		return
-	}
-	tx.garbledSet.Add(packet.NodeID(i))
-}
+// garble marks receiver i's copy destroyed.
+func (tx *transmission) garble(i int) { tx.garbledSet.Add(packet.NodeID(i)) }
 
 // isGarbled reports whether receiver i's copy was destroyed.
-func (tx *transmission) isGarbled(i int) bool {
-	if tx.garbled != nil {
-		return tx.garbled[i]
-	}
-	return tx.garbledSet.Contains(packet.NodeID(i))
-}
+func (tx *transmission) isGarbled(i int) bool { return tx.garbledSet.Contains(packet.NodeID(i)) }
 
 // Channel is the shared medium. It is owned by a single Scheduler and is
 // not safe for concurrent use.
@@ -208,26 +192,6 @@ type Channel struct {
 	// for ablation studies that isolate how much of the broadcast storm
 	// damage is due to collisions (carrier sensing still operates).
 	DisableCollisions bool
-
-	// DisableIndex, when set before any transmission, answers every
-	// range query with the original O(radios) linear scan instead of the
-	// spatial grid. The grid is a pure optimization — both paths must
-	// produce identical results — so this switch exists only for the
-	// equivalence tests and benchmarks that prove it.
-	DisableIndex bool
-
-	// DisableInterference, when set before any transmission, resolves
-	// overlap with the legacy engine: a global scan over every active
-	// transmission, a scratch membership table per Transmit, and per-
-	// record garbled maps. The default engine buckets active
-	// transmissions by their sender's grid cell and intersects receiver
-	// bitsets only against senders within interference range (2×radius
-	// plus mobility drift), which is a pure optimization — both engines
-	// must produce identical results — so this switch exists only for
-	// the equivalence tests and benchmarks that prove it. Toggling it
-	// after traffic has started is not supported: in-flight and pooled
-	// transmission records carry the engine's representation.
-	DisableInterference bool
 
 	// Random per-reception loss (fading/shadowing failure injection),
 	// configured with SetLoss. Zero rate means the pure unit-disk model.
@@ -299,11 +263,9 @@ type Channel struct {
 	specLanes  []chLane
 
 	// Scratch reused across Transmit calls so the hot path does not
-	// allocate: member marks the current frame's receiver set for the
-	// legacy engine's O(deg) overlap checks, ovl holds the receiver
-	// intersection the capture rule walks, and txFree recycles finished
-	// transmission records (receiver slices and garbled sets included).
-	member []bool
+	// allocate: ovl holds the receiver intersection the capture rule
+	// walks, and txFree recycles finished transmission records (receiver
+	// slices and garbled sets included).
 	ovl    []packet.NodeID
 	txFree []*transmission
 	// Transmission-record pool effectiveness, exposed via TxPoolStats
@@ -460,17 +422,6 @@ const driftEpsilon = 1e-6
 // slice. The result is a snapshot valid only at the current simulated
 // time.
 func (c *Channel) Neighbors(i int, buf []int) []int {
-	if c.DisableIndex {
-		now := c.sched.Now()
-		pi := c.positions[i].PositionAt(now)
-		r2 := c.radius * c.radius
-		for j := range c.positions {
-			if j != i && c.positions[j].PositionAt(now).Dist2(pi) <= r2 {
-				buf = append(buf, j)
-			}
-		}
-		return buf
-	}
 	c.refresh()
 	now := c.sched.Now()
 	if now == c.snapTime {
@@ -606,50 +557,30 @@ func (c *Channel) Transmit(radio int, f *packet.Frame, onDone TxEnder) sim.Durat
 	c.stats.Transmissions++
 	c.transmitting[radio] = true
 
-	if c.DisableIndex {
-		senderPos := c.positions[radio].PositionAt(now)
-		tx.senderPos = senderPos
-		r2 := c.radius * c.radius
-		for i := range c.positions {
-			if i == radio {
-				continue
-			}
-			if c.positions[i].PositionAt(now).Dist2(senderPos) <= r2 {
-				tx.receivers = append(tx.receivers, i)
-			}
-		}
+	c.refresh()
+	if now == c.snapTime {
+		tx.senderPos = c.snap[radio]
+		tx.receivers = c.grid.Neighbors(radio, c.radius, tx.receivers)
 	} else {
-		c.refresh()
-		if now == c.snapTime {
-			tx.senderPos = c.snap[radio]
-			tx.receivers = c.grid.Neighbors(radio, c.radius, tx.receivers)
-		} else {
-			tx.senderPos = c.positions[radio].PositionAt(now)
-			tx.receivers = c.staleNeighbors(radio, tx.senderPos, now, tx.receivers)
-		}
+		tx.senderPos = c.positions[radio].PositionAt(now)
+		tx.receivers = c.staleNeighbors(radio, tx.senderPos, now, tx.receivers)
 	}
 
 	// Collision rule: any temporal overlap at a common receiver garbles
 	// both copies (unless the capture effect lets the much-stronger one
 	// through); a receiver that is itself transmitting cannot decode.
-	local := false
-	if c.DisableInterference {
-		c.legacyOverlapScan(tx, radio, now)
+	for _, i := range tx.receivers {
+		tx.recvSet.Add(packet.NodeID(i))
+	}
+	// Localizing overlap needs a declared speed bound (to cap how far a
+	// receiver can drift between two membership snapshots); without one,
+	// scan the whole active list with the same bitset rule.
+	local := c.hasBound
+	if local {
+		c.localOverlapScan(tx, now)
 	} else {
-		for _, i := range tx.receivers {
-			tx.recvSet.Add(packet.NodeID(i))
-		}
-		// Localizing overlap needs both the grid (for the buckets) and a
-		// declared speed bound (to cap how far a receiver can drift
-		// between two membership snapshots); without either, fall back
-		// to scanning the whole active list with the bitset rule.
-		local = !c.DisableIndex && c.hasBound
-		if local {
-			c.localOverlapScan(tx, now)
-		} else {
-			for _, other := range c.active {
-				c.resolveAgainst(tx, other, now)
-			}
+		for _, other := range c.active {
+			c.resolveAgainst(tx, other, now)
 		}
 	}
 	for _, i := range tx.receivers {
@@ -717,7 +648,7 @@ func bandOf(y, height float64, bands int) int {
 // micro-checkpoint a speculative window needs — a window the partition
 // would decline anyway then costs nothing but this scan.
 func (c *Channel) SpecWindowViable(bands int, height float64) bool {
-	if bands <= 1 || c.DisableInterference || c.DisableIndex || !c.hasBound {
+	if bands <= 1 || !c.hasBound {
 		return false
 	}
 	guard := c.radius + driftEpsilon
@@ -739,7 +670,7 @@ func (c *Channel) SpecWindowViable(bands int, height float64) bool {
 // Must be called from the scheduler's owning goroutine with no lane
 // running.
 func (c *Channel) BeginSpecWindow(bands int, height float64) bool {
-	if bands <= 1 || c.DisableInterference || c.DisableIndex || !c.hasBound {
+	if bands <= 1 || !c.hasBound {
 		return false
 	}
 	if c.specBands != 0 {
@@ -894,21 +825,13 @@ func (c *Channel) newTransmission(f *packet.Frame, radio int, end sim.Time) *tra
 		tx = c.txFree[n-1]
 		c.txFree = c.txFree[:n-1]
 		tx.receivers = tx.receivers[:0]
-		if tx.garbled != nil {
-			clear(tx.garbled)
-		} else {
-			tx.recvSet.Clear()
-			tx.garbledSet.Clear()
-		}
+		tx.recvSet.Clear()
+		tx.garbledSet.Clear()
 		c.txPoolHits++
 	} else {
 		tx = &transmission{cell: -1, lane: -1, ch: c}
-		if c.DisableInterference {
-			tx.garbled = make(map[int]bool)
-		} else {
-			tx.recvSet = nodeset.New(len(c.positions))
-			tx.garbledSet = nodeset.New(len(c.positions))
-		}
+		tx.recvSet = nodeset.New(len(c.positions))
+		tx.garbledSet = nodeset.New(len(c.positions))
 		c.txPoolMisses++
 	}
 	tx.frame = f
@@ -918,38 +841,6 @@ func (c *Channel) newTransmission(f *packet.Frame, radio int, end sim.Time) *tra
 		c.audit.AuditAcquire(c.sched.Now(), "phy.tx", tx)
 	}
 	return tx
-}
-
-// legacyOverlapScan is the original overlap engine: every active
-// transmission in the whole map is checked receiver by receiver against
-// a scratch membership table. Kept selectable (DisableInterference) as
-// the oracle the localized engine is proven byte-identical to, and as
-// the benchmark baseline its speedup is measured against.
-func (c *Channel) legacyOverlapScan(tx *transmission, radio int, now sim.Time) {
-	if len(c.member) < len(c.positions) {
-		c.member = make([]bool, len(c.positions))
-	}
-	for _, i := range tx.receivers {
-		c.member[i] = true
-	}
-	for _, other := range c.active {
-		for _, i := range other.receivers {
-			if c.member[i] {
-				c.resolveOverlap(tx, other, i, now)
-			}
-		}
-		// The new sender cannot receive the ongoing frame (half-duplex).
-		if contains(other.receivers, radio) {
-			other.garbled[radio] = true
-		}
-		// An ongoing sender cannot receive the new frame.
-		if c.member[other.sender] {
-			tx.garbled[other.sender] = true
-		}
-	}
-	for _, i := range tx.receivers {
-		c.member[i] = false
-	}
 }
 
 // localOverlapScan resolves overlap for tx against only the active
@@ -1014,7 +905,7 @@ func (c *Channel) resolveAgainst(tx, other *transmission, now sim.Time) {
 // instant — the same rule Transmit applies for receiver discovery —
 // instead of re-evaluating the mover function per overlapping pair.
 func (c *Channel) rxPosAt(i int, now sim.Time) geom.Point {
-	if !c.DisableIndex && c.gridOK && now == c.snapTime && i < len(c.snap) {
+	if c.gridOK && now == c.snapTime && i < len(c.snap) {
 		return c.snap[i]
 	}
 	return c.positions[i].PositionAt(now)
@@ -1317,17 +1208,3 @@ func (c *Channel) SetLoss(rate float64, rng *sim.RNG) {
 // CarrierBusyAt reports whether the medium is currently sensed busy at
 // radio i.
 func (c *Channel) CarrierBusyAt(i int) bool { return c.busyCount[i] > 0 }
-
-// contains reports membership in an ascending slice by binary search.
-func contains(s []int, x int) bool {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(s) && s[lo] == x
-}

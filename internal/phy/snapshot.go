@@ -53,9 +53,6 @@ type ChannelState struct {
 // the snapshot); enderRef also receives the sending radio so the caller
 // can verify the handler belongs to that radio's MAC.
 func (c *Channel) Snapshot(frameRef func(*packet.Frame) uint32, enderRef func(sender int, e TxEnder) uint32) (ChannelState, error) {
-	if c.DisableInterference {
-		return ChannelState{}, fmt.Errorf("phy: checkpoint unsupported with the legacy interference engine")
-	}
 	if c.obsBusy {
 		return ChannelState{}, fmt.Errorf("phy: checkpoint unsupported with the channel-load observer attached")
 	}
@@ -105,9 +102,6 @@ func (c *Channel) Snapshot(frameRef func(*packet.Frame) uint32, enderRef func(se
 // listeners' own state is restored separately by their layer. The
 // spatial caches stay invalid and rebuild on the first query.
 func (c *Channel) Restore(st ChannelState, frame func(uint32) *packet.Frame, ender func(uint32) TxEnder) error {
-	if c.DisableInterference {
-		return fmt.Errorf("phy: restore unsupported with the legacy interference engine")
-	}
 	if len(c.active) != 0 || c.stats.Transmissions != 0 {
 		return fmt.Errorf("phy: restore into a channel with traffic history")
 	}

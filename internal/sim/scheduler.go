@@ -129,9 +129,8 @@ func NewScheduler() *Scheduler {
 
 // NewHeapScheduler returns a scheduler backed by the legacy binary heap
 // with eager cancellation and per-event allocation. It exists as the
-// independent oracle for equivalence tests and as an escape hatch
-// (manet.Config.DisableLadderQueue); models observe identical behavior
-// under either scheduler.
+// independent oracle for the ladder queue's equivalence tests; models
+// observe identical behavior under either scheduler.
 func NewHeapScheduler() *Scheduler {
 	return &Scheduler{legacy: true}
 }

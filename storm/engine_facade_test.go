@@ -19,11 +19,10 @@ func baseEngineConfig(seed uint64) storm.Config {
 	}
 }
 
-// TestEngineSelectorMatchesShims proves the redesigned engine-selection
-// API is a pure facade change: the deprecated Disable* shim fields and
-// every explicit Engine/Shards selection produce summaries
-// byte-identical to the legacy default configuration.
-func TestEngineSelectorMatchesShims(t *testing.T) {
+// TestEngineSelectorMatchesDefault proves engine selection through the
+// facade is model-neutral: every explicit Engine/Shards/Arena selection
+// produces a summary byte-identical to the default configuration's.
+func TestEngineSelectorMatchesDefault(t *testing.T) {
 	// Shared across seeds, so the second seed's run reuses the first's
 	// slabs through the facade-level Arena plumbing.
 	arena := storm.NewArena()
@@ -46,17 +45,6 @@ func TestEngineSelectorMatchesShims(t *testing.T) {
 				c.Arena = arena
 			}},
 			{"auto-shards-4", func(c *storm.Config) { c.Shards = 4 }},
-			{"shim-ladder", func(c *storm.Config) { c.DisableLadderQueue = true }},
-			{"shim-spatial", func(c *storm.Config) { c.DisableSpatialIndex = true }},
-			{"shim-interference", func(c *storm.Config) { c.DisableInterferenceIndex = true }},
-			{"shim-dense", func(c *storm.Config) { c.DisableDenseState = true }},
-			{"shim-all", func(c *storm.Config) {
-				c.Engine = storm.EngineSequentialOracle
-				c.DisableLadderQueue = true
-				c.DisableSpatialIndex = true
-				c.DisableInterferenceIndex = true
-				c.DisableDenseState = true
-			}},
 		}
 		for _, v := range variants {
 			t.Run(v.name, func(t *testing.T) {
@@ -67,7 +55,7 @@ func TestEngineSelectorMatchesShims(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got := n.Run(); got != want {
-					t.Fatalf("seed %d: summary diverges from legacy default:\ngot:  %+v\nwant: %+v",
+					t.Fatalf("seed %d: summary diverges from the default:\ngot:  %+v\nwant: %+v",
 						seed, got, want)
 				}
 			})

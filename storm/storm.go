@@ -56,8 +56,8 @@ type (
 	// ParallelStats reports how a sharded or speculative run executed
 	// its barrier windows (Network.ParallelStats).
 	ParallelStats = manet.ParallelStats
-	// Features describes the data-structure and parallelism choices an
-	// engine resolves to (Config.EngineFeatures, Engine.Features).
+	// Features describes the parallelism choices an engine runs with
+	// (Engine.Features).
 	Features = manet.Features
 )
 
