@@ -184,6 +184,9 @@ func (m *MAC) Restore(st MACState,
 		m.txEvent != nil || m.ackTimer != nil || m.stats.Enqueued != 0 {
 		return fmt.Errorf("mac: restore into a MAC with traffic history")
 	}
+	if st.FreeLen < 0 {
+		return fmt.Errorf("mac: restore state has negative pending-pool depth %d", st.FreeLen)
+	}
 	m.stats = st.Stats
 	m.cw = st.CW
 	m.rng.SetState(st.RNG)

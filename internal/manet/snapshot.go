@@ -607,6 +607,9 @@ func (n *Network) restore(ck *snapshot.Checkpoint) error {
 			}
 			h.helloFly = append(h.helloFly, f)
 		}
+		if hs.PrFree < 0 {
+			return fmt.Errorf("manet: restore %v: negative decision-pool depth %d", h.id, hs.PrFree)
+		}
 		for j := int64(0); j < hs.PrFree; j++ {
 			h.prFree = append(h.prFree, &pendingRebroadcast{h: h})
 		}
@@ -631,6 +634,14 @@ func (n *Network) restore(ck *snapshot.Checkpoint) error {
 		n.recOpen = append(n.recOpen, r.Open)
 	}
 	n.stream.Restore(ck.Net.Stream)
+	for _, pool := range []struct {
+		name  string
+		depth int64
+	}{{"set", ck.Net.SetPool}, {"frame", ck.Net.FramePool}, {"hello", ck.Net.HelloPool}} {
+		if pool.depth < 0 {
+			return fmt.Errorf("manet: restore negative %s-pool depth %d", pool.name, pool.depth)
+		}
+	}
 	for i := int64(0); i < ck.Net.SetPool; i++ {
 		n.setPool = append(n.setPool, nodeset.New(len(n.hosts)))
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/check"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/scheme"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 // resumeSchemes is the scheme matrix of the resume-equivalence
@@ -276,6 +278,55 @@ func TestRestoreContradictoryConfig(t *testing.T) {
 			t.Fatal("RestoreNetwork accepted a truncated checkpoint")
 		}
 	})
+}
+
+// TestRestoreForgedPoolDepth forges each checkpointed free-list or pool
+// depth to -1. Such a document is well-formed for the codec, so restore
+// is where it has to be refused: an error naming the depth, not a slice
+// out of range or a depth silently read as zero.
+func TestRestoreForgedPoolDepth(t *testing.T) {
+	sequential := resumeBase(scheme.Counter{C: 3}, 2)
+	sharded := sequential
+	sharded.Engine, sharded.Shards = EngineSharded, 4
+	seqBufs, _ := captureCheckpoints(t, sequential)
+	shBufs, _ := captureCheckpoints(t, sharded)
+
+	forgeries := []struct {
+		name    string
+		sharded bool
+		forge   func(*snapshot.Checkpoint)
+		want    string
+	}{
+		{"Sched.FreeLen", false, func(ck *snapshot.Checkpoint) { ck.Sched.FreeLen = -1 }, "free-list depth"},
+		{"Sched.Lanes.FreeLen", true, func(ck *snapshot.Checkpoint) { ck.Sched.Lanes[2].FreeLen = -1 }, "lane 2 has negative free-list depth"},
+		{"Channel.TxFreeLen", false, func(ck *snapshot.Checkpoint) { ck.Channel.TxFreeLen = -1 }, "transmission-pool depth"},
+		{"Hosts.MAC.FreeLen", false, func(ck *snapshot.Checkpoint) { ck.Hosts[0].MAC.FreeLen = -1 }, "pending-pool depth"},
+		{"Hosts.PrFree", false, func(ck *snapshot.Checkpoint) { ck.Hosts[0].PrFree = -1 }, "decision-pool depth"},
+		{"Net.SetPool", false, func(ck *snapshot.Checkpoint) { ck.Net.SetPool = -1 }, "set-pool depth"},
+		{"Net.FramePool", false, func(ck *snapshot.Checkpoint) { ck.Net.FramePool = -1 }, "frame-pool depth"},
+		{"Net.HelloPool", false, func(ck *snapshot.Checkpoint) { ck.Net.HelloPool = -1 }, "hello-pool depth"},
+	}
+	for _, tc := range forgeries {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, doc := sequential, seqBufs[1]
+			if tc.sharded {
+				cfg, doc = sharded, shBufs[1]
+			}
+			ck, err := snapshot.Decode(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.forge(ck)
+			// The forgery survives the codec: only restore can refuse it.
+			if ck, err = snapshot.Decode(snapshot.Encode(ck)); err != nil {
+				t.Fatal(err)
+			}
+			_, err = RestoreCheckpoint(ck, cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore returned %v, want an error naming the %s", err, tc.want)
+			}
+		})
+	}
 }
 
 // TestCheckpointDigestPinned pins the full v1 digest of one fixed

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -108,5 +109,33 @@ func TestStringers(t *testing.T) {
 	}
 	if Kind(99).String() == "" {
 		t.Error("unknown kind stringer empty")
+	}
+}
+
+// TestConstructorFields pins the field and size conventions of the
+// control-frame constructors.
+func TestConstructorFields(t *testing.T) {
+	pos := geom.Point{X: 1, Y: 2}
+	ack := NewAck(3, 8, pos)
+	if ack.Kind != KindAck || ack.Sender != 3 || ack.Dest != 8 || ack.Bytes != AckBytes || ack.SenderPos != pos {
+		t.Errorf("NewAck: %+v", ack)
+	}
+	rts := NewRTS(2, 6, 9*sim.Microsecond, pos)
+	if rts.Kind != KindRTS || rts.Bytes != RTSBytes || rts.NAV != 9*sim.Microsecond {
+		t.Errorf("NewRTS: %+v", rts)
+	}
+	cts := NewCTS(6, 2, 7*sim.Microsecond, pos)
+	if cts.Kind != KindCTS || cts.Bytes != CTSBytes || cts.NAV != 7*sim.Microsecond {
+		t.Errorf("NewCTS: %+v", cts)
+	}
+	data := NewData(6, 1, 512, "body", pos)
+	if data.Kind != KindData || data.Bytes != 512 || data.Payload != "body" {
+		t.Errorf("NewData: %+v", data)
+	}
+}
+
+func TestKindStringUnknown(t *testing.T) {
+	if s := Kind(99).String(); !strings.Contains(s, "99") {
+		t.Fatalf("Kind(99).String() = %q", s)
 	}
 }

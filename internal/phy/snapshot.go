@@ -109,6 +109,9 @@ func (c *Channel) Restore(st ChannelState, frame func(uint32) *packet.Frame, end
 		return fmt.Errorf("phy: restore loss-model state mismatch (checkpoint %v, channel %v)",
 			st.HasLoss, c.lossRNG != nil)
 	}
+	if st.TxFreeLen < 0 {
+		return fmt.Errorf("phy: restore state has negative transmission-pool depth %d", st.TxFreeLen)
+	}
 	c.stats = st.Stats
 	if st.HasLoss {
 		c.lossRNG.SetState(st.LossRNG)

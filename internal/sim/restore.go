@@ -85,10 +85,15 @@ func (s *Scheduler) RestoreState(st SchedulerState) error {
 			len(st.Lanes), len(s.wheels))
 	case st.Seq >= laneSeqBase(0):
 		return fmt.Errorf("sim: restore state sequence counter %d outside the shared namespace", st.Seq)
+	case st.FreeLen < 0:
+		return fmt.Errorf("sim: restore state has negative free-list depth %d", st.FreeLen)
 	}
 	for i, ln := range st.Lanes {
 		if ln.Seq < laneSeqBase(i) || ln.Seq >= laneSeqBase(i+1) {
 			return fmt.Errorf("sim: restore lane %d sequence counter %d outside its namespace", i, ln.Seq)
+		}
+		if ln.FreeLen < 0 {
+			return fmt.Errorf("sim: restore lane %d has negative free-list depth %d", i, ln.FreeLen)
 		}
 	}
 	s.now = st.Now

@@ -25,6 +25,13 @@ import (
 // field and trailing bytes after the document are both errors — and
 // every count is sanity-checked against the bytes remaining before
 // anything is allocated, so a forged length cannot balloon memory.
+//
+// Each section below is one function that names its fields once, in
+// wire order; the same walk encodes or decodes depending on the coder's
+// direction, so the two cannot disagree about the layout. What they
+// cannot show is that the layout is still v1: that is pinned against
+// committed bytes (TestLayoutPinned*, TestSeedCheckpoint* in this
+// package's tests).
 
 // Magic prefixes every encoded checkpoint.
 const Magic = "STRMSNAP"
@@ -39,1205 +46,463 @@ var ErrTruncated = errors.New("snapshot: truncated checkpoint")
 // bound, so a single corrupt count cannot demand a giant allocation.
 const maxCount = 1 << 28
 
-type encoder struct{ buf []byte }
-
-func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *encoder) u32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v) }
-func (e *encoder) u64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
-func (e *encoder) i64(v int64)  { e.u64(uint64(v)) }
-func (e *encoder) f64(v float64) {
-	e.u64(math.Float64bits(v))
-}
-func (e *encoder) boolean(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-func (e *encoder) count(n int) { e.u32(uint32(n)) }
-func (e *encoder) str(s string) {
-	e.count(len(s))
-	e.buf = append(e.buf, s...)
-}
-func (e *encoder) node(id packet.NodeID) { e.u32(uint32(int32(id))) }
-func (e *encoder) bid(id packet.BroadcastID) {
-	e.node(id.Source)
-	e.u32(id.Seq)
-}
-func (e *encoder) rng(s [4]uint64) {
-	for _, w := range s {
-		e.u64(w)
-	}
-}
-
-type decoder struct {
+// coder walks a document in one of two directions. Encoding (dec false)
+// appends each visited field to buf. Decoding (dec true) fills each
+// visited field from buf at off; the first failure sticks in err and
+// turns every later visit into a no-op, so sections need no per-field
+// error plumbing and Decode checks once at the end.
+type coder struct {
 	buf []byte
 	off int
+	dec bool
+	err error
 }
 
-func (d *decoder) remaining() int { return len(d.buf) - d.off }
+func (c *coder) remaining() int { return len(c.buf) - c.off }
 
-func (d *decoder) take(n int, field string) ([]byte, error) {
-	if n > d.remaining() {
-		return nil, fmt.Errorf("%w: %s at offset %d (have %d of %d bytes)",
-			ErrTruncated, field, d.off, d.remaining(), n)
+// take consumes n input bytes, or records a truncation naming field and
+// returns nil.
+func (c *coder) take(n int, field string) []byte {
+	if c.err != nil {
+		return nil
 	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b, nil
-}
-
-func (d *decoder) u8(field string) (uint8, error) {
-	b, err := d.take(1, field)
-	if err != nil {
-		return 0, err
+	if n > c.remaining() {
+		c.err = fmt.Errorf("%w: %s at offset %d (have %d of %d bytes)",
+			ErrTruncated, field, c.off, c.remaining(), n)
+		return nil
 	}
-	return b[0], nil
+	b := c.buf[c.off : c.off+n]
+	c.off += n
+	return b
 }
 
-func (d *decoder) u32(field string) (uint32, error) {
-	b, err := d.take(4, field)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(b), nil
-}
-
-func (d *decoder) u64(field string) (uint64, error) {
-	b, err := d.take(8, field)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(b), nil
-}
-
-func (d *decoder) i64(field string) (int64, error) {
-	v, err := d.u64(field)
-	return int64(v), err
-}
-
-func (d *decoder) f64(field string) (float64, error) {
-	v, err := d.u64(field)
-	return math.Float64frombits(v), err
-}
-
-func (d *decoder) boolean(field string) (bool, error) {
-	v, err := d.u8(field)
-	if err != nil {
-		return false, err
-	}
-	switch v {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	default:
-		return false, fmt.Errorf("snapshot: non-canonical boolean %d in %s", v, field)
+func (c *coder) u8(v *uint8, field string) {
+	if !c.dec {
+		c.buf = append(c.buf, *v)
+	} else if b := c.take(1, field); b != nil {
+		*v = b[0]
 	}
 }
 
-// count reads a length prefix and checks it against the bytes remaining
-// (each element occupies at least elemSize bytes) before the caller
-// allocates anything.
-func (d *decoder) count(elemSize int, field string) (int, error) {
-	v, err := d.u32(field)
-	if err != nil {
-		return 0, err
+func (c *coder) u32(v *uint32, field string) {
+	if !c.dec {
+		c.buf = binary.BigEndian.AppendUint32(c.buf, *v)
+	} else if b := c.take(4, field); b != nil {
+		*v = binary.BigEndian.Uint32(b)
 	}
-	n := int(v)
-	if n > maxCount || n*elemSize > d.remaining() {
-		return 0, fmt.Errorf("snapshot: %s count %d exceeds remaining input", field, n)
-	}
-	return n, nil
 }
 
-func (d *decoder) str(field string) (string, error) {
-	n, err := d.count(1, field)
-	if err != nil {
-		return "", err
+func (c *coder) u64(v *uint64, field string) {
+	if !c.dec {
+		c.buf = binary.BigEndian.AppendUint64(c.buf, *v)
+	} else if b := c.take(8, field); b != nil {
+		*v = binary.BigEndian.Uint64(b)
 	}
-	b, err := d.take(n, field)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
 }
 
-func (d *decoder) node(field string) (packet.NodeID, error) {
-	v, err := d.u32(field)
-	return packet.NodeID(int32(v)), err
-}
-
-func (d *decoder) bid(field string) (packet.BroadcastID, error) {
-	src, err := d.node(field)
-	if err != nil {
-		return packet.BroadcastID{}, err
+// i64 carries an int, sim.Time, sim.Duration or int64 as 64 bits.
+func i64[T ~int | ~int64](c *coder, v *T, field string) {
+	u := uint64(*v)
+	c.u64(&u, field)
+	if c.dec {
+		*v = T(u)
 	}
-	seq, err := d.u32(field)
-	return packet.BroadcastID{Source: src, Seq: seq}, err
 }
 
-func (d *decoder) rng(field string) ([4]uint64, error) {
-	var s [4]uint64
+// i32 carries an int32 or packet.NodeID as 32 bits.
+func i32[T ~int32](c *coder, v *T, field string) {
+	u := uint32(*v)
+	c.u32(&u, field)
+	if c.dec {
+		*v = T(u)
+	}
+}
+
+func (c *coder) f64(v *float64, field string) {
+	u := math.Float64bits(*v)
+	c.u64(&u, field)
+	if c.dec {
+		*v = math.Float64frombits(u)
+	}
+}
+
+func (c *coder) point(p *geom.Point, field string) {
+	c.f64(&p.X, field)
+	c.f64(&p.Y, field)
+}
+
+func (c *coder) boolean(v *bool, field string) {
+	var b uint8
+	if *v {
+		b = 1
+	}
+	c.u8(&b, field)
+	if !c.dec || c.err != nil {
+		return
+	}
+	if b > 1 {
+		c.err = fmt.Errorf("snapshot: non-canonical boolean %d in %s", b, field)
+		return
+	}
+	*v = b == 1
+}
+
+func (c *coder) rng(s *[4]uint64, field string) {
 	for i := range s {
-		w, err := d.u64(field)
-		if err != nil {
-			return s, err
+		c.u64(&s[i], field)
+	}
+}
+
+func (c *coder) bid(id *packet.BroadcastID, field string) {
+	i32(c, &id.Source, field)
+	c.u32(&id.Seq, field)
+}
+
+// count walks a length prefix. Decoding, it checks the count against
+// the bytes remaining (each element occupies at least elemSize bytes)
+// before the caller allocates anything, and returns 0 once the walk has
+// failed.
+func (c *coder) count(n, elemSize int, field string) int {
+	u := uint32(n)
+	c.u32(&u, field)
+	if !c.dec {
+		return n
+	}
+	if c.err != nil {
+		return 0
+	}
+	n = int(u)
+	if n > maxCount || n*elemSize > c.remaining() {
+		c.err = fmt.Errorf("snapshot: %s count %d exceeds remaining input", field, n)
+		return 0
+	}
+	return n
+}
+
+func (c *coder) str(s *string, field string) {
+	n := c.count(len(*s), 1, field)
+	if !c.dec {
+		c.buf = append(c.buf, *s...)
+	} else {
+		*s = string(c.take(n, field))
+	}
+}
+
+// list walks a counted sequence: the length prefix, then every element
+// through elem, which receives the list's own label for elements that
+// are a single unlabelled value. Decoding sizes the slice from the
+// validated count; a zero count leaves it nil.
+func list[T any](c *coder, s *[]T, elemSize int, field string, elem func(*coder, *T, string)) {
+	n := c.count(len(*s), elemSize, field)
+	if c.dec {
+		*s = nil
+		if n > 0 {
+			*s = make([]T, n)
 		}
-		s[i] = w
 	}
-	return s, nil
-}
-
-func (d *decoder) bids(field string) ([]packet.BroadcastID, error) {
-	n, err := d.count(8, field)
-	if err != nil {
-		return nil, err
-	}
-	var out []packet.BroadcastID
-	for i := 0; i < n; i++ {
-		id, err := d.bid(field)
-		if err != nil {
-			return nil, err
+	for i := range *s {
+		if c.err != nil {
+			return
 		}
-		out = append(out, id)
-	}
-	return out, nil
-}
-
-func (d *decoder) nodes(field string) ([]packet.NodeID, error) {
-	n, err := d.count(4, field)
-	if err != nil {
-		return nil, err
-	}
-	var out []packet.NodeID
-	for i := 0; i < n; i++ {
-		id, err := d.node(field)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, id)
-	}
-	return out, nil
-}
-
-func encodeBids(e *encoder, ids []packet.BroadcastID) {
-	e.count(len(ids))
-	for _, id := range ids {
-		e.bid(id)
+		elem(c, &(*s)[i], field)
 	}
 }
 
-func encodeNodes(e *encoder, ids []packet.NodeID) {
-	e.count(len(ids))
-	for _, id := range ids {
-		e.node(id)
+// nodes and bids are lists of ids — dedup tables and two-hop sets, the
+// bulk of every real document. A run encodes a checkpoint per cadence
+// tick and decodes one per resume, so only the encoding side trades the
+// call per element for a plain append loop.
+func (c *coder) nodes(s *[]packet.NodeID, field string) {
+	if c.dec {
+		list(c, s, 4, field, i32[packet.NodeID])
+		return
+	}
+	c.count(len(*s), 4, field)
+	for _, id := range *s {
+		c.buf = binary.BigEndian.AppendUint32(c.buf, uint32(id))
+	}
+}
+
+func (c *coder) bids(s *[]packet.BroadcastID, field string) {
+	if c.dec {
+		list(c, s, 8, field, (*coder).bid)
+		return
+	}
+	c.count(len(*s), 8, field)
+	for _, id := range *s {
+		c.buf = binary.BigEndian.AppendUint32(c.buf, uint32(id.Source))
+		c.buf = binary.BigEndian.AppendUint32(c.buf, id.Seq)
 	}
 }
 
 // --- scheduler ---
 
-func encodeSched(e *encoder, st *sim.SchedulerState) {
-	e.i64(int64(st.Now))
-	e.u64(st.Seq)
-	e.u64(st.Executed)
-	e.u64(st.PoolHits)
-	e.u64(st.PoolMisses)
-	e.i64(int64(st.FreeLen))
-	e.count(len(st.Lanes))
-	for _, ln := range st.Lanes {
-		e.u64(ln.Seq)
-		e.i64(int64(ln.FreeLen))
-	}
-}
-
-func decodeSched(d *decoder) (sim.SchedulerState, error) {
-	var st sim.SchedulerState
-	var err error
-	read := func(field string) int64 {
-		if err != nil {
-			return 0
-		}
-		var v int64
-		v, err = d.i64(field)
-		return v
-	}
-	st.Now = sim.Time(read("sched.now"))
-	st.Seq = uint64(read("sched.seq"))
-	st.Executed = uint64(read("sched.executed"))
-	st.PoolHits = uint64(read("sched.pool_hits"))
-	st.PoolMisses = uint64(read("sched.pool_misses"))
-	st.FreeLen = int(read("sched.free_len"))
-	if err != nil {
-		return st, err
-	}
-	n, err := d.count(16, "sched.lanes")
-	if err != nil {
-		return st, err
-	}
-	for i := 0; i < n; i++ {
-		var ln sim.LaneState
-		if ln.Seq, err = d.u64("sched.lane.seq"); err != nil {
-			return st, err
-		}
-		fl, err := d.i64("sched.lane.free_len")
-		if err != nil {
-			return st, err
-		}
-		ln.FreeLen = int(fl)
-		st.Lanes = append(st.Lanes, ln)
-	}
-	return st, nil
+func sched(c *coder, st *sim.SchedulerState) {
+	i64(c, &st.Now, "sched.now")
+	c.u64(&st.Seq, "sched.seq")
+	c.u64(&st.Executed, "sched.executed")
+	c.u64(&st.PoolHits, "sched.pool_hits")
+	c.u64(&st.PoolMisses, "sched.pool_misses")
+	i64(c, &st.FreeLen, "sched.free_len")
+	list(c, &st.Lanes, 16, "sched.lanes", func(c *coder, ln *sim.LaneState, _ string) {
+		c.u64(&ln.Seq, "sched.lane.seq")
+		i64(c, &ln.FreeLen, "sched.lane.free_len")
+	})
 }
 
 // --- channel ---
 
-func encodeChannel(e *encoder, st *phy.ChannelState) {
-	e.i64(int64(st.Stats.Transmissions))
-	e.i64(int64(st.Stats.Deliveries))
-	e.i64(int64(st.Stats.Collisions))
-	e.i64(int64(st.Stats.Lost))
-	e.boolean(st.HasLoss)
-	e.rng(st.LossRNG)
-	e.i64(int64(st.MaxAir))
-	e.u64(st.TxPoolHits)
-	e.u64(st.TxPoolMisses)
-	e.i64(int64(st.TxFreeLen))
-	e.count(len(st.Active))
-	for _, tx := range st.Active {
-		e.u32(tx.FrameRef)
-		e.u32(tx.EnderRef)
-		e.u32(uint32(tx.Sender))
-		e.f64(tx.SenderPos.X)
-		e.f64(tx.SenderPos.Y)
-		e.i64(int64(tx.End))
-		e.u64(tx.EndSeq)
-		e.count(len(tx.Receivers))
-		for _, r := range tx.Receivers {
-			e.u32(uint32(r))
-		}
-		encodeNodes(e, tx.Garbled)
-	}
-}
-
-func decodeChannel(d *decoder) (phy.ChannelState, error) {
-	var st phy.ChannelState
-	var err error
-	read := func(field string) int64 {
-		if err != nil {
-			return 0
-		}
-		var v int64
-		v, err = d.i64(field)
-		return v
-	}
-	st.Stats.Transmissions = int(read("phy.transmissions"))
-	st.Stats.Deliveries = int(read("phy.deliveries"))
-	st.Stats.Collisions = int(read("phy.collisions"))
-	st.Stats.Lost = int(read("phy.lost"))
-	if err != nil {
-		return st, err
-	}
-	if st.HasLoss, err = d.boolean("phy.has_loss"); err != nil {
-		return st, err
-	}
-	if st.LossRNG, err = d.rng("phy.loss_rng"); err != nil {
-		return st, err
-	}
-	st.MaxAir = sim.Duration(read("phy.max_air"))
-	st.TxPoolHits = uint64(read("phy.tx_pool_hits"))
-	st.TxPoolMisses = uint64(read("phy.tx_pool_misses"))
-	st.TxFreeLen = int(read("phy.tx_free_len"))
-	if err != nil {
-		return st, err
-	}
-	n, err := d.count(52, "phy.active")
-	if err != nil {
-		return st, err
-	}
-	for i := 0; i < n; i++ {
-		var tx phy.TxState
-		if tx.FrameRef, err = d.u32("phy.tx.frame_ref"); err != nil {
-			return st, err
-		}
-		if tx.EnderRef, err = d.u32("phy.tx.ender_ref"); err != nil {
-			return st, err
-		}
-		sender, err := d.u32("phy.tx.sender")
-		if err != nil {
-			return st, err
-		}
-		tx.Sender = int32(sender)
-		if tx.SenderPos.X, err = d.f64("phy.tx.pos_x"); err != nil {
-			return st, err
-		}
-		if tx.SenderPos.Y, err = d.f64("phy.tx.pos_y"); err != nil {
-			return st, err
-		}
-		end, err := d.i64("phy.tx.end")
-		if err != nil {
-			return st, err
-		}
-		tx.End = sim.Time(end)
-		if tx.EndSeq, err = d.u64("phy.tx.end_seq"); err != nil {
-			return st, err
-		}
-		rn, err := d.count(4, "phy.tx.receivers")
-		if err != nil {
-			return st, err
-		}
-		for j := 0; j < rn; j++ {
-			r, err := d.u32("phy.tx.receiver")
-			if err != nil {
-				return st, err
-			}
-			tx.Receivers = append(tx.Receivers, int32(r))
-		}
-		if tx.Garbled, err = d.nodes("phy.tx.garbled"); err != nil {
-			return st, err
-		}
-		st.Active = append(st.Active, tx)
-	}
-	return st, nil
+func channel(c *coder, st *phy.ChannelState) {
+	i64(c, &st.Stats.Transmissions, "phy.transmissions")
+	i64(c, &st.Stats.Deliveries, "phy.deliveries")
+	i64(c, &st.Stats.Collisions, "phy.collisions")
+	i64(c, &st.Stats.Lost, "phy.lost")
+	c.boolean(&st.HasLoss, "phy.has_loss")
+	c.rng(&st.LossRNG, "phy.loss_rng")
+	i64(c, &st.MaxAir, "phy.max_air")
+	c.u64(&st.TxPoolHits, "phy.tx_pool_hits")
+	c.u64(&st.TxPoolMisses, "phy.tx_pool_misses")
+	i64(c, &st.TxFreeLen, "phy.tx_free_len")
+	list(c, &st.Active, 52, "phy.active", func(c *coder, tx *phy.TxState, _ string) {
+		c.u32(&tx.FrameRef, "phy.tx.frame_ref")
+		c.u32(&tx.EnderRef, "phy.tx.ender_ref")
+		i32(c, &tx.Sender, "phy.tx.sender")
+		c.point(&tx.SenderPos, "phy.tx.pos")
+		i64(c, &tx.End, "phy.tx.end")
+		c.u64(&tx.EndSeq, "phy.tx.end_seq")
+		list(c, &tx.Receivers, 4, "phy.tx.receivers", i32[int32])
+		c.nodes(&tx.Garbled, "phy.tx.garbled")
+	})
 }
 
 // --- MAC ---
 
-func encodeMACPending(e *encoder, st *mac.PendingState) {
-	e.u32(st.FrameRef)
-	e.u32(st.ObsRef)
-	e.boolean(st.Started)
-	e.boolean(st.Cancelled)
-	e.boolean(st.Retransmit)
+func macPending(c *coder, st *mac.PendingState, field string) {
+	c.u32(&st.FrameRef, field)
+	c.u32(&st.ObsRef, field)
+	c.boolean(&st.Started, field)
+	c.boolean(&st.Cancelled, field)
+	c.boolean(&st.Retransmit, field)
 }
 
-func decodeMACPending(d *decoder, field string) (mac.PendingState, error) {
-	var st mac.PendingState
-	var err error
-	if st.FrameRef, err = d.u32(field); err != nil {
-		return st, err
-	}
-	if st.ObsRef, err = d.u32(field); err != nil {
-		return st, err
-	}
-	if st.Started, err = d.boolean(field); err != nil {
-		return st, err
-	}
-	if st.Cancelled, err = d.boolean(field); err != nil {
-		return st, err
-	}
-	st.Retransmit, err = d.boolean(field)
-	return st, err
-}
-
-func encodeMAC(e *encoder, st *mac.MACState) {
-	e.i64(int64(st.Stats.Enqueued))
-	e.i64(int64(st.Stats.Sent))
-	e.i64(int64(st.Stats.Cancelled))
-	e.i64(int64(st.Stats.AcksSent))
-	e.i64(int64(st.Stats.Retries))
-	e.i64(int64(st.Stats.Dropped))
-	e.i64(int64(st.Stats.Stalls))
-	e.i64(int64(st.CW))
-	e.rng(st.RNG)
-	e.boolean(st.Busy)
-	e.i64(int64(st.IdleSince))
-	e.i64(int64(st.BackoffRemaining))
-	e.i64(int64(st.Retries))
-	e.count(len(st.Queue))
-	for i := range st.Queue {
-		encodeMACPending(e, &st.Queue[i])
-	}
-	e.boolean(st.HasInflight)
-	encodeMACPending(e, &st.Inflight)
-	e.boolean(st.HasAwait)
-	encodeMACPending(e, &st.Await)
-	e.i64(int64(st.AwaitTimerAt))
-	e.u64(st.AwaitTimerSeq)
-	e.boolean(st.HasTxEvent)
-	e.i64(int64(st.TxEventAt))
-	e.u64(st.TxEventSeq)
-	e.i64(int64(st.TxEventBase))
-	e.i64(int64(st.TxEventSlots))
-	e.boolean(st.HasAck)
-	e.node(st.AckTo)
-	e.i64(int64(st.AckAt))
-	e.u64(st.AckSeq)
-	e.i64(int64(st.FreeLen))
-}
-
-func decodeMAC(d *decoder) (mac.MACState, error) {
-	var st mac.MACState
-	var err error
-	read := func(field string) int64 {
-		if err != nil {
-			return 0
-		}
-		var v int64
-		v, err = d.i64(field)
-		return v
-	}
-	st.Stats.Enqueued = int(read("mac.enqueued"))
-	st.Stats.Sent = int(read("mac.sent"))
-	st.Stats.Cancelled = int(read("mac.cancelled"))
-	st.Stats.AcksSent = int(read("mac.acks_sent"))
-	st.Stats.Retries = int(read("mac.stat_retries"))
-	st.Stats.Dropped = int(read("mac.dropped"))
-	st.Stats.Stalls = int(read("mac.stalls"))
-	st.CW = int(read("mac.cw"))
-	if err != nil {
-		return st, err
-	}
-	if st.RNG, err = d.rng("mac.rng"); err != nil {
-		return st, err
-	}
-	if st.Busy, err = d.boolean("mac.busy"); err != nil {
-		return st, err
-	}
-	st.IdleSince = sim.Time(read("mac.idle_since"))
-	st.BackoffRemaining = int(read("mac.backoff_remaining"))
-	st.Retries = int(read("mac.retries"))
-	if err != nil {
-		return st, err
-	}
-	n, err := d.count(11, "mac.queue")
-	if err != nil {
-		return st, err
-	}
-	for i := 0; i < n; i++ {
-		ps, err := decodeMACPending(d, "mac.queue")
-		if err != nil {
-			return st, err
-		}
-		st.Queue = append(st.Queue, ps)
-	}
-	if st.HasInflight, err = d.boolean("mac.has_inflight"); err != nil {
-		return st, err
-	}
-	if st.Inflight, err = decodeMACPending(d, "mac.inflight"); err != nil {
-		return st, err
-	}
-	if st.HasAwait, err = d.boolean("mac.has_await"); err != nil {
-		return st, err
-	}
-	if st.Await, err = decodeMACPending(d, "mac.await"); err != nil {
-		return st, err
-	}
-	st.AwaitTimerAt = sim.Time(read("mac.await_at"))
-	st.AwaitTimerSeq = uint64(read("mac.await_seq"))
-	if err != nil {
-		return st, err
-	}
-	if st.HasTxEvent, err = d.boolean("mac.has_tx_event"); err != nil {
-		return st, err
-	}
-	st.TxEventAt = sim.Time(read("mac.tx_event_at"))
-	st.TxEventSeq = uint64(read("mac.tx_event_seq"))
-	st.TxEventBase = sim.Time(read("mac.tx_event_base"))
-	st.TxEventSlots = int(read("mac.tx_event_slots"))
-	if err != nil {
-		return st, err
-	}
-	if st.HasAck, err = d.boolean("mac.has_ack"); err != nil {
-		return st, err
-	}
-	if st.AckTo, err = d.node("mac.ack_to"); err != nil {
-		return st, err
-	}
-	st.AckAt = sim.Time(read("mac.ack_at"))
-	st.AckSeq = uint64(read("mac.ack_seq"))
-	st.FreeLen = int(read("mac.free_len"))
-	return st, err
+func macState(c *coder, st *mac.MACState) {
+	i64(c, &st.Stats.Enqueued, "mac.enqueued")
+	i64(c, &st.Stats.Sent, "mac.sent")
+	i64(c, &st.Stats.Cancelled, "mac.cancelled")
+	i64(c, &st.Stats.AcksSent, "mac.acks_sent")
+	i64(c, &st.Stats.Retries, "mac.stat_retries")
+	i64(c, &st.Stats.Dropped, "mac.dropped")
+	i64(c, &st.Stats.Stalls, "mac.stalls")
+	i64(c, &st.CW, "mac.cw")
+	c.rng(&st.RNG, "mac.rng")
+	c.boolean(&st.Busy, "mac.busy")
+	i64(c, &st.IdleSince, "mac.idle_since")
+	i64(c, &st.BackoffRemaining, "mac.backoff_remaining")
+	i64(c, &st.Retries, "mac.retries")
+	list(c, &st.Queue, 11, "mac.queue", macPending)
+	c.boolean(&st.HasInflight, "mac.has_inflight")
+	macPending(c, &st.Inflight, "mac.inflight")
+	c.boolean(&st.HasAwait, "mac.has_await")
+	macPending(c, &st.Await, "mac.await")
+	i64(c, &st.AwaitTimerAt, "mac.await_at")
+	c.u64(&st.AwaitTimerSeq, "mac.await_seq")
+	c.boolean(&st.HasTxEvent, "mac.has_tx_event")
+	i64(c, &st.TxEventAt, "mac.tx_event_at")
+	c.u64(&st.TxEventSeq, "mac.tx_event_seq")
+	i64(c, &st.TxEventBase, "mac.tx_event_base")
+	i64(c, &st.TxEventSlots, "mac.tx_event_slots")
+	c.boolean(&st.HasAck, "mac.has_ack")
+	i32(c, &st.AckTo, "mac.ack_to")
+	i64(c, &st.AckAt, "mac.ack_at")
+	c.u64(&st.AckSeq, "mac.ack_seq")
+	i64(c, &st.FreeLen, "mac.free_len")
 }
 
 // --- mobility ---
 
-func encodeMover(e *encoder, st *mobility.RoamerState) {
-	e.i64(int64(st.SegStart))
-	e.f64(st.Origin.X)
-	e.f64(st.Origin.Y)
-	e.f64(st.VX)
-	e.f64(st.VY)
-	e.i64(int64(st.PrevStart))
-	e.f64(st.PrevOrigin.X)
-	e.f64(st.PrevOrigin.Y)
-	e.f64(st.PrevVX)
-	e.f64(st.PrevVY)
-	e.i64(int64(st.TurnAt))
-	e.boolean(st.HasPrev)
-	e.boolean(st.Stopped)
-	e.rng(st.RNG)
-	e.boolean(st.HasTurn)
-	e.i64(int64(st.TurnEventAt))
-	e.u64(st.TurnEventSeq)
-}
-
-func decodeMover(d *decoder) (mobility.RoamerState, error) {
-	var st mobility.RoamerState
-	var err error
-	readI := func(field string) int64 {
-		if err != nil {
-			return 0
-		}
-		var v int64
-		v, err = d.i64(field)
-		return v
-	}
-	readF := func(field string) float64 {
-		if err != nil {
-			return 0
-		}
-		var v float64
-		v, err = d.f64(field)
-		return v
-	}
-	st.SegStart = sim.Time(readI("mover.seg_start"))
-	st.Origin.X = readF("mover.origin_x")
-	st.Origin.Y = readF("mover.origin_y")
-	st.VX = readF("mover.vx")
-	st.VY = readF("mover.vy")
-	st.PrevStart = sim.Time(readI("mover.prev_start"))
-	st.PrevOrigin.X = readF("mover.prev_origin_x")
-	st.PrevOrigin.Y = readF("mover.prev_origin_y")
-	st.PrevVX = readF("mover.prev_vx")
-	st.PrevVY = readF("mover.prev_vy")
-	st.TurnAt = sim.Time(readI("mover.turn_at"))
-	if err != nil {
-		return st, err
-	}
-	if st.HasPrev, err = d.boolean("mover.has_prev"); err != nil {
-		return st, err
-	}
-	if st.Stopped, err = d.boolean("mover.stopped"); err != nil {
-		return st, err
-	}
-	if st.RNG, err = d.rng("mover.rng"); err != nil {
-		return st, err
-	}
-	if st.HasTurn, err = d.boolean("mover.has_turn"); err != nil {
-		return st, err
-	}
-	st.TurnEventAt = sim.Time(readI("mover.turn_event_at"))
-	st.TurnEventSeq = uint64(readI("mover.turn_event_seq"))
-	return st, err
+func mover(c *coder, st *mobility.RoamerState) {
+	i64(c, &st.SegStart, "mover.seg_start")
+	c.point(&st.Origin, "mover.origin")
+	c.f64(&st.VX, "mover.vx")
+	c.f64(&st.VY, "mover.vy")
+	i64(c, &st.PrevStart, "mover.prev_start")
+	c.point(&st.PrevOrigin, "mover.prev_origin")
+	c.f64(&st.PrevVX, "mover.prev_vx")
+	c.f64(&st.PrevVY, "mover.prev_vy")
+	i64(c, &st.TurnAt, "mover.turn_at")
+	c.boolean(&st.HasPrev, "mover.has_prev")
+	c.boolean(&st.Stopped, "mover.stopped")
+	c.rng(&st.RNG, "mover.rng")
+	c.boolean(&st.HasTurn, "mover.has_turn")
+	i64(c, &st.TurnEventAt, "mover.turn_event_at")
+	c.u64(&st.TurnEventSeq, "mover.turn_event_seq")
 }
 
 // --- neighbor table ---
 
-func encodeTable(e *encoder, st *neighbor.TableState) {
-	e.count(len(st.Entries))
-	for i := range st.Entries {
-		en := &st.Entries[i]
-		e.node(en.ID)
-		e.i64(int64(en.LastHeard))
-		e.i64(int64(en.Interval))
-		e.i64(int64(en.Deadline))
-		e.u64(en.ExpirySeq)
-		encodeNodes(e, en.TwoHop)
-	}
-	e.count(len(st.Changes))
-	for _, t := range st.Changes {
-		e.i64(int64(t))
-	}
-}
-
-func decodeTable(d *decoder) (neighbor.TableState, error) {
-	var st neighbor.TableState
-	n, err := d.count(40, "table.entries")
-	if err != nil {
-		return st, err
-	}
-	for i := 0; i < n; i++ {
-		var en neighbor.EntryState
-		if en.ID, err = d.node("table.entry.id"); err != nil {
-			return st, err
-		}
-		lh, err := d.i64("table.entry.last_heard")
-		if err != nil {
-			return st, err
-		}
-		en.LastHeard = sim.Time(lh)
-		iv, err := d.i64("table.entry.interval")
-		if err != nil {
-			return st, err
-		}
-		en.Interval = sim.Duration(iv)
-		dl, err := d.i64("table.entry.deadline")
-		if err != nil {
-			return st, err
-		}
-		en.Deadline = sim.Time(dl)
-		if en.ExpirySeq, err = d.u64("table.entry.expiry_seq"); err != nil {
-			return st, err
-		}
-		if en.TwoHop, err = d.nodes("table.entry.two_hop"); err != nil {
-			return st, err
-		}
-		st.Entries = append(st.Entries, en)
-	}
-	cn, err := d.count(8, "table.changes")
-	if err != nil {
-		return st, err
-	}
-	for i := 0; i < cn; i++ {
-		t, err := d.i64("table.change")
-		if err != nil {
-			return st, err
-		}
-		st.Changes = append(st.Changes, sim.Time(t))
-	}
-	return st, nil
+func table(c *coder, st *neighbor.TableState) {
+	list(c, &st.Entries, 40, "table.entries", func(c *coder, en *neighbor.EntryState, _ string) {
+		i32(c, &en.ID, "table.entry.id")
+		i64(c, &en.LastHeard, "table.entry.last_heard")
+		i64(c, &en.Interval, "table.entry.interval")
+		i64(c, &en.Deadline, "table.entry.deadline")
+		c.u64(&en.ExpirySeq, "table.entry.expiry_seq")
+		c.nodes(&en.TwoHop, "table.entry.two_hop")
+	})
+	list(c, &st.Changes, 8, "table.changes", i64[sim.Time])
 }
 
 // --- judge ---
 
-func encodeJudge(e *encoder, st *scheme.JudgeState) {
-	e.u8(uint8(st.Kind))
-	e.i64(int64(st.C))
-	e.i64(int64(st.Threshold))
-	e.f64(st.Own.X)
-	e.f64(st.Own.Y)
-	e.f64(st.DThreshold)
-	e.f64(st.MinDist)
-	e.f64(st.Radius)
-	e.f64(st.AThreshold)
-	e.count(len(st.Senders))
-	for _, p := range st.Senders {
-		e.f64(p.X)
-		e.f64(p.Y)
-	}
-	e.boolean(st.Rebroadcast)
-	encodeNodes(e, st.Pending)
-}
-
-func decodeJudge(d *decoder) (scheme.JudgeState, error) {
-	var st scheme.JudgeState
-	kind, err := d.u8("judge.kind")
-	if err != nil {
-		return st, err
-	}
-	st.Kind = scheme.JudgeKind(kind)
-	readI := func(field string) int64 {
-		if err != nil {
-			return 0
-		}
-		var v int64
-		v, err = d.i64(field)
-		return v
-	}
-	readF := func(field string) float64 {
-		if err != nil {
-			return 0
-		}
-		var v float64
-		v, err = d.f64(field)
-		return v
-	}
-	st.C = int(readI("judge.c"))
-	st.Threshold = int(readI("judge.threshold"))
-	st.Own.X = readF("judge.own_x")
-	st.Own.Y = readF("judge.own_y")
-	st.DThreshold = readF("judge.d_threshold")
-	st.MinDist = readF("judge.min_dist")
-	st.Radius = readF("judge.radius")
-	st.AThreshold = readF("judge.a_threshold")
-	if err != nil {
-		return st, err
-	}
-	n, err := d.count(16, "judge.senders")
-	if err != nil {
-		return st, err
-	}
-	for i := 0; i < n; i++ {
-		x, err := d.f64("judge.sender_x")
-		if err != nil {
-			return st, err
-		}
-		y, err := d.f64("judge.sender_y")
-		if err != nil {
-			return st, err
-		}
-		st.Senders = append(st.Senders, geom.Point{X: x, Y: y})
-	}
-	if st.Rebroadcast, err = d.boolean("judge.rebroadcast"); err != nil {
-		return st, err
-	}
-	st.Pending, err = d.nodes("judge.pending")
-	return st, err
+func judge(c *coder, st *scheme.JudgeState) {
+	c.u8((*uint8)(&st.Kind), "judge.kind")
+	i64(c, &st.C, "judge.c")
+	i64(c, &st.Threshold, "judge.threshold")
+	c.point(&st.Own, "judge.own")
+	c.f64(&st.DThreshold, "judge.d_threshold")
+	c.f64(&st.MinDist, "judge.min_dist")
+	c.f64(&st.Radius, "judge.radius")
+	c.f64(&st.AThreshold, "judge.a_threshold")
+	list(c, &st.Senders, 16, "judge.senders", (*coder).point)
+	c.boolean(&st.Rebroadcast, "judge.rebroadcast")
+	c.nodes(&st.Pending, "judge.pending")
 }
 
 // --- frames, observers ---
 
-func encodeFrame(e *encoder, f *Frame) {
-	e.u8(f.Kind)
-	e.node(f.Sender)
-	e.node(f.Dest)
-	e.i64(f.Bytes)
-	e.bid(f.Broadcast)
-	e.f64(f.SenderPos[0])
-	e.f64(f.SenderPos[1])
-	encodeNodes(e, f.Neighbors)
-	e.i64(int64(f.HelloInterval))
-	encodeBids(e, f.Recent)
-	e.u8(f.PayloadKind)
-	e.bid(f.PayloadID)
+func frame(c *coder, f *Frame, _ string) {
+	c.u8(&f.Kind, "frame.kind")
+	i32(c, &f.Sender, "frame.sender")
+	i32(c, &f.Dest, "frame.dest")
+	i64(c, &f.Bytes, "frame.bytes")
+	c.bid(&f.Broadcast, "frame.broadcast")
+	c.f64(&f.SenderPos[0], "frame.pos_x")
+	c.f64(&f.SenderPos[1], "frame.pos_y")
+	c.nodes(&f.Neighbors, "frame.neighbors")
+	i64(c, &f.HelloInterval, "frame.hello_interval")
+	c.bids(&f.Recent, "frame.recent")
+	c.u8(&f.PayloadKind, "frame.payload_kind")
+	c.bid(&f.PayloadID, "frame.payload_id")
 }
 
-func decodeFrame(d *decoder) (Frame, error) {
-	var f Frame
-	var err error
-	if f.Kind, err = d.u8("frame.kind"); err != nil {
-		return f, err
-	}
-	if f.Sender, err = d.node("frame.sender"); err != nil {
-		return f, err
-	}
-	if f.Dest, err = d.node("frame.dest"); err != nil {
-		return f, err
-	}
-	if f.Bytes, err = d.i64("frame.bytes"); err != nil {
-		return f, err
-	}
-	if f.Broadcast, err = d.bid("frame.broadcast"); err != nil {
-		return f, err
-	}
-	if f.SenderPos[0], err = d.f64("frame.pos_x"); err != nil {
-		return f, err
-	}
-	if f.SenderPos[1], err = d.f64("frame.pos_y"); err != nil {
-		return f, err
-	}
-	if f.Neighbors, err = d.nodes("frame.neighbors"); err != nil {
-		return f, err
-	}
-	iv, err := d.i64("frame.hello_interval")
-	if err != nil {
-		return f, err
-	}
-	f.HelloInterval = sim.Duration(iv)
-	if f.Recent, err = d.bids("frame.recent"); err != nil {
-		return f, err
-	}
-	if f.PayloadKind, err = d.u8("frame.payload_kind"); err != nil {
-		return f, err
-	}
-	f.PayloadID, err = d.bid("frame.payload_id")
-	return f, err
-}
-
-func encodeObserver(e *encoder, o *Observer) {
-	e.u8(o.Kind)
-	e.u32(uint32(o.Host))
-	e.bid(o.Bid)
-	e.u32(o.FrameRef)
-}
-
-func decodeObserver(d *decoder) (Observer, error) {
-	var o Observer
-	var err error
-	if o.Kind, err = d.u8("observer.kind"); err != nil {
-		return o, err
-	}
-	host, err := d.u32("observer.host")
-	if err != nil {
-		return o, err
-	}
-	o.Host = int32(host)
-	if o.Bid, err = d.bid("observer.bid"); err != nil {
-		return o, err
-	}
-	o.FrameRef, err = d.u32("observer.frame_ref")
-	return o, err
+func observer(c *coder, o *Observer, _ string) {
+	c.u8(&o.Kind, "observer.kind")
+	i32(c, &o.Host, "observer.host")
+	c.bid(&o.Bid, "observer.bid")
+	c.u32(&o.FrameRef, "observer.frame_ref")
 }
 
 // --- host ---
 
-func encodeHost(e *encoder, h *Host) {
-	encodeBids(e, h.Dedup)
-	e.rng(h.RNG)
-	encodeMover(e, &h.Mover)
-	encodeTable(e, &h.Table)
-	encodeMAC(e, &h.MAC)
-	e.count(len(h.Pending))
-	for i := range h.Pending {
-		p := &h.Pending[i]
-		e.bid(p.Bid)
-		encodeJudge(e, &p.Judge)
-		e.boolean(p.Started)
-		e.boolean(p.HasAssess)
-		e.i64(int64(p.AssessAt))
-		e.u64(p.AssessSeq)
-		e.u32(p.FrameRef)
-	}
-	e.i64(h.PrFree)
-	e.count(len(h.HelloFly))
-	for _, ref := range h.HelloFly {
-		e.u32(ref)
-	}
-	e.boolean(h.HasHelloTimer)
-	e.i64(int64(h.HelloAt))
-	e.u64(h.HelloSeq)
-	e.count(len(h.Recent))
-	for _, r := range h.Recent {
-		e.bid(r.ID)
-		e.i64(int64(r.Heard))
-	}
-	encodeBids(e, h.Nacked)
-}
-
-func decodeHost(d *decoder) (Host, error) {
-	var h Host
-	var err error
-	if h.Dedup, err = d.bids("host.dedup"); err != nil {
-		return h, err
-	}
-	if h.RNG, err = d.rng("host.rng"); err != nil {
-		return h, err
-	}
-	if h.Mover, err = decodeMover(d); err != nil {
-		return h, err
-	}
-	if h.Table, err = decodeTable(d); err != nil {
-		return h, err
-	}
-	if h.MAC, err = decodeMAC(d); err != nil {
-		return h, err
-	}
-	n, err := d.count(80, "host.pending")
-	if err != nil {
-		return h, err
-	}
-	for i := 0; i < n; i++ {
-		var p PendingDecision
-		if p.Bid, err = d.bid("host.pending.bid"); err != nil {
-			return h, err
-		}
-		if p.Judge, err = decodeJudge(d); err != nil {
-			return h, err
-		}
-		if p.Started, err = d.boolean("host.pending.started"); err != nil {
-			return h, err
-		}
-		if p.HasAssess, err = d.boolean("host.pending.has_assess"); err != nil {
-			return h, err
-		}
-		at, err := d.i64("host.pending.assess_at")
-		if err != nil {
-			return h, err
-		}
-		p.AssessAt = sim.Time(at)
-		if p.AssessSeq, err = d.u64("host.pending.assess_seq"); err != nil {
-			return h, err
-		}
-		if p.FrameRef, err = d.u32("host.pending.frame_ref"); err != nil {
-			return h, err
-		}
-		h.Pending = append(h.Pending, p)
-	}
-	if h.PrFree, err = d.i64("host.pr_free"); err != nil {
-		return h, err
-	}
-	fn, err := d.count(4, "host.hello_fly")
-	if err != nil {
-		return h, err
-	}
-	for i := 0; i < fn; i++ {
-		ref, err := d.u32("host.hello_fly.ref")
-		if err != nil {
-			return h, err
-		}
-		h.HelloFly = append(h.HelloFly, ref)
-	}
-	if h.HasHelloTimer, err = d.boolean("host.has_hello_timer"); err != nil {
-		return h, err
-	}
-	at, err := d.i64("host.hello_at")
-	if err != nil {
-		return h, err
-	}
-	h.HelloAt = sim.Time(at)
-	if h.HelloSeq, err = d.u64("host.hello_seq"); err != nil {
-		return h, err
-	}
-	rn, err := d.count(16, "host.recent")
-	if err != nil {
-		return h, err
-	}
-	for i := 0; i < rn; i++ {
-		var r RecentBroadcast
-		if r.ID, err = d.bid("host.recent.id"); err != nil {
-			return h, err
-		}
-		heard, err := d.i64("host.recent.heard")
-		if err != nil {
-			return h, err
-		}
-		r.Heard = sim.Time(heard)
-		h.Recent = append(h.Recent, r)
-	}
-	h.Nacked, err = d.bids("host.nacked")
-	return h, err
+func host(c *coder, h *Host, _ string) {
+	c.bids(&h.Dedup, "host.dedup")
+	c.rng(&h.RNG, "host.rng")
+	mover(c, &h.Mover)
+	table(c, &h.Table)
+	macState(c, &h.MAC)
+	list(c, &h.Pending, 80, "host.pending", func(c *coder, p *PendingDecision, _ string) {
+		c.bid(&p.Bid, "host.pending.bid")
+		judge(c, &p.Judge)
+		c.boolean(&p.Started, "host.pending.started")
+		c.boolean(&p.HasAssess, "host.pending.has_assess")
+		i64(c, &p.AssessAt, "host.pending.assess_at")
+		c.u64(&p.AssessSeq, "host.pending.assess_seq")
+		c.u32(&p.FrameRef, "host.pending.frame_ref")
+	})
+	i64(c, &h.PrFree, "host.pr_free")
+	list(c, &h.HelloFly, 4, "host.hello_fly", (*coder).u32)
+	c.boolean(&h.HasHelloTimer, "host.has_hello_timer")
+	i64(c, &h.HelloAt, "host.hello_at")
+	c.u64(&h.HelloSeq, "host.hello_seq")
+	list(c, &h.Recent, 16, "host.recent", func(c *coder, r *RecentBroadcast, _ string) {
+		c.bid(&r.ID, "host.recent.id")
+		i64(c, &r.Heard, "host.recent.heard")
+	})
+	c.bids(&h.Nacked, "host.nacked")
 }
 
 // --- network ---
 
-func encodeNetwork(e *encoder, n *Network) {
-	e.u32(n.Seq)
-	e.i64(int64(n.EndTime))
-	e.i64(n.HelloSent)
-	e.i64(n.RepairsRequested)
-	e.i64(n.RepairsDelivered)
-	e.count(len(n.Records))
-	for i := range n.Records {
-		r := &n.Records[i]
-		e.bid(r.ID)
-		e.i64(int64(r.Start))
-		e.i64(r.Reachable)
-		e.i64(r.Received)
-		e.i64(r.Transmitted)
-		e.i64(int64(r.LastActivity))
-		e.u32(uint32(r.Open))
-	}
-	e.u32(n.RecBase)
-	e.count(len(n.Stream.RE))
-	for _, v := range n.Stream.RE {
-		e.f64(v)
-	}
-	e.count(len(n.Stream.SRB))
-	for _, v := range n.Stream.SRB {
-		e.f64(v)
-	}
-	e.count(len(n.Stream.Lat))
-	for _, v := range n.Stream.Lat {
-		e.i64(int64(v))
-	}
-	e.i64(n.SetPool)
-	e.i64(n.FramePool)
-	e.i64(n.HelloPool)
-	e.count(len(n.Originations))
-	for _, o := range n.Originations {
-		e.u32(uint32(o.Src))
-		e.i64(int64(o.At))
-		e.u64(o.Seq)
-	}
-}
-
-func decodeNetwork(d *decoder) (Network, error) {
-	var n Network
-	var err error
-	if n.Seq, err = d.u32("net.seq"); err != nil {
-		return n, err
-	}
-	readI := func(field string) int64 {
-		if err != nil {
-			return 0
-		}
-		var v int64
-		v, err = d.i64(field)
-		return v
-	}
-	n.EndTime = sim.Time(readI("net.end_time"))
-	n.HelloSent = readI("net.hello_sent")
-	n.RepairsRequested = readI("net.repairs_requested")
-	n.RepairsDelivered = readI("net.repairs_delivered")
-	if err != nil {
-		return n, err
-	}
-	rn, err := d.count(52, "net.records")
-	if err != nil {
-		return n, err
-	}
-	for i := 0; i < rn; i++ {
-		var r Record
-		if r.ID, err = d.bid("net.record.id"); err != nil {
-			return n, err
-		}
-		r.Start = sim.Time(readI("net.record.start"))
-		r.Reachable = readI("net.record.reachable")
-		r.Received = readI("net.record.received")
-		r.Transmitted = readI("net.record.transmitted")
-		r.LastActivity = sim.Time(readI("net.record.last_activity"))
-		if err != nil {
-			return n, err
-		}
-		open, err := d.u32("net.record.open")
-		if err != nil {
-			return n, err
-		}
-		r.Open = int32(open)
-		n.Records = append(n.Records, r)
-	}
-	if n.RecBase, err = d.u32("net.rec_base"); err != nil {
-		return n, err
-	}
-	cn, err := d.count(8, "net.stream.re")
-	if err != nil {
-		return n, err
-	}
-	for i := 0; i < cn; i++ {
-		v, err := d.f64("net.stream.re")
-		if err != nil {
-			return n, err
-		}
-		n.Stream.RE = append(n.Stream.RE, v)
-	}
-	cn, err = d.count(8, "net.stream.srb")
-	if err != nil {
-		return n, err
-	}
-	for i := 0; i < cn; i++ {
-		v, err := d.f64("net.stream.srb")
-		if err != nil {
-			return n, err
-		}
-		n.Stream.SRB = append(n.Stream.SRB, v)
-	}
-	cn, err = d.count(8, "net.stream.lat")
-	if err != nil {
-		return n, err
-	}
-	for i := 0; i < cn; i++ {
-		v, err := d.i64("net.stream.lat")
-		if err != nil {
-			return n, err
-		}
-		n.Stream.Lat = append(n.Stream.Lat, sim.Duration(v))
-	}
-	n.SetPool = readI("net.set_pool")
-	n.FramePool = readI("net.frame_pool")
-	n.HelloPool = readI("net.hello_pool")
-	if err != nil {
-		return n, err
-	}
-	on, err := d.count(20, "net.originations")
-	if err != nil {
-		return n, err
-	}
-	for i := 0; i < on; i++ {
-		var o Origination
-		src, err := d.u32("net.origination.src")
-		if err != nil {
-			return n, err
-		}
-		o.Src = int32(src)
-		at, err := d.i64("net.origination.at")
-		if err != nil {
-			return n, err
-		}
-		o.At = sim.Time(at)
-		if o.Seq, err = d.u64("net.origination.seq"); err != nil {
-			return n, err
-		}
-		n.Originations = append(n.Originations, o)
-	}
-	return n, nil
+func network(c *coder, n *Network) {
+	c.u32(&n.Seq, "net.seq")
+	i64(c, &n.EndTime, "net.end_time")
+	i64(c, &n.HelloSent, "net.hello_sent")
+	i64(c, &n.RepairsRequested, "net.repairs_requested")
+	i64(c, &n.RepairsDelivered, "net.repairs_delivered")
+	list(c, &n.Records, 52, "net.records", func(c *coder, r *Record, _ string) {
+		c.bid(&r.ID, "net.record.id")
+		i64(c, &r.Start, "net.record.start")
+		i64(c, &r.Reachable, "net.record.reachable")
+		i64(c, &r.Received, "net.record.received")
+		i64(c, &r.Transmitted, "net.record.transmitted")
+		i64(c, &r.LastActivity, "net.record.last_activity")
+		i32(c, &r.Open, "net.record.open")
+	})
+	c.u32(&n.RecBase, "net.rec_base")
+	list(c, &n.Stream.RE, 8, "net.stream.re", (*coder).f64)
+	list(c, &n.Stream.SRB, 8, "net.stream.srb", (*coder).f64)
+	list(c, &n.Stream.Lat, 8, "net.stream.lat", i64[sim.Duration])
+	i64(c, &n.SetPool, "net.set_pool")
+	i64(c, &n.FramePool, "net.frame_pool")
+	i64(c, &n.HelloPool, "net.hello_pool")
+	list(c, &n.Originations, 20, "net.originations", func(c *coder, o *Origination, _ string) {
+		i32(c, &o.Src, "net.origination.src")
+		i64(c, &o.At, "net.origination.at")
+		c.u64(&o.Seq, "net.origination.seq")
+	})
 }
 
 // --- document ---
 
-// Append appends c's wire encoding to dst and returns the extended
-// slice.
-func Append(dst []byte, c *Checkpoint) []byte {
-	e := &encoder{buf: dst}
-	e.buf = append(e.buf, Magic...)
-	e.u8(CodecVersion)
-	e.str(c.Digest)
-	encodeSched(e, &c.Sched)
-	encodeChannel(e, &c.Channel)
-	encodeNetwork(e, &c.Net)
-	e.count(len(c.Frames))
-	for i := range c.Frames {
-		encodeFrame(e, &c.Frames[i])
+func document(c *coder, ck *Checkpoint) {
+	if !c.dec {
+		c.buf = append(c.buf, Magic...)
+	} else if m := c.take(len(Magic), "magic"); m != nil && string(m) != Magic {
+		c.err = fmt.Errorf("snapshot: bad magic %q", m)
 	}
-	e.count(len(c.Observers))
-	for i := range c.Observers {
-		encodeObserver(e, &c.Observers[i])
+	ver := uint8(CodecVersion)
+	if c.u8(&ver, "version"); c.err == nil && ver != CodecVersion {
+		c.err = fmt.Errorf("snapshot: unknown codec version %d", ver)
 	}
-	e.count(len(c.Hosts))
-	for i := range c.Hosts {
-		encodeHost(e, &c.Hosts[i])
-	}
-	return e.buf
+	c.str(&ck.Digest, "digest")
+	sched(c, &ck.Sched)
+	channel(c, &ck.Channel)
+	network(c, &ck.Net)
+	list(c, &ck.Frames, 66, "frames", frame)
+	list(c, &ck.Observers, 17, "observers", observer)
+	list(c, &ck.Hosts, 120, "hosts", host)
 }
 
-// Encode returns c's wire encoding.
-func Encode(c *Checkpoint) []byte { return Append(nil, c) }
+// Append appends ck's wire encoding to dst and returns the extended
+// slice.
+func Append(dst []byte, ck *Checkpoint) []byte {
+	c := coder{buf: dst}
+	document(&c, ck)
+	return c.buf
+}
+
+// Encode returns ck's wire encoding.
+func Encode(ck *Checkpoint) []byte { return Append(nil, ck) }
 
 // Decode parses one encoded checkpoint. The whole input must be
 // consumed: trailing bytes are an error, so a corrupted length prefix
 // cannot silently drop state.
 func Decode(data []byte) (*Checkpoint, error) {
-	d := &decoder{buf: data}
-	magic, err := d.take(len(Magic), "magic")
-	if err != nil {
-		return nil, err
+	c := coder{buf: data, dec: true}
+	ck := &Checkpoint{}
+	document(&c, ck)
+	if c.err != nil {
+		return nil, c.err
 	}
-	if string(magic) != Magic {
-		return nil, fmt.Errorf("snapshot: bad magic %q", magic)
+	if c.off != len(data) {
+		return nil, fmt.Errorf("snapshot: %d trailing bytes after checkpoint", len(data)-c.off)
 	}
-	ver, err := d.u8("version")
-	if err != nil {
-		return nil, err
-	}
-	if ver != CodecVersion {
-		return nil, fmt.Errorf("snapshot: unknown codec version %d", ver)
-	}
-	c := &Checkpoint{}
-	if c.Digest, err = d.str("digest"); err != nil {
-		return nil, err
-	}
-	if c.Sched, err = decodeSched(d); err != nil {
-		return nil, err
-	}
-	if c.Channel, err = decodeChannel(d); err != nil {
-		return nil, err
-	}
-	if c.Net, err = decodeNetwork(d); err != nil {
-		return nil, err
-	}
-	fn, err := d.count(66, "frames")
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < fn; i++ {
-		f, err := decodeFrame(d)
-		if err != nil {
-			return nil, err
-		}
-		c.Frames = append(c.Frames, f)
-	}
-	on, err := d.count(17, "observers")
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < on; i++ {
-		o, err := decodeObserver(d)
-		if err != nil {
-			return nil, err
-		}
-		c.Observers = append(c.Observers, o)
-	}
-	hn, err := d.count(120, "hosts")
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < hn; i++ {
-		h, err := decodeHost(d)
-		if err != nil {
-			return nil, err
-		}
-		c.Hosts = append(c.Hosts, h)
-	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("snapshot: %d trailing bytes after checkpoint", len(data)-d.off)
-	}
-	return c, nil
+	return ck, nil
 }
 
-// Write writes c's wire encoding to w.
-func Write(w io.Writer, c *Checkpoint) error {
-	_, err := w.Write(Encode(c))
+// Write writes ck's wire encoding to w.
+func Write(w io.Writer, ck *Checkpoint) error {
+	_, err := w.Write(Encode(ck))
 	return err
 }
 

@@ -12,14 +12,20 @@ import (
 	"repro/internal/snapshot"
 )
 
+// corpusConfig is the small deterministic run the checked-in corpus is
+// cut from.
+func corpusConfig() manet.Config {
+	return manet.Config{
+		Scheme: scheme.AdaptiveCounter{}, Hosts: 12, MapUnits: 2, Requests: 3,
+		Repair: true, Seed: 5, Warmup: sim.Second,
+	}
+}
+
 // realCheckpoint produces checkpoint bytes from an actual small
 // simulation — deterministic, so fuzz seeds derived from it are stable.
 func realCheckpoint(tb testing.TB) []byte {
 	tb.Helper()
-	net, err := manet.New(manet.Config{
-		Scheme: scheme.AdaptiveCounter{}, Hosts: 12, MapUnits: 2, Requests: 3,
-		Repair: true, Seed: 5, Warmup: sim.Second,
-	})
+	net, err := manet.New(corpusConfig())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -39,10 +45,9 @@ func realCheckpoint(tb testing.TB) []byte {
 }
 
 // FuzzSnapshotDecode drives arbitrary bytes through the checkpoint
-// decoder. The contract mirrors the packet codec's: Decode never
-// panics, an error never comes with a partial document, and any input
-// it accepts is canonical — re-encoding the decoded document reproduces
-// the input byte for byte.
+// decoder. The contract: Decode never panics, an error never comes with
+// a partial document, and any input it accepts is canonical —
+// re-encoding the decoded document reproduces the input byte for byte.
 func FuzzSnapshotDecode(f *testing.F) {
 	real := realCheckpoint(f)
 	f.Add(real)

@@ -4,10 +4,11 @@
 // simulation layer contributes its own checkpointed state type
 // (sim.SchedulerState, phy.ChannelState, mac.MACState, ...), and the
 // manet package converts between live networks and this document. The
-// codec follows the internal/packet discipline: big-endian, canonical
-// (any accepted input re-encodes to the identical bytes), and strict —
-// truncation, trailing bytes, unknown versions, and non-canonical
-// booleans are all errors.
+// codec is big-endian, canonical (any accepted input re-encodes to the
+// identical bytes), and strict — truncation, trailing bytes, unknown
+// versions, non-canonical booleans, and counts larger than the bytes
+// remaining are all errors, and an error never comes with a partial
+// document.
 package snapshot
 
 import (
