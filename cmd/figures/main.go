@@ -70,6 +70,21 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 		return code
 	}
 
+	// Zero means "harness default" for each of these; a negative count is
+	// nonsense the harness would only meet as a makeslice or Validate
+	// panic deep inside a worker.
+	for _, f := range []struct {
+		name  string
+		value int
+	}{
+		{"requests", *requests}, {"replicas", *replicas}, {"hosts", *hosts},
+		{"workers", *workers}, {"trials", *trials},
+	} {
+		if f.value < 0 {
+			return fail(2, fmt.Errorf("-%s must not be negative, got %d", f.name, f.value))
+		}
+	}
+
 	if *schemes {
 		fmt.Fprint(stdout, "scheme specs:\n", scheme.Usage())
 		return 0

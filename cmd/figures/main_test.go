@@ -7,7 +7,8 @@ import (
 )
 
 // TestRunSmoke runs the invocation CI's "CLIs and examples" step uses,
-// plus an undefined flag, which must exit 2 without running anything.
+// plus an undefined flag and the negative counts, each of which must
+// exit 2 with one line on stderr and without running anything.
 func TestRunSmoke(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -17,6 +18,11 @@ func TestRunSmoke(t *testing.T) {
 	}{
 		{"ci invocation", []string{"-fig", "fig6"}, 0, "== fig6:"},
 		{"bad flag", []string{"-no-such-flag"}, 2, ""},
+		{"negative replicas", []string{"-fig", "fig7", "-replicas", "-1"}, 2, ""},
+		{"negative requests", []string{"-fig", "fig7", "-requests", "-1"}, 2, ""},
+		{"negative hosts", []string{"-fig", "fig7", "-hosts", "-1"}, 2, ""},
+		{"negative workers", []string{"-fig", "fig7", "-workers", "-1"}, 2, ""},
+		{"negative trials", []string{"-fig", "fig1", "-trials", "-5"}, 2, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
@@ -25,6 +31,11 @@ func TestRunSmoke(t *testing.T) {
 			}
 			if !strings.Contains(stdout.String(), tc.want) {
 				t.Fatalf("stdout lacks %q:\n%s", tc.want, stdout.String())
+			}
+			if strings.HasPrefix(tc.name, "negative") &&
+				(stdout.Len() != 0 || strings.Count(stderr.String(), "\n") != 1) {
+				t.Fatalf("want no stdout and one stderr line, got stdout %q stderr %q",
+					stdout.String(), stderr.String())
 			}
 		})
 	}

@@ -7,7 +7,9 @@ import (
 )
 
 // TestRunSmoke runs the invocation CI's "CLIs and examples" step uses,
-// plus an undefined flag, which must exit 2 without running anything.
+// plus an undefined flag, which must exit 2 without running anything,
+// and the negative values routing.Config.Validate refuses, which must
+// exit 1 with one line on stderr and no results.
 func TestRunSmoke(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -17,6 +19,11 @@ func TestRunSmoke(t *testing.T) {
 	}{
 		{"ci invocation", []string{"-discoveries", "3"}, 0, "discoveries             3"},
 		{"bad flag", []string{"-no-such-flag"}, 2, ""},
+		{"negative map", []string{"-map", "-1"}, 1, ""},
+		{"negative speed", []string{"-speed", "-5"}, 1, ""},
+		{"negative discoveries", []string{"-discoveries", "-1"}, 1, ""},
+		{"negative rts", []string{"-rts", "-1"}, 1, ""},
+		{"negative data", []string{"-data", "-1"}, 1, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
@@ -25,6 +32,11 @@ func TestRunSmoke(t *testing.T) {
 			}
 			if !strings.Contains(stdout.String(), tc.want) {
 				t.Fatalf("stdout lacks %q:\n%s", tc.want, stdout.String())
+			}
+			if strings.HasPrefix(tc.name, "negative") &&
+				(stdout.Len() != 0 || strings.Count(stderr.String(), "\n") != 1) {
+				t.Fatalf("want no stdout and one stderr line, got stdout %q stderr %q",
+					stdout.String(), stderr.String())
 			}
 		})
 	}

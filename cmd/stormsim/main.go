@@ -216,8 +216,10 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stdout, " (%d shards)", n.ShardCount())
 	}
 	fmt.Fprintln(stdout)
+	// The effective configuration, not the flags: zero values default.
+	eff := n.Config()
 	fmt.Fprintf(stdout, "map               %dx%d units (%d hosts, max %g km/h)\n",
-		*mapUnits, *mapUnits, *hosts, n.Config().MaxSpeedKMH)
+		eff.MapUnits, eff.MapUnits, eff.Hosts, eff.MaxSpeedKMH)
 	fmt.Fprintf(stdout, "broadcasts        %d\n", s.Broadcasts)
 	fmt.Fprintf(stdout, "RE  (reachability)        %.4f (std %.4f)\n", s.MeanRE, s.StdRE)
 	fmt.Fprintf(stdout, "SRB (saved rebroadcasts)  %.4f (std %.4f)\n", s.MeanSRB, s.StdSRB)

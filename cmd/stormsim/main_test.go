@@ -24,6 +24,32 @@ func runTool(t *testing.T, argv []string) (int, string, string) {
 	return code, stdout.String(), stderr.String()
 }
 
+// TestRunSmoke checks the report names the configuration that ran: a
+// zero -hosts/-map means the default, and the map line must say so
+// instead of echoing the flags.
+func TestRunSmoke(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		argv []string
+		want string // substring of stdout
+	}{
+		{"flags as given", base(), "map               1x1 units (20 hosts, max 10 km/h)"},
+		{"zero hosts and map mean the defaults",
+			[]string{"-scheme", "ac", "-hosts", "0", "-map", "0", "-requests", "2", "-seed", "3"},
+			"map               5x5 units (100 hosts, max 50 km/h)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, out, errs := runTool(t, tc.argv)
+			if code != 0 {
+				t.Fatalf("exit %d: %s", code, errs)
+			}
+			if !strings.Contains(out, tc.want) {
+				t.Fatalf("stdout lacks %q:\n%s", tc.want, out)
+			}
+		})
+	}
+}
+
 func TestCheckpointResumeMatchesStraightRun(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "run.ck")
 

@@ -15,7 +15,9 @@ import (
 // error or simulation panic aborts the whole matrix via a single panic
 // from the calling goroutine, annotated with the failing (point,
 // replica, seed): experiment specs are code, and a config they build
-// that fails validation is a programming error.
+// that fails validation is a programming error. So is a config carrying
+// a manet.Arena — the matrix would hand the one arena to every worker —
+// which panics naming the point before any worker starts.
 func RunMatrix(cfgs []manet.Config, o Options) []metrics.Summary {
 	merged, _ := RunMatrixSpread(cfgs, o)
 	return merged
@@ -32,6 +34,11 @@ func RunMatrixSpread(cfgs []manet.Config, o Options) ([]metrics.Summary, [][]flo
 	}
 	tasks := make([]task, 0, len(cfgs)*o.Replicas)
 	for p, cfg := range cfgs {
+		if cfg.Arena != nil {
+			// Every replica below is a copy of cfg, so all of them — on
+			// several workers at once — would build into this one arena.
+			panic(fmt.Sprintf("experiment: point %d carries a manet.Arena: an Arena backs one live Network; RunMatrix runs several", p))
+		}
 		if cfg.Hosts == 0 {
 			cfg.Hosts = o.Hosts
 		}

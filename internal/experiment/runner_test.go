@@ -64,6 +64,25 @@ func TestRunMatrixReportsInvalidConfigContext(t *testing.T) {
 	}
 }
 
+// An Arena backs one live Network, and RunMatrix copies each Config to
+// every replica on every worker: it must refuse the config up front
+// rather than let workers race on the arena's slabs.
+func TestRunMatrixRefusesSharedArena(t *testing.T) {
+	var judges atomic.Int64
+	plain := manet.Config{Scheme: countScheme{&judges}, MapUnits: 1, Hosts: 8, Requests: 2}
+	withArena := plain
+	withArena.Shards = 2
+	withArena.Arena = manet.NewArena()
+	o := Options{Replicas: 3, Workers: 2}
+	msg := recoverMatrixPanic(t, func() { RunMatrix([]manet.Config{plain, withArena, withArena}, o) })
+	if !strings.Contains(msg, "point 1") || !strings.Contains(msg, "an Arena backs one live Network") {
+		t.Errorf("panic does not name the point and the contract: %q", msg)
+	}
+	if n := judges.Load(); n != 0 {
+		t.Errorf("%d scheme decisions ran before the refusal", n)
+	}
+}
+
 func TestRunMatrixRecoversSimulationPanic(t *testing.T) {
 	cfgs := []manet.Config{
 		{Scheme: panicScheme{}, MapUnits: 1, Hosts: 8, Requests: 2},

@@ -228,22 +228,8 @@ var _ phy.Listener = (*MAC)(nil)
 // Its link-layer address defaults to its radio index (which is also how
 // the host assemblies number their hosts); SetAddr overrides it.
 func New(sched *sim.Scheduler, ch *phy.Channel, pos phy.Positioner, rng *sim.RNG) *MAC {
-	m := &MAC{
-		sched:            sched,
-		ch:               ch,
-		rng:              rng,
-		t:                ch.Timing(),
-		backoffRemaining: -1,
-		idleSince:        sched.Now(),
-		lane:             -1,
-	}
-	m.cw = m.t.CWMin
-	m.radio = ch.Attach(pos, m)
-	m.addr = packet.NodeID(m.radio)
-	m.respTimer.m = m
-	m.txEnd.m = m
-	m.rtsEnd.m = m
-	m.ack.m = m
+	m := new(MAC)
+	NewInto(m, sched, ch, pos, rng, ch.AttachBatch(1))
 	return m
 }
 
@@ -259,11 +245,13 @@ type rtsEnd struct{ m *MAC }
 // TxEnded implements phy.TxEnder.
 func (e *rtsEnd) TxEnded() { e.m.finishRTS(e.m.inflight) }
 
-// NewInto initializes a slab-allocated MAC in place, filling a radio
-// slot pre-claimed with phy.Channel.AttachBatch. Behavior is identical
-// to New; the split exists so the sharded engine can construct hosts in
-// parallel — SetRadio writes are per-slot and therefore disjoint across
-// workers, unlike Attach's shared appends.
+// NewInto initializes a caller-allocated (typically slab) MAC in place,
+// binding a radio slot pre-claimed with phy.Channel.AttachBatch. It
+// writes the complete record, so a reused slot keeps nothing of its
+// previous life; New is this over a fresh allocation and a batch of
+// one. The split lets a host builder construct MACs from parallel
+// workers: SetRadio writes are per-slot and therefore disjoint, unlike
+// a shared append.
 func NewInto(m *MAC, sched *sim.Scheduler, ch *phy.Channel, pos phy.Positioner, rng *sim.RNG, radio int) {
 	*m = MAC{
 		sched:            sched,

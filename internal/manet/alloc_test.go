@@ -7,8 +7,8 @@ import (
 	"repro/internal/scheme"
 )
 
-// TestAllocationBudgets holds the manet layer's two machine-independent
-// allocation budgets. Both are steady-state figures: each row first
+// TestAllocationBudgets holds the manet layer's machine-independent
+// allocation budgets. All are steady-state figures: each row first
 // makes one unmeasured pass so pools and slabs are primed, then counts
 // heap objects (runtime.MemStats.Mallocs) around the measured call.
 func TestAllocationBudgets(t *testing.T) {
@@ -25,6 +25,23 @@ func TestAllocationBudgets(t *testing.T) {
 		f()
 		runtime.ReadMemStats(&after)
 		return float64(after.Mallocs - before.Mallocs)
+	}
+	// The arena: construction builds hosts in slabs and a second
+	// same-shape New takes them back from the arena, so nothing in it
+	// may allocate per host — with or without a pool and shard wheels.
+	warmArenaNew := func(engine Engine) func(t *testing.T) (float64, float64) {
+		return func(t *testing.T) (float64, float64) {
+			cfg := Config{
+				Hosts: 10_000, MapUnits: 95, MaxSpeedKMH: 50, Scheme: scheme.Flooding{},
+				Requests: 1, Engine: engine, Arena: NewArena(), Seed: 1,
+			}
+			mustNew(t, cfg).Close()
+			cfg.Seed = 2
+			var n *Network
+			mallocs := mallocsAround(func() { n = mustNew(t, cfg) })
+			n.Close()
+			return mallocs, float64(cfg.Hosts)
+		}
 	}
 
 	for _, row := range []struct {
@@ -46,21 +63,8 @@ func TestAllocationBudgets(t *testing.T) {
 			mallocs := mallocsAround(func() { events = n.Run().Events })
 			return mallocs, float64(events)
 		}},
-		// The arena: sharded construction builds hosts in slabs and a
-		// second same-shape New takes them back from the arena, so
-		// nothing in it may allocate per host.
-		{"New into a warm Arena", "host", func(t *testing.T) (float64, float64) {
-			cfg := Config{
-				Hosts: 10_000, MapUnits: 95, MaxSpeedKMH: 50, Scheme: scheme.Flooding{},
-				Requests: 1, Engine: EngineSharded, Arena: NewArena(), Seed: 1,
-			}
-			mustNew(t, cfg).Close()
-			cfg.Seed = 2
-			var n *Network
-			mallocs := mallocsAround(func() { n = mustNew(t, cfg) })
-			n.Close()
-			return mallocs, float64(cfg.Hosts)
-		}},
+		{"New into a warm Arena", "host", warmArenaNew(EngineSharded)},
+		{"New into a warm Arena, default engine", "host", warmArenaNew(EngineAuto)},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			mallocs, units := row.measure(t)

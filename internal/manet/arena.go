@@ -8,13 +8,17 @@ import (
 	"repro/internal/sim"
 )
 
-// Arena retains the sharded engine's bulk slab allocations across
-// Networks. A parameter sweep constructs thousands of same-size worlds
-// back to back; without reuse every construction allocates (and the
-// collector then marks and sweeps) on the order of a kilobyte per host,
-// which at mega-map populations makes the allocator the dominant cost
-// of the whole experiment. Passing one Arena through Config.Arena lets
-// each construction reclaim the previous world's slabs: steady-state
+// Arena retains a Network's bulk slab allocations — hosts, MACs,
+// neighbor tables, dedup tables, RNG streams, random-turn movers, the
+// scheduler's event slab — across Networks, on every engine: there is
+// one host builder (buildHosts) and it builds into these slabs whether
+// or not a worker pool or shard wheels exist. A parameter sweep
+// constructs thousands of same-size worlds back to back; without reuse
+// every construction allocates (and the collector then marks and
+// sweeps) on the order of a kilobyte per host, which at mega-map
+// populations makes the allocator the dominant cost of the whole
+// experiment. Passing one Arena through Config.Arena lets each
+// construction reclaim the previous world's slabs: steady-state
 // construction then allocates almost nothing, and collections stop
 // re-marking tens of megabytes of dead host state.
 //
@@ -27,9 +31,11 @@ import (
 // retained records) are unaffected: they are plain values owned by the
 // caller.
 //
-// An Arena is not safe for concurrent use. The sequential oracle
-// ignores it: per-host construction is the oracle's specified shape,
-// and reusing its piecemeal allocations would buy nothing.
+// An Arena is not safe for concurrent use, so one arena cannot serve
+// two Networks built or run at the same time. experiment.RunMatrix runs
+// several Networks at once from copies of each Config and therefore
+// refuses, with a panic before any worker starts, a Config that
+// carries one.
 //
 // Slab reinitialization is by full overwrite (every Init*/New*Into
 // constructor and RNG fork writes the complete record), so a reused

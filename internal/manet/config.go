@@ -151,12 +151,12 @@ type Config struct {
 	// (DefaultShards). Setting Shards > 0 under EngineAuto selects the
 	// sharded engine.
 	Shards int
-	// Arena, when non-nil, lets the sharded engine reuse the bulk slab
-	// allocations of the previous Network built through the same arena
-	// (see Arena's documentation for the ownership contract). Sweeps
-	// that construct many same-size worlds back to back avoid paying
-	// the allocator and collector for each one. The sequential oracle
-	// ignores it.
+	// Arena, when non-nil, lets New reuse the bulk slab allocations of
+	// the previous Network built through the same arena, on every
+	// engine (see Arena's documentation for the ownership contract:
+	// one live Network per arena, no concurrent use). Sweeps that
+	// construct many same-size worlds back to back avoid paying the
+	// allocator and collector for each one.
 	Arena *Arena
 
 	// DisableCollisions is an ablation switch: overlapping transmissions

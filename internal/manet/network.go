@@ -80,10 +80,8 @@ type Network struct {
 	audit      *check.Auditor
 	auditSpeed float64 // fastest possible host speed, m/s
 
-	// Scratch reused by reachableFrom and the other unit-disk queries so
-	// per-origination bookkeeping does not allocate.
-	bfsVisited []bool
-	bfsStack   []int
+	// Scratch reused by the unit-disk queries (TrueNeighborCount,
+	// idealHelloDeliver) so they do not allocate per call.
 	nbrScratch []int
 
 	// Object pools (single-threaded, so plain slices): scratch bitsets
@@ -192,7 +190,9 @@ func New(cfg Config) (*Network, error) {
 		engine: engine,
 		shards: shards,
 	}
-	if engine == EngineSharded || engine == EngineSpeculative {
+	// The engine's whole say in construction: a worker pool and shard
+	// wheels, or neither. What is built is the same either way.
+	if engine.Features().Sharded {
 		n.pool = pdes.NewPool(shards)
 		n.ch.SetPool(n.pool)
 		sched.ConfigureShards(shards, sim.Second)
@@ -237,85 +237,35 @@ func New(cfg Config) (*Network, error) {
 		n.ch.SetAudit(cfg.Audit)
 	}
 
-	if engine == EngineSharded || engine == EngineSpeculative {
-		n.buildHostsSharded(groups, moveRNG, macRNG, hostRNG)
-		if cfg.Telemetry != nil {
-			n.observe(cfg.Telemetry)
-		}
-		return n, nil
-	}
-	n.hosts = make([]*host, cfg.Hosts)
-	for i := range n.hosts {
-		h := &host{
-			id:    packet.NodeID(i),
-			net:   n,
-			dedup: packet.NewDedupTable(),
-			rng:   hostRNG.Fork(uint64(i)),
-			lane:  -1,
-		}
-		switch {
-		case cfg.Groups > 0:
-			h.mover = groups[i%cfg.Groups].NewMember(moveRNG.Fork(uint64(i)))
-		case len(cfg.Placement) > 0 && cfg.Static:
-			h.mover = mobility.NewStaticRoamer(sched, n.area, cfg.Placement[i])
-		case cfg.Static:
-			h.mover = mobility.NewStaticRoamer(sched, n.area, randomPoint(moveRNG.Fork(uint64(i)), n.area))
-		case cfg.Mobility == MobilityWaypoint:
-			wcfg := mobility.DefaultWaypointConfig(cfg.MaxSpeedKMH)
-			if cfg.WaypointPause > 0 {
-				wcfg.PauseTime = cfg.WaypointPause
-			}
-			h.mover = mobility.NewWaypoint(sched, n.area, wcfg, moveRNG.Fork(uint64(i)))
-		default:
-			h.mover = mobility.NewRoamer(sched, n.area,
-				mobility.DefaultConfig(cfg.MaxSpeedKMH), moveRNG.Fork(uint64(i)))
-		}
-		h.table = neighbor.NewDenseTable(h.id, sched, cfg.ExpiryIntervals, cfg.Hosts)
-		h.mac = mac.New(sched, n.ch, h.mover, macRNG.Fork(uint64(i)))
-		h.mac.SetAddr(h.id)
-		h.mac.Receiver = h
-		h.mac.GarbledReceiver = h
-		// The hosts never read a mac.Pending handle after its frame
-		// completed or was cancelled, so the MAC may recycle the records.
-		h.mac.SetPendingPool(true)
-		if cfg.Audit != nil {
-			h.mac.SetAudit(cfg.Audit)
-		}
-		h.helloTx.h = h
-		// The unit-disk query paths (reachableFrom, idealHelloDeliver)
-		// identify hosts by radio index, which holds because radios are
-		// attached in host order.
-		if h.mac.Radio() != i {
-			panic(fmt.Sprintf("manet: host %d attached as radio %d", i, h.mac.Radio()))
-		}
-		n.hosts[i] = h
-	}
+	n.buildHosts(groups, moveRNG, macRNG, hostRNG)
 	if cfg.Telemetry != nil {
 		n.observe(cfg.Telemetry)
 	}
 	return n, nil
 }
 
-// buildHostsSharded assembles the host population for the sharded
-// engine. Observable behavior must match New's sequential loop
-// byte-for-byte; three phases keep construction both parallel and
-// order-faithful:
+// buildHosts assembles the host population on every engine: the engine
+// decided whether a worker pool and shard wheels exist, and decides
+// nothing about what is built. Everything per-host lives in per-kind
+// slabs (parked in cfg.Arena when one is attached), filled in three
+// phases:
 //
-//   - A: movers that schedule events while being built (groups,
-//     waypoint, static) are created sequentially in host order, so
-//     their events carry the exact sequence numbers the oracle assigns.
-//     The default random-turn mover defers its scheduling to phase C
-//     and is slab-initialized in phase B instead.
+//   - A: movers built one object at a time (group members, waypoint,
+//     static) are created sequentially in host order. Waypoint movers
+//     arm their first event as they are built, and same-instant events
+//     fire in sequence-number order, so host order here keeps the event
+//     stream a function of the configuration alone.
 //   - B: everything per-host that schedules nothing — RNG stream forks
 //     (pure reads of the parent state, so fork order is irrelevant),
-//     slab MACs attached to pre-claimed radio slots, neighbor tables,
-//     callback binding — runs on the worker pool over disjoint index
-//     ranges.
-//   - C: random-turn first turns are scheduled sequentially in host
-//     order, reproducing the oracle's sequence numbers; the events land
-//     on the wheel of the shard band owning the host's initial
-//     position.
-func (n *Network) buildHostsSharded(groups []*mobility.Group, moveRNG, macRNG, hostRNG *sim.RNG) {
+//     MACs bound to pre-claimed radio slots, neighbor tables, callback
+//     binding, the random-turn movers' draws — writes only its own slab
+//     slots: it fans out over the pool when there is one and runs
+//     inline otherwise.
+//   - C: random-turn first turns are armed sequentially in host order,
+//     for the same reason as A, whichever worker initialized the mover.
+//     With shard wheels they land on the wheel of the band owning the
+//     host's initial position; without, on the central ladder.
+func (n *Network) buildHosts(groups []*mobility.Group, moveRNG, macRNG, hostRNG *sim.RNG) {
 	cfg := n.cfg
 	sched := n.sched
 	hostsN := cfg.Hosts
@@ -369,9 +319,11 @@ func (n *Network) buildHostsSharded(groups []*mobility.Group, moveRNG, macRNG, h
 			}
 		}
 	}
+	// The unit-disk query paths (reachableFrom, idealHelloDeliver)
+	// identify hosts by radio index: host i must be radio i.
 	base := n.ch.AttachBatch(hostsN)
 	if base != 0 {
-		panic(fmt.Sprintf("manet: sharded host batch attached at radio base %d", base))
+		panic(fmt.Sprintf("manet: host batch attached at radio base %d", base))
 	}
 
 	if !slabMovers {
@@ -395,7 +347,7 @@ func (n *Network) buildHostsSharded(groups []*mobility.Group, moveRNG, macRNG, h
 	}
 
 	mcfg := mobility.DefaultConfig(cfg.MaxSpeedKMH)
-	n.pool.Do(hostsN, func(_, lo, hi int) {
+	initHosts := func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			h := &hostSlab[i]
 			hostRNG.ForkInto(&rngSlab[2*i], uint64(i))
@@ -415,7 +367,9 @@ func (n *Network) buildHostsSharded(groups []*mobility.Group, moveRNG, macRNG, h
 				moveRNG.ForkInto(&moveSlab[i], uint64(i))
 				r := &roamerSlab[i]
 				mobility.InitRoamer(r, sched, n.area, mcfg, &moveSlab[i])
-				r.SetShard(n.shardOfY(r.PositionAt(0).Y))
+				if n.shards > 0 {
+					r.SetShard(n.shardOfY(r.PositionAt(0).Y))
+				}
 				h.mover = r
 			}
 			macRNG.ForkInto(&rngSlab[2*i+1], uint64(i))
@@ -426,6 +380,8 @@ func (n *Network) buildHostsSharded(groups []*mobility.Group, moveRNG, macRNG, h
 			h.mac.SetAddr(h.id)
 			h.mac.Receiver = h
 			h.mac.GarbledReceiver = h
+			// The hosts never read a mac.Pending handle after its frame
+			// completed or was cancelled, so the MAC may recycle the records.
 			h.mac.SetPendingPool(true)
 			if cfg.Audit != nil {
 				h.mac.SetAudit(cfg.Audit)
@@ -433,7 +389,12 @@ func (n *Network) buildHostsSharded(groups []*mobility.Group, moveRNG, macRNG, h
 			h.helloTx.h = h
 			n.hosts[i] = h
 		}
-	})
+	}
+	if n.pool != nil {
+		n.pool.Do(hostsN, initHosts)
+	} else {
+		initHosts(0, 0, hostsN)
+	}
 
 	if slabMovers {
 		for i := range roamerSlab {
@@ -442,9 +403,10 @@ func (n *Network) buildHostsSharded(groups []*mobility.Group, moveRNG, macRNG, h
 	}
 }
 
-// shardOfY maps a map Y coordinate onto a shard. Shards are horizontal
-// bands of spatial-grid macro-cell rows; macro rows are uniform in Y,
-// so banding Y directly yields the same power-of-two partition. A
+// shardOfY maps a map Y coordinate onto a shard; it is meaningful only
+// with shard wheels (n.shards > 0). Shards are horizontal bands of
+// spatial-grid macro-cell rows; macro rows are uniform in Y, so banding
+// Y directly yields the same power-of-two partition. A
 // roamer keeps its initial band's wheel for life: the assignment only
 // decides which wheel stores its turn events, never their (time, seq)
 // firing order, so migrating wheels on border crossings would buy
@@ -888,42 +850,13 @@ func (n *Network) originate(src *host) {
 }
 
 // reachableFrom computes e: the number of hosts (including src) in src's
-// connected component of the current unit-disk graph. The walk expands
-// through the channel's spatial index, so each visited host costs its
-// degree rather than a scan of the whole population, and the visited /
-// stack / neighbor buffers are reused across originations.
+// connected component of the current unit-disk graph. The channel's
+// walker expands through the spatial index, so each visited host costs
+// its degree rather than a scan of the whole population; with a worker
+// pool it runs band-parallel, which changes visit order, never
+// membership.
 func (n *Network) reachableFrom(src *host) int {
-	if n.engine == EngineSharded || n.engine == EngineSpeculative {
-		// The channel walk forces an exact position snapshot at the
-		// current instant and runs band-parallel over the worker pool with
-		// bounded-channel border exchange; membership is identical to the
-		// live-position BFS below, so summaries stay byte-identical.
-		return n.ch.CountReachable(src.mac.Radio())
-	}
-	if len(n.bfsVisited) < n.ch.NumRadios() {
-		n.bfsVisited = make([]bool, n.ch.NumRadios())
-	}
-	visited := n.bfsVisited
-	clear(visited)
-	stack := n.bfsStack[:0]
-	start := src.mac.Radio()
-	visited[start] = true
-	stack = append(stack, start)
-	count := 0
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		count++
-		n.nbrScratch = n.ch.Neighbors(i, n.nbrScratch[:0])
-		for _, j := range n.nbrScratch {
-			if !visited[j] {
-				visited[j] = true
-				stack = append(stack, j)
-			}
-		}
-	}
-	n.bfsStack = stack
-	return count
+	return n.ch.CountReachable(src.mac.Radio())
 }
 
 // record fetches the bookkeeping entry for a broadcast; unknown ids and

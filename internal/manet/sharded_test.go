@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/check"
+	"repro/internal/geom"
 	"repro/internal/scheme"
 	"repro/internal/sim"
 )
@@ -101,6 +102,57 @@ func TestShardedMatchesSequential(t *testing.T) {
 								seed, procs, shards, got, want)
 						}
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestArenaOnDefaultEngine pins that Config.Arena means the same thing
+// on the engine the paper sweep runs on: each of the host builder's four
+// one-at-a-time mover cases, built on the default engine into an arena —
+// twice, so the second world takes over the first one's slabs, and with
+// one arena across the cases, so each also inherits another mover
+// kind's leftovers — gives the summary it gives without an arena.
+func TestArenaOnDefaultEngine(t *testing.T) {
+	const hosts = 30
+	placement := make([]geom.Point, hosts)
+	for i := range placement {
+		placement[i] = geom.Point{X: 100 + 250*float64(i%6), Y: 100 + 300*float64(i/6)}
+	}
+	base := Config{Scheme: scheme.AdaptiveCounter{}, MapUnits: 3, Hosts: hosts, Requests: 8, Seed: 4}
+	arena := NewArena()
+	for _, tc := range []struct {
+		name  string
+		apply func(*Config)
+	}{
+		{"static", func(c *Config) { c.Static = true }},
+		{"placement", func(c *Config) { c.Static, c.Placement = true, placement }},
+		{"groups", func(c *Config) { c.Groups = 3 }},
+		{"waypoint", func(c *Config) { c.Mobility = MobilityWaypoint }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			tc.apply(&cfg)
+			plain, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := plain.Run()
+			cfg.Arena = arena
+			for round := 0; round < 2; round++ {
+				net, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if net.Engine() != EngineSequentialOracle || net.ShardCount() != 0 {
+					t.Fatalf("resolved engine %v/%d, want the default", net.Engine(), net.ShardCount())
+				}
+				if !arena.fits(hosts, false) {
+					t.Fatal("the default engine did not park its slabs in the arena")
+				}
+				if got := net.Run(); got != want {
+					t.Fatalf("round %d: arena-built summary diverges:\narena: %+v\nplain: %+v", round, got, want)
 				}
 			}
 		})

@@ -16,10 +16,7 @@ func (r *BroadcastRecord) LastActivity() sim.Time { return r.lastActivity }
 func (r *BroadcastRecord) RestoreActivity(at sim.Time) { r.lastActivity = at }
 
 // StreamState is a Stream's checkpointed history: the (RE, SRB, latency)
-// triple of every record folded so far, in fold order. The running
-// Welford aggregates are not stored — refolding the triples in order
-// reconstructs them bit for bit, since Add is deterministic in its
-// sample sequence.
+// triple of every record folded so far, in fold order.
 type StreamState struct {
 	RE  []float64
 	SRB []float64
@@ -32,18 +29,11 @@ func (s *Stream) Snapshot() StreamState {
 	return StreamState{RE: s.res, SRB: s.srbs, Lat: s.lats}
 }
 
-// Restore overwrites the stream with a checkpointed history, rebuilding
-// the running aggregates by refolding every triple in order. A stream
+// Restore overwrites the stream with a checkpointed history. A stream
 // restored this way produces a Summary byte-identical to the stream the
 // state was captured from.
 func (s *Stream) Restore(st StreamState) {
 	s.res = append(s.res[:0], st.RE...)
 	s.srbs = append(s.srbs[:0], st.SRB...)
 	s.lats = append(s.lats[:0], st.Lat...)
-	s.re = Running{}
-	s.srb = Running{}
-	for i := range s.res {
-		s.re.Add(s.res[i])
-		s.srb.Add(s.srbs[i])
-	}
 }

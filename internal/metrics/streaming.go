@@ -7,56 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Running is a mergeable running aggregate (Welford's algorithm): mean
-// and variance in O(1) state, combinable across shards with the
-// parallel-variance update of Chan et al. It is the pure-streaming
-// counterpart to Stream below — use it where per-sample history must
-// not be retained at all (live gauges, future spatially-sharded runs
-// that merge per-shard aggregates instead of shipping records).
-type Running struct {
-	n    int
-	mean float64
-	m2   float64 // sum of squared deviations from the running mean
-}
-
-// Add folds one sample into the aggregate.
-func (r *Running) Add(x float64) {
-	r.n++
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
-}
-
-// Merge folds another aggregate into this one.
-func (r *Running) Merge(o Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = o
-		return
-	}
-	n := r.n + o.n
-	d := o.mean - r.mean
-	r.mean += d * float64(o.n) / float64(n)
-	r.m2 += o.m2 + d*d*float64(r.n)*float64(o.n)/float64(n)
-	r.n = n
-}
-
-// Count returns the number of samples folded in.
-func (r Running) Count() int { return r.n }
-
-// Mean returns the running mean (0 before any sample).
-func (r Running) Mean() float64 { return r.mean }
-
-// Std returns the population standard deviation (0 before any sample).
-func (r Running) Std() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return math.Sqrt(r.m2 / float64(r.n))
-}
-
 // Stream folds completed BroadcastRecords into run aggregates so the
 // records themselves can be released: per broadcast it retains only the
 // (RE, SRB, latency) triple — 24 bytes — instead of the full record
@@ -69,36 +19,23 @@ func (r Running) Std() float64 {
 //
 // The triples are what exactness costs: StdRE/StdSRB need a second pass
 // and the latency percentiles need a sort, so the history cannot be
-// collapsed further without changing results. Callers that can accept
-// running aggregates instead use the embedded Running views (RunningRE,
-// RunningSRB), which are maintained alongside and need no history.
+// collapsed further without changing results.
 type Stream struct {
 	res  []float64
 	srbs []float64
 	lats []sim.Duration
-
-	re, srb Running
 }
 
 // Fold absorbs one completed record. The record is not retained; the
 // caller may release or reuse it immediately.
 func (s *Stream) Fold(r *BroadcastRecord) {
-	re, srb := r.RE(), r.SRB()
-	s.res = append(s.res, re)
-	s.srbs = append(s.srbs, srb)
+	s.res = append(s.res, r.RE())
+	s.srbs = append(s.srbs, r.SRB())
 	s.lats = append(s.lats, r.Latency())
-	s.re.Add(re)
-	s.srb.Add(srb)
 }
 
 // Len returns the number of records folded so far.
 func (s *Stream) Len() int { return len(s.res) }
-
-// RunningRE returns the live Welford aggregate over folded RE samples.
-func (s *Stream) RunningRE() Running { return s.re }
-
-// RunningSRB returns the live Welford aggregate over folded SRB samples.
-func (s *Stream) RunningSRB() Running { return s.srb }
 
 // Summary computes the run aggregates over everything folded so far,
 // with arithmetic identical to Summarize over the same records in fold

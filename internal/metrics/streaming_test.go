@@ -110,75 +110,3 @@ func TestStreamIncrementalFold(t *testing.T) {
 		t.Fatalf("two-stage fold %+v != summarize %+v", got, want)
 	}
 }
-
-func TestRunningWelford(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(500)
-		xs := make([]float64, n)
-		var r Running
-		sum := 0.0
-		for i := range xs {
-			xs[i] = rng.NormFloat64()*3 + 1
-			r.Add(xs[i])
-			sum += xs[i]
-		}
-		mean := sum / float64(n)
-		var varSum float64
-		for _, x := range xs {
-			varSum += (x - mean) * (x - mean)
-		}
-		std := math.Sqrt(varSum / float64(n))
-		if r.Count() != n {
-			t.Fatalf("Count = %d, want %d", r.Count(), n)
-		}
-		if math.Abs(r.Mean()-mean) > 1e-9 {
-			t.Fatalf("Mean = %v, want %v", r.Mean(), mean)
-		}
-		if math.Abs(r.Std()-std) > 1e-9 {
-			t.Fatalf("Std = %v, want %v", r.Std(), std)
-		}
-		// Merging arbitrary splits must agree with the single aggregate.
-		cut := rng.Intn(n + 1)
-		var a, b Running
-		for _, x := range xs[:cut] {
-			a.Add(x)
-		}
-		for _, x := range xs[cut:] {
-			b.Add(x)
-		}
-		a.Merge(b)
-		if a.Count() != n || math.Abs(a.Mean()-mean) > 1e-9 || math.Abs(a.Std()-std) > 1e-9 {
-			t.Fatalf("merged (cut %d): n=%d mean=%v std=%v, want n=%d mean=%v std=%v",
-				cut, a.Count(), a.Mean(), a.Std(), n, mean, std)
-		}
-	}
-	var empty, other Running
-	other.Add(2)
-	empty.Merge(other)
-	if empty.Count() != 1 || empty.Mean() != 2 {
-		t.Fatalf("merge into empty: %+v", empty)
-	}
-	var z Running
-	if z.Mean() != 0 || z.Std() != 0 || z.Count() != 0 {
-		t.Fatalf("zero Running not zero: %+v", z)
-	}
-}
-
-// The Stream's running views track the folded samples.
-func TestStreamRunningViews(t *testing.T) {
-	var st Stream
-	for _, r := range []*BroadcastRecord{rec(10, 10, 10), rec(10, 5, 1)} {
-		st.Fold(r)
-	}
-	if got := st.RunningRE().Count(); got != 2 {
-		t.Fatalf("RunningRE count = %d, want 2", got)
-	}
-	wantMean := (1.0 + 0.5) / 2
-	if got := st.RunningRE().Mean(); math.Abs(got-wantMean) > 1e-12 {
-		t.Fatalf("RunningRE mean = %v, want %v", got, wantMean)
-	}
-	if got := st.RunningSRB().Count(); got != 2 {
-		t.Fatalf("RunningSRB count = %d, want 2", got)
-	}
-}

@@ -106,31 +106,21 @@ type Roamer struct {
 // NewRoamer places a host uniformly at random on the map and starts its
 // first movement turn. The roamer keeps scheduling turns until Stop.
 func NewRoamer(sched *sim.Scheduler, area Map, cfg Config, rng *sim.RNG) *Roamer {
-	r := &Roamer{
-		area:  area,
-		cfg:   cfg,
-		rng:   rng,
-		sched: sched,
-		shard: -1,
-		origin: geom.Point{
-			X: rng.UniformFloat(0, area.Width),
-			Y: rng.UniformFloat(0, area.Height),
-		},
-		segStart: sched.Now(),
-	}
-	r.turn()
+	r := new(Roamer)
+	InitRoamer(r, sched, area, cfg, rng)
+	r.Start()
 	return r
 }
 
-// InitRoamer initializes a slab-allocated Roamer in place, performing
-// exactly the random draws NewRoamer performs (placement, then first
-// segment speed/direction/interval — same stream, same order) but
-// deferring the first turn's scheduling to Start. The split lets the
-// sharded engine run the draw phase in parallel across hosts (each host
-// owns its forked rng) and then schedule first turns sequentially in
-// host order, preserving the oracle's event sequence numbers. Turn
-// events go to the central ladder unless SetShard routes them to a
-// shard calendar wheel before Start.
+// InitRoamer initializes a caller-allocated (typically slab) Roamer in
+// place: it performs every random draw of the first segment (placement,
+// then speed, direction and turn interval) and defers arming the first
+// turn to Start. The split lets a host builder run the draw phase in
+// parallel across hosts (each host owns its forked rng) and then arm
+// first turns sequentially in host order, so their event sequence
+// numbers do not depend on worker scheduling. Turn events go to the
+// central ladder unless SetShard routes them to a shard calendar wheel
+// before Start.
 func InitRoamer(r *Roamer, sched *sim.Scheduler, area Map, cfg Config, rng *sim.RNG) {
 	*r = Roamer{
 		area:  area,

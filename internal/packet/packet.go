@@ -206,11 +206,6 @@ type DedupTable struct {
 	seen map[BroadcastID]bool
 }
 
-// NewDedupTable returns an empty table.
-func NewDedupTable() *DedupTable {
-	return &DedupTable{seen: make(map[BroadcastID]bool)}
-}
-
 // Observe records id and reports whether this was the first time it was
 // seen (true = first reception).
 func (t *DedupTable) Observe(id BroadcastID) bool {

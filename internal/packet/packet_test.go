@@ -10,7 +10,7 @@ import (
 )
 
 func TestDedupFirstThenDuplicate(t *testing.T) {
-	d := NewDedupTable()
+	var d DedupTable
 	id := BroadcastID{Source: 3, Seq: 17}
 	if !d.Observe(id) {
 		t.Fatal("first observation reported as duplicate")
@@ -30,7 +30,7 @@ func TestDedupFirstThenDuplicate(t *testing.T) {
 }
 
 func TestDedupDistinguishesSourceAndSeq(t *testing.T) {
-	d := NewDedupTable()
+	var d DedupTable
 	ids := []BroadcastID{{1, 1}, {1, 2}, {2, 1}, {2, 2}}
 	for _, id := range ids {
 		if !d.Observe(id) {
@@ -50,7 +50,7 @@ func TestDedupProperty(t *testing.T) {
 		if len(seqs) < n {
 			n = len(seqs)
 		}
-		d := NewDedupTable()
+		var d DedupTable
 		firsts := make(map[BroadcastID]int)
 		for i := 0; i < n; i++ {
 			id := BroadcastID{Source: NodeID(sources[i]), Seq: uint32(seqs[i])}

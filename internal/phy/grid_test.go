@@ -56,7 +56,7 @@ func TestNeighborsMatchesLinearWhileMoving(t *testing.T) {
 		target := sched.Now().Add(d)
 		sched.Schedule(target, func() {})
 		sched.RunUntil(target)
-		for i := 0; i < ch.NumRadios(); i++ {
+		for i := 0; i < len(ch.positions); i++ {
 			got := ch.Neighbors(i, nil)
 			want := linearNeighbors(ch, i, sched.Now())
 			if !slices.Equal(got, want) {
@@ -74,7 +74,7 @@ func TestNeighborsWithoutSpeedBoundRebuildsExactly(t *testing.T) {
 		target := sim.Time(0).Add(d)
 		sched.Schedule(target, func() {})
 		sched.RunUntil(target)
-		for i := 0; i < ch.NumRadios(); i++ {
+		for i := 0; i < len(ch.positions); i++ {
 			got := ch.Neighbors(i, nil)
 			if want := linearNeighbors(ch, i, sched.Now()); !slices.Equal(got, want) {
 				t.Fatalf("t=%v radio %d: grid %v != linear %v", sched.Now(), i, got, want)

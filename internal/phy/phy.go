@@ -277,12 +277,13 @@ type Channel struct {
 	// observations (SetAudit).
 	audit Auditor
 
-	// Worker pool (sharded engine only): parallelizes snapshot position
-	// evaluation across index ranges and backs the band-parallel
-	// reachability walker. Both uses are pure functions of mover state,
+	// Worker pool (nil on the sequential engine): parallelizes snapshot
+	// position evaluation across index ranges and makes the reachability
+	// walker band-parallel. Both uses are pure functions of mover state,
 	// so results are identical with or without the pool.
-	pool   *pdes.Pool
-	walker *pdes.Walker
+	pool    *pdes.Pool
+	walker  *pdes.Walker
+	walkNbr pdes.NeighborFunc // the walker's adjacency query, bound with it
 
 	// Channel-load accounting for the telemetry subsystem, gated on
 	// obsBusy so uninstrumented runs pay a single branch per carrier
@@ -317,24 +318,19 @@ func (c *Channel) Radius() float64 { return c.radius }
 // Stats returns the channel counters accumulated so far.
 func (c *Channel) Stats() Stats { return c.stats }
 
-// Attach registers a radio and returns its index. All radios must be
-// attached before the simulation starts transmitting.
+// Attach registers a radio and returns its index: a batch of one, bound
+// at once. All radios must be attached before the simulation starts
+// transmitting.
 func (c *Channel) Attach(pos Positioner, l Listener) int {
-	if pos == nil || l == nil {
-		panic("phy: Attach with nil position or listener")
-	}
-	c.positions = append(c.positions, pos)
-	c.listeners = append(c.listeners, l)
-	c.busyCount = append(c.busyCount, 0)
-	c.transmitting = append(c.transmitting, false)
-	return len(c.positions) - 1
+	i := c.AttachBatch(1)
+	c.SetRadio(i, pos, l)
+	return i
 }
 
 // AttachBatch claims n radio slots in one append per backing slice and
 // returns the index of the first. The slots must each be bound with
 // SetRadio before the simulation starts; binding is a per-slot write, so
-// the sharded engine fills the batch from parallel workers (Attach's
-// shared appends could not).
+// a host builder may fill the batch from parallel workers.
 func (c *Channel) AttachBatch(n int) int {
 	if n <= 0 {
 		panic("phy: AttachBatch with non-positive count")
@@ -369,9 +365,6 @@ func (c *Channel) SetPool(p *pdes.Pool) {
 	c.pool = p
 	c.walker = nil
 }
-
-// NumRadios returns the number of attached radios.
-func (c *Channel) NumRadios() int { return len(c.positions) }
 
 // PositionOf returns radio i's current position.
 func (c *Channel) PositionOf(i int) geom.Point {
@@ -423,6 +416,15 @@ const driftEpsilon = 1e-6
 // time.
 func (c *Channel) Neighbors(i int, buf []int) []int {
 	c.refresh()
+	return c.neighborsRefreshed(i, buf)
+}
+
+// neighborsRefreshed is Neighbors once refresh has run at the current
+// instant: exact from the grid when the snapshot is current, otherwise
+// drift-inflated grid candidates filtered by exact live distance. It
+// only reads channel state, so the reachability walker's band workers
+// may call it concurrently.
+func (c *Channel) neighborsRefreshed(i int, buf []int) []int {
 	now := c.sched.Now()
 	if now == c.snapTime {
 		return c.grid.Neighbors(i, c.radius, buf)
@@ -483,31 +485,20 @@ func (c *Channel) rebuildSnapshot(now sim.Time) {
 // CountReachable returns the number of radios connected to src
 // (including src) in the current unit-disk graph, via a breadth-first
 // walk — band-parallel across the pool when one is attached. Adjacency
-// is answered exactly the way Neighbors answers it: from the grid when
-// the snapshot is current, otherwise by filtering inflated-radius grid
-// candidates against exact live positions. Either way the edge set is
-// the live unit-disk graph at the current instant, so the count is
+// is Neighbors' own answer (neighborsRefreshed), so the edge set is the
+// live unit-disk graph at the current instant and the count is
 // identical to a sequential BFS over Neighbors queries — band
 // decomposition changes visit order, never membership — and no forced
 // snapshot rebuild is needed.
 func (c *Channel) CountReachable(src int) int {
 	c.refresh()
-	now := c.sched.Now()
 	if c.walker == nil {
 		c.walker = pdes.NewWalker(c.pool)
+		// Bound once: a method value per call would escape to the heap
+		// on every origination.
+		c.walkNbr = c.neighborsRefreshed
 	}
-	if now == c.snapTime {
-		return c.walker.Count(&c.grid, c.gridGen, c.snap, src, func(u int, buf []int) []int {
-			return c.grid.Neighbors(u, c.radius, buf)
-		})
-	}
-	// Stale snapshot: candidates from the drift-inflated grid query,
-	// membership from exact live distance. Concurrent band workers only
-	// read shared channel state (positions are pure in t), so the query
-	// is safe to run in parallel.
-	return c.walker.Count(&c.grid, c.gridGen, c.snap, src, func(u int, buf []int) []int {
-		return c.staleNeighbors(u, c.positions[u].PositionAt(now), now, buf)
-	})
+	return c.walker.Count(&c.grid, c.gridGen, c.snap, src, c.walkNbr)
 }
 
 // driftMargin returns how far any radio can have moved since the
@@ -1160,9 +1151,6 @@ func (c *Channel) BusyRadioSeconds() float64 {
 	}
 	return s
 }
-
-// ActiveTransmissions returns the number of frames currently on the air.
-func (c *Channel) ActiveTransmissions() int { return len(c.active) }
 
 // EachActiveSender calls fn with the start-of-transmission position of
 // every frame currently on the air. The sharded engine's adaptive

@@ -237,8 +237,8 @@ func TestInRangeAndPositions(t *testing.T) {
 	if ch.InRange(a, c) {
 		t.Error("hosts beyond r reported in range")
 	}
-	if ch.NumRadios() != 3 {
-		t.Errorf("NumRadios = %d", ch.NumRadios())
+	if len(ch.positions) != 3 {
+		t.Errorf("%d radios attached, want 3", len(ch.positions))
 	}
 	if got := ch.PositionOf(b); got != (geom.Point{X: 500}) {
 		t.Errorf("PositionOf = %+v", got)

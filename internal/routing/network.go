@@ -118,10 +118,36 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. For the fields shared with
+// manet.Config it refuses what manet.Config.Validate refuses.
 func (c Config) Validate() error {
-	if c.Hosts < 2 {
+	switch {
+	case c.Hosts < 2:
 		return errors.New("routing: need at least two hosts to discover routes")
+	case c.MapUnits < 1:
+		return errors.New("routing: map must be at least 1x1 units")
+	case c.Radius <= 0:
+		return errors.New("routing: radius must be positive")
+	case c.UnitMeters < 0:
+		return fmt.Errorf("routing: negative map unit %g m", c.UnitMeters)
+	case c.MaxSpeedKMH < 0:
+		return fmt.Errorf("routing: negative max speed %g km/h", c.MaxSpeedKMH)
+	case c.Discoveries < 0:
+		return fmt.Errorf("routing: negative discovery count %d", c.Discoveries)
+	case c.ArrivalSpread < 0:
+		return fmt.Errorf("routing: negative arrival spread %v", c.ArrivalSpread)
+	case c.HelloInterval < 0:
+		return fmt.Errorf("routing: negative hello interval %v", c.HelloInterval)
+	case c.RTSThreshold < 0:
+		return fmt.Errorf("routing: negative RTS threshold %d", c.RTSThreshold)
+	case c.DataPerRoute < 0:
+		return fmt.Errorf("routing: negative data packets per route %d", c.DataPerRoute)
+	case c.AssessmentSlots < 0:
+		return errors.New("routing: negative assessment slots")
+	case c.Warmup < 0:
+		return fmt.Errorf("routing: negative warmup %v", c.Warmup)
+	case c.Drain < 0:
+		return fmt.Errorf("routing: negative drain %v", c.Drain)
 	}
 	if c.Scheme.NeedsHello() && c.HelloInterval <= 0 {
 		return fmt.Errorf("routing: scheme %s requires HELLO", c.Scheme.Name())

@@ -174,6 +174,26 @@ func TestConfigValidation(t *testing.T) {
 	if got := cfg.WithDefaults(); got.HelloInterval <= 0 {
 		t.Error("defaults left HELLO off for NC")
 	}
+	// What manet.Config.Validate refuses for the shared fields, plus the
+	// routing-only counts: each must be an error, not a run.
+	for name, bad := range map[string]Config{
+		"negative map":             {MapUnits: -1},
+		"negative radius":          {Radius: -1},
+		"negative unit":            {UnitMeters: -500},
+		"negative speed":           {MaxSpeedKMH: -5},
+		"negative discoveries":     {Discoveries: -1},
+		"negative arrival spread":  {ArrivalSpread: -sim.Second},
+		"negative hello interval":  {HelloInterval: -sim.Second},
+		"negative rts threshold":   {RTSThreshold: -1},
+		"negative data per route":  {DataPerRoute: -1},
+		"negative assessment slot": {AssessmentSlots: -1},
+		"negative warmup":          {Warmup: -sim.Second},
+		"negative drain":           {Drain: -sim.Second},
+	} {
+		if _, err := New(bad); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 }
 
 func TestRunTwicePanics(t *testing.T) {

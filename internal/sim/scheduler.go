@@ -369,12 +369,6 @@ func (s *Scheduler) ScheduleShard(shard int, at Time, fn func()) *Event {
 	return e
 }
 
-// AfterShard queues fn to run d after the current time on the given
-// shard's wheel.
-func (s *Scheduler) AfterShard(shard int, d Duration, fn func()) *Event {
-	return s.ScheduleShard(shard, s.now.Add(d), fn)
-}
-
 // ShardHead returns the timestamp of the given shard wheel's earliest
 // pending event, or false if the wheel is empty. The invariant auditor
 // reads the heads at shard-barrier boundaries: a head behind the clock

@@ -105,7 +105,7 @@ func TestShardWheelDrain(t *testing.T) {
 		t.Fatalf("pending after drain = %d, want 0", got)
 	}
 	fired := 0
-	s.AfterShard(1, Second, func() { fired++ })
+	s.ScheduleShard(1, s.Now().Add(Second), func() { fired++ })
 	s.Run()
 	if fired != 1 {
 		t.Fatalf("re-armed event fired %d times, want 1", fired)

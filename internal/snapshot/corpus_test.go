@@ -50,12 +50,16 @@ func readSeed(t *testing.T, name string) []byte {
 
 // TestSeedCheckpointBytes pins the v1 wire layout on a real document:
 // the checkpoint a fresh corpus run writes today must equal, byte for
-// byte, the committed seed-checkpoint (written at PR 9 by the
-// hand-written encoder; an AC run with the repair layer on, so it
-// covers the repair sections too), and the three derived seeds must
-// match their files. With -update it rewrites all four instead; only a
-// PR that means to change the format or the simulated run commits a
-// diff.
+// byte, the committed seed-checkpoint (an AC run with the repair layer
+// on, so it covers the repair sections too), and the three derived
+// seeds must match their files. With -update it rewrites all four
+// instead; only a PR that means to change the format or the simulated
+// run commits a diff. The file was last rewritten when the sequential
+// engine moved onto the slab builder: same 11,880 bytes, with
+// sched.pool_hits/pool_misses and each mover's never-used
+// previous-segment origin and has-previous byte changed, nothing else.
+// seedBeforeSlabBuilder keeps the earlier bytes (written at PR 9 by the
+// hand-written encoder) and -update leaves it alone.
 func TestSeedCheckpointBytes(t *testing.T) {
 	for name, want := range corpusSeeds(realCheckpoint(t)) {
 		if *update {
@@ -76,24 +80,34 @@ func TestSeedCheckpointBytes(t *testing.T) {
 	}
 }
 
+// seedBeforeSlabBuilder is seed-checkpoint as the sequential engine's
+// per-host construction loop wrote it (through PR 17).
+const seedBeforeSlabBuilder = "seed-checkpoint-pr17"
+
 // TestSeedCheckpointResumes reads the layout in the other direction:
 // the committed seed-checkpoint must decode, restore under the corpus
 // configuration and finish with the uninterrupted run's Summary, so
 // every field the run depends on landed where the old encoder put it.
+// The seed an earlier tree wrote must do the same: the fields
+// construction fills differently now feed no Summary, and a checkpoint
+// taken before that change still resumes.
 func TestSeedCheckpointResumes(t *testing.T) {
-	ck, err := snapshot.Decode(readSeed(t, "seed-checkpoint"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := manet.RestoreCheckpoint(ck, corpusConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	straight, err := manet.New(corpusConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := resumed.Run(), straight.Run(); got != want {
-		t.Fatalf("resumed summary diverges:\nresumed:  %+v\nstraight: %+v", got, want)
+	want := straight.Run()
+	for _, name := range []string{"seed-checkpoint", seedBeforeSlabBuilder} {
+		ck, err := snapshot.Decode(readSeed(t, name))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		resumed, err := manet.RestoreCheckpoint(ck, corpusConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := resumed.Run(); got != want {
+			t.Errorf("%s: resumed summary diverges:\nresumed:  %+v\nstraight: %+v", name, got, want)
+		}
 	}
 }

@@ -148,9 +148,10 @@ const (
 // accept it.
 func ParseEngine(name string) (Engine, error) { return manet.ParseEngine(name) }
 
-// Arena retains the sharded engine's bulk allocations across runs; pass
-// one through Config.Arena when sweeping many same-size worlds. See
-// manet.Arena for the ownership contract.
+// Arena retains a world's bulk allocations across runs, on every engine;
+// pass one through Config.Arena when building many same-size worlds one
+// after another. An arena backs one live Network at a time and is not
+// safe for concurrent use (see manet.Arena for the ownership contract).
 type Arena = manet.Arena
 
 // NewArena returns an empty arena for Config.Arena.
