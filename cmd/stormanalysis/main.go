@@ -54,6 +54,23 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 		return code
 	}
 
+	// A table cannot have a negative length, and a Monte-Carlo estimate
+	// needs a trial: analysis.EAC would clamp the count in silence and
+	// the heading would still print the number asked for.
+	for _, f := range []struct {
+		name  string
+		value int
+	}{
+		{"eac", *eacMax}, {"cf", *cfMax}, {"funcs", *funcsMax},
+	} {
+		if f.value < 0 {
+			return fail(2, fmt.Errorf("-%s must not be negative, got %d", f.name, f.value))
+		}
+	}
+	if *trials < 1 {
+		return fail(2, fmt.Errorf("-trials must be at least 1, got %d", *trials))
+	}
+
 	if *listSchemes {
 		fmt.Fprint(stdout, "scheme specs:\n", scheme.Usage())
 		return 0

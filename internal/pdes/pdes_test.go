@@ -135,3 +135,53 @@ func TestWalkerStaleBanding(t *testing.T) {
 		}
 	}
 }
+
+// TestWalkerStopsWhenAllFound counts adjacency queries on a complete
+// graph: the first answer names every node, so the walk is over after
+// one query however many nodes are still stacked. The source sits alone
+// in the lowest band and the rest in the highest, so the band-parallel
+// walker hands all 99 discoveries across a border and must stop at the
+// barrier after the round that delivered them.
+func TestWalkerStopsWhenAllFound(t *testing.T) {
+	const n = 100
+	snap := make([]geom.Point, n)
+	for i := 1; i < n; i++ {
+		snap[i] = geom.Point{X: float64(i), Y: 1000}
+	}
+	var grid geom.Grid
+	grid.Rebuild(snap, 100)
+	if _, rows := grid.Cells(); rows < 2 {
+		t.Fatalf("grid has %d rows; the parallel walker needs two bands", rows)
+	}
+	var calls atomic.Int64
+	everyone := func(u int, buf []int) []int {
+		calls.Add(1)
+		for v := 0; v < n; v++ {
+			if v != u {
+				buf = append(buf, v)
+			}
+		}
+		return buf
+	}
+	pool := NewPool(2)
+	defer pool.Close()
+	for _, tc := range []struct {
+		name   string
+		walker *Walker
+	}{
+		{"sequential", NewWalker(nil)},
+		{"band-parallel", NewWalker(pool)},
+	} {
+		// Twice: an early stop leaves work stacked, which the next walk
+		// must not inherit.
+		for round := 0; round < 2; round++ {
+			calls.Store(0)
+			if got := tc.walker.Count(&grid, 1, snap, 0, everyone); got != n {
+				t.Fatalf("%s walk %d: counted %d of %d", tc.name, round, got, n)
+			}
+			if got := calls.Load(); got != 1 {
+				t.Errorf("%s walk %d: %d adjacency queries for a complete graph, want 1", tc.name, round, got)
+			}
+		}
+	}
+}

@@ -65,7 +65,9 @@ func NewWalker(pool *Pool) *Walker {
 // snap; it partitions the nodes into bands but contributes no edges.
 // rev identifies the snapshot the grid was built over: callers bump it
 // on every rebuild, and equal (grid, rev) pairs may reuse the walker's
-// cached band partition.
+// cached band partition. The walk stops as soon as all len(snap) nodes
+// are found, so on a connected graph it makes far fewer than one
+// adjacency query per node.
 func (w *Walker) Count(grid *geom.Grid, rev uint64, snap []geom.Point, src int, neigh NeighborFunc) int {
 	n := len(snap)
 	if n == 0 {
@@ -167,20 +169,21 @@ func (w *Walker) Count(grid *geom.Grid, rev uint64, snap []geom.Point, src int, 
 				w.next[b] = next
 			}
 		})
-		total := 0
+		frontier, count := 0, 0
 		for d := 0; d < bands; d++ {
 			w.stack[d], w.next[d] = w.next[d], w.stack[d][:0]
-			total += len(w.stack[d])
+			frontier += len(w.stack[d])
+			count += w.counts[d]
 		}
-		if total == 0 {
-			break
+		// Done when no band has work left — or when every node is already
+		// found: a component cannot exceed the population, so what is
+		// still on the stacks could only rediscover marked nodes. (The
+		// deliver phase above has emptied the channels and spills;
+		// prepare truncates the stacks before the next walk.)
+		if frontier == 0 || count == n {
+			return count
 		}
 	}
-	count := 0
-	for _, c := range w.counts {
-		count += c
-	}
-	return count
 }
 
 // prepare sizes the per-band state for n nodes and the given band count.
@@ -233,7 +236,11 @@ func (w *Walker) countSequential(n, src int, neigh NeighborFunc) int {
 	w.visited[src] = true
 	count := 1
 	stack = append(stack, int32(src))
-	for len(stack) > 0 {
+	// count == n ends the walk as surely as an empty stack does: a
+	// component cannot exceed the population, so the nodes still stacked
+	// could only rediscover marked ones. On a connected map that is after
+	// a handful of adjacency queries instead of one per node.
+	for len(stack) > 0 && count < n {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		w.nbr[0] = neigh(int(u), w.nbr[0][:0])

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/packet"
 	"repro/internal/sim"
 )
 
@@ -92,4 +93,77 @@ func TestSetMaxSpeedRejectsNegative(t *testing.T) {
 		}
 	}()
 	ch.SetMaxSpeed(-1)
+}
+
+// TestZeroSpeedBoundKeepsSnapshotExact declares the radios motionless
+// and checks that, at instants after the first snapshot, Neighbors and a
+// Transmit's receiver list still equal the linear scan while evaluating
+// no position at all. With a positive bound the same queries must go on
+// re-checking candidates against live positions: the declared bound,
+// not the fact that nothing happens to move, is what licenses the
+// shortcut.
+func TestZeroSpeedBoundKeepsSnapshotExact(t *testing.T) {
+	const n, radius = 80, 500.0
+	for _, tc := range []struct {
+		name      string
+		bound     float64
+		evaluates bool
+	}{
+		{"zero bound", 0, false},
+		{"positive bound", 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sched := sim.NewScheduler()
+			ch := NewChannel(sched, DSSSTiming(), radius)
+			rng := sim.NewRNG(11)
+			pts := make([]geom.Point, n)
+			evals := 0
+			for i := range pts {
+				p := geom.Point{X: rng.UniformFloat(0, 2500), Y: rng.UniformFloat(0, 2500)}
+				pts[i] = p
+				ch.Attach(PositionFunc(func(sim.Time) geom.Point { evals++; return p }), &fakeListener{})
+			}
+			ch.SetMaxSpeed(tc.bound)
+			linear := func(i int) []int {
+				var out []int
+				for j, q := range pts {
+					if j != i && q.Dist2(pts[i]) <= radius*radius {
+						out = append(out, j)
+					}
+				}
+				return out
+			}
+
+			ch.Neighbors(0, nil) // the first snapshot
+			if evals != n {
+				t.Fatalf("first snapshot evaluated %d positions, want %d", evals, n)
+			}
+			evals = 0
+			for _, d := range []sim.Duration{3 * sim.Millisecond, 2 * sim.Second, 90 * sim.Second} {
+				target := sched.Now().Add(d)
+				sched.Schedule(target, func() {})
+				sched.RunUntil(target)
+				for i := range pts {
+					if got, want := ch.Neighbors(i, nil), linear(i); !slices.Equal(got, want) {
+						t.Fatalf("t=%v radio %d: Neighbors %v != linear %v", sched.Now(), i, got, want)
+					}
+				}
+				sender := int(d/sim.Millisecond) % n
+				ch.Transmit(sender, bcastFrame(packet.NodeID(sender)), nil)
+				tx := ch.active[len(ch.active)-1]
+				if want := linear(sender); !slices.Equal(tx.receivers, want) {
+					t.Fatalf("t=%v: Transmit from %d reaches %v, linear scan %v", sched.Now(), sender, tx.receivers, want)
+				}
+				if tx.senderPos != pts[sender] {
+					t.Fatalf("t=%v: Transmit from %d recorded sender position %v, want %v", sched.Now(), sender, tx.senderPos, pts[sender])
+				}
+			}
+			if tc.evaluates && evals == 0 {
+				t.Errorf("bound %v m/s: no position evaluated after the first snapshot; stale queries must re-check live positions", tc.bound)
+			}
+			if !tc.evaluates && evals != 0 {
+				t.Errorf("bound 0: %d positions evaluated after the first snapshot, want none", evals)
+			}
+		})
+	}
 }

@@ -226,7 +226,8 @@ type Channel struct {
 	// speed bound (SetMaxSpeed) it additionally serves later instants as
 	// a candidate prefilter, with the query radius inflated by the
 	// maximum distance any radio can have drifted since the snapshot
-	// and every candidate re-checked against its live position.
+	// and every candidate re-checked against its live position. A bound
+	// of zero keeps the snapshot exact at every later instant.
 	grid       geom.Grid
 	snapTime   sim.Time
 	gridOK     bool
@@ -374,8 +375,7 @@ func (c *Channel) PositionOf(i int) geom.Point {
 // InRange reports whether radios i and j are currently within radio
 // range of each other. A single pairwise check needs exactly the two
 // live positions, which is already cheaper than any index lookup, so it
-// bypasses the grid entirely (and is therefore trivially identical
-// between the indexed and linear modes).
+// bypasses the grid entirely.
 func (c *Channel) InRange(i, j int) bool {
 	now := c.sched.Now()
 	return c.positions[i].PositionAt(now).Dist2(c.positions[j].PositionAt(now)) <= c.radius*c.radius
@@ -389,8 +389,10 @@ func (c *Channel) InRange(i, j int) bool {
 // amortizes over many transmissions instead of recurring at every
 // distinct timestamp. An underestimate would silently drop receivers;
 // callers must bound the fastest mover, not the average. Zero is valid
-// and means the radios never move. Without a declared bound the index
-// stays exact by rebuilding whenever the clock advances.
+// and means the radios never move: the first snapshot then stays exact
+// for the whole run and no position is evaluated after it. Without a
+// declared bound the index stays exact by rebuilding whenever the clock
+// advances.
 func (c *Channel) SetMaxSpeed(mps float64) {
 	if mps < 0 {
 		panic("phy: negative speed bound")
@@ -443,8 +445,19 @@ func (c *Channel) refresh() {
 		if now == c.snapTime {
 			return
 		}
-		if c.hasBound && c.driftMargin(now) <= c.radius*maxStaleFraction {
-			return
+		if c.hasBound {
+			if c.speedBound == 0 {
+				// Declared motionless: the snapshot is as exact at this
+				// instant as at the one it was taken, so it is re-stamped
+				// and Transmit, neighborsRefreshed and rxPosAt read it as
+				// current instead of re-evaluating each candidate's
+				// position.
+				c.snapTime = now
+				return
+			}
+			if c.driftMargin(now) <= c.radius*maxStaleFraction {
+				return
+			}
 		}
 	}
 	c.rebuildSnapshot(now)

@@ -41,10 +41,16 @@ func CounterTable(values ...int) CounterFunc {
 // DefaultCounterFunc returns the paper's tuned C(n) (the solid line of
 // its Fig. 6): C(n) = n+1 up to n1 = 4, then a gradual decrease to the
 // minimum threshold 2 at n2 = 12 and beyond.
-func DefaultCounterFunc() CounterFunc {
-	// n:            1  2  3  4  5  6  7  8  9 10 11 12
-	return CounterTable(2, 3, 4, 5, 5, 4, 4, 4, 3, 3, 2, 2)
-}
+func DefaultCounterFunc() CounterFunc { return defaultCounterFunc }
+
+// The defaults are built once: a nil threshold function is resolved at
+// every NewJudge — once per packet per host — and building the closure
+// there would put it on the heap each time.
+var (
+	// n:                                1  2  3  4  5  6  7  8  9 10 11 12
+	defaultCounterFunc  = CounterTable(2, 3, 4, 5, 5, 4, 4, 4, 3, 3, 2, 2)
+	defaultLocationFunc = LinearLocationFunc(6, 12, EAC2Fraction)
+)
 
 // LinearCounterFunc builds the parametric C(n) family used in the
 // paper's tuning experiments (Fig. 5): C(n) = n+1 for n <= n1, then a
@@ -93,9 +99,7 @@ func LinearLocationFunc(n1, n2 int, max float64) LocationFunc {
 
 // DefaultLocationFunc returns the paper's recommended A(n): knees at
 // (n1, n2) = (6, 12) with ceiling EAC(2)/pi r^2.
-func DefaultLocationFunc() LocationFunc {
-	return LinearLocationFunc(6, 12, EAC2Fraction)
-}
+func DefaultLocationFunc() LocationFunc { return defaultLocationFunc }
 
 // --- Adaptive counter-based ---
 
@@ -130,7 +134,7 @@ func (AdaptiveCounter) NeedsPosition() bool { return false }
 func (s AdaptiveCounter) NewJudge(host HostView, first Reception) Judge {
 	fn := s.C
 	if fn == nil {
-		fn = DefaultCounterFunc()
+		fn = defaultCounterFunc
 	}
 	return &counterJudge{c: 1, threshold: fn(host.NeighborCount())}
 }
@@ -166,15 +170,9 @@ func (AdaptiveLocation) NeedsPosition() bool { return true }
 func (s AdaptiveLocation) NewJudge(host HostView, first Reception) Judge {
 	fn := s.A
 	if fn == nil {
-		fn = DefaultLocationFunc()
+		fn = defaultLocationFunc
 	}
-	j := &locationJudge{
-		own:       host.Position(),
-		radius:    host.Radius(),
-		threshold: fn(host.NeighborCount()),
-	}
-	j.senders = append(j.senders, first.SenderPos)
-	return j
+	return newLocationJudge(host.Position(), host.Radius(), fn(host.NeighborCount()), first.SenderPos)
 }
 
 // --- Neighbor coverage ---

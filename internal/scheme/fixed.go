@@ -155,13 +155,7 @@ func (Location) NeedsPosition() bool { return true }
 
 // NewJudge implements Scheme.
 func (s Location) NewJudge(host HostView, first Reception) Judge {
-	j := &locationJudge{
-		own:       host.Position(),
-		radius:    host.Radius(),
-		threshold: s.A,
-	}
-	j.senders = append(j.senders, first.SenderPos)
-	return j
+	return newLocationJudge(host.Position(), host.Radius(), s.A, first.SenderPos)
 }
 
 type locationJudge struct {
@@ -169,6 +163,17 @@ type locationJudge struct {
 	radius    float64
 	threshold float64
 	senders   []geom.Point
+	// first backs senders until a fifth one arrives, so that the judge is
+	// one allocation for the four in five judgements that hear no more.
+	first [4]geom.Point
+}
+
+// newLocationJudge returns a judge that has heard the packet from the
+// given senders, in order.
+func newLocationJudge(own geom.Point, radius, threshold float64, senders ...geom.Point) *locationJudge {
+	j := &locationJudge{own: own, radius: radius, threshold: threshold}
+	j.senders = append(j.first[:0], senders...)
+	return j
 }
 
 // coverage returns the uncovered fraction of the host's disk given the

@@ -2,6 +2,7 @@ package scheme
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -184,6 +185,62 @@ func TestLocationZeroThresholdNeverInhibits(t *testing.T) {
 	j := Location{A: 0}.NewJudge(h, rx(1, geom.Point{X: 1}))
 	if j.Initial() != Proceed {
 		t.Error("A=0 must force rebroadcast for any positive coverage... ")
+	}
+}
+
+// TestLocationJudgeAllocations holds a location judgement that hears up
+// to four senders to one heap object, the judge itself: the default A(n)
+// is a package value, not a closure built per packet, and the first four
+// sender positions live inside the judge.
+func TestLocationJudgeAllocations(t *testing.T) {
+	h := host(1, 2, 3, 4, 5, 6, 7, 8)
+	first := rx(1, geom.Point{X: 250})
+	dups := []Reception{rx(2, geom.Point{X: -250}), rx(3, geom.Point{Y: 250}), rx(4, geom.Point{Y: -250})}
+	for _, s := range []Scheme{Location{A: 0.0469}, AdaptiveLocation{}} {
+		var sink Action
+		allocs := testing.AllocsPerRun(200, func() {
+			j := s.NewJudge(h, first)
+			for _, d := range dups {
+				sink = j.OnDuplicate(d)
+			}
+		})
+		_ = sink
+		if allocs != 1 {
+			t.Errorf("%s: NewJudge + 3 OnDuplicate = %v allocations, want 1", s.Name(), allocs)
+		}
+	}
+}
+
+// TestLocationJudgeOutgrowsInlineSenders hears more senders than the
+// judge stores inline and checks none is lost: the checkpointed state
+// lists all of them in order, and a judge restored from it decides the
+// next duplicate as the original does.
+func TestLocationJudgeOutgrowsInlineSenders(t *testing.T) {
+	h := host()
+	j := Location{A: 0.01}.NewJudge(h, rx(1, geom.Point{X: 480}))
+	want := []geom.Point{{X: 480}}
+	for i := 0; i < 6; i++ {
+		p := geom.Point{X: 470 - float64(i), Y: float64(3 * i)}
+		j.OnDuplicate(rx(packet.NodeID(i+2), p))
+		want = append(want, p)
+	}
+	st, err := SnapshotJudge(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(st.Senders, want) {
+		t.Fatalf("checkpointed senders %v, want %v", st.Senders, want)
+	}
+	restored, err := RestoreJudge(st, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := rx(9, geom.Point{X: -100, Y: 300})
+	if got, want := restored.OnDuplicate(next), j.OnDuplicate(next); got != want {
+		t.Errorf("restored judge decided %v, original %v", got, want)
+	}
+	if a, _ := SnapshotJudge(restored); !slices.Equal(a.Senders, append(want, next.SenderPos)) {
+		t.Errorf("restored judge holds senders %v", a.Senders)
 	}
 }
 

@@ -102,9 +102,7 @@ func RestoreJudge(st JudgeState, host HostView) (Judge, error) {
 	case JudgeDistance:
 		return &distanceJudge{own: st.Own, threshold: st.DThreshold, minDist: st.MinDist}, nil
 	case JudgeLocation:
-		j := &locationJudge{own: st.Own, radius: st.Radius, threshold: st.AThreshold}
-		j.senders = append(j.senders, st.Senders...)
-		return j, nil
+		return newLocationJudge(st.Own, st.Radius, st.AThreshold, st.Senders...), nil
 	case JudgeProbabilistic:
 		return probabilisticJudge{rebroadcast: st.Rebroadcast}, nil
 	case JudgeCoverage:
