@@ -2,7 +2,6 @@ package repro
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"testing"
 
@@ -207,16 +206,6 @@ func BenchmarkSchedulerMixed(b *testing.B) {
 				s.Step()
 			}
 		})
-	}
-}
-
-// BenchmarkCoverageGrid measures the location schemes' multi-sender
-// additional-coverage estimation.
-func BenchmarkCoverageGrid(b *testing.B) {
-	senders := []geom.Point{{X: 200}, {X: -150, Y: 100}, {Y: -250}, {X: 90, Y: 90}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		geom.UncoveredFraction(geom.Point{}, senders, 500, scheme.CoverageResolution)
 	}
 }
 
@@ -521,46 +510,6 @@ func BenchmarkTelemetry(b *testing.B) {
 					b.Fatal(err)
 				}
 				n.Run()
-			}
-		})
-	}
-}
-
-// BenchmarkGridQuery isolates the index itself: one full round of
-// neighbor queries (every point asks for its unit-disk neighborhood,
-// grid rebuild included) against the brute-force scan, at the paper's
-// density.
-func BenchmarkGridQuery(b *testing.B) {
-	for _, n := range []int{100, 400, 1000, 4000} {
-		rng := sim.NewRNG(1)
-		side := 500 * math.Sqrt(float64(n)/4) // 4 hosts per 500m cell
-		pts := make([]geom.Point, n)
-		for i := range pts {
-			pts[i] = geom.Point{X: rng.UniformFloat(0, side), Y: rng.UniformFloat(0, side)}
-		}
-		b.Run(fmt.Sprintf("n=%d/grid", n), func(b *testing.B) {
-			b.ReportAllocs()
-			var g geom.Grid
-			var buf []int
-			for i := 0; i < b.N; i++ {
-				g.Rebuild(pts, 500)
-				for j := range pts {
-					buf = g.Neighbors(j, 500, buf[:0])
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("n=%d/linear", n), func(b *testing.B) {
-			b.ReportAllocs()
-			var buf []int
-			for i := 0; i < b.N; i++ {
-				for j := range pts {
-					buf = buf[:0]
-					for k := range pts {
-						if k != j && pts[k].Dist2(pts[j]) <= 500*500 {
-							buf = append(buf, k)
-						}
-					}
-				}
 			}
 		})
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/geom"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/scheme"
@@ -37,6 +38,23 @@ func resumeBase(s scheme.Scheme, seed uint64) Config {
 	return Config{
 		Scheme: s, MapUnits: 3, Hosts: 30, Requests: 8, Seed: seed,
 	}
+}
+
+// resumeStatic is the resume tests' motionless world: flooding over an
+// explicit placement drawn from the seed, declared Static, so the
+// channel serves receivers from its per-snapshot neighbour memo. The
+// memo is derived state and not in the document: a restored run starts
+// without one and has to finish byte-identically all the same.
+func resumeStatic(seed uint64) Config {
+	cfg := resumeBase(scheme.Flooding{}, seed)
+	rng := sim.NewRNG(seed)
+	side := float64(cfg.MapUnits) * 500
+	cfg.Static = true
+	cfg.Placement = make([]geom.Point, cfg.Hosts)
+	for i := range cfg.Placement {
+		cfg.Placement[i] = geom.Point{X: rng.UniformFloat(0, side), Y: rng.UniformFloat(0, side)}
+	}
+	return cfg
 }
 
 // captureCheckpoints runs cfg to completion, checkpointing at roughly
@@ -80,10 +98,11 @@ func captureCheckpoints(t *testing.T, cfg Config) ([][]byte, metrics.Summary) {
 	return bufs, want
 }
 
-// TestResumeEquivalenceMatrix is the PR's headline: for every scheme,
-// seed, and engine, a run restored from a checkpoint taken at 25, 50,
-// or 75% of the way through must produce the byte-identical Summary of
-// the uninterrupted run.
+// TestResumeEquivalenceMatrix is the PR's headline: for every scheme
+// over the mobile world, and for the static placed world, on every seed
+// and engine, a run restored from a checkpoint taken at 25, 50, or 75%
+// of the way through must produce the byte-identical Summary of the
+// uninterrupted run.
 func TestResumeEquivalenceMatrix(t *testing.T) {
 	engines := []struct {
 		name   string
@@ -93,12 +112,21 @@ func TestResumeEquivalenceMatrix(t *testing.T) {
 		{"sequential", func(*Config) {}, 0},
 		{"sharded4", func(c *Config) { c.Engine = EngineSharded; c.Shards = 4 }, 4},
 	}
+	type world struct {
+		name string
+		cfg  func(seed uint64) Config
+	}
+	var worlds []world
 	for _, sc := range resumeSchemes {
-		t.Run(sc.name, func(t *testing.T) {
+		worlds = append(worlds, world{sc.name, func(seed uint64) Config { return resumeBase(sc.s, seed) }})
+	}
+	worlds = append(worlds, world{"static-placement", resumeStatic})
+	for _, w := range worlds {
+		t.Run(w.name, func(t *testing.T) {
 			for _, eng := range engines {
 				t.Run(eng.name, func(t *testing.T) {
 					for seed := uint64(1); seed <= 3; seed++ {
-						cfg := resumeBase(sc.s, seed)
+						cfg := w.cfg(seed)
 						eng.apply(&cfg)
 						bufs, want := captureCheckpoints(t, cfg)
 						for frac, buf := range bufs {
@@ -195,24 +223,33 @@ func TestForkDivergedSeed(t *testing.T) {
 	}
 }
 
-// TestRestoreIntoArena restores a sharded checkpoint into slab memory
+// TestRestoreIntoArena restores sharded checkpoints into slab memory
 // reused from a previous restored world: arena reuse must not leak any
-// prior state into the resumed run.
+// prior state into the resumed run. One arena serves a mobile world and
+// then two static worlds of the same population and different
+// placements, so a neighbour memo surviving from the world before would
+// hand the next one the wrong receivers.
 func TestRestoreIntoArena(t *testing.T) {
-	cfg := resumeBase(scheme.NeighborCoverage{}, 5)
-	cfg.Engine = EngineSharded
-	cfg.Shards = 4
-	bufs, want := captureCheckpoints(t, cfg)
-
 	arena := NewArena()
-	cfg.Arena = arena
-	for round := 0; round < 2; round++ {
-		restored, err := RestoreNetwork(bytes.NewReader(bufs[2]), cfg)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if got := restored.Run(); got != want {
-			t.Fatalf("round %d: arena-restored summary diverges:\nresumed:  %+v\nstraight: %+v", round, got, want)
+	for _, cfg := range []Config{
+		resumeBase(scheme.NeighborCoverage{}, 5),
+		resumeStatic(5),
+		resumeStatic(6),
+	} {
+		cfg.Engine = EngineSharded
+		cfg.Shards = 4
+		bufs, want := captureCheckpoints(t, cfg)
+
+		cfg.Arena = arena
+		for round := 0; round < 2; round++ {
+			restored, err := RestoreNetwork(bytes.NewReader(bufs[2]), cfg)
+			if err != nil {
+				t.Fatalf("static=%v seed %d round %d: %v", cfg.Static, cfg.Seed, round, err)
+			}
+			if got := restored.Run(); got != want {
+				t.Fatalf("static=%v seed %d round %d: arena-restored summary diverges:\nresumed:  %+v\nstraight: %+v",
+					cfg.Static, cfg.Seed, round, got, want)
+			}
 		}
 	}
 }

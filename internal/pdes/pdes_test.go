@@ -185,3 +185,54 @@ func TestWalkerStopsWhenAllFound(t *testing.T) {
 		}
 	}
 }
+
+// TestWalkerOrderInvariant: the walk counts members, so the order an
+// adjacency list arrives in is not its business. Every query of the same
+// graph answers in a fresh random order — a different one per call, also
+// for the same node — and the count from every source stays what the
+// ascending lists give, sequential and band-parallel.
+func TestWalkerOrderInvariant(t *testing.T) {
+	const n, side, radius = 400, 2000.0, 130.0 // sparse enough for several components
+	rng := sim.NewRNG(24)
+	snap := make([]geom.Point, n)
+	for i := range snap {
+		snap[i] = geom.Point{X: rng.UniformFloat(0, side), Y: rng.UniformFloat(0, side)}
+	}
+	var grid geom.Grid
+	grid.Rebuild(snap, radius)
+	ascending := func(u int, buf []int) []int { return grid.Neighbors(u, radius, buf) }
+	var calls atomic.Uint64
+	shuffled := func(u int, buf []int) []int {
+		from := len(buf)
+		buf = grid.Neighbors(u, radius, buf)
+		list := buf[from:]
+		r := sim.NewRNG(calls.Add(1)) // band workers call concurrently: one stream per call
+		for i := len(list) - 1; i > 0; i-- {
+			j := r.IntN(i + 1)
+			list[i], list[j] = list[j], list[i]
+		}
+		return buf
+	}
+	pool := NewPool(4)
+	defer pool.Close()
+	ref := NewWalker(nil)
+	sizes := map[int]bool{}
+	for _, tc := range []struct {
+		name   string
+		walker *Walker
+	}{
+		{"sequential", NewWalker(nil)},
+		{"band-parallel", NewWalker(pool)},
+	} {
+		for src := 0; src < n; src++ {
+			want := ref.Count(&grid, 1, snap, src, ascending)
+			sizes[want] = true
+			if got := tc.walker.Count(&grid, 1, snap, src, shuffled); got != want {
+				t.Fatalf("%s src=%d: %d reachable over shuffled lists, %d over ascending ones", tc.name, src, got, want)
+			}
+		}
+	}
+	if len(sizes) < 3 {
+		t.Fatalf("graph has component sizes %v; want several so a wrong count can show", sizes)
+	}
+}

@@ -8,9 +8,11 @@ import "repro/internal/geom"
 const crossCap = 256
 
 // NeighborFunc answers a walk's adjacency query: it appends u's
-// neighbors to buf and returns the extended slice. Band workers call it
-// concurrently, so it must be safe for simultaneous calls with distinct
-// buffers (pure reads of shared state are fine).
+// neighbors to buf and returns the extended slice. The order of the
+// appended neighbors is unspecified: the walk counts members, so a
+// caller need not sort them. Band workers call it concurrently,
+// so it must be safe for simultaneous calls with distinct buffers (pure
+// reads of shared state are fine).
 type NeighborFunc func(u int, buf []int) []int
 
 // Walker computes connected-component sizes using a band-parallel
@@ -29,9 +31,10 @@ type NeighborFunc func(u int, buf []int) []int
 // exact-over-stale query that filters grid candidates by live position —
 // so the snapshot only decides band ownership, never membership. The
 // walk returns exactly the component cardinality a sequential BFS over
-// the same NeighborFunc produces (band decomposition changes visit
-// order, never membership), which is what keeps the sharded engine's
-// summaries byte-identical to the sequential oracle's.
+// the same NeighborFunc produces (band decomposition and the order
+// within an adjacency list change visit order, never membership), which
+// is what keeps the sharded engine's summaries byte-identical to the
+// sequential oracle's.
 type Walker struct {
 	pool *Pool
 

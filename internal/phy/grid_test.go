@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/packet"
+	"repro/internal/pdes"
 	"repro/internal/sim"
 )
 
@@ -165,5 +166,103 @@ func TestZeroSpeedBoundKeepsSnapshotExact(t *testing.T) {
 				t.Errorf("bound 0: %d positions evaluated after the first snapshot, want none", evals)
 			}
 		})
+	}
+}
+
+// TestStaticNeighborMemo: in a world declared motionless every radio's
+// neighbour list is taken from the grid once and served from the memo
+// from then on — to Transmit, to Neighbors and to the reachability walk,
+// sequential and band-parallel — always equal to the linear scan; a
+// snapshot rebuild drops it, and a world with a positive bound never
+// consults it.
+func TestStaticNeighborMemo(t *testing.T) {
+	const radius = 500.0
+	rng := sim.NewRNG(24)
+	// A 200-radio cluster three grid rows tall (so a pool gives the
+	// walker more than one band) and four radios nobody hears.
+	pts := make([]geom.Point, 0, 204)
+	for i := 0; i < 200; i++ {
+		pts = append(pts, geom.Point{X: rng.UniformFloat(0, 900), Y: rng.UniformFloat(0, 1400)})
+	}
+	for i := 0; i < 4; i++ {
+		pts = append(pts, geom.Point{X: 5000 + 2000*float64(i), Y: 700})
+	}
+	n := uint64(len(pts))
+
+	for _, workers := range []int{0, 2} {
+		sched := sim.NewScheduler()
+		ch := NewChannel(sched, DSSSTiming(), radius)
+		for _, p := range pts {
+			ch.Attach(static(p), &fakeListener{})
+		}
+		if workers > 0 {
+			pool := pdes.NewPool(workers)
+			defer pool.Close()
+			ch.SetPool(pool)
+		}
+		ch.SetMaxSpeed(0)
+
+		// Before any list is memoised the walk falls back to the grid.
+		if got := ch.CountReachable(0); got != 200 {
+			t.Fatalf("workers=%d: cold CountReachable(0) = %d, want 200", workers, got)
+		}
+		if hits, misses := ch.NbrMemoStats(); hits != 0 || misses != 0 {
+			t.Fatalf("workers=%d: the walk wrote the memo: %d hits / %d misses", workers, hits, misses)
+		}
+		for round := 0; round < 3; round++ {
+			for i := range pts {
+				want := linearNeighbors(ch, i, sched.Now())
+				ch.Transmit(i, bcastFrame(packet.NodeID(i)), nil)
+				if tx := ch.active[len(ch.active)-1]; !slices.Equal(tx.receivers, want) {
+					t.Fatalf("workers=%d round %d: Transmit from %d reaches %v, linear scan %v", workers, round, i, tx.receivers, want)
+				}
+				// Half memoised, half not: band workers read and bypass side by side.
+				if i == 100 && ch.CountReachable(i) != 200 {
+					t.Fatalf("workers=%d round %d: CountReachable(%d) != 200", workers, round, i)
+				}
+				sched.Run() // to the end of the airtime: the clock moves, the snapshot is re-stamped
+				if got := ch.Neighbors(i, nil); !slices.Equal(got, want) {
+					t.Fatalf("workers=%d round %d: Neighbors(%d) = %v, linear scan %v", workers, round, i, got, want)
+				}
+			}
+			if got := ch.CountReachable(203); got != 1 {
+				t.Fatalf("workers=%d round %d: CountReachable of an isolated radio = %d, want 1", workers, round, got)
+			}
+		}
+		hits, misses := ch.NbrMemoStats()
+		if misses != n {
+			t.Errorf("workers=%d: the grid was queried %d times, want once per radio (%d)", workers, misses, n)
+		}
+		if hits != 5*n {
+			t.Errorf("workers=%d: %d memo hits, want the %d repeat Transmit and Neighbors queries (the walk's reads are not counted)", workers, hits, 5*n)
+		}
+		if rate := ch.NbrMemoHitRate(); rate < 0.8 {
+			t.Errorf("workers=%d: memo hit rate %.3f, want near 1", workers, rate)
+		}
+
+		// A positive bound forces a rebuild, which drops the memo for good.
+		ch.SetMaxSpeed(1)
+		for i := range pts {
+			if got, want := ch.Neighbors(i, nil), linearNeighbors(ch, i, sched.Now()); !slices.Equal(got, want) {
+				t.Fatalf("workers=%d: after SetMaxSpeed(1) Neighbors(%d) = %v, linear scan %v", workers, i, got, want)
+			}
+		}
+		if ch.CountReachable(0) != 200 {
+			t.Fatalf("workers=%d: after SetMaxSpeed(1) CountReachable(0) != 200", workers)
+		}
+		if ch.nbrMemo != nil {
+			t.Errorf("workers=%d: memo survived the rebuild SetMaxSpeed(1) forces", workers)
+		}
+		if h, m := ch.NbrMemoStats(); h != hits || m != misses {
+			t.Errorf("workers=%d: a mobile world consulted the memo: %d/%d -> %d/%d", workers, hits, misses, h, m)
+		}
+
+		// Declared motionless again: the memo starts over from nothing.
+		ch.SetMaxSpeed(0)
+		ch.Neighbors(7, nil)
+		ch.Neighbors(7, nil)
+		if h, m := ch.NbrMemoStats(); h != hits+1 || m != misses+1 {
+			t.Errorf("workers=%d: fresh memo took %d hits / %d misses for two queries of one radio, want 1 / 1", workers, h-hits, m-misses)
+		}
 	}
 }

@@ -20,4 +20,5 @@ func (c *Channel) Observe(o *obs.Collector) {
 	o.Gauge("phy.collisions", func() float64 { return float64(c.stats.Collisions) })
 	o.Gauge("phy.lost", func() float64 { return float64(c.stats.Lost) })
 	o.Gauge("phy.tx_pool_hit_rate", c.TxPoolHitRate)
+	o.Gauge("phy.nbr_memo_hit_rate", c.NbrMemoHitRate)
 }

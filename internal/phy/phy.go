@@ -236,6 +236,24 @@ type Channel struct {
 	speedBound float64
 	hasBound   bool
 
+	// Static-neighbour memo. While the radios are declared motionless
+	// (SetMaxSpeed(0)) radio i's ascending neighbour list is a pure
+	// function of the snapshot, so it is computed by the first query that
+	// wants it and served to every later Transmit, Neighbors and
+	// reachability walk of the same snapshot. nbrMemo is non-nil exactly
+	// when the current snapshot is of a motionless world (rebuildSnapshot
+	// maintains that, and drops every list); nbrMemo[i] is nil until
+	// radio i's list is computed. Lists live as int32 in fixed-size
+	// chunks that are filled once and never re-grown, so the memo costs
+	// 4 bytes per edge and no list is ever copied to a larger array.
+	// Only the scheduler's sequential context writes it (exactNeighbors);
+	// the walker's band workers read it or fall back to the grid. Derived
+	// state: not part of a checkpoint.
+	nbrMemo     [][]int32
+	nbrChunk    []int32
+	nbrMemoHit  uint64 // counted by exactNeighbors only, not by the walker
+	nbrMemoMiss uint64
+
 	// Interference index: the active transmissions bucketed by the grid
 	// macro cell of their sender's start position, rebuilt lazily (from
 	// the tiny active list) whenever the snapshot grid re-snapshots.
@@ -422,16 +440,91 @@ func (c *Channel) Neighbors(i int, buf []int) []int {
 }
 
 // neighborsRefreshed is Neighbors once refresh has run at the current
-// instant: exact from the grid when the snapshot is current, otherwise
-// drift-inflated grid candidates filtered by exact live distance. It
-// only reads channel state, so the reachability walker's band workers
-// may call it concurrently.
+// instant: exact from the snapshot when it is current, otherwise
+// drift-inflated grid candidates filtered by exact live distance.
 func (c *Channel) neighborsRefreshed(i int, buf []int) []int {
 	now := c.sched.Now()
 	if now == c.snapTime {
-		return c.grid.Neighbors(i, c.radius, buf)
+		return c.exactNeighbors(i, buf)
 	}
 	return c.staleNeighbors(i, c.positions[i].PositionAt(now), now, buf)
+}
+
+// exactNeighbors appends radio i's ascending neighbour list while the
+// snapshot is exact for the current instant: from the memo in a
+// motionless world (computing and storing the list on first use),
+// otherwise from the grid. It may write the memo, so it belongs to the
+// scheduler's sequential context only.
+func (c *Channel) exactNeighbors(i int, buf []int) []int {
+	if l := c.memoised(i); l != nil {
+		c.nbrMemoHit++
+		return appendInts(buf, l)
+	}
+	from := len(buf)
+	buf = c.grid.Neighbors(i, c.radius, buf)
+	if c.nbrMemo != nil {
+		c.nbrMemoMiss++
+		c.nbrMemo[i] = c.memoStore(buf[from:])
+	}
+	return buf
+}
+
+// memoised returns radio i's memoised neighbour list, or nil when there
+// is none: a mobile world, or a list nobody has asked for yet. It writes
+// nothing, so band workers may call it.
+func (c *Channel) memoised(i int) []int32 {
+	if c.nbrMemo == nil {
+		return nil
+	}
+	return c.nbrMemo[i]
+}
+
+// nbrChunkLen is the memo's chunk size in entries (64 KiB of int32): a
+// few hundred dense lists per allocation, and at most one partly filled
+// chunk of slack per snapshot.
+const nbrChunkLen = 16 << 10
+
+// noNeighbors is the memoised list of a radio with nobody in range:
+// empty but not nil, so it reads as computed.
+var noNeighbors = []int32{}
+
+// memoStore copies list into the current chunk, opening a new chunk
+// when it does not fit, and returns the stored copy. A chunk is never
+// re-grown, so earlier lists stay where they are.
+func (c *Channel) memoStore(list []int) []int32 {
+	if len(list) == 0 {
+		return noNeighbors
+	}
+	if cap(c.nbrChunk)-len(c.nbrChunk) < len(list) {
+		c.nbrChunk = make([]int32, 0, max(nbrChunkLen, len(list)))
+	}
+	off := len(c.nbrChunk)
+	for _, j := range list {
+		c.nbrChunk = append(c.nbrChunk, int32(j))
+	}
+	return c.nbrChunk[off:len(c.nbrChunk):len(c.nbrChunk)]
+}
+
+func appendInts(buf []int, l []int32) []int {
+	for _, j := range l {
+		buf = append(buf, int(j))
+	}
+	return buf
+}
+
+// walkNeighbors is the reachability walker's adjacency query:
+// neighborsRefreshed that only reads channel state — a memoised list
+// when there is one, otherwise the grid, never a memo write or a hit
+// count — so the walker's band workers may call it concurrently.
+func (c *Channel) walkNeighbors(i int, buf []int) []int {
+	now := c.sched.Now()
+	if now != c.snapTime {
+		return c.staleNeighbors(i, c.positions[i].PositionAt(now), now, buf)
+	}
+	if l := c.memoised(i); l != nil {
+		return appendInts(buf, l)
+	}
+	return c.grid.Neighbors(i, c.radius, buf)
 }
 
 // refresh ensures the spatial index is usable at the current clock
@@ -493,14 +586,19 @@ func (c *Channel) rebuildSnapshot(now sim.Time) {
 	c.snapTime = now
 	c.gridOK = true
 	c.gridGen++
+	// Every memoised list described the previous snapshot.
+	c.nbrMemo, c.nbrChunk = nil, nil
+	if c.hasBound && c.speedBound == 0 {
+		c.nbrMemo = make([][]int32, n)
+	}
 }
 
 // CountReachable returns the number of radios connected to src
 // (including src) in the current unit-disk graph, via a breadth-first
 // walk — band-parallel across the pool when one is attached. Adjacency
-// is Neighbors' own answer (neighborsRefreshed), so the edge set is the
-// live unit-disk graph at the current instant and the count is
-// identical to a sequential BFS over Neighbors queries — band
+// is Neighbors' own answer (walkNeighbors, its read-only twin), so the
+// edge set is the live unit-disk graph at the current instant and the
+// count is identical to a sequential BFS over Neighbors queries — band
 // decomposition changes visit order, never membership — and no forced
 // snapshot rebuild is needed.
 func (c *Channel) CountReachable(src int) int {
@@ -509,7 +607,7 @@ func (c *Channel) CountReachable(src int) int {
 		c.walker = pdes.NewWalker(c.pool)
 		// Bound once: a method value per call would escape to the heap
 		// on every origination.
-		c.walkNbr = c.neighborsRefreshed
+		c.walkNbr = c.walkNeighbors
 	}
 	return c.walker.Count(&c.grid, c.gridGen, c.snap, src, c.walkNbr)
 }
@@ -564,7 +662,7 @@ func (c *Channel) Transmit(radio int, f *packet.Frame, onDone TxEnder) sim.Durat
 	c.refresh()
 	if now == c.snapTime {
 		tx.senderPos = c.snap[radio]
-		tx.receivers = c.grid.Neighbors(radio, c.radius, tx.receivers)
+		tx.receivers = c.exactNeighbors(radio, tx.receivers)
 	} else {
 		tx.senderPos = c.positions[radio].PositionAt(now)
 		tx.receivers = c.staleNeighbors(radio, tx.senderPos, now, tx.receivers)
@@ -1190,6 +1288,24 @@ func (c *Channel) TxPoolHitRate() float64 {
 		return 0
 	}
 	return float64(c.txPoolHits) / float64(total)
+}
+
+// NbrMemoStats returns how many exact Transmit and Neighbors queries
+// were served from the static-neighbour memo versus computed from the
+// grid and stored (the reachability walk's reads are not counted). Both
+// stay zero in a mobile world, where the memo is never consulted.
+func (c *Channel) NbrMemoStats() (hits, misses uint64) {
+	return c.nbrMemoHit, c.nbrMemoMiss
+}
+
+// NbrMemoHitRate returns the fraction of memo lookups that found their
+// list already computed (0 before any lookup).
+func (c *Channel) NbrMemoHitRate() float64 {
+	hits, misses := c.NbrMemoStats()
+	if hits+misses == 0 {
+		return 0
+	}
+	return float64(hits) / float64(hits+misses)
 }
 
 // SetLoss enables independent per-reception Bernoulli loss with the

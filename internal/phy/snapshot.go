@@ -34,8 +34,9 @@ type TxState struct {
 // ChannelState is the channel's checkpointed dynamic state: delivery
 // counters, the loss stream, the airtime bound feeding the interference
 // window, the transmission-record pool accounting, and every flight on
-// the air. The spatial grid, its position snapshot, and the interference
-// buckets are pure caches rebuilt on demand and are not serialized.
+// the air. The spatial grid, its position snapshot, the static-neighbour
+// memo and the interference buckets are pure caches rebuilt on demand
+// and are not serialized.
 type ChannelState struct {
 	Stats        Stats
 	HasLoss      bool
