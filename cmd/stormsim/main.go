@@ -195,7 +195,7 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 	}
 	var rec *trace.Recorder
 	if *telemetry != "" {
-		rec = trace.NewRecorder(0)
+		rec = trace.NewRecorder()
 		n.Tracer = rec
 	}
 	if *progress {

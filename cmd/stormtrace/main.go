@@ -93,7 +93,7 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 	if err != nil {
 		return fail(1, err)
 	}
-	rec := trace.NewRecorder(0)
+	rec := trace.NewRecorder()
 	net.Tracer = rec
 	s := net.Run()
 

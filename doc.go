@@ -8,6 +8,6 @@
 // (neighbor), the paper's rebroadcast schemes (scheme), the assembled
 // network (manet), and the per-figure reproduction harness (experiment).
 // See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for paper-vs-measured results. The benchmarks in
-// bench_test.go regenerate every figure of the paper's evaluation.
+// EXPERIMENTS.md for paper-vs-measured results. cmd/figures regenerates
+// every figure of the paper's evaluation; bench/ is the benchmark.
 package repro

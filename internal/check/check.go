@@ -41,10 +41,10 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultMaxViolations bounds how many violations an Auditor records in
-// full detail; further violations are counted but not stored, so a
+// MaxViolations bounds how many violations an Auditor records in full
+// detail; further violations are counted but not stored, so a
 // systemically broken run cannot exhaust memory with diagnostics.
-const DefaultMaxViolations = 100
+const MaxViolations = 100
 
 // Violation is one observed invariant breach, stamped with the
 // simulated time it was detected at so it can be lined up against an
@@ -87,7 +87,6 @@ type recState struct {
 // concurrent use; replica-level parallelism uses one Auditor per
 // replica.
 type Auditor struct {
-	max        int
 	violations []Violation
 	total      int
 
@@ -118,25 +117,16 @@ type Auditor struct {
 	summaryChecked bool
 }
 
-// New returns an empty auditor recording up to DefaultMaxViolations
-// violations in detail.
+// New returns an empty auditor recording up to MaxViolations violations
+// in detail.
 func New() *Auditor {
-	return &Auditor{max: DefaultMaxViolations, recs: make(map[any]*recState)}
-}
-
-// SetMaxViolations overrides how many violations are stored in detail
-// (further ones are only counted). n < 1 panics.
-func (a *Auditor) SetMaxViolations(n int) {
-	if n < 1 {
-		panic("check: max violations must be positive")
-	}
-	a.max = n
+	return &Auditor{recs: make(map[any]*recState)}
 }
 
 // report records one violation, respecting the detail cap.
 func (a *Auditor) report(at sim.Time, invariant, format string, args ...any) {
 	a.total++
-	if len(a.violations) >= a.max {
+	if len(a.violations) >= MaxViolations {
 		return
 	}
 	a.violations = append(a.violations, Violation{
@@ -266,19 +256,6 @@ func (a *Auditor) AuditUse(at sim.Time, pool string, rec any) {
 	if !st.live {
 		a.report(at, InvPool, "%s: use after release (gen %d)", pool, st.gen)
 	}
-}
-
-// LiveRecords returns how many tracked records are currently live
-// (acquired and not released) — in-flight state at the moment of the
-// call, useful for leak assertions in tests.
-func (a *Auditor) LiveRecords() int {
-	n := 0
-	for _, st := range a.recs {
-		if st.live {
-			n++
-		}
-	}
-	return n
 }
 
 // --- Packet conservation (phy.Channel.SetAudit) ---

@@ -96,7 +96,7 @@ func TestAuditTransparency(t *testing.T) {
 	}
 }
 
-// TestSummaryPermutationInvariance: metrics.Summarize must not depend on
+// TestSummaryPermutationInvariance: the metrics fold must not depend on
 // host identity — relabeling every broadcast's source under a permutation
 // yields the identical aggregate.
 func TestSummaryPermutationInvariance(t *testing.T) {
@@ -111,12 +111,19 @@ func TestSummaryPermutationInvariance(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("no broadcast records")
 	}
-	base := metrics.Summarize(recs)
+	summarize := func() metrics.Summary {
+		var st metrics.Stream
+		for _, rec := range recs {
+			st.Fold(rec)
+		}
+		return st.Summary()
+	}
+	base := summarize()
 	hosts := packet.NodeID(cfg.Hosts)
 	for _, rec := range recs {
 		rec.ID.Source = hosts - 1 - rec.ID.Source // reverse permutation
 	}
-	permuted := metrics.Summarize(recs)
+	permuted := summarize()
 	if base != permuted {
 		t.Errorf("summary depends on host labels:\n base     %+v\n permuted %+v", base, permuted)
 	}

@@ -18,12 +18,6 @@ type Point struct {
 	X, Y float64
 }
 
-// Add returns p translated by (dx, dy).
-func (p Point) Add(dx, dy float64) Point { return Point{p.X + dx, p.Y + dy} }
-
-// Sub returns the vector from q to p.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)

@@ -372,12 +372,6 @@ func TestPointOps(t *testing.T) {
 	if d2 := p.Dist2(Point{0, 0}); d2 != 25 {
 		t.Errorf("Dist2 = %v, want 25", d2)
 	}
-	if q := p.Add(1, -1); q != (Point{4, 3}) {
-		t.Errorf("Add = %v", q)
-	}
-	if v := p.Sub(Point{1, 1}); v != (Point{2, 3}) {
-		t.Errorf("Sub = %v", v)
-	}
 }
 
 func TestClamp(t *testing.T) {

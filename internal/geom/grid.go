@@ -120,12 +120,6 @@ func (g *Grid) Rebuild(pts []Point, cell float64) {
 	g.start[0] = 0
 }
 
-// Len returns the number of indexed points.
-func (g *Grid) Len() int { return len(g.pts) }
-
-// At returns the snapshot position of point i.
-func (g *Grid) At(i int) Point { return g.pts[i] }
-
 // cellIndex maps a point to its row-major cell index.
 func (g *Grid) cellIndex(p Point) int32 {
 	cx := int((p.X - g.minX) / g.cell)
@@ -295,10 +289,6 @@ func clampCell(c, n int) int {
 	}
 	return c
 }
-
-// MacroShift returns log2 of the macro-cell edge in fine cells: 0 means
-// the macro level coincides with the fine level.
-func (g *Grid) MacroShift() int { return g.macroShift }
 
 // MacroCells returns the macro-level dimensions (columns, rows). Both
 // are zero before the first Rebuild or when the snapshot is empty. The

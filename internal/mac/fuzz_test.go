@@ -12,7 +12,10 @@ import (
 // TestMACRandomWorkloadInvariants drives several MACs with a randomized
 // enqueue/cancel workload and checks global invariants:
 //
-//   - every frame either starts transmitting or is cancelled, never both;
+//   - every frame either starts transmitting or is cancelled, never both
+//     (outcomes come from the frame's own TxFuncs callbacks: the MAC
+//     recycles a handle once its frame completes, so the handle cannot
+//     be read afterwards);
 //   - a MAC never has two transmissions in flight (the channel panics on
 //     that, so mere completion is the assertion);
 //   - onStart precedes onDone for every sent frame;
@@ -68,12 +71,18 @@ func TestMACRandomWorkloadInvariants(t *testing.T) {
 				} else {
 					// Cancel a random earlier frame through its owning
 					// MAC (it may already have started; Cancel must cope).
+					// A handle whose frame completed or was cancelled may
+					// have been recycled for a later frame, so the pooling
+					// contract forbids touching it again.
 					victim := frames[opRNG.IntN(len(frames))]
 					sched.Schedule(at, func() {
-						if victim.p == nil {
-							return // not enqueued yet at this instant
+						if victim.p == nil || victim.done || victim.cancelled {
+							return
 						}
-						if victim.owner.Cancel(victim.p) && !victim.started {
+						if victim.owner.Cancel(victim.p) {
+							if victim.started {
+								t.Error("Cancel succeeded on a started frame")
+							}
 							victim.cancelled = true
 						}
 					})
@@ -85,7 +94,7 @@ func TestMACRandomWorkloadInvariants(t *testing.T) {
 				if tr.p == nil {
 					continue
 				}
-				if tr.started && tr.p.Cancelled() {
+				if tr.started && tr.cancelled {
 					t.Errorf("frame %d both started and cancelled", i)
 				}
 				if tr.started && !tr.done {

@@ -52,6 +52,14 @@ func (t TxFuncs) TxDone() {
 }
 
 // Pending is a frame handed to the MAC and not yet fully transmitted.
+//
+// Pooling contract: the MAC recycles a Pending record once its frame
+// completes (TxDone has run) or once a cancelled record leaves the
+// queue, so a caller must not use a handle after its transmission
+// completed or after cancelling it — the record may already describe a
+// later frame. The host layers satisfy this: they consult a handle only
+// while the rebroadcast decision is open. Until the record is reused its
+// flags keep reporting the final outcome.
 type Pending struct {
 	Frame *packet.Frame
 
@@ -63,12 +71,6 @@ type Pending struct {
 	failed     bool
 	retransmit bool // true when requeued after a missing ACK
 }
-
-// Started reports whether the frame's transmission has begun.
-func (p *Pending) Started() bool { return p.started }
-
-// Cancelled reports whether the frame was cancelled before transmission.
-func (p *Pending) Cancelled() bool { return p.cancelled }
 
 // Failed reports whether a unicast frame exhausted its retransmissions
 // without being acknowledged.
@@ -129,11 +131,9 @@ type MAC struct {
 	qhead        int
 	transmitting bool
 
-	// Opt-in Pending recycling (SetPendingPool) plus closures bound once
-	// at construction, so the per-frame path allocates nothing beyond the
-	// record itself (and not even that with the pool on).
-	pendingPool bool
-	pFree       []*Pending
+	// Pending recycling plus closures bound once at construction, so the
+	// steady-state per-frame path allocates nothing.
+	pFree []*Pending
 	// audit, when non-nil, observes the Pending pool lifecycle (SetAudit).
 	audit    Auditor
 	inflight *Pending // the frame whose airtime end txEnd awaits
@@ -272,15 +272,6 @@ func NewInto(m *MAC, sched *sim.Scheduler, ch *phy.Channel, pos phy.Positioner, 
 	m.ack.m = m
 }
 
-// SetPendingPool enables recycling of Pending records once their frame
-// completes or is cancelled. Callers that enable it must not read a
-// handle after its transmission completed or after they cancelled it —
-// the record may already describe a later frame. The host layers
-// satisfy this (handles are only consulted while the rebroadcast
-// decision is open); code that inspects handles after the run must
-// leave the pool off.
-func (m *MAC) SetPendingPool(on bool) { m.pendingPool = on }
-
 // SetAudit attaches an invariant auditor observing the Pending-record
 // pool. A nil auditor (the default) leaves the MAC unaudited.
 func (m *MAC) SetAudit(a Auditor) { m.audit = a }
@@ -302,13 +293,10 @@ func (m *MAC) allocPending(f *packet.Frame, obs TxObserver) *Pending {
 	return p
 }
 
-// recyclePending returns a finished record to the free list (pool on).
-// Callback and frame references are dropped immediately; state flags
-// keep reporting the final outcome until the record is reused.
+// recyclePending returns a finished record to the free list. Callback
+// and frame references are dropped immediately; state flags keep
+// reporting the final outcome until the record is reused.
 func (m *MAC) recyclePending(p *Pending) {
-	if !m.pendingPool {
-		return
-	}
 	if m.audit != nil {
 		m.audit.AuditRelease(m.sched.Now(), "mac.pending", p)
 	}
@@ -347,17 +335,6 @@ func (m *MAC) now() sim.Time { return m.sched.LaneNow(m.lane) }
 
 // Stats returns the MAC counters.
 func (m *MAC) Stats() Stats { return m.stats }
-
-// QueueLen returns the number of frames waiting (not yet on the air).
-func (m *MAC) QueueLen() int {
-	n := 0
-	for _, p := range m.queue[m.qhead:] {
-		if !p.cancelled {
-			n++
-		}
-	}
-	return n
-}
 
 // Enqueue submits a frame for transmission and returns its handle. obs
 // (which may be nil) observes the transmission's start and end.

@@ -80,8 +80,8 @@ type Network struct {
 	audit      *check.Auditor
 	auditSpeed float64 // fastest possible host speed, m/s
 
-	// Scratch reused by the unit-disk queries (TrueNeighborCount,
-	// idealHelloDeliver) so they do not allocate per call.
+	// Scratch reused by idealHelloDeliver's unit-disk query so it does
+	// not allocate per call.
 	nbrScratch []int
 
 	// Object pools (single-threaded, so plain slices): scratch bitsets
@@ -381,8 +381,8 @@ func (n *Network) buildHosts(groups []*mobility.Group, moveRNG, macRNG, hostRNG 
 			h.mac.Receiver = h
 			h.mac.GarbledReceiver = h
 			// The hosts never read a mac.Pending handle after its frame
-			// completed or was cancelled, so the MAC may recycle the records.
-			h.mac.SetPendingPool(true)
+			// completed or was cancelled, as the MAC's pooling contract
+			// requires.
 			if cfg.Audit != nil {
 				h.mac.SetAudit(cfg.Audit)
 			}
@@ -906,8 +906,8 @@ func (n *Network) openDec(bid packet.BroadcastID, h *host) {
 
 // foldFront folds every leading closed record into the run aggregates
 // and releases it from the arena. Records must fold in arrival order —
-// that is what makes the streamed summary byte-identical to Summarize
-// over the retained set — so the frontier stops at the first record
+// that is what makes the streamed summary byte-identical to folding the
+// retained set after the run — so the frontier stops at the first record
 // still held open.
 func (n *Network) foldFront() {
 	now := n.sched.Now()
@@ -1006,17 +1006,6 @@ func (n *Network) Records() []*metrics.BroadcastRecord {
 	}
 	return recs
 }
-
-// TrueNeighborCount returns the ground-truth number of hosts currently
-// within radio range of host i (tests compare HELLO-derived tables
-// against this).
-func (n *Network) TrueNeighborCount(i int) int {
-	n.nbrScratch = n.ch.Neighbors(n.hosts[i].mac.Radio(), n.nbrScratch[:0])
-	return len(n.nbrScratch)
-}
-
-// HostTableCount returns host i's HELLO-derived neighbor count.
-func (n *Network) HostTableCount(i int) int { return n.hosts[i].table.Count() }
 
 // Positions returns every host's current position (visualization,
 // topology inspection).

@@ -441,8 +441,8 @@ func TestResumeSoak(t *testing.T) {
 			framePool: len(n.framePool),
 			helloPool: len(n.helloPool),
 		}
-		hits, misses := n.sched.PoolStats()
-		m.alloc = hits + misses
+		st := n.sched.SnapshotState()
+		m.alloc = st.PoolHits + st.PoolMisses
 		for _, h := range n.hosts {
 			m.prFreeTotal += len(h.prFree)
 		}

@@ -27,7 +27,7 @@ func TestTracerCausality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.NewRecorder(0)
+	rec := trace.NewRecorder()
 	n.Tracer = rec
 	n.Run()
 
@@ -97,7 +97,7 @@ func TestTracerDeliveryCountsMatchRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.NewRecorder(0)
+	rec := trace.NewRecorder()
 	n.Tracer = rec
 	n.Run()
 

@@ -16,7 +16,6 @@ package metrics
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -41,14 +40,10 @@ type BroadcastRecord struct {
 	lastActivity sim.Time
 }
 
-// NewBroadcastRecord starts bookkeeping for one broadcast of id initiated
-// at start with e reachable hosts.
-func NewBroadcastRecord(id packet.BroadcastID, start sim.Time, reachable int) *BroadcastRecord {
-	return &BroadcastRecord{ID: id, Start: start, Reachable: reachable, lastActivity: start}
-}
-
-// MakeBroadcastRecord is NewBroadcastRecord by value, for callers that
-// store records in an arena rather than behind per-record pointers.
+// MakeBroadcastRecord starts bookkeeping for one broadcast of id
+// initiated at start with e reachable hosts. It returns the record by
+// value so callers can store records in an arena rather than behind
+// per-record pointers.
 func MakeBroadcastRecord(id packet.BroadcastID, start sim.Time, reachable int) BroadcastRecord {
 	return BroadcastRecord{ID: id, Start: start, Reachable: reachable, lastActivity: start}
 }
@@ -126,46 +121,6 @@ type Summary struct {
 	SimulatedTime sim.Duration
 	// Events is the number of simulator events executed.
 	Events uint64
-}
-
-// Summarize computes run-level aggregates over per-broadcast records.
-// Broadcasts whose source was isolated (Reachable <= 1) still count: the
-// paper's definition gives them RE = 1 trivially, which matches r = e = 1.
-func Summarize(records []*BroadcastRecord) Summary {
-	s := Summary{Broadcasts: len(records)}
-	if len(records) == 0 {
-		return s
-	}
-	var sumRE, sumSRB float64
-	var sumLat sim.Duration
-	for _, r := range records {
-		sumRE += r.RE()
-		sumSRB += r.SRB()
-		sumLat += r.Latency()
-	}
-	n := float64(len(records))
-	s.MeanRE = sumRE / n
-	s.MeanSRB = sumSRB / n
-	s.MeanLatency = sim.Duration(float64(sumLat) / n)
-
-	var varRE, varSRB float64
-	for _, r := range records {
-		dre := r.RE() - s.MeanRE
-		dsrb := r.SRB() - s.MeanSRB
-		varRE += dre * dre
-		varSRB += dsrb * dsrb
-	}
-	s.StdRE = math.Sqrt(varRE / n)
-	s.StdSRB = math.Sqrt(varSRB / n)
-
-	lats := make([]sim.Duration, len(records))
-	for i, r := range records {
-		lats[i] = r.Latency()
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	s.LatencyP50 = percentile(lats, 0.50)
-	s.LatencyP95 = percentile(lats, 0.95)
-	return s
 }
 
 // percentile returns the p-quantile of a sorted latency slice using the

@@ -11,11 +11,10 @@ import (
 // records themselves can be released: per broadcast it retains only the
 // (RE, SRB, latency) triple — 24 bytes — instead of the full record
 // behind a map entry and a pointer. Records MUST be folded in arrival
-// order and only once final: Summary then reproduces metrics.Summarize
-// over the same records byte for byte (same summation order, same
-// two-pass variance, same nearest-rank percentiles), which is what lets
-// the dense network path fold eagerly and still match the map-based
-// oracle exactly.
+// order and only once final: Summary then reproduces the whole-slice
+// reference Summarize (export_test.go) over the same records byte for
+// byte (same summation order, same two-pass variance, same nearest-rank
+// percentiles), which is what lets the dense network path fold eagerly.
 //
 // The triples are what exactness costs: StdRE/StdSRB need a second pass
 // and the latency percentiles need a sort, so the history cannot be
@@ -38,8 +37,8 @@ func (s *Stream) Fold(r *BroadcastRecord) {
 func (s *Stream) Len() int { return len(s.res) }
 
 // Summary computes the run aggregates over everything folded so far,
-// with arithmetic identical to Summarize over the same records in fold
-// order. The channel-level counters (HelloSent, Transmissions, ...) are
+// with arithmetic identical to the reference Summarize over the same
+// records in fold order. The channel-level counters (HelloSent, Transmissions, ...) are
 // outside the per-broadcast stream; the caller fills them in.
 func (s *Stream) Summary() Summary {
 	out := Summary{Broadcasts: len(s.res)}

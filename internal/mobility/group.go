@@ -59,11 +59,9 @@ func NewGroup(sched *sim.Scheduler, area Map, cfg GroupConfig, rng *sim.RNG) *Gr
 // center plus its reference offset plus slow personal jitter, clamped to
 // the map.
 type Member struct {
-	group   *Group
-	offset  geom.Point // reference point relative to the center
-	jitter  *Roamer    // personal wander around the reference point
-	stopped bool
-	frozen  geom.Point
+	group  *Group
+	offset geom.Point // reference point relative to the center
+	jitter *Roamer    // personal wander around the reference point
 }
 
 var _ Mover = (*Member)(nil)
@@ -87,9 +85,6 @@ func (g *Group) NewMember(rng *sim.RNG) *Member {
 
 // PositionAt implements Mover.
 func (m *Member) PositionAt(t sim.Time) geom.Point {
-	if m.stopped {
-		return m.frozen
-	}
 	c := m.group.center.PositionAt(t)
 	j := m.jitter.PositionAt(t)
 	// The jitter roamer wanders a [0,2s]x[0,2s] box; recenter it to
@@ -109,19 +104,5 @@ func (m *Member) Position() geom.Point { return m.PositionAt(m.group.sched.Now()
 
 // Speed implements Mover (approximated as center speed plus jitter).
 func (m *Member) Speed() float64 {
-	if m.stopped {
-		return 0
-	}
 	return m.group.center.Speed() + m.jitter.Speed()
-}
-
-// Stop implements Mover: the member freezes in place (the group center
-// keeps moving for its remaining members).
-func (m *Member) Stop() {
-	if m.stopped {
-		return
-	}
-	m.frozen = m.Position()
-	m.stopped = true
-	m.jitter.Stop()
 }

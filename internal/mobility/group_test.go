@@ -67,25 +67,6 @@ func TestGroupMembersMoveTogether(t *testing.T) {
 	}
 }
 
-func TestGroupMemberStop(t *testing.T) {
-	sched := sim.NewScheduler()
-	area := NewSquareMap(5, 500)
-	rng := sim.NewRNG(5)
-	g := NewGroup(sched, area, DefaultGroupConfig(40), rng.Fork(0))
-	m := g.NewMember(rng.Fork(1))
-	sched.RunUntil(20 * sim.Time(sim.Second))
-	m.Stop()
-	at := m.Position()
-	sched.RunUntil(500 * sim.Time(sim.Second))
-	if got := m.Position(); got.Dist(at) > 1e-9 {
-		t.Errorf("stopped member moved: %+v -> %+v", at, got)
-	}
-	if m.Speed() != 0 {
-		t.Error("stopped member reports speed")
-	}
-	m.Stop() // idempotent
-}
-
 func TestGroupValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

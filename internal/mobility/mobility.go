@@ -30,14 +30,6 @@ func NewSquareMap(units int, unitMeters float64) Map {
 	return Map{Width: side, Height: side}
 }
 
-// Contains reports whether p lies inside the map (inclusive borders).
-func (m Map) Contains(p geom.Point) bool {
-	return p.X >= 0 && p.X <= m.Width && p.Y >= 0 && p.Y <= m.Height
-}
-
-// Area returns the map area in square meters.
-func (m Map) Area() float64 { return m.Width * m.Height }
-
 // String describes the map in paper units if it is square.
 func (m Map) String() string {
 	return fmt.Sprintf("%.0fm x %.0fm", m.Width, m.Height)
@@ -208,21 +200,6 @@ func (r *Roamer) scheduleTurn(interval sim.Duration) {
 		r.turnEvent = r.sched.AfterShardRunner(r.shard, interval, r)
 	} else {
 		r.turnEvent = r.sched.AfterRunner(interval, r)
-	}
-}
-
-// Stop cancels future turns; the host freezes at its current position.
-func (r *Roamer) Stop() {
-	if r.stopped {
-		return
-	}
-	r.origin = r.Position()
-	r.segStart = r.sched.Now()
-	r.vx, r.vy = 0, 0
-	r.stopped = true
-	if r.turnEvent != nil {
-		r.sched.Cancel(r.turnEvent)
-		r.turnEvent = nil
 	}
 }
 

@@ -161,9 +161,6 @@ func TestMapHelpers(t *testing.T) {
 	if m.Width != 1500 || m.Height != 1500 {
 		t.Fatalf("map = %+v", m)
 	}
-	if m.Area() != 1500*1500 {
-		t.Errorf("area = %v", m.Area())
-	}
 	if !m.Contains(geom.Point{X: 0, Y: 1500}) {
 		t.Error("border point not contained")
 	}

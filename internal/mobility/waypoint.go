@@ -6,7 +6,7 @@ import (
 )
 
 // Mover is the interface the network layer needs from a mobility model:
-// a queryable position and a way to freeze the host.
+// a queryable position and speed.
 type Mover interface {
 	// Position returns the position at the current simulated time.
 	Position() geom.Point
@@ -15,8 +15,6 @@ type Mover interface {
 	PositionAt(t sim.Time) geom.Point
 	// Speed returns the current speed in m/s.
 	Speed() float64
-	// Stop freezes the host at its current position.
-	Stop()
 }
 
 var (
@@ -60,7 +58,6 @@ type Waypoint struct {
 	from, to geom.Point
 	speed    float64 // 0 while pausing
 	next     *sim.Event
-	stopped  bool
 }
 
 // NewWaypoint places a host uniformly at random and starts its first
@@ -142,20 +139,3 @@ func (w *Waypoint) Position() geom.Point { return w.PositionAt(w.sched.Now()) }
 
 // Speed implements Mover.
 func (w *Waypoint) Speed() float64 { return w.speed }
-
-// Stop implements Mover.
-func (w *Waypoint) Stop() {
-	if w.stopped {
-		return
-	}
-	w.from = w.Position()
-	w.to = w.from
-	w.segStart = w.sched.Now()
-	w.segEnd = w.segStart
-	w.speed = 0
-	w.stopped = true
-	if w.next != nil {
-		w.sched.Cancel(w.next)
-		w.next = nil
-	}
-}

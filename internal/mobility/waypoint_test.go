@@ -84,23 +84,6 @@ func TestWaypointDisplacementBounded(t *testing.T) {
 	}
 }
 
-func TestWaypointStop(t *testing.T) {
-	sched := sim.NewScheduler()
-	area := NewSquareMap(3, 500)
-	w := NewWaypoint(sched, area, DefaultWaypointConfig(60), sim.NewRNG(5))
-	sched.RunUntil(10 * sim.Time(sim.Second))
-	w.Stop()
-	frozen := w.Position()
-	sched.RunUntil(200 * sim.Time(sim.Second))
-	if got := w.Position(); got.Dist(frozen) > 1e-9 {
-		t.Errorf("stopped mover drifted from %+v to %+v", frozen, got)
-	}
-	w.Stop() // idempotent
-	if w.Speed() != 0 {
-		t.Error("stopped mover reports nonzero speed")
-	}
-}
-
 func TestWaypointDeterministic(t *testing.T) {
 	run := func() []float64 {
 		sched := sim.NewScheduler()

@@ -2,18 +2,88 @@ package neighbor
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/packet"
 	"repro/internal/sim"
 )
 
-// TestDenseMatchesMap drives both layouts through an identical random
-// HELLO/expiry timeline and requires every observable to agree.
+// mapTable is the reference TestDenseMatchesMap holds Table to: the
+// paper's HELLO, expiry and variation rules over a map keyed by host id,
+// with none of Table's storage reuse.
+type mapTable struct {
+	owner   packet.NodeID
+	sched   *sim.Scheduler
+	entries map[packet.NodeID]*mapEntry
+	changes []sim.Time
+}
+
+type mapEntry struct {
+	twoHop []packet.NodeID
+	expiry *sim.Event
+}
+
+func (m *mapTable) OnHello(h packet.NodeID, neighbors []packet.NodeID, interval sim.Duration) {
+	if h == m.owner {
+		return
+	}
+	e, known := m.entries[h]
+	if known {
+		m.sched.Cancel(e.expiry)
+	} else {
+		e = &mapEntry{}
+		m.entries[h] = e
+		m.changes = append(m.changes, m.sched.Now())
+	}
+	e.twoHop = append([]packet.NodeID(nil), neighbors...)
+	e.expiry = m.sched.After(DefaultExpiryIntervals*interval, func() {
+		delete(m.entries, h)
+		m.changes = append(m.changes, m.sched.Now())
+	})
+}
+
+func (m *mapTable) Count() int { return len(m.entries) }
+
+func (m *mapTable) Contains(h packet.NodeID) bool {
+	_, ok := m.entries[h]
+	return ok
+}
+
+func (m *mapTable) Neighbors() []packet.NodeID {
+	out := make([]packet.NodeID, 0, len(m.entries))
+	for id := range m.entries {
+		out = append(out, id)
+	}
+	slices.Sort(out)
+	return out
+}
+
+func (m *mapTable) TwoHop(h packet.NodeID) []packet.NodeID {
+	if e, ok := m.entries[h]; ok {
+		return e.twoHop
+	}
+	return nil
+}
+
+func (m *mapTable) Variation() float64 {
+	now := m.sched.Now()
+	n := 0
+	for _, ts := range m.changes {
+		if ts.Add(VariationWindow) >= now {
+			n++
+		}
+	}
+	return float64(n) / (float64(max(len(m.entries), 1)) * VariationWindow.Seconds())
+}
+
+// TestDenseMatchesMap drives the table and the map-keyed reference
+// through an identical random HELLO/expiry timeline and requires every
+// observable to agree.
 func TestDenseMatchesMap(t *testing.T) {
 	const hosts = 40
 	sched := sim.NewScheduler()
-	m := NewTable(0, sched, 0)
+	m := &mapTable{sched: sched, entries: map[packet.NodeID]*mapEntry{}}
 	d := NewDenseTable(0, sched, 0, hosts)
 	rng := rand.New(rand.NewSource(9))
 	var at sim.Time
@@ -34,24 +104,15 @@ func TestDenseMatchesMap(t *testing.T) {
 		if m.Count() != d.Count() {
 			t.Fatalf("at %v: map count %d, dense count %d", sched.Now(), m.Count(), d.Count())
 		}
-		mn, dn := m.Neighbors(), d.Neighbors()
-		for i := range mn {
-			if mn[i] != dn[i] {
-				t.Fatalf("at %v: neighbor lists differ: %v vs %v", sched.Now(), mn, dn)
-			}
+		if mn, dn := m.Neighbors(), d.Neighbors(); !slices.Equal(mn, dn) {
+			t.Fatalf("at %v: neighbor lists differ: %v vs %v", sched.Now(), mn, dn)
 		}
 		for h := packet.NodeID(0); h < hosts; h++ {
 			if m.Contains(h) != d.Contains(h) {
 				t.Fatalf("at %v: Contains(%d) differs", sched.Now(), h)
 			}
-			mt, dt := m.TwoHop(h), d.TwoHop(h)
-			if len(mt) != len(dt) {
+			if mt, dt := m.TwoHop(h), d.TwoHop(h); !slices.Equal(mt, dt) {
 				t.Fatalf("at %v: TwoHop(%d) differs: %v vs %v", sched.Now(), h, mt, dt)
-			}
-			for i := range mt {
-				if mt[i] != dt[i] {
-					t.Fatalf("at %v: TwoHop(%d) differs: %v vs %v", sched.Now(), h, mt, dt)
-				}
 			}
 		}
 		if m.Variation() != d.Variation() {
@@ -110,25 +171,21 @@ func TestDenseNeighborsCacheInvalidation(t *testing.T) {
 	}
 }
 
+// TestAppendNeighborsBothLayouts: AppendNeighbors agrees with Neighbors
+// (the two views of the one layout) and fills the caller's buffer in
+// place.
 func TestAppendNeighborsBothLayouts(t *testing.T) {
-	for _, dense := range []bool{false, true} {
-		sched := sim.NewScheduler()
-		var tab *Table
-		if dense {
-			tab = NewDenseTable(0, sched, 0, 8)
-		} else {
-			tab = NewTable(0, sched, 0)
-		}
-		tab.OnHello(5, nil, sim.Second)
-		tab.OnHello(2, nil, sim.Second)
-		buf := make([]packet.NodeID, 0, 8)
-		out := tab.AppendNeighbors(buf)
-		if len(out) != 2 || out[0] != 2 || out[1] != 5 {
-			t.Fatalf("dense=%v: AppendNeighbors = %v, want [2 5]", dense, out)
-		}
-		if &out[0] != &buf[:1][0] {
-			t.Errorf("dense=%v: AppendNeighbors reallocated despite capacity", dense)
-		}
+	sched := sim.NewScheduler()
+	tab := NewDenseTable(0, sched, 0, 8)
+	tab.OnHello(5, nil, sim.Second)
+	tab.OnHello(2, nil, sim.Second)
+	buf := make([]packet.NodeID, 0, 8)
+	out := tab.AppendNeighbors(buf)
+	if want := []packet.NodeID{2, 5}; !slices.Equal(out, want) || !slices.Equal(tab.Neighbors(), want) {
+		t.Fatalf("AppendNeighbors = %v, Neighbors = %v, want %v", out, tab.Neighbors(), want)
+	}
+	if &out[0] != &buf[:1][0] {
+		t.Errorf("AppendNeighbors reallocated despite capacity")
 	}
 }
 
@@ -137,11 +194,7 @@ func TestNeighborSetExposure(t *testing.T) {
 	d := NewDenseTable(0, sched, 0, 8)
 	d.OnHello(4, nil, sim.Second)
 	if s := d.NeighborSet(); s == nil || !s.Contains(4) || s.Count() != 1 {
-		t.Error("dense NeighborSet does not reflect membership")
-	}
-	m := NewTable(0, sched, 0)
-	if m.NeighborSet() != nil {
-		t.Error("map-layout NeighborSet should be nil")
+		t.Error("NeighborSet does not reflect membership")
 	}
 }
 
@@ -197,52 +250,44 @@ func TestDenseTableRejectsZeroHosts(t *testing.T) {
 }
 
 // TestClearReusesStorage pins satellite 1: Clear must retain backing
-// storage on both layouts instead of reallocating, and the table must be
-// fully usable afterwards.
+// storage instead of reallocating, and the table must be fully usable
+// afterwards.
 func TestClearReusesStorage(t *testing.T) {
-	for _, dense := range []bool{false, true} {
-		sched := sim.NewScheduler()
-		var tab *Table
-		if dense {
-			tab = NewDenseTable(0, sched, 0, 32)
-		} else {
-			tab = NewTable(0, sched, 0)
-		}
+	sched := sim.NewScheduler()
+	tab := NewDenseTable(0, sched, 0, 32)
+	for h := packet.NodeID(1); h <= 20; h++ {
+		tab.OnHello(h, nil, sim.Second)
+	}
+	pendingBefore := sched.Pending()
+	tab.Clear()
+	if tab.Count() != 0 {
+		t.Fatalf("Count = %d after Clear", tab.Count())
+	}
+	if sched.Pending() != pendingBefore-20 {
+		t.Errorf("Clear left expiry timers pending")
+	}
+	if tab.Variation() != 0 {
+		t.Errorf("change log survived Clear")
+	}
+	// Steady-state Clear/refill cycles must not allocate (the slot
+	// storage is warm after the first cycle). The scheduler is drained
+	// each cycle so the cancelled expiry timers return to its event pool
+	// — in a real run Step does that collection; here nothing ever steps.
+	avg := testing.AllocsPerRun(20, func() {
 		for h := packet.NodeID(1); h <= 20; h++ {
 			tab.OnHello(h, nil, sim.Second)
 		}
-		pendingBefore := sched.Pending()
 		tab.Clear()
-		if tab.Count() != 0 {
-			t.Fatalf("dense=%v: Count = %d after Clear", dense, tab.Count())
-		}
-		if sched.Pending() != pendingBefore-20 {
-			t.Errorf("dense=%v: Clear left expiry timers pending", dense)
-		}
-		if tab.Variation() != 0 {
-			t.Errorf("dense=%v: change log survived Clear", dense)
-		}
-		// Steady-state Clear/refill cycles must not allocate (the
-		// map/slice storage is warm after the first cycle). The scheduler
-		// is drained each cycle so the cancelled expiry timers return to
-		// its event pool — in a real run Step does that collection; here
-		// nothing ever steps.
-		avg := testing.AllocsPerRun(20, func() {
-			for h := packet.NodeID(1); h <= 20; h++ {
-				tab.OnHello(h, nil, sim.Second)
-			}
-			tab.Clear()
-			sched.Drain()
-		})
-		// Expiry events are pooled by the scheduler, entry records by the
-		// table, and the expiry closure is bound once per record — so a
-		// warm cycle allocates nothing on either layout.
-		if avg > 0 {
-			t.Errorf("dense=%v: Clear/refill cycle allocates %.1f objects, want 0", dense, avg)
-		}
-		tab.OnHello(7, nil, sim.Second)
-		if !tab.Contains(7) || tab.Count() != 1 {
-			t.Errorf("dense=%v: table unusable after Clear", dense)
-		}
+		sched.Drain()
+	})
+	// Expiry events are pooled by the scheduler, entries live in the
+	// slots, and the expiry closure is bound once per slot — so a warm
+	// cycle allocates nothing.
+	if avg > 0 {
+		t.Errorf("Clear/refill cycle allocates %.1f objects, want 0", avg)
+	}
+	tab.OnHello(7, nil, sim.Second)
+	if !tab.Contains(7) || tab.Count() != 1 {
+		t.Errorf("table unusable after Clear")
 	}
 }

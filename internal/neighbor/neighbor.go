@@ -8,8 +8,6 @@
 package neighbor
 
 import (
-	"sort"
-
 	"repro/internal/nodeset"
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -75,49 +73,28 @@ type entry struct {
 // All knowledge is local and possibly stale — exactly the information
 // the paper allows the schemes to use.
 //
-// Two storage layouts sit behind the same API. The dense layout
-// (NewDenseTable) exploits the simulators' dense 0..N-1 host ids: entries
-// live in a flat array indexed by NodeID with membership in a bitset, so
+// The layout exploits the simulators' dense 0..N-1 host ids: entries live
+// in a flat array indexed by NodeID with membership in a bitset, so
 // lookups are an array index and the sorted neighbor list is a popcount
-// walk. The map layout (NewTable) remains for callers whose id space is
-// sparse or unbounded.
+// walk.
 type Table struct {
 	owner           packet.NodeID
 	sched           *sim.Scheduler
 	expiryIntervals int
 
-	// Map layout (denseHosts == 0). free recycles expired/cleared
-	// records so churn does not allocate.
-	entries map[packet.NodeID]*entry
-	free    []*entry
-
-	// Dense layout (denseHosts > 0): slot i holds the entry for NodeID
-	// i, live iff present.Contains(i). neighbors caches the sorted id
-	// list between mutations. The O(hosts) backing storage (dense,
-	// present) is materialized lazily on first use: an idle table costs
-	// O(1), which keeps network construction O(hosts) instead of
-	// O(hosts²) at mega scale, and a HELLO-off run never pays at all.
-	denseHosts int
-	dense      []entry
-	present    *nodeset.Set
-	neighbors  []packet.NodeID
-	dirty      bool
+	// Slot i holds the entry for NodeID i, live iff present.Contains(i).
+	// neighbors caches the sorted id list between mutations. The O(hosts)
+	// backing storage (dense, present) is materialized lazily on first
+	// use: an idle table costs O(1), which keeps network construction
+	// O(hosts) instead of O(hosts²) at mega scale, and a HELLO-off run
+	// never pays at all.
+	hosts     int
+	dense     []entry
+	present   *nodeset.Set
+	neighbors []packet.NodeID
+	dirty     bool
 
 	changes []sim.Time // join/leave timestamps within the variation window
-}
-
-// NewTable creates an empty table for a host. expiryIntervals <= 0 uses
-// the paper's default of 2.
-func NewTable(owner packet.NodeID, sched *sim.Scheduler, expiryIntervals int) *Table {
-	if expiryIntervals <= 0 {
-		expiryIntervals = DefaultExpiryIntervals
-	}
-	return &Table{
-		owner:           owner,
-		sched:           sched,
-		expiryIntervals: expiryIntervals,
-		entries:         make(map[packet.NodeID]*entry),
-	}
 }
 
 // NewDenseTable creates an empty table for a host in a population whose
@@ -146,15 +123,15 @@ func InitDenseTable(t *Table, owner packet.NodeID, sched *sim.Scheduler, expiryI
 		owner:           owner,
 		sched:           sched,
 		expiryIntervals: expiryIntervals,
-		denseHosts:      hosts,
+		hosts:           hosts,
 	}
 }
 
-// ensureDense materializes the dense layout's backing storage.
+// ensureDense materializes the table's backing storage.
 func (t *Table) ensureDense() {
 	if t.dense == nil {
-		t.dense = make([]entry, t.denseHosts)
-		t.present = nodeset.New(t.denseHosts)
+		t.dense = make([]entry, t.hosts)
+		t.present = nodeset.New(t.hosts)
 	}
 }
 
@@ -168,28 +145,11 @@ func (t *Table) OnHello(h packet.NodeID, neighbors []packet.NodeID, interval sim
 		return
 	}
 	now := t.sched.Now()
-	var e *entry
-	if t.denseHosts > 0 {
-		t.ensureDense()
-		e = &t.dense[h]
-		if t.present.Add(h) {
-			t.dirty = true
-			t.recordChange(now)
-		}
-	} else {
-		var known bool
-		e, known = t.entries[h]
-		if !known {
-			if n := len(t.free); n > 0 {
-				e = t.free[n-1]
-				t.free[n-1] = nil
-				t.free = t.free[:n-1]
-			} else {
-				e = &entry{}
-			}
-			t.entries[h] = e
-			t.recordChange(now)
-		}
+	t.ensureDense()
+	e := &t.dense[h]
+	if t.present.Add(h) {
+		t.dirty = true
+		t.recordChange(now)
 	}
 	e.id = h
 	e.lastHeard = now
@@ -212,31 +172,17 @@ func (t *Table) OnHello(h packet.NodeID, neighbors []packet.NodeID, interval sim
 // The stored expiry handle is cleared on every path: the scheduler
 // recycles fired events, so a retained handle would go stale.
 func (t *Table) expire(h packet.NodeID, deadline sim.Time) {
-	var e *entry
-	if t.denseHosts > 0 {
-		if t.present == nil || !t.present.Contains(h) {
-			return
-		}
-		e = &t.dense[h]
-	} else {
-		var ok bool
-		e, ok = t.entries[h]
-		if !ok {
-			return
-		}
+	if t.present == nil || !t.present.Contains(h) {
+		return
 	}
+	e := &t.dense[h]
 	if e.lastHeard.Add(sim.Duration(t.expiryIntervals)*e.interval) > deadline {
 		return // refreshed since; OnHello already replaced the handle
 	}
 	e.expiry = nil
 	e.twoHop = e.twoHop[:0] // keep the backing array for the next tenant
-	if t.denseHosts > 0 {
-		t.present.Remove(h)
-		t.dirty = true
-	} else {
-		delete(t.entries, h)
-		t.free = append(t.free, e)
-	}
+	t.present.Remove(h)
+	t.dirty = true
 	t.recordChange(t.sched.Now())
 }
 
@@ -256,65 +202,39 @@ func (t *Table) recordChange(now sim.Time) {
 // Count returns the current number of one-hop neighbors |N_x| — the "n"
 // the adaptive threshold functions C(n) and A(n) consume.
 func (t *Table) Count() int {
-	if t.denseHosts > 0 {
-		if t.present == nil {
-			return 0
-		}
-		return t.present.Count()
+	if t.present == nil {
+		return 0
 	}
-	return len(t.entries)
+	return t.present.Count()
 }
 
-// Contains reports whether h is currently a known one-hop neighbor.
-func (t *Table) Contains(h packet.NodeID) bool {
-	if t.denseHosts > 0 {
-		return t.present != nil && t.present.Contains(h)
-	}
-	_, ok := t.entries[h]
-	return ok
-}
-
-// Neighbors returns the sorted one-hop neighbor set N_x. On the dense
-// layout the slice is a cached view that is only valid until the next
-// table mutation; callers must not modify it and must copy it to retain
-// it (packet.NewHello already copies).
+// Neighbors returns the sorted one-hop neighbor set N_x. The slice is a
+// cached view that is only valid until the next table mutation; callers
+// must not modify it and must copy it to retain it (packet.NewHello
+// already copies).
 func (t *Table) Neighbors() []packet.NodeID {
-	if t.denseHosts > 0 {
-		if t.dirty {
-			t.neighbors = t.present.AppendIDs(t.neighbors[:0])
-			t.dirty = false
-		}
-		return t.neighbors
+	if t.dirty {
+		t.neighbors = t.present.AppendIDs(t.neighbors[:0])
+		t.dirty = false
 	}
-	out := make([]packet.NodeID, 0, len(t.entries))
-	for id := range t.entries {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return t.neighbors
 }
 
 // AppendNeighbors appends the sorted one-hop neighbor set to buf and
 // returns the extended slice, allocating only when buf lacks capacity.
 func (t *Table) AppendNeighbors(buf []packet.NodeID) []packet.NodeID {
-	if t.denseHosts > 0 {
-		if t.present == nil {
-			return buf
-		}
-		return t.present.AppendIDs(buf)
+	if t.present == nil {
+		return buf
 	}
-	return append(buf, t.Neighbors()...)
+	return t.present.AppendIDs(buf)
 }
 
-// NeighborSet exposes the one-hop membership bitset on the dense layout
-// (nil on the map layout). It is live storage: callers must not mutate
-// it, and its contents shift with the table. Asking for the set
-// materializes the lazy storage — only hosts whose neighborhood is
-// actually consulted (coverage-scheme judges) pay for it.
+// NeighborSet exposes the one-hop membership bitset. It is live storage:
+// callers must not mutate it, and its contents shift with the table.
+// Asking for the set materializes the lazy storage — only hosts whose
+// neighborhood is actually consulted (coverage-scheme judges) pay for it.
 func (t *Table) NeighborSet() *nodeset.Set {
-	if t.denseHosts > 0 {
-		t.ensureDense()
-	}
+	t.ensureDense()
 	return t.present
 }
 
@@ -322,17 +242,10 @@ func (t *Table) NeighborSet() *nodeset.Set {
 // this host (it may include the owner itself), or nil if h is unknown.
 // The returned slice is shared storage; callers must not modify it.
 func (t *Table) TwoHop(h packet.NodeID) []packet.NodeID {
-	if t.denseHosts > 0 {
-		if t.present != nil && int(h) < len(t.dense) && t.present.Contains(h) {
-			return t.dense[h].twoHop
-		}
-		return nil
+	if t.present != nil && int(h) < len(t.dense) && t.present.Contains(h) {
+		return t.dense[h].twoHop
 	}
-	e, ok := t.entries[h]
-	if !ok {
-		return nil
-	}
-	return e.twoHop
+	return nil
 }
 
 // AuditEntries calls f for every live one-hop entry with the id, the
@@ -340,19 +253,13 @@ func (t *Table) TwoHop(h packet.NodeID) []packet.NodeID {
 // It is an observation-only walk for the invariant auditor: the table
 // is not mutated and no expiry timers are touched.
 func (t *Table) AuditEntries(f func(id packet.NodeID, lastHeard sim.Time, interval sim.Duration)) {
-	if t.denseHosts > 0 {
-		if t.present == nil {
-			return
-		}
-		t.present.ForEach(func(h packet.NodeID) {
-			e := &t.dense[h]
-			f(e.id, e.lastHeard, e.interval)
-		})
+	if t.present == nil {
 		return
 	}
-	for _, e := range t.entries {
+	t.present.ForEach(func(h packet.NodeID) {
+		e := &t.dense[h]
 		f(e.id, e.lastHeard, e.interval)
-	}
+	})
 }
 
 // Variation returns nv_x: the number of hosts that joined or left N_x
@@ -372,35 +279,4 @@ func (t *Table) Variation() float64 {
 		size = 1
 	}
 	return float64(n) / (float64(size) * VariationWindow.Seconds())
-}
-
-// Clear drops all entries and pending expiries (used between runs). The
-// backing storage — map buckets, dense slots, and the change log — is
-// retained for reuse rather than reallocated.
-func (t *Table) Clear() {
-	if t.denseHosts > 0 {
-		if t.present != nil {
-			t.present.ForEach(func(h packet.NodeID) {
-				e := &t.dense[h]
-				if e.expiry != nil {
-					t.sched.Cancel(e.expiry)
-					e.expiry = nil
-				}
-				e.twoHop = e.twoHop[:0]
-			})
-			t.present.Clear()
-		}
-		t.dirty = true
-	} else {
-		for h, e := range t.entries {
-			if e.expiry != nil {
-				t.sched.Cancel(e.expiry)
-				e.expiry = nil
-			}
-			e.twoHop = e.twoHop[:0]
-			delete(t.entries, h)
-			t.free = append(t.free, e)
-		}
-	}
-	t.changes = t.changes[:0]
 }

@@ -10,7 +10,7 @@ import (
 
 func TestHelloAddsNeighbor(t *testing.T) {
 	sched := sim.NewScheduler()
-	tab := NewTable(1, sched, 0)
+	tab := newTable(1, sched)
 	tab.OnHello(2, []packet.NodeID{3, 4}, sim.Second)
 	if tab.Count() != 1 || !tab.Contains(2) {
 		t.Fatalf("count=%d contains=%v", tab.Count(), tab.Contains(2))
@@ -23,7 +23,7 @@ func TestHelloAddsNeighbor(t *testing.T) {
 
 func TestOwnHelloIgnored(t *testing.T) {
 	sched := sim.NewScheduler()
-	tab := NewTable(1, sched, 0)
+	tab := newTable(1, sched)
 	tab.OnHello(1, nil, sim.Second)
 	if tab.Count() != 0 {
 		t.Error("host enlisted itself as neighbor")
@@ -35,7 +35,7 @@ func TestTwoHopKeepsAnnouncedSetVerbatim(t *testing.T) {
 	// owner; consumers like the NC scheme are insensitive to that, since
 	// the owner is never in its own pending set).
 	sched := sim.NewScheduler()
-	tab := NewTable(1, sched, 0)
+	tab := newTable(1, sched)
 	tab.OnHello(2, []packet.NodeID{1, 3}, sim.Second)
 	two := tab.TwoHop(2)
 	if len(two) != 2 || two[0] != 1 || two[1] != 3 {
@@ -45,7 +45,7 @@ func TestTwoHopKeepsAnnouncedSetVerbatim(t *testing.T) {
 
 func TestExpiryAfterTwoIntervals(t *testing.T) {
 	sched := sim.NewScheduler()
-	tab := NewTable(1, sched, 0)
+	tab := newTable(1, sched)
 	tab.OnHello(2, nil, sim.Second)
 	// At just under two intervals the neighbor must still be present.
 	sched.RunUntil(sim.Time(1999 * sim.Millisecond))
@@ -60,7 +60,7 @@ func TestExpiryAfterTwoIntervals(t *testing.T) {
 
 func TestRefreshPreventsExpiry(t *testing.T) {
 	sched := sim.NewScheduler()
-	tab := NewTable(1, sched, 0)
+	tab := newTable(1, sched)
 	tab.OnHello(2, nil, sim.Second)
 	// Refresh every second for five seconds.
 	for i := 1; i <= 5; i++ {
@@ -82,7 +82,7 @@ func TestRefreshPreventsExpiry(t *testing.T) {
 
 func TestExpiryUsesAnnouncedInterval(t *testing.T) {
 	sched := sim.NewScheduler()
-	tab := NewTable(1, sched, 0)
+	tab := newTable(1, sched)
 	tab.OnHello(2, nil, 5*sim.Second) // slow hello announcer
 	sched.RunUntil(sim.Time(9 * sim.Second))
 	if !tab.Contains(2) {
@@ -96,7 +96,7 @@ func TestExpiryUsesAnnouncedInterval(t *testing.T) {
 
 func TestNeighborsSorted(t *testing.T) {
 	sched := sim.NewScheduler()
-	tab := NewTable(1, sched, 0)
+	tab := newTable(1, sched)
 	for _, id := range []packet.NodeID{9, 2, 7, 4} {
 		tab.OnHello(id, nil, sim.Second)
 	}
@@ -111,7 +111,7 @@ func TestNeighborsSorted(t *testing.T) {
 
 func TestTwoHopUnknownHost(t *testing.T) {
 	sched := sim.NewScheduler()
-	tab := NewTable(1, sched, 0)
+	tab := newTable(1, sched)
 	if tab.TwoHop(42) != nil {
 		t.Error("two-hop set of unknown host should be nil")
 	}
@@ -119,7 +119,7 @@ func TestTwoHopUnknownHost(t *testing.T) {
 
 func TestTwoHopReplacedOnNewHello(t *testing.T) {
 	sched := sim.NewScheduler()
-	tab := NewTable(1, sched, 0)
+	tab := newTable(1, sched)
 	tab.OnHello(2, []packet.NodeID{3}, sim.Second)
 	tab.OnHello(2, []packet.NodeID{4, 5}, sim.Second)
 	two := tab.TwoHop(2)
@@ -130,7 +130,7 @@ func TestTwoHopReplacedOnNewHello(t *testing.T) {
 
 func TestVariationCountsJoinsAndLeaves(t *testing.T) {
 	sched := sim.NewScheduler()
-	tab := NewTable(1, sched, 0)
+	tab := newTable(1, sched)
 	// Two joins at t=0.
 	tab.OnHello(2, nil, sim.Second)
 	tab.OnHello(3, nil, sim.Second)
@@ -154,7 +154,7 @@ func TestVariationCountsJoinsAndLeaves(t *testing.T) {
 
 func TestVariationWindowSlides(t *testing.T) {
 	sched := sim.NewScheduler()
-	tab := NewTable(1, sched, 0)
+	tab := newTable(1, sched)
 	tab.OnHello(2, nil, 100*sim.Second) // huge interval so no expiry interferes
 	// After the window passes with no changes, variation returns to 0.
 	sched.RunUntil(sim.Time(VariationWindow) + sim.Time(sim.Second))
@@ -165,7 +165,7 @@ func TestVariationWindowSlides(t *testing.T) {
 
 func TestVariationEmptyNeighborhoodDefined(t *testing.T) {
 	sched := sim.NewScheduler()
-	tab := NewTable(1, sched, 0)
+	tab := newTable(1, sched)
 	if nv := tab.Variation(); nv != 0 {
 		t.Errorf("empty table variation = %v", nv)
 	}
@@ -209,7 +209,7 @@ func TestDHIDegenerateConfig(t *testing.T) {
 
 func TestClear(t *testing.T) {
 	sched := sim.NewScheduler()
-	tab := NewTable(1, sched, 0)
+	tab := newTable(1, sched)
 	tab.OnHello(2, []packet.NodeID{3}, sim.Second)
 	tab.Clear()
 	if tab.Count() != 0 {
@@ -225,7 +225,7 @@ func TestClear(t *testing.T) {
 
 func TestZeroIntervalHelloDefaults(t *testing.T) {
 	sched := sim.NewScheduler()
-	tab := NewTable(1, sched, 0)
+	tab := newTable(1, sched)
 	tab.OnHello(2, nil, 0) // malformed announcement
 	sched.RunUntil(sim.Time(1999 * sim.Millisecond))
 	if !tab.Contains(2) {

@@ -2,7 +2,6 @@ package neighbor
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -30,7 +29,7 @@ type TableState struct {
 }
 
 // Snapshot captures the table's live entries and change log at a
-// barrier. Entries are emitted in ascending id order on both layouts.
+// barrier. Entries are emitted in ascending id order.
 func (t *Table) Snapshot() TableState {
 	var st TableState
 	if t.Count() == 0 {
@@ -50,20 +49,7 @@ func (t *Table) Snapshot() TableState {
 			TwoHop:    e.twoHop,
 		})
 	}
-	if t.denseHosts > 0 {
-		if t.present != nil {
-			t.present.ForEach(func(h packet.NodeID) { snap(&t.dense[h]) })
-		}
-	} else {
-		ids := make([]packet.NodeID, 0, len(t.entries))
-		for id := range t.entries {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			snap(t.entries[id])
-		}
-	}
+	t.present.ForEach(func(h packet.NodeID) { snap(&t.dense[h]) })
 	st.Changes = t.changes
 	return st
 }
@@ -79,24 +65,15 @@ func (t *Table) Restore(st TableState) error {
 		if es.ID == t.owner {
 			return fmt.Errorf("neighbor: restore entry for the table owner %v", es.ID)
 		}
-		var e *entry
-		if t.denseHosts > 0 {
-			if int(es.ID) < 0 || int(es.ID) >= t.denseHosts {
-				return fmt.Errorf("neighbor: restore entry id %v outside dense population %d", es.ID, t.denseHosts)
-			}
-			t.ensureDense()
-			if !t.present.Add(es.ID) {
-				return fmt.Errorf("neighbor: duplicate restore entry %v", es.ID)
-			}
-			t.dirty = true
-			e = &t.dense[es.ID]
-		} else {
-			if _, dup := t.entries[es.ID]; dup {
-				return fmt.Errorf("neighbor: duplicate restore entry %v", es.ID)
-			}
-			e = &entry{}
-			t.entries[es.ID] = e
+		if int(es.ID) < 0 || int(es.ID) >= t.hosts {
+			return fmt.Errorf("neighbor: restore entry id %v outside dense population %d", es.ID, t.hosts)
 		}
+		t.ensureDense()
+		if !t.present.Add(es.ID) {
+			return fmt.Errorf("neighbor: duplicate restore entry %v", es.ID)
+		}
+		t.dirty = true
+		e := &t.dense[es.ID]
 		e.id = es.ID
 		e.lastHeard = es.LastHeard
 		e.interval = es.Interval

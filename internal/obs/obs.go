@@ -21,11 +21,7 @@
 // by BenchmarkTelemetry).
 package obs
 
-import (
-	"sort"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // DefaultTick is the sampling interval used when a caller asks for
 // telemetry without choosing one: fine enough to resolve per-broadcast
@@ -34,7 +30,7 @@ import (
 const DefaultTick = 100 * sim.Millisecond
 
 // CounterID identifies a registered counter; obtain one with Counter.
-// The zero value is safe to Add to only through a nil Collector (every
+// The zero value is safe to Inc only through a nil Collector (every
 // instrument point that holds a CounterID also holds the Collector it
 // was registered on).
 type CounterID int
@@ -62,7 +58,7 @@ type Sample struct {
 // samples back — or Export them as JSONL — after the run. A Collector is
 // single-use and, like the simulation that feeds it, not safe for
 // concurrent use; replica-level parallelism uses one Collector per
-// replica (see experiment.Options.Telemetry) and MergeCounters.
+// replica (see experiment.Options.Telemetry).
 type Collector struct {
 	tick     sim.Duration
 	counters []counterSlot
@@ -89,8 +85,8 @@ func (c *Collector) Tick() sim.Duration {
 }
 
 // Counter registers (or finds) a counter by name and returns its id.
-// Registering on a nil collector returns 0; the matching Add/Inc calls
-// are no-ops there too, so instrument points need no nil checks of
+// Registering on a nil collector returns 0; the matching Inc calls are
+// no-ops there too, so instrument points need no nil checks of
 // their own beyond guarding genuinely expensive bookkeeping.
 func (c *Collector) Counter(name string) CounterID {
 	if c == nil {
@@ -103,14 +99,6 @@ func (c *Collector) Counter(name string) CounterID {
 	c.counters = append(c.counters, counterSlot{name: name})
 	c.byName[name] = id
 	return id
-}
-
-// Add increments a registered counter by d. Safe on a nil collector.
-func (c *Collector) Add(id CounterID, d int64) {
-	if c == nil {
-		return
-	}
-	c.counters[id].value += d
 }
 
 // Inc increments a registered counter by one. Safe on a nil collector.
@@ -178,52 +166,4 @@ func (c *Collector) Samples() []Sample {
 		return nil
 	}
 	return c.samples
-}
-
-// CounterValue returns a counter's current value by name.
-func (c *Collector) CounterValue(name string) (int64, bool) {
-	if c == nil {
-		return 0, false
-	}
-	id, ok := c.byName[name]
-	if !ok {
-		return 0, false
-	}
-	return c.counters[id].value, true
-}
-
-// CounterValues returns every counter's final value keyed by name.
-func (c *Collector) CounterValues() map[string]int64 {
-	if c == nil {
-		return nil
-	}
-	out := make(map[string]int64, len(c.counters))
-	for _, s := range c.counters {
-		out[s.name] = s.value
-	}
-	return out
-}
-
-// MergeCounters sums counter maps from independent replicas (see
-// CounterValues) into one total per name — the per-replica telemetry
-// merge the experiment harness exposes.
-func MergeCounters(ms ...map[string]int64) map[string]int64 {
-	out := make(map[string]int64)
-	for _, m := range ms {
-		for k, v := range m {
-			out[k] += v
-		}
-	}
-	return out
-}
-
-// MergedNames returns the sorted key set of a merged counter map, for
-// deterministic rendering.
-func MergedNames(m map[string]int64) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

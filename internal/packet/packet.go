@@ -221,6 +221,3 @@ func (t *DedupTable) Observe(id BroadcastID) bool {
 
 // Seen reports whether id has been observed without recording anything.
 func (t *DedupTable) Seen(id BroadcastID) bool { return t.seen[id] }
-
-// Len returns the number of distinct broadcasts observed.
-func (t *DedupTable) Len() int { return len(t.seen) }

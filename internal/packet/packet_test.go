@@ -24,8 +24,8 @@ func TestDedupFirstThenDuplicate(t *testing.T) {
 	if d.Seen(BroadcastID{Source: 3, Seq: 18}) {
 		t.Fatal("unseen id reported seen")
 	}
-	if d.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", d.Len())
+	if got := d.SnapshotAppend(nil); len(got) != 1 {
+		t.Fatalf("table holds %v, want one id", got)
 	}
 }
 
@@ -37,8 +37,8 @@ func TestDedupDistinguishesSourceAndSeq(t *testing.T) {
 			t.Fatalf("id %v wrongly deduped", id)
 		}
 	}
-	if d.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", d.Len())
+	if got := d.SnapshotAppend(nil); len(got) != 4 {
+		t.Fatalf("table holds %v, want 4 ids", got)
 	}
 }
 
@@ -63,7 +63,7 @@ func TestDedupProperty(t *testing.T) {
 				return false
 			}
 		}
-		return d.Len() == len(firsts)
+		return len(d.SnapshotAppend(nil)) == len(firsts)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -5,14 +5,9 @@ import (
 	"slices"
 )
 
-// Snapshot returns the broadcast ids the table has observed, in
-// canonical ascending (source, seq) order for the checkpoint codec.
-func (t *DedupTable) Snapshot() []BroadcastID {
-	return t.SnapshotAppend(make([]BroadcastID, 0, len(t.seen)))
-}
-
-// SnapshotAppend is Snapshot appending into a caller-owned buffer, for
-// checkpoint documents that pool their backing arrays across snapshots.
+// SnapshotAppend appends the broadcast ids the table has observed to a
+// caller-owned buffer, in canonical ascending (source, seq) order for the
+// checkpoint codec; documents pool that buffer across snapshots.
 func (t *DedupTable) SnapshotAppend(ids []BroadcastID) []BroadcastID {
 	base := len(ids)
 	for id := range t.seen {

@@ -57,8 +57,7 @@ func TestTransmitZeroAllocSteadyState(t *testing.T) {
 				t.Errorf("steady-state transmit cycle allocates %.1f times, want 0", allocs)
 			}
 
-			hits, misses := ch.TxPoolStats()
-			if hits == 0 || misses != 1 {
+			if hits, misses := ch.txPoolHits, ch.txPoolMisses; hits == 0 || misses != 1 {
 				t.Errorf("tx pool stats = %d hits / %d misses, want reuse of a single record", hits, misses)
 			}
 			if rate := ch.TxPoolHitRate(); rate < 0.9 {

@@ -266,7 +266,7 @@ func diffAgainstGlobal(t *testing.T, hosts int, mkPos func(i int) PositionFunc, 
 
 // TestInterferenceDifferentialMegaMap repeats the engine cross-check on
 // a map large enough that the grid's macro level actually coarsens
-// (MacroShift > 0), with hosts clustered into distant patches so
+// (fewer macro cells than fine cells), with hosts clustered into distant patches so
 // collisions still occur locally. This pins the macro-bucketed
 // interference index against the global scan in exactly the regime the
 // hierarchical grid exists for.
@@ -319,11 +319,9 @@ func TestInterferenceDifferentialMegaMap(t *testing.T) {
 				pts[i] = trajs[i].p0
 			}
 			g.Rebuild(pts, 500)
-			if g.MacroShift() == 0 {
-				t.Fatalf("mega map did not trigger a macro shift (cells %v)", func() string {
-					c, r := g.Cells()
-					return fmt.Sprintf("%dx%d", c, r)
-				}())
+			cols, rows := g.Cells()
+			if mcols, mrows := g.MacroCells(); mcols == cols && mrows == rows {
+				t.Fatalf("mega map did not coarsen the macro level (cells %dx%d)", cols, rows)
 			}
 		})
 	}

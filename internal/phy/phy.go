@@ -287,7 +287,7 @@ type Channel struct {
 	// slices and garbled sets included).
 	ovl    []packet.NodeID
 	txFree []*transmission
-	// Transmission-record pool effectiveness, exposed via TxPoolStats
+	// Transmission-record pool effectiveness, exposed via TxPoolHitRate
 	// and the phy.tx_pool_hit_rate telemetry gauge.
 	txPoolHits   uint64
 	txPoolMisses uint64
@@ -388,15 +388,6 @@ func (c *Channel) SetPool(p *pdes.Pool) {
 // PositionOf returns radio i's current position.
 func (c *Channel) PositionOf(i int) geom.Point {
 	return c.positions[i].PositionAt(c.sched.Now())
-}
-
-// InRange reports whether radios i and j are currently within radio
-// range of each other. A single pairwise check needs exactly the two
-// live positions, which is already cheaper than any index lookup, so it
-// bypasses the grid entirely.
-func (c *Channel) InRange(i, j int) bool {
-	now := c.sched.Now()
-	return c.positions[i].PositionAt(now).Dist2(c.positions[j].PositionAt(now)) <= c.radius*c.radius
 }
 
 // SetMaxSpeed declares an upper bound, in meters per second, on how fast
@@ -1273,12 +1264,6 @@ func (c *Channel) EachActiveSender(fn func(geom.Point)) {
 	}
 }
 
-// TxPoolStats returns how many transmission records were served from the
-// free list versus freshly allocated.
-func (c *Channel) TxPoolStats() (hits, misses uint64) {
-	return c.txPoolHits, c.txPoolMisses
-}
-
 // TxPoolHitRate returns the fraction of transmissions served from the
 // free list (0 before any transmission). Steady state approaches 1: only
 // the records covering the peak in-flight count are ever allocated.
@@ -1321,7 +1306,3 @@ func (c *Channel) SetLoss(rate float64, rng *sim.RNG) {
 	c.lossRate = rate
 	c.lossRNG = rng
 }
-
-// CarrierBusyAt reports whether the medium is currently sensed busy at
-// radio i.
-func (c *Channel) CarrierBusyAt(i int) bool { return c.busyCount[i] > 0 }

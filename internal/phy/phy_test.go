@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -101,14 +102,14 @@ func TestCarrierSenseTransitions(t *testing.T) {
 	rb := ch.Attach(static(geom.Point{X: 100}), b)
 
 	ch.Transmit(ra, bcastFrame(0), nil)
-	if !ch.CarrierBusyAt(rb) || !ch.CarrierBusyAt(ra) {
+	if ch.busyCount[rb] == 0 || ch.busyCount[ra] == 0 {
 		t.Error("carrier not busy during transmission")
 	}
 	if b.busy != 1 {
 		t.Errorf("receiver saw %d busy transitions, want 1", b.busy)
 	}
 	sched.Run()
-	if ch.CarrierBusyAt(rb) || ch.CarrierBusyAt(ra) {
+	if ch.busyCount[rb] != 0 || ch.busyCount[ra] != 0 {
 		t.Error("carrier still busy after transmission end")
 	}
 	if b.idle != 1 || a.idle != 1 {
@@ -230,12 +231,10 @@ func TestInRangeAndPositions(t *testing.T) {
 	ch := NewChannel(sched, DSSSTiming(), 500)
 	a := ch.Attach(static(geom.Point{X: 0}), &fakeListener{})
 	b := ch.Attach(static(geom.Point{X: 500}), &fakeListener{})
-	c := ch.Attach(static(geom.Point{X: 501}), &fakeListener{})
-	if !ch.InRange(a, b) {
-		t.Error("hosts at exactly r apart should be in range")
-	}
-	if ch.InRange(a, c) {
-		t.Error("hosts beyond r reported in range")
+	ch.Attach(static(geom.Point{X: 501}), &fakeListener{})
+	// b sits exactly r from a and is in range; c is just beyond it.
+	if got := ch.Neighbors(a, nil); !slices.Equal(got, []int{b}) {
+		t.Errorf("Neighbors(a) = %v, want [%d]", got, b)
 	}
 	if len(ch.positions) != 3 {
 		t.Errorf("%d radios attached, want 3", len(ch.positions))

@@ -288,8 +288,7 @@ func New(cfg Config) (*Network, error) {
 		h.mac.Receiver = h
 		// Handles are never read after their frame completes (the ARQ
 		// verdict is consulted inside OnDone, before the MAC recycles the
-		// record), so Pending pooling is safe here.
-		h.mac.SetPendingPool(true)
+		// record), as the MAC's pooling contract requires.
 		n.hosts[i] = h
 	}
 	return n, nil
@@ -464,14 +463,4 @@ func (n *Network) result() Result {
 	r.Transmissions = st.Transmissions
 	r.Collisions = st.Collisions
 	return r
-}
-
-// RouteBetween reports whether host a currently has a live route to b,
-// and its hop count (tests and examples).
-func (n *Network) RouteBetween(a, b int) (int, bool) {
-	e, ok := n.hosts[a].route(packet.NodeID(b))
-	if !ok {
-		return 0, false
-	}
-	return e.hops, true
 }

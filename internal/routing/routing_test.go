@@ -3,6 +3,7 @@ package routing
 import (
 	"testing"
 
+	"repro/internal/packet"
 	"repro/internal/scheme"
 	"repro/internal/sim"
 )
@@ -141,7 +142,7 @@ func TestRouteExpiry(t *testing.T) {
 			if a == b {
 				continue
 			}
-			if _, ok := n.RouteBetween(a, b); ok {
+			if _, ok := n.hosts[a].route(packet.NodeID(b)); ok {
 				t.Fatalf("route %d->%d survived its lifetime", a, b)
 			}
 		}

@@ -22,8 +22,10 @@ import "slices"
 // sort compares seq on time ties, Bottom insertion places a new event
 // after queued ties (its seq is necessarily the largest), and buckets
 // preserve append order until sorted. The pop sequence is therefore
-// byte-identical to the binary heap's, which TestLadderMatchesHeapStress
-// and manet's TestLadderMatchesHeap pin.
+// byte-identical to a binary heap's: TestLadderMatchesHeapStress holds the
+// ladder to the reference heap in ladder_test.go, and
+// internal/manet/testdata/summaries.golden, recorded while models still
+// ran on a heap, pins the same at model level.
 const (
 	// ladderThreshold is the bucket population above which refill spawns
 	// a finer rung instead of sorting the bucket into Bottom.

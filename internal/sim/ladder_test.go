@@ -1,19 +1,133 @@
 package sim
 
 import (
+	"container/heap"
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// bothSchedulers runs a subtest against the ladder queue and the legacy
-// heap, since every ordering contract must hold for both.
-func bothSchedulers(t *testing.T, f func(t *testing.T, newSched func() *Scheduler)) {
-	t.Run("ladder", func(t *testing.T) { f(t, NewScheduler) })
-	t.Run("heap", func(t *testing.T) { f(t, NewHeapScheduler) })
+// eventQueue is what the ordering-contract tests need of an event queue:
+// the Scheduler and refQueue both provide it.
+type eventQueue interface {
+	Now() Time
+	Schedule(at Time, fn func()) *Event
+	After(d Duration, fn func()) *Event
+	Cancel(e *Event)
+	Step() bool
+	Run()
+	RunUntil(deadline Time)
+	Pending() int
+	Drain() int
+}
+
+// refQueue is the reference the ladder queue is held to: a binary heap
+// ordered by (at, seq) with eager removal on cancel and a fresh Event per
+// schedule — the scheduler's queue before the ladder replaced it.
+type refQueue struct {
+	now Time
+	seq uint64
+	h   []*Event
+	pos map[*Event]int // heap index of every queued event
+}
+
+func newRefQueue() *refQueue { return &refQueue{pos: map[*Event]int{}} }
+
+func (q *refQueue) Len() int { return len(q.h) }
+
+func (q *refQueue) Less(i, j int) bool {
+	a, b := q.h[i], q.h[j]
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+func (q *refQueue) Swap(i, j int) {
+	q.h[i], q.h[j] = q.h[j], q.h[i]
+	q.pos[q.h[i]], q.pos[q.h[j]] = i, j
+}
+
+func (q *refQueue) Push(x any) {
+	e := x.(*Event)
+	q.pos[e] = len(q.h)
+	q.h = append(q.h, e)
+}
+
+func (q *refQueue) Pop() any {
+	e := q.h[len(q.h)-1]
+	q.h = q.h[:len(q.h)-1]
+	delete(q.pos, e)
+	return e
+}
+
+func (q *refQueue) Now() Time { return q.now }
+
+func (q *refQueue) Schedule(at Time, fn func()) *Event {
+	if at < q.now {
+		panic(fmt.Sprintf("ref: schedule at %v before now %v", at, q.now))
+	}
+	q.seq++
+	e := &Event{at: at, seq: q.seq, fn: fn}
+	heap.Push(q, e)
+	return e
+}
+
+func (q *refQueue) After(d Duration, fn func()) *Event { return q.Schedule(q.now.Add(d), fn) }
+
+func (q *refQueue) Cancel(e *Event) {
+	if e == nil || e.fired || e.cancel {
+		return
+	}
+	e.cancel = true
+	if i, ok := q.pos[e]; ok {
+		heap.Remove(q, i)
+	}
+}
+
+func (q *refQueue) Step() bool {
+	if len(q.h) == 0 {
+		return false
+	}
+	e := heap.Pop(q).(*Event)
+	q.now = e.at
+	e.fired = true
+	e.fn()
+	return true
+}
+
+func (q *refQueue) Run() {
+	for q.Step() {
+	}
+}
+
+func (q *refQueue) RunUntil(deadline Time) {
+	for len(q.h) > 0 && q.h[0].at <= deadline {
+		q.Step()
+	}
+	if q.now < deadline {
+		q.now = deadline
+	}
+}
+
+func (q *refQueue) Pending() int { return len(q.h) }
+
+func (q *refQueue) Drain() int {
+	n := len(q.h)
+	for _, e := range q.h {
+		e.cancel = true
+		delete(q.pos, e)
+	}
+	q.h = q.h[:0]
+	return n
+}
+
+// bothSchedulers runs a subtest against the ladder-backed Scheduler and
+// the reference heap, since every ordering contract must hold for both.
+func bothSchedulers(t *testing.T, f func(t *testing.T, newSched func() eventQueue)) {
+	t.Run("ladder", func(t *testing.T) { f(t, func() eventQueue { return NewScheduler() }) })
+	t.Run("heap", func(t *testing.T) { f(t, func() eventQueue { return newRefQueue() }) })
 }
 
 func TestScheduleAtNow(t *testing.T) {
-	bothSchedulers(t, func(t *testing.T, newSched func() *Scheduler) {
+	bothSchedulers(t, func(t *testing.T, newSched func() eventQueue) {
 		s := newSched()
 		var got []int
 		s.Schedule(10, func() {
@@ -41,7 +155,7 @@ func TestScheduleAtNow(t *testing.T) {
 }
 
 func TestCancelThenStep(t *testing.T) {
-	bothSchedulers(t, func(t *testing.T, newSched func() *Scheduler) {
+	bothSchedulers(t, func(t *testing.T, newSched func() eventQueue) {
 		s := newSched()
 		fired := 0
 		e1 := s.Schedule(5, func() { fired++ })
@@ -75,7 +189,7 @@ func TestCancelThenStep(t *testing.T) {
 // timestamps, checking that same-instant FIFO survives every bucket
 // boundary. The schedule interleaves pops so refills happen mid-stream.
 func TestSameInstantFIFOAcrossBuckets(t *testing.T) {
-	bothSchedulers(t, func(t *testing.T, newSched func() *Scheduler) {
+	bothSchedulers(t, func(t *testing.T, newSched func() eventQueue) {
 		s := newSched()
 		type fire struct {
 			at  Time
@@ -117,7 +231,7 @@ func TestSameInstantFIFOAcrossBuckets(t *testing.T) {
 }
 
 func TestRescheduleAfterDrain(t *testing.T) {
-	bothSchedulers(t, func(t *testing.T, newSched func() *Scheduler) {
+	bothSchedulers(t, func(t *testing.T, newSched func() eventQueue) {
 		s := newSched()
 		stale := 0
 		var handles []*Event
@@ -166,14 +280,15 @@ func TestRescheduleAfterDrain(t *testing.T) {
 	})
 }
 
-// TestLadderMatchesHeapStress drives both schedulers with an identical
-// randomized schedule/cancel/nested-schedule workload and requires the
-// firing sequences to match exactly — the queue-level half of the
-// determinism obligation (the model-level half is manet's
-// TestLadderMatchesHeap).
+// TestLadderMatchesHeapStress drives the ladder-backed Scheduler and the
+// reference heap with an identical randomized schedule/cancel/nested-
+// schedule workload and requires the firing sequences to match exactly —
+// the queue-level half of the determinism obligation (the model-level
+// half is internal/manet/testdata/summaries.golden, recorded while models
+// still ran on the heap).
 func TestLadderMatchesHeapStress(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		run := func(s *Scheduler) []uint64 {
+		run := func(s eventQueue) []uint64 {
 			rng := rand.New(rand.NewSource(seed))
 			var fired []uint64
 			// Handles are recycled once fired under the ladder scheduler,
@@ -234,7 +349,7 @@ func TestLadderMatchesHeapStress(t *testing.T) {
 			return fired
 		}
 		ladder := run(NewScheduler())
-		legacy := run(NewHeapScheduler())
+		legacy := run(newRefQueue())
 		if len(ladder) != len(legacy) {
 			t.Fatalf("seed %d: ladder fired %d events, heap %d", seed, len(ladder), len(legacy))
 		}
@@ -277,27 +392,18 @@ func TestSchedulerPoolStats(t *testing.T) {
 		s.Schedule(Time(i), func() {})
 	}
 	s.Run()
-	hits, misses := s.PoolStats()
-	if hits != 0 || misses != 10 {
-		t.Fatalf("cold pool: hits=%d misses=%d, want 0/10", hits, misses)
+	if st := s.SnapshotState(); st.PoolHits != 0 || st.PoolMisses != 10 {
+		t.Fatalf("cold pool: hits=%d misses=%d, want 0/10", st.PoolHits, st.PoolMisses)
 	}
 	for i := 0; i < 30; i++ {
 		s.Schedule(s.Now().Add(1), func() {})
 		s.Step()
 	}
-	hits, misses = s.PoolStats()
-	if hits != 30 || misses != 10 {
-		t.Fatalf("warm pool: hits=%d misses=%d, want 30/10", hits, misses)
+	if st := s.SnapshotState(); st.PoolHits != 30 || st.PoolMisses != 10 {
+		t.Fatalf("warm pool: hits=%d misses=%d, want 30/10", st.PoolHits, st.PoolMisses)
 	}
 	if got, want := s.PoolHitRate(), 0.75; got != want {
 		t.Errorf("PoolHitRate = %v, want %v", got, want)
-	}
-	// The heap scheduler never pools.
-	h := NewHeapScheduler()
-	h.Schedule(1, func() {})
-	h.Run()
-	if hits, _ := h.PoolStats(); hits != 0 {
-		t.Errorf("heap scheduler reported pool hits: %d", hits)
 	}
 }
 
@@ -320,12 +426,11 @@ func TestLadderCancelRecyclesTombstones(t *testing.T) {
 	}
 	// All tombstones must now be back in the pool: the next 1000
 	// schedules should be pure hits.
-	hits0, _ := s.PoolStats()
+	hits0 := s.SnapshotState().PoolHits
 	for i := 0; i < 1000; i++ {
 		s.Schedule(s.Now().Add(Duration(i+1)), func() {})
 	}
-	hits, _ := s.PoolStats()
-	if got := hits - hits0; got != 1000 {
+	if got := s.SnapshotState().PoolHits - hits0; got != 1000 {
 		t.Errorf("reschedule after mass cancel took %d pool hits, want 1000", got)
 	}
 }

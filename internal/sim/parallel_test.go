@@ -165,7 +165,6 @@ func TestParallelDrainGuards(t *testing.T) {
 	s.BeginParallelDrain()
 	mustPanic("Schedule during a drain", func() { s.Schedule(Time(1), func() {}) })
 	mustPanic("ScheduleRunner during a drain", func() { s.ScheduleRunner(Time(1), r) })
-	mustPanic("ScheduleShard during a drain", func() { s.ScheduleShard(0, Time(1), func() {}) })
 	mustPanic("Cancel during a drain", func() { s.Cancel(e) })
 	mustPanic("Step during a drain", func() { s.Step() })
 	mustPanic("nested BeginParallelDrain", s.BeginParallelDrain)
@@ -175,7 +174,4 @@ func TestParallelDrainGuards(t *testing.T) {
 	audited.ConfigureShards(1, Second)
 	audited.SetAuditHook(func(Time, uint64) {})
 	mustPanic("BeginParallelDrain under audit", audited.BeginParallelDrain)
-
-	legacy := NewHeapScheduler()
-	mustPanic("BeginParallelDrain on the heap scheduler", legacy.BeginParallelDrain)
 }

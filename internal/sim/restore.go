@@ -69,13 +69,11 @@ func (s *Scheduler) SnapshotState() SchedulerState {
 // state: the clock, the shared and per-lane sequence counters, the
 // executed count, and the pool counters, with each free-list pre-grown
 // to its checkpointed depth so pool statistics evolve exactly as they
-// would have in the uninterrupted run. The scheduler must be the ladder
-// implementation and must hold no pending events (Drain first); lanes in
-// the state require the matching number of configured shard wheels.
+// would have in the uninterrupted run. The scheduler must hold no pending
+// events (Drain first); lanes in the state require the matching number
+// of configured shard wheels.
 func (s *Scheduler) RestoreState(st SchedulerState) error {
 	switch {
-	case s.legacy:
-		return fmt.Errorf("sim: restore requires the ladder scheduler")
 	case s.parallel:
 		return fmt.Errorf("sim: restore during a parallel drain")
 	case s.live != 0:
@@ -132,8 +130,6 @@ func (s *Scheduler) RestoreState(st SchedulerState) error {
 // observe allocations the original run never made.
 func (s *Scheduler) restoreEvent(shard int, at Time, seq uint64) (*Event, error) {
 	switch {
-	case s.legacy:
-		return nil, fmt.Errorf("sim: restore requires the ladder scheduler")
 	case s.parallel:
 		return nil, fmt.Errorf("sim: restore during a parallel drain")
 	case at < s.now:
@@ -148,7 +144,7 @@ func (s *Scheduler) restoreEvent(shard int, at Time, seq uint64) (*Event, error)
 	} else if len(s.lanes) == 0 {
 		return nil, fmt.Errorf("sim: restore event seq %d in a lane namespace without lanes", seq)
 	}
-	e := &Event{at: at, seq: seq, index: -1}
+	e := &Event{at: at, seq: seq}
 	if shard < 0 {
 		s.lq.insert(e)
 	} else {

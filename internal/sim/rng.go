@@ -126,12 +126,3 @@ func (r *RNG) UniformDuration(lo, hi Duration) Duration {
 
 // Angle returns a uniform direction in [0, 2*pi).
 func (r *RNG) Angle() float64 { return r.Float64() * 2 * math.Pi }
-
-// Shuffle pseudo-randomly permutes the first n elements using swap,
-// following the Fisher-Yates algorithm.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.IntN(i + 1)
-		swap(i, j)
-	}
-}

@@ -178,7 +178,4 @@ func TestDurationConversions(t *testing.T) {
 	if tm.Sub(Time(1*Second)) != 2*Second {
 		t.Errorf("time sub: %v", tm.Sub(Time(1*Second)))
 	}
-	if !Time(1).Before(Time(2)) || !Time(2).After(Time(1)) {
-		t.Error("Before/After comparisons wrong")
-	}
 }

@@ -1,29 +1,25 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Event is a handle to a scheduled callback. It can be cancelled any time
 // before it fires; cancelling an already-fired or already-cancelled event
 // is a no-op. Event handles are only valid for the Scheduler that created
 // them.
 //
-// Pooling contract: the default scheduler recycles an Event as soon as
-// its callback returns (or its cancellation is observed), so a handle
-// must not be retained past the event firing — a held pointer may come
-// back as a different, live event. Models that keep a handle in a field
-// must clear the field inside the callback (or rely on the fact that the
-// callback overwrites it with the next timer). Reading Cancelled/Fired
-// on a stale handle after the owning scheduler has reused it is a logic
-// error the type cannot detect.
+// Pooling contract: the scheduler recycles an Event as soon as its
+// callback returns (or its cancellation is observed), so a handle must
+// not be retained past the event firing — a held pointer may come back
+// as a different, live event. Models that keep a handle in a field must
+// clear the field inside the callback (or rely on the fact that the
+// callback overwrites it with the next timer). Cancelling a stale handle
+// after the owning scheduler has reused it is a logic error the type
+// cannot detect.
 type Event struct {
 	at     Time
 	seq    uint64
 	fn     func()
 	runner Runner // fires when fn is nil
-	index  int    // position in the legacy heap, -1 when not queued
 	fired  bool
 	cancel bool
 }
@@ -40,40 +36,29 @@ type Runner interface{ RunEvent() }
 // At returns the simulated time the event is (or was) scheduled for.
 func (e *Event) At() Time { return e.at }
 
-// Cancelled reports whether the event was cancelled before firing.
-func (e *Event) Cancelled() bool { return e.cancel }
-
-// Fired reports whether the event's callback has run.
-func (e *Event) Fired() bool { return e.fired }
-
 // Scheduler is a deterministic discrete-event executor. Events scheduled
 // for the same instant fire in FIFO order of scheduling, which makes runs
 // reproducible. Scheduler is not safe for concurrent use; a simulation is
 // single-threaded by design (parallelism belongs at the replica level).
 //
-// Two queue implementations sit behind the same interface: the default
-// ladder queue (amortized O(1), lazy tombstone cancellation, pooled Event
-// records) and the legacy binary heap (NewHeapScheduler; O(log n), eager
-// heap.Remove cancellation, one allocation per event). Both fire live
-// events in exactly (time, seq) order, so a model run is byte-identical
-// under either — the heap is kept as the correctness oracle for the
-// ladder's equivalence tests.
+// The queue is a ladder queue (ladder.go: amortized O(1) enqueue and
+// dequeue, lazy tombstone cancellation, pooled Event records) that fires
+// live events in exactly (time, seq) order. ladder_test.go holds it to a
+// binary heap with eager removal, the reference it replaced.
 type Scheduler struct {
 	now      Time
 	seq      uint64
 	executed uint64
 
-	legacy bool
-	queue  eventHeap // legacy mode only
-	lq     ladder    // default mode only
-	live   int       // pending non-cancelled events (default mode)
+	lq   ladder
+	live int // pending non-cancelled events
 
-	// Shard calendar wheels (default mode, optional): per-shard queues for
-	// shard-local timers, merged with the ladder at pop time by the global
-	// (time, seq) key. Because seq is assigned from the single shared
-	// counter at Schedule time and every queue pops in strict (time, seq)
-	// order, the merged execution sequence is identical to routing all
-	// events through the ladder alone.
+	// Shard calendar wheels (optional): per-shard queues for shard-local
+	// timers, merged with the ladder at pop time by the global (time, seq)
+	// key. Because seq is assigned from the single shared counter at
+	// Schedule time and every queue pops in strict (time, seq) order, the
+	// merged execution sequence is identical to routing all events
+	// through the ladder alone.
 	wheels []shardWheel
 
 	// Parallel-drain lanes (one per wheel): between BeginParallelDrain and
@@ -96,11 +81,10 @@ type Scheduler struct {
 	extractBuf []*Event
 	specIdx    []int
 
-	// Event free-list (default mode): recycled records are reused by the
-	// next Schedule, so steady-state operation allocates nothing. A plain
-	// slice, not sync.Pool — the scheduler is single-threaded, and
-	// sync.Pool's per-P caches and GC emptying would cost more than they
-	// give.
+	// Event free-list: recycled records are reused by the next Schedule,
+	// so steady-state operation allocates nothing. A plain slice, not
+	// sync.Pool — the scheduler is single-threaded, and sync.Pool's per-P
+	// caches and GC emptying would cost more than they give.
 	free       []*Event
 	poolHits   uint64
 	poolMisses uint64
@@ -127,14 +111,6 @@ func NewScheduler() *Scheduler {
 	return &Scheduler{}
 }
 
-// NewHeapScheduler returns a scheduler backed by the legacy binary heap
-// with eager cancellation and per-event allocation. It exists as the
-// independent oracle for the ladder queue's equivalence tests; models
-// observe identical behavior under either scheduler.
-func NewHeapScheduler() *Scheduler {
-	return &Scheduler{legacy: true}
-}
-
 // Now returns the current simulated time.
 func (s *Scheduler) Now() Time { return s.now }
 
@@ -144,17 +120,7 @@ func (s *Scheduler) Executed() uint64 { return s.executed }
 
 // Pending returns the number of events currently queued and not
 // cancelled.
-func (s *Scheduler) Pending() int {
-	if s.legacy {
-		return len(s.queue)
-	}
-	return s.live
-}
-
-// PoolStats returns how many Schedule calls were served from the event
-// free-list versus fresh allocations. The legacy heap scheduler never
-// pools, so it reports zero hits.
-func (s *Scheduler) PoolStats() (hits, misses uint64) { return s.poolHits, s.poolMisses }
+func (s *Scheduler) Pending() int { return s.live }
 
 // PoolHitRate returns the fraction of Schedule calls served by the
 // free-list, in [0, 1]; zero before any event has been scheduled.
@@ -192,7 +158,6 @@ func (s *Scheduler) allocAny(at Time) *Event {
 	}
 	e.at = at
 	e.seq = s.seq
-	e.index = -1
 	e.fired = false
 	e.cancel = false
 	return e
@@ -233,11 +198,6 @@ func (s *Scheduler) Schedule(at Time, fn func()) *Event {
 		panic("sim: schedule with nil callback")
 	}
 	s.seq++
-	if s.legacy {
-		e := &Event{at: at, seq: s.seq, fn: fn, index: -1}
-		heap.Push(&s.queue, e)
-		return e
-	}
 	e := s.alloc(at, fn)
 	s.lq.insert(e)
 	s.live++
@@ -262,11 +222,6 @@ func (s *Scheduler) ScheduleRunner(at Time, r Runner) *Event {
 		panic("sim: schedule with nil runner")
 	}
 	s.seq++
-	if s.legacy {
-		e := &Event{at: at, seq: s.seq, runner: r, index: -1}
-		heap.Push(&s.queue, e)
-		return e
-	}
 	e := s.allocAny(at)
 	e.runner = r
 	s.lq.insert(e)
@@ -285,7 +240,7 @@ func (s *Scheduler) AfterRunner(d Duration, r Runner) *Event {
 // own wheel, drawing the event record and sequence number from its lane.
 func (s *Scheduler) ScheduleShardRunner(shard int, at Time, r Runner) *Event {
 	if shard < 0 || shard >= len(s.wheels) {
-		panic(fmt.Sprintf("sim: ScheduleShard shard %d with %d wheels", shard, len(s.wheels)))
+		panic(fmt.Sprintf("sim: ScheduleShardRunner shard %d with %d wheels", shard, len(s.wheels)))
 	}
 	if r == nil {
 		panic("sim: schedule with nil runner")
@@ -320,14 +275,9 @@ func (s *Scheduler) AfterShardRunner(shard int, d Duration, r Runner) *Event {
 }
 
 // ConfigureShards equips the scheduler with n per-shard calendar wheels
-// of the given bucket width, enabling ScheduleShard. It must be called
-// once, before any events are routed to shards; the legacy heap
-// scheduler does not support shard queues (it exists as the sequential
-// oracle, and the oracle never shards).
+// of the given bucket width, enabling ScheduleShardRunner. It must be
+// called once, before any events are routed to shards.
 func (s *Scheduler) ConfigureShards(n int, width Duration) {
-	if s.legacy {
-		panic("sim: shard queues require the ladder scheduler")
-	}
 	if n <= 0 {
 		panic("sim: ConfigureShards with non-positive shard count")
 	}
@@ -341,32 +291,6 @@ func (s *Scheduler) ConfigureShards(n int, width Duration) {
 	for i := range s.wheels {
 		s.wheels[i].width = width
 	}
-}
-
-// Shards returns the number of configured shard wheels (zero when the
-// scheduler runs purely off the central ladder).
-func (s *Scheduler) Shards() int { return len(s.wheels) }
-
-// ScheduleShard queues fn at the absolute time at on the given shard's
-// calendar wheel. Ordering is indistinguishable from Schedule — the event
-// draws its sequence number from the same counter and the merged pop
-// fires strictly by (time, seq) — only the queue data structure differs.
-func (s *Scheduler) ScheduleShard(shard int, at Time, fn func()) *Event {
-	s.assertSequential("ScheduleShard")
-	if shard < 0 || shard >= len(s.wheels) {
-		panic(fmt.Sprintf("sim: ScheduleShard shard %d with %d wheels", shard, len(s.wheels)))
-	}
-	if at < s.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, s.now))
-	}
-	if fn == nil {
-		panic("sim: schedule with nil callback")
-	}
-	s.seq++
-	e := s.alloc(at, fn)
-	s.wheels[shard].insert(e)
-	s.live++
-	return e
 }
 
 // ShardHead returns the timestamp of the given shard wheel's earliest
@@ -423,7 +347,6 @@ func (ln *laneState) alloc(at Time) *Event {
 	ln.seq++
 	e.at = at
 	e.seq = ln.seq
-	e.index = -1
 	e.fired = false
 	e.cancel = false
 	return e
@@ -458,8 +381,6 @@ func (s *Scheduler) NowFor(shard int) Time {
 // distinct timestamps order by time alone, unchanged.
 func (s *Scheduler) BeginParallelDrain() {
 	switch {
-	case s.legacy:
-		panic("sim: parallel drain requires the ladder scheduler")
 	case len(s.wheels) == 0:
 		panic("sim: parallel drain without configured shard wheels")
 	case s.parallel:
@@ -544,10 +465,9 @@ func (s *Scheduler) EndParallelDrain() {
 // Reserve pre-populates the event free-list with n records allocated as
 // a single slab, so a construction burst of n Schedule calls performs
 // one allocation instead of n. It returns the slab so an arena can
-// retain it for a later scheduler's ReserveFrom. The legacy heap
-// scheduler does not pool and ignores the call (returning nil).
+// retain it for a later scheduler's ReserveFrom.
 func (s *Scheduler) Reserve(n int) []Event {
-	if s.legacy || n <= 0 {
+	if n <= 0 {
 		return nil
 	}
 	slab := make([]Event, n)
@@ -561,7 +481,7 @@ func (s *Scheduler) Reserve(n int) []Event {
 // callbacks from its previous life are dropped before any record can
 // fire.
 func (s *Scheduler) ReserveFrom(slab []Event) {
-	if s.legacy || len(slab) == 0 {
+	if len(slab) == 0 {
 		return
 	}
 	clear(slab)
@@ -576,21 +496,14 @@ func (s *Scheduler) ReserveFrom(slab []Event) {
 }
 
 // Cancel marks a pending event so it will never fire. It is safe to call
-// multiple times and on already-fired events. The legacy heap removes the
-// event eagerly; the ladder queue tombstones it in place and recycles it
-// when the surrounding bucket is next consumed.
+// multiple times and on already-fired events. The event is tombstoned in
+// place and recycled when the surrounding bucket is next consumed.
 func (s *Scheduler) Cancel(e *Event) {
 	s.assertSequential("Cancel")
 	if e == nil || e.fired || e.cancel {
 		return
 	}
 	e.cancel = true
-	if s.legacy {
-		if e.index >= 0 {
-			heap.Remove(&s.queue, e.index)
-		}
-		return
-	}
 	s.live--
 }
 
@@ -599,15 +512,6 @@ func (s *Scheduler) Cancel(e *Event) {
 // discarded. The clock, sequence counter, and executed count are
 // unchanged, so a scheduler can be re-armed and run again after a drain.
 func (s *Scheduler) Drain() int {
-	if s.legacy {
-		n := len(s.queue)
-		for _, e := range s.queue {
-			e.cancel = true
-			e.index = -1
-		}
-		s.queue = s.queue[:0]
-		return n
-	}
 	n := s.live
 	s.lq.drain(s)
 	for i := range s.wheels {
@@ -649,12 +553,9 @@ func (s *Scheduler) SetAuditHook(fn func(at Time, seq uint64)) { s.audit = fn }
 func (s *Scheduler) Step() bool {
 	s.assertSequential("Step")
 	var e *Event
-	switch {
-	case s.legacy:
-		e = s.popLegacy()
-	case len(s.wheels) == 0:
+	if len(s.wheels) == 0 {
 		e = s.lq.pop(s)
-	default:
+	} else {
 		e = s.popMerged()
 	}
 	if e == nil {
@@ -670,14 +571,6 @@ func (s *Scheduler) Step() bool {
 	}
 	e.fired = true
 	s.executed++
-	if s.legacy {
-		if e.fn != nil {
-			e.fn()
-		} else {
-			e.runner.RunEvent()
-		}
-		return true
-	}
 	s.live--
 	if fn := e.fn; fn != nil {
 		fn()
@@ -721,13 +614,7 @@ func (s *Scheduler) popMerged() *Event {
 
 // peekNext returns the timestamp of the next event Step would fire.
 func (s *Scheduler) peekNext() (Time, bool) {
-	switch {
-	case s.legacy:
-		if len(s.queue) > 0 {
-			return s.queue[0].at, true
-		}
-		return 0, false
-	case len(s.wheels) == 0:
+	if len(s.wheels) == 0 {
 		return s.lq.peek(s)
 	}
 	var (
@@ -750,33 +637,16 @@ func (s *Scheduler) peekNext() (Time, bool) {
 	return bestAt, ok
 }
 
-func (s *Scheduler) popLegacy() *Event {
-	for len(s.queue) > 0 {
-		e := heap.Pop(&s.queue).(*Event)
-		if e.cancel {
-			continue
-		}
-		return e
-	}
-	return nil
-}
-
 // RunUntil fires events in order until the queue is empty or the next
 // event is strictly after deadline. The clock finishes at the later of
 // its current value and deadline.
 func (s *Scheduler) RunUntil(deadline Time) {
-	if s.legacy {
-		for len(s.queue) > 0 && s.queue[0].at <= deadline {
-			s.Step()
+	for {
+		at, ok := s.peekNext()
+		if !ok || at > deadline {
+			break
 		}
-	} else {
-		for {
-			at, ok := s.peekNext()
-			if !ok || at > deadline {
-				break
-			}
-			s.Step()
-		}
+		s.Step()
 	}
 	if s.now < deadline {
 		s.now = deadline
@@ -787,39 +657,4 @@ func (s *Scheduler) RunUntil(deadline Time) {
 func (s *Scheduler) Run() {
 	for s.Step() {
 	}
-}
-
-// eventHeap orders events by (time, sequence) so same-instant events fire
-// in scheduling order.
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
 }

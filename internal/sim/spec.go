@@ -46,10 +46,10 @@ type specLane struct {
 	now Time
 	seq uint64 // next provisional sequence number, namespaced by laneSeqBase
 
-	heap      eventHeap // lane-created events not yet fired
-	created   []*Event  // journal of lane-created events, in creation order
-	createdAt []Time    // lane clock at each creation
-	fired     []*Event  // events fired by this lane, in (at, seq) order
+	heap      laneHeap // lane-created events not yet fired
+	created   []*Event // journal of lane-created events, in creation order
+	createdAt []Time   // lane clock at each creation
+	fired     []*Event // events fired by this lane, in (at, seq) order
 
 	free       []*Event
 	poolHits   uint64
@@ -74,7 +74,6 @@ func (ln *specLane) alloc(at Time) *Event {
 	ln.seq++
 	e.at = at
 	e.seq = ln.seq
-	e.index = -1
 	e.fired = false
 	e.cancel = false
 	return e
@@ -90,9 +89,6 @@ func (e *Event) Runner() Runner { return e.runner }
 // sequentially.
 func (e *Event) HasFunc() bool { return e.fn != nil }
 
-// SpecActive reports whether a speculative window is open.
-func (s *Scheduler) SpecActive() bool { return s.spec }
-
 // ExtractUntil removes and returns every pending event with timestamp at
 // or before deadline, in global (time, seq) order — the exact order
 // RunUntil(deadline) would have fired them. Cancelled tombstones are
@@ -101,9 +97,6 @@ func (s *Scheduler) SpecActive() bool { return s.spec }
 // given back, either by firing it inside a committed speculative window
 // or through Unextract.
 func (s *Scheduler) ExtractUntil(deadline Time) []*Event {
-	if s.legacy {
-		panic("sim: ExtractUntil requires the ladder scheduler")
-	}
 	s.assertSequential("ExtractUntil")
 	out := s.extractBuf[:0]
 	for {
@@ -130,9 +123,6 @@ func (s *Scheduler) ExtractUntil(deadline Time) []*Event {
 // unchanged — the merged pop orders purely by (time, seq)) and the
 // caller falls back to a sequential RunUntil.
 func (s *Scheduler) Unextract(events []*Event) {
-	if s.legacy {
-		panic("sim: Unextract requires the ladder scheduler")
-	}
 	s.assertSequential("Unextract")
 	for _, e := range events {
 		s.lq.insert(e)
@@ -146,8 +136,6 @@ func (s *Scheduler) Unextract(events []*Event) {
 // Lane* entry points may touch the scheduler until CommitSpec.
 func (s *Scheduler) BeginSpec(lanes int) {
 	switch {
-	case s.legacy:
-		panic("sim: speculative windows require the ladder scheduler")
 	case s.parallel:
 		panic("sim: BeginSpec during a parallel drain")
 	case s.spec:
@@ -206,11 +194,6 @@ func clearEvents(es []*Event) {
 // lane's own goroutine while the window is open.
 func (s *Scheduler) FlagLaneConflict(lane int) {
 	s.specLanes[lane].conflict = true
-}
-
-// LaneConflicted reports whether the lane flagged a conflict.
-func (s *Scheduler) LaneConflicted(lane int) bool {
-	return s.specLanes[lane].conflict
 }
 
 // LaneFired returns how many events the lane fired in the open window.
@@ -458,7 +441,6 @@ func (s *Scheduler) commitCreated() {
 			continue
 		}
 		e.seq = s.seq
-		e.index = -1
 		s.lq.insert(e)
 		s.live++
 	}
@@ -475,4 +457,24 @@ func (s *Scheduler) specScratch(k int) []int {
 		s.specIdx[i] = 0
 	}
 	return s.specIdx
+}
+
+// laneHeap is a speculative lane's private queue of the events its
+// callbacks create, ordered by (at, seq). The lane only pushes and pops
+// (cancelled events are dropped lazily at the top), so unlike a queue
+// with eager removal it keeps no per-event position.
+type laneHeap []*Event
+
+func (h laneHeap) Len() int           { return len(h) }
+func (h laneHeap) Less(i, j int) bool { return eventCmp(h[i], h[j]) < 0 }
+func (h laneHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *laneHeap) Push(x any)        { *h = append(*h, x.(*Event)) }
+
+func (h *laneHeap) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return e
 }

@@ -36,18 +36,8 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration elapsed from u to t.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Before reports whether t precedes u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t follows u.
-func (t Time) After(u Time) bool { return t > u }
-
 // Seconds returns the time as fractional seconds since simulation start.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Std converts the simulated time offset to a time.Duration for
-// interoperability with standard-library formatting.
-func (t Time) Std() time.Duration { return time.Duration(t) * time.Microsecond }
 
 // String formats the time as seconds with microsecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }

@@ -4,6 +4,12 @@ import (
 	"testing"
 )
 
+// runFunc adapts a bare callback to Runner, the only kind of event a
+// shard wheel takes.
+type runFunc func()
+
+func (f runFunc) RunEvent() { f() }
+
 // TestShardWheelMatchesLadder drives two schedulers with an identical
 // random workload — one routing everything through the ladder, the other
 // spreading events round-robin across shard wheels (with cancellations
@@ -38,7 +44,7 @@ func TestShardWheelMatchesLadder(t *testing.T) {
 			schedule := func(at Time, fn func()) *Event {
 				n++
 				if d.useWheel && n%3 != 0 {
-					return d.s.ScheduleShard(n%shards, at, fn)
+					return d.s.ScheduleShardRunner(n%shards, at, runFunc(fn))
 				}
 				return d.s.Schedule(at, fn)
 			}
@@ -92,7 +98,7 @@ func TestShardWheelDrain(t *testing.T) {
 	s := NewScheduler()
 	s.ConfigureShards(2, Second)
 	for i := 0; i < 10; i++ {
-		s.ScheduleShard(i%2, Time(i)*Time(Second), func() {})
+		s.ScheduleShardRunner(i%2, Time(i)*Time(Second), runFunc(func() {}))
 		s.Schedule(Time(i)*Time(Second), func() {})
 	}
 	if got := s.Pending(); got != 20 {
@@ -105,7 +111,7 @@ func TestShardWheelDrain(t *testing.T) {
 		t.Fatalf("pending after drain = %d, want 0", got)
 	}
 	fired := 0
-	s.ScheduleShard(1, s.Now().Add(Second), func() { fired++ })
+	s.ScheduleShardRunner(1, s.Now().Add(Second), runFunc(func() { fired++ }))
 	s.Run()
 	if fired != 1 {
 		t.Fatalf("re-armed event fired %d times, want 1", fired)
@@ -119,8 +125,8 @@ func TestShardHead(t *testing.T) {
 	if _, ok := s.ShardHead(0); ok {
 		t.Fatal("empty shard reported a head")
 	}
-	s.ScheduleShard(0, Time(3*Second), func() {})
-	s.ScheduleShard(0, Time(2*Second), func() {})
+	s.ScheduleShardRunner(0, Time(3*Second), runFunc(func() {}))
+	s.ScheduleShardRunner(0, Time(2*Second), runFunc(func() {}))
 	at, ok := s.ShardHead(0)
 	if !ok || at != Time(2*Second) {
 		t.Fatalf("head = %v/%v, want 2s/true", at, ok)
@@ -135,9 +141,8 @@ func TestReserve(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		s.After(Duration(i+1), func() {})
 	}
-	hits, misses := s.PoolStats()
-	if hits != 8 || misses != 0 {
-		t.Fatalf("pool hits/misses = %d/%d, want 8/0", hits, misses)
+	if st := s.SnapshotState(); st.PoolHits != 8 || st.PoolMisses != 0 {
+		t.Fatalf("pool hits/misses = %d/%d, want 8/0", st.PoolHits, st.PoolMisses)
 	}
 	s.Run()
 }

@@ -9,7 +9,7 @@ import (
 
 // A Recorder collects per-broadcast events; Dump renders the timeline.
 func ExampleRecorder_Dump() {
-	rec := trace.NewRecorder(0)
+	rec := trace.NewRecorder()
 	bid := packet.BroadcastID{Source: 1, Seq: 1}
 	rec.Record(0, trace.Originate, bid, 1)
 	rec.Record(2432, trace.Deliver, bid, 2)

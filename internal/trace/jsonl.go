@@ -51,7 +51,7 @@ func EncodeJSONL(w io.Writer, events []Event) error {
 	return bw.Flush()
 }
 
-// EncodeJSONL writes the recorder's retained events as JSONL.
+// EncodeJSONL writes the recorder's events as JSONL.
 func (r *Recorder) EncodeJSONL(w io.Writer) error {
 	return EncodeJSONL(w, r.events)
 }

@@ -12,7 +12,7 @@ import (
 // TestRecorderJSONLRoundTrip: every kind survives encode → decode with
 // all fields intact, in order.
 func TestRecorderJSONLRoundTrip(t *testing.T) {
-	r := NewRecorder(0)
+	r := NewRecorder()
 	kinds := []Kind{Originate, Deliver, Duplicate, Transmit, Inhibit, Garbled}
 	for i, k := range kinds {
 		r.Record(sim.Time(i)*1000, k, bid(packet.NodeID(i), uint32(i+1)), packet.NodeID(i+10))

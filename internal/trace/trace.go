@@ -66,37 +66,24 @@ func (e Event) String() string {
 	return fmt.Sprintf("%v %-9s %v @%v", e.At, e.Kind, e.Broadcast, e.Host)
 }
 
-// Recorder accumulates events up to a cap (0 = unbounded). It is not
-// safe for concurrent use; a simulation is single-threaded.
+// Recorder accumulates every event of a run. It is not safe for
+// concurrent use; a simulation is single-threaded.
 type Recorder struct {
-	cap     int
-	events  []Event
-	dropped int
+	events []Event
 }
 
-// NewRecorder creates a recorder keeping at most cap events (cap <= 0
-// keeps everything).
-func NewRecorder(cap int) *Recorder {
-	return &Recorder{cap: cap}
-}
+// NewRecorder creates an empty recorder.
+func NewRecorder() *Recorder { return &Recorder{} }
 
-// Record appends an event, dropping it (and counting the drop) when the
-// cap is reached.
+// Record appends an event.
 func (r *Recorder) Record(at sim.Time, kind Kind, bid packet.BroadcastID, host packet.NodeID) {
-	if r.cap > 0 && len(r.events) >= r.cap {
-		r.dropped++
-		return
-	}
 	r.events = append(r.events, Event{At: at, Kind: kind, Broadcast: bid, Host: host})
 }
 
-// Len returns the number of retained events.
+// Len returns the number of recorded events.
 func (r *Recorder) Len() int { return len(r.events) }
 
-// Dropped returns the number of events discarded due to the cap.
-func (r *Recorder) Dropped() int { return r.dropped }
-
-// Events returns all retained events in recording order. The returned
+// Events returns all recorded events in recording order. The returned
 // slice is the recorder's storage; callers must not modify it.
 func (r *Recorder) Events() []Event { return r.events }
 
@@ -112,7 +99,7 @@ func (r *Recorder) Broadcast(bid packet.BroadcastID) []Event {
 	return out
 }
 
-// CountByKind tallies retained events per kind.
+// CountByKind tallies recorded events per kind.
 func (r *Recorder) CountByKind() map[Kind]int {
 	out := make(map[Kind]int)
 	for _, e := range r.events {
@@ -133,9 +120,6 @@ func (r *Recorder) Dump(bid packet.BroadcastID) string {
 	for _, e := range events {
 		fmt.Fprintf(&b, "  +%8.3fms  %-9s  %v\n",
 			float64(e.At.Sub(start))/1000, e.Kind, e.Host)
-	}
-	if r.dropped > 0 {
-		fmt.Fprintf(&b, "  (%d events dropped by cap)\n", r.dropped)
 	}
 	return b.String()
 }

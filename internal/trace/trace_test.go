@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/packet"
-	"repro/internal/sim"
 )
 
 func bid(src packet.NodeID, seq uint32) packet.BroadcastID {
@@ -13,7 +12,7 @@ func bid(src packet.NodeID, seq uint32) packet.BroadcastID {
 }
 
 func TestRecordAndQuery(t *testing.T) {
-	r := NewRecorder(0)
+	r := NewRecorder()
 	r.Record(10, Originate, bid(1, 1), 1)
 	r.Record(20, Deliver, bid(1, 1), 2)
 	r.Record(15, Deliver, bid(2, 2), 3) // different broadcast
@@ -33,21 +32,8 @@ func TestRecordAndQuery(t *testing.T) {
 	}
 }
 
-func TestCap(t *testing.T) {
-	r := NewRecorder(2)
-	for i := 0; i < 5; i++ {
-		r.Record(sim.Time(i), Deliver, bid(1, 1), packet.NodeID(i))
-	}
-	if r.Len() != 2 {
-		t.Errorf("Len = %d, want cap 2", r.Len())
-	}
-	if r.Dropped() != 3 {
-		t.Errorf("Dropped = %d, want 3", r.Dropped())
-	}
-}
-
 func TestCountByKind(t *testing.T) {
-	r := NewRecorder(0)
+	r := NewRecorder()
 	r.Record(1, Deliver, bid(1, 1), 1)
 	r.Record(2, Deliver, bid(1, 1), 2)
 	r.Record(3, Inhibit, bid(1, 1), 2)
@@ -58,7 +44,7 @@ func TestCountByKind(t *testing.T) {
 }
 
 func TestDump(t *testing.T) {
-	r := NewRecorder(0)
+	r := NewRecorder()
 	r.Record(1000, Originate, bid(1, 1), 1)
 	r.Record(3500, Deliver, bid(1, 1), 2)
 	out := r.Dump(bid(1, 1))

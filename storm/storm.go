@@ -104,8 +104,8 @@ type Collector = obs.Collector
 // to have every event of a run checked for conservation-law violations
 // (packet accounting, scheduler order, pool lifecycle, neighbor-table
 // soundness, metric sanity). Auditing is observation-only: the Summary
-// is byte-identical with or without it. Inspect Err, Ok, or Violations
-// after the run.
+// is byte-identical with or without it. Inspect Err, Ok, Violations, or
+// Total after the run.
 type Auditor = check.Auditor
 
 // Violation is one invariant breach an Auditor observed.
