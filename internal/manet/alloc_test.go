@@ -1,10 +1,13 @@
 package manet
 
 import (
+	"context"
+	"io"
 	"runtime"
 	"testing"
 
 	"repro/internal/scheme"
+	"repro/internal/sim"
 )
 
 // TestAllocationBudgets holds the manet layer's machine-independent
@@ -74,5 +77,44 @@ func TestAllocationBudgets(t *testing.T) {
 					mallocs, units, row.per, mallocs/units, row.per)
 			}
 		})
+	}
+}
+
+// TestCheckpointAllocsFlat holds a checkpoint to the cost of what
+// changed since the last one: the bytes allocated by the last Checkpoint
+// of an adaptive-counter run at a 10 s cadence may not grow with the
+// run's history — 1000 requests within 1.25 times 250 requests — and
+// stay a small fraction of the document written.
+func TestCheckpointAllocsFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1000-request run skipped in -short mode")
+	}
+	lastCheckpoint := func(requests int) (alloc, doc uint64) {
+		n, err := New(Config{Scheme: scheme.AdaptiveCounter{}, MapUnits: 5, Hosts: 100, Requests: requests, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.CheckpointEvery = 10 * sim.Second
+		n.CheckpointHook = func(sim.Time) error {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := n.Checkpoint(io.Discard)
+			runtime.ReadMemStats(&after)
+			alloc, doc = after.TotalAlloc-before.TotalAlloc, uint64(len(n.ckBuf))
+			return err
+		}
+		if _, err := n.RunContext(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return alloc, doc
+	}
+	short, _ := lastCheckpoint(250)
+	long, doc := lastCheckpoint(1000)
+	t.Logf("last checkpoint allocates %d B at 250 requests, %d B at 1000 requests for a %d B document", short, long, doc)
+	if long > short*5/4 {
+		t.Errorf("last checkpoint allocates %d B at 1000 requests, more than 1.25 × %d B at 250", long, short)
+	}
+	if long > doc/4 {
+		t.Errorf("last checkpoint allocates %d B, more than a quarter of its %d B document", long, doc)
 	}
 }

@@ -131,12 +131,17 @@ type Network struct {
 	specExtract  [][]*sim.Event
 	specMergeIdx []int // scratch for the journal k-way merge
 
-	// specCk is the pooled micro-checkpoint document: every speculative
-	// segment re-snapshots into the same backing arrays (resetCheckpoint
-	// truncates, snapshotInto refills), so steady-state segments allocate
-	// nothing at the document level. digestCache memoizes the
-	// configuration digest the snapshot stamps into each document.
-	specCk      snapshot.Checkpoint
+	// ckDoc is the pooled checkpoint document: Checkpoint and every
+	// speculative segment's micro-checkpoint re-snapshot into the same
+	// backing arrays (resetCheckpoint truncates, snapshotInto refills), so
+	// steady-state snapshots allocate nothing at the document level. The
+	// two users never need the same contents: the hook runs at barriers
+	// between windows, and a rollback only reads the document its own
+	// segment wrote. ckBuf is Checkpoint's reused encode buffer.
+	// digestCache memoizes the configuration digest the snapshot stamps
+	// into each document.
+	ckDoc       snapshot.Checkpoint
+	ckBuf       []byte
 	digestCache string
 
 	// Workload originations as a pre-sized Runner slab, so checkpointing

@@ -129,24 +129,12 @@ func materializeFrame(sf *snapshot.Frame) (*packet.Frame, error) {
 	return f, nil
 }
 
-// Snapshot captures the network's full deterministic state as a
-// checkpoint document. It must be called at a barrier — in practice
-// from CheckpointHook — where every pending event is strictly in the
-// future and the shard lanes are folded.
-func (n *Network) Snapshot() (*snapshot.Checkpoint, error) {
-	ck := &snapshot.Checkpoint{}
-	if err := n.snapshotInto(ck); err != nil {
-		return nil, err
-	}
-	return ck, nil
-}
-
 // resetCheckpoint truncates a checkpoint document for reuse, keeping
-// the capacity of its top-level tables. The speculative engine's
-// micro-checkpoints pool one document this way: every segment
-// re-snapshots into the same backing arrays instead of reallocating
-// them (snapshotInto only ever assigns or appends, so a truncated
-// document is indistinguishable from a zero one).
+// the capacity of its top-level tables. Checkpoint and the speculative
+// engine's micro-checkpoints pool one document this way: every snapshot
+// refills the same backing arrays instead of reallocating them
+// (snapshotInto only ever assigns or appends, so a truncated document is
+// indistinguishable from a zero one).
 func resetCheckpoint(ck *snapshot.Checkpoint) {
 	ck.Digest = ""
 	ck.Frames = ck.Frames[:0]
@@ -156,8 +144,11 @@ func resetCheckpoint(ck *snapshot.Checkpoint) {
 	ck.Net = snapshot.Network{Records: recs, Originations: origs}
 }
 
-// snapshotInto is Snapshot writing into a caller-owned (possibly
-// pooled) document; ck must be zero or freshly resetCheckpoint-ed.
+// snapshotInto captures the network's full deterministic state into a
+// caller-owned (possibly pooled) document; ck must be zero or freshly
+// resetCheckpoint-ed. It must be called at a barrier — in practice from
+// CheckpointHook — where every pending event is strictly in the future
+// and the shard lanes are folded.
 func (n *Network) snapshotInto(ck *snapshot.Checkpoint) error {
 	if err := n.checkpointable(); err != nil {
 		return err
@@ -317,12 +308,7 @@ func (n *Network) snapshotInto(ck *snapshot.Checkpoint) error {
 		for bid := range h.nacked {
 			hs.Nacked = append(hs.Nacked, bid)
 		}
-		slices.SortFunc(hs.Nacked, func(a, b packet.BroadcastID) int {
-			if a.Source != b.Source {
-				return int(a.Source) - int(b.Source)
-			}
-			return int(a.Seq) - int(b.Seq)
-		})
+		slices.SortFunc(hs.Nacked, packet.CompareBroadcastID)
 	}
 
 	ck.Net = snapshot.Network{
@@ -369,14 +355,19 @@ func (n *Network) snapshotInto(ck *snapshot.Checkpoint) error {
 	return nil
 }
 
-// Checkpoint writes the network's checkpoint document to w (see
-// Snapshot for when it may be taken).
+// Checkpoint writes the network's checkpoint document to w in one Write
+// (see snapshotInto for when it may be taken). The document and its
+// encoding are built in buffers the network keeps for the next call, so
+// w must not retain the slice it is handed.
 func (n *Network) Checkpoint(w io.Writer) error {
-	ck, err := n.Snapshot()
-	if err != nil {
+	ck := &n.ckDoc
+	resetCheckpoint(ck)
+	if err := n.snapshotInto(ck); err != nil {
 		return err
 	}
-	return snapshot.Write(w, ck)
+	n.ckBuf = snapshot.Append(n.ckBuf[:0], ck)
+	_, err := w.Write(n.ckBuf)
+	return err
 }
 
 // RestoreNetwork reads one checkpoint from r and rebuilds a Network

@@ -3,6 +3,8 @@ package manet
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"strings"
 	"testing"
@@ -355,7 +357,7 @@ func TestRestoreForgedPoolDepth(t *testing.T) {
 			}
 			tc.forge(ck)
 			// The forgery survives the codec: only restore can refuse it.
-			if ck, err = snapshot.Decode(snapshot.Encode(ck)); err != nil {
+			if ck, err = snapshot.Decode(snapshot.Append(nil, ck)); err != nil {
 				t.Fatal(err)
 			}
 			_, err = RestoreCheckpoint(ck, cfg)
@@ -387,6 +389,66 @@ func TestCheckpointDigestPinned(t *testing.T) {
 		`loss=0.1 capture=0 repair=false window=10000000 retain=false seed=2`
 	if got := net.checkpointDigest(); got != want {
 		t.Fatalf("checkpoint digest changed; earlier checkpoints no longer resume:\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// TestCheckpointDocumentsPinned pins the bytes of every document one
+// adaptive-counter run writes at a 10 s cadence, of every document a
+// network restored from its middle document writes after that, and of
+// every document of two worlds built back to back through one Arena (the
+// second reuses dedup tables the first one checkpointed). A checkpoint
+// keeps incremental state between calls — the dedup tables' ordered
+// logs, the pooled document and encode buffer — and none of it may show
+// in the bytes: the literal was recorded at a6c75fa, before any of that
+// state existed.
+func TestCheckpointDocumentsPinned(t *testing.T) {
+	cfg := Config{Scheme: scheme.AdaptiveCounter{}, MapUnits: 5, Hosts: 100, Requests: 120, Seed: 4}
+	sum := sha256.New()
+	total := 0
+	record := func(net *Network) [][]byte {
+		t.Helper()
+		var docs [][]byte
+		net.CheckpointEvery = 10 * sim.Second
+		net.CheckpointHook = func(sim.Time) error {
+			var buf bytes.Buffer
+			if err := net.Checkpoint(&buf); err != nil {
+				return err
+			}
+			sum.Write(buf.Bytes())
+			docs = append(docs, buf.Bytes())
+			return nil
+		}
+		if _, err := net.RunContext(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		total += len(docs)
+		return docs
+	}
+	mustNew := func(cfg Config) *Network {
+		t.Helper()
+		net, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+
+	docs := record(mustNew(cfg))
+	restored, err := RestoreNetwork(bytes.NewReader(docs[len(docs)/2]), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record(restored)
+	arena := cfg
+	arena.Arena = NewArena()
+	for _, seed := range []uint64{5, 6} {
+		arena.Seed = seed
+		record(mustNew(arena))
+	}
+
+	const want = "309c9858c8c28d08a373eb1366ca06614192ab523fa4196649a9861f67ed7337"
+	if got := hex.EncodeToString(sum.Sum(nil)); got != want || total != 41 {
+		t.Fatalf("%d checkpoint documents hash to %s, want %s", total, got, want)
 	}
 }
 

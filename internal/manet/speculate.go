@@ -275,7 +275,7 @@ func (n *Network) specSegment(specEnd sim.Time) bool {
 	// snapshot cannot roll back, so it never speculates. The document is
 	// pooled — each segment truncates and refills the same backing
 	// arrays, so no per-segment document allocation survives warm-up.
-	ck := &n.specCk
+	ck := &n.ckDoc
 	resetCheckpoint(ck)
 	if err := n.snapshotInto(ck); err != nil {
 		n.sched.RunUntil(specEnd)
@@ -385,15 +385,16 @@ func (n *Network) adoptRestored(n2 *Network) {
 	fails, skip := n.specFails, n.specSkip
 	ckEvery, ckHook := n.CheckpointEvery, n.CheckpointHook
 	// The pooled document (the very checkpoint being restored from, in
-	// the rollback path) and the digest memo survive adoption by value:
-	// the struct copy keeps the slice headers, so the next segment still
-	// reuses their capacity. RestoreCheckpoint copied everything it
-	// needed out of the document, so carrying it across is safe.
-	ckDoc, digest := n.specCk, n.digestCache
+	// the rollback path), the encode buffer and the digest memo survive
+	// adoption by value: the struct copy keeps the slice headers, so the
+	// next snapshot still reuses their capacity. RestoreCheckpoint copied
+	// everything it needed out of the document, so carrying it across is
+	// safe.
+	ckDoc, ckBuf, digest := n.ckDoc, n.ckBuf, n.digestCache
 
 	*n = *n2
 
-	n.specCk, n.digestCache = ckDoc, digest
+	n.ckDoc, n.ckBuf, n.digestCache = ckDoc, ckBuf, digest
 	n.pstats = pstats
 	n.drainDurs, n.shardLabels = drainDurs, labels
 	n.specJournals, n.specFrames, n.specSets, n.specExtract = journals, frames, sets, extract

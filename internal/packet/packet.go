@@ -6,6 +6,7 @@
 package packet
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/geom"
@@ -65,6 +66,15 @@ type BroadcastID struct {
 // String formats the id for traces.
 func (b BroadcastID) String() string {
 	return fmt.Sprintf("bcast(%v,#%d)", b.Source, b.Seq)
+}
+
+// CompareBroadcastID orders ids canonically, by source and then by
+// sequence number — the order every checkpointed id list is written in.
+func CompareBroadcastID(a, b BroadcastID) int {
+	if c := cmp.Compare(a.Source, b.Source); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // Frame is one transmission on the air. Frames are immutable once
@@ -202,8 +212,14 @@ func NewData(sender, dest NodeID, bytes int, payload any, pos geom.Point) *Frame
 // host "can detect duplicate broadcast packets". The zero value is ready
 // to use — the map is allocated on first Observe — so tables can live in
 // slab allocations.
+//
+// A table that has been checkpointed also keeps its ids as an ordered
+// log (see SnapshotAppend), so the next checkpoint sorts only what was
+// observed since. The log sits behind a pointer: a table that is never
+// checkpointed pays one word and a nil check per first reception.
 type DedupTable struct {
 	seen map[BroadcastID]bool
+	log  *dedupLog
 }
 
 // Observe records id and reports whether this was the first time it was
@@ -216,6 +232,9 @@ func (t *DedupTable) Observe(id BroadcastID) bool {
 		t.seen = make(map[BroadcastID]bool)
 	}
 	t.seen[id] = true
+	if t.log != nil {
+		t.log.ids = append(t.log.ids, id)
+	}
 	return true
 }
 

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -24,27 +25,28 @@ func TestDedupFirstThenDuplicate(t *testing.T) {
 	if d.Seen(BroadcastID{Source: 3, Seq: 18}) {
 		t.Fatal("unseen id reported seen")
 	}
-	if got := d.SnapshotAppend(nil); len(got) != 1 {
-		t.Fatalf("table holds %v, want one id", got)
+	if got := d.SnapshotAppend(nil); !slices.Equal(got, []BroadcastID{id}) {
+		t.Fatalf("table holds %v, want [%v]", got, id)
 	}
 }
 
 func TestDedupDistinguishesSourceAndSeq(t *testing.T) {
 	var d DedupTable
-	ids := []BroadcastID{{1, 1}, {1, 2}, {2, 1}, {2, 2}}
-	for _, id := range ids {
+	for _, id := range []BroadcastID{{2, 2}, {1, 2}, {2, 1}, {1, 1}} {
 		if !d.Observe(id) {
 			t.Fatalf("id %v wrongly deduped", id)
 		}
 	}
-	if got := d.SnapshotAppend(nil); len(got) != 4 {
-		t.Fatalf("table holds %v, want 4 ids", got)
+	want := []BroadcastID{{1, 1}, {1, 2}, {2, 1}, {2, 2}}
+	if got := d.SnapshotAppend(nil); !slices.Equal(got, want) {
+		t.Fatalf("table holds %v, want %v in canonical order", got, want)
 	}
 }
 
 func TestDedupProperty(t *testing.T) {
 	// Observing any sequence of ids: Observe returns true exactly once
-	// per distinct id.
+	// per distinct id, and a snapshot lists the distinct ids in canonical
+	// order.
 	prop := func(sources []uint8, seqs []uint8) bool {
 		n := len(sources)
 		if len(seqs) < n {
@@ -63,7 +65,8 @@ func TestDedupProperty(t *testing.T) {
 				return false
 			}
 		}
-		return len(d.SnapshotAppend(nil)) == len(firsts)
+		want := canonical(firsts)
+		return slices.Equal(d.SnapshotAppend(nil), want)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -481,9 +481,6 @@ func Append(dst []byte, ck *Checkpoint) []byte {
 	return c.buf
 }
 
-// Encode returns ck's wire encoding.
-func Encode(ck *Checkpoint) []byte { return Append(nil, ck) }
-
 // Decode parses one encoded checkpoint. The whole input must be
 // consumed: trailing bytes are an error, so a corrupted length prefix
 // cannot silently drop state.
@@ -498,12 +495,6 @@ func Decode(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("snapshot: %d trailing bytes after checkpoint", len(data)-c.off)
 	}
 	return ck, nil
-}
-
-// Write writes ck's wire encoding to w.
-func Write(w io.Writer, ck *Checkpoint) error {
-	_, err := w.Write(Encode(ck))
-	return err
 }
 
 // Read consumes all of r and decodes one checkpoint from it.

@@ -142,7 +142,7 @@ func testCheckpoint() *Checkpoint {
 
 func TestCodecRoundTrip(t *testing.T) {
 	want := testCheckpoint()
-	data := Encode(want)
+	data := Append(nil, want)
 	got, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip mismatch:\ngot:  %+v\nwant: %+v", got, want)
 	}
-	if again := Encode(got); !bytes.Equal(again, data) {
+	if again := Append(nil, got); !bytes.Equal(again, data) {
 		t.Fatal("re-encoding a decoded checkpoint changed the bytes")
 	}
 }
@@ -162,30 +162,26 @@ func TestAppendPreservesPrefix(t *testing.T) {
 	if !bytes.HasPrefix(out, prefix) {
 		t.Fatal("Append clobbered the destination prefix")
 	}
-	if !bytes.Equal(out[len(prefix):], Encode(c)) {
-		t.Fatal("Append encoded differently from Encode")
+	if !bytes.Equal(out[len(prefix):], Append(nil, c)) {
+		t.Fatal("Append after a prefix encoded differently from Append into nil")
 	}
 }
 
 func TestWriteRead(t *testing.T) {
 	want := testCheckpoint()
-	var buf bytes.Buffer
-	if err := Write(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
+	got, err := Read(bytes.NewReader(Append(nil, want)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("Write/Read round trip mismatch")
+		t.Fatal("Append/Read round trip mismatch")
 	}
 }
 
 // TestDecodeRejectsTruncation decodes every proper prefix of a valid
 // encoding: all must fail cleanly (no panic, no partial document).
 func TestDecodeRejectsTruncation(t *testing.T) {
-	data := Encode(testCheckpoint())
+	data := Append(nil, testCheckpoint())
 	for n := 0; n < len(data); n++ {
 		ck, err := Decode(data[:n])
 		if err == nil {
@@ -198,14 +194,14 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 }
 
 func TestDecodeRejectsTrailingBytes(t *testing.T) {
-	data := Encode(testCheckpoint())
+	data := Append(nil, testCheckpoint())
 	if _, err := Decode(append(data, 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 }
 
 func TestDecodeRejectsBadHeader(t *testing.T) {
-	data := Encode(testCheckpoint())
+	data := Append(nil, testCheckpoint())
 
 	bad := append([]byte(nil), data...)
 	bad[0] ^= 0xff
@@ -226,9 +222,9 @@ func TestDecodeRejectsBadHeader(t *testing.T) {
 // accepted document has exactly one encoding.
 func TestDecodeRejectsNonCanonicalBool(t *testing.T) {
 	c := testCheckpoint()
-	a := Encode(c)
+	a := Append(nil, c)
 	c.Channel.HasLoss = false
-	b := Encode(c)
+	b := Append(nil, c)
 	if len(a) != len(b) {
 		t.Fatal("HasLoss flip changed the encoding length")
 	}
@@ -255,7 +251,7 @@ func TestDecodeRejectsNonCanonicalBool(t *testing.T) {
 // elements cannot fit in the remaining input: the decoder must bound
 // counts by the bytes actually present instead of allocating.
 func TestDecodeRejectsHugeCounts(t *testing.T) {
-	data := Encode(testCheckpoint())
+	data := Append(nil, testCheckpoint())
 	// The digest length prefix is the first count in the stream, right
 	// after the magic and version byte.
 	bad := append([]byte(nil), data...)

@@ -16,7 +16,7 @@ import (
 func TestLayoutPinnedSynthetic(t *testing.T) {
 	const wantLen = 2620
 	const wantSum = "c721927778ee57dd1afd9a2a694242c0495e555c5032e61953e76e0acf507313"
-	data := Encode(testCheckpoint())
+	data := Append(nil, testCheckpoint())
 	sum := sha256.Sum256(data)
 	if got := hex.EncodeToString(sum[:]); len(data) != wantLen || got != wantSum {
 		t.Fatalf("v1 layout changed: testCheckpoint encodes to %d bytes, sha256 %s; want %d bytes, %s",
