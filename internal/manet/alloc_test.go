@@ -66,6 +66,22 @@ func TestAllocationBudgets(t *testing.T) {
 			mallocs := mallocsAround(func() { events = n.Run().Events })
 			return mallocs, float64(events)
 		}},
+		// The HELLO path: sparse-hello's world scaled down — mobile hosts
+		// at ≈ 0.83 per unit², NC with dynamic HELLO — where beacons are
+		// most of the events and neighbors join and expire all run long,
+		// so each table must recycle its expired neighbors' records.
+		{"Run at NC-DHI 19x19, 300 mobile hosts", "event", func(t *testing.T) (float64, float64) {
+			cfg := Config{
+				Scheme: scheme.NeighborCoverage{Label: "NC-DHI"}, HelloMode: HelloDynamic,
+				Hosts: 300, MapUnits: 19, MaxSpeedKMH: 80, Requests: 100, Seed: 1,
+			}
+			mustNew(t, cfg).Run()
+			cfg.Seed = 2
+			n := mustNew(t, cfg)
+			var events uint64
+			mallocs := mallocsAround(func() { events = n.Run().Events })
+			return mallocs, float64(events)
+		}},
 		{"New into a warm Arena", "host", warmArenaNew(EngineSharded)},
 		{"New into a warm Arena, default engine", "host", warmArenaNew(EngineAuto)},
 	} {

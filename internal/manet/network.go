@@ -380,7 +380,7 @@ func (n *Network) buildHosts(groups []*mobility.Group, moveRNG, macRNG, hostRNG 
 			macRNG.ForkInto(&rngSlab[2*i+1], uint64(i))
 			mac.NewInto(&macSlab[i], sched, n.ch, h.mover, &rngSlab[2*i+1], base+i)
 			h.mac = &macSlab[i]
-			neighbor.InitDenseTable(&tableSlab[i], h.id, sched, cfg.ExpiryIntervals, hostsN)
+			neighbor.InitTable(&tableSlab[i], h.id, sched, cfg.ExpiryIntervals, hostsN)
 			h.table = &tableSlab[i]
 			h.mac.SetAddr(h.id)
 			h.mac.Receiver = h

@@ -95,20 +95,6 @@ func TestStaticRoamer(t *testing.T) {
 	}
 }
 
-func TestRoamerStop(t *testing.T) {
-	sched := sim.NewScheduler()
-	area := NewSquareMap(3, 500)
-	r := NewRoamer(sched, area, DefaultConfig(80), sim.NewRNG(5))
-	sched.RunUntil(10 * sim.Time(sim.Second))
-	r.Stop()
-	frozen := r.Position()
-	sched.RunUntil(500 * sim.Time(sim.Second))
-	if got := r.Position(); got.Dist(frozen) > 1e-9 {
-		t.Errorf("stopped roamer moved from %+v to %+v", frozen, got)
-	}
-	r.Stop() // second stop must be a no-op
-}
-
 func TestRoamerDeterministic(t *testing.T) {
 	run := func() []geom.Point {
 		sched := sim.NewScheduler()

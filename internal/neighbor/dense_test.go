@@ -1,17 +1,23 @@
 package neighbor
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/packet"
 	"repro/internal/sim"
 )
 
-// mapTable is the reference TestDenseMatchesMap holds Table to: the
-// paper's HELLO, expiry and variation rules over a map keyed by host id,
-// with none of Table's storage reuse.
+// mapTable is the reference Table is held to: the paper's HELLO, expiry
+// and variation rules over a map keyed by host id, with none of Table's
+// storage reuse. It makes the same scheduler calls in the same order —
+// one Cancel and one Schedule per refresh — so on a scheduler of its own
+// its expiry timers carry the sequence numbers Table's do.
 type mapTable struct {
 	owner   packet.NodeID
 	sched   *sim.Scheduler
@@ -20,13 +26,22 @@ type mapTable struct {
 }
 
 type mapEntry struct {
-	twoHop []packet.NodeID
-	expiry *sim.Event
+	lastHeard sim.Time
+	interval  sim.Duration
+	twoHop    []packet.NodeID
+	expiry    *sim.Event
+}
+
+func newMapTable(owner packet.NodeID, sched *sim.Scheduler) *mapTable {
+	return &mapTable{owner: owner, sched: sched, entries: map[packet.NodeID]*mapEntry{}}
 }
 
 func (m *mapTable) OnHello(h packet.NodeID, neighbors []packet.NodeID, interval sim.Duration) {
 	if h == m.owner {
 		return
+	}
+	if interval <= 0 {
+		interval = sim.Second
 	}
 	e, known := m.entries[h]
 	if known {
@@ -34,12 +49,21 @@ func (m *mapTable) OnHello(h packet.NodeID, neighbors []packet.NodeID, interval 
 	} else {
 		e = &mapEntry{}
 		m.entries[h] = e
-		m.changes = append(m.changes, m.sched.Now())
+		m.change()
 	}
+	e.lastHeard, e.interval = m.sched.Now(), interval
 	e.twoHop = append([]packet.NodeID(nil), neighbors...)
 	e.expiry = m.sched.After(DefaultExpiryIntervals*interval, func() {
 		delete(m.entries, h)
-		m.changes = append(m.changes, m.sched.Now())
+		m.change()
+	})
+}
+
+// change logs a join or leave and forgets those older than the window.
+func (m *mapTable) change() {
+	now := m.sched.Now()
+	m.changes = slices.DeleteFunc(append(m.changes, now), func(ts sim.Time) bool {
+		return ts.Add(VariationWindow) < now
 	})
 }
 
@@ -77,14 +101,26 @@ func (m *mapTable) Variation() float64 {
 	return float64(n) / (float64(max(len(m.entries), 1)) * VariationWindow.Seconds())
 }
 
+func (m *mapTable) Snapshot() TableState {
+	st := TableState{Changes: m.changes}
+	for _, h := range m.Neighbors() {
+		e := m.entries[h]
+		st.Entries = append(st.Entries, EntryState{
+			ID: h, LastHeard: e.lastHeard, Interval: e.interval,
+			Deadline: e.expiry.At(), ExpirySeq: e.expiry.Seq(), TwoHop: e.twoHop,
+		})
+	}
+	return st
+}
+
 // TestDenseMatchesMap drives the table and the map-keyed reference
 // through an identical random HELLO/expiry timeline and requires every
 // observable to agree.
 func TestDenseMatchesMap(t *testing.T) {
 	const hosts = 40
 	sched := sim.NewScheduler()
-	m := &mapTable{sched: sched, entries: map[packet.NodeID]*mapEntry{}}
-	d := NewDenseTable(0, sched, 0, hosts)
+	m := newMapTable(0, sched)
+	d := NewTable(0, sched, 0, hosts)
 	rng := rand.New(rand.NewSource(9))
 	var at sim.Time
 	for i := 0; i < 400; i++ {
@@ -102,7 +138,7 @@ func TestDenseMatchesMap(t *testing.T) {
 	}
 	check := func() {
 		if m.Count() != d.Count() {
-			t.Fatalf("at %v: map count %d, dense count %d", sched.Now(), m.Count(), d.Count())
+			t.Fatalf("at %v: map count %d, table count %d", sched.Now(), m.Count(), d.Count())
 		}
 		if mn, dn := m.Neighbors(), d.Neighbors(); !slices.Equal(mn, dn) {
 			t.Fatalf("at %v: neighbor lists differ: %v vs %v", sched.Now(), mn, dn)
@@ -131,13 +167,120 @@ func TestDenseMatchesMap(t *testing.T) {
 	sched.Run()
 	check()
 	if d.Count() != 0 {
-		t.Errorf("dense table still has %d neighbors after all expiries", d.Count())
+		t.Errorf("table still has %d neighbors after all expiries", d.Count())
+	}
+}
+
+// fuzzHosts spans 33 bitset words, so fuzzed ids fall in many words of
+// the membership bitset, not just the first.
+const fuzzHosts = 33 * 64
+
+// fuzzID maps a byte to one of 256 distinct ids spread over the
+// population (67 is coprime to fuzzHosts); byte 0 is the owner, 0.
+func fuzzID(b byte) packet.NodeID { return packet.NodeID(int(b) * 67 % fuzzHosts) }
+
+// FuzzTableOps is a differential fuzz of Table against mapTable. The
+// input is a little op language:
+//
+//	0, 1  HELLO  sender, n%5, n two-hop ids, interval (b%8 × 500 ms; 0 defaults)
+//	2     ADVANCE b × 50 ms, firing every expiry due
+//	3     RESTORE the table's Snapshot into a fresh table and scheduler
+//
+// so it covers refreshes with growing and shrinking intervals, expiry,
+// a rejoin that reuses an expired neighbor's record, and checkpoints.
+// After every op Neighbors, Count, TwoHop, AuditEntries, Variation and
+// Snapshot (expiry sequence numbers included) must equal the reference's.
+func FuzzTableOps(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		ts, ms := sim.NewScheduler(), sim.NewScheduler()
+		tab, ref := NewTable(0, ts, 0, fuzzHosts), newMapTable(0, ms)
+		pos := 0
+		next := func() byte {
+			if pos >= len(ops) {
+				return 0
+			}
+			pos++
+			return ops[pos-1]
+		}
+		for step := 0; pos < len(ops); step++ {
+			switch op := next() % 4; op {
+			case 0, 1:
+				h := fuzzID(next())
+				two := make([]packet.NodeID, next()%5)
+				for i := range two {
+					two[i] = fuzzID(next())
+				}
+				iv := sim.Duration(next()%8) * 500 * sim.Millisecond
+				tab.OnHello(h, two, iv)
+				ref.OnHello(h, two, iv)
+			case 2:
+				until := ts.Now().Add(sim.Duration(next()) * 50 * sim.Millisecond)
+				ts.RunUntil(until)
+				ms.RunUntil(until)
+			case 3:
+				st := tab.Snapshot()
+				ts2 := sim.NewScheduler()
+				if err := ts2.RestoreState(ts.SnapshotState()); err != nil {
+					t.Fatal(err)
+				}
+				fresh := NewTable(0, ts2, 0, fuzzHosts)
+				if err := fresh.Restore(st); err != nil {
+					t.Fatalf("step %d: restore: %v", step, err)
+				}
+				ts, tab = ts2, fresh
+			}
+			compareTables(t, fmt.Sprintf("step %d at %v", step, ts.Now()), tab, ref)
+		}
+	})
+}
+
+// compareTables fails t unless every observable of tab equals ref's.
+func compareTables(t *testing.T, where string, tab *Table, ref *mapTable) {
+	t.Helper()
+	if tab.Count() != ref.Count() {
+		t.Fatalf("%s: Count %d, reference %d", where, tab.Count(), ref.Count())
+	}
+	if got, want := tab.Neighbors(), ref.Neighbors(); !slices.Equal(got, want) {
+		t.Fatalf("%s: Neighbors %v, reference %v", where, got, want)
+	}
+	for b := 0; b < 256; b++ {
+		h := fuzzID(byte(b))
+		if got, want := tab.TwoHop(h), ref.TwoHop(h); !slices.Equal(got, want) {
+			t.Fatalf("%s: TwoHop(%d) %v, reference %v", where, h, got, want)
+		}
+	}
+	var audited []EntryState
+	tab.AuditEntries(func(id packet.NodeID, lastHeard sim.Time, interval sim.Duration) {
+		audited = append(audited, EntryState{ID: id, LastHeard: lastHeard, Interval: interval})
+	})
+	want := ref.Snapshot()
+	if len(audited) != len(want.Entries) {
+		t.Fatalf("%s: AuditEntries visited %d entries, reference has %d", where, len(audited), len(want.Entries))
+	}
+	for i, a := range audited {
+		if w := want.Entries[i]; a.ID != w.ID || a.LastHeard != w.LastHeard || a.Interval != w.Interval {
+			t.Fatalf("%s: AuditEntries[%d] = %+v, reference %+v", where, i, a, w)
+		}
+	}
+	if tab.Variation() != ref.Variation() {
+		t.Fatalf("%s: Variation %v, reference %v", where, tab.Variation(), ref.Variation())
+	}
+	got := tab.Snapshot()
+	if !slices.Equal(got.Changes, want.Changes) || len(got.Entries) != len(want.Entries) {
+		t.Fatalf("%s: Snapshot %+v, reference %+v", where, got, want)
+	}
+	for i, g := range got.Entries {
+		w := want.Entries[i]
+		if g.ID != w.ID || g.LastHeard != w.LastHeard || g.Interval != w.Interval ||
+			g.Deadline != w.Deadline || g.ExpirySeq != w.ExpirySeq || !slices.Equal(g.TwoHop, w.TwoHop) {
+			t.Fatalf("%s: Snapshot entry %d = %+v, reference %+v", where, i, g, w)
+		}
 	}
 }
 
 func TestDenseExpiry(t *testing.T) {
 	sched := sim.NewScheduler()
-	tab := NewDenseTable(1, sched, 0, 8)
+	tab := NewTable(1, sched, 0, 8)
 	tab.OnHello(2, []packet.NodeID{3}, sim.Second)
 	sched.RunUntil(sim.Time(1999 * sim.Millisecond))
 	if !tab.Contains(2) {
@@ -157,7 +300,7 @@ func TestDenseExpiry(t *testing.T) {
 
 func TestDenseNeighborsCacheInvalidation(t *testing.T) {
 	sched := sim.NewScheduler()
-	tab := NewDenseTable(0, sched, 0, 16)
+	tab := NewTable(0, sched, 0, 16)
 	tab.OnHello(3, nil, sim.Second)
 	tab.OnHello(1, nil, sim.Second)
 	n1 := tab.Neighbors()
@@ -176,7 +319,7 @@ func TestDenseNeighborsCacheInvalidation(t *testing.T) {
 // place.
 func TestAppendNeighborsBothLayouts(t *testing.T) {
 	sched := sim.NewScheduler()
-	tab := NewDenseTable(0, sched, 0, 8)
+	tab := NewTable(0, sched, 0, 8)
 	tab.OnHello(5, nil, sim.Second)
 	tab.OnHello(2, nil, sim.Second)
 	buf := make([]packet.NodeID, 0, 8)
@@ -191,26 +334,25 @@ func TestAppendNeighborsBothLayouts(t *testing.T) {
 
 func TestNeighborSetExposure(t *testing.T) {
 	sched := sim.NewScheduler()
-	d := NewDenseTable(0, sched, 0, 8)
+	d := NewTable(0, sched, 0, 8)
 	d.OnHello(4, nil, sim.Second)
 	if s := d.NeighborSet(); s == nil || !s.Contains(4) || s.Count() != 1 {
 		t.Error("NeighborSet does not reflect membership")
 	}
 }
 
-// TestDenseLazyAllocation pins the O(1)-until-used contract of the dense
-// layout: construction must not allocate the O(hosts) backing arrays, a
-// never-touched table must answer every read-only query without
-// materializing them, and the first HELLO must bring the table up
-// transparently.
+// TestDenseLazyAllocation pins the O(1)-until-used contract: construction
+// allocates neither the membership bitset nor any record, a never-touched
+// table answers every read-only query without allocating them, and the
+// first HELLO brings up the bitset and room for a few neighbors.
 func TestDenseLazyAllocation(t *testing.T) {
 	sched := sim.NewScheduler()
-	tab := NewDenseTable(0, sched, 0, 1<<20)
-	if tab.dense != nil || tab.present != nil {
-		t.Fatal("dense storage materialized at construction")
+	tab := NewTable(0, sched, 0, 1<<20)
+	if tab.present != nil || cap(tab.live) != 0 || cap(tab.ids) != 0 {
+		t.Fatal("storage allocated at construction")
 	}
 	if tab.Count() != 0 || tab.Contains(3) || tab.TwoHop(3) != nil {
-		t.Fatal("idle dense table reports phantom neighbors")
+		t.Fatal("idle table reports phantom neighbors")
 	}
 	if got := tab.Neighbors(); len(got) != 0 {
 		t.Fatalf("idle Neighbors = %v, want empty", got)
@@ -221,42 +363,64 @@ func TestDenseLazyAllocation(t *testing.T) {
 	tab.AuditEntries(func(packet.NodeID, sim.Time, sim.Duration) {
 		t.Fatal("idle AuditEntries visited an entry")
 	})
-	tab.Clear() // must tolerate never-materialized storage
-	if tab.dense != nil {
-		t.Fatal("read-only queries materialized the dense storage")
+	if st := tab.Snapshot(); len(st.Entries) != 0 {
+		t.Fatal("idle Snapshot has entries")
+	}
+	tab.Clear() // must tolerate never-allocated storage
+	if tab.present != nil || cap(tab.live) != 0 {
+		t.Fatal("read-only queries allocated the table's storage")
 	}
 	tab.OnHello(9, []packet.NodeID{1, 2}, sim.Second)
-	if tab.dense == nil || tab.present == nil {
-		t.Fatal("first OnHello did not materialize the dense storage")
+	if tab.present == nil || len(tab.live) != 1 || len(tab.ids) != 1 || cap(tab.live) > 8 {
+		t.Fatalf("first OnHello left %d live records with room for %d, want 1 with room for 8",
+			len(tab.live), cap(tab.live))
 	}
 	if !tab.Contains(9) || tab.Count() != 1 || len(tab.TwoHop(9)) != 2 {
-		t.Fatal("table not usable after lazy materialization")
+		t.Fatal("table not usable after the first HELLO")
 	}
-	// NeighborSet must uphold the dense-table → non-nil contract even on
-	// an untouched table (coverage judges capture it at construction).
-	fresh := NewDenseTable(1, sched, 0, 8)
+	// NeighborSet must uphold the non-nil contract even on an untouched
+	// table (coverage judges copy it when they start).
+	fresh := NewTable(1, sched, 0, 8)
 	if fresh.NeighborSet() == nil {
-		t.Fatal("NeighborSet returned nil on a dense table")
+		t.Fatal("NeighborSet returned nil on an untouched table")
 	}
 }
 
 func TestDenseTableRejectsZeroHosts(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewDenseTable(hosts=0) did not panic")
+			t.Fatal("NewTable(hosts=0) did not panic")
 		}
 	}()
-	NewDenseTable(0, sim.NewScheduler(), 0, 0)
+	NewTable(0, sim.NewScheduler(), 0, 0)
 }
 
-// TestClearReusesStorage pins satellite 1: Clear must retain backing
-// storage instead of reallocating, and the table must be fully usable
-// afterwards.
+// TestOnHelloRejectsOutsidePopulation: a HELLO from an id the population
+// does not have is refused with a panic naming the id and the
+// population, rather than growing the bitset to fit it.
+func TestOnHelloRejectsOutsidePopulation(t *testing.T) {
+	for _, h := range []packet.NodeID{8, 64, 1 << 20, -1} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, fmt.Sprintf("host %d ", h)) || !strings.Contains(msg, "8 hosts") {
+					t.Errorf("OnHello(%d) in a population of 8: panic %q, want one naming the id and the population", h, msg)
+				}
+			}()
+			NewTable(0, sim.NewScheduler(), 0, 8).OnHello(h, nil, sim.Second)
+		}()
+	}
+}
+
+// TestClearReusesStorage: Clear must retain backing storage instead of
+// reallocating, and the table must be fully usable afterwards. Records
+// are not tied to ids: refilling with different neighbors reuses them
+// too.
 func TestClearReusesStorage(t *testing.T) {
 	sched := sim.NewScheduler()
-	tab := NewDenseTable(0, sched, 0, 32)
+	tab := NewTable(0, sched, 0, 64)
 	for h := packet.NodeID(1); h <= 20; h++ {
-		tab.OnHello(h, nil, sim.Second)
+		tab.OnHello(h, []packet.NodeID{h}, sim.Second)
 	}
 	pendingBefore := sched.Pending()
 	tab.Clear()
@@ -269,25 +433,89 @@ func TestClearReusesStorage(t *testing.T) {
 	if tab.Variation() != 0 {
 		t.Errorf("change log survived Clear")
 	}
-	// Steady-state Clear/refill cycles must not allocate (the slot
-	// storage is warm after the first cycle). The scheduler is drained
-	// each cycle so the cancelled expiry timers return to its event pool
-	// — in a real run Step does that collection; here nothing ever steps.
+	// Steady-state Clear/refill cycles must not allocate, whichever ids
+	// come back. The scheduler is drained each cycle so the cancelled
+	// expiry timers return to its event pool — in a real run Step does
+	// that collection; here nothing ever steps.
+	base := packet.NodeID(0)
 	avg := testing.AllocsPerRun(20, func() {
-		for h := packet.NodeID(1); h <= 20; h++ {
-			tab.OnHello(h, nil, sim.Second)
+		base = 40 - base // alternate between ids 1..20 and 41..60
+		for h := base + 1; h <= base+20; h++ {
+			tab.OnHello(h, []packet.NodeID{h}, sim.Second)
 		}
 		tab.Clear()
 		sched.Drain()
 	})
-	// Expiry events are pooled by the scheduler, entries live in the
-	// slots, and the expiry closure is bound once per slot — so a warm
-	// cycle allocates nothing.
+	// Expiry events are pooled by the scheduler, and records — each with
+	// its two-hop capacity and its expiry closure bound once — are parked
+	// by Clear and taken back by the next joins, so a warm cycle
+	// allocates nothing.
 	if avg > 0 {
 		t.Errorf("Clear/refill cycle allocates %.1f objects, want 0", avg)
 	}
 	tab.OnHello(7, nil, sim.Second)
 	if !tab.Contains(7) || tab.Count() != 1 {
 		t.Errorf("table unusable after Clear")
+	}
+}
+
+// TestExpiredRecordsAreReused: a neighbor that joins after another
+// expired takes over the expired one's record — same address, so the
+// bound expiry closure still fires for the right neighbor — and
+// allocates nothing.
+func TestExpiredRecordsAreReused(t *testing.T) {
+	sched := sim.NewScheduler()
+	tab := NewTable(0, sched, 0, 3000)
+	tab.OnHello(2000, []packet.NodeID{1, 2, 3}, sim.Second)
+	rec := tab.live[0]
+	sched.RunUntil(sim.Time(3 * sim.Second))
+	if tab.Count() != 0 {
+		t.Fatal("neighbor did not expire")
+	}
+	// Room for the join in the change log, whose amortized growth is not
+	// what this test is about.
+	tab.changes = slices.Grow(tab.changes, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tab.OnHello(5, []packet.NodeID{4, 5, 6}, sim.Second)
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+		t.Errorf("rejoin after expiry allocated %d objects, want 0", allocs)
+	}
+	if tab.live[0] != rec {
+		t.Error("the joining neighbor did not take over the expired record")
+	}
+	sched.RunUntil(sim.Time(4 * sim.Second))
+	if !tab.Contains(5) {
+		t.Fatal("the reused record expired early")
+	}
+	sched.RunUntil(sim.Time(6 * sim.Second))
+	if tab.Count() != 0 {
+		t.Fatal("the reused record's expiry did not drop its new neighbor")
+	}
+}
+
+// TestTableMemoryScalesWithDegree: a table in a million-host population
+// that hears ten neighbors costs its bitset (125 KB) and ten records, not
+// a slot per host, and the header stays within 120 bytes on 64-bit
+// platforms (a mega-scale world carries one per host).
+func TestTableMemoryScalesWithDegree(t *testing.T) {
+	const hosts = 1_000_000
+	sched := sim.NewScheduler()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tab := NewTable(0, sched, 0, hosts)
+	for _, h := range []packet.NodeID{7, 100, 500, 1000, 1023, 1024, 5000, 99_991, 500_000, 999_999} {
+		tab.OnHello(h, []packet.NodeID{1, 2, 3}, sim.Second)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("a table with 10 neighbors in %d hosts allocated %d bytes, budget 1 MiB", hosts, got)
+	}
+	if tab.Count() != 10 {
+		t.Fatalf("Count = %d, want 10", tab.Count())
+	}
+	if size := unsafe.Sizeof(Table{}); unsafe.Sizeof(uintptr(0)) == 8 && size > 120 {
+		t.Errorf("Table header is %d bytes, budget 120", size)
 	}
 }

@@ -8,7 +8,7 @@ import (
 // newTable returns an empty table for owner in a population of 64 hosts
 // with the paper's expiry rule.
 func newTable(owner packet.NodeID, sched *sim.Scheduler) *Table {
-	return NewDenseTable(owner, sched, 0, 64)
+	return NewTable(owner, sched, 0, 64)
 }
 
 // Contains reports whether h is currently a known one-hop neighbor.
@@ -17,20 +17,20 @@ func (t *Table) Contains(h packet.NodeID) bool {
 }
 
 // Clear drops all entries and pending expiries. The backing storage —
-// dense slots and the change log — is retained for reuse rather than
-// reallocated.
+// the records, parked for reuse, and the change log — is retained
+// rather than reallocated.
 func (t *Table) Clear() {
-	if t.present != nil {
-		t.present.ForEach(func(h packet.NodeID) {
-			e := &t.dense[h]
-			if e.expiry != nil {
-				t.sched.Cancel(e.expiry)
-				e.expiry = nil
-			}
-			e.twoHop = e.twoHop[:0]
-		})
-		t.present.Clear()
-		t.dirty = true
+	for _, e := range t.live {
+		if e.expiry != nil {
+			t.sched.Cancel(e.expiry)
+			e.expiry = nil
+		}
+		e.twoHop = e.twoHop[:0]
 	}
+	if t.present != nil {
+		t.present.Clear()
+	}
+	t.ids = t.ids[:0]
+	t.live = t.live[:0]
 	t.changes = t.changes[:0]
 }

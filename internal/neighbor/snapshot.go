@@ -39,17 +39,17 @@ func (t *Table) Snapshot() TableState {
 		st.Changes = t.changes
 		return st
 	}
-	snap := func(e *entry) {
-		st.Entries = append(st.Entries, EntryState{
+	st.Entries = make([]EntryState, len(t.live))
+	for i, e := range t.live {
+		st.Entries[i] = EntryState{
 			ID:        e.id,
 			LastHeard: e.lastHeard,
 			Interval:  e.interval,
 			Deadline:  e.deadline,
 			ExpirySeq: e.expiry.Seq(),
 			TwoHop:    e.twoHop,
-		})
+		}
 	}
-	t.present.ForEach(func(h packet.NodeID) { snap(&t.dense[h]) })
 	st.Changes = t.changes
 	return st
 }
@@ -66,23 +66,17 @@ func (t *Table) Restore(st TableState) error {
 			return fmt.Errorf("neighbor: restore entry for the table owner %v", es.ID)
 		}
 		if int(es.ID) < 0 || int(es.ID) >= t.hosts {
-			return fmt.Errorf("neighbor: restore entry id %v outside dense population %d", es.ID, t.hosts)
+			return fmt.Errorf("neighbor: restore entry id %v outside the population of %d hosts", es.ID, t.hosts)
 		}
-		t.ensureDense()
-		if !t.present.Add(es.ID) {
+		i, dup := t.find(es.ID)
+		if dup {
 			return fmt.Errorf("neighbor: duplicate restore entry %v", es.ID)
 		}
-		t.dirty = true
-		e := &t.dense[es.ID]
-		e.id = es.ID
+		e := t.insert(i, es.ID)
 		e.lastHeard = es.LastHeard
 		e.interval = es.Interval
 		e.deadline = es.Deadline
 		e.twoHop = append(e.twoHop[:0], es.TwoHop...)
-		if e.fire == nil {
-			ee := e
-			e.fire = func() { t.expire(ee.id, ee.deadline) }
-		}
 		ev, err := t.sched.RestoreFunc(-1, es.Deadline, es.ExpirySeq, e.fire)
 		if err != nil {
 			return fmt.Errorf("neighbor: restore expiry for %v: %w", es.ID, err)

@@ -95,17 +95,6 @@ func (s *Set) CopyFrom(o *Set) {
 	s.count = o.count
 }
 
-// ForEach calls f for every id in ascending order.
-func (s *Set) ForEach(f func(packet.NodeID)) {
-	for w, word := range s.words {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			f(packet.NodeID(w*64 + b))
-			word &^= 1 << uint(b)
-		}
-	}
-}
-
 // UnionIntersection ors the intersection a AND b into s, word-parallel:
 // s |= a & b. The operands may alias s. The channel's collision engine
 // uses it to garble every receiver covered by two overlapping

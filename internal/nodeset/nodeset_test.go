@@ -69,13 +69,6 @@ func TestSetIterationSorted(t *testing.T) {
 			t.Fatalf("AppendIDs = %v, want %v", got, want)
 		}
 	}
-	var walked []packet.NodeID
-	s.ForEach(func(id packet.NodeID) { walked = append(walked, id) })
-	for i := range want {
-		if walked[i] != want[i] {
-			t.Fatalf("ForEach order %v, want %v", walked, want)
-		}
-	}
 	// AppendIDs must reuse the provided buffer.
 	buf := make([]packet.NodeID, 0, len(want))
 	out := s.AppendIDs(buf)

@@ -84,21 +84,6 @@ func TestSampleCoalescesSameInstant(t *testing.T) {
 	}
 }
 
-func TestMergeCounters(t *testing.T) {
-	m := MergeCounters(
-		map[string]int64{"a": 1, "b": 2},
-		map[string]int64{"b": 3, "c": 4},
-		nil,
-	)
-	want := map[string]int64{"a": 1, "b": 5, "c": 4}
-	if !reflect.DeepEqual(m, want) {
-		t.Errorf("MergeCounters = %v, want %v", m, want)
-	}
-	if got := MergedNames(m); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
-		t.Errorf("MergedNames = %v", got)
-	}
-}
-
 // syntheticExport builds an export from hand-written collector state and
 // events — deliberately not from a simulation, so the golden file pins
 // the wire schema without churning when the model changes.

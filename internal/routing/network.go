@@ -281,7 +281,7 @@ func New(cfg Config) (*Network, error) {
 			h.mover = mobility.NewRoamer(sched, area,
 				mobility.DefaultConfig(cfg.MaxSpeedKMH), moveRNG.Fork(uint64(i)))
 		}
-		h.table = neighbor.NewDenseTable(h.id, sched, 0, cfg.Hosts)
+		h.table = neighbor.NewTable(h.id, sched, 0, cfg.Hosts)
 		h.mac = mac.New(sched, n.ch, h.mover, macRNG.Fork(uint64(i)))
 		h.mac.SetAddr(h.id)
 		h.mac.SetRTSThreshold(cfg.RTSThreshold)

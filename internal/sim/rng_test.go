@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterministic(t *testing.T) {
@@ -128,29 +127,6 @@ func TestAngleRange(t *testing.T) {
 		if a < 0 || a >= 2*math.Pi {
 			t.Fatalf("Angle() = %v out of [0, 2pi)", a)
 		}
-	}
-}
-
-func TestShuffleIsPermutation(t *testing.T) {
-	prop := func(seed uint64, size uint8) bool {
-		n := int(size%32) + 1
-		r := NewRNG(seed)
-		xs := make([]int, n)
-		for i := range xs {
-			xs[i] = i
-		}
-		r.Shuffle(n, func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-		seen := make([]bool, n)
-		for _, v := range xs {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 
