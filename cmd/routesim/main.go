@@ -125,10 +125,3 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 	fmt.Fprintf(stdout, "total tx / collisions   %d / %d\n", r.Transmissions, r.Collisions)
 	return 0
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

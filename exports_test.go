@@ -251,6 +251,20 @@ func (p *program) Import(importPath string) (*types.Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", importPath, err)
 	}
+	// A method's receiver names its own type; that is a declaration, not
+	// a use, or a type only tests call would pass by having methods.
+	for _, f := range files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+				ast.Inspect(fd.Recv, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						delete(info.Uses, id)
+					}
+					return true
+				})
+			}
+		}
+	}
 	p.pkgs[importPath] = pkg
 	p.infos = append(p.infos, info)
 	return pkg, nil

@@ -1,5 +1,19 @@
 package mac
 
+import "repro/internal/packet"
+
+// ReceiverFunc adapts a function to FrameReceiver.
+type ReceiverFunc func(f *packet.Frame)
+
+// ReceiveFrame implements FrameReceiver.
+func (fn ReceiverFunc) ReceiveFrame(f *packet.Frame) { fn(f) }
+
+// GarbledFunc adapts a function to GarbledReceiver.
+type GarbledFunc func(f *packet.Frame)
+
+// ReceiveGarbled implements GarbledReceiver.
+func (fn GarbledFunc) ReceiveGarbled(f *packet.Frame) { fn(f) }
+
 // Started reports whether the frame's transmission has begun.
 func (p *Pending) Started() bool { return p.started }
 

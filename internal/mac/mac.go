@@ -205,22 +205,10 @@ type FrameReceiver interface {
 	ReceiveFrame(f *packet.Frame)
 }
 
-// ReceiverFunc adapts a function to FrameReceiver.
-type ReceiverFunc func(f *packet.Frame)
-
-// ReceiveFrame implements FrameReceiver.
-func (fn ReceiverFunc) ReceiveFrame(f *packet.Frame) { fn(f) }
-
 // GarbledReceiver is the upper layer's intake for collided frames.
 type GarbledReceiver interface {
 	ReceiveGarbled(f *packet.Frame)
 }
-
-// GarbledFunc adapts a function to GarbledReceiver.
-type GarbledFunc func(f *packet.Frame)
-
-// ReceiveGarbled implements GarbledReceiver.
-func (fn GarbledFunc) ReceiveGarbled(f *packet.Frame) { fn(f) }
 
 var _ phy.Listener = (*MAC)(nil)
 

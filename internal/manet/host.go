@@ -69,6 +69,7 @@ type pendingRebroadcast struct {
 	assess   *sim.Event    // scheduled MAC submission, nil once submitted
 	mp       *mac.Pending  // MAC handle once submitted
 	frame    *packet.Frame // the enqueued rebroadcast frame
+	payload  any           // what the rebroadcast carries (Protocol.Heard)
 	started  bool          // transmission began; decision locked
 	resolved bool          // inhibited or completed
 	live     int32         // index in host.livePending
@@ -91,16 +92,16 @@ func (p *pendingRebroadcast) TxDone() { p.h.complete(p) }
 
 // newPendingRebroadcast takes a waiting-state record off the free list
 // (or allocates one, binding its callbacks).
-func (h *host) newPendingRebroadcast(bid packet.BroadcastID, judge scheme.Judge) *pendingRebroadcast {
+func (h *host) newPendingRebroadcast(bid packet.BroadcastID, judge scheme.Judge, payload any) *pendingRebroadcast {
 	var p *pendingRebroadcast
 	if l := len(h.prFree); l > 0 {
 		p = h.prFree[l-1]
 		h.prFree[l-1] = nil
 		h.prFree = h.prFree[:l-1]
-		p.bid, p.judge = bid, judge
+		p.bid, p.judge, p.payload = bid, judge, payload
 		p.started, p.resolved = false, false
 	} else {
-		p = &pendingRebroadcast{h: h, bid: bid, judge: judge}
+		p = &pendingRebroadcast{h: h, bid: bid, judge: judge, payload: payload}
 	}
 	if h.net.audit != nil {
 		h.net.audit.AuditAcquire(h.net.sched.Now(), "manet.pending", p)
@@ -119,6 +120,7 @@ func (h *host) recyclePendingRebroadcast(p *pendingRebroadcast) {
 	p.assess = nil
 	p.mp = nil
 	p.frame = nil
+	p.payload = nil
 	h.prFree = append(h.prFree, p)
 }
 
@@ -235,6 +237,9 @@ func (h *host) ReceiveFrame(f *packet.Frame) {
 		if h.net.cfg.Repair {
 			h.onRepairFrame(f)
 		}
+		if pr := h.net.Protocol; pr != nil && f.Dest == h.id {
+			pr.ReceiveData(h.id, f)
+		}
 	}
 }
 
@@ -247,6 +252,13 @@ func (h *host) onBroadcast(f *packet.Frame) {
 		// S1: first reception.
 		h.net.noteReceived(bid, h)
 		h.noteRecent(bid)
+		var payload any
+		if pr := h.net.Protocol; pr != nil {
+			var relay bool
+			if payload, relay = pr.Heard(h.id, f, true); !relay {
+				return
+			}
+		}
 		judge := h.net.cfg.Scheme.NewJudge(h, rx)
 		if judge.Initial() == scheme.Inhibit {
 			scheme.ReleaseJudge(judge)
@@ -260,7 +272,7 @@ func (h *host) onBroadcast(f *packet.Frame) {
 		if h.net.obs != nil {
 			h.net.obs.Inc(h.net.obsProceedInit)
 		}
-		p := h.newPendingRebroadcast(bid, judge)
+		p := h.newPendingRebroadcast(bid, judge, payload)
 		h.trackPending(p)
 		h.net.openInc(bid, h) // record stays open until this decision resolves
 		// S2: random assessment delay of 0..AssessmentSlots slots before
@@ -273,6 +285,9 @@ func (h *host) onBroadcast(f *packet.Frame) {
 
 	// Duplicate reception (S4) while a rebroadcast may still be pending.
 	h.net.trace(trace.Duplicate, bid, h.id)
+	if pr := h.net.Protocol; pr != nil {
+		pr.Heard(h.id, f, false)
+	}
 	p := h.lookupPending(bid)
 	if p == nil || p.started || p.resolved {
 		return
@@ -296,7 +311,7 @@ func (h *host) submit(p *pendingRebroadcast) {
 	if p.resolved {
 		return
 	}
-	p.frame = h.net.newBroadcastFrame(p.bid, h.id, h.Position(), h.lane)
+	p.frame = h.net.newBroadcastFrame(p.bid, p.payload, h.id, h.Position(), h.lane)
 	p.mp = h.mac.Enqueue(p.frame, p)
 }
 
@@ -343,9 +358,9 @@ func (h *host) inhibit(p *pendingRebroadcast) {
 
 // originate makes this host the source of a new broadcast: the source
 // always transmits the packet (there is no decision to make).
-func (h *host) originate(bid packet.BroadcastID) {
+func (h *host) originate(bid packet.BroadcastID, payload any) {
 	h.dedup.Observe(bid)
-	frame := h.net.newBroadcastFrame(bid, h.id, h.Position(), h.lane)
+	frame := h.net.newBroadcastFrame(bid, payload, h.id, h.Position(), h.lane)
 	h.mac.Enqueue(frame, &originTx{h: h, bid: bid, frame: frame})
 }
 

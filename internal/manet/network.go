@@ -44,6 +44,10 @@ type Network struct {
 	// dissemination (e.g. "did the route request reach the destination").
 	DeliveryHook func(id packet.BroadcastID, host packet.NodeID)
 
+	// Protocol, if set before Run, replaces the Requests workload with an
+	// application's own (see Protocol).
+	Protocol Protocol
+
 	// Tracer, if set before Run, records the per-broadcast event
 	// timeline (originations, deliveries, duplicates, transmissions,
 	// inhibit decisions, collision-garbled copies).
@@ -172,7 +176,7 @@ type originationEvent struct {
 // RunEvent fires the origination.
 func (o *originationEvent) RunEvent() {
 	o.ev = nil
-	o.n.originate(o.n.hosts[o.src])
+	o.n.Originate(packet.NodeID(o.src), nil)
 }
 
 // New builds a network from cfg (after defaulting); it returns an error
@@ -439,13 +443,7 @@ func (n *Network) observe(o *obs.Collector) {
 	n.obsInhibitDup = o.Counter("scheme.inhibit_duplicate")
 	o.Gauge("sim.pending_events", func() float64 { return float64(n.sched.Pending()) })
 	o.Gauge("sim.event_pool_hit_rate", func() float64 { return n.sched.PoolHitRate() })
-	o.Gauge("mac.backoff_stalls", func() float64 {
-		s := 0
-		for _, h := range n.hosts {
-			s += h.mac.Stats().Stalls
-		}
-		return float64(s)
-	})
+	o.Gauge("mac.backoff_stalls", func() float64 { return float64(n.MACStats().Stalls) })
 	o.Gauge("manet.hello_sent", func() float64 { return float64(n.helloSent) })
 	o.Gauge("manet.broadcasts", func() float64 { return float64(n.seq) })
 	if n.shards > 0 {
@@ -508,13 +506,13 @@ func (n *Network) releaseSet(s *nodeset.Set, lane int32) {
 	n.setPool = append(n.setPool, s)
 }
 
-// newBroadcastFrame builds (or recycles) a broadcast data frame. Lane
-// routing as in acquireSet: a speculative lane recycles through its own
-// pool and allocates fresh on a miss rather than touching the shared
-// pool. Pool depths may therefore exceed the oracle's — pools are pure
+// newBroadcastFrame builds (or recycles) a broadcast data frame carrying
+// payload (nil outside a Protocol's broadcasts). Lane routing as in
+// acquireSet: a speculative lane recycles through its own pool and
+// allocates fresh on a miss rather than touching the shared pool. Pool depths may therefore exceed the oracle's — pools are pure
 // caches, and frames are fully overwritten on reuse, so nothing
 // observable depends on them.
-func (n *Network) newBroadcastFrame(bid packet.BroadcastID, sender packet.NodeID, pos geom.Point, lane int32) *packet.Frame {
+func (n *Network) newBroadcastFrame(bid packet.BroadcastID, payload any, sender packet.NodeID, pos geom.Point, lane int32) *packet.Frame {
 	pool := &n.framePool
 	if n.specOpen && lane >= 0 {
 		pool = &n.specFrames[lane]
@@ -529,11 +527,13 @@ func (n *Network) newBroadcastFrame(bid packet.BroadcastID, sender packet.NodeID
 			Sender:    sender,
 			Dest:      packet.DestBroadcast,
 			Bytes:     packet.BroadcastBytes,
+			Payload:   payload,
 			Broadcast: bid,
 			SenderPos: pos,
 		}
 	} else {
 		f = packet.NewBroadcast(bid, sender, pos)
+		f.Payload = payload
 	}
 	if n.audit != nil {
 		n.audit.AuditAcquire(n.sched.Now(), "frame", f)
@@ -662,23 +662,13 @@ func (n *Network) RunContext(ctx context.Context) (metrics.Summary, error) {
 	defer n.Close()
 
 	if !n.resumed {
-		workload := sim.NewRNG(n.cfg.Seed).Fork(4)
-		at := sim.Time(0).Add(n.cfg.Warmup)
-		var lastArrival sim.Time
-		n.originations = make([]originationEvent, n.cfg.Requests)
-		for i := 0; i < n.cfg.Requests; i++ {
-			at = at.Add(workload.UniformDuration(0, n.cfg.ArrivalSpread))
-			lastArrival = at
-			o := &n.originations[i]
-			o.n = n
-			o.src = int32(workload.IntN(len(n.hosts)))
-			o.ev = n.sched.ScheduleRunner(at, o)
+		var last sim.Time
+		if n.Protocol != nil {
+			last = n.Protocol.Start()
+		} else {
+			last = n.scheduleRequests()
 		}
-		n.endTime = lastArrival.Add(n.cfg.Drain)
-		if n.cfg.Requests == 0 {
-			n.endTime = sim.Time(0).Add(n.cfg.Warmup + n.cfg.Drain)
-		}
-
+		n.endTime = last.Add(n.cfg.Drain)
 		for _, h := range n.hosts {
 			h.scheduleHello()
 		}
@@ -768,6 +758,22 @@ func (n *Network) RunContext(ctx context.Context) (metrics.Summary, error) {
 	return n.summarize(), nil
 }
 
+// scheduleRequests arms the Requests workload and returns the time of
+// its last origination (Warmup when there is none).
+func (n *Network) scheduleRequests() sim.Time {
+	workload := sim.NewRNG(n.cfg.Seed).Fork(4)
+	at := sim.Time(0).Add(n.cfg.Warmup)
+	n.originations = make([]originationEvent, n.cfg.Requests)
+	for i := range n.originations {
+		at = at.Add(workload.UniformDuration(0, n.cfg.ArrivalSpread))
+		o := &n.originations[i]
+		o.n = n
+		o.src = int32(workload.IntN(len(n.hosts)))
+		o.ev = n.sched.ScheduleRunner(at, o)
+	}
+	return at
+}
+
 // barrierWindow derives the conservative lookahead between cancellation
 // and audit barriers: the minimum frame airtime (no radio interaction
 // resolves faster, so windows are never finer than the simulation can
@@ -838,8 +844,11 @@ func (n *Network) auditNeighborSweep(now sim.Time) {
 	}
 }
 
-// originate issues one broadcast request from src.
-func (n *Network) originate(src *host) {
+// Originate issues one broadcast from host src carrying payload and
+// returns its id. The source always transmits; every other host decides
+// through the scheme.
+func (n *Network) Originate(srcID packet.NodeID, payload any) packet.BroadcastID {
+	src := n.hosts[srcID]
 	n.seq++
 	bid := packet.BroadcastID{Source: src.id, Seq: n.seq}
 	n.recs = append(n.recs, metrics.MakeBroadcastRecord(bid, n.sched.Now(), n.reachableFrom(src)))
@@ -851,7 +860,8 @@ func (n *Network) originate(src *host) {
 		n.DeliveryHook(bid, src.id)
 	}
 	n.trace(trace.Originate, bid, src.id)
-	src.originate(bid)
+	src.originate(bid, payload)
+	return bid
 }
 
 // reachableFrom computes e: the number of hosts (including src) in src's

@@ -85,8 +85,7 @@ func (h *host) onHelloRecent(from packet.NodeID, recent []packet.BroadcastID) {
 		}
 		h.nacked[bid] = true
 		h.net.repairsRequested++
-		f := packet.NewData(h.id, from, repairRequestBytes, repairRequest{ID: bid}, h.Position())
-		h.mac.Enqueue(f, nil)
+		h.net.Unicast(h.id, from, repairRequestBytes, repairRequest{ID: bid}, nil)
 	}
 }
 
@@ -97,9 +96,7 @@ func (h *host) onRepairFrame(f *packet.Frame) {
 		if f.Dest != h.id || !h.dedup.Seen(msg.ID) {
 			return
 		}
-		resp := packet.NewData(h.id, f.Sender, repairResponseBytes,
-			repairResponse{ID: msg.ID}, h.Position())
-		h.mac.Enqueue(resp, nil)
+		h.net.Unicast(h.id, f.Sender, repairResponseBytes, repairResponse{ID: msg.ID}, nil)
 	case repairResponse:
 		if f.Dest != h.id {
 			return

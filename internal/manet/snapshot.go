@@ -59,10 +59,12 @@ func (n *Network) checkpointDigest() string {
 
 // checkpointable reports why this network cannot be checkpointed, nil
 // if it can. The unsupported features all carry state no layer snapshot
-// covers (telemetry series, group/waypoint movers).
+// covers (a protocol's closures, telemetry series, group/waypoint movers).
 func (n *Network) checkpointable() error {
 	c := n.cfg
 	switch {
+	case n.Protocol != nil:
+		return fmt.Errorf("manet: checkpoint unsupported with a protocol attached: its closure-driven state cannot be described")
 	case n.obs != nil:
 		return fmt.Errorf("manet: checkpoint unsupported with telemetry attached")
 	case c.Groups > 0:

@@ -45,10 +45,10 @@ package manet
 // Eligibility (speculativeEligible) restricts speculation to
 // configurations where every in-window event is classifiable by band
 // and every side effect is journaled or lane-local: static worlds,
-// broadcast-only traffic (no HELLO beaconing, no repair unicasts), no
-// shared random streams (loss, capture), dense folding record state,
-// and no observers (telemetry, audit, tracer, delivery hook,
-// progress). Anything else degrades per-window to the sharded
+// broadcast-only traffic (no HELLO beaconing, no repair unicasts, no
+// protocol), no shared random streams (loss, capture), dense folding
+// record state, and no observers (telemetry, audit, tracer, delivery
+// hook, progress). Anything else degrades per-window to the sharded
 // engine's sequential merged drain — correctness never depends on
 // eligibility, only speedup does.
 
@@ -116,6 +116,7 @@ func (n *Network) speculativeEligible() bool {
 		n.audit == nil &&
 		n.Tracer == nil &&
 		n.DeliveryHook == nil &&
+		n.Protocol == nil &&
 		n.Progress == nil
 }
 

@@ -268,8 +268,7 @@ func (t *Table) Count() int { return len(t.ids) }
 
 // Neighbors returns the sorted one-hop neighbor set N_x. The slice is
 // the table's own storage and only valid until the next table mutation;
-// callers must not modify it and must copy it to retain it
-// (packet.NewHello already copies).
+// callers must not modify it and must copy it to retain it.
 func (t *Table) Neighbors() []packet.NodeID { return t.ids }
 
 // AppendNeighbors appends the sorted one-hop neighbor set to buf and

@@ -144,22 +144,6 @@ func NewBroadcast(id BroadcastID, sender NodeID, pos geom.Point) *Frame {
 	}
 }
 
-// NewHello builds a HELLO frame carrying the sender's neighbor set. The
-// neighbor slice is copied so the caller may keep mutating its table.
-func NewHello(sender NodeID, pos geom.Point, neighbors []NodeID, interval sim.Duration) *Frame {
-	cp := make([]NodeID, len(neighbors))
-	copy(cp, neighbors)
-	return &Frame{
-		Kind:          KindHello,
-		Sender:        sender,
-		Dest:          DestBroadcast,
-		Bytes:         HelloBaseBytes + HelloPerNeighborBytes*len(cp),
-		SenderPos:     pos,
-		Neighbors:     cp,
-		HelloInterval: interval,
-	}
-}
-
 // Control frame sizes (IEEE 802.11: ACK and CTS are 14 bytes, RTS 20).
 const (
 	AckBytes = 14

@@ -85,24 +85,6 @@ func TestNewBroadcastFields(t *testing.T) {
 	}
 }
 
-func TestNewHelloCopiesNeighbors(t *testing.T) {
-	neigh := []NodeID{1, 2, 3}
-	f := NewHello(9, geom.Point{}, neigh, 5*sim.Second)
-	neigh[0] = 99
-	if f.Neighbors[0] != 1 {
-		t.Error("NewHello aliased the caller's neighbor slice")
-	}
-	if f.Bytes != HelloBaseBytes+3*HelloPerNeighborBytes {
-		t.Errorf("hello size = %d", f.Bytes)
-	}
-	if f.HelloInterval != 5*sim.Second {
-		t.Errorf("hello interval = %v", f.HelloInterval)
-	}
-	if f.Kind != KindHello {
-		t.Errorf("kind = %v", f.Kind)
-	}
-}
-
 func TestStringers(t *testing.T) {
 	if NodeID(4).String() == "" || (BroadcastID{1, 2}).String() == "" {
 		t.Error("empty stringer output")

@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"repro/internal/mac"
 	"repro/internal/packet"
 	"repro/internal/sim"
 )
@@ -16,14 +15,14 @@ import (
 
 // dataPacket is one payload packet of an established flow.
 type dataPacket struct {
-	Flow   RequestID // the discovery that created the route
+	Flow   packet.BroadcastID // the discovery that created the route
 	Seq    int
 	Target packet.NodeID
 }
 
 // routeError reports a broken route back to the flow's originator.
 type routeError struct {
-	Flow        RequestID
+	Flow        packet.BroadcastID
 	Unreachable packet.NodeID
 }
 
@@ -33,87 +32,57 @@ const (
 	rerrBytes = 32
 )
 
-// startFlow begins pushing data packets after a successful discovery.
-func (h *rhost) startFlow(flow RequestID, target packet.NodeID) {
-	cfg := h.net.cfg
-	if cfg.DataPerRoute <= 0 {
-		return
-	}
-	for k := 1; k <= cfg.DataPerRoute; k++ {
-		seq := k
-		h.net.sched.After(sim.Duration(k)*cfg.DataInterval, func() {
-			h.sendData(flow, target, seq)
+// startFlow begins pushing data packets from a discovery's originator
+// along its new route.
+func (r *router) startFlow(d *discovery) {
+	for k := 1; k <= r.cfg.DataPerRoute; k++ {
+		msg := dataPacket{Flow: d.flow, Seq: k, Target: d.target}
+		r.sched.After(sim.Duration(k)*r.cfg.DataInterval, func() {
+			r.dataSent++
+			r.forwardData(d.flow.Source, msg)
 		})
 	}
 }
 
-// sendData originates one data packet toward target.
-func (h *rhost) sendData(flow RequestID, target packet.NodeID, seq int) {
-	h.net.dataSent++
-	h.forwardData(dataPacket{Flow: flow, Seq: seq, Target: target})
-}
-
-// forwardData relays a data packet one hop along the current route. The
-// MAC's ARQ verdict doubles as link-failure detection: a frame that
+// forwardData relays a data packet one hop along host's current route.
+// The MAC's ARQ verdict doubles as link-failure detection: a frame that
 // exhausts its retransmissions means the next hop is gone.
-func (h *rhost) forwardData(msg dataPacket) {
-	e, ok := h.route(msg.Target)
+func (r *router) forwardData(host packet.NodeID, msg dataPacket) {
+	e, ok := r.route(host, msg.Target)
 	if !ok {
-		h.routeBroken(msg.Flow, msg.Target)
+		r.routeBroken(host, msg)
 		return
 	}
-	f := packet.NewData(h.id, e.nextHop, dataBytes, msg, h.Position())
-	var p *mac.Pending
-	p = h.mac.Enqueue(f, mac.TxFuncs{Done: func() {
-		if p.Failed() {
-			h.routeBroken(msg.Flow, msg.Target)
-		}
-	}})
+	r.world.Unicast(host, e.nextHop, dataBytes, msg, func() { r.routeBroken(host, msg) })
 }
 
-// routeBroken invalidates the local route and reports the break.
-func (h *rhost) routeBroken(flow RequestID, target packet.NodeID) {
-	delete(h.routes, target)
-	if flow.Origin == h.id {
-		h.net.notePathBreak()
-		return
-	}
-	// Relay: RERR back toward the origin if we still know how.
-	e, ok := h.route(flow.Origin)
-	if !ok {
-		h.net.notePathBreak() // unreportable break still counts
-		return
-	}
-	f := packet.NewData(h.id, e.nextHop, rerrBytes, routeError{Flow: flow, Unreachable: target}, h.Position())
-	h.mac.Enqueue(f, nil)
+// routeBroken invalidates host's route to the packet's target and
+// reports the break.
+func (r *router) routeBroken(host packet.NodeID, msg dataPacket) {
+	delete(r.routes[host], msg.Target)
+	r.reportBreak(host, routeError{Flow: msg.Flow, Unreachable: msg.Target})
 }
 
-// onDataFrame handles the data/maintenance plane.
-func (h *rhost) onDataFrame(f *packet.Frame) {
-	switch msg := f.Payload.(type) {
-	case dataPacket:
-		if f.Dest != h.id {
-			return
-		}
-		if msg.Target == h.id {
-			h.net.noteDataDelivered()
-			return
-		}
-		h.forwardData(msg)
-	case routeError:
-		if f.Dest != h.id {
-			return
-		}
-		delete(h.routes, msg.Unreachable)
-		if msg.Flow.Origin == h.id {
-			h.net.notePathBreak()
-			return
-		}
-		if e, ok := h.route(msg.Flow.Origin); ok {
-			fwd := packet.NewData(h.id, e.nextHop, rerrBytes, msg, h.Position())
-			h.mac.Enqueue(fwd, nil)
-		} else {
-			h.net.notePathBreak()
-		}
+// reportBreak relays a RERR one hop toward the flow's origin, or counts
+// the path break there — or at host, when the origin is unreachable.
+func (r *router) reportBreak(host packet.NodeID, rerr routeError) {
+	if rerr.Flow.Source == host {
+		r.pathBreaks++
+		return
 	}
+	e, ok := r.route(host, rerr.Flow.Source)
+	if !ok {
+		r.pathBreaks++ // unreportable break still counts
+		return
+	}
+	r.world.Unicast(host, e.nextHop, rerrBytes, rerr, nil)
+}
+
+// onData delivers or relays a data packet addressed to host.
+func (r *router) onData(host packet.NodeID, msg dataPacket) {
+	if msg.Target == host {
+		r.dataDelivered++
+		return
+	}
+	r.forwardData(host, msg)
 }

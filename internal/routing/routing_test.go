@@ -142,7 +142,7 @@ func TestRouteExpiry(t *testing.T) {
 			if a == b {
 				continue
 			}
-			if _, ok := n.hosts[a].route(packet.NodeID(b)); ok {
+			if _, ok := n.r.route(packet.NodeID(a), packet.NodeID(b)); ok {
 				t.Fatalf("route %d->%d survived its lifetime", a, b)
 			}
 		}
@@ -190,6 +190,10 @@ func TestConfigValidation(t *testing.T) {
 		"negative assessment slot": {AssessmentSlots: -1},
 		"negative warmup":          {Warmup: -sim.Second},
 		"negative drain":           {Drain: -sim.Second},
+		"negative ring timeout":    {RingTTLs: []int{1, 0}, RingTimeout: -sim.Second},
+		"negative data interval":   {DataPerRoute: 5, DataInterval: -sim.Second},
+		"negative route lifetime":  {RouteLifetime: -sim.Second},
+		"negative ring ttl":        {RingTTLs: []int{-1, 0}},
 	} {
 		if _, err := New(bad); err == nil {
 			t.Errorf("%s accepted", name)
@@ -222,12 +226,6 @@ func TestResultHelpers(t *testing.T) {
 	}
 	if r.RequestsPerDiscovery() != 10 {
 		t.Errorf("req/discovery = %v", r.RequestsPerDiscovery())
-	}
-}
-
-func TestRequestIDString(t *testing.T) {
-	if (RequestID{Origin: 1, Seq: 2}).String() == "" {
-		t.Error("empty RequestID string")
 	}
 }
 
