@@ -84,6 +84,11 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 			return fail(2, fmt.Errorf("-%s must not be negative, got %d", f.name, f.value))
 		}
 	}
+	// Replica r of point p runs on seed BaseSeed + SeedStride·p + r, so a
+	// replica count reaching the stride would reuse the next point's seeds.
+	if *replicas >= experiment.SeedStride {
+		return fail(2, fmt.Errorf("-replicas must be below %d, got %d", experiment.SeedStride, *replicas))
+	}
 
 	if *schemes {
 		fmt.Fprint(stdout, "scheme specs:\n", scheme.Usage())

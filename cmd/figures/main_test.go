@@ -7,8 +7,9 @@ import (
 )
 
 // TestRunSmoke runs the invocation CI's "CLIs and examples" step uses,
-// plus an undefined flag and the negative counts, each of which must
-// exit 2 with one line on stderr and without running anything.
+// plus an undefined flag, the negative counts and a replica count that
+// would collide seeds across points; each count must exit 2 with one
+// line on stderr and without running anything.
 func TestRunSmoke(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -23,6 +24,7 @@ func TestRunSmoke(t *testing.T) {
 		{"negative hosts", []string{"-fig", "fig7", "-hosts", "-1"}, 2, ""},
 		{"negative workers", []string{"-fig", "fig7", "-workers", "-1"}, 2, ""},
 		{"negative trials", []string{"-fig", "fig1", "-trials", "-5"}, 2, ""},
+		{"replicas at the seed stride", []string{"-fig", "fig1", "-replicas", "1000"}, 2, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
@@ -32,7 +34,7 @@ func TestRunSmoke(t *testing.T) {
 			if !strings.Contains(stdout.String(), tc.want) {
 				t.Fatalf("stdout lacks %q:\n%s", tc.want, stdout.String())
 			}
-			if strings.HasPrefix(tc.name, "negative") &&
+			if tc.code == 2 && tc.name != "bad flag" &&
 				(stdout.Len() != 0 || strings.Count(stderr.String(), "\n") != 1) {
 				t.Fatalf("want no stdout and one stderr line, got stdout %q stderr %q",
 					stdout.String(), stderr.String())

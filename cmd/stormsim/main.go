@@ -34,7 +34,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 
 	"repro/internal/manet"
 	"repro/internal/obs"
@@ -58,9 +57,6 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 	var (
 		schemeSpec  = fs.String("scheme", "flooding", "scheme spec, e.g. counter:C=3 (run -schemes for syntax)")
 		listSchemes = fs.Bool("schemes", false, "print the scheme spec syntax and exit")
-		c           = fs.Int("C", 3, "counter threshold shorthand for -scheme counter")
-		d           = fs.Float64("D", 40, "distance threshold shorthand for -scheme distance")
-		a           = fs.Float64("A", 0.0469, "coverage threshold shorthand for -scheme location")
 		mapUnits    = fs.Int("map", 5, "square map side in 500m units (1,3,5,7,9,11)")
 		hosts       = fs.Int("hosts", 100, "number of mobile hosts")
 		requests    = fs.Int("requests", 100, "broadcast operations to simulate")
@@ -97,7 +93,7 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 		return code
 	}
 
-	sch, err := scheme.Parse(legacySpec(fs, *schemeSpec, *c, *d, *a))
+	sch, err := scheme.Parse(*schemeSpec)
 	if err != nil {
 		return fail(2, err)
 	}
@@ -284,32 +280,6 @@ func writeCheckpoint(n *manet.Network, path string) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// legacySpec folds the pre-registry -C/-D/-A shorthand flags into the
-// spec, so `-scheme counter -C 5` keeps working. The shorthand only
-// applies when the spec itself carries no parameters.
-func legacySpec(fs *flag.FlagSet, spec string, c int, d, a float64) string {
-	if strings.ContainsRune(spec, ':') {
-		return spec
-	}
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	switch strings.ToLower(strings.TrimSpace(spec)) {
-	case "counter":
-		if set["C"] {
-			return fmt.Sprintf("%s:C=%d", spec, c)
-		}
-	case "distance":
-		if set["D"] {
-			return fmt.Sprintf("%s:D=%g", spec, d)
-		}
-	case "location":
-		if set["A"] {
-			return fmt.Sprintf("%s:A=%g", spec, a)
-		}
-	}
-	return spec
 }
 
 // writeTelemetry exports the run's series and event stream as JSONL.

@@ -153,7 +153,8 @@ func TestFlagContradictions(t *testing.T) {
 		base("-checkpoint", "x.ck"),       // -checkpoint without cadence
 		base("-checkpoint-every", "1000"), // cadence without a file
 		base("-checkpoint", "x.ck", "-checkpoint-every", "-5"),
-		base("-fork-seed", "9"), // fork without -resume
+		base("-fork-seed", "9"),               // fork without -resume
+		base("-scheme", "counter", "-C", "5"), // parameters go in the spec: counter:C=5
 	}
 	for _, argv := range cases {
 		if code, _, _ := runTool(t, argv); code != 2 {

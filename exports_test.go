@@ -171,6 +171,80 @@ func TestInternalExportsHaveProductionCallers(t *testing.T) {
 	}
 }
 
+// configSetterAllowList names the fields of the simulator's Config types
+// that may stay without a writer in non-test code, each with the reason
+// it stays. Keys are package.Type.Field.
+var configSetterAllowList = map[string]string{
+	"manet.Config.Radius":     "bench/ reads the defaulted radius to place its worlds and drive phy",
+	"manet.Config.UnitMeters": "bench/ reads the defaulted map unit to place its worlds",
+	"manet.Config.Warmup": "bench/ reads the defaulted warm-up to cut ckpt-resume halfway, and the " +
+		"dynamic-HELLO golden rows pin a 5 s warm-up through it",
+	"manet.Config.Audit":           "the tests' reference checker: an audited run is how a test proves a world clean",
+	"routing.Config.RouteLifetime": "tests drive route expiry through it",
+	"routing.Config.RingTimeout":   "tests drive ring escalation through it",
+	"routing.Config.DataInterval":  "tests drive data spacing through it",
+	"routing.Config.Drain":         "tests keep a run going past route expiry and long data flows through it",
+}
+
+// TestConfigFieldsHaveProductionSetters is the options gate: every field
+// of manet.Config and routing.Config must be set by non-test code in this
+// module or in bench/ — as a composite-literal key or the target of an
+// assignment — or be on configSetterAllowList. A WithDefaults method is a
+// type filling itself in, not a caller, so its writes do not count. A
+// field only tests set is a knob without a user: make it a constant or
+// derive it.
+func TestConfigFieldsHaveProductionSetters(t *testing.T) {
+	prog := loadProgram(t)
+	set := map[types.Object]bool{}
+	for i, info := range prog.infos {
+		for _, f := range prog.files[i] {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "WithDefaults" {
+					continue
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.KeyValueExpr:
+						if id, ok := n.Key.(*ast.Ident); ok {
+							set[info.Uses[id]] = true
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							if sel, ok := lhs.(*ast.SelectorExpr); ok {
+								set[info.Uses[sel.Sel]] = true
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	declared := map[string]bool{}
+	for _, typ := range []string{"manet.Config", "routing.Config"} {
+		pkg, name, _ := strings.Cut(typ, ".")
+		st := prog.pkgs["repro/internal/"+pkg].Scope().Lookup(name).Type().Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			key := typ + "." + f.Name()
+			declared[key] = true
+			_, allowed := configSetterAllowList[key]
+			switch {
+			case set[f] && allowed:
+				t.Errorf("%s is set by non-test code now: drop it from configSetterAllowList", key)
+			case !set[f] && !allowed:
+				t.Errorf("%s is set only by tests or WithDefaults: make it a constant or a derived value, give it a production caller, or allow-list it with a reason", key)
+			}
+		}
+	}
+	for key := range configSetterAllowList {
+		if !declared[key] {
+			t.Errorf("configSetterAllowList entry %s names no Config field", key)
+		}
+	}
+}
+
 // origin maps an instantiated generic function, method or field to the
 // object its declaration defines.
 func origin(obj types.Object) types.Object {
@@ -191,6 +265,7 @@ type program struct {
 	std   types.ImporterFrom
 	pkgs  map[string]*types.Package
 	infos []*types.Info
+	files [][]*ast.File // files[i] are the sources infos[i] describes
 }
 
 const module = "repro"
@@ -267,5 +342,6 @@ func (p *program) Import(importPath string) (*types.Package, error) {
 	}
 	p.pkgs[importPath] = pkg
 	p.infos = append(p.infos, info)
+	p.files = append(p.files, files)
 	return pkg, nil
 }

@@ -69,8 +69,8 @@ func TestMatrixAudited(t *testing.T) {
 
 // TestMatrixAuditedVariants extends the matrix across the simulator's
 // feature switches, so every invariant is also exercised under the loss
-// model, the capture effect, the repair extension, dynamic HELLO, group
-// and waypoint mobility, and the ideal-HELLO ablation.
+// model, the capture effect, the repair extension, dynamic HELLO,
+// waypoint mobility, and the ideal-HELLO ablation.
 func TestMatrixAuditedVariants(t *testing.T) {
 	variants := []struct {
 		name   string
@@ -81,7 +81,6 @@ func TestMatrixAuditedVariants(t *testing.T) {
 		{"no-collisions", func(c *manet.Config) { c.DisableCollisions = true }},
 		{"repair", func(c *manet.Config) { c.Repair = true }},
 		{"dynamic-hello", func(c *manet.Config) { c.HelloMode = manet.HelloDynamic }},
-		{"groups", func(c *manet.Config) { c.Groups = 4 }},
 		{"waypoint", func(c *manet.Config) { c.Mobility = manet.MobilityWaypoint }},
 		{"ideal-hello", func(c *manet.Config) { c.IdealHello = true }},
 	}

@@ -251,14 +251,3 @@ func FoldIntoRange(x, w float64) float64 {
 	}
 	return x
 }
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}

@@ -373,9 +373,3 @@ func TestPointOps(t *testing.T) {
 		t.Errorf("Dist2 = %v, want 25", d2)
 	}
 }
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 10) != 5 || Clamp(-1, 0, 10) != 0 || Clamp(11, 0, 10) != 10 {
-		t.Error("Clamp wrong")
-	}
-}

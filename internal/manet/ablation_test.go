@@ -272,52 +272,3 @@ func TestEveryBroadcastResolves(t *testing.T) {
 		}
 	}
 }
-
-// TestGroupMobilityEndToEnd: hosts moving as a few coherent groups form
-// dense local clusters; the adaptive counter should save considerably
-// more than in the same-size uniformly mixed network.
-func TestGroupMobilityEndToEnd(t *testing.T) {
-	base := Config{
-		Hosts:         60,
-		MapUnits:      7,
-		Scheme:        scheme.AdaptiveCounter{},
-		Requests:      15,
-		RetainRecords: true,
-		Seed:          47,
-	}
-	uniform := base
-	nu, err := New(uniform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	su := nu.Run()
-
-	grouped := base
-	grouped.Groups = 4
-	ng, err := New(grouped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sg := ng.Run()
-
-	if sg.MeanSRB <= su.MeanSRB {
-		t.Errorf("grouped SRB %v not above uniform SRB %v (groups are locally dense)",
-			sg.MeanSRB, su.MeanSRB)
-	}
-	for _, rec := range ng.Records() {
-		if rec.Transmitted > rec.Received {
-			t.Error("invariant t<=r violated under group mobility")
-		}
-	}
-}
-
-func TestGroupMobilityValidation(t *testing.T) {
-	cfg := Config{Hosts: 10, Groups: 2, Static: true, Scheme: scheme.Flooding{}}
-	if err := cfg.WithDefaults().Validate(); err == nil {
-		t.Error("groups + static accepted")
-	}
-	bad := Config{Hosts: 10, Groups: -1, Scheme: scheme.Flooding{}}
-	if err := bad.WithDefaults().Validate(); err == nil {
-		t.Error("negative groups accepted")
-	}
-}

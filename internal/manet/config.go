@@ -14,7 +14,6 @@ import (
 	"repro/internal/mobility"
 	"repro/internal/neighbor"
 	"repro/internal/obs"
-	"repro/internal/phy"
 	"repro/internal/scheme"
 	"repro/internal/sim"
 )
@@ -74,7 +73,10 @@ func (m HelloMode) String() string {
 }
 
 // Config describes one simulation run. Zero-valued fields take the
-// paper's defaults (see WithDefaults).
+// paper's defaults (see WithDefaults). The paper's fixed model
+// parameters are not fields: the DSSS timing (phy.DSSSTiming), the
+// dynamic hello interval's clamp (neighbor.NVMax, HIMin, HIMax) and the
+// repair advertisement window (10 s).
 type Config struct {
 	// Hosts is the population size; the paper simulates 100.
 	Hosts int
@@ -94,16 +96,6 @@ type Config struct {
 	// Mobility selects the movement model; the default is the paper's
 	// random-turn model.
 	Mobility MobilityModel
-	// WaypointPause is the pause time of the random-waypoint model
-	// (ignored by the random-turn model); 0 means 1 second.
-	WaypointPause sim.Duration
-	// Groups, when positive, moves hosts in that many reference-point
-	// groups (RPGM) instead of independently: group centers roam with
-	// the random-turn model and members stay within GroupSpread of their
-	// center. Models search parties / convoys / squads.
-	Groups int
-	// GroupSpread is the member offset bound in meters (0 = 200).
-	GroupSpread float64
 	// Placement, if non-empty, fixes the initial host positions instead
 	// of uniform random placement. Its length must equal Hosts. Combined
 	// with Static it pins an exact topology (tests, examples).
@@ -118,10 +110,9 @@ type Config struct {
 	// broadcast requests (paper: 2 s across the whole map).
 	ArrivalSpread sim.Duration
 
-	// HelloMode, HelloInterval, and DHI configure neighbor discovery.
+	// HelloMode and HelloInterval configure neighbor discovery.
 	HelloMode     HelloMode
 	HelloInterval sim.Duration
-	DHI           neighbor.DHIConfig
 	// ExpiryIntervals is how many missed hello intervals expire a
 	// neighbor (paper: 2).
 	ExpiryIntervals int
@@ -137,9 +128,6 @@ type Config struct {
 	// Drain is extra simulated time after the last request arrival so
 	// in-flight broadcasts complete.
 	Drain sim.Duration
-
-	// Timing overrides the PHY/MAC timing; zero value uses DSSSTiming.
-	Timing phy.Timing
 
 	// Engine selects the simulation engine. The zero value (EngineAuto)
 	// resolves from the rest of the configuration: sharded when
@@ -177,12 +165,9 @@ type Config struct {
 	CaptureRatio float64
 
 	// Repair enables the reliable-broadcast extension: hosts advertise
-	// recently received broadcast ids in their HELLOs and unicast
-	// repairs to neighbors that missed them. Requires HELLO.
+	// the broadcast ids received in the last 10 s in their HELLOs and
+	// unicast repairs to neighbors that missed them. Requires HELLO.
 	Repair bool
-	// RepairWindow is how long a received broadcast stays advertised
-	// (default 10 s).
-	RepairWindow sim.Duration
 
 	// RetainRecords keeps every per-broadcast record alive until the end
 	// of the run so Records() can return them. By default a record is
@@ -214,33 +199,17 @@ type Config struct {
 // 10 km/h on the 1x1 map, 30 on 3x3, 50 on 5x5, i.e. 10 km/h per unit.
 func PaperMaxSpeedKMH(units int) float64 { return 10 * float64(units) }
 
-// groupConfig derives the RPGM parameters from the run configuration
-// (valid only when Groups > 0).
-func (c Config) groupConfig() mobility.GroupConfig {
-	gcfg := mobility.DefaultGroupConfig(c.MaxSpeedKMH)
-	if c.GroupSpread > 0 {
-		gcfg.Spread = c.GroupSpread
-	}
-	return gcfg
-}
-
 // MaxSpeedMPS returns the fastest speed any host in this configuration
 // can move at, in meters/second. It is the single source of truth for
 // the mobility bound: the channel's spatial index sizes its drift budget
 // from it and the invariant auditor checks every mover against it, so
-// the two can never disagree. Group members ride the center's motion
-// plus their own jitter; all other models cap at MaxSpeedKMH. Call on a
-// defaulted config (New defaults before using it).
+// the two can never disagree. Every mobility model caps at MaxSpeedKMH.
+// Call on a defaulted config (New defaults before using it).
 func (c Config) MaxSpeedMPS() float64 {
-	switch {
-	case c.Static:
+	if c.Static {
 		return 0
-	case c.Groups > 0:
-		gcfg := c.groupConfig()
-		return gcfg.Center.MaxSpeedMPS + gcfg.JitterSpeedMPS
-	default:
-		return mobility.KMHToMPS(c.MaxSpeedKMH)
 	}
+	return mobility.KMHToMPS(c.MaxSpeedKMH)
 }
 
 // WithDefaults fills unset fields with the paper's parameters.
@@ -275,9 +244,6 @@ func (c Config) WithDefaults() Config {
 	if c.HelloInterval == 0 {
 		c.HelloInterval = 1 * sim.Second
 	}
-	if c.DHI == (neighbor.DHIConfig{}) {
-		c.DHI = neighbor.DefaultDHIConfig()
-	}
 	if c.ExpiryIntervals == 0 {
 		c.ExpiryIntervals = neighbor.DefaultExpiryIntervals
 	}
@@ -298,12 +264,6 @@ func (c Config) WithDefaults() Config {
 	if c.Drain == 0 {
 		c.Drain = 2 * sim.Second
 	}
-	if c.Timing.BitRateMbps == 0 {
-		c.Timing = phy.DSSSTiming()
-	}
-	if c.RepairWindow == 0 {
-		c.RepairWindow = 10 * sim.Second
-	}
 	return c
 }
 
@@ -320,8 +280,6 @@ func (c Config) Validate() error {
 		return errors.New("manet: negative request count")
 	case c.AssessmentSlots < 0:
 		return errors.New("manet: negative assessment slots")
-	case c.Groups < 0:
-		return errors.New("manet: negative group count")
 	case c.UnitMeters < 0:
 		return fmt.Errorf("manet: negative map unit %g m", c.UnitMeters)
 	case c.MaxSpeedKMH < 0:
@@ -334,9 +292,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("manet: negative warmup %v", c.Warmup)
 	case c.Drain < 0:
 		return fmt.Errorf("manet: negative drain %v", c.Drain)
-	}
-	if c.Groups > 0 && (c.Static || c.Mobility == MobilityWaypoint) {
-		return errors.New("manet: group mobility excludes Static and Waypoint modes")
 	}
 	if len(c.Placement) > 0 && len(c.Placement) != c.Hosts {
 		return fmt.Errorf("manet: placement has %d points for %d hosts", len(c.Placement), c.Hosts)
@@ -352,9 +307,6 @@ func (c Config) Validate() error {
 	}
 	if c.CaptureRatio != 0 && c.CaptureRatio <= 1 {
 		return fmt.Errorf("manet: capture ratio %g must be 0 (off) or greater than 1", c.CaptureRatio)
-	}
-	if c.RepairWindow < 0 {
-		return fmt.Errorf("manet: negative repair window %v", c.RepairWindow)
 	}
 	if _, _, err := c.resolveEngine(); err != nil {
 		return err

@@ -107,9 +107,6 @@ func TestMoverSpeedAuditClean(t *testing.T) {
 			return Config{Scheme: scheme.Flooding{}, Hosts: 25, MapUnits: 3, Requests: 5, Mobility: MobilityWaypoint}
 		},
 		func() Config {
-			return Config{Scheme: scheme.Flooding{}, Hosts: 24, MapUnits: 3, Requests: 5, Groups: 3}
-		},
-		func() Config {
 			return Config{Scheme: scheme.Flooding{}, Hosts: 25, MapUnits: 3, Requests: 5, Static: true}
 		},
 	} {
@@ -123,8 +120,8 @@ func TestMoverSpeedAuditClean(t *testing.T) {
 		}
 		n.Run()
 		if !a.Ok() {
-			t.Errorf("%v/groups=%d/static=%v: auditor reported %d violations; first: %v",
-				cfg.Mobility, cfg.Groups, cfg.Static, a.Total(), a.Violations()[0])
+			t.Errorf("%v/static=%v: auditor reported %d violations; first: %v",
+				cfg.Mobility, cfg.Static, a.Total(), a.Violations()[0])
 		}
 	}
 }

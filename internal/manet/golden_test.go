@@ -38,10 +38,6 @@ var goldenRows = []struct {
 		Scheme: scheme.Counter{C: 3}, MapUnits: 3, Hosts: 40, Requests: 12,
 		LossRate: 0.1, CaptureRatio: 4,
 	}},
-	{"neighbor-coverage-groups", Config{
-		Scheme: scheme.NeighborCoverage{}, MapUnits: 3, Hosts: 30, Requests: 8,
-		Groups: 3,
-	}},
 	{"flooding-static-dense", Config{
 		Scheme: scheme.Flooding{}, MapUnits: 1, Hosts: 60, Requests: 10,
 		Static: true,

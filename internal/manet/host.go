@@ -278,7 +278,7 @@ func (h *host) onBroadcast(f *packet.Frame) {
 		// S2: random assessment delay of 0..AssessmentSlots slots before
 		// submitting the rebroadcast to the MAC.
 		slots := h.rng.IntN(h.net.cfg.AssessmentSlots + 1)
-		delay := sim.Duration(slots) * h.net.cfg.Timing.SlotTime
+		delay := sim.Duration(slots) * h.net.ch.Timing().SlotTime
 		p.assess = h.net.sched.LaneAfterRunner(int(h.lane), delay, p)
 		return
 	}
@@ -393,11 +393,11 @@ func (h *host) scheduleHello() {
 		return
 	}
 	first := h.currentHelloInterval()
-	if h.net.cfg.HelloMode == HelloDynamic && first > h.net.cfg.DHI.HIMin {
+	if h.net.cfg.HelloMode == HelloDynamic && first > neighbor.HIMin {
 		// Before any HELLO has been exchanged the variation estimator
 		// reads zero and would pick himax; start at himin instead so the
 		// tables bootstrap quickly, then let DHI take over.
-		first = h.net.cfg.DHI.HIMin
+		first = neighbor.HIMin
 	}
 	phase := h.rng.UniformDuration(0, first)
 	h.helloTimer = h.net.sched.AfterRunner(phase, &h.helloTx)
@@ -406,7 +406,7 @@ func (h *host) scheduleHello() {
 // currentHelloInterval evaluates the fixed or dynamic hello interval.
 func (h *host) currentHelloInterval() sim.Duration {
 	if h.net.cfg.HelloMode == HelloDynamic {
-		return h.net.cfg.DHI.Interval(h.table.Variation())
+		return neighbor.DHIInterval(h.table.Variation())
 	}
 	return h.net.cfg.HelloInterval
 }

@@ -194,7 +194,7 @@ func New(cfg Config) (*Network, error) {
 	n := &Network{
 		cfg:    cfg,
 		sched:  sched,
-		ch:     phy.NewChannel(sched, cfg.Timing, cfg.Radius),
+		ch:     phy.NewChannel(sched, phy.DSSSTiming(), cfg.Radius),
 		area:   mobility.NewSquareMap(cfg.MapUnits, cfg.UnitMeters),
 		engine: engine,
 		shards: shards,
@@ -222,15 +222,6 @@ func New(cfg Config) (*Network, error) {
 	macRNG := root.Fork(2)
 	hostRNG := root.Fork(3)
 
-	var groups []*mobility.Group
-	if cfg.Groups > 0 {
-		gcfg := cfg.groupConfig()
-		groups = make([]*mobility.Group, cfg.Groups)
-		for gi := range groups {
-			groups[gi] = mobility.NewGroup(sched, n.area, gcfg, moveRNG.Fork(1000+uint64(gi)))
-		}
-	}
-
 	// Declare how fast hosts can move so the channel's spatial index can
 	// amortize snapshot rebuilds over a drift budget instead of
 	// re-snapshotting every radio at every distinct timestamp.
@@ -246,7 +237,7 @@ func New(cfg Config) (*Network, error) {
 		n.ch.SetAudit(cfg.Audit)
 	}
 
-	n.buildHosts(groups, moveRNG, macRNG, hostRNG)
+	n.buildHosts(moveRNG, macRNG, hostRNG)
 	if cfg.Telemetry != nil {
 		n.observe(cfg.Telemetry)
 	}
@@ -259,8 +250,8 @@ func New(cfg Config) (*Network, error) {
 // slabs (parked in cfg.Arena when one is attached), filled in three
 // phases:
 //
-//   - A: movers built one object at a time (group members, waypoint,
-//     static) are created sequentially in host order. Waypoint movers
+//   - A: movers built one object at a time (waypoint, static) are
+//     created sequentially in host order. Waypoint movers
 //     arm their first event as they are built, and same-instant events
 //     fire in sequence-number order, so host order here keeps the event
 //     stream a function of the configuration alone.
@@ -274,11 +265,11 @@ func New(cfg Config) (*Network, error) {
 //     for the same reason as A, whichever worker initialized the mover.
 //     With shard wheels they land on the wheel of the band owning the
 //     host's initial position; without, on the central ladder.
-func (n *Network) buildHosts(groups []*mobility.Group, moveRNG, macRNG, hostRNG *sim.RNG) {
+func (n *Network) buildHosts(moveRNG, macRNG, hostRNG *sim.RNG) {
 	cfg := n.cfg
 	sched := n.sched
 	hostsN := cfg.Hosts
-	slabMovers := cfg.Groups == 0 && !cfg.Static && cfg.Mobility != MobilityWaypoint
+	slabMovers := !cfg.Static && cfg.Mobility != MobilityWaypoint
 	n.parallelOK = slabMovers
 	var (
 		rngSlab    []sim.RNG // [2i] host stream, [2i+1] mac stream
@@ -339,18 +330,12 @@ func (n *Network) buildHosts(groups []*mobility.Group, moveRNG, macRNG, hostRNG 
 		for i := range hostSlab {
 			h := &hostSlab[i]
 			switch {
-			case cfg.Groups > 0:
-				h.mover = groups[i%cfg.Groups].NewMember(moveRNG.Fork(uint64(i)))
 			case len(cfg.Placement) > 0 && cfg.Static:
 				h.mover = mobility.NewStaticRoamer(sched, n.area, cfg.Placement[i])
 			case cfg.Static:
 				h.mover = mobility.NewStaticRoamer(sched, n.area, randomPoint(moveRNG.Fork(uint64(i)), n.area))
 			default: // MobilityWaypoint
-				wcfg := mobility.DefaultWaypointConfig(cfg.MaxSpeedKMH)
-				if cfg.WaypointPause > 0 {
-					wcfg.PauseTime = cfg.WaypointPause
-				}
-				h.mover = mobility.NewWaypoint(sched, n.area, wcfg, moveRNG.Fork(uint64(i)))
+				h.mover = mobility.NewWaypoint(sched, n.area, mobility.DefaultWaypointConfig(cfg.MaxSpeedKMH), moveRNG.Fork(uint64(i)))
 			}
 		}
 	}
@@ -782,7 +767,7 @@ func (n *Network) scheduleRequests() sim.Time {
 // over — capped at one second so static worlds still reach barriers
 // regularly.
 func (n *Network) barrierWindow() sim.Duration {
-	w := n.cfg.Timing.Airtime(packet.AckBytes)
+	w := n.ch.Timing().Airtime(packet.AckBytes)
 	slack := sim.Second
 	if v := n.cfg.MaxSpeedMPS(); v > 0 {
 		if d := sim.Duration(0.25 * n.cfg.Radius / v * float64(sim.Second)); d < slack {
@@ -828,7 +813,7 @@ func (n *Network) auditNeighborSweep(now sim.Time) {
 	maxHello := packet.HelloBaseBytes +
 		packet.HelloPerNeighborBytes*len(n.hosts) +
 		packet.HelloPerRecentBytes*(n.cfg.Requests+1)
-	slack := n.cfg.Timing.Airtime(maxHello)
+	slack := n.ch.Timing().Airtime(maxHello)
 	const eps = 1e-6
 	for _, h := range n.hosts {
 		owner := h

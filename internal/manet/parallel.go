@@ -112,8 +112,8 @@ func (n *Network) ParallelStats() ParallelStats {
 
 // parallelEligible reports whether barrier windows may run phase A on
 // the worker pool. The shard wheels carry events only when the slab
-// mover population is in play (random-turn mobility, no groups, not
-// static, not waypoint), and the audit hook requires the merged
+// mover population is in play (random-turn mobility, not static), and
+// the audit hook requires the merged
 // sequential drain.
 func (n *Network) parallelEligible() bool {
 	return n.shards > 0 && n.parallelOK && n.audit == nil

@@ -11,7 +11,7 @@ import (
 // best-effort dissemination runs unchanged; on top of it:
 //
 //   - every host piggybacks the broadcast ids it received within
-//     RepairWindow onto its periodic HELLOs;
+//     repairWindow onto its periodic HELLOs;
 //   - a host that hears an advertisement for a packet it missed unicasts
 //     a repair request (NACK) to the advertiser, at most once per packet;
 //   - the advertiser answers with a unicast retransmission of the packet,
@@ -37,6 +37,9 @@ const (
 	repairResponseBytes = packet.BroadcastBytes
 )
 
+// repairWindow is how long a received broadcast stays advertised.
+const repairWindow = 10 * sim.Second
+
 // recentEntry is one advertised broadcast.
 type recentEntry struct {
 	id    packet.BroadcastID
@@ -61,7 +64,7 @@ func (h *host) noteRecent(bid packet.BroadcastID) {
 // appendRecentIDs appends the ids still inside the advertisement window
 // to buf, pruning expired entries in place.
 func (h *host) appendRecentIDs(buf []packet.BroadcastID) []packet.BroadcastID {
-	cutoff := h.net.sched.Now().Add(-sim.Duration(h.net.cfg.RepairWindow))
+	cutoff := h.net.sched.Now().Add(-repairWindow)
 	keep := h.recent[:0]
 	for _, e := range h.recent {
 		if e.heard >= cutoff {

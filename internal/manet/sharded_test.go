@@ -32,9 +32,8 @@ var shardedCases = []struct {
 		Scheme: scheme.AdaptiveLocation{}, MapUnits: 5, Hosts: 40, Requests: 10,
 		Mobility: MobilityWaypoint,
 	}},
-	{"neighbor-coverage-groups", Config{
+	{"neighbor-coverage-groups", Config{ // named when it moved in groups
 		Scheme: scheme.NeighborCoverage{}, MapUnits: 3, Hosts: 30, Requests: 8,
-		Groups: 3,
 	}},
 	{"repair-dynamic-hello", Config{
 		Scheme: scheme.AdaptiveCounter{}, MapUnits: 5, Hosts: 30, Requests: 8,
@@ -109,7 +108,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 }
 
 // TestArenaOnDefaultEngine pins that Config.Arena means the same thing
-// on the engine the paper sweep runs on: each of the host builder's four
+// on the engine the paper sweep runs on: each of the host builder's three
 // one-at-a-time mover cases, built on the default engine into an arena —
 // twice, so the second world takes over the first one's slabs, and with
 // one arena across the cases, so each also inherits another mover
@@ -128,7 +127,6 @@ func TestArenaOnDefaultEngine(t *testing.T) {
 	}{
 		{"static", func(c *Config) { c.Static = true }},
 		{"placement", func(c *Config) { c.Static, c.Placement = true, placement }},
-		{"groups", func(c *Config) { c.Groups = 3 }},
 		{"waypoint", func(c *Config) { c.Mobility = MobilityWaypoint }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -37,29 +37,32 @@ import (
 // shard-lane sequence namespaces are engine-specific).
 //
 // The v1 string is frozen: nogrid/nointerf/nodense/noladder stamped the
-// four Disable* data-structure switches deleted in PR 16. Dropping the
-// slots would orphan every checkpoint written before, so they stay as
-// the constant false; a document stamped true names a configuration
+// four Disable* data-structure switches deleted in PR 16, and
+// pause/groups/spread/dhi/timing/window stamped Config fields that are
+// model constants now. Dropping the slots would orphan every checkpoint
+// written before, so they stay as the literals every buildable
+// configuration has; a document stamped otherwise names a configuration
 // that can no longer be built and is refused like any contradiction.
 func (n *Network) checkpointDigest() string {
 	if n.digestCache != "" {
 		return n.digestCache
 	}
 	c := n.cfg
-	n.digestCache = fmt.Sprintf("v1 hosts=%d map=%d unit=%g radius=%g speed=%g static=%t mobility=%d pause=%d groups=%d spread=%g placement=%v "+
-		"scheme=%q requests=%d arrival=%d hello=%d hi=%d dhi=%+v expiry=%d slots=%d warmup=%d drain=%d timing=%+v "+
+	n.digestCache = fmt.Sprintf("v1 hosts=%d map=%d unit=%g radius=%g speed=%g static=%t mobility=%d pause=0 groups=0 spread=0 placement=%v "+
+		"scheme=%q requests=%d arrival=%d hello=%d hi=%d dhi={NVMax:0.02 HIMin:1s HIMax:10s} expiry=%d slots=%d warmup=%d drain=%d "+
+		"timing={BitRateMbps:1 PLCPPreamble:144µs PLCPHeader:48µs SlotTime:20µs SIFS:10µs DIFS:50µs CWMin:31 CWMax:1023 AssessmentMax:31} "+
 		"engine=%d shards=%d nocoll=%t idealhello=%t nogrid=false nointerf=false nodense=false noladder=false "+
-		"loss=%g capture=%g repair=%t window=%d retain=%t seed=%d",
-		c.Hosts, c.MapUnits, c.UnitMeters, c.Radius, c.MaxSpeedKMH, c.Static, c.Mobility, c.WaypointPause, c.Groups, c.GroupSpread, c.Placement,
-		c.Scheme.Name(), c.Requests, c.ArrivalSpread, c.HelloMode, c.HelloInterval, c.DHI, c.ExpiryIntervals, c.AssessmentSlots, c.Warmup, c.Drain, c.Timing,
+		"loss=%g capture=%g repair=%t window=10000000 retain=%t seed=%d",
+		c.Hosts, c.MapUnits, c.UnitMeters, c.Radius, c.MaxSpeedKMH, c.Static, c.Mobility, c.Placement,
+		c.Scheme.Name(), c.Requests, c.ArrivalSpread, c.HelloMode, c.HelloInterval, c.ExpiryIntervals, c.AssessmentSlots, c.Warmup, c.Drain,
 		n.engine, n.shards, c.DisableCollisions, c.IdealHello,
-		c.LossRate, c.CaptureRatio, c.Repair, c.RepairWindow, c.RetainRecords, c.Seed)
+		c.LossRate, c.CaptureRatio, c.Repair, c.RetainRecords, c.Seed)
 	return n.digestCache
 }
 
 // checkpointable reports why this network cannot be checkpointed, nil
 // if it can. The unsupported features all carry state no layer snapshot
-// covers (a protocol's closures, telemetry series, group/waypoint movers).
+// covers (a protocol's closures, telemetry series, waypoint movers).
 func (n *Network) checkpointable() error {
 	c := n.cfg
 	switch {
@@ -67,8 +70,6 @@ func (n *Network) checkpointable() error {
 		return fmt.Errorf("manet: checkpoint unsupported with a protocol attached: its closure-driven state cannot be described")
 	case n.obs != nil:
 		return fmt.Errorf("manet: checkpoint unsupported with telemetry attached")
-	case c.Groups > 0:
-		return fmt.Errorf("manet: checkpoint unsupported with group mobility")
 	case c.Mobility == MobilityWaypoint && !c.Static:
 		return fmt.Errorf("manet: checkpoint unsupported with waypoint mobility")
 	}

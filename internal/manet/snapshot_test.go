@@ -265,7 +265,6 @@ func TestCheckpointUnsupportedConfigs(t *testing.T) {
 		apply func(*Config)
 	}{
 		{"telemetry", func(c *Config) { c.Telemetry = obs.New(sim.Second) }},
-		{"groups", func(c *Config) { c.Groups = 3 }},
 		{"waypoint", func(c *Config) { c.Mobility = MobilityWaypoint }},
 	}
 	for _, tc := range cases {

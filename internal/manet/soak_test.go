@@ -43,13 +43,11 @@ func TestSoakRandomConfigurations(t *testing.T) {
 			RetainRecords: true,
 			Seed:          uint64(trial + 1),
 		}
-		switch rng.IntN(4) {
+		switch rng.IntN(3) {
 		case 0:
 			cfg.Static = true
 		case 1:
 			cfg.Mobility = MobilityWaypoint
-		case 2:
-			cfg.Groups = 1 + rng.IntN(3)
 		}
 		if rng.IntN(3) == 0 {
 			cfg.LossRate = 0.1

@@ -125,7 +125,6 @@ func TestValidateRejectsBadRates(t *testing.T) {
 		{"capture at one", func(c *Config) { c.CaptureRatio = 1.0 }, "capture ratio"},
 		{"capture below one", func(c *Config) { c.CaptureRatio = 0.5 }, "capture ratio"},
 		{"negative capture", func(c *Config) { c.CaptureRatio = -2 }, "capture ratio"},
-		{"negative repair window", func(c *Config) { c.RepairWindow = -sim.Second }, "repair window"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

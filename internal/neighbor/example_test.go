@@ -9,10 +9,10 @@ import (
 // The dynamic hello interval shortens as the neighborhood churns: a
 // static neighborhood beacons every himax, a fully churning one every
 // himin.
-func ExampleDHIConfig_Interval() {
-	dhi := neighbor.DefaultDHIConfig() // nvmax 0.02, himin 1s, himax 10s
+func ExampleDHIInterval() {
+	// nvmax 0.02, himin 1s, himax 10s
 	for _, nv := range []float64{0, 0.005, 0.01, 0.02, 0.1} {
-		fmt.Printf("nv=%.3f -> %v\n", nv, dhi.Interval(nv))
+		fmt.Printf("nv=%.3f -> %v\n", nv, neighbor.DHIInterval(nv))
 	}
 	// Output:
 	// nv=0.000 -> 10s

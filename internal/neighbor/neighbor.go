@@ -28,32 +28,23 @@ const DefaultExpiryIntervals = 2
 // estimator (the paper uses the past 10 seconds).
 const VariationWindow = 10 * sim.Second
 
-// DHIConfig parameterizes the dynamic hello interval. The values in
-// DefaultDHIConfig are the ones the paper simulates with.
-type DHIConfig struct {
-	NVMax float64      // maximum neighborhood variation (paper: 0.02)
-	HIMin sim.Duration // shortest hello interval (paper: 1,000 ms)
-	HIMax sim.Duration // longest hello interval (paper: 10,000 ms)
-}
+// The dynamic hello interval's parameters, as the paper simulates them.
+const (
+	NVMax = 0.02            // maximum neighborhood variation
+	HIMin = 1 * sim.Second  // shortest hello interval
+	HIMax = 10 * sim.Second // longest hello interval
+)
 
-// DefaultDHIConfig returns the paper's DHI parameters.
-func DefaultDHIConfig() DHIConfig {
-	return DHIConfig{NVMax: 0.02, HIMin: 1 * sim.Second, HIMax: 10 * sim.Second}
-}
-
-// Interval evaluates the dynamic hello interval for a neighborhood
+// DHIInterval evaluates the dynamic hello interval for a neighborhood
 // variation nv.
-func (c DHIConfig) Interval(nv float64) sim.Duration {
-	if c.NVMax <= 0 {
-		return c.HIMax
+func DHIInterval(nv float64) sim.Duration {
+	frac := (NVMax - nv) / NVMax
+	hi := sim.Duration(frac * float64(HIMax))
+	if hi < HIMin {
+		return HIMin
 	}
-	frac := (c.NVMax - nv) / c.NVMax
-	hi := sim.Duration(frac * float64(c.HIMax))
-	if hi < c.HIMin {
-		return c.HIMin
-	}
-	if hi > c.HIMax {
-		return c.HIMax
+	if hi > HIMax {
+		return HIMax
 	}
 	return hi
 }

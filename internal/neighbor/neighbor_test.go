@@ -181,7 +181,6 @@ func TestVariationEmptyNeighborhoodDefined(t *testing.T) {
 }
 
 func TestDHIIntervalFormula(t *testing.T) {
-	cfg := DefaultDHIConfig()
 	cases := []struct {
 		nv   float64
 		want sim.Duration
@@ -194,16 +193,9 @@ func TestDHIIntervalFormula(t *testing.T) {
 		{0.015, 2500 * sim.Millisecond}, // quarter
 	}
 	for _, c := range cases {
-		if got := cfg.Interval(c.nv); got != c.want {
-			t.Errorf("Interval(%v) = %v, want %v", c.nv, got, c.want)
+		if got := DHIInterval(c.nv); got != c.want {
+			t.Errorf("DHIInterval(%v) = %v, want %v", c.nv, got, c.want)
 		}
-	}
-}
-
-func TestDHIDegenerateConfig(t *testing.T) {
-	cfg := DHIConfig{NVMax: 0, HIMin: sim.Second, HIMax: 10 * sim.Second}
-	if got := cfg.Interval(0.5); got != 10*sim.Second {
-		t.Errorf("degenerate NVMax: Interval = %v, want HIMax", got)
 	}
 }
 

@@ -90,15 +90,14 @@ type Auditor interface {
 // Timing describes the physical layer bit timing. The zero value is not
 // usable; use DSSSTiming for the paper's parameters.
 type Timing struct {
-	BitRateMbps   float64      // payload transmission rate
-	PLCPPreamble  sim.Duration // physical preamble airtime
-	PLCPHeader    sim.Duration // physical header airtime
-	SlotTime      sim.Duration // MAC slot (exposed here for convenience)
-	SIFS          sim.Duration
-	DIFS          sim.Duration
-	CWMin         int // minimum contention window (slots)
-	CWMax         int // maximum contention window (slots)
-	AssessmentMax int // scheme-level random assessment delay, slots (0..AssessmentMax)
+	BitRateMbps  float64      // payload transmission rate
+	PLCPPreamble sim.Duration // physical preamble airtime
+	PLCPHeader   sim.Duration // physical header airtime
+	SlotTime     sim.Duration // MAC slot (exposed here for convenience)
+	SIFS         sim.Duration
+	DIFS         sim.Duration
+	CWMin        int // minimum contention window (slots)
+	CWMax        int // maximum contention window (slots)
 }
 
 // DSSSTiming returns the IEEE 802.11 DSSS timing used throughout the
@@ -106,15 +105,14 @@ type Timing struct {
 // PLCP preamble 144 us, PLCP header 48 us, backoff window 31-1023.
 func DSSSTiming() Timing {
 	return Timing{
-		BitRateMbps:   1.0,
-		PLCPPreamble:  144 * sim.Microsecond,
-		PLCPHeader:    48 * sim.Microsecond,
-		SlotTime:      20 * sim.Microsecond,
-		SIFS:          10 * sim.Microsecond,
-		DIFS:          50 * sim.Microsecond,
-		CWMin:         31,
-		CWMax:         1023,
-		AssessmentMax: 31,
+		BitRateMbps:  1.0,
+		PLCPPreamble: 144 * sim.Microsecond,
+		PLCPHeader:   48 * sim.Microsecond,
+		SlotTime:     20 * sim.Microsecond,
+		SIFS:         10 * sim.Microsecond,
+		DIFS:         50 * sim.Microsecond,
+		CWMin:        31,
+		CWMax:        1023,
 	}
 }
 

@@ -9,17 +9,16 @@ import (
 	"repro/internal/sim"
 )
 
-// Config describes a route-discovery experiment.
+// Config describes a route-discovery experiment. The world it runs on
+// is a manet world with manet's defaults for everything not listed here:
+// radius and map unit, discovery inter-arrival spread, assessment delay,
+// warm-up, and HELLO (fixed 1 s beacons when the scheme needs them).
 type Config struct {
-	// Hosts, MapUnits, UnitMeters, Radius, MaxSpeedKMH, Static and Seed
-	// describe the world exactly as in manet.Config, and like every
-	// field this type shares with it (Scheme, ArrivalSpread,
-	// AssessmentSlots, Warmup, Drain) take manet's defaults and
-	// validation.
+	// Hosts, MapUnits, MaxSpeedKMH, Static and Seed describe the world
+	// exactly as in manet.Config, and like Scheme and Drain take manet's
+	// defaults and validation.
 	Hosts       int
 	MapUnits    int
-	UnitMeters  float64
-	Radius      float64
 	MaxSpeedKMH float64
 	Static      bool
 	Seed        uint64
@@ -29,14 +28,6 @@ type Config struct {
 
 	// Discoveries is how many route discoveries to attempt.
 	Discoveries int
-	// ArrivalSpread is the uniform inter-arrival bound between
-	// discoveries.
-	ArrivalSpread sim.Duration
-
-	// HelloInterval drives neighbor discovery (needed by the adaptive
-	// schemes); 0 disables HELLO, which is only valid for schemes that
-	// do not require it.
-	HelloInterval sim.Duration
 
 	// RouteLifetime is how long an installed route stays valid.
 	RouteLifetime sim.Duration
@@ -58,11 +49,9 @@ type Config struct {
 	DataPerRoute int
 	// DataInterval spaces the data packets of one flow (0 = 200 ms).
 	DataInterval sim.Duration
-	// AssessmentSlots is the scheme-level random delay window.
-	AssessmentSlots int
-	// Warmup and Drain bound the run like in manet.Config.
-	Warmup sim.Duration
-	Drain  sim.Duration
+	// Drain is extra simulated time after the last discovery, as in
+	// manet.Config.
+	Drain sim.Duration
 }
 
 // WithDefaults fills the unset route-discovery fields. The fields shared
@@ -70,9 +59,6 @@ type Config struct {
 func (c Config) WithDefaults() Config {
 	if c.Discoveries == 0 {
 		c.Discoveries = 50
-	}
-	if c.HelloInterval == 0 && c.Scheme != nil && c.Scheme.NeedsHello() {
-		c.HelloInterval = 1 * sim.Second
 	}
 	if c.RouteLifetime == 0 {
 		c.RouteLifetime = 10 * sim.Second
@@ -120,26 +106,15 @@ func (c Config) Validate() error {
 // world describes the manet world the protocol runs on. Records are
 // retained so the run can total its RREQ transmissions.
 func (c Config) world() manet.Config {
-	hello := manet.HelloOff
-	if c.HelloInterval > 0 {
-		hello = manet.HelloFixed
-	}
 	return manet.Config{
-		Hosts:           c.Hosts,
-		MapUnits:        c.MapUnits,
-		UnitMeters:      c.UnitMeters,
-		Radius:          c.Radius,
-		MaxSpeedKMH:     c.MaxSpeedKMH,
-		Static:          c.Static,
-		Scheme:          c.Scheme,
-		ArrivalSpread:   c.ArrivalSpread,
-		HelloMode:       hello,
-		HelloInterval:   c.HelloInterval,
-		AssessmentSlots: c.AssessmentSlots,
-		Warmup:          c.Warmup,
-		Drain:           c.Drain,
-		RetainRecords:   true,
-		Seed:            c.Seed,
+		Hosts:         c.Hosts,
+		MapUnits:      c.MapUnits,
+		MaxSpeedKMH:   c.MaxSpeedKMH,
+		Static:        c.Static,
+		Scheme:        c.Scheme,
+		Drain:         c.Drain,
+		RetainRecords: true,
+		Seed:          c.Seed,
 	}
 }
 

@@ -3,6 +3,7 @@ package routing
 import (
 	"testing"
 
+	"repro/internal/manet"
 	"repro/internal/packet"
 	"repro/internal/scheme"
 	"repro/internal/sim"
@@ -170,30 +171,28 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Hosts: 1}); err == nil {
 		t.Error("single-host network accepted")
 	}
-	cfg := Config{Hosts: 5, Scheme: scheme.NeighborCoverage{}}
-	// Defaults must auto-enable HELLO for a HELLO-dependent scheme.
-	if got := cfg.WithDefaults(); got.HelloInterval <= 0 {
+	// The world must beacon for a HELLO-dependent scheme.
+	n, err := New(Config{Hosts: 5, Scheme: scheme.NeighborCoverage{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.world.Close()
+	if n.world.Config().HelloMode == manet.HelloOff {
 		t.Error("defaults left HELLO off for NC")
 	}
 	// What manet.Config.Validate refuses for the shared fields, plus the
 	// routing-only counts: each must be an error, not a run.
 	for name, bad := range map[string]Config{
-		"negative map":             {MapUnits: -1},
-		"negative radius":          {Radius: -1},
-		"negative unit":            {UnitMeters: -500},
-		"negative speed":           {MaxSpeedKMH: -5},
-		"negative discoveries":     {Discoveries: -1},
-		"negative arrival spread":  {ArrivalSpread: -sim.Second},
-		"negative hello interval":  {HelloInterval: -sim.Second},
-		"negative rts threshold":   {RTSThreshold: -1},
-		"negative data per route":  {DataPerRoute: -1},
-		"negative assessment slot": {AssessmentSlots: -1},
-		"negative warmup":          {Warmup: -sim.Second},
-		"negative drain":           {Drain: -sim.Second},
-		"negative ring timeout":    {RingTTLs: []int{1, 0}, RingTimeout: -sim.Second},
-		"negative data interval":   {DataPerRoute: 5, DataInterval: -sim.Second},
-		"negative route lifetime":  {RouteLifetime: -sim.Second},
-		"negative ring ttl":        {RingTTLs: []int{-1, 0}},
+		"negative map":            {MapUnits: -1},
+		"negative speed":          {MaxSpeedKMH: -5},
+		"negative discoveries":    {Discoveries: -1},
+		"negative rts threshold":  {RTSThreshold: -1},
+		"negative data per route": {DataPerRoute: -1},
+		"negative drain":          {Drain: -sim.Second},
+		"negative ring timeout":   {RingTTLs: []int{1, 0}, RingTimeout: -sim.Second},
+		"negative data interval":  {DataPerRoute: 5, DataInterval: -sim.Second},
+		"negative route lifetime": {RouteLifetime: -sim.Second},
+		"negative ring ttl":       {RingTTLs: []int{-1, 0}},
 	} {
 		if _, err := New(bad); err == nil {
 			t.Errorf("%s accepted", name)

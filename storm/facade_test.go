@@ -22,13 +22,10 @@ func TestConfigValidationErrors(t *testing.T) {
 		{"negative radius", storm.Config{Radius: -500}, "radius must be positive"},
 		{"negative requests", storm.Config{Requests: -1}, "negative request count"},
 		{"negative slots", storm.Config{AssessmentSlots: -1}, "negative assessment slots"},
-		{"negative groups", storm.Config{Groups: -2}, "negative group count"},
-		{"groups and static", storm.Config{Groups: 2, Static: true}, "group mobility excludes"},
 		{"placement mismatch", storm.Config{Hosts: 3, Static: true,
 			Placement: []storm.Point{{X: 0, Y: 0}}}, "placement has 1 points"},
 		{"loss rate", storm.Config{LossRate: 1.5}, "loss rate"},
 		{"capture ratio", storm.Config{CaptureRatio: 0.5}, "capture ratio"},
-		{"repair window", storm.Config{Repair: true, RepairWindow: -storm.Second}, "negative repair window"},
 	}
 	for _, tc := range cases {
 		tc := tc
