@@ -232,7 +232,7 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 		for _, c := range st.ShardExecuted {
 			lanes += c
 		}
-		fmt.Fprintf(stdout, "barrier windows           %d (%d widened)\n", st.Barriers, st.Widened)
+		fmt.Fprintf(stdout, "barrier windows           %d\n", st.Barriers)
 		fmt.Fprintf(stdout, "lane / border events      %d / %d (border share %.3f)\n",
 			lanes, st.BorderExecuted, st.BorderShare())
 		if st.Speculated > 0 {

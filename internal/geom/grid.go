@@ -15,9 +15,7 @@ import "slices"
 //
 // Invariants (relied on by the phy equivalence guarantees):
 //   - Within and Neighbors return indices in ascending order, matching
-//     what a linear scan over the snapshot produces. The order is built,
-//     not imposed: each cell's CSR list is ascending, so a query result
-//     is a few ascending runs, which are merged (see ascending).
+//     what a linear scan over the snapshot produces.
 //   - Queries are exact: candidate cells are filtered by true squared
 //     distance, so results are identical to the brute-force scan, not
 //     an approximation.
@@ -134,10 +132,6 @@ func (g *Grid) cellIndex(p Point) int32 {
 	return int32(cy*g.cols + cx)
 }
 
-// Cells returns the grid dimensions in cells (columns, rows). Both are
-// zero before the first Rebuild or when the snapshot is empty.
-func (g *Grid) Cells() (cols, rows int) { return g.cols, g.rows }
-
 // CellOf returns the clamped cell coordinates containing p. Points
 // outside the indexed bounding box map to the nearest boundary cell, so
 // the result is always a valid coordinate pair for a non-empty grid.
@@ -166,13 +160,9 @@ func (g *Grid) CellRange(p Point, r float64) (cx0, cy0, cx1, cy1 int) {
 }
 
 // Within appends to buf every index i with Dist(pts[i], p) <= r, in
-// ascending order, and returns the extended slice. The spare capacity
-// past the result may be used as merge scratch, so buf can come back
-// with more capacity than the result needs.
-//
-// The result is gathered row by row. A row's cells are adjacent in the
-// CSR layout and each cell's list is ascending, so it is a concatenation
-// of at most (cells visited) ascending runs, which ascending merges.
+// ascending order, and returns the extended slice. The result is
+// gathered row by row (a row's cells are adjacent in the CSR layout) and
+// then sorted.
 func (g *Grid) Within(p Point, r float64, buf []int) []int {
 	if len(g.pts) == 0 {
 		return buf
@@ -189,7 +179,8 @@ func (g *Grid) Within(p Point, r float64, buf []int) []int {
 			}
 		}
 	}
-	return ascending(buf, from)
+	slices.Sort(buf[from:])
+	return buf
 }
 
 // Neighbors is Within(pts[i], r) excluding i itself: the unit-disk
@@ -203,81 +194,6 @@ func (g *Grid) Neighbors(i int, r float64, buf []int) []int {
 		}
 	}
 	return buf
-}
-
-// insertionSortMax is the result length up to which ascending uses a
-// plain insertion sort: a sparse world's two or three neighbours are
-// ordered in a handful of compares, with no run bookkeeping.
-const insertionSortMax = 12
-
-// ascending orders buf[from:], a concatenation of ascending runs of
-// distinct values, and returns buf. Longer results are ordered by a
-// natural merge sort: each pass merges adjacent pairs of runs, so k runs
-// take ceil(log2 k) passes of one compare per element — against a
-// comparison sort's log2(len) — and an already ascending result takes
-// none. The merge target is buf's own spare capacity (grown once if too
-// short), never shared state: concurrent queries on one grid each bring
-// their own buf.
-func ascending(buf []int, from int) []int {
-	a := buf[from:]
-	n := len(a)
-	if n <= insertionSortMax {
-		for i := 1; i < n; i++ {
-			for j := i; j > 0 && a[j] < a[j-1]; j-- {
-				a[j], a[j-1] = a[j-1], a[j]
-			}
-		}
-		return buf
-	}
-	if runEnd(a, 0) == n {
-		return buf
-	}
-	buf = slices.Grow(buf, n)
-	a = buf[from:]
-	src, dst := a, buf[len(buf):len(buf)+n]
-	for runs := 0; runs != 1; src, dst = dst, src {
-		runs = 0
-		for i := 0; i < n; runs++ {
-			mid := runEnd(src, i)
-			end := runEnd(src, mid)
-			mergeRuns(dst[i:end], src[i:mid], src[mid:end])
-			i = end
-		}
-	}
-	// src is where the last pass wrote.
-	if &src[0] != &a[0] {
-		copy(a, src)
-	}
-	return buf
-}
-
-// runEnd returns the end of the ascending run of a that starts at i
-// (i itself when i == len(a)).
-func runEnd(a []int, i int) int {
-	if i == len(a) {
-		return i
-	}
-	for i++; i < len(a) && a[i-1] < a[i]; i++ {
-	}
-	return i
-}
-
-// mergeRuns merges ascending x and y into dst; len(dst) == len(x)+len(y).
-func mergeRuns(dst, x, y []int) {
-	i, j, k := 0, 0, 0
-	for i < len(x) && j < len(y) {
-		xv, yv := x[i], y[j]
-		v, d := xv, 0
-		if yv < xv {
-			v, d = yv, 1
-		}
-		dst[k] = v
-		k++
-		j += d
-		i += 1 - d
-	}
-	k += copy(dst[k:], x[i:])
-	copy(dst[k:], y[j:])
 }
 
 func clampCell(c, n int) int {

@@ -438,7 +438,6 @@ func (n *Network) observe(o *obs.Collector) {
 		// parallel path is ineligible), and barrier_wait_ns integrates
 		// worker idle time at drain barriers.
 		o.Gauge("engine.barriers", func() float64 { return float64(n.pstats.Barriers) })
-		o.Gauge("engine.widened_barriers", func() float64 { return float64(n.pstats.Widened) })
 		o.Gauge("engine.barrier_wait_ns", func() float64 { return float64(n.pstats.WaitNS) })
 		o.Gauge("engine.border_share", func() float64 {
 			exec := n.sched.Executed()
@@ -699,15 +698,16 @@ func (n *Network) RunContext(ctx context.Context) (metrics.Summary, error) {
 	// border lane — sequentially up to the barrier (phase B).
 	par := n.parallelEligible()
 	spec := n.speculativeEligible()
-	plan := n.planWindows(par)
+	window := n.barrierWindow()
+	if par {
+		// A drain fires at most one turn per mover per window: the
+		// invariant the one-segment mobility history relies on.
+		window = min(window, mobility.DefaultConfig(n.cfg.MaxSpeedKMH).MinTurn)
+	}
 	nextCkpt := n.sched.Now().Add(n.CheckpointEvery)
 	for {
 		if err := ctx.Err(); err != nil {
 			return metrics.Summary{}, err
-		}
-		window := plan.base
-		if n.shards > 0 {
-			window = n.nextWindow(plan)
 		}
 		barrier := n.sched.Now().Add(window)
 		if barrier > n.endTime {
@@ -724,9 +724,6 @@ func (n *Network) RunContext(ctx context.Context) (metrics.Summary, error) {
 		n.auditShardBarrier(barrier)
 		if n.shards > 0 {
 			n.pstats.Barriers++
-			if window > plan.base {
-				n.pstats.Widened++
-			}
 		}
 		if n.CheckpointHook != nil && n.CheckpointEvery > 0 &&
 			barrier < n.endTime && barrier >= nextCkpt {

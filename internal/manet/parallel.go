@@ -42,13 +42,10 @@ package manet
 
 import (
 	"context"
-	"math"
 	"runtime/pprof"
 	"strconv"
 	"time"
 
-	"repro/internal/geom"
-	"repro/internal/mobility"
 	"repro/internal/sim"
 )
 
@@ -61,7 +58,7 @@ import (
 // the sequential border lane.
 type ParallelStats struct {
 	Barriers       int      // barrier windows executed
-	Widened        int      // windows that used the adaptive wide lookahead
+	Widened        int      // always zero; kept for the benchmark's trace summary
 	ShardExecuted  []uint64 // events fired by each shard's parallel drain
 	BorderExecuted uint64   // events executed on the sequential border lane
 	WaitNS         int64    // cumulative worker idle time at drain barriers
@@ -117,81 +114,6 @@ func (n *Network) ParallelStats() ParallelStats {
 // sequential drain.
 func (n *Network) parallelEligible() bool {
 	return n.shards > 0 && n.parallelOK && n.audit == nil
-}
-
-// windowPlan fixes a run's barrier lookaheads: the conservative base
-// window and the adaptive wide window used when no in-flight
-// transmission is border-proximate. margin is the PR 5 locality bound
-// 2r + speedBound·Δt evaluated at the wide window — a transmission
-// whose sender started farther than margin from every interior band
-// border cannot interact across one within the window.
-type windowPlan struct {
-	base   sim.Duration
-	wide   sim.Duration
-	margin float64 // meters
-}
-
-// planWindows derives the run's window plan. The wide window is capped
-// at one second; a parallel run additionally clamps both windows to the
-// minimum turn duration so a drain fires at most one turn per mover per
-// window (the invariant the one-segment mobility history relies on).
-func (n *Network) planWindows(parallel bool) windowPlan {
-	base := n.barrierWindow()
-	wide := sim.Second
-	if parallel {
-		if mt := mobility.DefaultConfig(n.cfg.MaxSpeedKMH).MinTurn; mt < wide {
-			wide = mt
-		}
-		if base > wide {
-			base = wide
-		}
-	}
-	if wide < base {
-		wide = base
-	}
-	return windowPlan{
-		base:   base,
-		wide:   wide,
-		margin: 2*n.cfg.Radius + n.cfg.MaxSpeedMPS()*wide.Seconds(),
-	}
-}
-
-// nextWindow picks the lookahead for the next barrier window: the wide
-// window when no transmission currently on the air started within
-// margin of an interior shard band border, the conservative base window
-// otherwise. With a single shard there is no interior border to
-// protect.
-func (n *Network) nextWindow(p windowPlan) sim.Duration {
-	if p.wide <= p.base {
-		return p.base
-	}
-	if n.shards <= 1 {
-		return p.wide
-	}
-	bandH := n.area.Height / float64(n.shards)
-	if 2*p.margin >= bandH {
-		return p.base // bands so narrow every position is border-proximate
-	}
-	near := false
-	n.ch.EachActiveSender(func(pt geom.Point) {
-		if near {
-			return
-		}
-		k := math.Round(pt.Y / bandH)
-		if k < 1 {
-			k = 1
-		}
-		if kmax := float64(n.shards - 1); k > kmax {
-			k = kmax
-		}
-		if math.Abs(pt.Y-k*bandH) <= p.margin {
-			near = true
-		}
-	})
-	if near {
-		return p.base
-	}
-	return p.wide
 }
 
 // drainWindow executes phase A of one barrier window: every shard's

@@ -1,7 +1,7 @@
 // Package pdes supplies the parallel discrete-event-simulation substrate
 // for the sharded engine: a bounded-channel worker pool with barrier
-// semantics, and a band-parallel connected-component walker used for
-// reachability queries over the spatial grid.
+// semantics, and the connected-component walker used for reachability
+// queries.
 //
 // Design note — what is and is not parallelized on the event spine: the
 // MAC grants immediate channel access at the current instant (zero
@@ -16,12 +16,10 @@
 // (sim.DrainShardUntil), while every radio, HELLO, and record event
 // runs on the sequential merged drain, the deterministic border lane
 // (see manet's parallel.go for the exactness argument). The pool also
-// drives batched construction, snapshot evaluation, and reachability
-// walks. Shard synchronization happens at conservative barrier windows
-// derived from the minimum frame airtime plus the speed bound, widened
-// adaptively when no in-flight transmission is border-proximate; at
-// each barrier, cancellation and the cross-shard monotonicity audit
-// run.
+// drives batched construction and snapshot evaluation. Shard
+// synchronization happens at conservative barrier windows derived from
+// the minimum frame airtime plus the speed bound; at each barrier,
+// cancellation and the cross-shard monotonicity audit run.
 package pdes
 
 import "sync"
@@ -72,9 +70,6 @@ func (p *Pool) worker(shard int) {
 		p.done <- struct{}{}
 	}
 }
-
-// Workers returns the pool size.
-func (p *Pool) Workers() int { return len(p.work) }
 
 // Do partitions [0, n) into len(workers) contiguous slices and runs
 // f(shard, lo, hi) on each worker, blocking until all return. Shards

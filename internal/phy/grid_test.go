@@ -202,12 +202,12 @@ func TestStaticNeighborMemo(t *testing.T) {
 		}
 		ch.SetMaxSpeed(0)
 
-		// Before any list is memoised the walk falls back to the grid.
+		// The first walk takes every cluster member's list from the grid.
 		if got := ch.CountReachable(0); got != 200 {
 			t.Fatalf("workers=%d: cold CountReachable(0) = %d, want 200", workers, got)
 		}
-		if hits, misses := ch.NbrMemoStats(); hits != 0 || misses != 0 {
-			t.Fatalf("workers=%d: the walk wrote the memo: %d hits / %d misses", workers, hits, misses)
+		if hits, misses := ch.NbrMemoStats(); hits != 0 || misses != 200 {
+			t.Fatalf("workers=%d: cold walk: %d hits / %d misses, want 0 / 200", workers, hits, misses)
 		}
 		for round := 0; round < 3; round++ {
 			for i := range pts {
@@ -233,8 +233,11 @@ func TestStaticNeighborMemo(t *testing.T) {
 		if misses != n {
 			t.Errorf("workers=%d: the grid was queried %d times, want once per radio (%d)", workers, misses, n)
 		}
-		if hits != 5*n {
-			t.Errorf("workers=%d: %d memo hits, want the %d repeat Transmit and Neighbors queries (the walk's reads are not counted)", workers, hits, 5*n)
+		// Every query but the first per radio hits: 6 Transmit and Neighbors
+		// queries per radio, less the four isolated radios' first Transmit,
+		// plus three walks over the cluster and three over one isolated radio.
+		if want := 6*n - 4 + 3*(200+1); hits != want {
+			t.Errorf("workers=%d: %d memo hits, want %d", workers, hits, want)
 		}
 		if rate := ch.NbrMemoHitRate(); rate < 0.8 {
 			t.Errorf("workers=%d: memo hit rate %.3f, want near 1", workers, rate)

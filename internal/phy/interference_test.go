@@ -319,9 +319,13 @@ func TestInterferenceDifferentialMegaMap(t *testing.T) {
 				pts[i] = trajs[i].p0
 			}
 			g.Rebuild(pts, 500)
-			cols, rows := g.Cells()
-			if mcols, mrows := g.MacroCells(); mcols == cols && mrows == rows {
-				t.Fatalf("mega map did not coarsen the macro level (cells %dx%d)", cols, rows)
+			var far geom.Point // the bounding box's far corner: the last cell
+			for _, p := range pts {
+				far = geom.Point{X: max(far.X, p.X), Y: max(far.Y, p.Y)}
+			}
+			cx, cy := g.CellOf(far)
+			if mx, my := g.MacroOf(far); mx == cx && my == cy {
+				t.Fatalf("mega map did not coarsen the macro level (cells %dx%d)", cx+1, cy+1)
 			}
 		})
 	}

@@ -244,12 +244,11 @@ type Channel struct {
 	// radio i's list is computed. Lists live as int32 in fixed-size
 	// chunks that are filled once and never re-grown, so the memo costs
 	// 4 bytes per edge and no list is ever copied to a larger array.
-	// Only the scheduler's sequential context writes it (exactNeighbors);
-	// the walker's band workers read it or fall back to the grid. Derived
-	// state: not part of a checkpoint.
+	// Only the scheduler's sequential context reads or writes it
+	// (exactNeighbors). Derived state: not part of a checkpoint.
 	nbrMemo     [][]int32
 	nbrChunk    []int32
-	nbrMemoHit  uint64 // counted by exactNeighbors only, not by the walker
+	nbrMemoHit  uint64
 	nbrMemoMiss uint64
 
 	// Interference index: the active transmissions bucketed by the grid
@@ -295,9 +294,9 @@ type Channel struct {
 	audit Auditor
 
 	// Worker pool (nil on the sequential engine): parallelizes snapshot
-	// position evaluation across index ranges and makes the reachability
-	// walker band-parallel. Both uses are pure functions of mover state,
-	// so results are identical with or without the pool.
+	// position evaluation across index ranges. Positions are pure
+	// functions of mover state, so results are identical with or without
+	// the pool.
 	pool    *pdes.Pool
 	walker  *pdes.Walker
 	walkNbr pdes.NeighborFunc // the walker's adjacency query, bound with it
@@ -374,14 +373,10 @@ func (c *Channel) SetRadio(i int, pos Positioner, l Listener) {
 }
 
 // SetPool attaches a worker pool the channel uses to parallelize
-// snapshot position evaluation and reachability walks. Both are pure
-// functions of mover state, so the results — and therefore simulation
-// summaries — are identical with or without a pool. Call before the
-// simulation starts.
-func (c *Channel) SetPool(p *pdes.Pool) {
-	c.pool = p
-	c.walker = nil
-}
+// snapshot position evaluation. Positions are pure functions of mover
+// state, so the results — and therefore simulation summaries — are
+// identical with or without a pool. Call before the simulation starts.
+func (c *Channel) SetPool(p *pdes.Pool) { c.pool = p }
 
 // PositionOf returns radio i's current position.
 func (c *Channel) PositionOf(i int) geom.Point {
@@ -445,9 +440,12 @@ func (c *Channel) neighborsRefreshed(i int, buf []int) []int {
 // otherwise from the grid. It may write the memo, so it belongs to the
 // scheduler's sequential context only.
 func (c *Channel) exactNeighbors(i int, buf []int) []int {
-	if l := c.memoised(i); l != nil {
+	if c.nbrMemo != nil && c.nbrMemo[i] != nil {
 		c.nbrMemoHit++
-		return appendInts(buf, l)
+		for _, j := range c.nbrMemo[i] {
+			buf = append(buf, int(j))
+		}
+		return buf
 	}
 	from := len(buf)
 	buf = c.grid.Neighbors(i, c.radius, buf)
@@ -456,16 +454,6 @@ func (c *Channel) exactNeighbors(i int, buf []int) []int {
 		c.nbrMemo[i] = c.memoStore(buf[from:])
 	}
 	return buf
-}
-
-// memoised returns radio i's memoised neighbour list, or nil when there
-// is none: a mobile world, or a list nobody has asked for yet. It writes
-// nothing, so band workers may call it.
-func (c *Channel) memoised(i int) []int32 {
-	if c.nbrMemo == nil {
-		return nil
-	}
-	return c.nbrMemo[i]
 }
 
 // nbrChunkLen is the memo's chunk size in entries (64 KiB of int32): a
@@ -492,28 +480,6 @@ func (c *Channel) memoStore(list []int) []int32 {
 		c.nbrChunk = append(c.nbrChunk, int32(j))
 	}
 	return c.nbrChunk[off:len(c.nbrChunk):len(c.nbrChunk)]
-}
-
-func appendInts(buf []int, l []int32) []int {
-	for _, j := range l {
-		buf = append(buf, int(j))
-	}
-	return buf
-}
-
-// walkNeighbors is the reachability walker's adjacency query:
-// neighborsRefreshed that only reads channel state — a memoised list
-// when there is one, otherwise the grid, never a memo write or a hit
-// count — so the walker's band workers may call it concurrently.
-func (c *Channel) walkNeighbors(i int, buf []int) []int {
-	now := c.sched.Now()
-	if now != c.snapTime {
-		return c.staleNeighbors(i, c.positions[i].PositionAt(now), now, buf)
-	}
-	if l := c.memoised(i); l != nil {
-		return appendInts(buf, l)
-	}
-	return c.grid.Neighbors(i, c.radius, buf)
 }
 
 // refresh ensures the spatial index is usable at the current clock
@@ -583,22 +549,19 @@ func (c *Channel) rebuildSnapshot(now sim.Time) {
 }
 
 // CountReachable returns the number of radios connected to src
-// (including src) in the current unit-disk graph, via a breadth-first
-// walk — band-parallel across the pool when one is attached. Adjacency
-// is Neighbors' own answer (walkNeighbors, its read-only twin), so the
-// edge set is the live unit-disk graph at the current instant and the
-// count is identical to a sequential BFS over Neighbors queries — band
-// decomposition changes visit order, never membership — and no forced
-// snapshot rebuild is needed.
+// (including src) in the current unit-disk graph, via a sequential walk
+// over Neighbors' own answer. The edge set is therefore the live
+// unit-disk graph at the current instant, and no forced snapshot
+// rebuild is needed.
 func (c *Channel) CountReachable(src int) int {
 	c.refresh()
 	if c.walker == nil {
-		c.walker = pdes.NewWalker(c.pool)
+		c.walker = pdes.NewWalker(nil)
 		// Bound once: a method value per call would escape to the heap
 		// on every origination.
-		c.walkNbr = c.walkNeighbors
+		c.walkNbr = c.neighborsRefreshed
 	}
-	return c.walker.Count(&c.grid, c.gridGen, c.snap, src, c.walkNbr)
+	return c.walker.Count(nil, 0, c.snap, src, c.walkNbr)
 }
 
 // driftMargin returns how far any radio can have moved since the
@@ -1252,16 +1215,6 @@ func (c *Channel) BusyRadioSeconds() float64 {
 	return s
 }
 
-// EachActiveSender calls fn with the start-of-transmission position of
-// every frame currently on the air. The sharded engine's adaptive
-// lookahead reads these between barrier windows to decide whether any
-// in-flight transmission could interact across a shard band border.
-func (c *Channel) EachActiveSender(fn func(geom.Point)) {
-	for _, tx := range c.active {
-		fn(tx.senderPos)
-	}
-}
-
 // TxPoolHitRate returns the fraction of transmissions served from the
 // free list (0 before any transmission). Steady state approaches 1: only
 // the records covering the peak in-flight count are ever allocated.
@@ -1273,10 +1226,10 @@ func (c *Channel) TxPoolHitRate() float64 {
 	return float64(c.txPoolHits) / float64(total)
 }
 
-// NbrMemoStats returns how many exact Transmit and Neighbors queries
-// were served from the static-neighbour memo versus computed from the
-// grid and stored (the reachability walk's reads are not counted). Both
-// stay zero in a mobile world, where the memo is never consulted.
+// NbrMemoStats returns how many exact Transmit, Neighbors and
+// reachability-walk queries were served from the static-neighbour memo
+// versus computed from the grid and stored. Both stay zero in a mobile
+// world, where the memo is never consulted.
 func (c *Channel) NbrMemoStats() (hits, misses uint64) {
 	return c.nbrMemoHit, c.nbrMemoMiss
 }
