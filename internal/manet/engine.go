@@ -25,9 +25,8 @@ const (
 	// (bands of spatial-grid macro-cell rows). Each shard owns a
 	// calendar-wheel scheduler for its hosts' mobility events, merged
 	// with the central ladder in strict (time, seq) order, and a worker
-	// in the shared pool that parallelizes construction, snapshot
-	// rebuilds, and reachability walks with bounded-channel border
-	// exchange.
+	// in the shared pool that parallelizes construction and snapshot
+	// rebuilds.
 	EngineSharded
 
 	// EngineSpeculative is the sharded engine plus optimistic barrier

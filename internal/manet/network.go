@@ -849,9 +849,7 @@ func (n *Network) Originate(srcID packet.NodeID, payload any) packet.BroadcastID
 // reachableFrom computes e: the number of hosts (including src) in src's
 // connected component of the current unit-disk graph. The channel's
 // walker expands through the spatial index, so each visited host costs
-// its degree rather than a scan of the whole population; with a worker
-// pool it runs band-parallel, which changes visit order, never
-// membership.
+// its degree rather than a scan of the whole population.
 func (n *Network) reachableFrom(src *host) int {
 	return n.ch.CountReachable(src.mac.Radio())
 }

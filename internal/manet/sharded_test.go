@@ -54,8 +54,8 @@ var shardedCases = []struct {
 // for any shard count its Summary must equal the sequential oracle's
 // field for field. Any divergence means a shard wheel reordered events,
 // a parallel construction phase perturbed an RNG stream, a concurrent
-// barrier-window drain perturbed a mobility stream, or the
-// band-parallel reachability walk miscounted a component.
+// barrier-window drain perturbed a mobility stream, or the reachability
+// walk miscounted a component.
 //
 // The matrix runs at GOMAXPROCS 1 and 4: the parallel barrier drain
 // must produce the same bytes whether its workers time-slice one core

@@ -205,7 +205,7 @@ func clearEventSlice(es []*sim.Event) {
 
 // runSpecWindow executes one barrier window under validate-or-replay.
 // Originations mutate global state (the shared sequence counter, the
-// record arena's arrival order, the pool-parallel reachability walk),
+// record arena's arrival order, the reachability walk),
 // so the window is cut into segments at the armed origination times:
 // each segment speculates up to strictly before the next origination,
 // the origination itself fires on the sequential lane, and speculation

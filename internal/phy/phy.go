@@ -37,8 +37,8 @@ type Listener interface {
 // Positioner reports a radio's position at a simulated time. Movers
 // (mobility.Mover implementations) satisfy it directly, so attaching a
 // radio stores the mover itself — no per-radio method-value closure.
-// It must be pure in t: concurrent readers (snapshot fill, the
-// band-parallel walker) evaluate positions with no synchronization.
+// It must be pure in t: concurrent readers (the pooled snapshot fill)
+// evaluate positions with no synchronization.
 type Positioner interface {
 	PositionAt(t sim.Time) geom.Point
 }
