@@ -12,18 +12,16 @@ import (
 // lattice of 1/32 cell over an 8 x 8-cell square, so coincident points
 // and points on cell edges are common; the query point ranges two cells
 // past the square on every side; and the radius runs from 0.1 to 3
-// cells, so a query visits 1 to 49 cells and its result is anything from
-// one ascending run to dozens. The buffer contract is pinned too: buf
-// arrives with up to three sentinel entries that must survive and with
-// 0 to 504 entries of spare capacity (so the merge scratch is sometimes
-// buf's own tail and sometimes a grown array), and a query may clobber
-// buf[len:cap] only — the guard entries past cap in the same backing
-// array must come back untouched. The seeds under
+// cells, so a query visits 1 to 49 cells. The buffer contract is pinned
+// too: buf arrives with up to three sentinel entries that must survive
+// and with 0 to 504 entries of spare capacity (so the result sometimes
+// fits in place and sometimes grows a new array), and a query may
+// clobber buf[len:cap] only — the guard entries past cap in the same
+// backing array must come back untouched. The seeds under
 // testdata/fuzz/FuzzGridWithin cover a single-cell query over coincident
-// points (one run, no merge), the 3 x 3 block of an exact-snapshot query
-// (scratch in place), the 4 x 4 block of a drift-inflated one (spare
-// capacity too short), a 7 x 7 block, and a query from outside the
-// indexed box.
+// points, the 3 x 3 block of an exact-snapshot query, the 4 x 4 block of
+// a drift-inflated one (spare capacity too short), a 7 x 7 block, and a
+// query from outside the indexed box.
 func FuzzGridWithin(f *testing.F) {
 	const cell = 500.0
 	const guard = -9

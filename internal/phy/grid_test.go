@@ -171,15 +171,13 @@ func TestZeroSpeedBoundKeepsSnapshotExact(t *testing.T) {
 
 // TestStaticNeighborMemo: in a world declared motionless every radio's
 // neighbour list is taken from the grid once and served from the memo
-// from then on — to Transmit, to Neighbors and to the reachability walk,
-// sequential and band-parallel — always equal to the linear scan; a
-// snapshot rebuild drops it, and a world with a positive bound never
-// consults it.
+// from then on — to Transmit, to Neighbors and to the reachability walk —
+// always equal to the linear scan; a snapshot rebuild drops it, and a
+// world with a positive bound never consults it.
 func TestStaticNeighborMemo(t *testing.T) {
 	const radius = 500.0
 	rng := sim.NewRNG(24)
-	// A 200-radio cluster three grid rows tall (so a pool gives the
-	// walker more than one band) and four radios nobody hears.
+	// A 200-radio cluster and four radios nobody hears.
 	pts := make([]geom.Point, 0, 204)
 	for i := 0; i < 200; i++ {
 		pts = append(pts, geom.Point{X: rng.UniformFloat(0, 900), Y: rng.UniformFloat(0, 1400)})
@@ -189,83 +187,155 @@ func TestStaticNeighborMemo(t *testing.T) {
 	}
 	n := uint64(len(pts))
 
-	for _, workers := range []int{0, 2} {
-		sched := sim.NewScheduler()
-		ch := NewChannel(sched, DSSSTiming(), radius)
-		for _, p := range pts {
-			ch.Attach(static(p), &fakeListener{})
-		}
-		if workers > 0 {
-			pool := pdes.NewPool(workers)
-			defer pool.Close()
-			ch.SetPool(pool)
-		}
-		ch.SetMaxSpeed(0)
+	sched := sim.NewScheduler()
+	ch := NewChannel(sched, DSSSTiming(), radius)
+	for _, p := range pts {
+		ch.Attach(static(p), &fakeListener{})
+	}
+	ch.SetMaxSpeed(0)
 
-		// The first walk takes every cluster member's list from the grid.
-		if got := ch.CountReachable(0); got != 200 {
-			t.Fatalf("workers=%d: cold CountReachable(0) = %d, want 200", workers, got)
-		}
-		if hits, misses := ch.NbrMemoStats(); hits != 0 || misses != 200 {
-			t.Fatalf("workers=%d: cold walk: %d hits / %d misses, want 0 / 200", workers, hits, misses)
-		}
-		for round := 0; round < 3; round++ {
-			for i := range pts {
-				want := linearNeighbors(ch, i, sched.Now())
-				ch.Transmit(i, bcastFrame(packet.NodeID(i)), nil)
-				if tx := ch.active[len(ch.active)-1]; !slices.Equal(tx.receivers, want) {
-					t.Fatalf("workers=%d round %d: Transmit from %d reaches %v, linear scan %v", workers, round, i, tx.receivers, want)
-				}
-				// Half memoised, half not: band workers read and bypass side by side.
-				if i == 100 && ch.CountReachable(i) != 200 {
-					t.Fatalf("workers=%d round %d: CountReachable(%d) != 200", workers, round, i)
-				}
-				sched.Run() // to the end of the airtime: the clock moves, the snapshot is re-stamped
-				if got := ch.Neighbors(i, nil); !slices.Equal(got, want) {
-					t.Fatalf("workers=%d round %d: Neighbors(%d) = %v, linear scan %v", workers, round, i, got, want)
-				}
-			}
-			if got := ch.CountReachable(203); got != 1 {
-				t.Fatalf("workers=%d round %d: CountReachable of an isolated radio = %d, want 1", workers, round, got)
-			}
-		}
-		hits, misses := ch.NbrMemoStats()
-		if misses != n {
-			t.Errorf("workers=%d: the grid was queried %d times, want once per radio (%d)", workers, misses, n)
-		}
-		// Every query but the first per radio hits: 6 Transmit and Neighbors
-		// queries per radio, less the four isolated radios' first Transmit,
-		// plus three walks over the cluster and three over one isolated radio.
-		if want := 6*n - 4 + 3*(200+1); hits != want {
-			t.Errorf("workers=%d: %d memo hits, want %d", workers, hits, want)
-		}
-		if rate := ch.NbrMemoHitRate(); rate < 0.8 {
-			t.Errorf("workers=%d: memo hit rate %.3f, want near 1", workers, rate)
-		}
-
-		// A positive bound forces a rebuild, which drops the memo for good.
-		ch.SetMaxSpeed(1)
+	// The first walk takes every cluster member's list from the grid.
+	if got := ch.CountReachable(0); got != 200 {
+		t.Fatalf("cold CountReachable(0) = %d, want 200", got)
+	}
+	if hits, misses := ch.NbrMemoStats(); hits != 0 || misses != 200 {
+		t.Fatalf("cold walk: %d hits / %d misses, want 0 / 200", hits, misses)
+	}
+	for round := 0; round < 3; round++ {
 		for i := range pts {
-			if got, want := ch.Neighbors(i, nil), linearNeighbors(ch, i, sched.Now()); !slices.Equal(got, want) {
-				t.Fatalf("workers=%d: after SetMaxSpeed(1) Neighbors(%d) = %v, linear scan %v", workers, i, got, want)
+			want := linearNeighbors(ch, i, sched.Now())
+			ch.Transmit(i, bcastFrame(packet.NodeID(i)), nil)
+			if tx := ch.active[len(ch.active)-1]; !slices.Equal(tx.receivers, want) {
+				t.Fatalf("round %d: Transmit from %d reaches %v, linear scan %v", round, i, tx.receivers, want)
+			}
+			if i == 100 && ch.CountReachable(i) != 200 {
+				t.Fatalf("round %d: CountReachable(%d) != 200", round, i)
+			}
+			sched.Run() // to the end of the airtime: the clock moves, the snapshot is re-stamped
+			if got := ch.Neighbors(i, nil); !slices.Equal(got, want) {
+				t.Fatalf("round %d: Neighbors(%d) = %v, linear scan %v", round, i, got, want)
 			}
 		}
-		if ch.CountReachable(0) != 200 {
-			t.Fatalf("workers=%d: after SetMaxSpeed(1) CountReachable(0) != 200", workers)
-		}
-		if ch.nbrMemo != nil {
-			t.Errorf("workers=%d: memo survived the rebuild SetMaxSpeed(1) forces", workers)
-		}
-		if h, m := ch.NbrMemoStats(); h != hits || m != misses {
-			t.Errorf("workers=%d: a mobile world consulted the memo: %d/%d -> %d/%d", workers, hits, misses, h, m)
-		}
-
-		// Declared motionless again: the memo starts over from nothing.
-		ch.SetMaxSpeed(0)
-		ch.Neighbors(7, nil)
-		ch.Neighbors(7, nil)
-		if h, m := ch.NbrMemoStats(); h != hits+1 || m != misses+1 {
-			t.Errorf("workers=%d: fresh memo took %d hits / %d misses for two queries of one radio, want 1 / 1", workers, h-hits, m-misses)
+		if got := ch.CountReachable(203); got != 1 {
+			t.Fatalf("round %d: CountReachable of an isolated radio = %d, want 1", round, got)
 		}
 	}
+	hits, misses := ch.NbrMemoStats()
+	if misses != n {
+		t.Errorf("the grid was queried %d times, want once per radio (%d)", misses, n)
+	}
+	// Every query but the first per radio hits: 6 Transmit and Neighbors
+	// queries per radio, less the four isolated radios' first Transmit,
+	// plus three walks over the cluster and three over one isolated radio.
+	if want := 6*n - 4 + 3*(200+1); hits != want {
+		t.Errorf("%d memo hits, want %d", hits, want)
+	}
+	if rate := ch.NbrMemoHitRate(); rate < 0.8 {
+		t.Errorf("memo hit rate %.3f, want near 1", rate)
+	}
+
+	// A positive bound forces a rebuild, which drops the memo for good.
+	ch.SetMaxSpeed(1)
+	for i := range pts {
+		if got, want := ch.Neighbors(i, nil), linearNeighbors(ch, i, sched.Now()); !slices.Equal(got, want) {
+			t.Fatalf("after SetMaxSpeed(1) Neighbors(%d) = %v, linear scan %v", i, got, want)
+		}
+	}
+	if ch.CountReachable(0) != 200 {
+		t.Fatal("after SetMaxSpeed(1) CountReachable(0) != 200")
+	}
+	if ch.nbrMemo != nil {
+		t.Error("memo survived the rebuild SetMaxSpeed(1) forces")
+	}
+	if h, m := ch.NbrMemoStats(); h != hits || m != misses {
+		t.Errorf("a mobile world consulted the memo: %d/%d -> %d/%d", hits, misses, h, m)
+	}
+
+	// Declared motionless again: the memo starts over from nothing.
+	ch.SetMaxSpeed(0)
+	ch.Neighbors(7, nil)
+	ch.Neighbors(7, nil)
+	if h, m := ch.NbrMemoStats(); h != hits+1 || m != misses+1 {
+		t.Errorf("fresh memo took %d hits / %d misses for two queries of one radio, want 1 / 1", h-hits, m-misses)
+	}
+}
+
+// linearReachable is the reachability reference: a breadth-first search
+// over live PositionAt distances, with no grid, snapshot or memo.
+func linearReachable(ch *Channel, src int, now sim.Time) int {
+	seen := make([]bool, len(ch.positions))
+	seen[src] = true
+	queue := []int{src}
+	for len(queue) > 0 {
+		i := queue[0]
+		queue = queue[1:]
+		for _, j := range linearNeighbors(ch, i, now) {
+			if !seen[j] {
+				seen[j] = true
+				queue = append(queue, j)
+			}
+		}
+	}
+	count := 0
+	for _, s := range seen {
+		if s {
+			count++
+		}
+	}
+	return count
+}
+
+// FuzzCountReachable checks CountReachable against linearReachable on
+// three channels over the same radios: declared motionless (the walk
+// reads and fills the memo), mobile with a snapshot left stale by a
+// clock advance inside the drift budget, and mobile with a pool
+// attached. Radios orbit fuzzed centres; spread sets how far apart the
+// centres sit, so worlds range from one component to many. Seeds are in
+// testdata/fuzz.
+func FuzzCountReachable(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, n uint8, spread, advanceMs uint16, src uint8) {
+		const radius, speed = 500.0, 30.0
+		if n == 0 {
+			return
+		}
+		rng := sim.NewRNG(seed)
+		side := 500 + float64(spread)*4
+		centres := make([]geom.Point, n)
+		for i := range centres {
+			centres[i] = geom.Point{X: rng.UniformFloat(0, side), Y: rng.UniformFloat(0, side)}
+		}
+		s := int(src) % int(n)
+		// The stale snapshot may age until the drift reaches a quarter
+		// radius: 125 m at 30 m/s is about 4.2 s.
+		advance := sim.Duration(advanceMs%4000) * sim.Millisecond
+		pool := pdes.NewPool(2)
+		defer pool.Close()
+		for _, arm := range []struct {
+			name  string
+			bound float64
+			pool  *pdes.Pool
+		}{{"static", 0, nil}, {"stale", speed, nil}, {"pool", speed, pool}} {
+			sched := sim.NewScheduler()
+			ch := NewChannel(sched, DSSSTiming(), radius)
+			for i, c := range centres {
+				phase := float64(i)
+				v := arm.bound
+				ch.Attach(PositionFunc(func(at sim.Time) geom.Point {
+					a := phase + v*at.Seconds()/100
+					return geom.Point{X: c.X + 100*math.Cos(a), Y: c.Y + 100*math.Sin(a)}
+				}), &fakeListener{})
+			}
+			ch.SetPool(arm.pool)
+			ch.SetMaxSpeed(arm.bound)
+			for _, at := range []sim.Duration{0, advance} {
+				target := sim.Time(0).Add(at)
+				sched.Schedule(target, func() {})
+				sched.RunUntil(target)
+				got, want := ch.CountReachable(s), linearReachable(ch, s, sched.Now())
+				if got != want {
+					t.Fatalf("%s at %v: CountReachable(%d) = %d, BFS %d", arm.name, sched.Now(), s, got, want)
+				}
+			}
+		}
+	})
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/nodeset"
-	"repro/internal/packet"
 )
 
 // EAC2Fraction is EAC(2)/(pi r^2) ~= 0.187: the expected additional
@@ -204,86 +203,42 @@ func (NeighborCoverage) NeedsHello() bool { return true }
 // NeedsPosition implements Scheme.
 func (NeighborCoverage) NeedsPosition() bool { return false }
 
-// NewJudge implements Scheme. Hosts exposing dense bitset neighbor sets
-// (scheme.NodeSetSource) get a pooled-bitset judge; the coverage
-// subtraction becomes word operations instead of map churn. Decisions
-// are identical either way: both track the same pending set T and
-// inhibit exactly when it empties.
+// NewJudge implements Scheme. The pending set T lives in a bitset
+// borrowed from the host's pool, so the coverage subtraction is word
+// operations instead of map churn.
 func (NeighborCoverage) NewJudge(host HostView, first Reception) Judge {
-	if src, ok := host.(NodeSetSource); ok {
-		if nb := src.NeighborNodeSet(); nb != nil {
-			j := &denseCoverageJudge{host: host, src: src, pending: src.AcquireNodeSet()}
-			j.pending.CopyFrom(nb)
-			j.subtract(first)
-			return j
-		}
-	}
-	j := &neighborCoverageJudge{
-		host:    host,
-		pending: make(map[packet.NodeID]bool),
-	}
-	for _, n := range host.Neighbors() {
-		j.pending[n] = true
-	}
+	j := &coverageJudge{host: host, pending: host.AcquireNodeSet()}
+	j.pending.CopyFrom(host.NeighborNodeSet())
 	j.subtract(first)
 	return j
 }
 
-type neighborCoverageJudge struct {
+// coverageJudge holds the pending set T in a nodeset.Set borrowed from
+// the host and returned on Release.
+type coverageJudge struct {
 	host    HostView
-	pending map[packet.NodeID]bool
-}
-
-// subtract removes the sender and everyone the host believes the sender
-// covers from the pending set.
-func (j *neighborCoverageJudge) subtract(r Reception) {
-	delete(j.pending, r.From)
-	for _, n := range j.host.TwoHop(r.From) {
-		delete(j.pending, n)
-	}
-}
-
-func (j *neighborCoverageJudge) Initial() Action {
-	if len(j.pending) == 0 {
-		return Inhibit
-	}
-	return Proceed
-}
-
-func (j *neighborCoverageJudge) OnDuplicate(r Reception) Action {
-	j.subtract(r)
-	if len(j.pending) == 0 {
-		return Inhibit
-	}
-	return Proceed
-}
-
-// denseCoverageJudge is neighborCoverageJudge on a pooled bitset: the
-// pending set T lives in a nodeset.Set borrowed from the host and
-// returned on Release.
-type denseCoverageJudge struct {
-	host    HostView
-	src     NodeSetSource
 	pending *nodeset.Set
 }
 
-var _ ReleasableJudge = (*denseCoverageJudge)(nil)
+var _ ReleasableJudge = (*coverageJudge)(nil)
 
-func (j *denseCoverageJudge) subtract(r Reception) {
+// subtract removes the sender and everyone the host believes the sender
+// covers from the pending set.
+func (j *coverageJudge) subtract(r Reception) {
 	j.pending.Remove(r.From)
 	for _, n := range j.host.TwoHop(r.From) {
 		j.pending.Remove(n)
 	}
 }
 
-func (j *denseCoverageJudge) Initial() Action {
+func (j *coverageJudge) Initial() Action {
 	if j.pending.Count() == 0 {
 		return Inhibit
 	}
 	return Proceed
 }
 
-func (j *denseCoverageJudge) OnDuplicate(r Reception) Action {
+func (j *coverageJudge) OnDuplicate(r Reception) Action {
 	j.subtract(r)
 	if j.pending.Count() == 0 {
 		return Inhibit
@@ -292,9 +247,9 @@ func (j *denseCoverageJudge) OnDuplicate(r Reception) Action {
 }
 
 // Release implements ReleasableJudge.
-func (j *denseCoverageJudge) Release() {
+func (j *coverageJudge) Release() {
 	if j.pending != nil {
-		j.src.ReleaseNodeSet(j.pending)
+		j.host.ReleaseNodeSet(j.pending)
 		j.pending = nil
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/geom"
+	"repro/internal/nodeset"
 	"repro/internal/packet"
 	"repro/internal/scheme"
 )
@@ -21,6 +22,15 @@ func (h exampleHost) Neighbors() []packet.NodeID { return h.neighbors }
 func (h exampleHost) TwoHop(packet.NodeID) []packet.NodeID {
 	return nil
 }
+func (h exampleHost) NeighborNodeSet() *nodeset.Set {
+	s := nodeset.New(0)
+	for _, n := range h.neighbors {
+		s.Add(n)
+	}
+	return s
+}
+func (h exampleHost) AcquireNodeSet() *nodeset.Set { return nodeset.New(0) }
+func (h exampleHost) ReleaseNodeSet(*nodeset.Set)  {}
 
 // The counter-based scheme counts copies of a packet and cancels the
 // rebroadcast at its threshold.

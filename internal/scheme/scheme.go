@@ -72,18 +72,18 @@ type HostView interface {
 	// host), or nil if h is not a known neighbor. The slice is shared
 	// storage and must not be modified.
 	TwoHop(h packet.NodeID) []packet.NodeID
+	NodeSetSource
 }
 
-// NodeSetSource is an optional HostView extension for hosts whose
-// population uses dense 0..N-1 ids. Schemes that track neighbor subsets
-// (neighbor coverage) use it to run on pooled bitsets instead of
-// allocating a map per packet; hosts that do not implement it get the
-// map-based fallback with identical decisions. Pools may live on the
-// host side because a simulation is single-threaded; the Scheme value
-// itself stays stateless and shareable across replica goroutines.
+// NodeSetSource is the part of HostView that serves neighbor subsets
+// as bitsets over the population's dense 0..N-1 ids. Neighbor coverage
+// keeps its pending set in a pooled bitset instead of allocating one per
+// packet. Pools may live on the host side because a simulation is
+// single-threaded; the Scheme value itself stays stateless and shareable
+// across replica goroutines.
 type NodeSetSource interface {
-	// NeighborNodeSet returns the host's live one-hop membership bitset,
-	// or nil when unavailable; callers must not mutate it.
+	// NeighborNodeSet returns the host's live one-hop membership bitset
+	// (N_x); callers must not mutate it.
 	NeighborNodeSet() *nodeset.Set
 	// AcquireNodeSet returns an empty scratch set from the host's pool.
 	AcquireNodeSet() *nodeset.Set

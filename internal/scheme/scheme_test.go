@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/geom"
+	"repro/internal/nodeset"
 	"repro/internal/packet"
 )
 
@@ -27,6 +28,15 @@ func (h *fakeHost) Neighbors() []packet.NodeID { return h.neighbors }
 func (h *fakeHost) TwoHop(n packet.NodeID) []packet.NodeID {
 	return h.twoHop[n]
 }
+func (h *fakeHost) NeighborNodeSet() *nodeset.Set {
+	s := nodeset.New(0)
+	for _, n := range h.neighbors {
+		s.Add(n)
+	}
+	return s
+}
+func (h *fakeHost) AcquireNodeSet() *nodeset.Set  { return nodeset.New(0) }
+func (h *fakeHost) ReleaseNodeSet(s *nodeset.Set) {}
 
 func host(neighbors ...packet.NodeID) *fakeHost {
 	return &fakeHost{id: 0, radius: 500, neighbors: neighbors,
@@ -491,11 +501,11 @@ func TestNeighborCoverageNoNeighbors(t *testing.T) {
 func TestNeighborCoverageDuplicatesShrinkMonotonically(t *testing.T) {
 	h := host(1, 2, 3, 4, 5, 6)
 	nc := NeighborCoverage{}
-	j := nc.NewJudge(h, rx(1, geom.Point{})).(*neighborCoverageJudge)
-	sizes := []int{len(j.pending)}
+	j := nc.NewJudge(h, rx(1, geom.Point{})).(*coverageJudge)
+	sizes := []int{j.pending.Count()}
 	for _, from := range []packet.NodeID{2, 3, 4} {
 		j.OnDuplicate(rx(from, geom.Point{}))
-		sizes = append(sizes, len(j.pending))
+		sizes = append(sizes, j.pending.Count())
 	}
 	for i := 1; i < len(sizes); i++ {
 		if sizes[i] > sizes[i-1] {

@@ -2,7 +2,6 @@ package scheme
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/packet"
@@ -11,9 +10,7 @@ import (
 // JudgeKind discriminates the per-packet decision state machines in a
 // checkpoint. The adaptive schemes reuse the fixed schemes' judges (only
 // the threshold computation differs, and it is resolved at NewJudge
-// time), so one kind covers both; the two neighbor-coverage layouts
-// (pooled bitset and map) carry identical decision state and restore
-// into whichever layout the host supports.
+// time), so one kind covers both.
 type JudgeKind uint8
 
 // Judge kinds.
@@ -75,24 +72,17 @@ func SnapshotJudge(j Judge) (JudgeState, error) {
 		}, nil
 	case probabilisticJudge:
 		return JudgeState{Kind: JudgeProbabilistic, Rebroadcast: v.rebroadcast}, nil
-	case *denseCoverageJudge:
+	case *coverageJudge:
 		return JudgeState{Kind: JudgeCoverage, Pending: v.pending.AppendIDs(nil)}, nil
-	case *neighborCoverageJudge:
-		st := JudgeState{Kind: JudgeCoverage, Pending: make([]packet.NodeID, 0, len(v.pending))}
-		for id := range v.pending {
-			st.Pending = append(st.Pending, id)
-		}
-		sort.Slice(st.Pending, func(i, k int) bool { return st.Pending[i] < st.Pending[k] })
-		return st, nil
 	default:
 		return JudgeState{}, fmt.Errorf("scheme: checkpoint of unknown judge type %T", j)
 	}
 }
 
 // RestoreJudge rebuilds a judge from its checkpointed decision state at
-// the given host. Coverage judges restore into the pooled-bitset layout
-// when the host provides one (the same selection NewJudge makes), so a
-// restored run keeps the original's pool behavior.
+// the given host. A coverage judge borrows its pending set from the
+// host's pool, as NewJudge does, so a restored run keeps the original's
+// pool behavior.
 func RestoreJudge(st JudgeState, host HostView) (Judge, error) {
 	switch st.Kind {
 	case JudgeFlooding:
@@ -106,16 +96,9 @@ func RestoreJudge(st JudgeState, host HostView) (Judge, error) {
 	case JudgeProbabilistic:
 		return probabilisticJudge{rebroadcast: st.Rebroadcast}, nil
 	case JudgeCoverage:
-		if src, ok := host.(NodeSetSource); ok && src.NeighborNodeSet() != nil {
-			j := &denseCoverageJudge{host: host, src: src, pending: src.AcquireNodeSet()}
-			for _, id := range st.Pending {
-				j.pending.Add(id)
-			}
-			return j, nil
-		}
-		j := &neighborCoverageJudge{host: host, pending: make(map[packet.NodeID]bool, len(st.Pending))}
+		j := &coverageJudge{host: host, pending: host.AcquireNodeSet()}
 		for _, id := range st.Pending {
-			j.pending[id] = true
+			j.pending.Add(id)
 		}
 		return j, nil
 	default:
