@@ -4,7 +4,9 @@
 //
 //	figures -list
 //	figures -fig fig7 [-requests 200] [-replicas 3] [-hosts 100] [-csv]
-//	figures -fig all
+//	figures -fig all                               # every paper figure
+//	figures -fig ablations                         # every abl-* ablation
+//	figures -fig abl-oracle [-ci -replicas 3]      # one ablation, RE ± 95% CI
 //	figures -compare "flooding counter:C=3 ac"     # ad-hoc scheme sweep
 //	figures -telemetry run.jsonl                   # channel-load report
 //
@@ -43,7 +45,7 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		fig      = fs.String("fig", "", "figure id to regenerate (fig1..fig13), or 'all'")
+		fig      = fs.String("fig", "", "figure or ablation id to regenerate (fig1..fig13, abl-*; see -list), 'all' for every figure, or 'ablations' for every ablation")
 		list     = fs.Bool("list", false, "list available figures")
 		requests = fs.Int("requests", 0, "broadcasts per replica (default 40; paper used 10000)")
 		replicas = fs.Int("replicas", 0, "independently seeded repetitions per point (default 2)")
@@ -53,7 +55,7 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 		trials   = fs.Int("trials", 0, "Monte-Carlo trials for fig1/fig2 (default 3000)")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text")
 		out      = fs.String("out", "", "also write each table as CSV into this directory")
-		ci       = fs.Bool("ci", false, "show 95% confidence half-widths on RE (use with -replicas >= 3)")
+		ci       = fs.Bool("ci", false, "show 95% confidence half-widths on RE (needs -replicas >= 2; meaningful from 3)")
 		paper    = fs.Bool("paper", true, "print the paper's reported result for comparison")
 		compare  = fs.String("compare", "", "whitespace-separated scheme specs to sweep over all maps (run -schemes for syntax)")
 		schemes  = fs.Bool("schemes", false, "print the scheme spec syntax and exit")
@@ -88,6 +90,12 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 	// replica count reaching the stride would reuse the next point's seeds.
 	if *replicas >= experiment.SeedStride {
 		return fail(2, fmt.Errorf("-replicas must be below %d, got %d", experiment.SeedStride, *replicas))
+	}
+
+	// One replica has no spread, so every ± cell would print a zero
+	// half-width: certainty claimed from a single sample.
+	if *ci && *replicas == 1 {
+		return fail(2, fmt.Errorf("-ci needs at least 2 replicas, got -replicas 1"))
 	}
 
 	if *schemes {

@@ -7,9 +7,10 @@ import (
 )
 
 // TestRunSmoke runs the invocation CI's "CLIs and examples" step uses,
-// plus an undefined flag, the negative counts and a replica count that
-// would collide seeds across points; each count must exit 2 with one
-// line on stderr and without running anything.
+// a small -compare sweep, an undefined flag, the negative counts, a
+// replica count that would collide seeds across points, -ci from one
+// replica, and an unknown figure or compare scheme; each refusal must
+// exit 2 with one line on stderr and without running anything.
 func TestRunSmoke(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -25,6 +26,10 @@ func TestRunSmoke(t *testing.T) {
 		{"negative workers", []string{"-fig", "fig7", "-workers", "-1"}, 2, ""},
 		{"negative trials", []string{"-fig", "fig1", "-trials", "-5"}, 2, ""},
 		{"replicas at the seed stride", []string{"-fig", "fig1", "-replicas", "1000"}, 2, ""},
+		{"ci from one replica", []string{"-fig", "fig5c", "-replicas", "1", "-ci"}, 2, ""},
+		{"unknown figure", []string{"-fig", "nosuch"}, 2, ""},
+		{"unknown compare scheme", []string{"-compare", "flooding nosuch"}, 2, ""},
+		{"compare", []string{"-compare", "flooding ac", "-hosts", "20", "-requests", "4", "-replicas", "1"}, 0, "== compare:"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/manet"
 	"repro/internal/obs"
 	"repro/internal/scheme"
 )
@@ -14,20 +13,16 @@ import (
 // with RE, SRB, and latency tables. It is what `figures -compare` runs.
 func CompareSpec(schemes []scheme.Scheme) Spec {
 	labels := make([]string, len(schemes))
+	candidates := make([]edit, len(schemes))
 	for i, s := range schemes {
 		labels[i] = s.Name()
+		candidates[i] = use(s.Name(), s)
 	}
 	return Spec{
 		ID:    "compare",
 		Title: "scheme comparison: " + strings.Join(labels, " vs "),
 		Paper: "ad-hoc comparison; closest figure is Fig. 13",
-		Run: func(o Options) []*Table {
-			candidates := make([]labeled, len(schemes))
-			for i, s := range schemes {
-				candidates[i] = labeled{label: s.Name(), cfg: manet.Config{Scheme: s}}
-			}
-			return sweepOverMaps("compare", "scheme comparison", o, candidates, true)
-		},
+		Run:   byMap("compare", "scheme comparison", true, candidates...),
 	}
 }
 

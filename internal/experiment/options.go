@@ -52,8 +52,8 @@ type Options struct {
 	// Trials is the Monte-Carlo sample count for the analysis figures
 	// (1 and 2).
 	Trials int
-	// CI renders 95% confidence half-widths next to RE cells in the
-	// map-sweep tables (meaningful with Replicas >= 3).
+	// CI renders 95% confidence half-widths next to every simulated RE
+	// cell (meaningful with Replicas >= 3).
 	CI bool
 	// Progress, when non-nil, receives one matrix progress line after
 	// each completed replica: completed/total counts, aggregate

@@ -19,13 +19,17 @@ import (
 // a manet.Arena — the matrix would hand the one arena to every worker —
 // which panics naming the point before any worker starts.
 func RunMatrix(cfgs []manet.Config, o Options) []metrics.Summary {
-	merged, _ := RunMatrixSpread(cfgs, o)
+	reps := runReplicas(cfgs, o)
+	merged := make([]metrics.Summary, len(reps))
+	for p, r := range reps {
+		merged[p] = metrics.Merge(r)
+	}
 	return merged
 }
 
-// RunMatrixSpread is RunMatrix plus the per-replica RE means for each
-// configuration, from which confidence intervals can be computed.
-func RunMatrixSpread(cfgs []manet.Config, o Options) ([]metrics.Summary, [][]float64) {
+// runReplicas is RunMatrix before the merge: every replica's summary,
+// by point.
+func runReplicas(cfgs []manet.Config, o Options) [][]metrics.Summary {
 	o = o.WithDefaults()
 
 	type task struct {
@@ -158,15 +162,5 @@ func RunMatrixSpread(cfgs []manet.Config, o Options) ([]metrics.Summary, [][]flo
 		panic(fmt.Errorf("experiment: %w", firstErr))
 	}
 
-	merged := make([]metrics.Summary, len(cfgs))
-	spread := make([][]float64, len(cfgs))
-	for p := range cfgs {
-		merged[p] = metrics.Merge(results[p])
-		res := make([]float64, len(results[p]))
-		for r, s := range results[p] {
-			res[r] = s.MeanRE
-		}
-		spread[p] = res
-	}
-	return merged, spread
+	return results
 }
