@@ -66,6 +66,19 @@ func TestAllocationBudgets(t *testing.T) {
 			mallocs := mallocsAround(func() { events = n.Run().Events })
 			return mallocs, float64(events)
 		}},
+		// fig13's densest map: with HELLO on, every host hears every
+		// other, so a table refresh is most of the work. Each table keeps
+		// one expiry event and shares its senders' announced sets, so a
+		// refresh allocates nothing.
+		{"Run at AC 1x1, 100 hosts", "event", func(t *testing.T) (float64, float64) {
+			cfg := Config{Scheme: scheme.AdaptiveCounter{}, MapUnits: 1, Hosts: 100, Requests: 20, Seed: 1}
+			mustNew(t, cfg).Run()
+			cfg.Seed = 2
+			n := mustNew(t, cfg)
+			var events uint64
+			mallocs := mallocsAround(func() { events = n.Run().Events })
+			return mallocs, float64(events)
+		}},
 		// The HELLO path: sparse-hello's world scaled down — mobile hosts
 		// at ≈ 0.83 per unit², NC with dynamic HELLO — where beacons are
 		// most of the events and neighbors join and expire all run long,

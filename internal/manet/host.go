@@ -423,7 +423,7 @@ func (h *host) sendHello() {
 		h.net.idealHelloDeliver(h, interval)
 	} else {
 		f := h.net.newHelloFrame(h.id, h.Position(), interval)
-		f.Neighbors = h.table.AppendNeighbors(f.Neighbors)
+		f.Neighbors = h.table.Announce()
 		f.Bytes = packet.HelloBaseBytes + packet.HelloPerNeighborBytes*len(f.Neighbors)
 		if h.net.cfg.Repair {
 			f.Recent = h.appendRecentIDs(f.Recent)

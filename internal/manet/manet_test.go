@@ -1,10 +1,13 @@
 package manet
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/packet"
 	"repro/internal/scheme"
 	"repro/internal/sim"
 )
@@ -243,6 +246,69 @@ func TestHelloPopulatesNeighborTables(t *testing.T) {
 		if got, want := n.HostTableCount(i), n.TrueNeighborCount(i); got != want {
 			t.Errorf("host %d table has %d neighbors, ground truth %d", i, got, want)
 		}
+	}
+}
+
+// TestAnnouncedSetOutlivesSenderAndFrame: a receiver keeps the neighbor
+// set a HELLO announced — the sender's own storage, not a copy — and it
+// must keep reading what was announced after the sender's table changes
+// and after the beacon that carried it is recycled and reused, on the
+// channel and on the IdealHello path alike.
+func TestAnnouncedSetOutlivesSenderAndFrame(t *testing.T) {
+	for _, ideal := range []bool{false, true} {
+		t.Run(fmt.Sprintf("ideal=%v", ideal), func(t *testing.T) {
+			cfg := Config{
+				// Hosts 1 and 2 hear each other; host 0 is out of range.
+				Hosts: 3, MapUnits: 5, Static: true, HelloMode: HelloFixed, IdealHello: ideal,
+				Placement: []geom.Point{{X: 2200, Y: 2200}, {X: 200, Y: 200}, {X: 240, Y: 200}},
+				Scheme:    scheme.NeighborCoverage{}, Requests: 1, Warmup: 10 * sim.Second, Seed: 3,
+			}
+			n, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Beacon without a broadcast workload: what RunContext's start
+			// does, minus the requests.
+			n.endTime = sim.Time(60 * sim.Second)
+			for _, h := range n.hosts {
+				h.scheduleHello()
+			}
+			sender, receiver := n.hosts[1], n.hosts[2]
+			n.sched.RunUntil(sim.Time(3 * sim.Second))
+			got := receiver.table.TwoHop(sender.id)
+			want := []packet.NodeID{2}
+			if !slices.Equal(got, want) {
+				t.Fatalf("receiver's two-hop set for the sender is %v, want %v", got, want)
+			}
+			if &got[0] != &sender.table.Announce()[0] {
+				t.Error("the receiver copied the announced set instead of sharing it")
+			}
+			// The sender's neighborhood changes ahead of the announced id.
+			sender.table.OnHello(0, nil, 10*sim.Second)
+			if got := receiver.table.TwoHop(sender.id); !slices.Equal(got, want) {
+				t.Fatalf("after the sender's table changed, the receiver reads %v, want %v", got, want)
+			}
+			// Run to the sender's next beacon, which takes a recycled frame
+			// on the channel path, but not to its delivery.
+			pooled := slices.Clone(n.helloPool)
+			n.sched.RunUntil(sender.helloTimer.At())
+			if !ideal {
+				if len(sender.helloFly) != 1 || !slices.Contains(pooled, sender.helloFly[0]) {
+					t.Fatalf("the sender's beacon is not a recycled frame (%d in flight, %d pooled)",
+						len(sender.helloFly), len(pooled))
+				}
+				if f := sender.helloFly[0]; !slices.Equal(f.Neighbors, []packet.NodeID{0, 2}) {
+					t.Fatalf("the new beacon announces %v, want [0 2]", f.Neighbors)
+				}
+				if got := receiver.table.TwoHop(sender.id); !slices.Equal(got, want) {
+					t.Fatalf("after the beacon frame was reused, the receiver reads %v, want %v", got, want)
+				}
+			}
+			n.sched.RunUntil(n.sched.Now().Add(100 * sim.Millisecond))
+			if got := receiver.table.TwoHop(sender.id); !slices.Equal(got, []packet.NodeID{0, 2}) {
+				t.Fatalf("after the new beacon, the receiver reads %v, want [0 2]", got)
+			}
+		})
 	}
 }
 

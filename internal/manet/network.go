@@ -90,9 +90,10 @@ type Network struct {
 
 	// Object pools (single-threaded, so plain slices): scratch bitsets
 	// for the neighbor-coverage judges, broadcast frames for the
-	// rebroadcast path, and HELLO beacons (receiver tables copy the
-	// announced set during OnHello, so a beacon can be recycled — slice
-	// capacities intact — the moment its transmission completes).
+	// rebroadcast path, and HELLO beacons (a beacon carries its sender's
+	// immutable announced set, which receiver tables keep without the
+	// frame, so a beacon can be recycled the moment its transmission
+	// completes).
 	setPool   []*nodeset.Set
 	framePool []*packet.Frame
 	helloPool []*packet.Frame
@@ -541,16 +542,17 @@ func (n *Network) recycleFrame(f *packet.Frame, lane int32) {
 	n.framePool = append(n.framePool, f)
 }
 
-// newHelloFrame builds (or recycles) a HELLO beacon with empty Neighbors
-// and Recent slices whose capacities survive recycling; the caller
-// appends the announced sets and accounts Bytes.
+// newHelloFrame builds (or recycles) a HELLO beacon with no Neighbors
+// and an empty Recent slice whose capacity survives recycling; the
+// caller sets the announced sets and accounts Bytes. Neighbors is never
+// reused: it is the sender's announced set, which receivers keep.
 func (n *Network) newHelloFrame(sender packet.NodeID, pos geom.Point, interval sim.Duration) *packet.Frame {
 	var f *packet.Frame
 	if k := len(n.helloPool); k > 0 {
 		f = n.helloPool[k-1]
 		n.helloPool[k-1] = nil
 		n.helloPool = n.helloPool[:k-1]
-		neighbors, recent := f.Neighbors[:0], f.Recent[:0]
+		recent := f.Recent[:0]
 		*f = packet.Frame{
 			Kind:          packet.KindHello,
 			Sender:        sender,
@@ -559,7 +561,7 @@ func (n *Network) newHelloFrame(sender packet.NodeID, pos geom.Point, interval s
 			SenderPos:     pos,
 			HelloInterval: interval,
 		}
-		f.Neighbors, f.Recent = neighbors, recent
+		f.Recent = recent
 	} else {
 		f = &packet.Frame{
 			Kind:          packet.KindHello,
@@ -577,9 +579,10 @@ func (n *Network) newHelloFrame(sender packet.NodeID, pos geom.Point, interval s
 }
 
 // recycleHelloFrame returns a fully transmitted beacon to the pool.
-// Safe because receivers copy Neighbors (Table.OnHello) and consume
-// Recent (onHelloRecent) synchronously at delivery, before the sender's
-// completion callback runs.
+// Safe because receivers keep Neighbors, which the frame's next use
+// replaces rather than overwrites, and consume Recent (onHelloRecent)
+// synchronously at delivery, before the sender's completion callback
+// runs.
 func (n *Network) recycleHelloFrame(f *packet.Frame) {
 	if n.audit != nil {
 		n.audit.AuditRelease(n.sched.Now(), "frame", f)
@@ -1022,10 +1025,7 @@ func (n *Network) Area() (width, height float64) {
 // the channel entirely.
 func (n *Network) idealHelloDeliver(src *host, interval sim.Duration) {
 	n.helloSent++
-	// Table.OnHello copies the announced set into each receiver's entry,
-	// so src's live Neighbors() view can be handed out directly: the loop
-	// only mutates receiver tables, never src's.
-	neighbors := src.table.Neighbors()
+	neighbors := src.table.Announce()
 	n.nbrScratch = n.ch.Neighbors(src.mac.Radio(), n.nbrScratch[:0])
 	for _, j := range n.nbrScratch {
 		n.hosts[j].table.OnHello(src.id, neighbors, interval)

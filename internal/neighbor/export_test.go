@@ -16,16 +16,14 @@ func (t *Table) Contains(h packet.NodeID) bool {
 	return t.present != nil && t.present.Contains(h)
 }
 
-// Clear drops all entries and pending expiries. The backing storage —
-// the records, parked for reuse, and the change log — is retained
-// rather than reallocated.
+// Clear drops all entries and cancels the expiry event. The backing
+// storage — the records, parked for reuse, and the change log — is
+// retained rather than reallocated.
 func (t *Table) Clear() {
+	t.sched.Cancel(t.expiry)
+	t.expiry = nil
 	for _, e := range t.live {
-		if e.expiry != nil {
-			t.sched.Cancel(e.expiry)
-			e.expiry = nil
-		}
-		e.twoHop = e.twoHop[:0]
+		e.twoHop = nil
 	}
 	if t.present != nil {
 		t.present.Clear()

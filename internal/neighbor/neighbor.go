@@ -49,25 +49,21 @@ func DHIInterval(nv float64) sim.Duration {
 	return hi
 }
 
-// entry is one one-hop neighbor record. A record never moves: fire is
-// bound to its address once, and when its neighbor expires the table
-// keeps the record (with its twoHop capacity and fire) for the next
-// neighbor to join.
+// entry is one one-hop neighbor record. When its neighbor expires the
+// table keeps the record for the next neighbor to join.
 type entry struct {
 	id        packet.NodeID
 	lastHeard sim.Time
 	interval  sim.Duration // the neighbor's announced hello interval
-	deadline  sim.Time     // expiry deadline of the armed timer
-	// twoHop is the neighbor set the host last announced, copied into
-	// entry-owned storage whose capacity is reused across refreshes (so a
-	// stable neighborhood allocates nothing and the HELLO frame may be
-	// recycled by its sender).
+	// deadline and seq are the entry's expiry key: the neighbor leaves
+	// at deadline unless a HELLO comes first, and seq, drawn from the
+	// scheduler at the last HELLO, orders it among same-instant events.
+	deadline sim.Time
+	seq      uint64
+	// twoHop is the neighbor set the host last announced: the sender's
+	// own announced slice, shared by every receiver and never modified
+	// (see Table.Announce).
 	twoHop []packet.NodeID
-	expiry *sim.Event
-	// fire is the expiry callback, bound once per record and reused for
-	// every rearm (it reads id and deadline from the record), so
-	// refreshing a neighbor allocates nothing.
-	fire func()
 }
 
 // Table is one host's view of its neighborhood, fed by HELLO receptions.
@@ -78,8 +74,17 @@ type entry struct {
 // (hosts/8 bytes, allocated on first use, so an idle table costs only
 // its header); the live neighbors are an ascending id list with one
 // record each, so a table's remaining storage follows its degree.
+//
+// Expiry runs on one scheduler event per table, not one per neighbor:
+// the table is the event's sim.Keyed owner, and its key is the earliest
+// (deadline, seq) among the entries. A refresh only moves its entry's
+// key; the queued event catches up lazily when the scheduler reaches
+// it, and is re-armed eagerly only when a key moves before it.
 type Table struct {
-	owner           packet.NodeID
+	owner packet.NodeID
+	// announced marks ids as handed out by Announce: the next membership
+	// change copies it instead of editing it in place.
+	announced       bool
 	sched           *sim.Scheduler
 	expiryIntervals int
 	hosts           int
@@ -93,6 +98,10 @@ type Table struct {
 	live    []*entry
 
 	changes []sim.Time // join/leave timestamps within the variation window
+
+	// expiry is the table's one expiry event, armed exactly while the
+	// table has neighbors, at or before the earliest entry key.
+	expiry *sim.Event
 }
 
 // NewTable creates an empty table for a host in a population whose ids
@@ -134,10 +143,10 @@ func InitTable(t *Table, owner packet.NodeID, sched *sim.Scheduler, expiryInterv
 
 // OnHello records a HELLO from host h announcing its neighbor set and
 // hello interval, refreshing (or creating) the one-hop entry and its
-// expiry timer. The neighbors slice is copied into entry-owned storage
-// (reusing its capacity), so callers may recycle the frame that carried
-// it as soon as OnHello returns. A sender outside the population is a
-// caller bug and panics.
+// expiry key. The table keeps the neighbors slice itself as h's two-hop
+// set, so it must never be modified afterwards — Announce's slices
+// never are. A sender outside the population is a caller bug and
+// panics.
 func (t *Table) OnHello(h packet.NodeID, neighbors []packet.NodeID, interval sim.Duration) {
 	if h == t.owner {
 		return
@@ -158,12 +167,51 @@ func (t *Table) OnHello(h packet.NodeID, neighbors []packet.NodeID, interval sim
 		interval = 1 * sim.Second
 	}
 	e.interval = interval
-	e.twoHop = append(e.twoHop[:0], neighbors...)
-	if e.expiry != nil {
-		t.sched.Cancel(e.expiry)
-	}
+	e.twoHop = neighbors
 	e.deadline = now.Add(sim.Duration(t.expiryIntervals) * interval)
-	e.expiry = t.sched.Schedule(e.deadline, e.fire)
+	e.seq = t.sched.NextSeq()
+	// The fresh seq is the largest yet drawn, so the new key comes
+	// before the queued one only if its deadline is strictly earlier;
+	// otherwise the queued event stays, and moves later by itself if
+	// this refresh moved the earliest key.
+	if ev := t.expiry; ev != nil {
+		if ev.At() <= e.deadline {
+			return
+		}
+		t.sched.Cancel(ev)
+	}
+	t.expiry = t.sched.ScheduleKeyed(t)
+}
+
+// EventKey implements sim.Keyed: the table's expiry event belongs at its
+// earliest entry key.
+func (t *Table) EventKey() (sim.Time, uint64) {
+	e := t.live[t.earliest()]
+	return e.deadline, e.seq
+}
+
+// RunEvent implements sim.Runner: the earliest entry's deadline passed
+// with no HELLO since, so its neighbor leaves, and the event is re-armed
+// for the next earliest entry, if any.
+func (t *Table) RunEvent() {
+	t.expiry = nil // the scheduler recycles the firing event
+	t.remove(t.earliest())
+	t.recordChange(t.sched.Now())
+	if len(t.live) > 0 {
+		t.expiry = t.sched.ScheduleKeyed(t)
+	}
+}
+
+// earliest returns the index of the live entry with the earliest expiry
+// key. The table must have a neighbor.
+func (t *Table) earliest() int {
+	first := 0
+	for i, e := range t.live {
+		if f := t.live[first]; e.deadline < f.deadline || e.deadline == f.deadline && e.seq < f.seq {
+			first = i
+		}
+	}
+	return first
 }
 
 // find returns the position h holds, or would take, in ids — the number
@@ -174,18 +222,17 @@ func (t *Table) find(h packet.NodeID) (int, bool) {
 
 // insert makes h, which must not be a live neighbor yet, one at
 // position i of ids (as find reported it) and returns its record, the
-// first of those waiting past the end of live. The caller fills in and
-// arms the record.
+// first of those waiting past the end of live. The caller fills in the
+// record and arms the table's expiry event.
 func (t *Table) insert(i int, h packet.NodeID) *entry {
 	t.NeighborSet().Add(h) // allocates the bitset on the first join
 	n := len(t.live)
 	if n == cap(t.live) {
 		t.grow()
+	} else {
+		t.unshare()
 	}
 	e := t.live[:n+1][n]
-	if e.fire == nil {
-		e.fire = func() { t.expire(e) }
-	}
 	e.id = h
 	// Shifting live[i:n] up one overwrites live[n], the slot e came from,
 	// so the other waiting records stay where they were.
@@ -210,28 +257,24 @@ func (t *Table) grow() {
 	t.live = live
 	ids := make([]packet.NodeID, n, c)
 	copy(ids, t.ids)
-	t.ids = ids
+	t.ids, t.announced = ids, false
 }
 
-// expire drops e's neighbor if it has not been refreshed since the timer
-// was set. The stored expiry handle is cleared with the record: the
-// scheduler recycles fired events, so a retained handle would go stale.
-func (t *Table) expire(e *entry) {
-	if e.lastHeard.Add(sim.Duration(t.expiryIntervals)*e.interval) > e.deadline {
-		return // refreshed since; OnHello already replaced the handle
+// unshare gives the table a private copy of ids, with room for cap(live)
+// neighbors, if the current one has been announced.
+func (t *Table) unshare() {
+	if t.announced {
+		t.ids = append(make([]packet.NodeID, 0, cap(t.live)), t.ids...)
+		t.announced = false
 	}
-	i, _ := t.find(e.id)
-	t.remove(i)
-	t.recordChange(t.sched.Now())
 }
 
 // remove retires the live neighbor at index i, parking its record just
-// past the end of live (its twoHop backing array kept) for the next
-// neighbor to join. The record's timer must not be armed.
+// past the end of live for the next neighbor to join.
 func (t *Table) remove(i int) {
+	t.unshare()
 	e := t.live[i]
-	e.expiry = nil
-	e.twoHop = e.twoHop[:0]
+	e.twoHop = nil // the sender's announced set is not ours to pin
 	t.present.Remove(e.id)
 	t.ids = slices.Delete(t.ids, i, i+1)
 	last := len(t.live) - 1
@@ -262,10 +305,16 @@ func (t *Table) Count() int { return len(t.ids) }
 // callers must not modify it and must copy it to retain it.
 func (t *Table) Neighbors() []packet.NodeID { return t.ids }
 
-// AppendNeighbors appends the sorted one-hop neighbor set to buf and
-// returns the extended slice, allocating only when buf lacks capacity.
-func (t *Table) AppendNeighbors(buf []packet.NodeID) []packet.NodeID {
-	return append(buf, t.ids...)
+// Announce returns the sorted one-hop neighbor set for a HELLO beacon.
+// Unlike Neighbors' view, the announced slice never changes: the table
+// copies its id list before the next membership change instead of
+// editing it in place, so every receiver keeps the announced slice
+// itself as its two-hop set for this host. Callers must not modify it.
+func (t *Table) Announce() []packet.NodeID {
+	if len(t.ids) > 0 { // an empty announcement shares no element
+		t.announced = true
+	}
+	return slices.Clip(t.ids)
 }
 
 // NeighborSet exposes the one-hop membership bitset. It is live storage:
@@ -281,7 +330,8 @@ func (t *Table) NeighborSet() *nodeset.Set {
 
 // TwoHop returns N_{x,h}: h's neighbor set exactly as last announced to
 // this host (it may include the owner itself), or nil if h is unknown.
-// The returned slice is shared storage; callers must not modify it.
+// The returned slice is h's announced set, shared with every other
+// receiver; callers must not modify it.
 func (t *Table) TwoHop(h packet.NodeID) []packet.NodeID {
 	if i, ok := t.find(h); ok {
 		return t.live[i].twoHop
@@ -292,8 +342,8 @@ func (t *Table) TwoHop(h packet.NodeID) []packet.NodeID {
 // AuditEntries calls f for every live one-hop entry, in ascending id
 // order, with the id, the time its last HELLO was heard, and the hello
 // interval it announced. It is an observation-only walk for the
-// invariant auditor: the table is not mutated and no expiry timers are
-// touched.
+// invariant auditor: the table is not mutated and its expiry event is
+// not touched.
 func (t *Table) AuditEntries(f func(id packet.NodeID, lastHeard sim.Time, interval sim.Duration)) {
 	for _, e := range t.live {
 		f(e.id, e.lastHeard, e.interval)

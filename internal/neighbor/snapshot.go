@@ -2,15 +2,16 @@ package neighbor
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/packet"
 	"repro/internal/sim"
 )
 
-// EntryState is one live neighbor entry in a TableState, including the
-// (at, seq) key of its armed expiry timer. Every live entry has an armed
-// timer: OnHello always re-arms on refresh and expire removes the entry
-// when it fires, so a barrier never observes a live entry without one.
+// EntryState is one live neighbor entry in a TableState, including its
+// (at, seq) expiry key. The table's one expiry event is armed at the
+// earliest of these keys or before it (it moves later lazily), and the
+// restored table arms it at exactly the earliest.
 type EntryState struct {
 	ID        packet.NodeID
 	LastHeard sim.Time
@@ -46,7 +47,7 @@ func (t *Table) Snapshot() TableState {
 			LastHeard: e.lastHeard,
 			Interval:  e.interval,
 			Deadline:  e.deadline,
-			ExpirySeq: e.expiry.Seq(),
+			ExpirySeq: e.seq,
 			TwoHop:    e.twoHop,
 		}
 	}
@@ -55,8 +56,8 @@ func (t *Table) Snapshot() TableState {
 }
 
 // Restore rebuilds a freshly constructed (empty) table from a
-// checkpointed state, re-arming every entry's expiry timer at its exact
-// (at, seq) key on the central ladder — where OnHello schedules them.
+// checkpointed state, arming its expiry event at the earliest entry key
+// on the central ladder — where OnHello schedules it.
 func (t *Table) Restore(st TableState) error {
 	if t.Count() != 0 {
 		return fmt.Errorf("neighbor: restore into a non-empty table")
@@ -76,18 +77,26 @@ func (t *Table) Restore(st TableState) error {
 		e.lastHeard = es.LastHeard
 		e.interval = es.Interval
 		e.deadline = es.Deadline
-		e.twoHop = append(e.twoHop[:0], es.TwoHop...)
-		ev, err := t.sched.RestoreFunc(-1, es.Deadline, es.ExpirySeq, e.fire)
+		e.seq = es.ExpirySeq
+		e.twoHop = slices.Clone(es.TwoHop)
+	}
+	if t.Count() > 0 {
+		ev, err := t.sched.RestoreKeyed(t)
 		if err != nil {
-			return fmt.Errorf("neighbor: restore expiry for %v: %w", es.ID, err)
+			return fmt.Errorf("neighbor: restore expiry: %w", err)
 		}
-		e.expiry = ev
+		t.expiry = ev
 	}
 	t.changes = append(t.changes[:0], st.Changes...)
 	return nil
 }
 
 // PendingEvents returns how many scheduler events the table currently
-// has armed (one expiry per live entry), for the checkpoint
-// exhaustiveness cross-check.
-func (t *Table) PendingEvents() int { return t.Count() }
+// has armed — its one expiry event, or none when it has no neighbors —
+// for the checkpoint exhaustiveness cross-check.
+func (t *Table) PendingEvents() int {
+	if t.expiry != nil {
+		return 1
+	}
+	return 0
+}

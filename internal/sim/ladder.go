@@ -1,6 +1,9 @@
 package sim
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // The ladder queue (Tang, Goh & Thng 2005) is a multi-resolution calendar
 // queue for discrete-event simulation. Far-future events land in an
@@ -74,7 +77,10 @@ func (r *rung) reset(start Time, width Duration, nb int) {
 //     exceeds every time in bottom or the rungs.
 //
 // Tombstoned (cancelled) events stay in place and are dropped and
-// recycled when their bucket or slot is next touched.
+// recycled when their bucket or slot is next touched. A Keyed event may
+// sit at a key earlier than its owner's current one; it is moved to the
+// current key when it reaches the head of Bottom (rekeyHead), so it
+// fires only at a key its owner still reports.
 type ladder struct {
 	bottom []*Event
 	head   int
@@ -142,6 +148,9 @@ func (q *ladder) pop(s *Scheduler) *Event {
 	for {
 		for q.head < len(q.bottom) {
 			e := q.bottom[q.head]
+			if e.keyed && !e.cancel && q.rekeyHead(e) {
+				continue
+			}
 			q.bottom[q.head] = nil
 			q.head++
 			if e.cancel {
@@ -179,12 +188,34 @@ func (q *ladder) peekEvent(s *Scheduler) (*Event, bool) {
 				s.recycle(e)
 				continue
 			}
+			if e.keyed && q.rekeyHead(e) {
+				continue
+			}
 			return e, true
 		}
 		if !q.refill(s) {
 			return nil, false
 		}
 	}
+}
+
+// rekeyHead checks the keyed event e at the head of Bottom against the
+// key its owner reports now. If the key moved later, e is taken off the
+// head and re-inserted at the new key, and rekeyHead reports true; that
+// move is not a firing. A key that moved earlier panics.
+func (q *ladder) rekeyHead(e *Event) bool {
+	at, seq := e.runner.(Keyed).EventKey()
+	if at == e.at && seq == e.seq {
+		return false
+	}
+	if at < e.at || at == e.at && seq < e.seq {
+		panic(fmt.Sprintf("sim: keyed event moved back from (%v, %d) to (%v, %d)", e.at, e.seq, at, seq))
+	}
+	q.bottom[q.head] = nil
+	q.head++
+	e.at, e.seq = at, seq
+	q.insert(e)
+	return true
 }
 
 // refill repopulates the exhausted Bottom from the finest rung's next

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -71,6 +72,20 @@ func (q *refQueue) Schedule(at Time, fn func()) *Event {
 }
 
 func (q *refQueue) After(d Duration, fn func()) *Event { return q.Schedule(q.now.Add(d), fn) }
+
+// nextSeq and scheduleKey are NextSeq and ScheduleKeyed with the eager
+// semantics: the event sits at exactly the key given, so an owner whose
+// key moves must cancel it and schedule it again.
+func (q *refQueue) nextSeq() uint64 {
+	q.seq++
+	return q.seq
+}
+
+func (q *refQueue) scheduleKey(at Time, seq uint64, fn func()) *Event {
+	e := &Event{at: at, seq: seq, fn: fn}
+	heap.Push(q, e)
+	return e
+}
 
 func (q *refQueue) Cancel(e *Event) {
 	if e == nil || e.fired || e.cancel {
@@ -433,4 +448,204 @@ func TestLadderCancelRecyclesTombstones(t *testing.T) {
 	if got := s.SnapshotState().PoolHits - hits0; got != 1000 {
 		t.Errorf("reschedule after mass cancel took %d pool hits, want 1000", got)
 	}
+}
+
+// firing is one callback a FuzzLadderRekey queue ran: the clock and the
+// key of what fired; who is the keyed owner, or -1 for a plain event.
+type firing struct {
+	at  Time
+	seq uint64
+	who int
+}
+
+// rekeyOwner is a Keyed runner whose key the fuzz input moves.
+type rekeyOwner struct {
+	who int
+	at  Time
+	seq uint64
+	ev  *Event // the queued event, nil while unarmed
+	w   *rekeyWorld
+}
+
+func (o *rekeyOwner) EventKey() (Time, uint64) { return o.at, o.seq }
+
+func (o *rekeyOwner) RunEvent() {
+	o.ev = nil
+	o.w.log = append(o.w.log, firing{o.w.q.Now(), o.seq, o.who})
+}
+
+// rekeyWorld is one side of FuzzLadderRekey: a queue, the few owners
+// whose keys move, and what fired. follow tells the queue an armed
+// owner's key moved later: a no-op for the ladder, which moves the event
+// when it reaches it, and a cancel and re-insert for the reference.
+type rekeyWorld struct {
+	q      eventQueue
+	draw   func() uint64
+	arm    func(o *rekeyOwner) *Event
+	follow func(o *rekeyOwner)
+	owners [3]rekeyOwner
+	log    []firing
+}
+
+func newRekeyWorld(q eventQueue, draw func() uint64, arm func(*rekeyOwner) *Event, follow func(*rekeyOwner)) *rekeyWorld {
+	w := &rekeyWorld{q: q, draw: draw, arm: arm, follow: follow}
+	for i := range w.owners {
+		w.owners[i] = rekeyOwner{who: i, w: w}
+	}
+	return w
+}
+
+// rekeyDelay maps an op argument to a delay: mostly a few µs, so keys
+// collide on time and order by seq, and sometimes far enough to land in
+// a rung or Top instead of Bottom.
+func rekeyDelay(b byte) Duration {
+	if b >= 0xc0 {
+		return Duration(b) * 977
+	}
+	return Duration(b % 8)
+}
+
+// apply runs one op of FuzzLadderRekey's language on the world.
+func (w *rekeyWorld) apply(op, arg, who byte) {
+	now := w.q.Now()
+	o := &w.owners[int(who)%len(w.owners)]
+	switch op {
+	case 0: // a plain event
+		var seq uint64
+		seq = w.q.Schedule(now.Add(rekeyDelay(arg)), func() {
+			w.log = append(w.log, firing{w.q.Now(), seq, -1})
+		}).Seq()
+	case 1: // move o's key later, arming o if it is not
+		if o.ev == nil {
+			o.at, o.seq = now.Add(rekeyDelay(arg)), w.draw()
+			o.ev = w.arm(o)
+			return
+		}
+		o.at, o.seq = o.at.Add(rekeyDelay(arg)), w.draw()
+		w.follow(o)
+	case 2: // move o's key earlier, which takes a cancel and a new event
+		if o.ev == nil || o.at == now {
+			return
+		}
+		w.q.Cancel(o.ev)
+		o.at, o.seq = now.Add(Duration(arg)%Duration(o.at-now)), w.draw()
+		o.ev = w.arm(o)
+	case 3:
+		w.q.Cancel(o.ev)
+		o.ev = nil
+	case 4:
+		w.q.RunUntil(now.Add(rekeyDelay(arg)))
+	case 5:
+		w.q.Step()
+	}
+}
+
+// FuzzLadderRekey holds keyed events to the reference heap. The input is
+// a list of (op, arg, owner) triples:
+//
+//	0  schedule a plain event arg µs ahead (rekeyDelay)
+//	1  move the owner's key later (arming it if unarmed)
+//	2  move the owner's key earlier: cancel and schedule anew
+//	3  cancel the owner's event
+//	4  RunUntil arg µs ahead
+//	5  Step
+//	6  move an armed owner's key backwards without a cancel, then run
+//
+// The ladder leaves a moved-later event where it is and moves it when
+// it reaches it; the reference cancels and re-inserts at every move. The
+// two must fire the same (at, seq) sequence with the same clock and
+// pending count after every op; the ladder's Executed must count
+// firings only, and its audit hook must see exactly the firings, never
+// a move. Op 6 ends the input: the ladder must panic when it reaches
+// the event.
+func FuzzLadderRekey(f *testing.F) {
+	f.Add([]byte{1, 3, 0, 1, 2, 1, 0, 1, 0, 1, 4, 0, 4, 2, 0, 4, 7, 0})
+	f.Add([]byte{1, 5, 0, 0, 5, 0, 1, 1, 0, 1, 2, 0, 5, 0, 0, 5, 0, 0, 2, 1, 0, 4, 9, 0})
+	f.Add([]byte{1, 0xff, 1, 1, 0xc0, 2, 0, 0xd0, 0, 1, 0xe0, 1, 4, 0xff, 0, 3, 0, 2, 4, 0xff, 0})
+	f.Add([]byte{1, 4, 0, 1, 1, 0, 6, 0, 0})
+	rng := rand.New(rand.NewSource(1))
+	long := make([]byte, 3*400)
+	for i := range long {
+		long[i] = byte(rng.Intn(256))
+		if i%3 == 0 {
+			long[i] %= 6
+		}
+	}
+	f.Add(long)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		s := NewScheduler()
+		var audited []firing
+		s.SetAuditHook(func(at Time, seq uint64) { audited = append(audited, firing{at, seq, 0}) })
+		lad := newRekeyWorld(s, s.NextSeq,
+			func(o *rekeyOwner) *Event { return s.ScheduleKeyed(o) },
+			func(*rekeyOwner) {})
+		r := newRefQueue()
+		var ref *rekeyWorld
+		ref = newRekeyWorld(r, r.nextSeq,
+			func(o *rekeyOwner) *Event { return r.scheduleKey(o.at, o.seq, o.RunEvent) },
+			func(o *rekeyOwner) {
+				r.Cancel(o.ev)
+				o.ev = ref.arm(o)
+			})
+		check := func(where string) {
+			t.Helper()
+			if s.Now() != r.Now() || s.Pending() != r.Pending() {
+				t.Fatalf("%s: ladder now %v pending %d, reference now %v pending %d",
+					where, s.Now(), s.Pending(), r.Now(), r.Pending())
+			}
+			if len(lad.log) != len(ref.log) {
+				t.Fatalf("%s: ladder fired %d, reference %d", where, len(lad.log), len(ref.log))
+			}
+			for i := range lad.log {
+				if lad.log[i] != ref.log[i] {
+					t.Fatalf("%s: firing %d is %+v, reference %+v", where, i, lad.log[i], ref.log[i])
+				}
+				if a := audited[i]; a.at != lad.log[i].at || a.seq != lad.log[i].seq {
+					t.Fatalf("%s: audit hook saw %+v as firing %d, which is %+v", where, a, i, lad.log[i])
+				}
+			}
+			if s.Executed() != uint64(len(lad.log)) || len(audited) != len(lad.log) {
+				t.Fatalf("%s: Executed %d, audited %d, for %d firings", where, s.Executed(), len(audited), len(lad.log))
+			}
+		}
+		for i := 0; i+2 < len(ops); i += 3 {
+			op, arg, who := ops[i]%7, ops[i+1], ops[i+2]
+			if op == 6 {
+				o := &lad.owners[int(who)%len(lad.owners)]
+				if o.ev == nil {
+					continue
+				}
+				o.at, o.seq = o.ev.At(), o.ev.Seq()-1
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "moved back") {
+						t.Fatalf("a key moved backwards: panic %q, want one saying it moved back", msg)
+					}
+				}()
+				s.Run()
+				return
+			}
+			lad.apply(op, arg, who)
+			ref.apply(op, arg, who)
+			check(fmt.Sprintf("op %d (%d %d %d)", i/3, op, arg, who))
+		}
+		s.Run()
+		r.Run()
+		check("final drain")
+	})
+}
+
+// TestExtractUntilRefusesKeyed: a speculative window cannot carry a
+// keyed event, whose key moves under its owner.
+func TestExtractUntilRefusesKeyed(t *testing.T) {
+	s := NewScheduler()
+	o := &rekeyOwner{}
+	o.at, o.seq = 5, s.NextSeq()
+	s.ScheduleKeyed(o)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "keyed") {
+			t.Fatalf("ExtractUntil over a keyed event: panic %q, want one naming the keyed event", msg)
+		}
+	}()
+	s.ExtractUntil(10)
 }

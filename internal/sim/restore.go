@@ -9,7 +9,7 @@ import "fmt"
 // only persists its counters and pool depths; the pending events are
 // owned by the model layers (each of which holds its timer handles), so
 // checkpointing walks the layers, records each armed event's (at, seq)
-// key, and restoring re-inserts them through RestoreRunner/RestoreFunc
+// key, and restoring re-inserts them through RestoreRunner/RestoreKeyed
 // with those exact keys while RestoreState re-arms the counters the next
 // allocation will continue from.
 
@@ -32,7 +32,7 @@ type LaneState struct {
 // SchedulerState is the scheduler's own contribution to a checkpoint:
 // clock, counters, and pool depths. Pending events are not here — they
 // are serialized by the layers that own them and re-inserted via
-// RestoreFunc/RestoreRunner.
+// RestoreRunner/RestoreKeyed.
 type SchedulerState struct {
 	Now        Time
 	Seq        uint64
@@ -169,17 +169,19 @@ func (s *Scheduler) RestoreRunner(shard int, at Time, seq uint64, r Runner) (*Ev
 	return e, nil
 }
 
-// RestoreFunc re-inserts a checkpointed callback event with its exact
-// (at, seq) key, onto the given shard's wheel (shard >= 0) or the
-// central ladder (shard == -1).
-func (s *Scheduler) RestoreFunc(shard int, at Time, seq uint64, fn func()) (*Event, error) {
-	if fn == nil {
-		return nil, fmt.Errorf("sim: restore with nil callback")
+// RestoreKeyed re-inserts a checkpointed Keyed event on the central
+// ladder at the key r reports, which must be the owner's exact
+// checkpointed earliest key.
+func (s *Scheduler) RestoreKeyed(r Keyed) (*Event, error) {
+	if r == nil {
+		return nil, fmt.Errorf("sim: restore with nil runner")
 	}
-	e, err := s.restoreEvent(shard, at, seq)
+	at, seq := r.EventKey()
+	e, err := s.restoreEvent(-1, at, seq)
 	if err != nil {
 		return nil, err
 	}
-	e.fn = fn
+	e.runner = r
+	e.keyed = true
 	return e, nil
 }

@@ -22,6 +22,7 @@ type Event struct {
 	runner Runner // fires when fn is nil
 	fired  bool
 	cancel bool
+	keyed  bool // runner is a Keyed whose key may have moved later
 }
 
 // Runner is the allocation-free alternative to a func() callback: an
@@ -32,6 +33,21 @@ type Event struct {
 // lets per-host recurring timers (mobility turns, HELLO beacons, MAC
 // attempts) schedule without allocating.
 type Runner interface{ RunEvent() }
+
+// Keyed is a Runner whose one queued event stands for a key that may
+// move later while it waits: a neighbor table's expiry event stands for
+// its earliest entry deadline, which every HELLO refresh pushes back.
+// EventKey reports the (at, seq) key the event should fire at now. When
+// the ladder reaches the event at an earlier key it moves it to the
+// reported one instead of firing it; that move is not an event (it is
+// not counted in Executed, not seen by the audit or tick hooks, and
+// does not advance the clock). The reported key must never be earlier
+// than the queued one: an owner whose key moves earlier cancels its
+// event and schedules a new one.
+type Keyed interface {
+	Runner
+	EventKey() (at Time, seq uint64)
+}
 
 // At returns the simulated time the event is (or was) scheduled for.
 func (e *Event) At() Time { return e.at }
@@ -160,6 +176,7 @@ func (s *Scheduler) allocAny(at Time) *Event {
 	e.seq = s.seq
 	e.fired = false
 	e.cancel = false
+	e.keyed = false
 	return e
 }
 
@@ -232,6 +249,40 @@ func (s *Scheduler) ScheduleRunner(at Time, r Runner) *Event {
 // AfterRunner queues r's RunEvent to fire d after the current time.
 func (s *Scheduler) AfterRunner(d Duration, r Runner) *Event {
 	return s.ScheduleRunner(s.now.Add(d), r)
+}
+
+// NextSeq draws the sequence number the next Schedule would have taken,
+// for an owner that records a key now and schedules (or moves) its
+// Keyed event to it later. Drawing it keeps every later sequence number
+// where a Schedule at this moment would have left it.
+func (s *Scheduler) NextSeq() uint64 {
+	s.assertSequential("NextSeq")
+	if s.seq+1 >= laneSeqBase(0) {
+		panic("sim: shared sequence counter exhausted its namespace")
+	}
+	s.seq++
+	return s.seq
+}
+
+// ScheduleKeyed queues r's RunEvent on the central ladder at the key r
+// reports, whose seq must come from NextSeq. The event then follows r's
+// key as it moves later (see Keyed).
+func (s *Scheduler) ScheduleKeyed(r Keyed) *Event {
+	s.assertSequential("ScheduleKeyed")
+	at, seq := r.EventKey()
+	if at < s.now {
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, s.now))
+	}
+	if seq > s.seq {
+		panic(fmt.Sprintf("sim: keyed event seq %d not drawn yet (counter at %d)", seq, s.seq))
+	}
+	e := s.allocAny(at)
+	e.seq = seq
+	e.runner = r
+	e.keyed = true
+	s.lq.insert(e)
+	s.live++
+	return e
 }
 
 // ScheduleShardRunner is ScheduleRunner onto the given shard's wheel. It
@@ -349,6 +400,7 @@ func (ln *laneState) alloc(at Time) *Event {
 	e.seq = ln.seq
 	e.fired = false
 	e.cancel = false
+	e.keyed = false
 	return e
 }
 

@@ -76,6 +76,7 @@ func (ln *specLane) alloc(at Time) *Event {
 	e.seq = ln.seq
 	e.fired = false
 	e.cancel = false
+	e.keyed = false
 	return e
 }
 
@@ -95,7 +96,8 @@ func (e *Event) HasFunc() bool { return e.fn != nil }
 // recycled, not returned. The returned slice is owned by the scheduler
 // and valid until the next ExtractUntil call; every event in it must be
 // given back, either by firing it inside a committed speculative window
-// or through Unextract.
+// or through Unextract. A Keyed event cannot be extracted (its key
+// moves under the owner, which a lane cannot follow) and panics.
 func (s *Scheduler) ExtractUntil(deadline Time) []*Event {
 	s.assertSequential("ExtractUntil")
 	out := s.extractBuf[:0]
@@ -109,6 +111,9 @@ func (s *Scheduler) ExtractUntil(deadline Time) []*Event {
 			e = s.lq.pop(s)
 		} else {
 			e = s.popMerged()
+		}
+		if e.keyed {
+			panic("sim: ExtractUntil reached a keyed event")
 		}
 		s.live--
 		out = append(out, e)

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -54,12 +55,15 @@ func readSeed(t *testing.T, name string) []byte {
 // on, so it covers the repair sections too), and the three derived
 // seeds must match their files. With -update it rewrites all four
 // instead; only a PR that means to change the format or the simulated
-// run commits a diff. The file was last rewritten when the sequential
-// engine moved onto the slab builder: same 11,880 bytes, with
+// run commits a diff. The file was rewritten when the sequential engine
+// moved onto the slab builder: same 11,880 bytes, with
 // sched.pool_hits/pool_misses and each mover's never-used
 // previous-segment origin and has-previous byte changed, nothing else.
 // seedBeforeSlabBuilder keeps the earlier bytes (written at PR 9 by the
-// hand-written encoder) and -update leaves it alone.
+// hand-written encoder) and -update leaves it alone. It was last
+// rewritten when neighbor tables moved to one expiry event each:
+// TestSeedCheckpointDiffIsPoolOnly holds that diff against
+// seedPerEntryExpiry.
 func TestSeedCheckpointBytes(t *testing.T) {
 	for name, want := range corpusSeeds(realCheckpoint(t)) {
 		if *update {
@@ -84,6 +88,36 @@ func TestSeedCheckpointBytes(t *testing.T) {
 // per-host construction loop wrote it (through PR 17).
 const seedBeforeSlabBuilder = "seed-checkpoint-pr17"
 
+// seedPerEntryExpiry is seed-checkpoint as a tree with one expiry event
+// per neighbor entry wrote it (through PR 32); -update leaves it alone.
+const seedPerEntryExpiry = "seed-checkpoint-pr32"
+
+// TestSeedCheckpointDiffIsPoolOnly proves the last rewrite of
+// seed-checkpoint moved nothing but the scheduler's pool accounting.
+// Since neighbor tables keep one expiry event each instead of one per
+// entry, the run schedules and recycles fewer event records: only
+// sched.pool_hits, sched.pool_misses and sched.free_len may differ from
+// seedPerEntryExpiry, and they must.
+func TestSeedCheckpointDiffIsPoolOnly(t *testing.T) {
+	old, err := snapshot.Decode(readSeed(t, seedPerEntryExpiry))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := snapshot.Decode(readSeed(t, "seed-checkpoint"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(old.Sched, cur.Sched) {
+		t.Fatal("the scheduler pool counters did not move; the frozen seed is not the per-entry one")
+	}
+	for _, ck := range []*snapshot.Checkpoint{old, cur} {
+		ck.Sched.PoolHits, ck.Sched.PoolMisses, ck.Sched.FreeLen = 0, 0, 0
+	}
+	if !reflect.DeepEqual(old, cur) {
+		t.Errorf("seed-checkpoint differs from %s beyond the three pool fields", seedPerEntryExpiry)
+	}
+}
+
 // TestSeedCheckpointResumes reads the layout in the other direction:
 // the committed seed-checkpoint must decode, restore under the corpus
 // configuration and finish with the uninterrupted run's Summary, so
@@ -97,7 +131,7 @@ func TestSeedCheckpointResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := straight.Run()
-	for _, name := range []string{"seed-checkpoint", seedBeforeSlabBuilder} {
+	for _, name := range []string{"seed-checkpoint", seedBeforeSlabBuilder, seedPerEntryExpiry} {
 		ck, err := snapshot.Decode(readSeed(t, name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
