@@ -109,6 +109,37 @@ func TestAllocationBudgets(t *testing.T) {
 	}
 }
 
+// TestRunLiveHeapFlatInRunLength holds what a finished run keeps alive to
+// the world's size, not to how long it ran: in the HELLO-path world of
+// TestAllocationBudgets, the live heap after Run at 400 requests may be
+// at most 1.25 times that at 100. Event-queue storage that grew with the
+// events executed once made it 1.85 times.
+func TestRunLiveHeapFlatInRunLength(t *testing.T) {
+	if testing.Short() {
+		t.Skip("400-request run skipped in -short mode")
+	}
+	liveAfterRun := func(requests int) uint64 {
+		n, err := New(Config{
+			Scheme: scheme.NeighborCoverage{Label: "NC-DHI"}, HelloMode: HelloDynamic,
+			Hosts: 300, MapUnits: 19, MaxSpeedKMH: 80, Requests: requests, Seed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Run()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		runtime.KeepAlive(n)
+		return ms.HeapAlloc
+	}
+	short, long := liveAfterRun(100), liveAfterRun(400)
+	t.Logf("live heap after Run: %d KB at 100 requests, %d KB at 400 (%.2fx)", short>>10, long>>10, float64(long)/float64(short))
+	if long*4 > short*5 {
+		t.Errorf("live heap after Run grew from %d KB at 100 requests to %d KB at 400, budget 1.25x", short>>10, long>>10)
+	}
+}
+
 // TestCheckpointAllocsFlat holds a checkpoint to the cost of what
 // changed since the last one: the bytes allocated by the last Checkpoint
 // of an adaptive-counter run at a 10 s cadence may not grow with the

@@ -21,14 +21,22 @@ import (
 // wholesale, degrading gracefully to O(n log n) — the same bound as the
 // heap it replaces.
 //
+// Storage: Top and every rung bucket are chains threaded through
+// Event.next, the linked-list buckets of Tang et al., so an insert
+// allocates nothing and a consumed bucket leaves one nil head word
+// behind. What the ladder retains is one head per bucket of its rungs
+// plus Bottom (which doubles as the scratch a chain is walked into),
+// each bounded by the most events ever pending at once — not by how
+// many events the run has executed.
+//
 // Determinism: events are ordered by (at, seq) everywhere — the bucket
-// sort compares seq on time ties, Bottom insertion places a new event
-// after queued ties (its seq is necessarily the largest), and buckets
-// preserve append order until sorted. The pop sequence is therefore
-// byte-identical to a binary heap's: TestLadderMatchesHeapStress holds the
-// ladder to the reference heap in ladder_test.go, and
-// internal/manet/testdata/summaries.golden, recorded while models still
-// ran on a heap, pins the same at model level.
+// sort compares seq on time ties and Bottom insertion places a new event
+// after queued ties (its seq is necessarily the largest). The key is
+// unique, so the order of events within a chain is irrelevant and the
+// pop sequence is byte-identical to a binary heap's:
+// TestLadderMatchesHeapStress holds the ladder to the reference heap in
+// ladder_test.go, and internal/manet/testdata/summaries.golden, recorded
+// while models still ran on a heap, pins the same at model level.
 const (
 	// ladderThreshold is the bucket population above which refill spawns
 	// a finer rung instead of sorting the bucket into Bottom.
@@ -39,13 +47,14 @@ const (
 )
 
 // rung is one ladder level: a run of equal-width time buckets covering
-// [start, start+len(buckets)*width). cur is the first bucket that may
-// still hold events; buckets before it have been consumed.
+// [start, start+len(heads)*width), each the head of a chain of events.
+// cur is the first bucket that may still hold events; buckets before it
+// have been consumed and are nil.
 type rung struct {
-	start   Time
-	width   Duration
-	cur     int
-	buckets [][]*Event
+	start Time
+	width Duration
+	cur   int
+	heads []*Event
 }
 
 // base returns the earliest time an event may still occupy in this rung.
@@ -55,19 +64,26 @@ func (r *rung) base() Time { return r.start.Add(Duration(r.cur) * r.width) }
 // reset prepares a (possibly recycled) rung with nb empty buckets.
 func (r *rung) reset(start Time, width Duration, nb int) {
 	r.start, r.width, r.cur = start, width, 0
-	if cap(r.buckets) < nb {
-		r.buckets = append(r.buckets[:cap(r.buckets)], make([][]*Event, nb-cap(r.buckets))...)
+	r.heads = slices.Grow(r.heads[:0], nb)[:nb]
+	clear(r.heads)
+}
+
+// add chains e onto the bucket covering its timestamp; a time past the
+// last bucket's start joins the last bucket.
+func (r *rung) add(e *Event) {
+	idx := int(int64(e.at-r.start) / int64(r.width))
+	if idx >= len(r.heads) {
+		idx = len(r.heads) - 1
 	}
-	r.buckets = r.buckets[:nb]
-	for i := range r.buckets {
-		r.buckets[i] = r.buckets[i][:0]
-	}
+	e.next = r.heads[idx]
+	r.heads[idx] = e
 }
 
 // ladder is the queue proper. Invariants between operations:
 //
-//   - every queued event is in exactly one of bottom[head:], a rung
-//     bucket at index >= cur, or top;
+//   - every queued event is in exactly one of bottom[head:], the chain
+//     of a rung bucket at index >= cur, or the top chain;
+//   - an event's next link is nil unless it sits in a chain;
 //   - bottom[head:] is sorted by (at, seq) and holds the earliest events:
 //     every bottom time < every rung/top time still queued;
 //   - rungs are ordered coarsest first and strictly nested in time: each
@@ -85,12 +101,13 @@ type ladder struct {
 	bottom []*Event
 	head   int
 
-	rungs []*rung
+	// rungs[:depth] are live, coarsest first. A spent rung keeps its
+	// bucket heads for the next rung spawned at its depth.
+	rungs [ladderMaxRungs]rung
+	depth int
 
-	top      []*Event
+	top      *Event
 	topStart Time
-
-	rungFree []*rung
 }
 
 func eventCmp(a, b *Event) int {
@@ -110,18 +127,15 @@ func eventCmp(a, b *Event) int {
 // sorted position in Bottom, whichever covers its timestamp.
 func (q *ladder) insert(e *Event) {
 	if e.at >= q.topStart {
-		q.top = append(q.top, e)
+		e.next = q.top
+		q.top = e
 		return
 	}
 	// Walk coarsest→finest: the first rung whose live range starts at or
 	// before e.at owns it (finer rungs cover strictly earlier times).
-	for _, r := range q.rungs {
-		if e.at >= r.base() {
-			idx := int(int64(e.at-r.start) / int64(r.width))
-			if idx >= len(r.buckets) {
-				idx = len(r.buckets) - 1
-			}
-			r.buckets[idx] = append(r.buckets[idx], e)
+	for i := range q.depth {
+		if r := &q.rungs[i]; e.at >= r.base() {
+			r.add(e)
 			return
 		}
 	}
@@ -218,9 +232,35 @@ func (q *ladder) rekeyHead(e *Event) bool {
 	return true
 }
 
+// collect unlinks the chain starting at e, appending its live events to
+// Bottom and recycling its tombstones.
+func (q *ladder) collect(s *Scheduler, e *Event) {
+	for e != nil {
+		next := e.next
+		e.next = nil
+		if e.cancel {
+			s.recycle(e)
+		} else {
+			q.bottom = append(q.bottom, e)
+		}
+		e = next
+	}
+}
+
+// spread chains every event collected in Bottom onto r's buckets and
+// empties Bottom again.
+func (q *ladder) spread(r *rung) {
+	for _, e := range q.bottom {
+		r.add(e)
+	}
+	clear(q.bottom)
+	q.bottom = q.bottom[:0]
+}
+
 // refill repopulates the exhausted Bottom from the finest rung's next
 // bucket (spawning finer rungs from overcrowded buckets, and rung 0 from
-// Top when all rungs are spent). Returns false when no events remain.
+// Top when all rungs are spent). Bottom is the scratch every chain is
+// collected into. Returns false when no events remain.
 func (q *ladder) refill(s *Scheduler) bool {
 	q.bottom = q.bottom[:0]
 	q.head = 0
@@ -229,40 +269,21 @@ func (q *ladder) refill(s *Scheduler) bool {
 		if r == nil {
 			return false
 		}
-		b := r.buckets[r.cur]
-		live := b[:0]
-		for _, e := range b {
-			if e.cancel {
-				s.recycle(e)
-			} else {
-				live = append(live, e)
-			}
-		}
-		if len(live) == 0 {
-			r.buckets[r.cur] = live
-			r.cur++
-			continue
-		}
-		if len(live) > ladderThreshold && r.width > 1 && len(q.rungs) < ladderMaxRungs {
-			// Too crowded to sort: spread over a finer child rung. The
-			// parent's cur must advance past the bucket before the child
-			// becomes visible, so insert's rung walk stays consistent.
-			child := q.newRung(r.base(), r.width, len(live))
-			for _, e := range live {
-				idx := int(int64(e.at-child.start) / int64(child.width))
-				if idx >= len(child.buckets) {
-					idx = len(child.buckets) - 1
-				}
-				child.buckets[idx] = append(child.buckets[idx], e)
-			}
-			r.buckets[r.cur] = live[:0]
-			r.cur++
-			q.rungs = append(q.rungs, child)
-			continue
-		}
-		q.bottom = append(q.bottom, live...)
-		r.buckets[r.cur] = live[:0]
+		// The bucket is consumed before any child rung becomes visible,
+		// so insert's rung walk stays consistent.
+		base := r.base()
+		q.collect(s, r.heads[r.cur])
+		r.heads[r.cur] = nil
 		r.cur++
+		n := len(q.bottom)
+		if n == 0 {
+			continue
+		}
+		if n > ladderThreshold && r.width > 1 && q.depth < ladderMaxRungs {
+			// Too crowded to sort: spread over a finer child rung.
+			q.spread(q.pushRung(base, r.width, n))
+			continue
+		}
 		slices.SortFunc(q.bottom, eventCmp)
 		return true
 	}
@@ -273,16 +294,15 @@ func (q *ladder) refill(s *Scheduler) bool {
 // Returns nil when the whole queue is empty.
 func (q *ladder) activeRung(s *Scheduler) *rung {
 	for {
-		if n := len(q.rungs); n > 0 {
-			r := q.rungs[n-1]
-			for r.cur < len(r.buckets) && len(r.buckets[r.cur]) == 0 {
+		if q.depth > 0 {
+			r := &q.rungs[q.depth-1]
+			for r.cur < len(r.heads) && r.heads[r.cur] == nil {
 				r.cur++
 			}
-			if r.cur < len(r.buckets) {
+			if r.cur < len(r.heads) {
 				return r
 			}
-			q.rungs = q.rungs[:n-1]
-			q.putRung(r)
+			q.depth--
 			continue
 		}
 		if !q.spawnFromTop(s) {
@@ -292,55 +312,38 @@ func (q *ladder) activeRung(s *Scheduler) *rung {
 }
 
 // spawnFromTop partitions the live events in Top into a fresh rung 0 and
-// advances topStart past them. Returns false if Top held no live events,
-// which (called with no rungs and an empty Bottom) means the queue is
-// empty; topStart then resets so the next insert starts a fresh epoch.
+// advances topStart past them. It runs inside refill, with Bottom empty.
+// Returns false if Top held no live events, which (called with no rungs
+// and an empty Bottom) means the queue is empty; topStart then resets so
+// the next insert starts a fresh epoch.
 func (q *ladder) spawnFromTop(s *Scheduler) bool {
-	live := q.top[:0]
-	var min, max Time
-	for _, e := range q.top {
-		if e.cancel {
-			s.recycle(e)
-			continue
-		}
-		if len(live) == 0 || e.at < min {
-			min = e.at
-		}
-		if len(live) == 0 || e.at > max {
-			max = e.at
-		}
-		live = append(live, e)
-	}
-	if len(live) == 0 {
-		q.top = q.top[:0]
+	q.collect(s, q.top)
+	q.top = nil
+	if len(q.bottom) == 0 {
 		q.topStart = 0
 		return false
 	}
-	r := q.newRung(min, Duration(max-min), len(live))
-	for _, e := range live {
-		idx := int(int64(e.at-r.start) / int64(r.width))
-		if idx >= len(r.buckets) {
-			idx = len(r.buckets) - 1
-		}
-		r.buckets[idx] = append(r.buckets[idx], e)
+	lo, hi := q.bottom[0].at, q.bottom[0].at
+	for _, e := range q.bottom[1:] {
+		lo, hi = min(lo, e.at), max(hi, e.at)
 	}
-	q.top = q.top[:0]
-	q.rungs = append(q.rungs, r)
-	q.topStart = max + 1
+	q.spread(q.pushRung(lo, Duration(hi-lo), len(q.bottom)))
+	q.topStart = hi + 1
 	return true
 }
 
-// newRung sizes a rung to cover span time units with roughly one live
-// event per bucket: width = span/n clamped to the 1µs clock resolution,
-// and one extra bucket so every time in [start, start+span] maps inside.
-func (q *ladder) newRung(start Time, span Duration, n int) *rung {
+// pushRung makes the next depth's rung the finest, sized to cover span
+// time units with roughly one live event per bucket: width = span/n
+// clamped to the 1µs clock resolution, and one extra bucket so every
+// time in [start, start+span] maps inside.
+func (q *ladder) pushRung(start Time, span Duration, n int) *rung {
 	width := span / Duration(n)
 	if width < 1 {
 		width = 1
 	}
-	nb := int(int64(span)/int64(width)) + 1
-	r := q.getRung()
-	r.reset(start, width, nb)
+	r := &q.rungs[q.depth]
+	q.depth++
+	r.reset(start, width, int(int64(span)/int64(width))+1)
 	return r
 }
 
@@ -355,37 +358,27 @@ func (q *ladder) drain(s *Scheduler) {
 	}
 	q.bottom = q.bottom[:0]
 	q.head = 0
-	for i := len(q.rungs) - 1; i >= 0; i-- {
-		r := q.rungs[i]
-		for bi := r.cur; bi < len(r.buckets); bi++ {
-			for _, e := range r.buckets[bi] {
-				e.cancel = true
-				s.recycle(e)
-			}
-			r.buckets[bi] = r.buckets[bi][:0]
+	for i := q.depth - 1; i >= 0; i-- {
+		r := &q.rungs[i]
+		for bi := r.cur; bi < len(r.heads); bi++ {
+			cancelChain(s, r.heads[bi])
+			r.heads[bi] = nil
 		}
-		q.putRung(r)
 	}
-	q.rungs = q.rungs[:0]
-	for _, e := range q.top {
-		e.cancel = true
-		s.recycle(e)
-	}
-	q.top = q.top[:0]
+	q.depth = 0
+	cancelChain(s, q.top)
+	q.top = nil
 	q.topStart = 0
 }
 
-func (q *ladder) getRung() *rung {
-	if n := len(q.rungFree); n > 0 {
-		r := q.rungFree[n-1]
-		q.rungFree = q.rungFree[:n-1]
-		return r
-	}
-	return &rung{}
-}
-
-func (q *ladder) putRung(r *rung) {
-	if len(q.rungFree) <= ladderMaxRungs {
-		q.rungFree = append(q.rungFree, r)
+// cancelChain tombstones, unlinks and recycles every event of the chain
+// starting at e.
+func cancelChain(s *Scheduler, e *Event) {
+	for e != nil {
+		next := e.next
+		e.next = nil
+		e.cancel = true
+		s.recycle(e)
+		e = next
 	}
 }

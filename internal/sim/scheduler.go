@@ -20,6 +20,7 @@ type Event struct {
 	seq    uint64
 	fn     func()
 	runner Runner // fires when fn is nil
+	next   *Event // chain link while in a ladder or shard-wheel bucket
 	fired  bool
 	cancel bool
 	keyed  bool // runner is a Keyed whose key may have moved later
