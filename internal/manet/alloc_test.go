@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/packet"
 	"repro/internal/scheme"
 	"repro/internal/sim"
 )
@@ -48,8 +49,9 @@ func TestAllocationBudgets(t *testing.T) {
 	}
 
 	for _, row := range []struct {
-		name string
-		per  string
+		name   string
+		per    string
+		budget float64 // allocations per unit
 		// measure returns the objects allocated by the guarded call and
 		// the number of units they are budgeted against.
 		measure func(t *testing.T) (mallocs, units float64)
@@ -57,7 +59,7 @@ func TestAllocationBudgets(t *testing.T) {
 		// The event core: a paper-scale run allocates at most once per
 		// executed event once the event, frame, judge and record pools
 		// have been through one run.
-		{"Run at AC 5x5", "event", func(t *testing.T) (float64, float64) {
+		{"Run at AC 5x5", "event", 1, func(t *testing.T) (float64, float64) {
 			cfg := Config{Scheme: scheme.AdaptiveCounter{}, MapUnits: 5, Requests: 20, Seed: 1}
 			mustNew(t, cfg).Run()
 			cfg.Seed = 2
@@ -70,7 +72,7 @@ func TestAllocationBudgets(t *testing.T) {
 		// other, so a table refresh is most of the work. Each table keeps
 		// one expiry event and shares its senders' announced sets, so a
 		// refresh allocates nothing.
-		{"Run at AC 1x1, 100 hosts", "event", func(t *testing.T) (float64, float64) {
+		{"Run at AC 1x1, 100 hosts", "event", 1, func(t *testing.T) (float64, float64) {
 			cfg := Config{Scheme: scheme.AdaptiveCounter{}, MapUnits: 1, Hosts: 100, Requests: 20, Seed: 1}
 			mustNew(t, cfg).Run()
 			cfg.Seed = 2
@@ -83,7 +85,7 @@ func TestAllocationBudgets(t *testing.T) {
 		// at ≈ 0.83 per unit², NC with dynamic HELLO — where beacons are
 		// most of the events and neighbors join and expire all run long,
 		// so each table must recycle its expired neighbors' records.
-		{"Run at NC-DHI 19x19, 300 mobile hosts", "event", func(t *testing.T) (float64, float64) {
+		{"Run at NC-DHI 19x19, 300 mobile hosts", "event", 1, func(t *testing.T) (float64, float64) {
 			cfg := Config{
 				Scheme: scheme.NeighborCoverage{Label: "NC-DHI"}, HelloMode: HelloDynamic,
 				Hosts: 300, MapUnits: 19, MaxSpeedKMH: 80, Requests: 100, Seed: 1,
@@ -95,15 +97,41 @@ func TestAllocationBudgets(t *testing.T) {
 			mallocs := mallocsAround(func() { events = n.Run().Events })
 			return mallocs, float64(events)
 		}},
-		{"New into a warm Arena", "host", warmArenaNew(EngineSharded)},
-		{"New into a warm Arena, default engine", "host", warmArenaNew(EngineAuto)},
+		// Duplicate detection: every dedup call a run makes — each
+		// origination, then a first reception and a duplicate at every
+		// host — is a shift and mask into the slab New sized, with no
+		// allocation. The runtime's background timers can land an object
+		// in any window, so the row keeps the best of three.
+		{"Dedup through every origination and reception", "reception", 0, func(t *testing.T) (float64, float64) {
+			cfg := Config{Scheme: scheme.Flooding{}, Hosts: 100, MapUnits: 5, Requests: 200, Seed: 1}
+			best := -1.0
+			for try := 0; try < 3 && best != 0; try++ {
+				d := &mustNew(t, cfg).dedup
+				mallocs := mallocsAround(func() {
+					for s := uint32(1); s <= uint32(cfg.Requests); s++ {
+						d.originate(packet.NodeID(s%uint32(cfg.Hosts)), s)
+						for h := range packet.NodeID(cfg.Hosts) {
+							if !d.observe(h, s) || d.observe(h, s) || !d.seen(h, s) {
+								t.Fatalf("host %d: broadcast %d not first, then duplicate, then seen", h, s)
+							}
+						}
+					}
+				})
+				if best < 0 || mallocs < best {
+					best = mallocs
+				}
+			}
+			return best, float64(2 * cfg.Requests * cfg.Hosts)
+		}},
+		{"New into a warm Arena", "host", 1, warmArenaNew(EngineSharded)},
+		{"New into a warm Arena, default engine", "host", 1, warmArenaNew(EngineAuto)},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			mallocs, units := row.measure(t)
 			t.Logf("%.0f allocs / %.0f %ss = %.3f", mallocs, units, row.per, mallocs/units)
-			if mallocs > units {
-				t.Errorf("%.0f allocs for %.0f %ss = %.2f allocs/%s, budget 1",
-					mallocs, units, row.per, mallocs/units, row.per)
+			if mallocs > row.budget*units {
+				t.Errorf("%.0f allocs for %.0f %ss = %.2f allocs/%s, budget %g",
+					mallocs, units, row.per, mallocs/units, row.per, row.budget)
 			}
 		})
 	}

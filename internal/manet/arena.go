@@ -4,13 +4,12 @@ import (
 	"repro/internal/mac"
 	"repro/internal/mobility"
 	"repro/internal/neighbor"
-	"repro/internal/packet"
 	"repro/internal/sim"
 )
 
 // Arena retains a Network's bulk slab allocations — hosts, MACs,
-// neighbor tables, dedup tables, RNG streams, random-turn movers, the
-// scheduler's event slab — across Networks, on every engine: there is
+// neighbor tables, the dedup bitset, RNG streams, random-turn movers,
+// the scheduler's event slab — across Networks, on every engine: there is
 // one host builder (buildHosts) and it builds into these slabs whether
 // or not a worker pool or shard wheels exist. A parameter sweep
 // constructs thousands of same-size worlds back to back; without reuse
@@ -38,22 +37,22 @@ import (
 // carries one.
 //
 // Slab reinitialization is by full overwrite (every Init*/New*Into
-// constructor and RNG fork writes the complete record), so a reused
-// world is byte-identical to a freshly allocated one — the sharded
-// equivalence suite runs its whole matrix through one shared arena to
-// pin exactly that.
+// constructor and RNG fork writes the complete record, and the dedup
+// bitset is cleared), so a reused world is byte-identical to a freshly
+// allocated one — the sharded equivalence suite runs its whole matrix
+// through one shared arena to pin exactly that.
 type Arena struct {
 	hostsN     int
 	slabMovers bool
 	hosts      []*host
 	hostSlab   []host
 	macSlab    []mac.MAC
-	dedupSlab  []packet.DedupTable
 	rngSlab    []sim.RNG
 	moveSlab   []sim.RNG
 	tableSlab  []neighbor.Table
 	roamerSlab []mobility.Roamer
 	events     []sim.Event
+	dedup      []uint64 // the largest dedup bitset built so far
 }
 
 // NewArena returns an empty arena. The first construction through it

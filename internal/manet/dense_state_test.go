@@ -88,7 +88,7 @@ func TestNackedStaysBounded(t *testing.T) {
 	for i, h := range n.hosts {
 		total += len(h.nacked)
 		for bid := range h.nacked {
-			if h.dedup.Seen(bid) {
+			if n.dedup.seen(h.id, bid.Seq) {
 				t.Errorf("host %d retains a NACK marker for %v it already received", i, bid)
 			}
 		}

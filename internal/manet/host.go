@@ -20,7 +20,6 @@ type host struct {
 	mac   *mac.MAC
 	mover mobility.Mover
 	table *neighbor.Table
-	dedup *packet.DedupTable
 	rng   *sim.RNG // assessment delays and hello phase
 
 	// lane is the speculative band owning this host, -1 outside the
@@ -75,12 +74,12 @@ type pendingRebroadcast struct {
 	live     int32         // index in host.livePending
 }
 
-// TxStarted implements mac.TxObserver: the rebroadcast's transmission
-// actually starts (S3) and the decision is locked.
 // RunEvent fires the assessment-delay timer (sim.Runner): the pending
 // record itself is the timer target, so arming it never allocates.
 func (p *pendingRebroadcast) RunEvent() { p.h.submit(p) }
 
+// TxStarted implements mac.TxObserver: the rebroadcast's transmission
+// actually starts (S3) and the decision is locked.
 func (p *pendingRebroadcast) TxStarted() {
 	p.started = true
 	p.h.net.noteTransmitted(p.bid, p.h)
@@ -248,7 +247,7 @@ func (h *host) onBroadcast(f *packet.Frame) {
 	bid := f.Broadcast
 	rx := scheme.Reception{From: f.Sender, SenderPos: f.SenderPos, U: h.rng.Float64()}
 
-	if h.dedup.Observe(bid) {
+	if h.net.dedup.observe(h.id, bid.Seq) {
 		// S1: first reception.
 		h.net.noteReceived(bid, h)
 		h.noteRecent(bid)
@@ -359,7 +358,7 @@ func (h *host) inhibit(p *pendingRebroadcast) {
 // originate makes this host the source of a new broadcast: the source
 // always transmits the packet (there is no decision to make).
 func (h *host) originate(bid packet.BroadcastID, payload any) {
-	h.dedup.Observe(bid)
+	h.net.dedup.observe(h.id, bid.Seq)
 	frame := h.net.newBroadcastFrame(bid, payload, h.id, h.Position(), h.lane)
 	h.mac.Enqueue(frame, &originTx{h: h, bid: bid, frame: frame})
 }

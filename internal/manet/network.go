@@ -157,6 +157,10 @@ type Network struct {
 	originations []originationEvent
 	resumed      bool
 
+	// dedup is every host's duplicate test, one bitset row per host
+	// (see dedup.go).
+	dedup dedup
+
 	helloSent        int
 	repairsRequested int
 	repairsDelivered int
@@ -275,22 +279,18 @@ func (n *Network) buildHosts(moveRNG, macRNG, hostRNG *sim.RNG) {
 	var (
 		rngSlab    []sim.RNG // [2i] host stream, [2i+1] mac stream
 		moveSlab   []sim.RNG
-		dedupSlab  []packet.DedupTable
 		tableSlab  []neighbor.Table
 		hostSlab   []host
 		macSlab    []mac.MAC
 		roamerSlab []mobility.Roamer
 	)
 	if a := cfg.Arena; a != nil && a.fits(hostsN, slabMovers) {
-		rngSlab, moveSlab = a.rngSlab, a.moveSlab
-		dedupSlab, tableSlab = a.dedupSlab, a.tableSlab
+		rngSlab, moveSlab, tableSlab = a.rngSlab, a.moveSlab, a.tableSlab
 		hostSlab, macSlab, roamerSlab = a.hostSlab, a.macSlab, a.roamerSlab
 		n.hosts = a.hosts
-		// Every other slab is fully overwritten by its initializer
-		// below; dedup tables alone rely on the zero value meaning
-		// "empty", and the scheduler refills its free list from the
-		// retained event slab.
-		clear(dedupSlab)
+		// Every slab is fully overwritten by its initializer below, and
+		// the scheduler refills its free list from the retained event
+		// slab.
 		sched.ReserveFrom(a.events)
 	} else {
 		// Pointer-free slabs first: collections triggered while the heap
@@ -302,7 +302,6 @@ func (n *Network) buildHosts(moveRNG, macRNG, hostRNG *sim.RNG) {
 		if slabMovers {
 			moveSlab = make([]sim.RNG, hostsN)
 		}
-		dedupSlab = make([]packet.DedupTable, hostsN)
 		tableSlab = make([]neighbor.Table, hostsN)
 		events := sched.Reserve(hostsN)
 		n.hosts = make([]*host, hostsN)
@@ -315,10 +314,19 @@ func (n *Network) buildHosts(moveRNG, macRNG, hostRNG *sim.RNG) {
 			*a = Arena{
 				hostsN: hostsN, slabMovers: slabMovers,
 				hosts: n.hosts, hostSlab: hostSlab, macSlab: macSlab,
-				dedupSlab: dedupSlab, rngSlab: rngSlab, moveSlab: moveSlab,
-				tableSlab: tableSlab, roamerSlab: roamerSlab, events: events,
+				rngSlab: rngSlab, moveSlab: moveSlab, tableSlab: tableSlab,
+				roamerSlab: roamerSlab, events: events, dedup: a.dedup,
 			}
 		}
+	}
+	// The dedup slab depends on the requests as well as the population,
+	// so the arena keeps it apart from the fit test: any parked slab
+	// large enough is cleared and reused.
+	if a := cfg.Arena; a != nil {
+		n.dedup.reset(hostsN, cfg.Requests, a.dedup)
+		a.dedup = n.dedup.bits
+	} else {
+		n.dedup.reset(hostsN, cfg.Requests, nil)
 	}
 	// The unit-disk query paths (reachableFrom, idealHelloDeliver)
 	// identify hosts by radio index: host i must be radio i.
@@ -354,7 +362,6 @@ func (n *Network) buildHosts(moveRNG, macRNG, hostRNG *sim.RNG) {
 				id:    packet.NodeID(i),
 				net:   n,
 				mover: h.mover,
-				dedup: &dedupSlab[i],
 				rng:   &rngSlab[2*i],
 				lane:  -1,
 			}
@@ -836,6 +843,7 @@ func (n *Network) Originate(srcID packet.NodeID, payload any) packet.BroadcastID
 	src := n.hosts[srcID]
 	n.seq++
 	bid := packet.BroadcastID{Source: src.id, Seq: n.seq}
+	n.dedup.originate(src.id, n.seq)
 	n.recs = append(n.recs, metrics.MakeBroadcastRecord(bid, n.sched.Now(), n.reachableFrom(src)))
 	n.recs[len(n.recs)-1].Received = 1 // the source holds the packet
 	// Open until the source's own transmission completes; every

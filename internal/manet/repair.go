@@ -47,7 +47,7 @@ type recentEntry struct {
 }
 
 // noteRecent records a received broadcast for future advertisement and
-// retires any NACK marker for it: dedup.Seen short-circuits the nacked
+// retires any NACK marker for it: the dedup test short-circuits the nacked
 // test for every id the host holds, so the entry can never be read
 // again — deleting it is invisible to behavior and keeps the NACK set
 // bounded by still-missing packets instead of growing for the whole run.
@@ -80,7 +80,7 @@ func (h *host) appendRecentIDs(buf []packet.BroadcastID) []packet.BroadcastID {
 // we missed, once.
 func (h *host) onHelloRecent(from packet.NodeID, recent []packet.BroadcastID) {
 	for _, bid := range recent {
-		if h.dedup.Seen(bid) || h.nacked[bid] {
+		if h.net.dedup.seen(h.id, bid.Seq) || h.nacked[bid] {
 			continue
 		}
 		if h.nacked == nil {
@@ -96,7 +96,7 @@ func (h *host) onHelloRecent(from packet.NodeID, recent []packet.BroadcastID) {
 func (h *host) onRepairFrame(f *packet.Frame) {
 	switch msg := f.Payload.(type) {
 	case repairRequest:
-		if f.Dest != h.id || !h.dedup.Seen(msg.ID) {
+		if f.Dest != h.id || !h.net.dedup.seen(h.id, msg.ID.Seq) {
 			return
 		}
 		h.net.Unicast(h.id, f.Sender, repairResponseBytes, repairResponse{ID: msg.ID}, nil)
@@ -104,7 +104,7 @@ func (h *host) onRepairFrame(f *packet.Frame) {
 		if f.Dest != h.id {
 			return
 		}
-		if h.dedup.Observe(msg.ID) {
+		if h.net.dedup.observe(h.id, msg.ID.Seq) {
 			// A repaired delivery: counted as received, never forwarded
 			// (the best-effort wave has long passed). noteRecent retires
 			// the NACK marker.

@@ -1,8 +1,9 @@
 // Package packet defines the frames exchanged in the simulated MANET: the
-// broadcast data packet the schemes propagate, and the periodic HELLO
-// packet used for neighbor discovery. It also provides the
-// (source, sequence) duplicate-detection table the paper assumes every
-// host maintains.
+// broadcast data packet the schemes propagate, the periodic HELLO
+// packet used for neighbor discovery, and the control and data frames
+// of the MAC and upper layers. A broadcast is named by its
+// (source, sequence) BroadcastID, the pair the paper's duplicate test
+// reads; the test itself is the manet package's per-host bitset.
 package packet
 
 import (
@@ -188,39 +189,3 @@ func NewData(sender, dest NodeID, bytes int, payload any, pos geom.Point) *Frame
 		SenderPos: pos,
 	}
 }
-
-// DedupTable records which broadcast ids a host has already seen, so the
-// host can tell first receptions from duplicates. The table only grows;
-// at the simulation scales used here (tens of thousands of broadcasts)
-// that is cheap, and it exactly matches the paper's requirement that a
-// host "can detect duplicate broadcast packets". The zero value is ready
-// to use — the map is allocated on first Observe — so tables can live in
-// slab allocations.
-//
-// A table that has been checkpointed also keeps its ids as an ordered
-// log (see SnapshotAppend), so the next checkpoint sorts only what was
-// observed since. The log sits behind a pointer: a table that is never
-// checkpointed pays one word and a nil check per first reception.
-type DedupTable struct {
-	seen map[BroadcastID]bool
-	log  *dedupLog
-}
-
-// Observe records id and reports whether this was the first time it was
-// seen (true = first reception).
-func (t *DedupTable) Observe(id BroadcastID) bool {
-	if t.seen[id] {
-		return false
-	}
-	if t.seen == nil {
-		t.seen = make(map[BroadcastID]bool)
-	}
-	t.seen[id] = true
-	if t.log != nil {
-		t.log.ids = append(t.log.ids, id)
-	}
-	return true
-}
-
-// Seen reports whether id has been observed without recording anything.
-func (t *DedupTable) Seen(id BroadcastID) bool { return t.seen[id] }

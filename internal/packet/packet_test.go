@@ -1,75 +1,30 @@
 package packet
 
 import (
-	"slices"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/geom"
 	"repro/internal/sim"
 )
 
-func TestDedupFirstThenDuplicate(t *testing.T) {
-	var d DedupTable
-	id := BroadcastID{Source: 3, Seq: 17}
-	if !d.Observe(id) {
-		t.Fatal("first observation reported as duplicate")
-	}
-	if d.Observe(id) {
-		t.Fatal("second observation reported as first")
-	}
-	if !d.Seen(id) {
-		t.Fatal("Seen() = false after Observe")
-	}
-	if d.Seen(BroadcastID{Source: 3, Seq: 18}) {
-		t.Fatal("unseen id reported seen")
-	}
-	if got := d.SnapshotAppend(nil); !slices.Equal(got, []BroadcastID{id}) {
-		t.Fatalf("table holds %v, want [%v]", got, id)
-	}
-}
-
-func TestDedupDistinguishesSourceAndSeq(t *testing.T) {
-	var d DedupTable
-	for _, id := range []BroadcastID{{2, 2}, {1, 2}, {2, 1}, {1, 1}} {
-		if !d.Observe(id) {
-			t.Fatalf("id %v wrongly deduped", id)
+func TestCompareBroadcastID(t *testing.T) {
+	for _, tc := range []struct {
+		a, b BroadcastID
+		want int
+	}{
+		{BroadcastID{1, 5}, BroadcastID{1, 5}, 0},
+		{BroadcastID{1, 5}, BroadcastID{2, 0}, -1},
+		{BroadcastID{-1, 9}, BroadcastID{0, 0}, -1},
+		{BroadcastID{3, 2}, BroadcastID{3, 1}, 1},
+		// A subtraction of the sequence numbers wraps here wherever int
+		// is 32 bits.
+		{BroadcastID{0, 1 << 31}, BroadcastID{0, 0}, 1},
+		{BroadcastID{0, 0}, BroadcastID{0, 1<<32 - 1}, -1},
+	} {
+		if got := CompareBroadcastID(tc.a, tc.b); got != tc.want {
+			t.Errorf("CompareBroadcastID(%v, %v) = %d, want %d", tc.a, tc.b, got, tc.want)
 		}
-	}
-	want := []BroadcastID{{1, 1}, {1, 2}, {2, 1}, {2, 2}}
-	if got := d.SnapshotAppend(nil); !slices.Equal(got, want) {
-		t.Fatalf("table holds %v, want %v in canonical order", got, want)
-	}
-}
-
-func TestDedupProperty(t *testing.T) {
-	// Observing any sequence of ids: Observe returns true exactly once
-	// per distinct id, and a snapshot lists the distinct ids in canonical
-	// order.
-	prop := func(sources []uint8, seqs []uint8) bool {
-		n := len(sources)
-		if len(seqs) < n {
-			n = len(seqs)
-		}
-		var d DedupTable
-		firsts := make(map[BroadcastID]int)
-		for i := 0; i < n; i++ {
-			id := BroadcastID{Source: NodeID(sources[i]), Seq: uint32(seqs[i])}
-			if d.Observe(id) {
-				firsts[id]++
-			}
-		}
-		for _, c := range firsts {
-			if c != 1 {
-				return false
-			}
-		}
-		want := canonical(firsts)
-		return slices.Equal(d.SnapshotAppend(nil), want)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
