@@ -30,3 +30,7 @@ func (m *MAC) QueueLen() int {
 	}
 	return n
 }
+
+// World returns the Shared block the MAC was built over; a MAC built by
+// New owns its block, so a setter on it reaches that MAC alone.
+func (m *MAC) World() *Shared { return m.w }

@@ -104,16 +104,50 @@ type Auditor interface {
 	AuditUse(at sim.Time, pool string, rec any)
 }
 
-// MAC is the per-host medium access controller. It implements
-// phy.Listener; the host's upper layer receives frames through the
-// Receiver callback.
-type MAC struct {
+// Shared is the state every MAC of one world has in common: the
+// scheduler, the channel with its timing, the RTS threshold and the
+// auditor. Each MAC reaches it through one pointer, so none of it is
+// paid per host, and its setters act on every MAC built over it at
+// once — which is what they mean.
+type Shared struct {
 	sched *sim.Scheduler
 	ch    *phy.Channel
-	radio int
-	addr  packet.NodeID // link-layer address (the owning host's id)
-	rng   *sim.RNG
 	t     phy.Timing
+
+	// rtsThreshold enables RTS/CTS for unicast data frames of at least
+	// this many bytes; 0 disables the exchange entirely.
+	rtsThreshold int
+	// audit, when non-nil, observes the Pending pool lifecycle.
+	audit Auditor
+}
+
+// NewShared returns the shared block for the MACs of one world on ch.
+func NewShared(sched *sim.Scheduler, ch *phy.Channel) *Shared {
+	return &Shared{sched: sched, ch: ch, t: ch.Timing()}
+}
+
+// SetRTSThreshold enables the RTS/CTS exchange for unicast data frames
+// of at least threshold bytes on every MAC of the world (0 disables it,
+// the default). Broadcast frames never use RTS/CTS — the paper's point
+// about why broadcast collisions are unavoidable.
+func (w *Shared) SetRTSThreshold(threshold int) { w.rtsThreshold = threshold }
+
+// SetAudit attaches an invariant auditor observing the Pending-record
+// pools of every MAC of the world. A nil auditor (the default) leaves
+// them unaudited.
+func (w *Shared) SetAudit(a Auditor) { w.audit = a }
+
+// MAC is the per-host medium access controller. It implements
+// phy.Listener; the host's upper layer receives frames through the
+// Receiver callback. It holds only what differs between hosts: the
+// world's constants sit in the Shared block w points to, and the
+// callback adapters (respTimer, dataEnd, rtsEnd, ackSend) are defined
+// types over MAC, so a MAC converts its own pointer instead of storing
+// one per role.
+type MAC struct {
+	w     *Shared
+	radio int
+	rng   *sim.RNG
 	stats Stats
 	cw    int // current contention window (grows on retries)
 
@@ -127,25 +161,13 @@ type MAC struct {
 	// queue[qhead:] is the FIFO of waiting frames; consuming by index
 	// instead of reslicing keeps the backing array's capacity, so a
 	// steady-state MAC stops allocating queue storage.
-	queue        []*Pending
-	qhead        int
-	transmitting bool
+	queue []*Pending
+	qhead int
 
-	// Pending recycling plus closures bound once at construction, so the
-	// steady-state per-frame path allocates nothing.
-	pFree []*Pending
-	// audit, when non-nil, observes the Pending pool lifecycle (SetAudit).
-	audit    Auditor
-	inflight *Pending // the frame whose airtime end txEnd awaits
-	// The MAC schedules its own attempt timer as a sim.Runner and its
-	// response timeout through respTimer; txEnd and rtsEnd are the
-	// airtime-completion handlers the channel calls back through. All
-	// are embedded values, so arming a timer or handing &m.txEnd to
-	// Transmit allocates nothing.
-	respTimer respTimer
-	txEnd     dataEnd
-	rtsEnd    rtsEnd
-	ack       ackSend
+	// Pending recycling, so the steady-state per-frame path allocates
+	// nothing.
+	pFree    []*Pending
+	inflight *Pending // the frame whose airtime end dataEnd awaits
 
 	// The delayed link-layer ACK owed after receiving unicast data: the
 	// armed SIFS timer and its destination. At most one is pending —
@@ -153,9 +175,12 @@ type MAC struct {
 	// the two having collided.
 	ackTimer *sim.Event
 	ackTo    packet.NodeID
+	addr     packet.NodeID // link-layer address (the owning host's id)
 
-	busy      bool
-	idleSince sim.Time
+	transmitting bool
+	busy         bool
+	awaitKind    awaitKind
+	idleSince    sim.Time
 
 	// backoffRemaining is the frozen residual backoff in slots; -1 means
 	// no backoff is owed and the MAC may use immediate access after DIFS.
@@ -164,13 +189,9 @@ type MAC struct {
 	// awaiting is the unicast frame whose control response (CTS or ACK)
 	// we are waiting for, with its timeout event and retry count.
 	awaiting   *Pending
-	awaitKind  awaitKind
 	awaitTimer *sim.Event
 	retries    int
 
-	// rtsThreshold enables RTS/CTS for unicast data frames of at least
-	// this many bytes; 0 disables the exchange entirely.
-	rtsThreshold int
 	// navUntil is the network allocation vector: overheard RTS/CTS
 	// reservations keep the (virtual) medium busy until this time.
 	navUntil sim.Time
@@ -192,7 +213,7 @@ type MAC struct {
 }
 
 // awaitKind discriminates what control frame the MAC is waiting for.
-type awaitKind int
+type awaitKind uint8
 
 const (
 	awaitNone awaitKind = iota
@@ -212,57 +233,54 @@ type GarbledReceiver interface {
 
 var _ phy.Listener = (*MAC)(nil)
 
-// New attaches a new MAC to the channel at the given position provider.
-// Its link-layer address defaults to its radio index (which is also how
-// the host assemblies number their hosts); SetAddr overrides it.
+// New attaches a new MAC to the channel at the given position provider,
+// with a Shared block of its own. Its link-layer address defaults to its
+// radio index (which is also how the host assemblies number their
+// hosts); SetAddr overrides it.
 func New(sched *sim.Scheduler, ch *phy.Channel, pos phy.Positioner, rng *sim.RNG) *MAC {
 	m := new(MAC)
-	NewInto(m, sched, ch, pos, rng, ch.AttachBatch(1))
+	NewInto(m, NewShared(sched, ch), pos, rng, ch.AttachBatch(1))
 	return m
 }
 
 // dataEnd completes the in-flight data/broadcast frame at airtime end.
-type dataEnd struct{ m *MAC }
+type dataEnd MAC
 
 // TxEnded implements phy.TxEnder.
-func (e *dataEnd) TxEnded() { e.m.finishTransmission(e.m.inflight) }
+func (e *dataEnd) TxEnded() {
+	m := (*MAC)(e)
+	m.finishTransmission(m.inflight)
+}
 
 // rtsEnd arms the CTS timeout when the in-flight RTS's airtime ends.
-type rtsEnd struct{ m *MAC }
+type rtsEnd MAC
 
 // TxEnded implements phy.TxEnder.
-func (e *rtsEnd) TxEnded() { e.m.finishRTS(e.m.inflight) }
+func (e *rtsEnd) TxEnded() {
+	m := (*MAC)(e)
+	m.finishRTS(m.inflight)
+}
 
-// NewInto initializes a caller-allocated (typically slab) MAC in place,
-// binding a radio slot pre-claimed with phy.Channel.AttachBatch. It
-// writes the complete record, so a reused slot keeps nothing of its
-// previous life; New is this over a fresh allocation and a batch of
-// one. The split lets a host builder construct MACs from parallel
-// workers: SetRadio writes are per-slot and therefore disjoint, unlike
-// a shared append.
-func NewInto(m *MAC, sched *sim.Scheduler, ch *phy.Channel, pos phy.Positioner, rng *sim.RNG, radio int) {
+// NewInto initializes a caller-allocated (typically slab) MAC in place
+// over the world's Shared block, binding a radio slot pre-claimed with
+// phy.Channel.AttachBatch. It writes the complete record, so a reused
+// slot keeps nothing of its previous life; New is this over a fresh
+// allocation and a batch of one. The split lets a host builder
+// construct MACs from parallel workers: SetRadio writes are per-slot and
+// therefore disjoint, unlike a shared append.
+func NewInto(m *MAC, w *Shared, pos phy.Positioner, rng *sim.RNG, radio int) {
 	*m = MAC{
-		sched:            sched,
-		ch:               ch,
+		w:                w,
 		rng:              rng,
-		t:                ch.Timing(),
+		cw:               w.t.CWMin,
 		backoffRemaining: -1,
-		idleSince:        sched.Now(),
+		idleSince:        w.sched.Now(),
 		radio:            radio,
 		addr:             packet.NodeID(radio),
 		lane:             -1,
 	}
-	m.cw = m.t.CWMin
-	ch.SetRadio(radio, pos, m)
-	m.respTimer.m = m
-	m.txEnd.m = m
-	m.rtsEnd.m = m
-	m.ack.m = m
+	w.ch.SetRadio(radio, pos, m)
 }
-
-// SetAudit attaches an invariant auditor observing the Pending-record
-// pool. A nil auditor (the default) leaves the MAC unaudited.
-func (m *MAC) SetAudit(a Auditor) { m.audit = a }
 
 // allocPending takes a record off the free list or allocates one.
 func (m *MAC) allocPending(f *packet.Frame, obs TxObserver) *Pending {
@@ -275,8 +293,8 @@ func (m *MAC) allocPending(f *packet.Frame, obs TxObserver) *Pending {
 	} else {
 		p = &Pending{Frame: f, obs: obs}
 	}
-	if m.audit != nil {
-		m.audit.AuditAcquire(m.sched.Now(), "mac.pending", p)
+	if m.w.audit != nil {
+		m.w.audit.AuditAcquire(m.w.sched.Now(), "mac.pending", p)
 	}
 	return p
 }
@@ -285,8 +303,8 @@ func (m *MAC) allocPending(f *packet.Frame, obs TxObserver) *Pending {
 // and frame references are dropped immediately; state flags keep
 // reporting the final outcome until the record is reused.
 func (m *MAC) recyclePending(p *Pending) {
-	if m.audit != nil {
-		m.audit.AuditRelease(m.sched.Now(), "mac.pending", p)
+	if m.w.audit != nil {
+		m.w.audit.AuditRelease(m.w.sched.Now(), "mac.pending", p)
 	}
 	p.Frame = nil
 	p.obs = nil
@@ -296,12 +314,6 @@ func (m *MAC) recyclePending(p *Pending) {
 // SetAddr sets the link-layer address unicast destinations are matched
 // against (and ACKs are sourced from).
 func (m *MAC) SetAddr(a packet.NodeID) { m.addr = a }
-
-// SetRTSThreshold enables the RTS/CTS exchange for unicast data frames
-// of at least threshold bytes (0 disables it, the default). Broadcast
-// frames never use RTS/CTS — the paper's point about why broadcast
-// collisions are unavoidable.
-func (m *MAC) SetRTSThreshold(threshold int) { m.rtsThreshold = threshold }
 
 // Addr returns the link-layer address.
 func (m *MAC) Addr() packet.NodeID { return m.addr }
@@ -319,7 +331,7 @@ func (m *MAC) Lane() int { return m.lane }
 
 // now returns the clock this MAC observes: its lane clock while a
 // speculative window is open, the shared clock otherwise.
-func (m *MAC) now() sim.Time { return m.sched.LaneNow(m.lane) }
+func (m *MAC) now() sim.Time { return m.w.sched.LaneNow(m.lane) }
 
 // Stats returns the MAC counters.
 func (m *MAC) Stats() Stats { return m.stats }
@@ -386,13 +398,13 @@ func (m *MAC) drawBackoff() int {
 // growCW doubles the contention window after a missing ACK.
 func (m *MAC) growCW() {
 	m.cw = (m.cw+1)*2 - 1
-	if m.cw > m.t.CWMax {
-		m.cw = m.t.CWMax
+	if m.cw > m.w.t.CWMax {
+		m.cw = m.w.t.CWMax
 	}
 }
 
 // resetCW restores the contention window after success or drop.
-func (m *MAC) resetCW() { m.cw = m.t.CWMin }
+func (m *MAC) resetCW() { m.cw = m.w.t.CWMin }
 
 // maybeSchedule arranges the next transmission attempt if conditions
 // allow: a frame is queued, nothing is being transmitted, no attempt is
@@ -408,7 +420,7 @@ func (m *MAC) maybeSchedule() {
 		return
 	}
 	now := m.now()
-	effStart := m.idleSince.Add(m.t.DIFS)
+	effStart := m.idleSince.Add(m.w.t.DIFS)
 
 	if m.backoffRemaining < 0 {
 		if now >= effStart {
@@ -416,7 +428,7 @@ func (m *MAC) maybeSchedule() {
 			// least DIFS, so the frame goes out right away.
 			m.txEventBase = now
 			m.txEventSlots = -1
-			m.txEvent = m.sched.LaneScheduleRunner(m.lane, now, m)
+			m.txEvent = m.w.sched.LaneScheduleRunner(m.lane, now, m)
 			return
 		}
 		// The medium has not been idle long enough: the DCF requires a
@@ -429,17 +441,17 @@ func (m *MAC) maybeSchedule() {
 	// Backoff countdown: slots elapse only while the medium has been
 	// idle longer than DIFS, so credit any already-elapsed idle slots.
 	if now > effStart {
-		consumed := int(now.Sub(effStart) / m.t.SlotTime)
+		consumed := int(now.Sub(effStart) / m.w.t.SlotTime)
 		if consumed > m.backoffRemaining {
 			consumed = m.backoffRemaining
 		}
 		m.backoffRemaining -= consumed
 		effStart = now
 	}
-	at := effStart.Add(sim.Duration(m.backoffRemaining) * m.t.SlotTime)
+	at := effStart.Add(sim.Duration(m.backoffRemaining) * m.w.t.SlotTime)
 	m.txEventBase = effStart
 	m.txEventSlots = m.backoffRemaining
-	m.txEvent = m.sched.LaneScheduleRunner(m.lane, at, m)
+	m.txEvent = m.w.sched.LaneScheduleRunner(m.lane, at, m)
 }
 
 // interruptAttempt cancels the scheduled attempt. If freeze is true the
@@ -449,7 +461,7 @@ func (m *MAC) interruptAttempt(freeze bool) {
 	if m.txEvent == nil {
 		return
 	}
-	m.sched.LaneCancel(m.lane, m.txEvent)
+	m.w.sched.LaneCancel(m.lane, m.txEvent)
 	m.txEvent = nil
 	if !freeze {
 		if m.txEventSlots >= 0 {
@@ -466,7 +478,7 @@ func (m *MAC) interruptAttempt(freeze bool) {
 	}
 	consumed := 0
 	if now > m.txEventBase {
-		consumed = int(now.Sub(m.txEventBase) / m.t.SlotTime)
+		consumed = int(now.Sub(m.txEventBase) / m.w.t.SlotTime)
 	}
 	if consumed > m.txEventSlots {
 		consumed = m.txEventSlots
@@ -491,8 +503,8 @@ func (m *MAC) startTransmission() {
 	m.backoffRemaining = -1
 	p.started = true
 	m.stats.Sent++
-	if m.audit != nil {
-		m.audit.AuditUse(m.sched.Now(), "mac.pending", p)
+	if m.w.audit != nil {
+		m.w.audit.AuditUse(m.w.sched.Now(), "mac.pending", p)
 	}
 	if p.obs != nil && !p.retransmit {
 		p.obs.TxStarted()
@@ -504,24 +516,24 @@ func (m *MAC) startTransmission() {
 	if m.useRTS(p.Frame) {
 		// Reserve the medium first: RTS now, data after the CTS.
 		nav := m.exchangeNAV(p.Frame)
-		rts := packet.NewRTS(m.addr, p.Frame.Dest, nav, m.ch.PositionOf(m.radio))
-		m.ch.Transmit(m.radio, rts, &m.rtsEnd)
+		rts := packet.NewRTS(m.addr, p.Frame.Dest, nav, m.w.ch.PositionOf(m.radio))
+		m.w.ch.Transmit(m.radio, rts, (*rtsEnd)(m))
 		return
 	}
-	m.ch.TransmitLane(m.radio, p.Frame, &m.txEnd, m.lane)
+	m.w.ch.TransmitLane(m.radio, p.Frame, (*dataEnd)(m), m.lane)
 }
 
 // useRTS reports whether the frame warrants an RTS/CTS exchange.
 func (m *MAC) useRTS(f *packet.Frame) bool {
-	return m.rtsThreshold > 0 && f.Dest != packet.DestBroadcast &&
-		f.Kind == packet.KindData && f.Bytes >= m.rtsThreshold
+	return m.w.rtsThreshold > 0 && f.Dest != packet.DestBroadcast &&
+		f.Kind == packet.KindData && f.Bytes >= m.w.rtsThreshold
 }
 
 // exchangeNAV is the reservation an RTS announces: CTS + data + ACK and
 // the three SIFS gaps between them.
 func (m *MAC) exchangeNAV(f *packet.Frame) sim.Duration {
-	return 3*m.t.SIFS + m.t.Airtime(packet.CTSBytes) +
-		m.t.Airtime(f.Bytes) + m.t.Airtime(packet.AckBytes)
+	return 3*m.w.t.SIFS + m.w.t.Airtime(packet.CTSBytes) +
+		m.w.t.Airtime(f.Bytes) + m.w.t.Airtime(packet.AckBytes)
 }
 
 // finishRTS arms the CTS timeout after the RTS airtime ends.
@@ -529,8 +541,8 @@ func (m *MAC) finishRTS(p *Pending) {
 	m.transmitting = false
 	m.awaiting = p
 	m.awaitKind = awaitCTS
-	timeout := m.t.SIFS + m.t.Airtime(packet.CTSBytes) + 2*m.t.SlotTime
-	m.awaitTimer = m.sched.AfterRunner(timeout, &m.respTimer)
+	timeout := m.w.t.SIFS + m.w.t.Airtime(packet.CTSBytes) + 2*m.w.t.SlotTime
+	m.awaitTimer = m.w.sched.AfterRunner(timeout, (*respTimer)(m))
 }
 
 // finishTransmission runs at airtime end. Broadcast (and ACK) frames
@@ -538,16 +550,16 @@ func (m *MAC) finishRTS(p *Pending) {
 // data frames instead arm the ACK timeout.
 func (m *MAC) finishTransmission(p *Pending) {
 	m.transmitting = false
-	if m.audit != nil {
-		m.audit.AuditUse(m.sched.Now(), "mac.pending", p)
+	if m.w.audit != nil {
+		m.w.audit.AuditUse(m.w.sched.Now(), "mac.pending", p)
 	}
 	if p.Frame.Dest != packet.DestBroadcast && p.Frame.Kind != packet.KindAck {
 		m.awaiting = p
 		m.awaitKind = awaitACK
 		// The ACK arrives SIFS + ACK airtime after our frame ends; allow
 		// two slots of slack before declaring it missing.
-		timeout := m.t.SIFS + m.t.Airtime(packet.AckBytes) + 2*m.t.SlotTime
-		m.awaitTimer = m.sched.AfterRunner(timeout, &m.respTimer)
+		timeout := m.w.t.SIFS + m.w.t.Airtime(packet.AckBytes) + 2*m.w.t.SlotTime
+		m.awaitTimer = m.w.sched.AfterRunner(timeout, (*respTimer)(m))
 		return
 	}
 	m.backoffRemaining = m.drawBackoff()
@@ -562,11 +574,11 @@ func (m *MAC) finishTransmission(p *Pending) {
 // itself as a sim.Runner so arming the attempt timer never allocates.
 func (m *MAC) RunEvent() { m.startTransmission() }
 
-// respTimer adapts the response-timeout callback to sim.Runner; a
-// value field on MAC, so arming the await timer is allocation-free.
-type respTimer struct{ m *MAC }
+// respTimer adapts the response-timeout callback to sim.Runner. It is a
+// view of the MAC itself, so arming the await timer is allocation-free.
+type respTimer MAC
 
-func (r *respTimer) RunEvent() { r.m.responseTimeout() }
+func (r *respTimer) RunEvent() { (*MAC)(r).responseTimeout() }
 
 // responseTimeout fires when the awaited CTS or ACK never arrived:
 // retry the whole exchange with a doubled contention window, or drop the
@@ -615,7 +627,7 @@ func (m *MAC) ackReceived() {
 	m.awaiting = nil
 	m.awaitKind = awaitNone
 	if m.awaitTimer != nil {
-		m.sched.Cancel(m.awaitTimer)
+		m.w.sched.Cancel(m.awaitTimer)
 		m.awaitTimer = nil
 	}
 	m.retries = 0
@@ -636,25 +648,25 @@ func (m *MAC) ctsReceived() {
 	m.awaiting = nil
 	m.awaitKind = awaitNone
 	if m.awaitTimer != nil {
-		m.sched.Cancel(m.awaitTimer)
+		m.w.sched.Cancel(m.awaitTimer)
 		m.awaitTimer = nil
 	}
 	if p == nil {
 		return
 	}
-	m.sched.After(m.t.SIFS, func() {
+	m.w.sched.After(m.w.t.SIFS, func() {
 		if m.transmitting {
 			return // pathological overlap; the ACK timeout will retry
 		}
 		m.transmitting = true
-		m.ch.Transmit(m.radio, p.Frame, phy.TxEndFunc(func() { m.finishTransmission(p) }))
+		m.w.ch.Transmit(m.radio, p.Frame, phy.TxEndFunc(func() { m.finishTransmission(p) }))
 	})
 }
 
 // setNAV extends the virtual carrier reservation after overhearing an
 // RTS or CTS addressed to someone else.
 func (m *MAC) setNAV(until sim.Time) {
-	now := m.sched.Now()
+	now := m.w.sched.Now()
 	if until <= now || until <= m.navUntil {
 		return
 	}
@@ -663,13 +675,13 @@ func (m *MAC) setNAV(until sim.Time) {
 		m.interruptAttempt(true)
 	}
 	if m.navEvent != nil {
-		m.sched.Cancel(m.navEvent)
+		m.w.sched.Cancel(m.navEvent)
 	}
-	m.navEvent = m.sched.Schedule(until, func() {
+	m.navEvent = m.w.sched.Schedule(until, func() {
 		m.navEvent = nil
 		if !m.busy {
 			// The DIFS deferral restarts when the reservation releases.
-			m.idleSince = m.sched.Now()
+			m.idleSince = m.w.sched.Now()
 			m.maybeSchedule()
 		}
 	})
@@ -677,25 +689,25 @@ func (m *MAC) setNAV(until sim.Time) {
 
 // sendCTS grants a reservation SIFS after the RTS.
 func (m *MAC) sendCTS(to packet.NodeID, nav sim.Duration) {
-	m.sched.After(m.t.SIFS, func() {
+	m.w.sched.After(m.w.t.SIFS, func() {
 		if m.transmitting {
 			return
 		}
-		grant := nav - m.t.SIFS - m.t.Airtime(packet.CTSBytes)
+		grant := nav - m.w.t.SIFS - m.w.t.Airtime(packet.CTSBytes)
 		if grant < 0 {
 			grant = 0
 		}
-		cts := packet.NewCTS(m.addr, to, grant, m.ch.PositionOf(m.radio))
-		m.ch.Transmit(m.radio, cts, nil)
+		cts := packet.NewCTS(m.addr, to, grant, m.w.ch.PositionOf(m.radio))
+		m.w.ch.Transmit(m.radio, cts, nil)
 	})
 }
 
-// ackSend adapts the delayed-ACK callback to sim.Runner; a value field
-// on MAC, so arming the SIFS timer is allocation-free and the pending
-// ACK is checkpointable state rather than a captured closure.
-type ackSend struct{ m *MAC }
+// ackSend adapts the delayed-ACK callback to sim.Runner. It is a view of
+// the MAC itself, so arming the SIFS timer is allocation-free and the
+// pending ACK is checkpointable state rather than a captured closure.
+type ackSend MAC
 
-func (a *ackSend) RunEvent() { a.m.fireAck() }
+func (a *ackSend) RunEvent() { (*MAC)(a).fireAck() }
 
 // sendAck transmits the link-layer ACK after SIFS, bypassing the backoff
 // machinery (SIFS precedence is what guarantees ACKs win the medium).
@@ -704,10 +716,10 @@ func (m *MAC) sendAck(to packet.NodeID) {
 		// Unreachable with a physical channel (a second data frame
 		// cannot end within SIFS of the first without colliding), but a
 		// direct Deliver must not leak the old timer.
-		m.sched.Cancel(m.ackTimer)
+		m.w.sched.Cancel(m.ackTimer)
 	}
 	m.ackTo = to
-	m.ackTimer = m.sched.AfterRunner(m.t.SIFS, &m.ack)
+	m.ackTimer = m.w.sched.AfterRunner(m.w.t.SIFS, (*ackSend)(m))
 }
 
 // fireAck puts the owed ACK on the air when its SIFS gap elapses.
@@ -717,8 +729,8 @@ func (m *MAC) fireAck() {
 		return // pathological overlap; drop the ACK
 	}
 	m.stats.AcksSent++
-	ack := packet.NewAck(m.addr, m.ackTo, m.ch.PositionOf(m.radio))
-	m.ch.Transmit(m.radio, ack, nil)
+	ack := packet.NewAck(m.addr, m.ackTo, m.w.ch.PositionOf(m.radio))
+	m.w.ch.Transmit(m.radio, ack, nil)
 }
 
 // CarrierBusy implements phy.Listener.
@@ -749,14 +761,14 @@ func (m *MAC) Deliver(f *packet.Frame) {
 		if f.Dest == m.addr {
 			m.sendCTS(f.Sender, f.NAV)
 		} else {
-			m.setNAV(m.sched.Now().Add(f.NAV))
+			m.setNAV(m.w.sched.Now().Add(f.NAV))
 		}
 		return
 	case packet.KindCTS:
 		if f.Dest == m.addr && m.awaitKind == awaitCTS {
 			m.ctsReceived()
 		} else if f.Dest != m.addr {
-			m.setNAV(m.sched.Now().Add(f.NAV))
+			m.setNAV(m.w.sched.Now().Add(f.NAV))
 		}
 		return
 	}

@@ -12,7 +12,7 @@ import (
 func rtsRig(positions ...geom.Point) *rig {
 	r := newRig(positions...)
 	for _, m := range r.macs {
-		m.SetRTSThreshold(1)
+		m.World().SetRTSThreshold(1)
 	}
 	return r
 }

@@ -77,7 +77,7 @@ type MACState struct {
 // Channel.Transmit for data and broadcast frames, so the checkpointing
 // layer can resolve an active flight's completion handler back to its
 // owning MAC.
-func (m *MAC) DataEnder() phy.TxEnder { return &m.txEnd }
+func (m *MAC) DataEnder() phy.TxEnder { return (*dataEnd)(m) }
 
 // describePending translates one record through the caller's resolvers.
 // A cancelled record's frame and observer may already be recycled by the
@@ -111,7 +111,7 @@ func describePending(p *Pending, frameRef func(*packet.Frame) uint32, obsRef fun
 // cannot be checkpointed.
 func (m *MAC) Snapshot(frameRef func(*packet.Frame) uint32, obsRef func(TxObserver) uint32) (MACState, error) {
 	switch {
-	case m.rtsThreshold > 0:
+	case m.w.rtsThreshold > 0:
 		return MACState{}, fmt.Errorf("mac: checkpoint unsupported with RTS/CTS enabled")
 	case m.navEvent != nil || m.awaitKind == awaitCTS:
 		return MACState{}, fmt.Errorf("mac: checkpoint with RTS/CTS exchange in progress")
@@ -184,8 +184,13 @@ func (m *MAC) Restore(st MACState,
 		m.txEvent != nil || m.ackTimer != nil || m.stats.Enqueued != 0 {
 		return fmt.Errorf("mac: restore into a MAC with traffic history")
 	}
-	if st.FreeLen < 0 {
-		return fmt.Errorf("mac: restore state has negative pending-pool depth %d", st.FreeLen)
+	if err := m.checkContention(st); err != nil {
+		return err
+	}
+	// Every pooled record once carried an enqueued frame, so the pool
+	// cannot be deeper than the frames this MAC was ever handed.
+	if st.FreeLen < 0 || st.FreeLen > st.Stats.Enqueued {
+		return fmt.Errorf("mac: restore state has pending-pool depth %d outside [0, %d enqueued]", st.FreeLen, st.Stats.Enqueued)
 	}
 	m.stats = st.Stats
 	m.cw = st.CW
@@ -202,8 +207,8 @@ func (m *MAC) Restore(st MACState,
 			cancelled:  ps.Cancelled,
 			retransmit: ps.Retransmit,
 		}
-		if m.audit != nil {
-			m.audit.AuditAcquire(m.sched.Now(), "mac.pending", p)
+		if m.w.audit != nil {
+			m.w.audit.AuditAcquire(m.w.sched.Now(), "mac.pending", p)
 		}
 		bound(ps.ObsRef, p)
 		return p
@@ -222,14 +227,14 @@ func (m *MAC) Restore(st MACState,
 	if st.HasAwait {
 		m.awaiting = revive(st.Await)
 		m.awaitKind = awaitACK
-		ev, err := m.sched.RestoreRunner(-1, st.AwaitTimerAt, st.AwaitTimerSeq, &m.respTimer)
+		ev, err := m.w.sched.RestoreRunner(-1, st.AwaitTimerAt, st.AwaitTimerSeq, (*respTimer)(m))
 		if err != nil {
 			return fmt.Errorf("mac: restore response timeout: %w", err)
 		}
 		m.awaitTimer = ev
 	}
 	if st.HasTxEvent {
-		ev, err := m.sched.RestoreRunner(-1, st.TxEventAt, st.TxEventSeq, m)
+		ev, err := m.w.sched.RestoreRunner(-1, st.TxEventAt, st.TxEventSeq, m)
 		if err != nil {
 			return fmt.Errorf("mac: restore attempt timer: %w", err)
 		}
@@ -238,7 +243,7 @@ func (m *MAC) Restore(st MACState,
 		m.txEventSlots = st.TxEventSlots
 	}
 	if st.HasAck {
-		ev, err := m.sched.RestoreRunner(-1, st.AckAt, st.AckSeq, &m.ack)
+		ev, err := m.w.sched.RestoreRunner(-1, st.AckAt, st.AckSeq, (*ackSend)(m))
 		if err != nil {
 			return fmt.Errorf("mac: restore delayed ACK: %w", err)
 		}
@@ -249,6 +254,35 @@ func (m *MAC) Restore(st MACState,
 		m.pFree = append(m.pFree, &Pending{})
 	}
 	m.pFree = m.pFree[:st.FreeLen]
+	return nil
+}
+
+// checkContention refuses DCF state no run reaches: a contention window
+// off the CWMin, 2·CWMin+1, …, CWMax ladder, a residual backoff or an
+// attempt's slot count outside [-1, CW], or a retry count outside
+// [0, RetryLimit]. Any of them would make a later draw or countdown
+// misbehave (a CW below zero panics the first backoff draw).
+func (m *MAC) checkContention(st MACState) error {
+	t := m.w.t
+	valid := false
+	for cw := t.CWMin; ; cw = min((cw+1)*2-1, t.CWMax) {
+		if cw == st.CW {
+			valid = true
+		}
+		if cw >= t.CWMax {
+			break
+		}
+	}
+	switch {
+	case !valid:
+		return fmt.Errorf("mac: restore state has contention window %d off the %d..%d doubling ladder", st.CW, t.CWMin, t.CWMax)
+	case st.BackoffRemaining < -1 || st.BackoffRemaining > st.CW:
+		return fmt.Errorf("mac: restore state has residual backoff %d outside [-1, CW %d]", st.BackoffRemaining, st.CW)
+	case st.HasTxEvent && (st.TxEventSlots < -1 || st.TxEventSlots > st.CW):
+		return fmt.Errorf("mac: restore state has attempt slot count %d outside [-1, CW %d]", st.TxEventSlots, st.CW)
+	case st.Retries < 0 || st.Retries > RetryLimit:
+		return fmt.Errorf("mac: restore state has retry count %d outside [0, %d]", st.Retries, RetryLimit)
+	}
 	return nil
 }
 

@@ -4,21 +4,25 @@ import (
 	"repro/internal/mac"
 	"repro/internal/mobility"
 	"repro/internal/neighbor"
+	"repro/internal/phy"
 	"repro/internal/sim"
 )
 
-// Arena retains a Network's bulk slab allocations — hosts, MACs,
-// neighbor tables, the dedup bitset, RNG streams, random-turn movers,
-// the scheduler's event slab — across Networks, on every engine: there is
-// one host builder (buildHosts) and it builds into these slabs whether
-// or not a worker pool or shard wheels exist. A parameter sweep
-// constructs thousands of same-size worlds back to back; without reuse
-// every construction allocates (and the collector then marks and
-// sweeps) on the order of a kilobyte per host, which at mega-map
-// populations makes the allocator the dominant cost of the whole
-// experiment. Passing one Arena through Config.Arena lets each
-// construction reclaim the previous world's slabs: steady-state
-// construction then allocates almost nothing, and collections stop
+// Arena retains a Network's bulk allocations — everything whose size
+// grows with the population — across Networks, on every engine: the
+// hosts, MACs, RNG streams and random-turn movers, the neighbor tables
+// of HELLO worlds, the dedup bitset, the scheduler's event slab and
+// free-list backing, and the channel's per-radio arrays, position
+// snapshot, spatial index and reachability marks. There is one host
+// builder (buildHosts) and it builds into these whether or not a worker
+// pool or shard wheels exist. A parameter sweep constructs thousands of
+// same-size worlds back to back; without reuse every construction
+// allocates (and the collector then marks and sweeps) on the order of a
+// kilobyte per host, which at mega-map populations makes the allocator
+// the dominant cost of the whole experiment. Passing one Arena through
+// Config.Arena lets each construction reclaim the previous world's
+// storage: a warm construction of a same-shape world then allocates
+// nothing that grows with the population, and collections stop
 // re-marking tens of megabytes of dead host state.
 //
 // The contract is strict in exchange for that: an Arena may back at
@@ -36,11 +40,15 @@ import (
 // refuses, with a panic before any worker starts, a Config that
 // carries one.
 //
-// Slab reinitialization is by full overwrite (every Init*/New*Into
-// constructor and RNG fork writes the complete record, and the dedup
-// bitset is cleared), so a reused world is byte-identical to a freshly
-// allocated one — the sharded equivalence suite runs its whole matrix
-// through one shared arena to pin exactly that.
+// Reinitialization is by full overwrite (every Init*/New*Into
+// constructor and RNG fork writes the complete record, the dedup bitset
+// and the event slab are cleared, and the channel zeroes the radio slots
+// it claims and rebuilds its snapshot before reading it), so a reused
+// world is byte-identical to a freshly allocated one — the sharded
+// equivalence suite runs its whole matrix through one shared arena to
+// pin exactly that. Per-world object pools (the MACs' and hosts' free
+// records, the frame and bitset pools) are not parked: checkpoints
+// record their depths.
 type Arena struct {
 	hostsN     int
 	slabMovers bool
@@ -49,10 +57,15 @@ type Arena struct {
 	macSlab    []mac.MAC
 	rngSlab    []sim.RNG
 	moveSlab   []sim.RNG
-	tableSlab  []neighbor.Table
 	roamerSlab []mobility.Roamer
 	events     []sim.Event
-	dedup      []uint64 // the largest dedup bitset built so far
+	tableSlab  []neighbor.Table // HELLO worlds only; survives HELLO-off worlds
+	dedup      []uint64         // the largest dedup bitset built so far
+
+	// The last world's channel and scheduler, whose population-sized
+	// storage the next world's take over whatever its shape.
+	ch    *phy.Channel
+	sched *sim.Scheduler
 }
 
 // NewArena returns an empty arena. The first construction through it

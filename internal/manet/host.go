@@ -15,18 +15,21 @@ import (
 // host is one mobile node: radio + MAC + mobility + neighbor table +
 // per-packet rebroadcast decisions.
 type host struct {
-	id    packet.NodeID
-	net   *Network
-	mac   *mac.MAC
-	mover mobility.Mover
-	table *neighbor.Table
-	rng   *sim.RNG // assessment delays and hello phase
-
+	id packet.NodeID
 	// lane is the speculative band owning this host, -1 outside the
 	// speculative engine. Assigned once per static world (a static host
 	// never leaves its band); all of the host's scheduling, record
 	// notes, and pool traffic route through it while a window is open.
 	lane int32
+
+	net   *Network
+	mac   *mac.MAC
+	mover mobility.Mover
+	// table is nil in a HELLO-off world: no scheme that reads neighbor
+	// knowledge runs without HELLO (Config.Validate), so no table is
+	// built.
+	table *neighbor.Table
+	rng   *sim.RNG // assessment delays and hello phase
 
 	// Broadcasts whose rebroadcast decision is still open, in an
 	// unordered slice with each record carrying its own index (live) for
@@ -37,14 +40,12 @@ type host struct {
 	livePending []*pendingRebroadcast
 	prFree      []*pendingRebroadcast
 
-	// helloTx observes the beacons' transmissions and doubles as the
-	// HELLO timer's sim.Runner (one embedded value per
-	// host, so beaconing allocates no observers); helloFly is the FIFO of
-	// beacons currently on the air. HELLO frames are broadcast, so the
-	// MAC completes them in enqueue order — the front of helloFly is
-	// always the frame whose TxDone is firing.
-	helloTx    helloTx
-	helloTimer *sim.Event // armed next-HELLO event, nil once beaconing stops
+	// helloTimer is the armed next-HELLO event, nil once beaconing stops;
+	// the host fires it, and observes its beacons, through its helloTx
+	// view. helloFly is the FIFO of beacons currently on the air. HELLO
+	// frames are broadcast, so the MAC completes them in enqueue order —
+	// the front of helloFly is always the frame whose TxDone is firing.
+	helloTimer *sim.Event
 	helloFly   []*packet.Frame
 
 	// Reliable-broadcast repair state (Config.Repair): recently received
@@ -196,24 +197,25 @@ func (h *host) ReceiveGarbled(f *packet.Frame) {
 }
 
 // helloTx observes one host's HELLO transmissions (mac.TxObserver) and
-// fires its HELLO timer (sim.Runner): both roles hang off the same
-// embedded value, so neither the recurring timer nor the per-beacon
-// observer allocates.
-type helloTx struct{ h *host }
+// fires its HELLO timer (sim.Runner). It is a view of the host itself,
+// so neither the recurring timer nor the per-beacon observer allocates
+// or takes a byte of the host record.
+type helloTx host
 
 // RunEvent fires the HELLO timer.
 func (o *helloTx) RunEvent() {
-	o.h.helloTimer = nil
-	o.h.sendHello()
+	h := (*host)(o)
+	h.helloTimer = nil
+	h.sendHello()
 }
 
 // TxStarted implements mac.TxObserver: the beacon is on the air.
-func (o *helloTx) TxStarted() { o.h.net.helloSent++ }
+func (o *helloTx) TxStarted() { o.net.helloSent++ }
 
 // TxDone implements mac.TxObserver: the beacon's airtime ended; retire
 // the oldest in-flight HELLO frame.
 func (o *helloTx) TxDone() {
-	h := o.h
+	h := (*host)(o)
 	f := h.helloFly[0]
 	rest := copy(h.helloFly, h.helloFly[1:])
 	h.helloFly[rest] = nil
@@ -399,7 +401,7 @@ func (h *host) scheduleHello() {
 		first = neighbor.HIMin
 	}
 	phase := h.rng.UniformDuration(0, first)
-	h.helloTimer = h.net.sched.AfterRunner(phase, &h.helloTx)
+	h.helloTimer = h.net.sched.AfterRunner(phase, (*helloTx)(h))
 }
 
 // currentHelloInterval evaluates the fixed or dynamic hello interval.
@@ -429,7 +431,7 @@ func (h *host) sendHello() {
 			f.Bytes += packet.HelloPerRecentBytes * len(f.Recent)
 		}
 		h.helloFly = append(h.helloFly, f)
-		h.mac.Enqueue(f, &h.helloTx)
+		h.mac.Enqueue(f, (*helloTx)(h))
 	}
-	h.helloTimer = h.net.sched.AfterRunner(interval, &h.helloTx)
+	h.helloTimer = h.net.sched.AfterRunner(interval, (*helloTx)(h))
 }

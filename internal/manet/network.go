@@ -32,6 +32,7 @@ type Network struct {
 	cfg    Config
 	sched  *sim.Scheduler
 	ch     *phy.Channel
+	macs   *mac.Shared // what every host's MAC shares: timing, RTS threshold, auditor
 	area   mobility.Map
 	hosts  []*host
 	engine Engine // resolved engine (never EngineAuto)
@@ -235,11 +236,16 @@ func New(cfg Config) (*Network, error) {
 	// number.
 	maxSpeed := cfg.MaxSpeedMPS()
 	n.ch.SetMaxSpeed(maxSpeed)
+	n.macs = mac.NewShared(sched, n.ch)
 	if cfg.Audit != nil {
 		n.audit = cfg.Audit
 		n.auditSpeed = maxSpeed
 		sched.SetAuditHook(cfg.Audit.AuditEvent)
 		n.ch.SetAudit(cfg.Audit)
+		// The hosts never read a mac.Pending handle after its frame
+		// completed or was cancelled, as the MAC's pooling contract
+		// requires.
+		n.macs.SetAudit(cfg.Audit)
 	}
 
 	n.buildHosts(moveRNG, macRNG, hostRNG)
@@ -279,13 +285,21 @@ func (n *Network) buildHosts(moveRNG, macRNG, hostRNG *sim.RNG) {
 	var (
 		rngSlab    []sim.RNG // [2i] host stream, [2i+1] mac stream
 		moveSlab   []sim.RNG
-		tableSlab  []neighbor.Table
 		hostSlab   []host
 		macSlab    []mac.MAC
 		roamerSlab []mobility.Roamer
 	)
-	if a := cfg.Arena; a != nil && a.fits(hostsN, slabMovers) {
-		rngSlab, moveSlab, tableSlab = a.rngSlab, a.moveSlab, a.tableSlab
+	a := cfg.Arena
+	if a != nil {
+		// The previous world is finished: its channel and scheduler hand
+		// their population-sized storage to this world's, whatever its
+		// shape.
+		n.ch.ReuseStorage(a.ch)
+		sched.ReuseStorage(a.sched)
+		a.ch, a.sched = n.ch, sched
+	}
+	if a != nil && a.fits(hostsN, slabMovers) {
+		rngSlab, moveSlab = a.rngSlab, a.moveSlab
 		hostSlab, macSlab, roamerSlab = a.hostSlab, a.macSlab, a.roamerSlab
 		n.hosts = a.hosts
 		// Every slab is fully overwritten by its initializer below, and
@@ -302,7 +316,6 @@ func (n *Network) buildHosts(moveRNG, macRNG, hostRNG *sim.RNG) {
 		if slabMovers {
 			moveSlab = make([]sim.RNG, hostsN)
 		}
-		tableSlab = make([]neighbor.Table, hostsN)
 		events := sched.Reserve(hostsN)
 		n.hosts = make([]*host, hostsN)
 		hostSlab = make([]host, hostsN)
@@ -311,18 +324,37 @@ func (n *Network) buildHosts(moveRNG, macRNG, hostRNG *sim.RNG) {
 			roamerSlab = make([]mobility.Roamer, hostsN)
 		}
 		if a != nil {
+			tables := a.tableSlab
+			if len(tables) != hostsN {
+				tables = nil
+			}
 			*a = Arena{
 				hostsN: hostsN, slabMovers: slabMovers,
 				hosts: n.hosts, hostSlab: hostSlab, macSlab: macSlab,
-				rngSlab: rngSlab, moveSlab: moveSlab, tableSlab: tableSlab,
+				rngSlab: rngSlab, moveSlab: moveSlab, tableSlab: tables,
 				roamerSlab: roamerSlab, events: events, dedup: a.dedup,
+				ch: a.ch, sched: a.sched,
+			}
+		}
+	}
+	// Neighbor tables exist only where HELLO runs. Like the dedup slab
+	// below, the arena keeps the table slab apart from the fit test, so a
+	// HELLO-off world between two HELLO worlds leaves it parked.
+	var tableSlab []neighbor.Table
+	if cfg.HelloMode != HelloOff {
+		if a != nil && len(a.tableSlab) == hostsN {
+			tableSlab = a.tableSlab
+		} else {
+			tableSlab = make([]neighbor.Table, hostsN)
+			if a != nil {
+				a.tableSlab = tableSlab
 			}
 		}
 	}
 	// The dedup slab depends on the requests as well as the population,
 	// so the arena keeps it apart from the fit test: any parked slab
 	// large enough is cleared and reused.
-	if a := cfg.Arena; a != nil {
+	if a != nil {
 		n.dedup.reset(hostsN, cfg.Requests, a.dedup)
 		a.dedup = n.dedup.bits
 	} else {
@@ -335,21 +367,21 @@ func (n *Network) buildHosts(moveRNG, macRNG, hostRNG *sim.RNG) {
 		panic(fmt.Sprintf("manet: host batch attached at radio base %d", base))
 	}
 
+	movers := mobility.NewShared(sched, n.area, mobility.DefaultConfig(cfg.MaxSpeedKMH))
 	if !slabMovers {
 		for i := range hostSlab {
 			h := &hostSlab[i]
 			switch {
 			case len(cfg.Placement) > 0 && cfg.Static:
-				h.mover = mobility.NewStaticRoamer(sched, n.area, cfg.Placement[i])
+				h.mover = mobility.NewStaticRoamer(movers, cfg.Placement[i])
 			case cfg.Static:
-				h.mover = mobility.NewStaticRoamer(sched, n.area, randomPoint(moveRNG.Fork(uint64(i)), n.area))
+				h.mover = mobility.NewStaticRoamer(movers, randomPoint(moveRNG.Fork(uint64(i)), n.area))
 			default: // MobilityWaypoint
 				h.mover = mobility.NewWaypoint(sched, n.area, mobility.DefaultWaypointConfig(cfg.MaxSpeedKMH), moveRNG.Fork(uint64(i)))
 			}
 		}
 	}
 
-	mcfg := mobility.DefaultConfig(cfg.MaxSpeedKMH)
 	initHosts := func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			h := &hostSlab[i]
@@ -368,27 +400,22 @@ func (n *Network) buildHosts(moveRNG, macRNG, hostRNG *sim.RNG) {
 			if slabMovers {
 				moveRNG.ForkInto(&moveSlab[i], uint64(i))
 				r := &roamerSlab[i]
-				mobility.InitRoamer(r, sched, n.area, mcfg, &moveSlab[i])
+				mobility.InitRoamer(r, movers, &moveSlab[i])
 				if n.shards > 0 {
 					r.SetShard(n.shardOfY(r.PositionAt(0).Y))
 				}
 				h.mover = r
 			}
 			macRNG.ForkInto(&rngSlab[2*i+1], uint64(i))
-			mac.NewInto(&macSlab[i], sched, n.ch, h.mover, &rngSlab[2*i+1], base+i)
+			mac.NewInto(&macSlab[i], n.macs, h.mover, &rngSlab[2*i+1], base+i)
 			h.mac = &macSlab[i]
-			neighbor.InitTable(&tableSlab[i], h.id, sched, cfg.ExpiryIntervals, hostsN)
-			h.table = &tableSlab[i]
+			if tableSlab != nil {
+				neighbor.InitTable(&tableSlab[i], h.id, sched, cfg.ExpiryIntervals, hostsN)
+				h.table = &tableSlab[i]
+			}
 			h.mac.SetAddr(h.id)
 			h.mac.Receiver = h
 			h.mac.GarbledReceiver = h
-			// The hosts never read a mac.Pending handle after its frame
-			// completed or was cancelled, as the MAC's pooling contract
-			// requires.
-			if cfg.Audit != nil {
-				h.mac.SetAudit(cfg.Audit)
-			}
-			h.helloTx.h = h
 			n.hosts[i] = h
 		}
 	}
@@ -826,6 +853,9 @@ func (n *Network) auditNeighborSweep(now sim.Time) {
 		owner := h
 		pos := owner.mover.Position()
 		n.audit.AuditMoverSpeed(now, owner.id, owner.mover.Speed(), n.auditSpeed)
+		if owner.table == nil {
+			continue
+		}
 		owner.table.AuditEntries(func(id packet.NodeID, lastHeard sim.Time, interval sim.Duration) {
 			age := now.Sub(lastHeard)
 			bound := sim.Duration(n.cfg.ExpiryIntervals) * interval

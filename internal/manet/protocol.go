@@ -52,11 +52,7 @@ func (n *Network) Unicast(src, dst packet.NodeID, bytes int, payload any, failed
 
 // SetRTSThreshold enables the RTS/CTS exchange on every host's unicast
 // data frames of at least bytes (0 disables it, the default).
-func (n *Network) SetRTSThreshold(bytes int) {
-	for _, h := range n.hosts {
-		h.mac.SetRTSThreshold(bytes)
-	}
-}
+func (n *Network) SetRTSThreshold(bytes int) { n.macs.SetRTSThreshold(bytes) }
 
 // MACStats returns the MAC counters summed over every host.
 func (n *Network) MACStats() mac.Stats {

@@ -193,7 +193,7 @@ func (n *Network) snapshotInto(ck *snapshot.Checkpoint) error {
 		var so snapshot.Observer
 		switch v := o.(type) {
 		case *helloTx:
-			so = snapshot.Observer{Kind: snapshot.ObsHello, Host: int32(v.h.id)}
+			so = snapshot.Observer{Kind: snapshot.ObsHello, Host: int32(v.id)}
 		case *pendingRebroadcast:
 			so = snapshot.Observer{Kind: snapshot.ObsPending, Host: int32(v.h.id), Bid: v.bid}
 		case *originTx:
@@ -254,7 +254,6 @@ func (n *Network) snapshotInto(ck *snapshot.Checkpoint) error {
 			Dedup:    n.dedup.appendHost(hs.Dedup[:0], h.id),
 			RNG:      h.rng.State(),
 			Mover:    roamer.Snapshot(),
-			Table:    h.table.Snapshot(),
 			PrFree:   int64(len(h.prFree)),
 			Pending:  hs.Pending[:0],
 			HelloFly: hs.HelloFly[:0],
@@ -264,7 +263,10 @@ func (n *Network) snapshotInto(ck *snapshot.Checkpoint) error {
 		if hs.Mover.HasTurn {
 			armed++
 		}
-		armed += h.table.PendingEvents()
+		if h.table != nil {
+			hs.Table = h.table.Snapshot()
+			armed += h.table.PendingEvents()
+		}
 		for _, p := range h.livePending {
 			js, err := scheme.SnapshotJudge(p.judge)
 			if err != nil {
@@ -428,6 +430,9 @@ func (n *Network) restore(ck *snapshot.Checkpoint) error {
 	if err := n.checkBroadcastIDs(ck); err != nil {
 		return err
 	}
+	if err := n.checkHelloOff(ck); err != nil {
+		return err
+	}
 
 	// Construction armed the movers' first turn events; empty the queue
 	// structurally (the stale handles the movers still hold stay
@@ -482,7 +487,7 @@ func (n *Network) restore(ck *snapshot.Checkpoint) error {
 		var o mac.TxObserver
 		switch so.Kind {
 		case snapshot.ObsHello:
-			o = &h.helloTx
+			o = (*helloTx)(h)
 		case snapshot.ObsPending:
 			p := h.lookupPending(so.Bid)
 			if p == nil {
@@ -549,8 +554,10 @@ func (n *Network) restore(ck *snapshot.Checkpoint) error {
 		if err := roamer.Restore(hs.Mover); err != nil {
 			return fmt.Errorf("manet: restore %v: %w", h.id, err)
 		}
-		if err := h.table.Restore(hs.Table); err != nil {
-			return fmt.Errorf("manet: restore %v: %w", h.id, err)
+		if h.table != nil {
+			if err := h.table.Restore(hs.Table); err != nil {
+				return fmt.Errorf("manet: restore %v: %w", h.id, err)
+			}
 		}
 		for _, e := range hs.Recent {
 			h.recent = append(h.recent, recentEntry{id: e.ID, heard: e.Heard})
@@ -594,7 +601,7 @@ func (n *Network) restore(ck *snapshot.Checkpoint) error {
 			return obsErr
 		}
 		if hs.HasHelloTimer {
-			ev, err := n.sched.RestoreRunner(-1, hs.HelloAt, hs.HelloSeq, &h.helloTx)
+			ev, err := n.sched.RestoreRunner(-1, hs.HelloAt, hs.HelloSeq, (*helloTx)(h))
 			if err != nil {
 				return fmt.Errorf("manet: restore %v: hello timer: %w", h.id, err)
 			}
@@ -607,8 +614,10 @@ func (n *Network) restore(ck *snapshot.Checkpoint) error {
 			}
 			h.helloFly = append(h.helloFly, f)
 		}
-		if hs.PrFree < 0 {
-			return fmt.Errorf("manet: restore %v: negative decision-pool depth %d", h.id, hs.PrFree)
+		// A host opens at most one decision per broadcast, so its pool
+		// of resolved records cannot be deeper than the broadcasts issued.
+		if hs.PrFree < 0 || hs.PrFree > int64(ck.Net.Seq) {
+			return fmt.Errorf("manet: restore %v: decision-pool depth %d outside [0, %d broadcasts]", h.id, hs.PrFree, ck.Net.Seq)
 		}
 		for j := int64(0); j < hs.PrFree; j++ {
 			h.prFree = append(h.prFree, &pendingRebroadcast{h: h})
@@ -634,12 +643,26 @@ func (n *Network) restore(ck *snapshot.Checkpoint) error {
 		n.recOpen = append(n.recOpen, r.Open)
 	}
 	n.stream.Restore(ck.Net.Stream)
+	// Each pooled object was once in use, so each pool is bounded by a
+	// count of uses: a coverage judge borrows one set per first
+	// reception (at most one per host and broadcast), every broadcast
+	// frame was handed to a MAC, and every recycled beacon went on the
+	// air.
+	var enqueued int64
+	for i := range ck.Hosts {
+		enqueued += int64(ck.Hosts[i].MAC.Stats.Enqueued)
+	}
 	for _, pool := range []struct {
-		name  string
-		depth int64
-	}{{"set", ck.Net.SetPool}, {"frame", ck.Net.FramePool}, {"hello", ck.Net.HelloPool}} {
-		if pool.depth < 0 {
-			return fmt.Errorf("manet: restore negative %s-pool depth %d", pool.name, pool.depth)
+		name         string
+		depth, limit int64
+		uses         string
+	}{
+		{"set", ck.Net.SetPool, int64(ck.Net.Seq) * int64(len(n.hosts)), "host receptions"},
+		{"frame", ck.Net.FramePool, enqueued, "frames enqueued"},
+		{"hello", ck.Net.HelloPool, ck.Net.HelloSent, "HELLOs sent"},
+	} {
+		if pool.depth < 0 || pool.depth > pool.limit {
+			return fmt.Errorf("manet: restore %s-pool depth %d outside [0, %d %s]", pool.name, pool.depth, pool.limit, pool.uses)
 		}
 	}
 	for i := int64(0); i < ck.Net.SetPool; i++ {
@@ -672,7 +695,10 @@ func (n *Network) restore(ck *snapshot.Checkpoint) error {
 	armed := n.ch.PendingEvents() + len(n.originations)
 	for i, h := range n.hosts {
 		hs := &ck.Hosts[i]
-		armed += h.mac.PendingEvents() + h.table.PendingEvents()
+		armed += h.mac.PendingEvents()
+		if h.table != nil {
+			armed += h.table.PendingEvents()
+		}
 		if hs.Mover.HasTurn {
 			armed++
 		}
@@ -728,6 +754,36 @@ func (n *Network) checkBroadcastIDs(ck *snapshot.Checkpoint) error {
 		}
 	}
 	return err
+}
+
+// checkHelloOff refuses HELLO state in a document restored into a
+// HELLO-off world, which builds no neighbor tables: a beacon, a HELLO
+// timer or observer, or a host's neighbor knowledge could only come
+// from a forged document.
+func (n *Network) checkHelloOff(ck *snapshot.Checkpoint) error {
+	if n.cfg.HelloMode != HelloOff {
+		return nil
+	}
+	for i := range ck.Frames {
+		if packet.Kind(ck.Frames[i].Kind) == packet.KindHello {
+			return fmt.Errorf("manet: restore HELLO frame into a HELLO-off world")
+		}
+	}
+	for i := range ck.Observers {
+		if ck.Observers[i].Kind == snapshot.ObsHello {
+			return fmt.Errorf("manet: restore HELLO observer into a HELLO-off world")
+		}
+	}
+	for i := range ck.Hosts {
+		hs := &ck.Hosts[i]
+		if hs.HasHelloTimer || len(hs.HelloFly) > 0 {
+			return fmt.Errorf("manet: restore %d: HELLO timer or beacon in a HELLO-off world", i)
+		}
+		if len(hs.Table.Entries) > 0 || len(hs.Table.Changes) > 0 {
+			return fmt.Errorf("manet: restore %d: neighbor knowledge in a HELLO-off world", i)
+		}
+	}
+	return nil
 }
 
 // DivergeSeed re-seeds every host's private random stream from salt,

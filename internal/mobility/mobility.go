@@ -56,13 +56,26 @@ func DefaultConfig(maxSpeedKMH float64) Config {
 // KMHToMPS converts km/h to m/s.
 func KMHToMPS(kmh float64) float64 { return kmh / 3.6 }
 
+// Shared is what every Roamer of one world has in common: the map, the
+// turn model and the scheduler. Roamers reach it through one pointer,
+// so none of it is paid per host.
+type Shared struct {
+	area  Map
+	cfg   Config
+	sched *sim.Scheduler
+}
+
+// NewShared returns the shared block for the roamers of one world.
+// Static roamers never read its turn model.
+func NewShared(sched *sim.Scheduler, area Map, cfg Config) *Shared {
+	return &Shared{area: area, cfg: cfg, sched: sched}
+}
+
 // Roamer moves one host around a Map using the random-turn model. It is
 // driven by the shared scheduler: it schedules its own next-turn events.
 type Roamer struct {
-	area  Map
-	cfg   Config
-	rng   *sim.RNG
-	sched *sim.Scheduler
+	w   *Shared
+	rng *sim.RNG
 
 	// Current segment: position at segStart moving with (vx, vy); the
 	// actual position reflects off the borders (handled by folding).
@@ -81,9 +94,9 @@ type Roamer struct {
 	prevVx, prevVy float64
 	turnAt         sim.Time
 	hasPrev        bool
+	stopped        bool
 
 	turnEvent *sim.Event
-	stopped   bool
 
 	// shard routes turn events to a shard calendar wheel when >= 0; the
 	// sequential engine leaves it at -1 and schedules on the central
@@ -96,41 +109,40 @@ type Roamer struct {
 }
 
 // NewRoamer places a host uniformly at random on the map and starts its
-// first movement turn. The roamer keeps scheduling turns until Stop.
+// first movement turn, with a Shared block of its own. The roamer keeps
+// scheduling turns until Stop.
 func NewRoamer(sched *sim.Scheduler, area Map, cfg Config, rng *sim.RNG) *Roamer {
 	r := new(Roamer)
-	InitRoamer(r, sched, area, cfg, rng)
+	InitRoamer(r, NewShared(sched, area, cfg), rng)
 	r.Start()
 	return r
 }
 
 // InitRoamer initializes a caller-allocated (typically slab) Roamer in
-// place: it performs every random draw of the first segment (placement,
-// then speed, direction and turn interval) and defers arming the first
-// turn to Start. The split lets a host builder run the draw phase in
-// parallel across hosts (each host owns its forked rng) and then arm
-// first turns sequentially in host order, so their event sequence
-// numbers do not depend on worker scheduling. Turn events go to the
-// central ladder unless SetShard routes them to a shard calendar wheel
-// before Start.
-func InitRoamer(r *Roamer, sched *sim.Scheduler, area Map, cfg Config, rng *sim.RNG) {
+// place over the world's Shared block: it performs every random draw of
+// the first segment (placement, then speed, direction and turn
+// interval) and defers arming the first turn to Start. The split lets a
+// host builder run the draw phase in parallel across hosts (each host
+// owns its forked rng) and then arm first turns sequentially in host
+// order, so their event sequence numbers do not depend on worker
+// scheduling. Turn events go to the central ladder unless SetShard
+// routes them to a shard calendar wheel before Start.
+func InitRoamer(r *Roamer, w *Shared, rng *sim.RNG) {
 	*r = Roamer{
-		area:  area,
-		cfg:   cfg,
+		w:     w,
 		rng:   rng,
-		sched: sched,
 		shard: -1,
 		origin: geom.Point{
-			X: rng.UniformFloat(0, area.Width),
-			Y: rng.UniformFloat(0, area.Height),
+			X: rng.UniformFloat(0, w.area.Width),
+			Y: rng.UniformFloat(0, w.area.Height),
 		},
-		segStart: sched.Now(),
+		segStart: w.sched.Now(),
 	}
-	speed := rng.UniformFloat(0, cfg.MaxSpeedMPS)
+	speed := rng.UniformFloat(0, w.cfg.MaxSpeedMPS)
 	dir := rng.Angle()
 	r.vx = speed * cos(dir)
 	r.vy = speed * sin(dir)
-	r.firstTurn = rng.UniformDuration(cfg.MinTurn, cfg.MaxTurn)
+	r.firstTurn = rng.UniformDuration(w.cfg.MinTurn, w.cfg.MaxTurn)
 }
 
 // SetShard routes future turn events to the given shard's calendar
@@ -148,20 +160,12 @@ func (r *Roamer) Start() {
 
 // NewStaticRoamer places a host at a fixed point with no movement. It is
 // used by tests and by density-only experiments.
-func NewStaticRoamer(sched *sim.Scheduler, area Map, at geom.Point) *Roamer {
-	r := &Roamer{}
-	InitStaticRoamer(r, sched, area, at)
-	return r
-}
-
-// InitStaticRoamer initializes a slab-allocated static roamer in place.
-func InitStaticRoamer(r *Roamer, sched *sim.Scheduler, area Map, at geom.Point) {
-	*r = Roamer{
-		area:     area,
-		sched:    sched,
+func NewStaticRoamer(w *Shared, at geom.Point) *Roamer {
+	return &Roamer{
+		w:        w,
 		shard:    -1,
 		origin:   at,
-		segStart: sched.Now(),
+		segStart: w.sched.Now(),
 		stopped:  true,
 	}
 }
@@ -177,19 +181,19 @@ func (r *Roamer) turn() {
 	// drain (the shared clock is still parked at the window start there),
 	// and the shared clock otherwise — in both cases the event's own
 	// timestamp, exactly what the oracle's Now() returns.
-	now := r.sched.NowFor(r.shard)
+	now := r.w.sched.NowFor(r.shard)
 	r.prevStart, r.prevOrigin = r.segStart, r.origin
 	r.prevVx, r.prevVy = r.vx, r.vy
 	r.turnAt, r.hasPrev = now, true
 	r.origin = r.rawPositionAt(now)
 	r.segStart = now
 
-	speed := r.rng.UniformFloat(0, r.cfg.MaxSpeedMPS)
+	speed := r.rng.UniformFloat(0, r.w.cfg.MaxSpeedMPS)
 	dir := r.rng.Angle()
 	r.vx = speed * cos(dir)
 	r.vy = speed * sin(dir)
 
-	interval := r.rng.UniformDuration(r.cfg.MinTurn, r.cfg.MaxTurn)
+	interval := r.rng.UniformDuration(r.w.cfg.MinTurn, r.w.cfg.MaxTurn)
 	r.scheduleTurn(interval)
 }
 
@@ -197,9 +201,9 @@ func (r *Roamer) turn() {
 // on the central ladder when the roamer is unsharded.
 func (r *Roamer) scheduleTurn(interval sim.Duration) {
 	if r.shard >= 0 {
-		r.turnEvent = r.sched.AfterShardRunner(r.shard, interval, r)
+		r.turnEvent = r.w.sched.AfterShardRunner(r.shard, interval, r)
 	} else {
-		r.turnEvent = r.sched.AfterRunner(interval, r)
+		r.turnEvent = r.w.sched.AfterRunner(interval, r)
 	}
 }
 
@@ -207,14 +211,14 @@ func (r *Roamer) scheduleTurn(interval sim.Duration) {
 func (r *Roamer) rawPositionAt(t sim.Time) geom.Point {
 	dt := t.Sub(r.segStart).Seconds()
 	return geom.Point{
-		X: geom.FoldIntoRange(r.origin.X+r.vx*dt, r.area.Width),
-		Y: geom.FoldIntoRange(r.origin.Y+r.vy*dt, r.area.Height),
+		X: geom.FoldIntoRange(r.origin.X+r.vx*dt, r.w.area.Width),
+		Y: geom.FoldIntoRange(r.origin.Y+r.vy*dt, r.w.area.Height),
 	}
 }
 
 // Position returns the host position at the current simulated time.
 func (r *Roamer) Position() geom.Point {
-	return r.PositionAt(r.sched.Now())
+	return r.PositionAt(r.w.sched.Now())
 }
 
 // PositionAt returns the position at an arbitrary time within the
@@ -225,11 +229,11 @@ func (r *Roamer) Position() geom.Point {
 // pre-turn segment, reproducing the oracle's answer — including its
 // backward extrapolation — until the clock catches up to the turn.
 func (r *Roamer) PositionAt(t sim.Time) geom.Point {
-	if r.hasPrev && r.sched.Now() < r.turnAt {
+	if r.hasPrev && r.w.sched.Now() < r.turnAt {
 		dt := t.Sub(r.prevStart).Seconds()
 		return geom.Point{
-			X: geom.FoldIntoRange(r.prevOrigin.X+r.prevVx*dt, r.area.Width),
-			Y: geom.FoldIntoRange(r.prevOrigin.Y+r.prevVy*dt, r.area.Height),
+			X: geom.FoldIntoRange(r.prevOrigin.X+r.prevVx*dt, r.w.area.Width),
+			Y: geom.FoldIntoRange(r.prevOrigin.Y+r.prevVy*dt, r.w.area.Height),
 		}
 	}
 	return r.rawPositionAt(t)
@@ -238,7 +242,7 @@ func (r *Roamer) PositionAt(t sim.Time) geom.Point {
 // Speed returns the current speed in m/s, on the same segment selection
 // as PositionAt.
 func (r *Roamer) Speed() float64 {
-	if r.hasPrev && r.sched.Now() < r.turnAt {
+	if r.hasPrev && r.w.sched.Now() < r.turnAt {
 		return hypot(r.prevVx, r.prevVy)
 	}
 	return hypot(r.vx, r.vy)

@@ -85,7 +85,7 @@ func TestStaticRoamer(t *testing.T) {
 	sched := sim.NewScheduler()
 	area := NewSquareMap(1, 500)
 	at := geom.Point{X: 100, Y: 200}
-	r := NewStaticRoamer(sched, area, at)
+	r := NewStaticRoamer(NewShared(sched, area, Config{}), at)
 	sched.RunUntil(1000 * sim.Time(sim.Second))
 	if got := r.Position(); got != at {
 		t.Errorf("static roamer moved to %+v", got)
@@ -178,7 +178,7 @@ func TestRoamerParallelDrainMatchesSequential(t *testing.T) {
 		s := sim.NewScheduler()
 		s.ConfigureShards(1, sim.Second)
 		r := &Roamer{}
-		InitRoamer(r, s, area, cfg, sim.NewRNG(42))
+		InitRoamer(r, NewShared(s, area, cfg), sim.NewRNG(42))
 		if sharded {
 			r.SetShard(0)
 		}

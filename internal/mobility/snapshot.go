@@ -68,7 +68,7 @@ func (r *Roamer) Snapshot() RoamerState {
 // the same shard routing as the original).
 func (r *Roamer) Restore(st RoamerState) error {
 	if r.turnEvent != nil {
-		r.sched.Cancel(r.turnEvent)
+		r.w.sched.Cancel(r.turnEvent)
 		r.turnEvent = nil
 	}
 	r.segStart = st.SegStart
@@ -87,7 +87,7 @@ func (r *Roamer) Restore(st RoamerState) error {
 		if r.stopped {
 			return fmt.Errorf("mobility: restore state arms a turn on a stopped roamer")
 		}
-		ev, err := r.sched.RestoreRunner(r.shard, st.TurnEventAt, st.TurnEventSeq, r)
+		ev, err := r.w.sched.RestoreRunner(r.shard, st.TurnEventAt, st.TurnEventSeq, r)
 		if err != nil {
 			return fmt.Errorf("mobility: restore turn event: %w", err)
 		}

@@ -9,6 +9,7 @@ package phy
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/nodeset"
@@ -352,11 +353,41 @@ func (c *Channel) AttachBatch(n int) int {
 		panic("phy: AttachBatch with non-positive count")
 	}
 	base := len(c.positions)
-	c.positions = append(c.positions, make([]Positioner, n)...)
-	c.listeners = append(c.listeners, make([]Listener, n)...)
-	c.busyCount = append(c.busyCount, make([]int, n)...)
-	c.transmitting = append(c.transmitting, make([]bool, n)...)
+	c.positions = extend(c.positions, n)
+	c.listeners = extend(c.listeners, n)
+	c.busyCount = extend(c.busyCount, n)
+	c.transmitting = extend(c.transmitting, n)
 	return base
+}
+
+// extend appends n zero elements to s, in place when its capacity (a
+// previous world's, after ReuseStorage) allows.
+func extend[T any](s []T, n int) []T {
+	s = slices.Grow(s, n)[:len(s)+n]
+	clear(s[len(s)-n:])
+	return s
+}
+
+// ReuseStorage takes over the storage of prev, a channel whose world is
+// finished, that grows with the radio count: the per-radio arrays, the
+// position snapshot, the spatial index and the reachability walker's
+// marks. c must have no radios attached yet, and prev must not be used
+// again. Everything taken is overwritten before it is read (AttachBatch
+// zeroes the slots it claims, the first refresh rebuilds the snapshot
+// and the index, and every walk clears its marks), so c behaves exactly
+// as a fresh channel. A nil prev is a no-op.
+func (c *Channel) ReuseStorage(prev *Channel) {
+	if prev == nil || prev == c {
+		return
+	}
+	if len(c.positions) != 0 {
+		panic("phy: ReuseStorage on a channel with radios attached")
+	}
+	c.positions, c.listeners = prev.positions[:0], prev.listeners[:0]
+	c.busyCount, c.transmitting = prev.busyCount[:0], prev.transmitting[:0]
+	c.snap, c.grid, c.walker = prev.snap[:0], prev.grid, prev.walker
+	prev.positions, prev.listeners, prev.busyCount, prev.transmitting = nil, nil, nil, nil
+	prev.snap, prev.grid, prev.walker, prev.gridOK = nil, geom.Grid{}, nil, false
 }
 
 // SetRadio binds a slot claimed by AttachBatch. Each slot must be bound
@@ -555,8 +586,10 @@ func (c *Channel) rebuildSnapshot(now sim.Time) {
 // rebuild is needed.
 func (c *Channel) CountReachable(src int) int {
 	c.refresh()
-	if c.walker == nil {
-		c.walker = pdes.NewWalker(nil)
+	if c.walkNbr == nil {
+		if c.walker == nil {
+			c.walker = pdes.NewWalker(nil)
+		}
 		// Bound once: a method value per call would escape to the heap
 		// on every origination.
 		c.walkNbr = c.neighborsRefreshed

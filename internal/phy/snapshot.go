@@ -110,8 +110,11 @@ func (c *Channel) Restore(st ChannelState, frame func(uint32) *packet.Frame, end
 		return fmt.Errorf("phy: restore loss-model state mismatch (checkpoint %v, channel %v)",
 			st.HasLoss, c.lossRNG != nil)
 	}
-	if st.TxFreeLen < 0 {
-		return fmt.Errorf("phy: restore state has negative transmission-pool depth %d", st.TxFreeLen)
+	// Every pooled record once carried a transmission, so the pool
+	// cannot be deeper than the transmissions the channel counted (each
+	// record pre-grown here costs two population-size bitsets).
+	if st.TxFreeLen < 0 || st.TxFreeLen > st.Stats.Transmissions {
+		return fmt.Errorf("phy: restore state has transmission-pool depth %d outside [0, %d transmissions]", st.TxFreeLen, st.Stats.Transmissions)
 	}
 	c.stats = st.Stats
 	if st.HasLoss {

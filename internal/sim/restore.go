@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Checkpoint/restore support. A deterministic simulation can be frozen
 // at a barrier — an instant between events, outside any parallel drain —
@@ -86,6 +89,11 @@ func (s *Scheduler) RestoreState(st SchedulerState) error {
 	case st.FreeLen < 0:
 		return fmt.Errorf("sim: restore state has negative free-list depth %d", st.FreeLen)
 	}
+	// Every pooled record is one of the reserved slab's or was once
+	// scheduled (a pool hit or miss), so the free-lists together cannot
+	// hold more than that many.
+	limit := satAdd(satAdd(uint64(s.reserved), st.PoolHits), st.PoolMisses)
+	depth := uint64(st.FreeLen)
 	for i, ln := range st.Lanes {
 		if ln.Seq < laneSeqBase(i) || ln.Seq >= laneSeqBase(i+1) {
 			return fmt.Errorf("sim: restore lane %d sequence counter %d outside its namespace", i, ln.Seq)
@@ -93,6 +101,10 @@ func (s *Scheduler) RestoreState(st SchedulerState) error {
 		if ln.FreeLen < 0 {
 			return fmt.Errorf("sim: restore lane %d has negative free-list depth %d", i, ln.FreeLen)
 		}
+		depth = satAdd(depth, uint64(ln.FreeLen))
+	}
+	if depth > limit {
+		return fmt.Errorf("sim: restore free-list depth %d exceeds the %d records the run can have pooled", depth, limit)
 	}
 	s.now = st.Now
 	s.seq = st.Seq
@@ -121,6 +133,14 @@ func (s *Scheduler) RestoreState(st SchedulerState) error {
 		lane.free = lane.free[:ln.FreeLen]
 	}
 	return nil
+}
+
+// satAdd adds without wrapping: forged counters saturate instead.
+func satAdd(a, b uint64) uint64 {
+	if a+b < a {
+		return math.MaxUint64
+	}
+	return a + b
 }
 
 // restoreEvent inserts an event with an explicit checkpointed (at, seq)

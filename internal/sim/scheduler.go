@@ -103,6 +103,7 @@ type Scheduler struct {
 	// sync.Pool — the scheduler is single-threaded, and sync.Pool's per-P
 	// caches and GC emptying would cost more than they give.
 	free       []*Event
+	reserved   int // records Reserve and ReserveFrom pooled, for RestoreState's bound
 	poolHits   uint64
 	poolMisses uint64
 
@@ -538,6 +539,7 @@ func (s *Scheduler) ReserveFrom(slab []Event) {
 		return
 	}
 	clear(slab)
+	s.reserved += len(slab)
 	if free := len(s.free) + len(slab); cap(s.free) < free {
 		grown := make([]*Event, len(s.free), free)
 		copy(grown, s.free)
@@ -546,6 +548,21 @@ func (s *Scheduler) ReserveFrom(slab []Event) {
 	for i := range slab {
 		s.free = append(s.free, &slab[i])
 	}
+}
+
+// ReuseStorage takes over the free-list backing of prev, a scheduler
+// whose world is finished, so the population-sized free list a following
+// Reserve or ReserveFrom builds lands in storage already allocated. Call
+// it on a fresh scheduler, before those; prev must not be used again.
+// The backing is cleared, so no record of prev's world stays reachable
+// through it. A nil prev is a no-op.
+func (s *Scheduler) ReuseStorage(prev *Scheduler) {
+	if prev == nil || prev == s || len(s.free) != 0 || cap(prev.free) <= cap(s.free) {
+		return
+	}
+	backing := prev.free[:cap(prev.free)]
+	clear(backing)
+	s.free, prev.free = backing[:0], nil
 }
 
 // Cancel marks a pending event so it will never fire. It is safe to call
