@@ -59,3 +59,54 @@ func FuzzUncoveredFraction(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCoverage holds the incremental kernel to the one-shot one and to
+// the sampled definition: senders are added one at a time, to a
+// Coverage first used on other geometry, and after every Add its
+// Fraction must equal UncoveredFraction and sampledUncoveredFraction
+// over the senders added so far, with == on the float. Resolutions run
+// from 2 to 64, the range one Coverage tile holds. The seeds put a
+// sender on the centre, exactly 2r away (tangent disks), a hair off the
+// centre (nearly nested disks) and exactly r away.
+func FuzzCoverage(f *testing.F) {
+	offset := func(a, b uint16) []byte { // an even-kind sender at (a, b)
+		raw := []byte{0, 0, 0, 0, 0}
+		binary.LittleEndian.PutUint16(raw[1:], a)
+		binary.LittleEndian.PutUint16(raw[3:], b)
+		return raw
+	}
+	const centre, r, twoR, hair = 32768, 32768 + 8192, 32768 + 16384, 32769
+	f.Add(2500.0, 2500.0, 500.0, byte(46), offset(centre, centre))
+	f.Add(2500.0, 2500.0, 500.0, byte(46), append(offset(twoR, centre), offset(centre, 2*centre-twoR)...))
+	f.Add(2500.0, 2500.0, 500.0, byte(62), append(offset(hair, centre), offset(centre, hair)...))
+	f.Add(250.0, 4750.0, 500.0, byte(46), append(offset(r, centre), offset(centre, r)...))
+	f.Add(1e7, -1e7, 500.0, byte(0), append(append(offset(r, r), offset(hair, twoR)...), offset(centre, centre)...))
+	f.Add(3.0, 17.0, 1.0, byte(1), []byte{1, 7, 0, 9, 0, 3, 2, 0, 2, 0})
+	f.Fuzz(func(t *testing.T, cx, cy, r float64, resolution byte, raw []byte) {
+		for _, v := range []float64{cx, cy, r} {
+			if math.IsNaN(v) || math.Abs(v) > 1e150 {
+				t.Skip("outside the domain")
+			}
+		}
+		res := 2 + int(resolution)%63
+		center := Point{cx, cy}
+		senders := fuzzSenders(center, r, res, raw)
+		var c Coverage
+		// A used Coverage: Reset must leave nothing of this behind.
+		c.Reset(Point{cy, cx}, 2*r+1, 64-res+2)
+		c.Add(center, Point{cx + r, cy})
+		c.Reset(center, r, res)
+		for k := 0; k <= len(senders); k++ {
+			if k > 0 {
+				c.Add(senders[k-1])
+			}
+			got := c.Fraction()
+			if want := UncoveredFraction(center, senders[:k], r, res); got != want {
+				t.Fatalf("center=%v r=%v res=%d senders=%v: incremental %v, one-shot %v", center, r, res, senders[:k], got, want)
+			}
+			if want := sampledUncoveredFraction(center, senders[:k], r, res); got != want {
+				t.Fatalf("center=%v r=%v res=%d senders=%v: incremental %v, sampled %v", center, r, res, senders[:k], got, want)
+			}
+		}
+	})
+}

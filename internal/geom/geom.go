@@ -8,10 +8,7 @@
 // transmitter, matching the paper's assumptions.
 package geom
 
-import (
-	"math"
-	"math/bits"
-)
+import "math"
 
 // Point is a position on the simulation map, in meters.
 type Point struct {
@@ -135,38 +132,23 @@ func simpson(f func(float64) float64, a, b float64, n int) float64 {
 // comparison the sample-by-sample definition makes (Point.Dist2 against
 // r*r), so the integer counts — and the returned float — are the
 // definition's for all finite inputs whose r*r and 2r are finite.
-// Resolutions above 64 run the same code over 64-row chunks.
+// The kernel is Coverage's: the grid is walked in tiles of at most 64 x
+// 64 samples, each reset and given every sender. A caller that hears
+// its senders one at a time keeps a Coverage instead and pays only for
+// the newest disk.
 func UncoveredFraction(center Point, senders []Point, r float64, resolution int) float64 {
-	if resolution < 2 {
-		resolution = 2
-	}
-	r2 := r * r
-	step := 2 * r / float64(resolution)
-	inv := 1 / step
-	var ys [64]float64
+	resolution = max(resolution, 2)
+	var c Coverage
 	inside, uncovered := 0, 0
-	for j0 := 0; j0 < resolution; j0 += len(ys) {
-		rows := ys[:min(len(ys), resolution-j0)]
-		for j := range rows {
-			rows[j] = center.Y - r + (float64(j0+j)+0.5)*step
-		}
-		for i := 0; i < resolution; i++ {
-			x := center.X - r + (float64(i)+0.5)*step
-			free := rowMask(x, rows, center, r2, inv)
-			inside += bits.OnesCount64(free)
-			for _, s := range senders {
-				if free == 0 {
-					break
-				}
-				free &^= rowMask(x, rows, s, r2, inv)
-			}
-			uncovered += bits.OnesCount64(free)
+	for j0 := 0; j0 < resolution; j0 += coverageTile {
+		for i0 := 0; i0 < resolution; i0 += coverageTile {
+			c.reset(center, r, resolution, i0, j0)
+			c.Add(senders...)
+			inside += c.inside
+			uncovered += c.uncovered
 		}
 	}
-	if inside == 0 {
-		return 0
-	}
-	return float64(uncovered) / float64(inside)
+	return fraction(uncovered, inside)
 }
 
 // rowMask returns bit j set for every row of the sample column at

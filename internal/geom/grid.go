@@ -15,7 +15,8 @@ import "slices"
 //
 // Invariants (relied on by the phy equivalence guarantees):
 //   - Within and Neighbors return indices in ascending order, matching
-//     what a linear scan over the snapshot produces.
+//     what a linear scan over the snapshot produces; Gather returns the
+//     same set unsorted.
 //   - Queries are exact: candidate cells are filtered by true squared
 //     distance, so results are identical to the brute-force scan, not
 //     an approximation.
@@ -160,16 +161,25 @@ func (g *Grid) CellRange(p Point, r float64) (cx0, cy0, cx1, cy1 int) {
 }
 
 // Within appends to buf every index i with Dist(pts[i], p) <= r, in
-// ascending order, and returns the extended slice. The result is
-// gathered row by row (a row's cells are adjacent in the CSR layout) and
-// then sorted.
+// ascending order, and returns the extended slice: Gather's answer,
+// sorted.
 func (g *Grid) Within(p Point, r float64, buf []int) []int {
+	from := len(buf)
+	buf = g.Gather(p, r, buf)
+	slices.Sort(buf[from:])
+	return buf
+}
+
+// Gather appends to buf every index i with Dist(pts[i], p) <= r, in an
+// unspecified order, and returns the extended slice. The result is
+// gathered row by row (a row's cells are adjacent in the CSR layout);
+// a caller that filters it further sorts only what survives.
+func (g *Grid) Gather(p Point, r float64, buf []int) []int {
 	if len(g.pts) == 0 {
 		return buf
 	}
 	cx0, cy0, cx1, cy1 := g.CellRange(p, r)
 	r2 := r * r
-	from := len(buf)
 	for cy := cy0; cy <= cy1; cy++ {
 		row := cy * g.cols
 		lo, hi := g.start[row+cx0], g.start[row+cx1+1]
@@ -179,7 +189,6 @@ func (g *Grid) Within(p Point, r float64, buf []int) []int {
 			}
 		}
 	}
-	slices.Sort(buf[from:])
 	return buf
 }
 

@@ -154,8 +154,9 @@ func (h *host) untrackPending(p *pendingRebroadcast) {
 func (h *host) pendingCount() int { return len(h.livePending) }
 
 var (
-	_ scheme.HostView      = (*host)(nil)
-	_ scheme.NodeSetSource = (*host)(nil)
+	_ scheme.HostView       = (*host)(nil)
+	_ scheme.NodeSetSource  = (*host)(nil)
+	_ scheme.CoverageSource = (*host)(nil)
 )
 
 // ID implements scheme.HostView.
@@ -186,6 +187,12 @@ func (h *host) AcquireNodeSet() *nodeset.Set { return h.net.acquireSet(h.lane) }
 
 // ReleaseNodeSet implements scheme.NodeSetSource.
 func (h *host) ReleaseNodeSet(s *nodeset.Set) { h.net.releaseSet(s, h.lane) }
+
+// AcquireCoverage implements scheme.CoverageSource.
+func (h *host) AcquireCoverage() *geom.Coverage { return h.net.acquireCoverage(h.lane) }
+
+// ReleaseCoverage implements scheme.CoverageSource.
+func (h *host) ReleaseCoverage(c *geom.Coverage) { h.net.releaseCoverage(c, h.lane) }
 
 // ReceiveGarbled implements mac.GarbledReceiver: a collided broadcast
 // is worth a trace event (the metrics layer counts collisions at the

@@ -90,12 +90,14 @@ type Network struct {
 	nbrScratch []int
 
 	// Object pools (single-threaded, so plain slices): scratch bitsets
-	// for the neighbor-coverage judges, broadcast frames for the
+	// for the neighbor-coverage judges, coverage states for the location
+	// judges (derived state, so not checkpointed), broadcast frames for the
 	// rebroadcast path, and HELLO beacons (a beacon carries its sender's
 	// immutable announced set, which receiver tables keep without the
 	// frame, so a beacon can be recycled the moment its transmission
 	// completes).
 	setPool   []*nodeset.Set
+	covPool   []*geom.Coverage
 	framePool []*packet.Frame
 	helloPool []*packet.Frame
 
@@ -134,6 +136,7 @@ type Network struct {
 	specJournals []recJournal
 	specFrames   [][]*packet.Frame
 	specSets     [][]*nodeset.Set
+	specCovs     [][]*geom.Coverage
 	specExtract  [][]*sim.Event
 	specMergeIdx []int // scratch for the journal k-way merge
 
@@ -507,10 +510,7 @@ func (n *Network) acquireSet(lane int32) *nodeset.Set {
 	if n.specOpen && lane >= 0 {
 		pool = &n.specSets[lane]
 	}
-	if k := len(*pool); k > 0 {
-		s := (*pool)[k-1]
-		(*pool)[k-1] = nil
-		*pool = (*pool)[:k-1]
+	if s, ok := pop(pool); ok {
 		return s
 	}
 	return nodeset.New(len(n.hosts))
@@ -525,6 +525,42 @@ func (n *Network) releaseSet(s *nodeset.Set, lane int32) {
 	n.setPool = append(n.setPool, s)
 }
 
+// acquireCoverage borrows a coverage state for a location judge, which
+// Resets it; lane routing as in acquireSet.
+func (n *Network) acquireCoverage(lane int32) *geom.Coverage {
+	pool := &n.covPool
+	if n.specOpen && lane >= 0 {
+		pool = &n.specCovs[lane]
+	}
+	if c, ok := pop(pool); ok {
+		return c
+	}
+	return new(geom.Coverage)
+}
+
+// releaseCoverage returns a location judge's coverage state to the pool.
+func (n *Network) releaseCoverage(c *geom.Coverage, lane int32) {
+	if n.specOpen && lane >= 0 {
+		n.specCovs[lane] = append(n.specCovs[lane], c)
+		return
+	}
+	n.covPool = append(n.covPool, c)
+}
+
+// pop takes the most recently returned object off pool and clears its
+// slot, so the pool keeps no reference to what it handed out.
+func pop[T any](pool *[]T) (T, bool) {
+	var zero T
+	k := len(*pool)
+	if k == 0 {
+		return zero, false
+	}
+	v := (*pool)[k-1]
+	(*pool)[k-1] = zero
+	*pool = (*pool)[:k-1]
+	return v, true
+}
+
 // newBroadcastFrame builds (or recycles) a broadcast data frame carrying
 // payload (nil outside a Protocol's broadcasts). Lane routing as in
 // acquireSet: a speculative lane recycles through its own pool and
@@ -536,11 +572,8 @@ func (n *Network) newBroadcastFrame(bid packet.BroadcastID, payload any, sender 
 	if n.specOpen && lane >= 0 {
 		pool = &n.specFrames[lane]
 	}
-	var f *packet.Frame
-	if k := len(*pool); k > 0 {
-		f = (*pool)[k-1]
-		(*pool)[k-1] = nil
-		*pool = (*pool)[:k-1]
+	f, ok := pop(pool)
+	if ok {
 		*f = packet.Frame{
 			Kind:      packet.KindBroadcast,
 			Sender:    sender,
@@ -581,11 +614,8 @@ func (n *Network) recycleFrame(f *packet.Frame, lane int32) {
 // caller sets the announced sets and accounts Bytes. Neighbors is never
 // reused: it is the sender's announced set, which receivers keep.
 func (n *Network) newHelloFrame(sender packet.NodeID, pos geom.Point, interval sim.Duration) *packet.Frame {
-	var f *packet.Frame
-	if k := len(n.helloPool); k > 0 {
-		f = n.helloPool[k-1]
-		n.helloPool[k-1] = nil
-		n.helloPool = n.helloPool[:k-1]
+	f, ok := pop(&n.helloPool)
+	if ok {
 		recent := f.Recent[:0]
 		*f = packet.Frame{
 			Kind:          packet.KindHello,

@@ -59,6 +59,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/nodeset"
 	"repro/internal/packet"
@@ -134,6 +135,7 @@ func (n *Network) assignSpecLanes() {
 		n.specJournals = make([]recJournal, n.shards)
 		n.specFrames = make([][]*packet.Frame, n.shards)
 		n.specSets = make([][]*nodeset.Set, n.shards)
+		n.specCovs = make([][]*geom.Coverage, n.shards)
 		n.specExtract = make([][]*sim.Event, n.shards)
 	}
 	if n.pstats.ShardExecuted == nil {
@@ -353,16 +355,9 @@ func (n *Network) rollbackSpec(ck *snapshot.Checkpoint) {
 	n.adoptRestored(n2)
 	for s := range n.specJournals {
 		n.specJournals[s].ops = n.specJournals[s].ops[:0]
-		fp := n.specFrames[s]
-		for i := range fp {
-			fp[i] = nil
-		}
-		n.specFrames[s] = fp[:0]
-		sp := n.specSets[s]
-		for i := range sp {
-			sp[i] = nil
-		}
-		n.specSets[s] = sp[:0]
+		drainLane(&n.specFrames[s], nil)
+		drainLane(&n.specSets[s], nil)
+		drainLane(&n.specCovs[s], nil)
 	}
 	n.pstats.RolledBack++
 	n.specFails++
@@ -381,7 +376,7 @@ func (n *Network) adoptRestored(n2 *Network) {
 	old := n.pool
 	pstats := n.pstats
 	drainDurs, labels := n.drainDurs, n.shardLabels
-	journals, frames, sets, extract := n.specJournals, n.specFrames, n.specSets, n.specExtract
+	journals, frames, sets, covs, extract := n.specJournals, n.specFrames, n.specSets, n.specCovs, n.specExtract
 	mergeIdx := n.specMergeIdx
 	fails, skip := n.specFails, n.specSkip
 	ckEvery, ckHook := n.CheckpointEvery, n.CheckpointHook
@@ -398,7 +393,7 @@ func (n *Network) adoptRestored(n2 *Network) {
 	n.ckDoc, n.ckBuf, n.digestCache = ckDoc, ckBuf, digest
 	n.pstats = pstats
 	n.drainDurs, n.shardLabels = drainDurs, labels
-	n.specJournals, n.specFrames, n.specSets, n.specExtract = journals, frames, sets, extract
+	n.specJournals, n.specFrames, n.specSets, n.specCovs, n.specExtract = journals, frames, sets, covs, extract
 	n.specMergeIdx = mergeIdx
 	n.specFails, n.specSkip = fails, skip
 	n.specAssigned = true
@@ -489,17 +484,18 @@ func (n *Network) applyRecOp(op recOp) {
 // objects are fully overwritten on reuse.
 func (n *Network) mergeSpecPools() {
 	for s := range n.specFrames {
-		fp := n.specFrames[s]
-		n.framePool = append(n.framePool, fp...)
-		for i := range fp {
-			fp[i] = nil
-		}
-		n.specFrames[s] = fp[:0]
-		sp := n.specSets[s]
-		n.setPool = append(n.setPool, sp...)
-		for i := range sp {
-			sp[i] = nil
-		}
-		n.specSets[s] = sp[:0]
+		drainLane(&n.specFrames[s], &n.framePool)
+		drainLane(&n.specSets[s], &n.setPool)
+		drainLane(&n.specCovs[s], &n.covPool)
 	}
+}
+
+// drainLane empties a lane pool into shared, or drops its objects when
+// shared is nil, clearing its slots so the lane keeps no reference.
+func drainLane[T any](lane, shared *[]T) {
+	if shared != nil {
+		*shared = append(*shared, *lane...)
+	}
+	clear(*lane)
+	*lane = (*lane)[:0]
 }

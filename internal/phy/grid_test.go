@@ -169,6 +169,88 @@ func TestZeroSpeedBoundKeepsSnapshotExact(t *testing.T) {
 	}
 }
 
+// TestStaleAnnulusBoundary holds the stale path's two shortcuts — the
+// drift-inflated prefilter and the accept without a live position deep
+// inside the disk — to the linear scan where they are tightest. Radio 0
+// sits still at the origin; every other radio moves radially, out or in,
+// from a snapshot distance on a ladder straddling r - m - driftEpsilon,
+// r - m, r - m/2 and r + m, where m is the channel's drift margin at the
+// query's snapshot age. Half the movers drift at exactly the declared
+// bound; the other half also take half the driftEpsilon slack the bound
+// grants a mover. Radios at r/2 must be accepted without one live
+// position evaluated.
+func TestStaleAnnulusBoundary(t *testing.T) {
+	const radius, speed = 500.0, 20.0
+	ages := []sim.Duration{
+		sim.Microsecond, 3 * sim.Millisecond, 17 * sim.Millisecond, 100 * sim.Millisecond,
+		333 * sim.Millisecond, sim.Second, 2500 * sim.Millisecond, 4 * sim.Second, 6 * sim.Second,
+	}
+	for _, age := range ages {
+		m := speed*age.Seconds() + driftEpsilon
+		var dists []float64
+		for _, edge := range []float64{radius - m - driftEpsilon, radius - m, radius - m/2, radius + m} {
+			for _, d := range []float64{-2, -1, -0.5, -0.25, 0, 0.25, 0.5, 1, 2} {
+				dists = append(dists, edge+d*driftEpsilon)
+			}
+			for _, f := range []float64{-0.25, 0.25} {
+				dists = append(dists, edge+f*m)
+			}
+		}
+		sched := sim.NewScheduler()
+		ch := NewChannel(sched, DSSSTiming(), radius)
+		ch.Attach(static(geom.Point{}), &fakeListener{})
+		k := 0
+		for _, d := range dists {
+			for _, out := range []float64{1, -1} {
+				for _, slack := range []float64{0, driftEpsilon / 2} {
+					a := float64(k) * 0.7
+					k++
+					dir := geom.Point{X: math.Cos(a), Y: math.Sin(a)}
+					ch.Attach(PositionFunc(func(at sim.Time) geom.Point {
+						s := speed * at.Seconds()
+						if at > 0 {
+							s += slack
+						}
+						l := d + out*s
+						return geom.Point{X: dir.X * l, Y: dir.Y * l}
+					}), &fakeListener{})
+				}
+			}
+		}
+		deep := len(ch.positions)
+		deepEvals := 0
+		for i := 0; i < 8; i++ {
+			p := geom.Point{X: radius / 2 * math.Cos(float64(i)), Y: radius / 2 * math.Sin(float64(i))}
+			ch.Attach(PositionFunc(func(sim.Time) geom.Point { deepEvals++; return p }), &fakeListener{})
+		}
+		ch.SetMaxSpeed(speed)
+
+		ch.Neighbors(0, nil) // the snapshot, at t = 0
+		deepEvals = 0
+		sched.Schedule(sim.Time(0).Add(age), func() {})
+		sched.RunUntil(sim.Time(0).Add(age))
+		if got := ch.driftMargin(sched.Now()); got != m {
+			t.Fatalf("age %v: drift margin %v, the test assumed %v", age, got, m)
+		}
+		now := sched.Now()
+		want := linearNeighbors(ch, 0, now)
+		deepEvals = 0
+		if got := ch.Neighbors(0, nil); !slices.Equal(got, want) {
+			t.Fatalf("age %v (m = %v): Neighbors(0) = %v, linear scan %v", age, m, got, want)
+		}
+		if deepEvals != 0 {
+			t.Errorf("age %v: %d live positions evaluated for radios at r/2, want none", age, deepEvals)
+		}
+		if !slices.Contains(want, deep) {
+			t.Fatalf("age %v: radio %d at r/2 is not a neighbour", age, deep)
+		}
+		ch.Transmit(0, bcastFrame(0), nil)
+		if tx := ch.active[len(ch.active)-1]; !slices.Equal(tx.receivers, want) {
+			t.Fatalf("age %v: Transmit from 0 reaches %v, linear scan %v", age, tx.receivers, want)
+		}
+	}
+}
+
 // TestStaticNeighborMemo: in a world declared motionless every radio's
 // neighbour list is taken from the grid once and served from the memo
 // from then on — to Transmit, to Neighbors and to the reachability walk —

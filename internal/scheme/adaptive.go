@@ -171,7 +171,7 @@ func (s AdaptiveLocation) NewJudge(host HostView, first Reception) Judge {
 	if fn == nil {
 		fn = defaultLocationFunc
 	}
-	return newLocationJudge(host.Position(), host.Radius(), fn(host.NeighborCount()), first.SenderPos)
+	return newLocationJudge(host, host.Position(), host.Radius(), fn(host.NeighborCount()), first.SenderPos)
 }
 
 // --- Neighbor coverage ---

@@ -155,9 +155,14 @@ func (Location) NeedsPosition() bool { return true }
 
 // NewJudge implements Scheme.
 func (s Location) NewJudge(host HostView, first Reception) Judge {
-	return newLocationJudge(host.Position(), host.Radius(), s.A, first.SenderPos)
+	return newLocationJudge(host, host.Position(), host.Radius(), s.A, first.SenderPos)
 }
 
+// locationJudge decides on the uncovered fraction of the host's disk. From
+// the second sender on it keeps that estimate in a geom.Coverage borrowed
+// from the host (when the host pools them) and folds in only the senders
+// heard since the last estimate. The state is derived from the senders,
+// so a checkpoint holds only the senders and a restored judge rebuilds it.
 type locationJudge struct {
 	own       geom.Point
 	radius    float64
@@ -166,12 +171,20 @@ type locationJudge struct {
 	// first backs senders until a fifth one arrives, so that the judge is
 	// one allocation for the four in five judgements that hear no more.
 	first [4]geom.Point
+	// pool serves cov; nil when the host pools no coverage state.
+	pool CoverageSource
+	cov  *geom.Coverage
+	// done counts the senders already folded into cov.
+	done int
 }
 
-// newLocationJudge returns a judge that has heard the packet from the
-// given senders, in order.
-func newLocationJudge(own geom.Point, radius, threshold float64, senders ...geom.Point) *locationJudge {
+var _ ReleasableJudge = (*locationJudge)(nil)
+
+// newLocationJudge returns a judge at host that has heard the packet from
+// the given senders, in order.
+func newLocationJudge(host HostView, own geom.Point, radius, threshold float64, senders ...geom.Point) *locationJudge {
 	j := &locationJudge{own: own, radius: radius, threshold: threshold}
+	j.pool, _ = host.(CoverageSource)
 	j.senders = append(j.first[:0], senders...)
 	return j
 }
@@ -183,7 +196,17 @@ func (j *locationJudge) coverage() float64 {
 	if len(j.senders) == 1 {
 		return geom.AdditionalCoverageFraction(j.own.Dist(j.senders[0]), j.radius)
 	}
-	return geom.UncoveredFraction(j.own, j.senders, j.radius, CoverageResolution)
+	if j.cov == nil {
+		if j.pool != nil {
+			j.cov = j.pool.AcquireCoverage()
+		} else {
+			j.cov = new(geom.Coverage)
+		}
+		j.cov.Reset(j.own, j.radius, CoverageResolution)
+	}
+	j.cov.Add(j.senders[j.done:]...)
+	j.done = len(j.senders)
+	return j.cov.Fraction()
 }
 
 func (j *locationJudge) Initial() Action {
@@ -199,6 +222,14 @@ func (j *locationJudge) OnDuplicate(r Reception) Action {
 		return Inhibit
 	}
 	return Proceed
+}
+
+// Release implements ReleasableJudge.
+func (j *locationJudge) Release() {
+	if j.cov != nil && j.pool != nil {
+		j.pool.ReleaseCoverage(j.cov)
+	}
+	j.cov = nil
 }
 
 // --- Probabilistic ---

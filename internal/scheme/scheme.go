@@ -91,6 +91,18 @@ type NodeSetSource interface {
 	ReleaseNodeSet(*nodeset.Set)
 }
 
+// CoverageSource is an optional part of a HostView that pools the
+// location judges' coverage state (geom.Coverage), as NodeSetSource pools
+// neighbor coverage's bitsets. Behind a view without it, each judge
+// that needs the state allocates its own.
+type CoverageSource interface {
+	// AcquireCoverage returns a coverage state from the host's pool;
+	// the judge Resets it before use.
+	AcquireCoverage() *geom.Coverage
+	// ReleaseCoverage returns a coverage state to the pool.
+	ReleaseCoverage(*geom.Coverage)
+}
+
 // ReleasableJudge is implemented by judges that hold pooled resources.
 // The host layer must call Release exactly once when the packet's
 // decision is closed (inhibited, transmitted, or dropped on the initial

@@ -18,6 +18,7 @@ type fakeHost struct {
 	radius    float64
 	neighbors []packet.NodeID
 	twoHop    map[packet.NodeID][]packet.NodeID
+	covFree   []*geom.Coverage
 }
 
 func (h *fakeHost) ID() packet.NodeID          { return h.id }
@@ -37,6 +38,17 @@ func (h *fakeHost) NeighborNodeSet() *nodeset.Set {
 }
 func (h *fakeHost) AcquireNodeSet() *nodeset.Set  { return nodeset.New(0) }
 func (h *fakeHost) ReleaseNodeSet(s *nodeset.Set) {}
+func (h *fakeHost) AcquireCoverage() *geom.Coverage {
+	if n := len(h.covFree); n > 0 {
+		c := h.covFree[n-1]
+		h.covFree = h.covFree[:n-1]
+		return c
+	}
+	return new(geom.Coverage)
+}
+func (h *fakeHost) ReleaseCoverage(c *geom.Coverage) { h.covFree = append(h.covFree, c) }
+
+var _ CoverageSource = (*fakeHost)(nil)
 
 func host(neighbors ...packet.NodeID) *fakeHost {
 	return &fakeHost{id: 0, radius: 500, neighbors: neighbors,
@@ -200,8 +212,9 @@ func TestLocationZeroThresholdNeverInhibits(t *testing.T) {
 
 // TestLocationJudgeAllocations holds a location judgement that hears up
 // to four senders to one heap object, the judge itself: the default A(n)
-// is a package value, not a closure built per packet, and the first four
-// sender positions live inside the judge.
+// is a package value, not a closure built per packet, the first four
+// sender positions live inside the judge, and the coverage state comes
+// from the host's pool and goes back to it on release.
 func TestLocationJudgeAllocations(t *testing.T) {
 	h := host(1, 2, 3, 4, 5, 6, 7, 8)
 	first := rx(1, geom.Point{X: 250})
@@ -213,10 +226,101 @@ func TestLocationJudgeAllocations(t *testing.T) {
 			for _, d := range dups {
 				sink = j.OnDuplicate(d)
 			}
+			ReleaseJudge(j)
 		})
 		_ = sink
 		if allocs != 1 {
-			t.Errorf("%s: NewJudge + 3 OnDuplicate = %v allocations, want 1", s.Name(), allocs)
+			t.Errorf("%s: NewJudge + 3 OnDuplicate + ReleaseJudge = %v allocations, want 1", s.Name(), allocs)
+		}
+	}
+	if len(h.covFree) != 1 {
+		t.Errorf("the pool holds %d coverage states after sequential judgements, want 1", len(h.covFree))
+	}
+}
+
+// TestLocationJudgeLifecycle runs one sender sequence through three
+// location judges — uninterrupted on a fresh coverage state, restored
+// from a checkpoint after every possible prefix, and built on a state
+// another judge used and released — and requires the same verdicts from
+// all three. The thresholds sit exactly at, and one float above, every
+// uncovered fraction the sequence passes through, so a judge whose
+// estimate is off by one sample answers differently somewhere.
+func TestLocationJudgeLifecycle(t *testing.T) {
+	senders := []geom.Point{
+		{X: 310, Y: 40}, {X: -220, Y: 150}, {X: 30, Y: -400}, {X: 90, Y: 260},
+		{X: -350, Y: -260}, {X: 480, Y: -60}, {X: -60, Y: 470}, {X: 5, Y: 5},
+	}
+	rxs := make([]Reception, len(senders))
+	for i, p := range senders {
+		rxs[i] = rx(packet.NodeID(i+1), p)
+	}
+	var thresholds []float64
+	for k := 1; k <= len(senders); k++ {
+		f := geom.AdditionalCoverageFraction(senders[0].Dist(geom.Point{}), 500)
+		if k > 1 {
+			f = geom.UncoveredFraction(geom.Point{}, senders[:k], 500, CoverageResolution)
+		}
+		thresholds = append(thresholds, f, math.Nextafter(f, 2))
+	}
+	run := func(h *fakeHost, th float64, from []Reception, j Judge) []Action {
+		var out []Action
+		if j == nil {
+			j = Location{A: th}.NewJudge(h, from[0])
+			out = append(out, j.Initial())
+			from = from[1:]
+		}
+		for _, r := range from {
+			out = append(out, j.OnDuplicate(r))
+		}
+		ReleaseJudge(j)
+		return out
+	}
+	for i, th := range thresholds {
+		want := run(host(), th, rxs, nil)
+		// At a threshold equal to the k-th fraction the k-th verdict
+		// proceeds; one float above it, it inhibits.
+		if k, at := i/2, want[i/2]; (i%2 == 0) != (at == Proceed) {
+			t.Fatalf("A=%v: verdict %v after %d senders, the one-shot estimate is %v", th, at, k+1, thresholds[2*k])
+		}
+
+		for m := 1; m < len(rxs); m++ {
+			h := host()
+			j := Location{A: th}.NewJudge(h, rxs[0])
+			got := []Action{j.Initial()}
+			for _, r := range rxs[1:m] {
+				got = append(got, j.OnDuplicate(r))
+			}
+			st, err := SnapshotJudge(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ReleaseJudge(j)
+			restored, err := RestoreJudge(st, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, run(h, th, rxs[m:], restored)...)
+			if !slices.Equal(got, want) {
+				t.Fatalf("A=%v restored after %d senders: %v, uninterrupted %v", th, m, got, want)
+			}
+		}
+
+		// The recycled state last described another host's disk, at
+		// other senders.
+		h := host()
+		h.pos = geom.Point{X: 130, Y: -70}
+		other := Location{A: th}.NewJudge(h, rx(1, geom.Point{X: 400, Y: 20}))
+		other.Initial()
+		for _, p := range []geom.Point{{X: -200, Y: 300}, {X: 300, Y: -400}, {X: 90}} {
+			other.OnDuplicate(rx(2, p))
+		}
+		ReleaseJudge(other)
+		h.pos = geom.Point{}
+		if len(h.covFree) != 1 {
+			t.Fatalf("the pool holds %d states after one released judge, want 1", len(h.covFree))
+		}
+		if got := run(h, th, rxs, nil); !slices.Equal(got, want) {
+			t.Fatalf("A=%v on a recycled state: %v, uninterrupted %v", th, got, want)
 		}
 	}
 }

@@ -82,7 +82,8 @@ func SnapshotJudge(j Judge) (JudgeState, error) {
 // RestoreJudge rebuilds a judge from its checkpointed decision state at
 // the given host. A coverage judge borrows its pending set from the
 // host's pool, as NewJudge does, so a restored run keeps the original's
-// pool behavior.
+// pool behavior; a location judge rebuilds its coverage state from its
+// senders at its next estimate.
 func RestoreJudge(st JudgeState, host HostView) (Judge, error) {
 	switch st.Kind {
 	case JudgeFlooding:
@@ -92,7 +93,7 @@ func RestoreJudge(st JudgeState, host HostView) (Judge, error) {
 	case JudgeDistance:
 		return &distanceJudge{own: st.Own, threshold: st.DThreshold, minDist: st.MinDist}, nil
 	case JudgeLocation:
-		return newLocationJudge(st.Own, st.Radius, st.AThreshold, st.Senders...), nil
+		return newLocationJudge(host, st.Own, st.Radius, st.AThreshold, st.Senders...), nil
 	case JudgeProbabilistic:
 		return probabilisticJudge{rebroadcast: st.Rebroadcast}, nil
 	case JudgeCoverage:
