@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/snapshot"
 )
 
 // base returns the flags of a small deterministic run, with any extra
@@ -118,6 +120,38 @@ func TestResumeVersionMismatch(t *testing.T) {
 	}
 	if !strings.Contains(errs, "version") {
 		t.Fatalf("stderr does not mention the version:\n%s", errs)
+	}
+}
+
+// TestResumeRefusesV1 resumes from the header of a v1 document: the
+// codec reads v2 only, so the tool has to exit 1 naming the version
+// instead of misreading the fields v1 carried.
+func TestResumeRefusesV1(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "v1.ck")
+	if err := os.WriteFile(ck, append([]byte(snapshot.Magic), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, errs := runTool(t, base("-resume", ck))
+	if code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if !strings.Contains(errs, "version 1") {
+		t.Fatalf("stderr does not name version 1:\n%s", errs)
+	}
+}
+
+// TestRejectsNonFinite: a NaN speed or scheme parameter passes every
+// range check a comparison makes, and used to run a world that moved
+// nothing. The tool has to exit non-zero and name the value.
+func TestRejectsNonFinite(t *testing.T) {
+	for _, argv := range [][]string{
+		base("-speed", "NaN"),
+		base("-scheme", "prob:P=NaN"),
+	} {
+		code, _, errs := runTool(t, argv)
+		if code == 0 || !strings.Contains(errs, "NaN") {
+			t.Errorf("%v: exit %d, stderr %q; want a non-zero exit naming NaN", argv, code, errs)
+		}
 	}
 }
 

@@ -69,8 +69,6 @@ type MACState struct {
 	AckTo  packet.NodeID
 	AckAt  sim.Time
 	AckSeq uint64
-
-	FreeLen int
 }
 
 // DataEnder returns the airtime-completion handler this MAC hands to
@@ -126,7 +124,6 @@ func (m *MAC) Snapshot(frameRef func(*packet.Frame) uint32, obsRef func(TxObserv
 		IdleSince:        m.idleSince,
 		BackoffRemaining: m.backoffRemaining,
 		Retries:          m.retries,
-		FreeLen:          len(m.pFree),
 	}
 	for _, p := range m.queue[m.qhead:] {
 		ps, err := describePending(p, frameRef, obsRef)
@@ -174,8 +171,7 @@ func (m *MAC) Snapshot(frameRef func(*packet.Frame) uint32, obsRef func(TxObserv
 // obs resolve the references Snapshot recorded; bound is invoked for
 // every restored record with its observer reference, so the layer that
 // holds Pending handles (the host's open rebroadcast decisions) can
-// re-link them. Restored records are allocated fresh — the free list is
-// pre-grown separately so pool behavior evolves as in the original run.
+// re-link them.
 func (m *MAC) Restore(st MACState,
 	frame func(uint32) *packet.Frame,
 	obs func(uint32) TxObserver,
@@ -186,11 +182,6 @@ func (m *MAC) Restore(st MACState,
 	}
 	if err := m.checkContention(st); err != nil {
 		return err
-	}
-	// Every pooled record once carried an enqueued frame, so the pool
-	// cannot be deeper than the frames this MAC was ever handed.
-	if st.FreeLen < 0 || st.FreeLen > st.Stats.Enqueued {
-		return fmt.Errorf("mac: restore state has pending-pool depth %d outside [0, %d enqueued]", st.FreeLen, st.Stats.Enqueued)
 	}
 	m.stats = st.Stats
 	m.cw = st.CW
@@ -250,10 +241,6 @@ func (m *MAC) Restore(st MACState,
 		m.ackTimer = ev
 		m.ackTo = st.AckTo
 	}
-	for len(m.pFree) < st.FreeLen {
-		m.pFree = append(m.pFree, &Pending{})
-	}
-	m.pFree = m.pFree[:st.FreeLen]
 	return nil
 }
 

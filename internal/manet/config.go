@@ -8,6 +8,7 @@ package manet
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/check"
 	"repro/internal/geom"
@@ -269,6 +270,18 @@ func (c Config) WithDefaults() Config {
 
 // Validate reports configuration errors after defaulting.
 func (c Config) Validate() error {
+	// NaN passes every range check below, and +Inf the sign checks.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"radius", c.Radius}, {"map unit", c.UnitMeters}, {"max speed", c.MaxSpeedKMH},
+		{"loss rate", c.LossRate}, {"capture ratio", c.CaptureRatio},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("manet: %s %g is not finite", f.name, f.v)
+		}
+	}
 	switch {
 	case c.Hosts < 1:
 		return errors.New("manet: need at least one host")

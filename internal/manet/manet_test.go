@@ -454,6 +454,13 @@ func TestConfigValidation(t *testing.T) {
 		"negative drain":          {Drain: -sim.Second},
 		"negative arrival spread": {ArrivalSpread: -sim.Second},
 		"negative map unit":       {UnitMeters: -500},
+		"NaN speed":               {MaxSpeedKMH: math.NaN()},
+		"infinite speed":          {MaxSpeedKMH: math.Inf(1)},
+		"NaN loss rate":           {LossRate: math.NaN()},
+		"NaN capture ratio":       {CaptureRatio: math.NaN()},
+		"NaN radius":              {Radius: math.NaN()},
+		"infinite radius":         {Radius: math.Inf(1)},
+		"NaN map unit":            {UnitMeters: math.NaN()},
 	} {
 		cfg.Hosts, cfg.Requests = 10, 2
 		if _, err := New(cfg); err == nil {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/mac"
 	"repro/internal/metrics"
 	"repro/internal/mobility"
-	"repro/internal/nodeset"
 	"repro/internal/packet"
 	"repro/internal/phy"
 	"repro/internal/scheme"
@@ -35,24 +34,14 @@ import (
 // continuing the original run. The resolved engine and shard count are
 // part of the digest — cross-engine resume is excluded by design (the
 // shard-lane sequence namespaces are engine-specific).
-//
-// The v1 string is frozen: nogrid/nointerf/nodense/noladder stamped the
-// four Disable* data-structure switches deleted in PR 16, and
-// pause/groups/spread/dhi/timing/window stamped Config fields that are
-// model constants now. Dropping the slots would orphan every checkpoint
-// written before, so they stay as the literals every buildable
-// configuration has; a document stamped otherwise names a configuration
-// that can no longer be built and is refused like any contradiction.
 func (n *Network) checkpointDigest() string {
 	if n.digestCache != "" {
 		return n.digestCache
 	}
 	c := n.cfg
-	n.digestCache = fmt.Sprintf("v1 hosts=%d map=%d unit=%g radius=%g speed=%g static=%t mobility=%d pause=0 groups=0 spread=0 placement=%v "+
-		"scheme=%q requests=%d arrival=%d hello=%d hi=%d dhi={NVMax:0.02 HIMin:1s HIMax:10s} expiry=%d slots=%d warmup=%d drain=%d "+
-		"timing={BitRateMbps:1 PLCPPreamble:144µs PLCPHeader:48µs SlotTime:20µs SIFS:10µs DIFS:50µs CWMin:31 CWMax:1023 AssessmentMax:31} "+
-		"engine=%d shards=%d nocoll=%t idealhello=%t nogrid=false nointerf=false nodense=false noladder=false "+
-		"loss=%g capture=%g repair=%t window=10000000 retain=%t seed=%d",
+	n.digestCache = fmt.Sprintf("v2 hosts=%d map=%d unit=%g radius=%g speed=%g static=%t mobility=%d placement=%v "+
+		"scheme=%q requests=%d arrival=%d hello=%d hi=%d expiry=%d slots=%d warmup=%d drain=%d "+
+		"engine=%d shards=%d nocoll=%t idealhello=%t loss=%g capture=%g repair=%t retain=%t seed=%d",
 		c.Hosts, c.MapUnits, c.UnitMeters, c.Radius, c.MaxSpeedKMH, c.Static, c.Mobility, c.Placement,
 		c.Scheme.Name(), c.Requests, c.ArrivalSpread, c.HelloMode, c.HelloInterval, c.ExpiryIntervals, c.AssessmentSlots, c.Warmup, c.Drain,
 		n.engine, n.shards, c.DisableCollisions, c.IdealHello,
@@ -254,7 +243,6 @@ func (n *Network) snapshotInto(ck *snapshot.Checkpoint) error {
 			Dedup:    n.dedup.appendHost(hs.Dedup[:0], h.id),
 			RNG:      h.rng.State(),
 			Mover:    roamer.Snapshot(),
-			PrFree:   int64(len(h.prFree)),
 			Pending:  hs.Pending[:0],
 			HelloFly: hs.HelloFly[:0],
 			Recent:   hs.Recent[:0],
@@ -325,9 +313,6 @@ func (n *Network) snapshotInto(ck *snapshot.Checkpoint) error {
 		RepairsDelivered: int64(n.repairsDelivered),
 		RecBase:          n.recBase,
 		Stream:           n.stream.Snapshot(),
-		SetPool:          int64(len(n.setPool)),
-		FramePool:        int64(len(n.framePool)),
-		HelloPool:        int64(len(n.helloPool)),
 	}
 	for i := range n.recs {
 		rec := &n.recs[i]
@@ -614,19 +599,11 @@ func (n *Network) restore(ck *snapshot.Checkpoint) error {
 			}
 			h.helloFly = append(h.helloFly, f)
 		}
-		// A host opens at most one decision per broadcast, so its pool
-		// of resolved records cannot be deeper than the broadcasts issued.
-		if hs.PrFree < 0 || hs.PrFree > int64(ck.Net.Seq) {
-			return fmt.Errorf("manet: restore %v: decision-pool depth %d outside [0, %d broadcasts]", h.id, hs.PrFree, ck.Net.Seq)
-		}
-		for j := int64(0); j < hs.PrFree; j++ {
-			h.prFree = append(h.prFree, &pendingRebroadcast{h: h})
-		}
 	}
 
 	// Network-level state: counters, the record arena with its
-	// open-reference counts, the streaming aggregates' fold history, the
-	// object-pool depths, and the not-yet-fired workload requests.
+	// open-reference counts, the streaming aggregates' fold history, and
+	// the not-yet-fired workload requests.
 	n.seq = ck.Net.Seq
 	n.endTime = ck.Net.EndTime
 	n.helloSent = int(ck.Net.HelloSent)
@@ -643,37 +620,6 @@ func (n *Network) restore(ck *snapshot.Checkpoint) error {
 		n.recOpen = append(n.recOpen, r.Open)
 	}
 	n.stream.Restore(ck.Net.Stream)
-	// Each pooled object was once in use, so each pool is bounded by a
-	// count of uses: a coverage judge borrows one set per first
-	// reception (at most one per host and broadcast), every broadcast
-	// frame was handed to a MAC, and every recycled beacon went on the
-	// air.
-	var enqueued int64
-	for i := range ck.Hosts {
-		enqueued += int64(ck.Hosts[i].MAC.Stats.Enqueued)
-	}
-	for _, pool := range []struct {
-		name         string
-		depth, limit int64
-		uses         string
-	}{
-		{"set", ck.Net.SetPool, int64(ck.Net.Seq) * int64(len(n.hosts)), "host receptions"},
-		{"frame", ck.Net.FramePool, enqueued, "frames enqueued"},
-		{"hello", ck.Net.HelloPool, ck.Net.HelloSent, "HELLOs sent"},
-	} {
-		if pool.depth < 0 || pool.depth > pool.limit {
-			return fmt.Errorf("manet: restore %s-pool depth %d outside [0, %d %s]", pool.name, pool.depth, pool.limit, pool.uses)
-		}
-	}
-	for i := int64(0); i < ck.Net.SetPool; i++ {
-		n.setPool = append(n.setPool, nodeset.New(len(n.hosts)))
-	}
-	for i := int64(0); i < ck.Net.FramePool; i++ {
-		n.framePool = append(n.framePool, &packet.Frame{})
-	}
-	for i := int64(0); i < ck.Net.HelloPool; i++ {
-		n.helloPool = append(n.helloPool, &packet.Frame{})
-	}
 	n.originations = make([]originationEvent, len(ck.Net.Originations))
 	for i := range ck.Net.Originations {
 		so := &ck.Net.Originations[i]

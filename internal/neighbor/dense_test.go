@@ -351,31 +351,32 @@ func TestAnnounceIsImmutable(t *testing.T) {
 // TestRefreshLeavesEventQueued pins the cost of a HELLO: a table keeps
 // one expiry event, and a refresh touches the scheduler only when its
 // key comes before the queued one. Any other refresh leaves the event
-// where it is (it moves later by itself when reached), so the
-// scheduler's pool counters — one tick per Schedule — stay put.
+// where it is (it moves later by itself when reached): the same record,
+// at the same (At, Seq) key.
 func TestRefreshLeavesEventQueued(t *testing.T) {
 	sched := sim.NewScheduler()
 	tab := NewTable(0, sched, 0, 16)
-	schedules := func() uint64 {
-		st := sched.SnapshotState()
-		return st.PoolHits + st.PoolMisses
-	}
-	for h := packet.NodeID(1); h <= 5; h++ {
+	tab.OnHello(1, nil, 2*sim.Second)
+	ev := tab.expiry
+	at, seq := ev.At(), ev.Seq()
+	unmoved := func() bool { return tab.expiry == ev && ev.At() == at && ev.Seq() == seq }
+	for h := packet.NodeID(2); h <= 5; h++ {
 		tab.OnHello(h, nil, 2*sim.Second)
 	}
-	if schedules() != 1 || sched.Pending() != 1 || tab.PendingEvents() != 1 {
-		t.Fatalf("five joins made %d Schedules, %d pending events, want 1 and 1", schedules(), sched.Pending())
+	if !unmoved() || sched.Pending() != 1 || tab.PendingEvents() != 1 {
+		t.Fatalf("joins moved the expiry event or left %d pending events, want it at (%v, %d) and 1", sched.Pending(), at, seq)
 	}
 	sched.RunUntil(sim.Time(sim.Second))
 	for h := packet.NodeID(1); h <= 5; h++ {
 		tab.OnHello(h, nil, 2*sim.Second)
 	}
-	if schedules() != 1 || sched.Pending() != 1 {
-		t.Fatalf("refreshes that keep the earliest key later made %d Schedules, want 1", schedules())
+	if !unmoved() || sched.Pending() != 1 {
+		t.Fatalf("refreshes that keep the earliest key later moved the expiry event to (%v, %d), want (%v, %d)",
+			tab.expiry.At(), tab.expiry.Seq(), at, seq)
 	}
 	tab.OnHello(3, nil, sim.Second/2) // a shrunk interval: deadline 2 s, before the queued 4 s
-	if schedules() != 2 || sched.Pending() != 1 {
-		t.Fatalf("an earlier key made %d Schedules in all, %d pending, want 2 and 1", schedules(), sched.Pending())
+	if tab.expiry == ev || tab.expiry.At() != sim.Time(2*sim.Second) || sched.Pending() != 1 {
+		t.Fatalf("an earlier key left the expiry event at %v with %d pending, want a new one at 2s and 1", tab.expiry.At(), sched.Pending())
 	}
 	executed := sched.Executed()
 	sched.RunUntil(sim.Time(5 * sim.Second))

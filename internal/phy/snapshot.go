@@ -33,19 +33,16 @@ type TxState struct {
 
 // ChannelState is the channel's checkpointed dynamic state: delivery
 // counters, the loss stream, the airtime bound feeding the interference
-// window, the transmission-record pool accounting, and every flight on
-// the air. The spatial grid, its position snapshot, the static-neighbour
-// memo and the interference buckets are pure caches rebuilt on demand
-// and are not serialized.
+// window, and every flight on the air. The spatial grid, its position
+// snapshot, the static-neighbour memo, the interference buckets and the
+// transmission-record pool are pure caches rebuilt on demand and are not
+// serialized.
 type ChannelState struct {
-	Stats        Stats
-	HasLoss      bool
-	LossRNG      [4]uint64
-	MaxAir       sim.Duration
-	TxPoolHits   uint64
-	TxPoolMisses uint64
-	TxFreeLen    int
-	Active       []TxState
+	Stats   Stats
+	HasLoss bool
+	LossRNG [4]uint64
+	MaxAir  sim.Duration
+	Active  []TxState
 }
 
 // Snapshot captures the channel state at a barrier. frameRef and
@@ -57,13 +54,7 @@ func (c *Channel) Snapshot(frameRef func(*packet.Frame) uint32, enderRef func(se
 	if c.obsBusy {
 		return ChannelState{}, fmt.Errorf("phy: checkpoint unsupported with the channel-load observer attached")
 	}
-	st := ChannelState{
-		Stats:        c.stats,
-		MaxAir:       c.maxAir,
-		TxPoolHits:   c.txPoolHits,
-		TxPoolMisses: c.txPoolMisses,
-		TxFreeLen:    len(c.txFree),
-	}
+	st := ChannelState{Stats: c.stats, MaxAir: c.maxAir}
 	if c.lossRNG != nil {
 		st.HasLoss = true
 		st.LossRNG = c.lossRNG.State()
@@ -96,7 +87,7 @@ func (c *Channel) Snapshot(frameRef func(*packet.Frame) uint32, enderRef func(se
 }
 
 // Restore rebuilds a freshly constructed (idle) channel from a
-// checkpointed state: counters, loss stream, pool depth, and the active
+// checkpointed state: counters, loss stream, and the active
 // flights with their end events re-armed at their exact (at, seq) keys.
 // Carrier state (busyCount, transmitting) is recomputed directly from
 // the restored flights without invoking the CarrierBusy listeners — the
@@ -110,26 +101,11 @@ func (c *Channel) Restore(st ChannelState, frame func(uint32) *packet.Frame, end
 		return fmt.Errorf("phy: restore loss-model state mismatch (checkpoint %v, channel %v)",
 			st.HasLoss, c.lossRNG != nil)
 	}
-	// Every pooled record once carried a transmission, so the pool
-	// cannot be deeper than the transmissions the channel counted (each
-	// record pre-grown here costs two population-size bitsets).
-	if st.TxFreeLen < 0 || st.TxFreeLen > st.Stats.Transmissions {
-		return fmt.Errorf("phy: restore state has transmission-pool depth %d outside [0, %d transmissions]", st.TxFreeLen, st.Stats.Transmissions)
-	}
 	c.stats = st.Stats
 	if st.HasLoss {
 		c.lossRNG.SetState(st.LossRNG)
 	}
 	c.maxAir = st.MaxAir
-	c.txPoolHits = st.TxPoolHits
-	c.txPoolMisses = st.TxPoolMisses
-	for len(c.txFree) < st.TxFreeLen {
-		tx := &transmission{cell: -1, lane: -1, ch: c}
-		tx.recvSet = nodeset.New(len(c.positions))
-		tx.garbledSet = nodeset.New(len(c.positions))
-		c.txFree = append(c.txFree, tx)
-	}
-	c.txFree = c.txFree[:st.TxFreeLen]
 	for _, ts := range st.Active {
 		if int(ts.Sender) < 0 || int(ts.Sender) >= len(c.positions) {
 			return fmt.Errorf("phy: restore transmission from unknown radio %d", ts.Sender)

@@ -17,6 +17,7 @@ func FuzzSchemeParse(f *testing.F) {
 		"nc", "neighbor-coverage", "cluster", "cluster:inner=counter:C=2",
 		"cluster:inner=cluster", "FLOODING", " counter :c=4", "counter:C=3,C=4",
 		"counter:junk=1", "a:b=c,d=e,f=g", "::::", "counter:",
+		"location:A=NaN", "prob:P=+Inf", "al:max=NaN",
 	} {
 		f.Add(seed)
 	}
@@ -37,6 +38,9 @@ func FuzzSchemeParse(f *testing.F) {
 		name := s.Name()
 		if strings.TrimSpace(name) == "" {
 			t.Fatalf("Parse(%q): scheme has empty label", spec)
+		}
+		if strings.Contains(name, "NaN") || strings.Contains(name, "Inf") {
+			t.Fatalf("Parse(%q) accepted a non-finite parameter: %q", spec, name)
 		}
 		again, err := Parse(spec)
 		if err != nil {

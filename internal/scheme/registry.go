@@ -2,6 +2,7 @@ package scheme
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -328,6 +329,11 @@ func (p *specParams) floatOr(key string, def float64) (float64, error) {
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
 		return 0, fmt.Errorf("parameter %s=%q is not a number", key, v)
+	}
+	// NaN compares false with everything, so every scheme's range check
+	// would let it through, and an infinity passes the one-sided ones.
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("parameter %s=%q is not finite", key, v)
 	}
 	return f, nil
 }

@@ -118,6 +118,10 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		{"ac:n1=3", "together"},
 		{"ac:n1=5,n2=2", "n1 < n2"},
 		{"al:max=0", "outside"},
+		{"location:A=NaN", "not finite"},
+		{"prob:P=NaN", "not finite"},
+		{"distance:D=Inf", "not finite"},
+		{"al:max=NaN", "not finite"},
 		{"flooding:C=3", "unknown parameter"},
 	}
 	for _, tc := range cases {

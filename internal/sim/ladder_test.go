@@ -496,15 +496,15 @@ func TestSchedulerPoolStats(t *testing.T) {
 		s.Schedule(Time(i), func() {})
 	}
 	s.Run()
-	if st := s.SnapshotState(); st.PoolHits != 0 || st.PoolMisses != 10 {
-		t.Fatalf("cold pool: hits=%d misses=%d, want 0/10", st.PoolHits, st.PoolMisses)
+	if s.poolHits != 0 || s.poolMisses != 10 {
+		t.Fatalf("cold pool: hits=%d misses=%d, want 0/10", s.poolHits, s.poolMisses)
 	}
 	for i := 0; i < 30; i++ {
 		s.Schedule(s.Now().Add(1), func() {})
 		s.Step()
 	}
-	if st := s.SnapshotState(); st.PoolHits != 30 || st.PoolMisses != 10 {
-		t.Fatalf("warm pool: hits=%d misses=%d, want 30/10", st.PoolHits, st.PoolMisses)
+	if s.poolHits != 30 || s.poolMisses != 10 {
+		t.Fatalf("warm pool: hits=%d misses=%d, want 30/10", s.poolHits, s.poolMisses)
 	}
 	if got, want := s.PoolHitRate(), 0.75; got != want {
 		t.Errorf("PoolHitRate = %v, want %v", got, want)
@@ -530,11 +530,11 @@ func TestLadderCancelRecyclesTombstones(t *testing.T) {
 	}
 	// All tombstones must now be back in the pool: the next 1000
 	// schedules should be pure hits.
-	hits0 := s.SnapshotState().PoolHits
+	hits0 := s.poolHits
 	for i := 0; i < 1000; i++ {
 		s.Schedule(s.Now().Add(Duration(i+1)), func() {})
 	}
-	if got := s.SnapshotState().PoolHits - hits0; got != 1000 {
+	if got := s.poolHits - hits0; got != 1000 {
 		t.Errorf("reschedule after mass cancel took %d pool hits, want 1000", got)
 	}
 }

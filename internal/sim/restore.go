@@ -1,15 +1,12 @@
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Checkpoint/restore support. A deterministic simulation can be frozen
 // at a barrier — an instant between events, outside any parallel drain —
 // and later reconstructed into a scheduler that continues the exact
 // (time, seq) execution sequence of the original. The scheduler itself
-// only persists its counters and pool depths; the pending events are
+// only persists its clock and counters; the pending events are
 // owned by the model layers (each of which holds its timer handles), so
 // checkpointing walks the layers, records each armed event's (at, seq)
 // key, and restoring re-inserts them through RestoreRunner/RestoreKeyed
@@ -23,27 +20,24 @@ import (
 func (e *Event) Seq() uint64 { return e.seq }
 
 // LaneState is the persistent portion of one parallel-drain lane in a
-// SchedulerState. Between barrier windows a lane's executed/live/pool
+// SchedulerState. Between barrier windows a lane's executed/live
 // counters are already folded into the shared scheduler counters
-// (EndParallelDrain), so only the lane's namespaced sequence counter and
-// the depth of its private free-list survive to the next window.
+// (EndParallelDrain), so only the lane's namespaced sequence counter
+// survives to the next window.
 type LaneState struct {
-	Seq     uint64
-	FreeLen int
+	Seq uint64
 }
 
 // SchedulerState is the scheduler's own contribution to a checkpoint:
-// clock, counters, and pool depths. Pending events are not here — they
-// are serialized by the layers that own them and re-inserted via
-// RestoreRunner/RestoreKeyed.
+// clock and counters. Pending events are not here — they are serialized
+// by the layers that own them and re-inserted via
+// RestoreRunner/RestoreKeyed. Nor is the free-list: it is a cache, and a
+// restored scheduler fills it on a miss as a fresh one does.
 type SchedulerState struct {
-	Now        Time
-	Seq        uint64
-	Executed   uint64
-	PoolHits   uint64
-	PoolMisses uint64
-	FreeLen    int
-	Lanes      []LaneState
+	Now      Time
+	Seq      uint64
+	Executed uint64
+	Lanes    []LaneState
 }
 
 // SnapshotState captures the scheduler's counters at a barrier. It must
@@ -51,30 +45,18 @@ type SchedulerState struct {
 // coherent after EndParallelDrain folds it).
 func (s *Scheduler) SnapshotState() SchedulerState {
 	s.assertSequential("SnapshotState")
-	st := SchedulerState{
-		Now:        s.now,
-		Seq:        s.seq,
-		Executed:   s.executed,
-		PoolHits:   s.poolHits,
-		PoolMisses: s.poolMisses,
-		FreeLen:    len(s.free),
-	}
+	st := SchedulerState{Now: s.now, Seq: s.seq, Executed: s.executed}
 	for i := range s.lanes {
-		st.Lanes = append(st.Lanes, LaneState{
-			Seq:     s.lanes[i].seq,
-			FreeLen: len(s.lanes[i].free),
-		})
+		st.Lanes = append(st.Lanes, LaneState{Seq: s.lanes[i].seq})
 	}
 	return st
 }
 
 // RestoreState re-arms a freshly drained scheduler with a checkpointed
-// state: the clock, the shared and per-lane sequence counters, the
-// executed count, and the pool counters, with each free-list pre-grown
-// to its checkpointed depth so pool statistics evolve exactly as they
-// would have in the uninterrupted run. The scheduler must hold no pending
-// events (Drain first); lanes in the state require the matching number
-// of configured shard wheels.
+// state: the clock, the shared and per-lane sequence counters and the
+// executed count. The scheduler must hold no pending events (Drain
+// first); lanes in the state require the matching number of configured
+// shard wheels.
 func (s *Scheduler) RestoreState(st SchedulerState) error {
 	switch {
 	case s.parallel:
@@ -86,68 +68,32 @@ func (s *Scheduler) RestoreState(st SchedulerState) error {
 			len(st.Lanes), len(s.wheels))
 	case st.Seq >= laneSeqBase(0):
 		return fmt.Errorf("sim: restore state sequence counter %d outside the shared namespace", st.Seq)
-	case st.FreeLen < 0:
-		return fmt.Errorf("sim: restore state has negative free-list depth %d", st.FreeLen)
 	}
-	// Every pooled record is one of the reserved slab's or was once
-	// scheduled (a pool hit or miss), so the free-lists together cannot
-	// hold more than that many.
-	limit := satAdd(satAdd(uint64(s.reserved), st.PoolHits), st.PoolMisses)
-	depth := uint64(st.FreeLen)
 	for i, ln := range st.Lanes {
 		if ln.Seq < laneSeqBase(i) || ln.Seq >= laneSeqBase(i+1) {
 			return fmt.Errorf("sim: restore lane %d sequence counter %d outside its namespace", i, ln.Seq)
 		}
-		if ln.FreeLen < 0 {
-			return fmt.Errorf("sim: restore lane %d has negative free-list depth %d", i, ln.FreeLen)
-		}
-		depth = satAdd(depth, uint64(ln.FreeLen))
-	}
-	if depth > limit {
-		return fmt.Errorf("sim: restore free-list depth %d exceeds the %d records the run can have pooled", depth, limit)
 	}
 	s.now = st.Now
 	s.seq = st.Seq
 	s.executed = st.Executed
-	s.poolHits = st.PoolHits
-	s.poolMisses = st.PoolMisses
 	// A drained wheel parks its consumption cursor past its buckets;
 	// rewind so restored inserts land in the covering bucket again.
 	for i := range s.wheels {
 		w := &s.wheels[i]
 		w.cur, w.head, w.sorted = 0, 0, false
 	}
-	for len(s.free) < st.FreeLen {
-		s.free = append(s.free, &Event{})
-	}
-	s.free = s.free[:st.FreeLen]
 	if len(st.Lanes) > 0 && s.lanes == nil {
 		s.lanes = make([]laneState, len(s.wheels))
 	}
 	for i, ln := range st.Lanes {
-		lane := &s.lanes[i]
-		lane.seq = ln.Seq
-		for len(lane.free) < ln.FreeLen {
-			lane.free = append(lane.free, &Event{})
-		}
-		lane.free = lane.free[:ln.FreeLen]
+		s.lanes[i].seq = ln.Seq
 	}
 	return nil
 }
 
-// satAdd adds without wrapping: forged counters saturate instead.
-func satAdd(a, b uint64) uint64 {
-	if a+b < a {
-		return math.MaxUint64
-	}
-	return a + b
-}
-
 // restoreEvent inserts an event with an explicit checkpointed (at, seq)
-// key, bypassing the sequence counter. Restored events are allocated
-// fresh rather than from the free-list: RestoreState already sized the
-// free-list to its checkpointed depth, and the pool counters must not
-// observe allocations the original run never made.
+// key, bypassing the sequence counter.
 func (s *Scheduler) restoreEvent(shard int, at Time, seq uint64) (*Event, error) {
 	switch {
 	case s.parallel:

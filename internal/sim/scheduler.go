@@ -103,7 +103,6 @@ type Scheduler struct {
 	// sync.Pool — the scheduler is single-threaded, and sync.Pool's per-P
 	// caches and GC emptying would cost more than they give.
 	free       []*Event
-	reserved   int // records Reserve and ReserveFrom pooled, for RestoreState's bound
 	poolHits   uint64
 	poolMisses uint64
 
@@ -539,7 +538,6 @@ func (s *Scheduler) ReserveFrom(slab []Event) {
 		return
 	}
 	clear(slab)
-	s.reserved += len(slab)
 	if free := len(s.free) + len(slab); cap(s.free) < free {
 		grown := make([]*Event, len(s.free), free)
 		copy(grown, s.free)

@@ -141,8 +141,8 @@ func TestReserve(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		s.After(Duration(i+1), func() {})
 	}
-	if st := s.SnapshotState(); st.PoolHits != 8 || st.PoolMisses != 0 {
-		t.Fatalf("pool hits/misses = %d/%d, want 8/0", st.PoolHits, st.PoolMisses)
+	if s.poolHits != 8 || s.poolMisses != 0 {
+		t.Fatalf("pool hits/misses = %d/%d, want 8/0", s.poolHits, s.poolMisses)
 	}
 	s.Run()
 }

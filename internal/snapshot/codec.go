@@ -29,7 +29,7 @@ import (
 // Each section below is one function that names its fields once, in
 // wire order; the same walk encodes or decodes depending on the coder's
 // direction, so the two cannot disagree about the layout. What they
-// cannot show is that the layout is still v1: that is pinned against
+// cannot show is that the layout is still v2: that is pinned against
 // committed bytes (TestLayoutPinned*, TestSeedCheckpoint* in this
 // package's tests).
 
@@ -37,7 +37,7 @@ import (
 const Magic = "STRMSNAP"
 
 // CodecVersion is the format version written after the magic.
-const CodecVersion = 1
+const CodecVersion = 2
 
 // ErrTruncated reports input that ended inside a field.
 var ErrTruncated = errors.New("snapshot: truncated checkpoint")
@@ -241,12 +241,8 @@ func sched(c *coder, st *sim.SchedulerState) {
 	i64(c, &st.Now, "sched.now")
 	c.u64(&st.Seq, "sched.seq")
 	c.u64(&st.Executed, "sched.executed")
-	c.u64(&st.PoolHits, "sched.pool_hits")
-	c.u64(&st.PoolMisses, "sched.pool_misses")
-	i64(c, &st.FreeLen, "sched.free_len")
-	list(c, &st.Lanes, 16, "sched.lanes", func(c *coder, ln *sim.LaneState, _ string) {
+	list(c, &st.Lanes, 8, "sched.lanes", func(c *coder, ln *sim.LaneState, _ string) {
 		c.u64(&ln.Seq, "sched.lane.seq")
-		i64(c, &ln.FreeLen, "sched.lane.free_len")
 	})
 }
 
@@ -260,9 +256,6 @@ func channel(c *coder, st *phy.ChannelState) {
 	c.boolean(&st.HasLoss, "phy.has_loss")
 	c.rng(&st.LossRNG, "phy.loss_rng")
 	i64(c, &st.MaxAir, "phy.max_air")
-	c.u64(&st.TxPoolHits, "phy.tx_pool_hits")
-	c.u64(&st.TxPoolMisses, "phy.tx_pool_misses")
-	i64(c, &st.TxFreeLen, "phy.tx_free_len")
 	list(c, &st.Active, 52, "phy.active", func(c *coder, tx *phy.TxState, _ string) {
 		c.u32(&tx.FrameRef, "phy.tx.frame_ref")
 		c.u32(&tx.EnderRef, "phy.tx.ender_ref")
@@ -315,7 +308,6 @@ func macState(c *coder, st *mac.MACState) {
 	i32(c, &st.AckTo, "mac.ack_to")
 	i64(c, &st.AckAt, "mac.ack_at")
 	c.u64(&st.AckSeq, "mac.ack_seq")
-	i64(c, &st.FreeLen, "mac.free_len")
 }
 
 // --- mobility ---
@@ -409,7 +401,6 @@ func host(c *coder, h *Host, _ string) {
 		c.u64(&p.AssessSeq, "host.pending.assess_seq")
 		c.u32(&p.FrameRef, "host.pending.frame_ref")
 	})
-	i64(c, &h.PrFree, "host.pr_free")
 	list(c, &h.HelloFly, 4, "host.hello_fly", (*coder).u32)
 	c.boolean(&h.HasHelloTimer, "host.has_hello_timer")
 	i64(c, &h.HelloAt, "host.hello_at")
@@ -442,9 +433,6 @@ func network(c *coder, n *Network) {
 	list(c, &n.Stream.RE, 8, "net.stream.re", (*coder).f64)
 	list(c, &n.Stream.SRB, 8, "net.stream.srb", (*coder).f64)
 	list(c, &n.Stream.Lat, 8, "net.stream.lat", i64[sim.Duration])
-	i64(c, &n.SetPool, "net.set_pool")
-	i64(c, &n.FramePool, "net.frame_pool")
-	i64(c, &n.HelloPool, "net.hello_pool")
 	list(c, &n.Originations, 20, "net.originations", func(c *coder, o *Origination, _ string) {
 		i32(c, &o.Src, "net.origination.src")
 		i64(c, &o.At, "net.origination.at")

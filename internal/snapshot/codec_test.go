@@ -29,16 +29,12 @@ func testCheckpoint() *Checkpoint {
 		Digest: "hosts=30 seed=7",
 		Sched: sim.SchedulerState{
 			Now: 12345, Seq: 678, Executed: 900,
-			PoolHits: 11, PoolMisses: 3, FreeLen: 5,
-			Lanes: []sim.LaneState{
-				{Seq: 1 << 32, FreeLen: 2},
-				{Seq: 2 << 32, FreeLen: 0},
-			},
+			Lanes: []sim.LaneState{{Seq: 1 << 32}, {Seq: 2 << 32}},
 		},
 		Channel: phy.ChannelState{
 			Stats:   phy.Stats{Transmissions: 40, Deliveries: 200, Collisions: 7, Lost: 3},
 			HasLoss: true, LossRNG: [4]uint64{1, 2, 3, 4},
-			MaxAir: 2240, TxPoolHits: 39, TxPoolMisses: 4, TxFreeLen: 3,
+			MaxAir: 2240,
 			Active: []phy.TxState{
 				{
 					FrameRef: 1, EnderRef: 3, Sender: 2,
@@ -56,9 +52,8 @@ func testCheckpoint() *Checkpoint {
 				{ID: bid(3, 1), Start: 100, Reachable: 30, Received: 28, Transmitted: 9, LastActivity: 450, Open: 0},
 				{ID: bid(5, 2), Start: 9000, Reachable: 30, Received: 3, Transmitted: 1, LastActivity: 12340, Open: 4},
 			},
-			RecBase: 6,
-			Stream:  metrics.StreamState{RE: []float64{0.9, 1}, SRB: []float64{0.3, 0.5}, Lat: []sim.Duration{120, 80}},
-			SetPool: 4, FramePool: 2, HelloPool: 1,
+			RecBase:      6,
+			Stream:       metrics.StreamState{RE: []float64{0.9, 1}, SRB: []float64{0.3, 0.5}, Lat: []sim.Duration{120, 80}},
 			Originations: []Origination{{Src: 11, At: 15000, Seq: 40}},
 		},
 		Frames: []Frame{
@@ -114,7 +109,6 @@ func testCheckpoint() *Checkpoint {
 					AwaitTimerAt: 13000, AwaitTimerSeq: 95,
 					HasTxEvent: true, TxEventAt: 12500, TxEventSeq: 93, TxEventBase: 12400, TxEventSlots: 4,
 					HasAck: true, AckTo: 9, AckAt: 12410, AckSeq: 94,
-					FreeLen: 2,
 				},
 				Pending: []PendingDecision{
 					{Bid: bid(3, 1), Judge: scheme.JudgeState{Kind: scheme.JudgeCounter, C: 2, Threshold: 3},
@@ -130,7 +124,7 @@ func testCheckpoint() *Checkpoint {
 					{Bid: bid(9, 11), Judge: scheme.JudgeState{Kind: scheme.JudgeProbabilistic, Rebroadcast: true}},
 					{Bid: bid(9, 12), Judge: scheme.JudgeState{Kind: scheme.JudgeFlooding}},
 				},
-				PrFree: 3, HelloFly: []uint32{2},
+				HelloFly:      []uint32{2},
 				HasHelloTimer: true, HelloAt: 13500, HelloSeq: 97,
 				Recent: []RecentBroadcast{{ID: bid(3, 1), Heard: 11500}},
 				Nacked: []packet.BroadcastID{bid(5, 2)},
@@ -209,10 +203,14 @@ func TestDecodeRejectsBadHeader(t *testing.T) {
 		t.Fatalf("corrupt magic: got %v", err)
 	}
 
-	bad = append([]byte(nil), data...)
-	bad[len(Magic)] = CodecVersion + 1
-	if _, err := Decode(bad); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("unknown version: got %v", err)
+	// v1 documents carried allocator state this codec no longer reads;
+	// they are refused like any other version.
+	for _, v := range []byte{1, CodecVersion + 1} {
+		bad = append([]byte(nil), data...)
+		bad[len(Magic)] = v
+		if _, err := Decode(bad); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("version %d: got %v", v, err)
+		}
 	}
 }
 

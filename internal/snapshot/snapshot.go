@@ -95,7 +95,6 @@ type Host struct {
 	Table   neighbor.TableState
 	MAC     mac.MACState
 	Pending []PendingDecision
-	PrFree  int64
 
 	HelloFly      []uint32
 	HasHelloTimer bool
@@ -127,8 +126,8 @@ type Origination struct {
 
 // Network is the network-level checkpointed state: the broadcast
 // sequence counter, the run's end time, run counters, the record arena,
-// the streaming aggregates' fold history, pool depths, and the pending
-// workload originations.
+// the streaming aggregates' fold history, and the pending workload
+// originations.
 type Network struct {
 	Seq              uint32
 	EndTime          sim.Time
@@ -139,10 +138,6 @@ type Network struct {
 	Records []Record
 	RecBase uint32
 	Stream  metrics.StreamState
-
-	SetPool   int64
-	FramePool int64
-	HelloPool int64
 
 	Originations []Origination
 }
