@@ -17,7 +17,8 @@ import (
 // TestHostFootprint pins what one host costs. Its per-host records hold
 // only what differs between hosts (the world's constants sit in one
 // shared block per layer, the callback adapters are views of their
-// owner), a HELLO-off world builds no neighbor tables, and a warm arena
+// owner, open decisions' records come from one network pool), a
+// HELLO-off world builds no neighbor tables, and a warm arena
 // world takes every population-sized array over from the world before.
 // The byte figures are heap bytes allocated by New (and, warm, by the
 // first snapshot rebuild), divided by the population, on 64-bit
@@ -32,7 +33,7 @@ func TestHostFootprint(t *testing.T) {
 	}{
 		{"mac.MAC", unsafe.Sizeof(mac.MAC{}), 320},
 		{"mobility.Roamer", unsafe.Sizeof(mobility.Roamer{}), 144},
-		{"host", unsafe.Sizeof(host{}), 176},
+		{"host", unsafe.Sizeof(host{}), 144},
 	} {
 		if rec.size > rec.limit {
 			t.Errorf("Sizeof(%s) = %d B, budget %d B", rec.name, rec.size, rec.limit)

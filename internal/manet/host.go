@@ -35,10 +35,8 @@ type host struct {
 	// unordered slice with each record carrying its own index (live) for
 	// O(1) swap-remove — the open set per host is a handful of entries,
 	// so lookup is a short linear scan and a map's hashing and bucket
-	// storage would be pure overhead. prFree recycles resolved records so
-	// a storm allocates no waiting state once warm.
+	// storage would be pure overhead.
 	livePending []*pendingRebroadcast
-	prFree      []*pendingRebroadcast
 
 	// helloTimer is the armed next-HELLO event, nil once beaconing stops;
 	// the host fires it, and observes its beacons, through its helloTx
@@ -59,9 +57,10 @@ type host struct {
 // pendingRebroadcast is the paper's per-packet waiting state: created at
 // first reception (S1), it survives the random assessment delay (S2) and
 // the MAC queueing, and is resolved either by the transmission starting
-// (S3) or by the scheme inhibiting it (S5). The three callbacks are
-// bound once per record and read its mutable fields, so records cycling
-// through the pool never allocate closures.
+// (S3) or by the scheme inhibiting it (S5). The three callbacks are the
+// record's own methods and read its mutable fields, so records cycling
+// through the network's pool never allocate closures. The judge sits in
+// the record by value: a first reception allocates none.
 type pendingRebroadcast struct {
 	h        *host
 	bid      packet.BroadcastID
@@ -90,38 +89,38 @@ func (p *pendingRebroadcast) TxStarted() {
 // TxDone implements mac.TxObserver: the transmission ended.
 func (p *pendingRebroadcast) TxDone() { p.h.complete(p) }
 
-// newPendingRebroadcast takes a waiting-state record off the free list
-// (or allocates one, binding its callbacks).
+// newPendingRebroadcast takes a waiting-state record off the network's
+// pool (or allocates one). Lane routing as in Network.acquireSet.
 func (h *host) newPendingRebroadcast(bid packet.BroadcastID, judge scheme.Judge, payload any) *pendingRebroadcast {
-	var p *pendingRebroadcast
-	if l := len(h.prFree); l > 0 {
-		p = h.prFree[l-1]
-		h.prFree[l-1] = nil
-		h.prFree = h.prFree[:l-1]
-		p.bid, p.judge, p.payload = bid, judge, payload
-		p.started, p.resolved = false, false
-	} else {
-		p = &pendingRebroadcast{h: h, bid: bid, judge: judge, payload: payload}
+	pool := &h.net.prPool
+	if h.net.specOpen && h.lane >= 0 {
+		pool = &h.net.specPRs[h.lane]
 	}
+	p, ok := pop(pool)
+	if !ok {
+		p = new(pendingRebroadcast)
+	}
+	*p = pendingRebroadcast{h: h, bid: bid, judge: judge, payload: payload}
 	if h.net.audit != nil {
 		h.net.audit.AuditAcquire(h.net.sched.Now(), "manet.pending", p)
 	}
 	return p
 }
 
-// recyclePendingRebroadcast returns a resolved record to the free list.
-// Nothing may hold the record afterwards: its event was cancelled or
-// fired, and the MAC has dropped (or is about to drop) its callbacks.
+// recyclePendingRebroadcast returns a resolved record to the pool,
+// cleared so the pool holds no judge, event, frame or payload. Nothing
+// may hold the record afterwards: its event was cancelled or fired, and
+// the MAC has dropped (or is about to drop) its callbacks.
 func (h *host) recyclePendingRebroadcast(p *pendingRebroadcast) {
 	if h.net.audit != nil {
 		h.net.audit.AuditRelease(h.net.sched.Now(), "manet.pending", p)
 	}
-	p.judge = nil
-	p.assess = nil
-	p.mp = nil
-	p.frame = nil
-	p.payload = nil
-	h.prFree = append(h.prFree, p)
+	*p = pendingRebroadcast{}
+	if h.net.specOpen && h.lane >= 0 {
+		h.net.specPRs[h.lane] = append(h.net.specPRs[h.lane], p)
+		return
+	}
+	h.net.prPool = append(h.net.prPool, p)
 }
 
 // trackPending registers an open rebroadcast decision.

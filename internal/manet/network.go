@@ -89,13 +89,16 @@ type Network struct {
 	// not allocate per call.
 	nbrScratch []int
 
-	// Object pools (single-threaded, so plain slices): scratch bitsets
-	// for the neighbor-coverage judges, coverage states for the location
-	// judges (derived state, so not checkpointed), broadcast frames for the
-	// rebroadcast path, and HELLO beacons (a beacon carries its sender's
-	// immutable announced set, which receiver tables keep without the
-	// frame, so a beacon can be recycled the moment its transmission
-	// completes).
+	// Object pools (single-threaded, so plain slices): open rebroadcast
+	// decisions, scratch bitsets for the neighbor-coverage judges,
+	// coverage states for the location judges (derived state, so not
+	// checkpointed), broadcast frames for the rebroadcast path, and HELLO
+	// beacons (a beacon carries its sender's immutable announced set,
+	// which receiver tables keep without the frame, so a beacon can be
+	// recycled the moment its transmission completes). Decisions pend at
+	// a handful of hosts at once, so one network pool holds far fewer
+	// records than one free list per host would.
+	prPool    []*pendingRebroadcast
 	setPool   []*nodeset.Set
 	covPool   []*geom.Coverage
 	framePool []*packet.Frame
@@ -135,6 +138,7 @@ type Network struct {
 	specSkip     int
 	specJournals []recJournal
 	specFrames   [][]*packet.Frame
+	specPRs      [][]*pendingRebroadcast
 	specSets     [][]*nodeset.Set
 	specCovs     [][]*geom.Coverage
 	specExtract  [][]*sim.Event

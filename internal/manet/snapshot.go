@@ -256,11 +256,7 @@ func (n *Network) snapshotInto(ck *snapshot.Checkpoint) error {
 			armed += h.table.PendingEvents()
 		}
 		for _, p := range h.livePending {
-			js, err := scheme.SnapshotJudge(p.judge)
-			if err != nil {
-				return err
-			}
-			pd := snapshot.PendingDecision{Bid: p.bid, Judge: js, Started: p.started}
+			pd := snapshot.PendingDecision{Bid: p.bid, Judge: scheme.SnapshotJudge(&p.judge), Started: p.started}
 			if p.assess != nil {
 				pd.HasAssess = true
 				pd.AssessAt = p.assess.At()
@@ -557,6 +553,14 @@ func (n *Network) restore(ck *snapshot.Checkpoint) error {
 		// observer resolver finds them through lookupPending, and the
 		// bound callback re-links each decision's MAC handle.
 		for _, pd := range hs.Pending {
+			if pd.Judge.Kind == scheme.JudgeCoverage && h.table == nil {
+				return fmt.Errorf("manet: restore %v: neighbor-coverage judge in a HELLO-off world", h.id)
+			}
+			for _, id := range pd.Judge.Pending {
+				if id < 0 || int(id) >= len(n.hosts) {
+					return fmt.Errorf("manet: restore %v: judge pending id %d outside the population of %d", h.id, id, len(n.hosts))
+				}
+			}
 			judge, err := scheme.RestoreJudge(pd.Judge, h)
 			if err != nil {
 				return fmt.Errorf("manet: restore %v: %w", h.id, err)

@@ -496,6 +496,102 @@ func TestRestoreHelloStateIntoHelloOff(t *testing.T) {
 	}
 }
 
+// pendingCheckpoint runs cfg, checkpointing every 50 ms, and returns the
+// first document that holds an open rebroadcast decision.
+func pendingCheckpoint(t *testing.T, cfg Config) []byte {
+	t.Helper()
+	n := mustNew(t, cfg)
+	defer n.Close()
+	var doc []byte
+	n.CheckpointEvery = 50 * sim.Millisecond
+	n.CheckpointHook = func(sim.Time) error {
+		if doc != nil {
+			return nil
+		}
+		var buf bytes.Buffer
+		if err := n.Checkpoint(&buf); err != nil {
+			return err
+		}
+		for _, h := range n.hosts {
+			if h.pendingCount() > 0 {
+				doc = buf.Bytes()
+				break
+			}
+		}
+		return nil
+	}
+	if _, err := n.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if doc == nil {
+		t.Fatal("no checkpoint holds an open decision")
+	}
+	return doc
+}
+
+// firstJudge returns the judge of the document's first open decision.
+func firstJudge(ck *snapshot.Checkpoint) *scheme.JudgeState {
+	for i := range ck.Hosts {
+		if p := ck.Hosts[i].Pending; len(p) > 0 {
+			return &p[0].Judge
+		}
+	}
+	panic("no open decision in the document")
+}
+
+// TestRestoreRejectsForgedJudge forges the first open decision's judge.
+// Restore has to refuse each forgery within the allocation bound of
+// TestRestoreForgedCountersAllocateNothing: a pending id of 2³⁰ once
+// grew the pending set to 128 MB and restored, id −5 set another host's
+// bit, and a coverage judge in a HELLO-off world restored and panicked
+// the resumed run at its first duplicate.
+func TestRestoreRejectsForgedJudge(t *testing.T) {
+	nc := resumeBase(scheme.NeighborCoverage{}, 2)
+	nc.Requests = 40
+	counter := resumeBase(scheme.Counter{C: 3}, 2)
+	counter.Requests = 40
+	al := resumeBase(scheme.AdaptiveLocation{}, 2)
+	al.Requests = 40
+	docs := map[string][]byte{}
+	for name, cfg := range map[string]Config{"nc": nc, "counter": counter, "al": al} {
+		docs[name] = pendingCheckpoint(t, cfg)
+	}
+	for _, tc := range []struct {
+		name, world string
+		cfg         Config
+		forge       func(*scheme.JudgeState)
+		want        string // "" for a document restore accepts
+	}{
+		{"unforged NC", "nc", nc, func(*scheme.JudgeState) {}, ""},
+		{"unforged counter", "counter", counter, func(*scheme.JudgeState) {}, ""},
+		{"unforged AL", "al", al, func(*scheme.JudgeState) {}, ""},
+		{"pending id 2^30", "nc", nc, func(st *scheme.JudgeState) { st.Pending = append(st.Pending, 1<<30) }, "outside the population"},
+		{"pending id -5", "nc", nc, func(st *scheme.JudgeState) { st.Pending = append([]packet.NodeID{-5}, st.Pending...) }, "outside the population"},
+		{"coverage judge without HELLO", "counter", counter, func(st *scheme.JudgeState) {
+			*st = scheme.JudgeState{Kind: scheme.JudgeCoverage, Pending: []packet.NodeID{1, 2}}
+		}, "HELLO-off"},
+		{"own position NaN", "al", al, func(st *scheme.JudgeState) { st.Own.X = math.NaN() }, "non-finite"},
+		{"coverage threshold +Inf", "al", al, func(st *scheme.JudgeState) { st.AThreshold = math.Inf(1) }, "non-finite"},
+		{"sender -Inf", "al", al, func(st *scheme.JudgeState) { st.Senders[0].Y = math.Inf(-1) }, "non-finite"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := restoreForged(t, tc.cfg, docs[tc.world], func(ck *snapshot.Checkpoint) { tc.forge(firstJudge(ck)) })
+			runtime.ReadMemStats(&after)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("restore refused an unforged document: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("restore returned %v, want an error naming %q", err, tc.want)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+				t.Errorf("restore allocated %d MB", alloc>>20)
+			}
+		})
+	}
+}
+
 // TestCheckpointDigestPinned pins the full v2 digest of one fixed
 // config. RestoreNetwork refuses on any
 // difference, so a change to the format string — a dropped slot, a

@@ -134,6 +134,7 @@ func (n *Network) assignSpecLanes() {
 	if n.specJournals == nil {
 		n.specJournals = make([]recJournal, n.shards)
 		n.specFrames = make([][]*packet.Frame, n.shards)
+		n.specPRs = make([][]*pendingRebroadcast, n.shards)
 		n.specSets = make([][]*nodeset.Set, n.shards)
 		n.specCovs = make([][]*geom.Coverage, n.shards)
 		n.specExtract = make([][]*sim.Event, n.shards)
@@ -356,6 +357,7 @@ func (n *Network) rollbackSpec(ck *snapshot.Checkpoint) {
 	for s := range n.specJournals {
 		n.specJournals[s].ops = n.specJournals[s].ops[:0]
 		drainLane(&n.specFrames[s], nil)
+		drainLane(&n.specPRs[s], nil)
 		drainLane(&n.specSets[s], nil)
 		drainLane(&n.specCovs[s], nil)
 	}
@@ -376,7 +378,7 @@ func (n *Network) adoptRestored(n2 *Network) {
 	old := n.pool
 	pstats := n.pstats
 	drainDurs, labels := n.drainDurs, n.shardLabels
-	journals, frames, sets, covs, extract := n.specJournals, n.specFrames, n.specSets, n.specCovs, n.specExtract
+	journals, frames, prs, sets, covs, extract := n.specJournals, n.specFrames, n.specPRs, n.specSets, n.specCovs, n.specExtract
 	mergeIdx := n.specMergeIdx
 	fails, skip := n.specFails, n.specSkip
 	ckEvery, ckHook := n.CheckpointEvery, n.CheckpointHook
@@ -393,7 +395,7 @@ func (n *Network) adoptRestored(n2 *Network) {
 	n.ckDoc, n.ckBuf, n.digestCache = ckDoc, ckBuf, digest
 	n.pstats = pstats
 	n.drainDurs, n.shardLabels = drainDurs, labels
-	n.specJournals, n.specFrames, n.specSets, n.specCovs, n.specExtract = journals, frames, sets, covs, extract
+	n.specJournals, n.specFrames, n.specPRs, n.specSets, n.specCovs, n.specExtract = journals, frames, prs, sets, covs, extract
 	n.specMergeIdx = mergeIdx
 	n.specFails, n.specSkip = fails, skip
 	n.specAssigned = true
@@ -477,14 +479,15 @@ func (n *Network) applyRecOp(op recOp) {
 	}
 }
 
-// mergeSpecPools folds the lanes' frame and bitset pools back into the
-// shared pools at commit, in band order. Lane pools start each window
-// empty and allocate on miss, so merged pool depths may exceed the
-// sequential oracle's — pools are unobservable caches, and their
-// objects are fully overwritten on reuse.
+// mergeSpecPools folds the lanes' frame, record, bitset and coverage
+// pools back into the shared pools at commit, in band order. Lane pools
+// start each window empty and allocate on miss, so merged pool depths
+// may exceed the sequential oracle's — pools are unobservable caches,
+// and their objects are fully overwritten on reuse.
 func (n *Network) mergeSpecPools() {
 	for s := range n.specFrames {
 		drainLane(&n.specFrames[s], &n.framePool)
+		drainLane(&n.specPRs[s], &n.prPool)
 		drainLane(&n.specSets[s], &n.setPool)
 		drainLane(&n.specCovs[s], &n.covPool)
 	}

@@ -3,8 +3,6 @@ package scheme
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/nodeset"
 )
 
 // EAC2Fraction is EAC(2)/(pi r^2) ~= 0.187: the expected additional
@@ -113,8 +111,6 @@ type AdaptiveCounter struct {
 	Label string
 }
 
-var _ Scheme = AdaptiveCounter{}
-
 // Name implements Scheme.
 func (s AdaptiveCounter) Name() string {
 	if s.Label != "" {
@@ -135,7 +131,7 @@ func (s AdaptiveCounter) NewJudge(host HostView, first Reception) Judge {
 	if fn == nil {
 		fn = defaultCounterFunc
 	}
-	return &counterJudge{c: 1, threshold: fn(host.NeighborCount())}
+	return Judge{kind: JudgeCounter, c: 1, threshold: fn(host.NeighborCount())}
 }
 
 // --- Adaptive location-based ---
@@ -148,8 +144,6 @@ type AdaptiveLocation struct {
 	// Label overrides the scheme name in tables; empty uses "AL".
 	Label string
 }
-
-var _ Scheme = AdaptiveLocation{}
 
 // Name implements Scheme.
 func (s AdaptiveLocation) Name() string {
@@ -171,7 +165,7 @@ func (s AdaptiveLocation) NewJudge(host HostView, first Reception) Judge {
 	if fn == nil {
 		fn = defaultLocationFunc
 	}
-	return newLocationJudge(host, host.Position(), host.Radius(), fn(host.NeighborCount()), first.SenderPos)
+	return newLocationJudge(host, fn(host.NeighborCount()), first.SenderPos)
 }
 
 // --- Neighbor coverage ---
@@ -186,8 +180,6 @@ type NeighborCoverage struct {
 	// Label overrides the scheme name in tables; empty uses "NC".
 	Label string
 }
-
-var _ Scheme = NeighborCoverage{}
 
 // Name implements Scheme.
 func (s NeighborCoverage) Name() string {
@@ -207,49 +199,8 @@ func (NeighborCoverage) NeedsPosition() bool { return false }
 // borrowed from the host's pool, so the coverage subtraction is word
 // operations instead of map churn.
 func (NeighborCoverage) NewJudge(host HostView, first Reception) Judge {
-	j := &coverageJudge{host: host, pending: host.AcquireNodeSet()}
+	j := Judge{kind: JudgeCoverage, host: host, pending: host.AcquireNodeSet()}
 	j.pending.CopyFrom(host.NeighborNodeSet())
 	j.subtract(first)
 	return j
-}
-
-// coverageJudge holds the pending set T in a nodeset.Set borrowed from
-// the host and returned on Release.
-type coverageJudge struct {
-	host    HostView
-	pending *nodeset.Set
-}
-
-var _ ReleasableJudge = (*coverageJudge)(nil)
-
-// subtract removes the sender and everyone the host believes the sender
-// covers from the pending set.
-func (j *coverageJudge) subtract(r Reception) {
-	j.pending.Remove(r.From)
-	for _, n := range j.host.TwoHop(r.From) {
-		j.pending.Remove(n)
-	}
-}
-
-func (j *coverageJudge) Initial() Action {
-	if j.pending.Count() == 0 {
-		return Inhibit
-	}
-	return Proceed
-}
-
-func (j *coverageJudge) OnDuplicate(r Reception) Action {
-	j.subtract(r)
-	if j.pending.Count() == 0 {
-		return Inhibit
-	}
-	return Proceed
-}
-
-// Release implements ReleasableJudge.
-func (j *coverageJudge) Release() {
-	if j.pending != nil {
-		j.host.ReleaseNodeSet(j.pending)
-		j.pending = nil
-	}
 }

@@ -30,8 +30,6 @@ type Cluster struct {
 	Label string
 }
 
-var _ Scheme = Cluster{}
-
 // Name implements Scheme.
 func (s Cluster) Name() string {
 	if s.Label != "" {
@@ -49,14 +47,6 @@ func (Cluster) NeedsHello() bool { return true }
 // NeedsPosition implements Scheme.
 func (s Cluster) NeedsPosition() bool {
 	return s.Inner != nil && s.Inner.NeedsPosition()
-}
-
-// inner returns the effective inner scheme.
-func (s Cluster) inner() Scheme {
-	if s.Inner != nil {
-		return s.Inner
-	}
-	return Flooding{}
 }
 
 // headOf computes the cluster head of a host given its neighbor set.
@@ -115,14 +105,11 @@ func ClusterRole(host HostView) Role {
 
 // NewJudge implements Scheme.
 func (s Cluster) NewJudge(host HostView, first Reception) Judge {
-	if ClusterRole(host) == Member {
-		return inhibitJudge{}
+	switch {
+	case ClusterRole(host) == Member:
+		return Judge{kind: judgeMember}
+	case s.Inner == nil:
+		return Judge{kind: JudgeFlooding}
 	}
-	return s.inner().NewJudge(host, first)
+	return s.Inner.NewJudge(host, first)
 }
-
-// inhibitJudge refuses to rebroadcast under all circumstances.
-type inhibitJudge struct{}
-
-func (inhibitJudge) Initial() Action              { return Inhibit }
-func (inhibitJudge) OnDuplicate(Reception) Action { return Inhibit }

@@ -1,18 +1,12 @@
 package scheme
 
-import (
-	"fmt"
-
-	"repro/internal/geom"
-)
+import "fmt"
 
 // --- Flooding ---
 
 // Flooding is the baseline: every host rebroadcasts every packet exactly
 // once, regardless of what it hears.
 type Flooding struct{}
-
-var _ Scheme = Flooding{}
 
 // Name implements Scheme.
 func (Flooding) Name() string { return "flooding" }
@@ -24,12 +18,7 @@ func (Flooding) NeedsHello() bool { return false }
 func (Flooding) NeedsPosition() bool { return false }
 
 // NewJudge implements Scheme.
-func (Flooding) NewJudge(HostView, Reception) Judge { return floodingJudge{} }
-
-type floodingJudge struct{}
-
-func (floodingJudge) Initial() Action              { return Proceed }
-func (floodingJudge) OnDuplicate(Reception) Action { return Proceed }
+func (Flooding) NewJudge(HostView, Reception) Judge { return Judge{kind: JudgeFlooding} }
 
 // --- Counter-based ---
 
@@ -39,8 +28,6 @@ func (floodingJudge) OnDuplicate(Reception) Action { return Proceed }
 type Counter struct {
 	C int
 }
-
-var _ Scheme = Counter{}
 
 // Name implements Scheme.
 func (s Counter) Name() string { return fmt.Sprintf("C=%d", s.C) }
@@ -53,27 +40,7 @@ func (Counter) NeedsPosition() bool { return false }
 
 // NewJudge implements Scheme.
 func (s Counter) NewJudge(HostView, Reception) Judge {
-	return &counterJudge{c: 1, threshold: s.C}
-}
-
-type counterJudge struct {
-	c         int
-	threshold int
-}
-
-func (j *counterJudge) Initial() Action {
-	if j.c >= j.threshold {
-		return Inhibit
-	}
-	return Proceed
-}
-
-func (j *counterJudge) OnDuplicate(Reception) Action {
-	j.c++
-	if j.c >= j.threshold {
-		return Inhibit
-	}
-	return Proceed
+	return Judge{kind: JudgeCounter, c: 1, threshold: s.C}
 }
 
 // --- Distance-based ---
@@ -89,8 +56,6 @@ type Distance struct {
 	D float64
 }
 
-var _ Scheme = Distance{}
-
 // Name implements Scheme.
 func (s Distance) Name() string { return fmt.Sprintf("D=%.0f", s.D) }
 
@@ -102,34 +67,8 @@ func (Distance) NeedsPosition() bool { return true }
 
 // NewJudge implements Scheme.
 func (s Distance) NewJudge(host HostView, first Reception) Judge {
-	return &distanceJudge{
-		own:       host.Position(),
-		threshold: s.D,
-		minDist:   host.Position().Dist(first.SenderPos),
-	}
-}
-
-type distanceJudge struct {
-	own       geom.Point
-	threshold float64
-	minDist   float64
-}
-
-func (j *distanceJudge) Initial() Action {
-	if j.minDist < j.threshold {
-		return Inhibit
-	}
-	return Proceed
-}
-
-func (j *distanceJudge) OnDuplicate(r Reception) Action {
-	if d := j.own.Dist(r.SenderPos); d < j.minDist {
-		j.minDist = d
-	}
-	if j.minDist < j.threshold {
-		return Inhibit
-	}
-	return Proceed
+	own := host.Position()
+	return Judge{kind: JudgeDistance, own: own, dThreshold: s.D, minDist: own.Dist(first.SenderPos)}
 }
 
 // --- Location-based ---
@@ -142,8 +81,6 @@ type Location struct {
 	A float64
 }
 
-var _ Scheme = Location{}
-
 // Name implements Scheme.
 func (s Location) Name() string { return fmt.Sprintf("A=%.4f", s.A) }
 
@@ -155,81 +92,7 @@ func (Location) NeedsPosition() bool { return true }
 
 // NewJudge implements Scheme.
 func (s Location) NewJudge(host HostView, first Reception) Judge {
-	return newLocationJudge(host, host.Position(), host.Radius(), s.A, first.SenderPos)
-}
-
-// locationJudge decides on the uncovered fraction of the host's disk. From
-// the second sender on it keeps that estimate in a geom.Coverage borrowed
-// from the host (when the host pools them) and folds in only the senders
-// heard since the last estimate. The state is derived from the senders,
-// so a checkpoint holds only the senders and a restored judge rebuilds it.
-type locationJudge struct {
-	own       geom.Point
-	radius    float64
-	threshold float64
-	senders   []geom.Point
-	// first backs senders until a fifth one arrives, so that the judge is
-	// one allocation for the four in five judgements that hear no more.
-	first [4]geom.Point
-	// pool serves cov; nil when the host pools no coverage state.
-	pool CoverageSource
-	cov  *geom.Coverage
-	// done counts the senders already folded into cov.
-	done int
-}
-
-var _ ReleasableJudge = (*locationJudge)(nil)
-
-// newLocationJudge returns a judge at host that has heard the packet from
-// the given senders, in order.
-func newLocationJudge(host HostView, own geom.Point, radius, threshold float64, senders ...geom.Point) *locationJudge {
-	j := &locationJudge{own: own, radius: radius, threshold: threshold}
-	j.pool, _ = host.(CoverageSource)
-	j.senders = append(j.first[:0], senders...)
-	return j
-}
-
-// coverage returns the uncovered fraction of the host's disk given the
-// senders heard so far. The single-sender case uses the closed form; the
-// general case uses grid estimation.
-func (j *locationJudge) coverage() float64 {
-	if len(j.senders) == 1 {
-		return geom.AdditionalCoverageFraction(j.own.Dist(j.senders[0]), j.radius)
-	}
-	if j.cov == nil {
-		if j.pool != nil {
-			j.cov = j.pool.AcquireCoverage()
-		} else {
-			j.cov = new(geom.Coverage)
-		}
-		j.cov.Reset(j.own, j.radius, CoverageResolution)
-	}
-	j.cov.Add(j.senders[j.done:]...)
-	j.done = len(j.senders)
-	return j.cov.Fraction()
-}
-
-func (j *locationJudge) Initial() Action {
-	if j.coverage() < j.threshold {
-		return Inhibit
-	}
-	return Proceed
-}
-
-func (j *locationJudge) OnDuplicate(r Reception) Action {
-	j.senders = append(j.senders, r.SenderPos)
-	if j.coverage() < j.threshold {
-		return Inhibit
-	}
-	return Proceed
-}
-
-// Release implements ReleasableJudge.
-func (j *locationJudge) Release() {
-	if j.cov != nil && j.pool != nil {
-		j.pool.ReleaseCoverage(j.cov)
-	}
-	j.cov = nil
+	return newLocationJudge(host, s.A, first.SenderPos)
 }
 
 // --- Probabilistic ---
@@ -240,8 +103,6 @@ func (j *locationJudge) Release() {
 type Probabilistic struct {
 	P float64
 }
-
-var _ Scheme = Probabilistic{}
 
 // Name implements Scheme.
 func (s Probabilistic) Name() string { return fmt.Sprintf("P=%.2f", s.P) }
@@ -254,18 +115,5 @@ func (Probabilistic) NeedsPosition() bool { return false }
 
 // NewJudge implements Scheme.
 func (s Probabilistic) NewJudge(_ HostView, first Reception) Judge {
-	return probabilisticJudge{rebroadcast: first.U < s.P}
+	return Judge{kind: JudgeProbabilistic, rebroadcast: first.U < s.P}
 }
-
-type probabilisticJudge struct {
-	rebroadcast bool
-}
-
-func (j probabilisticJudge) Initial() Action {
-	if j.rebroadcast {
-		return Proceed
-	}
-	return Inhibit
-}
-
-func (probabilisticJudge) OnDuplicate(Reception) Action { return Proceed }

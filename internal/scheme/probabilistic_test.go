@@ -10,12 +10,15 @@ func rxU(u float64) Reception {
 	return Reception{From: 1, SenderPos: geom.Point{X: 100}, U: u}
 }
 
+// initial returns a fresh judge's first verdict.
+func initial(j Judge) Action { return j.Initial() }
+
 func TestProbabilisticUsesVariate(t *testing.T) {
 	s := Probabilistic{P: 0.5}
-	if s.NewJudge(host(), rxU(0.49)).Initial() != Proceed {
+	if initial(s.NewJudge(host(), rxU(0.49))) != Proceed {
 		t.Error("U below P should proceed")
 	}
-	if s.NewJudge(host(), rxU(0.51)).Initial() != Inhibit {
+	if initial(s.NewJudge(host(), rxU(0.51))) != Inhibit {
 		t.Error("U above P should inhibit")
 	}
 }
@@ -23,13 +26,13 @@ func TestProbabilisticUsesVariate(t *testing.T) {
 func TestProbabilisticExtremes(t *testing.T) {
 	// P=1 behaves like flooding for any variate in [0,1).
 	for _, u := range []float64{0, 0.5, 0.999999} {
-		if (Probabilistic{P: 1}).NewJudge(host(), rxU(u)).Initial() != Proceed {
+		if initial(Probabilistic{P: 1}.NewJudge(host(), rxU(u))) != Proceed {
 			t.Errorf("P=1 inhibited at U=%v", u)
 		}
 	}
 	// P=0 never rebroadcasts.
 	for _, u := range []float64{0, 0.5, 0.999999} {
-		if (Probabilistic{P: 0}).NewJudge(host(), rxU(u)).Initial() != Inhibit {
+		if initial(Probabilistic{P: 0}.NewJudge(host(), rxU(u))) != Inhibit {
 			t.Errorf("P=0 proceeded at U=%v", u)
 		}
 	}

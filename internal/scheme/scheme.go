@@ -24,6 +24,11 @@
 // every duplicate reception heard while the rebroadcast is still pending;
 // the Judge answers whether to keep going or to cancel. Once the frame is
 // on the air no further decisions apply (the paper's step S3).
+//
+// A Judge is one struct for every scheme, holding the paper's per-packet
+// state (a counter, the sender positions, or the set T of uncovered
+// neighbors) by value; SnapshotJudge and RestoreJudge copy its fields to
+// and from a checkpoint's JudgeState.
 package scheme
 
 import (
@@ -103,23 +108,6 @@ type CoverageSource interface {
 	ReleaseCoverage(*geom.Coverage)
 }
 
-// ReleasableJudge is implemented by judges that hold pooled resources.
-// The host layer must call Release exactly once when the packet's
-// decision is closed (inhibited, transmitted, or dropped on the initial
-// verdict); the judge must not be used afterwards.
-type ReleasableJudge interface {
-	Judge
-	Release()
-}
-
-// ReleaseJudge returns j's pooled resources if it holds any. It is the
-// host layer's single call point and tolerates judges without resources.
-func ReleaseJudge(j Judge) {
-	if r, ok := j.(ReleasableJudge); ok {
-		r.Release()
-	}
-}
-
 // Reception describes hearing one copy of the broadcast packet.
 type Reception struct {
 	From packet.NodeID
@@ -131,18 +119,6 @@ type Reception struct {
 	// consume it; deterministic schemes ignore it. Keeping the draw in
 	// the host layer preserves scheme purity and run reproducibility.
 	U float64
-}
-
-// Judge is the per-packet decision state machine.
-type Judge interface {
-	// Initial returns the verdict upon the first reception (the paper's
-	// step S1): Proceed to schedule a rebroadcast, or Inhibit to drop
-	// immediately.
-	Initial() Action
-	// OnDuplicate processes hearing the same packet again while the
-	// rebroadcast is pending (step S4): Proceed to resume waiting, or
-	// Inhibit to cancel (step S5).
-	OnDuplicate(r Reception) Action
 }
 
 // Scheme builds Judges. Implementations must be stateless across packets

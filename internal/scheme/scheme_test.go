@@ -211,8 +211,8 @@ func TestLocationZeroThresholdNeverInhibits(t *testing.T) {
 }
 
 // TestLocationJudgeAllocations holds a location judgement that hears up
-// to four senders to one heap object, the judge itself: the default A(n)
-// is a package value, not a closure built per packet, the first four
+// to four senders to no heap object: the judge is a value, the default
+// A(n) is a package value, not a closure built per packet, the first four
 // sender positions live inside the judge, and the coverage state comes
 // from the host's pool and goes back to it on release.
 func TestLocationJudgeAllocations(t *testing.T) {
@@ -223,14 +223,15 @@ func TestLocationJudgeAllocations(t *testing.T) {
 		var sink Action
 		allocs := testing.AllocsPerRun(200, func() {
 			j := s.NewJudge(h, first)
+			sink = j.Initial()
 			for _, d := range dups {
 				sink = j.OnDuplicate(d)
 			}
 			ReleaseJudge(j)
 		})
 		_ = sink
-		if allocs != 1 {
-			t.Errorf("%s: NewJudge + 3 OnDuplicate + ReleaseJudge = %v allocations, want 1", s.Name(), allocs)
+		if allocs != 0 {
+			t.Errorf("%s: NewJudge + Initial + 3 OnDuplicate + ReleaseJudge = %v allocations, want 0", s.Name(), allocs)
 		}
 	}
 	if len(h.covFree) != 1 {
@@ -262,17 +263,20 @@ func TestLocationJudgeLifecycle(t *testing.T) {
 		}
 		thresholds = append(thresholds, f, math.Nextafter(f, 2))
 	}
-	run := func(h *fakeHost, th float64, from []Reception, j Judge) []Action {
+	// run feeds from to j, or to a fresh judge built on from[0] when j
+	// is nil.
+	run := func(h *fakeHost, th float64, from []Reception, j *Judge) []Action {
 		var out []Action
 		if j == nil {
-			j = Location{A: th}.NewJudge(h, from[0])
+			fresh := Location{A: th}.NewJudge(h, from[0])
+			j = &fresh
 			out = append(out, j.Initial())
 			from = from[1:]
 		}
 		for _, r := range from {
 			out = append(out, j.OnDuplicate(r))
 		}
-		ReleaseJudge(j)
+		ReleaseJudge(*j)
 		return out
 	}
 	for i, th := range thresholds {
@@ -290,16 +294,13 @@ func TestLocationJudgeLifecycle(t *testing.T) {
 			for _, r := range rxs[1:m] {
 				got = append(got, j.OnDuplicate(r))
 			}
-			st, err := SnapshotJudge(j)
-			if err != nil {
-				t.Fatal(err)
-			}
+			st := SnapshotJudge(&j)
 			ReleaseJudge(j)
 			restored, err := RestoreJudge(st, h)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, run(h, th, rxs[m:], restored)...)
+			got = append(got, run(h, th, rxs[m:], &restored)...)
 			if !slices.Equal(got, want) {
 				t.Fatalf("A=%v restored after %d senders: %v, uninterrupted %v", th, m, got, want)
 			}
@@ -327,8 +328,10 @@ func TestLocationJudgeLifecycle(t *testing.T) {
 
 // TestLocationJudgeOutgrowsInlineSenders hears more senders than the
 // judge stores inline and checks none is lost: the checkpointed state
-// lists all of them in order, and a judge restored from it decides the
-// next duplicate as the original does.
+// lists all of them in order, a copy of the judge decides as the
+// original does once the original's storage is overwritten, and a judge
+// restored from the state decides the next duplicate as the original
+// does.
 func TestLocationJudgeOutgrowsInlineSenders(t *testing.T) {
 	h := host()
 	j := Location{A: 0.01}.NewJudge(h, rx(1, geom.Point{X: 480}))
@@ -338,10 +341,7 @@ func TestLocationJudgeOutgrowsInlineSenders(t *testing.T) {
 		j.OnDuplicate(rx(packet.NodeID(i+2), p))
 		want = append(want, p)
 	}
-	st, err := SnapshotJudge(j)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := SnapshotJudge(&j)
 	if !slices.Equal(st.Senders, want) {
 		t.Fatalf("checkpointed senders %v, want %v", st.Senders, want)
 	}
@@ -349,11 +349,16 @@ func TestLocationJudgeOutgrowsInlineSenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	moved := j
+	j = Location{A: 0.01}.NewJudge(h, rx(1, geom.Point{X: 1}))
+	if got := SnapshotJudge(&moved).Senders; !slices.Equal(got, want) {
+		t.Fatalf("a copied judge holds senders %v once the original is overwritten, want %v", got, want)
+	}
 	next := rx(9, geom.Point{X: -100, Y: 300})
-	if got, want := restored.OnDuplicate(next), j.OnDuplicate(next); got != want {
+	if got, want := restored.OnDuplicate(next), moved.OnDuplicate(next); got != want {
 		t.Errorf("restored judge decided %v, original %v", got, want)
 	}
-	if a, _ := SnapshotJudge(restored); !slices.Equal(a.Senders, append(want, next.SenderPos)) {
+	if a := SnapshotJudge(&restored); !slices.Equal(a.Senders, append(want, next.SenderPos)) {
 		t.Errorf("restored judge holds senders %v", a.Senders)
 	}
 }
@@ -605,7 +610,7 @@ func TestNeighborCoverageNoNeighbors(t *testing.T) {
 func TestNeighborCoverageDuplicatesShrinkMonotonically(t *testing.T) {
 	h := host(1, 2, 3, 4, 5, 6)
 	nc := NeighborCoverage{}
-	j := nc.NewJudge(h, rx(1, geom.Point{})).(*coverageJudge)
+	j := nc.NewJudge(h, rx(1, geom.Point{}))
 	sizes := []int{j.pending.Count()}
 	for _, from := range []packet.NodeID{2, 3, 4} {
 		j.OnDuplicate(rx(from, geom.Point{}))

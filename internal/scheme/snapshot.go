@@ -2,29 +2,14 @@ package scheme
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 	"repro/internal/packet"
 )
 
-// JudgeKind discriminates the per-packet decision state machines in a
-// checkpoint. The adaptive schemes reuse the fixed schemes' judges (only
-// the threshold computation differs, and it is resolved at NewJudge
-// time), so one kind covers both.
-type JudgeKind uint8
-
-// Judge kinds.
-const (
-	JudgeFlooding JudgeKind = iota
-	JudgeCounter
-	JudgeDistance
-	JudgeLocation
-	JudgeProbabilistic
-	JudgeCoverage
-)
-
 // JudgeState is a Judge's checkpointed decision state. Only the fields
-// of the discriminated kind are meaningful.
+// of its kind are meaningful.
 type JudgeState struct {
 	Kind JudgeKind
 
@@ -51,58 +36,56 @@ type JudgeState struct {
 	Pending []packet.NodeID
 }
 
-// SnapshotJudge captures a judge's decision state. It covers every judge
-// the package's schemes build; an unknown judge implementation aborts
-// the checkpoint.
-func SnapshotJudge(j Judge) (JudgeState, error) {
-	switch v := j.(type) {
-	case floodingJudge:
-		return JudgeState{Kind: JudgeFlooding}, nil
-	case *counterJudge:
-		return JudgeState{Kind: JudgeCounter, C: v.c, Threshold: v.threshold}, nil
-	case *distanceJudge:
-		return JudgeState{Kind: JudgeDistance, Own: v.own, DThreshold: v.threshold, MinDist: v.minDist}, nil
-	case *locationJudge:
-		return JudgeState{
-			Kind:       JudgeLocation,
-			Own:        v.own,
-			Radius:     v.radius,
-			AThreshold: v.threshold,
-			Senders:    v.senders,
-		}, nil
-	case probabilisticJudge:
-		return JudgeState{Kind: JudgeProbabilistic, Rebroadcast: v.rebroadcast}, nil
-	case *coverageJudge:
-		return JudgeState{Kind: JudgeCoverage, Pending: v.pending.AppendIDs(nil)}, nil
-	default:
-		return JudgeState{}, fmt.Errorf("scheme: checkpoint of unknown judge type %T", j)
+// SnapshotJudge captures a judge's decision state. The state owns its
+// slices: nothing in it points into j.
+func SnapshotJudge(j *Judge) JudgeState {
+	st := JudgeState{
+		Kind: j.kind, C: j.c, Threshold: j.threshold,
+		Own: j.own, DThreshold: j.dThreshold, MinDist: j.minDist,
+		Radius: j.radius, AThreshold: j.aThreshold,
+		Senders:     append([]geom.Point(nil), j.senders()...),
+		Rebroadcast: j.rebroadcast,
 	}
+	if j.pending != nil {
+		st.Pending = j.pending.AppendIDs(nil)
+	}
+	return st
 }
 
 // RestoreJudge rebuilds a judge from its checkpointed decision state at
-// the given host. A coverage judge borrows its pending set from the
-// host's pool, as NewJudge does, so a restored run keeps the original's
-// pool behavior; a location judge rebuilds its coverage state from its
-// senders at its next estimate.
+// the given host. It refuses a kind no checkpoint holds and a position
+// or threshold that is not finite. A coverage judge borrows its pending
+// set from the host's pool, as NewJudge does; the caller has checked its
+// ids against the population. A location judge rebuilds its coverage
+// state from its senders at its next estimate.
 func RestoreJudge(st JudgeState, host HostView) (Judge, error) {
-	switch st.Kind {
-	case JudgeFlooding:
-		return floodingJudge{}, nil
-	case JudgeCounter:
-		return &counterJudge{c: st.C, threshold: st.Threshold}, nil
-	case JudgeDistance:
-		return &distanceJudge{own: st.Own, threshold: st.DThreshold, minDist: st.MinDist}, nil
-	case JudgeLocation:
-		return newLocationJudge(host, st.Own, st.Radius, st.AThreshold, st.Senders...), nil
-	case JudgeProbabilistic:
-		return probabilisticJudge{rebroadcast: st.Rebroadcast}, nil
-	case JudgeCoverage:
-		j := &coverageJudge{host: host, pending: host.AcquireNodeSet()}
+	if st.Kind >= judgeMember {
+		return Judge{}, fmt.Errorf("scheme: restore of unknown judge kind %d", st.Kind)
+	}
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	for _, v := range [...]float64{st.Own.X, st.Own.Y, st.DThreshold, st.MinDist, st.Radius, st.AThreshold} {
+		if !finite(v) {
+			return Judge{}, fmt.Errorf("scheme: restore of a judge with non-finite state %v", v)
+		}
+	}
+	j := Judge{
+		kind: st.Kind, c: st.C, threshold: st.Threshold,
+		own: st.Own, dThreshold: st.DThreshold, minDist: st.MinDist,
+		radius: st.Radius, aThreshold: st.AThreshold,
+		rebroadcast: st.Rebroadcast, host: host,
+	}
+	for _, p := range st.Senders {
+		if !finite(p.X) || !finite(p.Y) {
+			return Judge{}, fmt.Errorf("scheme: restore of a judge with non-finite sender %v", p)
+		}
+		j.addSender(p)
+	}
+	if st.Kind == JudgeCoverage {
+		j.pending = host.AcquireNodeSet()
+		j.pending.Clear()
 		for _, id := range st.Pending {
 			j.pending.Add(id)
 		}
-		return j, nil
-	default:
-		return nil, fmt.Errorf("scheme: restore of unknown judge kind %d", st.Kind)
 	}
+	return j, nil
 }
