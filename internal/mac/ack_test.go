@@ -133,6 +133,7 @@ func TestUnicastChainUnderContention(t *testing.T) {
 func TestSetAddr(t *testing.T) {
 	sched := sim.NewScheduler()
 	ch := phy.NewChannel(sched, phy.DSSSTiming(), 500)
+	ch.SetMaxSpeed(0)
 	m := New(sched, ch, phy.PositionFunc(func(sim.Time) geom.Point { return geom.Point{} }), sim.NewRNG(1))
 	if m.Addr() != packet.NodeID(m.Radio()) {
 		t.Error("default addr != radio index")

@@ -37,6 +37,7 @@ func (s *spy) DeliverGarbled(*packet.Frame) {}
 func TestAckTimingExactlySIFS(t *testing.T) {
 	sched := sim.NewScheduler()
 	ch := phy.NewChannel(sched, phy.DSSSTiming(), 500)
+	ch.SetMaxSpeed(0)
 	rng := sim.NewRNG(1)
 	tm := ch.Timing()
 
@@ -72,6 +73,7 @@ func TestAckTimingExactlySIFS(t *testing.T) {
 func TestRTSCTSDataTiming(t *testing.T) {
 	sched := sim.NewScheduler()
 	ch := phy.NewChannel(sched, phy.DSSSTiming(), 500)
+	ch.SetMaxSpeed(0)
 	rng := sim.NewRNG(3)
 	tm := ch.Timing()
 
@@ -110,6 +112,7 @@ func TestBackoffSlotArithmetic(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		sched := sim.NewScheduler()
 		ch := phy.NewChannel(sched, phy.DSSSTiming(), 500)
+		ch.SetMaxSpeed(0)
 		tm := ch.Timing()
 		m := New(sched, ch, phy.PositionFunc(func(sim.Time) geom.Point { return geom.Point{} }), sim.NewRNG(seed))
 		var start sim.Time
@@ -134,6 +137,7 @@ func TestBackoffSlotArithmetic(t *testing.T) {
 func TestNAVValueMatchesExchange(t *testing.T) {
 	sched := sim.NewScheduler()
 	ch := phy.NewChannel(sched, phy.DSSSTiming(), 500)
+	ch.SetMaxSpeed(0)
 	rng := sim.NewRNG(5)
 	tm := ch.Timing()
 

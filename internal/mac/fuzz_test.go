@@ -26,6 +26,7 @@ func TestMACRandomWorkloadInvariants(t *testing.T) {
 		t.Run("", func(t *testing.T) {
 			sched := sim.NewScheduler()
 			ch := phy.NewChannel(sched, phy.DSSSTiming(), 500)
+			ch.SetMaxSpeed(0)
 			rng := sim.NewRNG(seed)
 
 			const nMACs = 6
@@ -128,6 +129,7 @@ func TestMACRandomWorkloadInvariants(t *testing.T) {
 func TestCancelUnderLiveTraffic(t *testing.T) {
 	sched := sim.NewScheduler()
 	ch := phy.NewChannel(sched, phy.DSSSTiming(), 500)
+	ch.SetMaxSpeed(0)
 	rng := sim.NewRNG(42)
 	a := New(sched, ch, phy.PositionFunc(func(sim.Time) geom.Point { return geom.Point{} }), rng.Fork(1))
 	b := New(sched, ch, phy.PositionFunc(func(sim.Time) geom.Point { return geom.Point{X: 50} }), rng.Fork(2))

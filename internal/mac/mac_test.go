@@ -18,6 +18,7 @@ type rig struct {
 func newRig(positions ...geom.Point) *rig {
 	sched := sim.NewScheduler()
 	ch := phy.NewChannel(sched, phy.DSSSTiming(), 500)
+	ch.SetMaxSpeed(0)
 	rng := sim.NewRNG(42)
 	r := &rig{sched: sched, ch: ch}
 	for i, p := range positions {

@@ -12,9 +12,14 @@ import (
 )
 
 // TestAllocationBudgets holds the manet layer's machine-independent
-// allocation budgets. All are steady-state figures: each row first
-// makes one unmeasured pass so pools and slabs are primed, then counts
-// heap objects (runtime.MemStats.Mallocs) around the measured call.
+// allocation budgets, counting heap objects (runtime.MemStats.Mallocs)
+// around the measured call. A run row measures a freshly built world
+// after one unmeasured run of another: per-network pools start empty,
+// so its count includes the world's first use of them (a MAC queue
+// record, a pending list and a frame per host, a decision record per
+// concurrently open decision) beside the per-event cost. The arena rows
+// measure a second New into the warm arena, and the dedup row the dedup
+// calls alone.
 func TestAllocationBudgets(t *testing.T) {
 	mustNew := func(t *testing.T, cfg Config) *Network {
 		n, err := New(cfg)
@@ -70,8 +75,7 @@ func TestAllocationBudgets(t *testing.T) {
 		measure func(t *testing.T) (mallocs, units float64)
 	}{
 		// The event core: a paper-scale run allocates at most once per
-		// executed event once the event, frame and record pools have
-		// been through one run.
+		// executed event, its cold pools' first fills included.
 		{"Run at AC 5x5", "event", 1, perEvent(Config{Scheme: scheme.AdaptiveCounter{}, MapUnits: 5, Requests: 20, Seed: 1})},
 		// fig13's densest map: with HELLO on, every host hears every
 		// other, so a table refresh is most of the work. Each table keeps

@@ -46,9 +46,10 @@ import (
 // it claims and rebuilds its snapshot before reading it), so a reused
 // world is byte-identical to a freshly allocated one — the sharded
 // equivalence suite runs its whole matrix through one shared arena to
-// pin exactly that. Per-world object pools (the MACs' and hosts' free
-// records, the frame and bitset pools) are not parked: checkpoints
-// record their depths.
+// pin exactly that. Per-world object pools (the MACs' free records, the
+// network's decision-record, set, coverage and frame pools) are not
+// parked: each world starts them empty and fills them on a miss, as a
+// restored world does.
 type Arena struct {
 	hostsN     int
 	slabMovers bool

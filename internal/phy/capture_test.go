@@ -10,6 +10,7 @@ import (
 func TestCaptureStrongerFrameSurvives(t *testing.T) {
 	sched := sim.NewScheduler()
 	ch := NewChannel(sched, DSSSTiming(), 500)
+	ch.SetMaxSpeed(0)
 	ch.SetCapture(4) // 6 dB: survive if >= 2x closer
 	// Receiver at 0. Near sender at 100 m, far sender at 450 m:
 	// squared-distance ratio 20.25 >= 4, so the near frame captures.
@@ -35,6 +36,7 @@ func TestCaptureStrongerFrameSurvives(t *testing.T) {
 func TestCaptureComparablePowersStillCollide(t *testing.T) {
 	sched := sim.NewScheduler()
 	ch := NewChannel(sched, DSSSTiming(), 500)
+	ch.SetMaxSpeed(0)
 	ch.SetCapture(4)
 	recv := &fakeListener{}
 	ch.Attach(static(geom.Point{}), recv)
@@ -59,6 +61,7 @@ func TestCaptureComparablePowersStillCollide(t *testing.T) {
 func TestCaptureOffByDefault(t *testing.T) {
 	sched := sim.NewScheduler()
 	ch := NewChannel(sched, DSSSTiming(), 500)
+	ch.SetMaxSpeed(0)
 	recv := &fakeListener{}
 	ch.Attach(static(geom.Point{}), recv)
 	near := ch.Attach(static(geom.Point{X: 50}), &fakeListener{})

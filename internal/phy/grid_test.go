@@ -68,21 +68,16 @@ func TestNeighborsMatchesLinearWhileMoving(t *testing.T) {
 	}
 }
 
-func TestNeighborsWithoutSpeedBoundRebuildsExactly(t *testing.T) {
-	// No SetMaxSpeed call: every distinct timestamp must trigger an
-	// exact rebuild, so results still match the linear scan.
-	sched, ch := newMovingChannel(30, 500, 40)
-	for _, d := range []sim.Duration{0, 5 * sim.Second, 13 * sim.Second} {
-		target := sim.Time(0).Add(d)
-		sched.Schedule(target, func() {})
-		sched.RunUntil(target)
-		for i := 0; i < len(ch.positions); i++ {
-			got := ch.Neighbors(i, nil)
-			if want := linearNeighbors(ch, i, sched.Now()); !slices.Equal(got, want) {
-				t.Fatalf("t=%v radio %d: grid %v != linear %v", sched.Now(), i, got, want)
-			}
+// TestQueryWithoutSpeedBoundPanics pins that the bound is required: a
+// channel has no exact-rebuild fallback for an undeclared one.
+func TestQueryWithoutSpeedBoundPanics(t *testing.T) {
+	_, ch := newMovingChannel(4, 500, 40)
+	defer func() {
+		if recover() == nil {
+			t.Error("Neighbors before SetMaxSpeed did not panic")
 		}
-	}
+	}()
+	ch.Neighbors(0, nil)
 }
 
 func TestSetMaxSpeedRejectsNegative(t *testing.T) {

@@ -11,17 +11,47 @@ import (
 	"repro/internal/sim"
 )
 
-// engines enumerates the two overlap-resolution paths, selected by
-// whether a speed bound was declared: the localized grid-bucketed scan
-// (SetMaxSpeed called) and the global scan over every active
-// transmission (no bound). Every collision edge case must behave
-// identically on both.
+// engines are the two ways a test puts a frame on the air: the
+// channel's own Transmit, which resolves overlap only against the
+// flights its grid buckets hold within interference reach, and
+// transmitGlobal, the reference that scans every active flight. Every
+// collision edge case must behave identically on both.
 var engines = []struct {
-	name      string
-	configure func(ch *Channel)
+	name     string
+	transmit func(ch *Channel, radio int, f *packet.Frame)
 }{
-	{"localized", func(ch *Channel) { ch.SetMaxSpeed(0) }},
-	{"global-bitset", func(ch *Channel) {}},
+	{"localized", func(ch *Channel, radio int, f *packet.Frame) { ch.Transmit(radio, f, nil) }},
+	{"global-bitset", transmitGlobal},
+}
+
+// transmitGlobal is the reference the localized overlap scan is held
+// to: Transmit with the receivers found by a linear scan over live
+// positions and overlap resolved against every active transmission, so
+// no snapshot, grid bucket or speed bound takes part.
+func transmitGlobal(c *Channel, radio int, f *packet.Frame) {
+	now := c.sched.Now()
+	tx := c.newTransmission(f, radio, now.Add(c.timing.Airtime(f.Bytes)))
+	c.stats.Transmissions++
+	c.transmitting[radio] = true
+	tx.senderPos = c.positions[radio].PositionAt(now)
+	tx.receivers = append(tx.receivers, linearNeighbors(c, radio, now)...)
+	for _, i := range tx.receivers {
+		tx.recvSet.Add(packet.NodeID(i))
+	}
+	for _, other := range c.active {
+		c.resolveAgainst(tx, other, now)
+	}
+	for _, i := range tx.receivers {
+		if c.transmitting[i] {
+			tx.garble(i)
+		}
+	}
+	c.active = append(c.active, tx)
+	c.raiseBusy(radio)
+	for _, i := range tx.receivers {
+		c.raiseBusy(i)
+	}
+	tx.endEvent = c.sched.ScheduleRunner(tx.end, tx)
 }
 
 // The capture comparison is >= on both branches, so an exact power tie
@@ -34,7 +64,7 @@ func TestCaptureTieBoundaryEarlierFrameCaptures(t *testing.T) {
 		t.Run(eng.name, func(t *testing.T) {
 			sched := sim.NewScheduler()
 			ch := NewChannel(sched, DSSSTiming(), 500)
-			eng.configure(ch)
+			ch.SetMaxSpeed(0)
 			ch.SetCapture(4)
 			recv := &fakeListener{}
 			ch.Attach(static(geom.Point{}), recv)
@@ -42,9 +72,9 @@ func TestCaptureTieBoundaryEarlierFrameCaptures(t *testing.T) {
 			a := ch.Attach(static(geom.Point{X: 100}), &fakeListener{})
 			b := ch.Attach(static(geom.Point{X: -200}), &fakeListener{})
 
-			ch.Transmit(a, bcastFrame(1), nil)
+			eng.transmit(ch, a, bcastFrame(1))
 			sched.After(500*sim.Microsecond, func() {
-				ch.Transmit(b, bcastFrame(2), nil)
+				eng.transmit(ch, b, bcastFrame(2))
 			})
 			sched.Run()
 
@@ -63,7 +93,7 @@ func TestCaptureTieBoundaryLaterFrameCaptures(t *testing.T) {
 		t.Run(eng.name, func(t *testing.T) {
 			sched := sim.NewScheduler()
 			ch := NewChannel(sched, DSSSTiming(), 500)
-			eng.configure(ch)
+			ch.SetMaxSpeed(0)
 			ch.SetCapture(4)
 			recv := &fakeListener{}
 			ch.Attach(static(geom.Point{}), recv)
@@ -71,9 +101,9 @@ func TestCaptureTieBoundaryLaterFrameCaptures(t *testing.T) {
 			a := ch.Attach(static(geom.Point{X: 200}), &fakeListener{})
 			b := ch.Attach(static(geom.Point{X: -100}), &fakeListener{})
 
-			ch.Transmit(a, bcastFrame(1), nil)
+			eng.transmit(ch, a, bcastFrame(1))
 			sched.After(500*sim.Microsecond, func() {
-				ch.Transmit(b, bcastFrame(2), nil)
+				eng.transmit(ch, b, bcastFrame(2))
 			})
 			sched.Run()
 
@@ -96,15 +126,15 @@ func TestHalfDuplexSenderAsReceiver(t *testing.T) {
 		t.Run(eng.name, func(t *testing.T) {
 			sched := sim.NewScheduler()
 			ch := NewChannel(sched, DSSSTiming(), 500)
-			eng.configure(ch)
+			ch.SetMaxSpeed(0)
 			ch.SetCapture(1000) // capture must not override half-duplex
 			a, b := &fakeListener{}, &fakeListener{}
 			ra := ch.Attach(static(geom.Point{X: 0}), a)
 			rb := ch.Attach(static(geom.Point{X: 100}), b)
 
-			ch.Transmit(ra, bcastFrame(1), nil)
+			eng.transmit(ch, ra, bcastFrame(1))
 			sched.After(500*sim.Microsecond, func() {
-				ch.Transmit(rb, bcastFrame(2), nil)
+				eng.transmit(ch, rb, bcastFrame(2))
 			})
 			sched.Run()
 
@@ -128,9 +158,7 @@ func TestReceiverAlreadyTransmitting(t *testing.T) {
 		t.Run(eng.name, func(t *testing.T) {
 			sched := sim.NewScheduler()
 			ch := NewChannel(sched, DSSSTiming(), 500)
-			if eng.name == "localized" {
-				ch.SetMaxSpeed(speed)
-			}
+			ch.SetMaxSpeed(speed)
 
 			// r starts at X=1200 (out of s's range) moving toward s; by
 			// t=1500us it is at X=450, inside. c sits near r's start so r's
@@ -143,9 +171,9 @@ func TestReceiverAlreadyTransmitting(t *testing.T) {
 			ch.Attach(static(geom.Point{X: 1600}), cl)
 			ch.Attach(static(geom.Point{X: -400}), dl)
 
-			ch.Transmit(r, bcastFrame(1), nil)
+			eng.transmit(ch, r, bcastFrame(1))
 			sched.After(1500*sim.Microsecond, func() {
-				ch.Transmit(s, bcastFrame(2), nil)
+				eng.transmit(ch, s, bcastFrame(2))
 			})
 			sched.Run()
 
@@ -217,12 +245,13 @@ func genScript(rng *rand.Rand, hosts int, attempts int, horizon sim.Duration, ai
 	return s
 }
 
-// runScript drives one channel through the script and returns the full
-// per-copy outcome log plus the channel stats.
-func runScript(hosts int, mkPos func(i int) PositionFunc, capture float64, configure func(*Channel), script txScript) ([]string, Stats) {
+// runScript drives one channel with the given speed bound through the
+// script, putting each frame on the air with transmit, and returns the
+// full per-copy outcome log plus the channel stats.
+func runScript(hosts int, mkPos func(i int) PositionFunc, capture, bound float64, transmit func(*Channel, int, *packet.Frame), script txScript) ([]string, Stats) {
 	sched := sim.NewScheduler()
 	ch := NewChannel(sched, DSSSTiming(), 500)
-	configure(ch)
+	ch.SetMaxSpeed(bound)
 	if capture > 0 {
 		ch.SetCapture(capture)
 	}
@@ -233,24 +262,24 @@ func runScript(hosts int, mkPos func(i int) PositionFunc, capture float64, confi
 	for k := range script.start {
 		k := k
 		sched.Schedule(script.start[k], func() {
-			ch.Transmit(script.host[k], bcastFrame(packet.NodeID(script.host[k])), nil)
+			transmit(ch, script.host[k], bcastFrame(packet.NodeID(script.host[k])))
 		})
 	}
 	sched.Run()
 	return log, ch.Stats()
 }
 
-// diffAgainstGlobal runs the script on the localized engine (speed bound
-// declared) and on the reference global scan (no bound, so every active
-// transmission is checked and the grid is exact at every timestamp) and
-// requires identical per-copy outcome logs and stats.
+// diffAgainstGlobal runs the script through the channel's Transmit and
+// through the reference transmitGlobal (linear-scan receivers, every
+// active transmission checked) and requires identical per-copy outcome
+// logs and stats.
 func diffAgainstGlobal(t *testing.T, hosts int, mkPos func(i int) PositionFunc, capture, bound float64, script txScript) {
 	t.Helper()
-	refLog, refStats := runScript(hosts, mkPos, capture, func(ch *Channel) {}, script)
+	refLog, refStats := runScript(hosts, mkPos, capture, bound, transmitGlobal, script)
 	if refStats.Collisions == 0 {
 		t.Fatalf("script produced no collisions; differential test is vacuous")
 	}
-	log, stats := runScript(hosts, mkPos, capture, func(ch *Channel) { ch.SetMaxSpeed(bound) }, script)
+	log, stats := runScript(hosts, mkPos, capture, bound, engines[0].transmit, script)
 	if stats != refStats {
 		t.Fatalf("localized stats diverge from global scan:\n%+v\nvs\n%+v", stats, refStats)
 	}

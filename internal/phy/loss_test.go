@@ -11,6 +11,7 @@ import (
 func TestLossRateDropsExpectedFraction(t *testing.T) {
 	sched := sim.NewScheduler()
 	ch := NewChannel(sched, DSSSTiming(), 500)
+	ch.SetMaxSpeed(0)
 	ch.SetLoss(0.3, sim.NewRNG(9))
 	recv := &fakeListener{}
 	tx := ch.Attach(static(geom.Point{}), &fakeListener{})
@@ -42,6 +43,7 @@ func TestLossRateDropsExpectedFraction(t *testing.T) {
 func TestZeroLossDeliversEverything(t *testing.T) {
 	sched := sim.NewScheduler()
 	ch := NewChannel(sched, DSSSTiming(), 500)
+	ch.SetMaxSpeed(0)
 	recv := &fakeListener{}
 	tx := ch.Attach(static(geom.Point{}), &fakeListener{})
 	ch.Attach(static(geom.Point{X: 100}), recv)

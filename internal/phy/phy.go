@@ -221,19 +221,18 @@ type Channel struct {
 
 	// Spatial index over a position snapshot. Positions are pure
 	// functions of simulated time, so a snapshot taken at one clock
-	// value serves every query at that instant exactly; with a declared
-	// speed bound (SetMaxSpeed) it additionally serves later instants as
-	// a candidate prefilter, with the query radius inflated by the
-	// maximum distance any radio can have drifted since the snapshot
-	// and every candidate re-checked against its live position. A bound
-	// of zero keeps the snapshot exact at every later instant.
+	// value serves every query at that instant exactly; the declared
+	// speed bound (SetMaxSpeed; negative until then) lets it serve later
+	// instants as a candidate prefilter, with the query radius inflated
+	// by the maximum distance any radio can have drifted since the
+	// snapshot and every candidate re-checked against its live position.
+	// A bound of zero keeps the snapshot exact at every later instant.
 	grid       geom.Grid
 	snapTime   sim.Time
 	gridOK     bool
 	gridGen    uint64 // bumped on every snapshot rebuild
 	snap       []geom.Point
 	speedBound float64
-	hasBound   bool
 
 	// Static-neighbour memo. While the radios are declared motionless
 	// (SetMaxSpeed(0)) radio i's ascending neighbour list is a pure
@@ -318,7 +317,7 @@ func NewChannel(sched *sim.Scheduler, timing Timing, radius float64) *Channel {
 	if radius <= 0 {
 		panic("phy: non-positive radio radius")
 	}
-	return &Channel{sched: sched, timing: timing, radius: radius}
+	return &Channel{sched: sched, timing: timing, radius: radius, speedBound: -1}
 }
 
 // SetAudit attaches an invariant auditor observing this channel's
@@ -424,15 +423,13 @@ func (c *Channel) PositionOf(i int) geom.Point {
 // silently drop receivers, or keep one that has left;
 // callers must bound the fastest mover, not the average. Zero is valid
 // and means the radios never move: the first snapshot then stays exact
-// for the whole run and no position is evaluated after it. Without a
-// declared bound the index stays exact by rebuilding whenever the clock
-// advances.
+// for the whole run and no position is evaluated after it. The bound is
+// required: a channel queried before SetMaxSpeed panics.
 func (c *Channel) SetMaxSpeed(mps float64) {
 	if mps < 0 {
 		panic("phy: negative speed bound")
 	}
 	c.speedBound = mps
-	c.hasBound = true
 	c.gridOK = false
 }
 
@@ -525,19 +522,17 @@ func (c *Channel) refresh() {
 		if now == c.snapTime {
 			return
 		}
-		if c.hasBound {
-			if c.speedBound == 0 {
-				// Declared motionless: the snapshot is as exact at this
-				// instant as at the one it was taken, so it is re-stamped
-				// and Transmit, neighborsRefreshed and rxPosAt read it as
-				// current instead of re-evaluating each candidate's
-				// position.
-				c.snapTime = now
-				return
-			}
-			if c.driftMargin(now) <= c.radius*maxStaleFraction {
-				return
-			}
+		if c.speedBound == 0 {
+			// Declared motionless: the snapshot is as exact at this
+			// instant as at the one it was taken, so it is re-stamped
+			// and Transmit, neighborsRefreshed and rxPosAt read it as
+			// current instead of re-evaluating each candidate's
+			// position.
+			c.snapTime = now
+			return
+		}
+		if c.driftMargin(now) <= c.radius*maxStaleFraction {
+			return
 		}
 	}
 	c.rebuildSnapshot(now)
@@ -553,6 +548,9 @@ const parallelSnapshotMin = 4096
 // disjoint index range and movers are pure in t, so the snapshot is
 // bit-identical to the sequential fill.
 func (c *Channel) rebuildSnapshot(now sim.Time) {
+	if c.speedBound < 0 {
+		panic("phy: channel queried before SetMaxSpeed declared a speed bound")
+	}
 	n := len(c.positions)
 	if cap(c.snap) < n {
 		c.snap = make([]geom.Point, n)
@@ -575,7 +573,7 @@ func (c *Channel) rebuildSnapshot(now sim.Time) {
 	c.gridGen++
 	// Every memoised list described the previous snapshot.
 	c.nbrMemo, c.nbrChunk = nil, nil
-	if c.hasBound && c.speedBound == 0 {
+	if c.speedBound == 0 {
 		c.nbrMemo = make([][]int32, n)
 	}
 }
@@ -670,17 +668,7 @@ func (c *Channel) Transmit(radio int, f *packet.Frame, onDone TxEnder) sim.Durat
 	for _, i := range tx.receivers {
 		tx.recvSet.Add(packet.NodeID(i))
 	}
-	// Localizing overlap needs a declared speed bound (to cap how far a
-	// receiver can drift between two membership snapshots); without one,
-	// scan the whole active list with the same bitset rule.
-	local := c.hasBound
-	if local {
-		c.localOverlapScan(tx, now)
-	} else {
-		for _, other := range c.active {
-			c.resolveAgainst(tx, other, now)
-		}
-	}
+	c.localOverlapScan(tx, now)
 	for _, i := range tx.receivers {
 		// A receiver already transmitting cannot decode the new frame.
 		if c.transmitting[i] {
@@ -688,9 +676,7 @@ func (c *Channel) Transmit(radio int, f *packet.Frame, onDone TxEnder) sim.Durat
 		}
 	}
 	c.active = append(c.active, tx)
-	if local {
-		c.bucketAdd(tx)
-	}
+	c.bucketAdd(tx)
 	if c.audit != nil {
 		// The frame must be live at the moment it goes on the air: a
 		// pooled frame recycled while still queued would surface here.
@@ -746,7 +732,7 @@ func bandOf(y, height float64, bands int) int {
 // micro-checkpoint a speculative window needs — a window the partition
 // would decline anyway then costs nothing but this scan.
 func (c *Channel) SpecWindowViable(bands int, height float64) bool {
-	if bands <= 1 || !c.hasBound {
+	if bands <= 1 {
 		return false
 	}
 	guard := c.radius + driftEpsilon
@@ -768,7 +754,7 @@ func (c *Channel) SpecWindowViable(bands int, height float64) bool {
 // Must be called from the scheduler's owning goroutine with no lane
 // running.
 func (c *Channel) BeginSpecWindow(bands int, height float64) bool {
-	if bands <= 1 || !c.hasBound {
+	if bands <= 1 {
 		return false
 	}
 	if c.specBands != 0 {

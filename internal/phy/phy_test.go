@@ -61,6 +61,7 @@ func TestAirtimeMatchesPaperNumbers(t *testing.T) {
 func TestDeliveryInRange(t *testing.T) {
 	sched := sim.NewScheduler()
 	ch := NewChannel(sched, DSSSTiming(), 500)
+	ch.SetMaxSpeed(0)
 	a := &fakeListener{}
 	b := &fakeListener{}
 	far := &fakeListener{}
@@ -96,6 +97,7 @@ func TestDeliveryInRange(t *testing.T) {
 func TestCarrierSenseTransitions(t *testing.T) {
 	sched := sim.NewScheduler()
 	ch := NewChannel(sched, DSSSTiming(), 500)
+	ch.SetMaxSpeed(0)
 	a := &fakeListener{}
 	b := &fakeListener{}
 	ra := ch.Attach(static(geom.Point{X: 0}), a)
@@ -120,6 +122,7 @@ func TestCarrierSenseTransitions(t *testing.T) {
 func TestOverlappingTransmissionsCollide(t *testing.T) {
 	sched := sim.NewScheduler()
 	ch := NewChannel(sched, DSSSTiming(), 500)
+	ch.SetMaxSpeed(0)
 	// Two senders both in range of a middle receiver; senders are out of
 	// range of each other (hidden terminals).
 	s1 := &fakeListener{}
@@ -151,6 +154,7 @@ func TestOverlappingTransmissionsCollide(t *testing.T) {
 func TestNonOverlappingReceiversUnaffected(t *testing.T) {
 	sched := sim.NewScheduler()
 	ch := NewChannel(sched, DSSSTiming(), 500)
+	ch.SetMaxSpeed(0)
 	// s1 -> a, s2 -> b, disjoint neighborhoods; both succeed even though
 	// transmissions overlap in time.
 	s1, a, s2, b := &fakeListener{}, &fakeListener{}, &fakeListener{}, &fakeListener{}
@@ -172,6 +176,7 @@ func TestNonOverlappingReceiversUnaffected(t *testing.T) {
 func TestTransmitterCannotReceiveWhileSending(t *testing.T) {
 	sched := sim.NewScheduler()
 	ch := NewChannel(sched, DSSSTiming(), 500)
+	ch.SetMaxSpeed(0)
 	a, b := &fakeListener{}, &fakeListener{}
 	ra := ch.Attach(static(geom.Point{X: 0}), a)
 	rb := ch.Attach(static(geom.Point{X: 100}), b)
@@ -191,6 +196,7 @@ func TestTransmitterCannotReceiveWhileSending(t *testing.T) {
 func TestBackToBackTransmissionsDoNotCollide(t *testing.T) {
 	sched := sim.NewScheduler()
 	ch := NewChannel(sched, DSSSTiming(), 500)
+	ch.SetMaxSpeed(0)
 	a, b := &fakeListener{}, &fakeListener{}
 	ra := ch.Attach(static(geom.Point{X: 0}), a)
 	rb := ch.Attach(static(geom.Point{X: 100}), b)
@@ -215,6 +221,7 @@ func TestBackToBackTransmissionsDoNotCollide(t *testing.T) {
 func TestDoubleTransmitPanics(t *testing.T) {
 	sched := sim.NewScheduler()
 	ch := NewChannel(sched, DSSSTiming(), 500)
+	ch.SetMaxSpeed(0)
 	a := &fakeListener{}
 	ra := ch.Attach(static(geom.Point{}), a)
 	ch.Transmit(ra, bcastFrame(0), nil)
@@ -229,6 +236,7 @@ func TestDoubleTransmitPanics(t *testing.T) {
 func TestInRangeAndPositions(t *testing.T) {
 	sched := sim.NewScheduler()
 	ch := NewChannel(sched, DSSSTiming(), 500)
+	ch.SetMaxSpeed(0)
 	a := ch.Attach(static(geom.Point{X: 0}), &fakeListener{})
 	b := ch.Attach(static(geom.Point{X: 500}), &fakeListener{})
 	ch.Attach(static(geom.Point{X: 501}), &fakeListener{})
@@ -247,6 +255,7 @@ func TestInRangeAndPositions(t *testing.T) {
 func TestThreeWayCollision(t *testing.T) {
 	sched := sim.NewScheduler()
 	ch := NewChannel(sched, DSSSTiming(), 500)
+	ch.SetMaxSpeed(0)
 	recv := &fakeListener{}
 	ch.Attach(static(geom.Point{X: 0, Y: 0}), recv)
 	var senders []int
