@@ -201,7 +201,9 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 }
 
 // loadReport decodes a stormsim -telemetry export and prints its
-// per-interval channel-load table.
+// per-interval channel-load table; as text (not CSV) the table closes
+// with the export's per-kind event totals, the "totals:" line stormsim
+// -timeline prints for the same run.
 func loadReport(stdout io.Writer, path string, asCSV bool) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -218,8 +220,13 @@ func loadReport(stdout io.Writer, path string, asCSV bool) error {
 	}
 	if asCSV {
 		fmt.Fprint(stdout, t.CSV())
-	} else {
-		fmt.Fprint(stdout, t.Text())
+		return nil
 	}
+	fmt.Fprint(stdout, t.Text())
+	counts := map[obs.Kind]int{}
+	for _, e := range dump.Events {
+		counts[e.Kind]++
+	}
+	fmt.Fprint(stdout, obs.Totals(counts))
 	return nil
 }

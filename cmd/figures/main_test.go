@@ -2,8 +2,15 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/manet"
+	"repro/internal/obs"
+	"repro/internal/scheme"
+	"repro/internal/sim"
 )
 
 // TestRunSmoke runs the invocation CI's "CLIs and examples" step uses,
@@ -45,5 +52,42 @@ func TestRunSmoke(t *testing.T) {
 					stdout.String(), stderr.String())
 			}
 		})
+	}
+}
+
+// TestTelemetryReport reads back an export as stormsim -telemetry writes
+// it: the channel-load table, closed by the totals line stormsim
+// -timeline prints for the same run.
+func TestTelemetryReport(t *testing.T) {
+	col := obs.New(100 * sim.Millisecond)
+	n, err := manet.New(manet.Config{
+		Scheme: scheme.Flooding{}, MapUnits: 1, Hosts: 10, Requests: 2, Seed: 1, Telemetry: col,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder()
+	n.Tracer = rec
+	n.Run()
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.Export(f, obs.Meta{Scheme: "flooding"}, col, rec.Events()); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-telemetry", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	out := stdout.String()
+	want := obs.Totals(rec.CountByKind())
+	if !strings.Contains(out, "channel load: flooding") || !strings.HasSuffix(out, want) {
+		t.Fatalf("stdout lacks the load table or does not end with %q:\n%s", want, out)
 	}
 }

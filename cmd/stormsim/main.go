@@ -7,6 +7,13 @@
 //	stormsim -scheme counter:C=3 -map 5 -speed 50
 //	stormsim -scheme nc -hello dynamic -map 9
 //	stormsim -scheme al -progress -telemetry run.jsonl
+//	stormsim -scheme ac -map 3 -hosts 30 -requests 3 -timeline
+//
+// -timeline prints every broadcast's event timeline (originations,
+// deliveries, duplicates, transmissions, inhibit decisions, garbled
+// copies) with its record and a closing per-kind "totals:" line: the
+// forensic view of the storm. -telemetry writes the same events, with
+// the sampled time series, as JSONL that figures -telemetry reads back.
 //
 // Long runs can be checkpointed and resumed. -checkpoint names a state
 // file and -checkpoint-every the simulated cadence; the file always
@@ -39,7 +46,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/scheme"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/viz"
 )
 
@@ -76,6 +82,7 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 		progress    = fs.Bool("progress", false, "report simulated-time progress on stderr")
 		telemetry   = fs.String("telemetry", "", "write run telemetry (time series + trace events) as JSONL to this file")
 		tickMS      = fs.Int("telemetry-tick", 100, "telemetry sampling tick, simulated milliseconds")
+		timeline    = fs.Bool("timeline", false, "print every broadcast's event timeline, its record and the event totals")
 		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile  = fs.String("memprofile", "", "write a heap profile to this file")
 	)
@@ -105,6 +112,12 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 		return fail(2, fmt.Errorf("-checkpoint-every must be positive, got %d", *ckptEvery))
 	case *forkSeed != 0 && *resumePath == "":
 		return fail(2, fmt.Errorf("-fork-seed requires -resume"))
+	case *tickMS <= 0:
+		return fail(2, fmt.Errorf("-telemetry-tick must be positive, got %d", *tickMS))
+	case *timeline && (*ckptPath != "" || *resumePath != ""):
+		// A resumed run's trace would silently lack every event before
+		// the checkpoint.
+		return fail(2, fmt.Errorf("-timeline cannot be combined with -checkpoint or -resume"))
 	}
 
 	engine, err := manet.ParseEngine(*engineName)
@@ -149,6 +162,9 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 		Engine:        engine,
 		Shards:        *shards,
 		Seed:          *seed,
+
+		// The timeline report walks the full record set.
+		RetainRecords: *timeline,
 	}
 
 	var col *obs.Collector
@@ -189,9 +205,9 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 			return nil
 		}
 	}
-	var rec *trace.Recorder
-	if *telemetry != "" {
-		rec = trace.NewRecorder()
+	var rec *obs.Recorder
+	if *telemetry != "" || *timeline {
+		rec = obs.NewRecorder()
 		n.Tracer = rec
 	}
 	if *progress {
@@ -203,7 +219,10 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 	defer stop()
 	s, err := n.RunContext(ctx)
 	if err != nil {
-		return fail(1, fmt.Errorf("run cancelled: %w", err))
+		if ctx.Err() != nil {
+			err = fmt.Errorf("run cancelled: %w", err)
+		}
+		return fail(1, err)
 	}
 
 	fmt.Fprintf(stdout, "scheme            %s\n", sch.Name())
@@ -249,6 +268,17 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 			*telemetry, len(col.Samples()), rec.Len())
 	}
 
+	if *timeline {
+		fmt.Fprintln(stdout)
+		for _, br := range n.Records() {
+			fmt.Fprint(stdout, rec.Dump(br.ID))
+			fmt.Fprintf(stdout, "  => e=%d r=%d t=%d RE=%.3f SRB=%.3f latency=%.1fms\n\n",
+				br.Reachable, br.Received, br.Transmitted, br.RE(), br.SRB(),
+				br.Latency().Milliseconds())
+		}
+		fmt.Fprint(stdout, obs.Totals(rec.CountByKind()))
+	}
+
 	if *topo {
 		pts := n.Positions()
 		w, h := n.Area()
@@ -283,7 +313,7 @@ func writeCheckpoint(n *manet.Network, path string) error {
 }
 
 // writeTelemetry exports the run's series and event stream as JSONL.
-func writeTelemetry(path string, cfg manet.Config, sch scheme.Scheme, col *obs.Collector, rec *trace.Recorder) error {
+func writeTelemetry(path string, cfg manet.Config, sch scheme.Scheme, col *obs.Collector, rec *obs.Recorder) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

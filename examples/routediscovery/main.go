@@ -7,7 +7,8 @@
 //     destination host (when one was reachable at all)?
 //   - overhead: how many transmissions each discovery cost.
 //
-// It uses storm.Network's DeliveryHook to observe per-host dissemination.
+// It attaches a storm.Recorder as the network's Tracer and reads the
+// per-host dissemination back from its events after the run.
 //
 //	go run ./examples/routediscovery
 package main
@@ -66,30 +67,30 @@ func discover(sch storm.Scheme, hosts, mapUnits, requests int) (success, txPerDi
 		panic(err)
 	}
 
-	// Choose a destination per request id, deterministically, and record
-	// which destinations were reached.
+	trace := storm.NewRecorder()
+	net.Tracer = trace
+	s := net.Run()
+
+	// Choose a destination per request id, deterministically, in
+	// origination order, and record which destinations were reached.
 	destRNG := storm.NewRNG(99)
 	dests := make(map[storm.BroadcastID]storm.NodeID)
 	reached := make(map[storm.BroadcastID]bool)
-	net.DeliveryHook = func(id storm.BroadcastID, h storm.NodeID) {
-		d, ok := dests[id]
-		if !ok {
-			// First delivery of a broadcast is always the source; pick
-			// the destination now, excluding the source itself.
-			for {
+	for _, e := range trace.Events() {
+		switch e.Kind {
+		case storm.Originate:
+			// Pick the destination, excluding the source itself.
+			d := e.Host
+			for d == e.Host {
 				d = storm.NodeID(destRNG.IntN(hosts))
-				if d != id.Source {
-					break
-				}
 			}
-			dests[id] = d
-		}
-		if h == d {
-			reached[id] = true
+			dests[e.Broadcast] = d
+		case storm.Deliver:
+			if e.Host == dests[e.Broadcast] {
+				reached[e.Broadcast] = true
+			}
 		}
 	}
-
-	s := net.Run()
 
 	hits := 0
 	for _, rec := range net.Records() {

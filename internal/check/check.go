@@ -48,7 +48,7 @@ const MaxViolations = 100
 
 // Violation is one observed invariant breach, stamped with the
 // simulated time it was detected at so it can be lined up against an
-// internal/trace timeline of the same run.
+// obs.Recorder timeline of the same run.
 type Violation struct {
 	At        sim.Time
 	Invariant string // which conservation law broke (e.g. "pool-lifecycle")

@@ -3,7 +3,6 @@ package experiment
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/manet"
@@ -32,34 +31,6 @@ func TestRunMatrixProgress(t *testing.T) {
 	}
 	if !strings.Contains(lines[len(lines)-1], "4/4 replicas") {
 		t.Errorf("last line should report completion: %q", lines[len(lines)-1])
-	}
-}
-
-// TestRunMatrixTelemetryHook: the Telemetry callback selects which
-// replicas get a collector, and selected collectors gather samples.
-func TestRunMatrixTelemetryHook(t *testing.T) {
-	var mu sync.Mutex
-	collectors := map[[2]int]*obs.Collector{}
-	cfgs := []manet.Config{{Scheme: scheme.Flooding{}, MapUnits: 1, Hosts: 10}}
-	RunMatrix(cfgs, Options{
-		Requests: 3, Replicas: 2, Workers: 1,
-		Telemetry: func(point, replica int) *obs.Collector {
-			if replica != 0 {
-				return nil // instrument only the first replica
-			}
-			c := obs.New(10 * sim.Millisecond)
-			mu.Lock()
-			collectors[[2]int{point, replica}] = c
-			mu.Unlock()
-			return c
-		},
-	})
-	if len(collectors) != 1 {
-		t.Fatalf("hook created %d collectors, want 1", len(collectors))
-	}
-	c := collectors[[2]int{0, 0}]
-	if len(c.Samples()) == 0 {
-		t.Fatal("instrumented replica gathered no samples")
 	}
 }
 

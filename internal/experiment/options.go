@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-
-	"repro/internal/obs"
 )
 
 // SeedStride is the seed-space distance between adjacent matrix points:
@@ -59,11 +57,6 @@ type Options struct {
 	// each completed replica: completed/total counts, aggregate
 	// simulation event rate, and an ETA for the remaining replicas.
 	Progress io.Writer
-	// Telemetry, when non-nil, is called once per (point, replica) before
-	// that replica runs and may return a collector to attach to its
-	// config (nil skips that replica). It lets callers instrument chosen
-	// matrix cells without paying collection cost on the rest.
-	Telemetry func(point, replica int) *obs.Collector
 }
 
 // WithDefaults fills in the harness defaults. It panics if Replicas

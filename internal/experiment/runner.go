@@ -52,9 +52,6 @@ func runReplicas(cfgs []manet.Config, o Options) [][]metrics.Summary {
 		for r := 0; r < o.Replicas; r++ {
 			c := cfg
 			c.Seed = o.BaseSeed + SeedStride*uint64(p) + uint64(r)
-			if o.Telemetry != nil {
-				c.Telemetry = o.Telemetry(p, r)
-			}
 			tasks = append(tasks, task{point: p, replica: r, cfg: c})
 		}
 	}

@@ -6,10 +6,10 @@ import (
 	"repro/internal/mobility"
 	"repro/internal/neighbor"
 	"repro/internal/nodeset"
+	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/scheme"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // host is one mobile node: radio + MAC + mobility + neighbor table +
@@ -83,7 +83,7 @@ func (p *pendingRebroadcast) RunEvent() { p.h.submit(p) }
 func (p *pendingRebroadcast) TxStarted() {
 	p.started = true
 	p.h.net.noteTransmitted(p.bid, p.h)
-	p.h.net.trace(trace.Transmit, p.bid, p.h.id)
+	p.h.net.trace(obs.Transmit, p.bid, p.h.id)
 }
 
 // TxDone implements mac.TxObserver: the transmission ended.
@@ -197,8 +197,8 @@ func (h *host) ReleaseCoverage(c *geom.Coverage) { h.net.releaseCoverage(c, h.la
 // is worth a trace event (the metrics layer counts collisions at the
 // channel, so nothing else happens here).
 func (h *host) ReceiveGarbled(f *packet.Frame) {
-	if h.net.Tracer != nil && f.Kind == packet.KindBroadcast {
-		h.net.Tracer.Record(h.net.sched.Now(), trace.Garbled, f.Broadcast, h.id)
+	if f.Kind == packet.KindBroadcast {
+		h.net.trace(obs.Garbled, f.Broadcast, h.id)
 	}
 }
 
@@ -273,7 +273,7 @@ func (h *host) onBroadcast(f *packet.Frame) {
 				h.net.obs.Inc(h.net.obsInhibitInit)
 			}
 			h.net.noteActivity(bid, h)
-			h.net.trace(trace.Inhibit, bid, h.id)
+			h.net.trace(obs.Inhibit, bid, h.id)
 			return
 		}
 		if h.net.obs != nil {
@@ -291,7 +291,7 @@ func (h *host) onBroadcast(f *packet.Frame) {
 	}
 
 	// Duplicate reception (S4) while a rebroadcast may still be pending.
-	h.net.trace(trace.Duplicate, bid, h.id)
+	h.net.trace(obs.Duplicate, bid, h.id)
 	if pr := h.net.Protocol; pr != nil {
 		pr.Heard(h.id, f, false)
 	}
@@ -357,7 +357,7 @@ func (h *host) inhibit(p *pendingRebroadcast) {
 	scheme.ReleaseJudge(p.judge)
 	h.untrackPending(p)
 	h.net.noteActivity(p.bid, h)
-	h.net.trace(trace.Inhibit, p.bid, h.id)
+	h.net.trace(obs.Inhibit, p.bid, h.id)
 	bid := p.bid
 	h.recyclePendingRebroadcast(p)
 	h.net.openDec(bid, h) // after the final mutations: may fold the record
@@ -383,7 +383,7 @@ type originTx struct {
 // TxStarted implements mac.TxObserver.
 func (o *originTx) TxStarted() {
 	o.h.net.noteTransmitted(o.bid, o.h)
-	o.h.net.trace(trace.Transmit, o.bid, o.h.id)
+	o.h.net.trace(obs.Transmit, o.bid, o.h.id)
 }
 
 // TxDone implements mac.TxObserver.

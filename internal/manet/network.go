@@ -20,7 +20,6 @@ import (
 	"repro/internal/phy"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
-	"repro/internal/trace"
 )
 
 // Network is one fully assembled simulation instance. Build it with New,
@@ -39,20 +38,16 @@ type Network struct {
 	shards int    // resolved shard count, 0 when sequential
 	pool   *pdes.Pool
 
-	// DeliveryHook, if set before Run, is invoked once per (broadcast,
-	// host) when the host first obtains the packet — including the source
-	// at origination. Examples and tests use it to observe per-host
-	// dissemination (e.g. "did the route request reach the destination").
-	DeliveryHook func(id packet.BroadcastID, host packet.NodeID)
-
 	// Protocol, if set before Run, replaces the Requests workload with an
 	// application's own (see Protocol).
 	Protocol Protocol
 
 	// Tracer, if set before Run, records the per-broadcast event
 	// timeline (originations, deliveries, duplicates, transmissions,
-	// inhibit decisions, collision-garbled copies).
-	Tracer *trace.Recorder
+	// inhibit decisions, collision-garbled copies). It is the one
+	// per-broadcast observation channel: a host's first copy of a
+	// broadcast is its Originate or Deliver event.
+	Tracer *obs.Recorder
 
 	// Progress, if set before Run, receives one line per simulated
 	// second reporting the clock, executed events, and wall-clock event
@@ -716,6 +711,15 @@ func (n *Network) RunContext(ctx context.Context) (metrics.Summary, error) {
 	n.ran = true
 	defer n.Close()
 
+	// Every cause checkpointable names is fixed before Run, so a hook
+	// that could never write is refused before the first event instead
+	// of at the first cadence.
+	if n.CheckpointHook != nil {
+		if err := n.checkpointable(); err != nil {
+			return metrics.Summary{}, err
+		}
+	}
+
 	if !n.resumed {
 		var last sim.Time
 		if n.Protocol != nil {
@@ -913,10 +917,7 @@ func (n *Network) Originate(srcID packet.NodeID, payload any) packet.BroadcastID
 	// Open until the source's own transmission completes; every
 	// pendingRebroadcast the wave spawns adds its own hold.
 	n.recOpen = append(n.recOpen, 1)
-	if n.DeliveryHook != nil {
-		n.DeliveryHook(bid, src.id)
-	}
-	n.trace(trace.Originate, bid, src.id)
+	n.trace(obs.Originate, bid, src.id)
 	src.originate(bid, payload)
 	return bid
 }
@@ -994,8 +995,8 @@ func (n *Network) foldFront() {
 }
 
 func (n *Network) noteReceived(bid packet.BroadcastID, h *host) {
-	// Speculative eligibility requires DeliveryHook and Tracer nil, so
-	// the journaled op only has to replay the record mutations.
+	// Speculative eligibility requires a nil Tracer, so the journaled
+	// op only has to replay the record mutations.
 	if n.specOpen && h.lane >= 0 {
 		n.specNote(h.lane, recOpReceived, bid)
 		return
@@ -1003,14 +1004,11 @@ func (n *Network) noteReceived(bid packet.BroadcastID, h *host) {
 	rec := n.record(bid)
 	rec.Received++
 	rec.NoteActivity(n.sched.Now())
-	if n.DeliveryHook != nil {
-		n.DeliveryHook(bid, h.id)
-	}
-	n.trace(trace.Deliver, bid, h.id)
+	n.trace(obs.Deliver, bid, h.id)
 }
 
 // trace records an event if a Tracer is attached.
-func (n *Network) trace(kind trace.Kind, bid packet.BroadcastID, h packet.NodeID) {
+func (n *Network) trace(kind obs.Kind, bid packet.BroadcastID, h packet.NodeID) {
 	if n.Tracer != nil {
 		n.Tracer.Record(n.sched.Now(), kind, bid, h)
 	}

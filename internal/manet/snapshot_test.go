@@ -263,7 +263,8 @@ func TestRestoreIntoArena(t *testing.T) {
 
 // TestCheckpointUnsupportedConfigs pins the refusal list: telemetry and
 // movers without snapshot support must error at checkpoint time instead
-// of writing a document that cannot resume.
+// of writing a document that cannot resume, and a run with a checkpoint
+// hook attached must refuse before it executes a single event.
 func TestCheckpointUnsupportedConfigs(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -283,6 +284,17 @@ func TestCheckpointUnsupportedConfigs(t *testing.T) {
 			defer net.Close()
 			if err := net.Checkpoint(&bytes.Buffer{}); err == nil {
 				t.Fatal("Checkpoint accepted an unsupported configuration")
+			}
+			net.CheckpointEvery = sim.Second
+			net.CheckpointHook = func(sim.Time) error {
+				t.Fatal("checkpoint hook ran on an unsupported configuration")
+				return nil
+			}
+			if _, err := net.RunContext(context.Background()); err == nil {
+				t.Fatal("RunContext accepted a checkpoint hook on an unsupported configuration")
+			}
+			if got := net.Scheduler().Executed(); got != 0 {
+				t.Fatalf("refused run executed %d events, want 0", got)
 			}
 		})
 	}

@@ -116,7 +116,6 @@ func (n *Network) speculativeEligible() bool {
 		n.obs == nil &&
 		n.audit == nil &&
 		n.Tracer == nil &&
-		n.DeliveryHook == nil &&
 		n.Protocol == nil &&
 		n.Progress == nil
 }

@@ -3,8 +3,8 @@ package manet
 import (
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/scheme"
-	"repro/internal/trace"
 )
 
 // TestTracerCausality runs a small network with a tracer attached and
@@ -27,7 +27,7 @@ func TestTracerCausality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.NewRecorder()
+	rec := obs.NewRecorder()
 	n.Tracer = rec
 	n.Run()
 
@@ -35,11 +35,11 @@ func TestTracerCausality(t *testing.T) {
 		t.Fatal("tracer recorded nothing")
 	}
 	counts := rec.CountByKind()
-	if counts[trace.Originate] != 8 {
-		t.Errorf("originations = %d, want 8", counts[trace.Originate])
+	if counts[obs.Originate] != 8 {
+		t.Errorf("originations = %d, want 8", counts[obs.Originate])
 	}
 	// C=2 in a dense cluster must produce some inhibits.
-	if counts[trace.Inhibit] == 0 {
+	if counts[obs.Inhibit] == 0 {
 		t.Error("no inhibit events for C=2 in a dense cluster")
 	}
 
@@ -48,7 +48,7 @@ func TestTracerCausality(t *testing.T) {
 		if len(events) == 0 {
 			t.Fatalf("no events for %v", brec.ID)
 		}
-		if events[0].Kind != trace.Originate {
+		if events[0].Kind != obs.Originate {
 			t.Errorf("%v: first event is %v, want originate", brec.ID, events[0].Kind)
 		}
 		delivered := map[int32]bool{int32(brec.ID.Source): true}
@@ -57,9 +57,9 @@ func TestTracerCausality(t *testing.T) {
 		for _, e := range events {
 			hid := int32(e.Host)
 			switch e.Kind {
-			case trace.Deliver:
+			case obs.Deliver:
 				delivered[hid] = true
-			case trace.Transmit:
+			case obs.Transmit:
 				txCount++
 				if !delivered[hid] {
 					t.Errorf("%v: host %d transmitted before delivery", brec.ID, hid)
@@ -68,7 +68,7 @@ func TestTracerCausality(t *testing.T) {
 					t.Errorf("%v: host %d acted twice (%s then transmit)", brec.ID, hid, prev)
 				}
 				acted[hid] = "transmit"
-			case trace.Inhibit:
+			case obs.Inhibit:
 				if prev, ok := acted[hid]; ok {
 					t.Errorf("%v: host %d acted twice (%s then inhibit)", brec.ID, hid, prev)
 				}
@@ -97,14 +97,14 @@ func TestTracerDeliveryCountsMatchRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.NewRecorder()
+	rec := obs.NewRecorder()
 	n.Tracer = rec
 	n.Run()
 
 	for _, brec := range n.Records() {
 		delivers := 0
 		for _, e := range rec.Broadcast(brec.ID) {
-			if e.Kind == trace.Deliver {
+			if e.Kind == obs.Deliver {
 				delivers++
 			}
 		}

@@ -7,9 +7,13 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/packet"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
+
+// jsonlVersion is the version of the telemetry JSONL schema. Every line
+// carries it as "v"; Decode rejects lines from any other version.
+const jsonlVersion = 1
 
 // Meta is the header line of a telemetry export: one per stream, first
 // line, describing the run and the column order of every sample line.
@@ -33,19 +37,31 @@ type sampleRecord struct {
 	Values []float64 `json:"values"`
 }
 
+// eventRecord is the wire form of one trace event.
+type eventRecord struct {
+	V    int    `json:"v"`
+	Type string `json:"type"`
+	TUS  int64  `json:"t_us"`
+	Kind string `json:"kind"`
+	Src  int    `json:"src"`
+	Seq  uint32 `json:"seq"`
+	Host int    `json:"host"`
+}
+
 // Dump is a decoded telemetry export.
 type Dump struct {
 	Meta    Meta
 	Samples []Sample
-	Events  []trace.Event
+	Events  []Event
 }
 
 // Export writes one run's telemetry as versioned JSONL: a meta line,
-// then every sample, then the trace event stream (events may be nil).
-// The meta's version, type, tick, and series are filled in from the
-// collector; callers set the run-description fields.
-func Export(w io.Writer, meta Meta, c *Collector, events []trace.Event) error {
-	meta.V = trace.JSONLVersion
+// then every sample, then the trace events (events may be nil), one
+// object per line with times in integer microseconds. The meta's
+// version, type, tick, and series are filled in from the collector;
+// callers set the run-description fields.
+func Export(w io.Writer, meta Meta, c *Collector, events []Event) error {
+	meta.V = jsonlVersion
 	meta.Type = "meta"
 	meta.TickUS = int64(c.Tick())
 	meta.Series = c.SeriesNames()
@@ -58,7 +74,7 @@ func Export(w io.Writer, meta Meta, c *Collector, events []trace.Event) error {
 		return err
 	}
 	for _, s := range c.Samples() {
-		rec := sampleRecord{V: trace.JSONLVersion, Type: "sample", TUS: int64(s.At), Values: s.Values}
+		rec := sampleRecord{V: jsonlVersion, Type: "sample", TUS: int64(s.At), Values: s.Values}
 		if rec.Values == nil {
 			rec.Values = []float64{}
 		}
@@ -66,22 +82,33 @@ func Export(w io.Writer, meta Meta, c *Collector, events []trace.Event) error {
 			return err
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return err
+	for _, e := range events {
+		rec := eventRecord{
+			V:    jsonlVersion,
+			Type: "event",
+			TUS:  int64(e.At),
+			Kind: e.Kind.String(),
+			Src:  int(e.Broadcast.Source),
+			Seq:  e.Broadcast.Seq,
+			Host: int(e.Host),
+		}
+		if err := enc.Encode(rec); err != nil {
+			return err
+		}
 	}
-	return trace.EncodeJSONL(w, events)
+	return bw.Flush()
 }
 
 // Decode reads a telemetry export back. It validates the schema version
-// on every line, requires the meta line to precede any samples, and
-// checks each sample row against the meta's series width. Unknown
-// record types are skipped (forward compatibility within a version).
+// on every line, requires the meta line to precede any sample or event,
+// checks each sample row against the meta's series width, and refuses
+// an unknown event kind. Unknown record types are skipped (forward
+// compatibility within a version).
 func Decode(r io.Reader) (*Dump, error) {
 	d := &Dump{}
 	sawMeta := false
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	var eventLines bytes.Buffer
 	line := 0
 	for sc.Scan() {
 		line++
@@ -96,8 +123,8 @@ func Decode(r io.Reader) (*Dump, error) {
 		if err := json.Unmarshal(raw, &head); err != nil {
 			return nil, fmt.Errorf("obs: line %d: %w", line, err)
 		}
-		if head.V != trace.JSONLVersion {
-			return nil, fmt.Errorf("obs: line %d: schema version %d, want %d", line, head.V, trace.JSONLVersion)
+		if head.V != jsonlVersion {
+			return nil, fmt.Errorf("obs: line %d: schema version %d, want %d", line, head.V, jsonlVersion)
 		}
 		switch head.Type {
 		case "meta":
@@ -122,10 +149,23 @@ func Decode(r io.Reader) (*Dump, error) {
 			}
 			d.Samples = append(d.Samples, Sample{At: sim.Time(rec.TUS), Values: rec.Values})
 		case "event":
-			// Batch event lines and hand them to the trace decoder so
-			// the two packages cannot drift on the event wire format.
-			eventLines.Write(raw)
-			eventLines.WriteByte('\n')
+			if !sawMeta {
+				return nil, fmt.Errorf("obs: line %d: event before meta line", line)
+			}
+			var rec eventRecord
+			if err := json.Unmarshal(raw, &rec); err != nil {
+				return nil, fmt.Errorf("obs: line %d: %w", line, err)
+			}
+			kind, ok := kindFromString(rec.Kind)
+			if !ok {
+				return nil, fmt.Errorf("obs: line %d: unknown event kind %q", line, rec.Kind)
+			}
+			d.Events = append(d.Events, Event{
+				At:        sim.Time(rec.TUS),
+				Kind:      kind,
+				Broadcast: packet.BroadcastID{Source: packet.NodeID(rec.Src), Seq: rec.Seq},
+				Host:      packet.NodeID(rec.Host),
+			})
 		default:
 			// Skip unknown record types within a known version.
 		}
@@ -136,12 +176,15 @@ func Decode(r io.Reader) (*Dump, error) {
 	if !sawMeta {
 		return nil, fmt.Errorf("obs: no meta line in stream")
 	}
-	if eventLines.Len() > 0 {
-		events, err := trace.DecodeJSONL(&eventLines)
-		if err != nil {
-			return nil, err
-		}
-		d.Events = events
-	}
 	return d, nil
+}
+
+// kindFromString inverts Kind.String.
+func kindFromString(s string) (Kind, bool) {
+	for k := Originate; k <= Garbled; k++ {
+		if k.String() == s {
+			return k, true
+		}
+	}
+	return 0, false
 }

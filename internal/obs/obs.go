@@ -1,7 +1,9 @@
-// Package obs is the run-telemetry subsystem: a low-overhead collector
+// Package obs is the one way to observe a run: a low-overhead collector
 // of simulated-time series and counters threaded through the DES kernel,
-// PHY, MAC, and manet layers, plus a versioned JSONL export consumed by
-// the analysis tools.
+// PHY, MAC, and manet layers; a Recorder of the per-broadcast event
+// trace (originations, deliveries, duplicates, transmissions, inhibit
+// decisions, garbled copies); and one versioned JSONL format that
+// carries both, written by Export and read back by Decode.
 //
 // The paper's results (RE, SRB, latency) are aggregate endpoints;
 // explaining *why* a scheme saves rebroadcasts needs visibility into
@@ -57,8 +59,7 @@ type Sample struct {
 // to manet.Config.Telemetry (or register series directly), and read the
 // samples back — or Export them as JSONL — after the run. A Collector is
 // single-use and, like the simulation that feeds it, not safe for
-// concurrent use; replica-level parallelism uses one Collector per
-// replica (see experiment.Options.Telemetry).
+// concurrent use.
 type Collector struct {
 	tick     sim.Duration
 	counters []counterSlot

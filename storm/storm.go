@@ -100,6 +100,22 @@ type (
 // Collector gathers run telemetry; attach one via Config.Telemetry.
 type Collector = obs.Collector
 
+// Recorder records a run's per-broadcast events: attach one as
+// Network.Tracer before Run and read its Events, in recording order,
+// after it.
+type Recorder = obs.Recorder
+
+// Trace event kinds. A host's first copy of a broadcast is its
+// Originate (the source) or Deliver (every other host) event.
+const (
+	Originate = obs.Originate
+	Deliver   = obs.Deliver
+	Duplicate = obs.Duplicate
+	Transmit  = obs.Transmit
+	Inhibit   = obs.Inhibit
+	Garbled   = obs.Garbled
+)
+
 // Auditor is the runtime invariant auditor; attach one via Config.Audit
 // to have every event of a run checked for conservation-law violations
 // (packet accounting, scheduler order, pool lifecycle, neighbor-table
@@ -245,6 +261,9 @@ func NewRNG(seed uint64) *RNG { return sim.NewRNG(seed) }
 // NewCollector creates a telemetry collector sampling every tick of
 // simulated time (tick <= 0 uses the default).
 func NewCollector(tick Duration) *Collector { return obs.New(tick) }
+
+// NewRecorder creates an empty event trace recorder for Network.Tracer.
+func NewRecorder() *Recorder { return obs.NewRecorder() }
 
 // NewAuditor creates a runtime invariant auditor for one run; attach it
 // via Config.Audit.
