@@ -3,6 +3,8 @@
 // Usage:
 //
 //	figures -list
+//	figures -fig constants                         # the closed forms 0.61 / 0.41 / 0.59
+//	figures -fig fig1 [-trials 20000] [-seed 5]    # Monte-Carlo EAC(k); fig2 is cf(n,k)
 //	figures -fig fig7 [-requests 200] [-replicas 3] [-hosts 100] [-csv]
 //	figures -fig all                               # every paper figure
 //	figures -fig ablations                         # every abl-* ablation
@@ -45,7 +47,7 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		fig      = fs.String("fig", "", "figure or ablation id to regenerate (fig1..fig13, abl-*; see -list), 'all' for every figure, or 'ablations' for every ablation")
+		fig      = fs.String("fig", "", "figure or ablation id to regenerate (constants, fig1..fig13, abl-*; see -list), 'all' for every figure, or 'ablations' for every ablation")
 		list     = fs.Bool("list", false, "list available figures")
 		requests = fs.Int("requests", 0, "broadcasts per replica (default 40; paper used 10000)")
 		replicas = fs.Int("replicas", 0, "independently seeded repetitions per point (default 2)")
@@ -75,15 +77,9 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 	// Zero means "harness default" for each of these; a negative count is
 	// nonsense the harness would only meet as a makeslice or Validate
 	// panic deep inside a worker.
-	for _, f := range []struct {
-		name  string
-		value int
-	}{
-		{"requests", *requests}, {"replicas", *replicas}, {"hosts", *hosts},
-		{"workers", *workers}, {"trials", *trials},
-	} {
-		if f.value < 0 {
-			return fail(2, fmt.Errorf("-%s must not be negative, got %d", f.name, f.value))
+	for _, name := range []string{"requests", "replicas", "hosts", "workers", "trials"} {
+		if v := fs.Lookup(name).Value.(flag.Getter).Get().(int); v < 0 {
+			return fail(2, fmt.Errorf("-%s must not be negative, got %d", name, v))
 		}
 	}
 	// Replica r of point p runs on seed BaseSeed + SeedStride·p + r, so a
@@ -109,10 +105,7 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 		return 0
 	}
 	if *list {
-		for _, s := range experiment.Registry() {
-			fmt.Fprintf(stdout, "%-13s  %s\n", s.ID, s.Title)
-		}
-		for _, s := range experiment.Ablations() {
+		for _, s := range append(experiment.Registry(), experiment.Ablations()...) {
 			fmt.Fprintf(stdout, "%-13s  %s\n", s.ID, s.Title)
 		}
 		return 0

@@ -67,6 +67,14 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 		return fail(2, err)
 	}
 
+	// routing.Config reads a zero count as "use the default", so a 0 here
+	// would run a different experiment from the one asked for.
+	for _, name := range []string{"hosts", "map", "discoveries"} {
+		if v := fs.Lookup(name).Value.(flag.Getter).Get().(int); v <= 0 {
+			return fail(2, fmt.Errorf("-%s must be positive, got %d", name, v))
+		}
+	}
+
 	stopProf, err := obs.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		return fail(1, err)

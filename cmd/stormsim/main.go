@@ -28,10 +28,11 @@
 //	stormsim -scheme ac -map 7 -resume run.ck
 //	stormsim -scheme ac -map 7 -resume run.ck -fork-seed 42
 //
-// Schemes are given as registry specs (run with -schemes for the full
-// syntax): flooding, prob:P=0.7, counter:C=3, distance:D=40,
-// location:A=0.0469, ac[:n1=..,n2=..], al[:n1=..,n2=..,max=..], nc,
-// cluster[:inner=..].
+// Schemes are given as registry specs: flooding, prob:P=0.7,
+// counter:C=3, distance:D=40, location:A=0.0469, ac[:n1=..,n2=..],
+// al[:n1=..,n2=..,max=..], nc, cluster[:inner=..]. -schemes prints the
+// full syntax, then the -scheme spec's threshold for n = 0..15
+// neighbors: C(n) or A(n) for the adaptive schemes.
 package main
 
 import (
@@ -62,7 +63,7 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 	fs.SetOutput(stderr)
 	var (
 		schemeSpec  = fs.String("scheme", "flooding", "scheme spec, e.g. counter:C=3 (run -schemes for syntax)")
-		listSchemes = fs.Bool("schemes", false, "print the scheme spec syntax and exit")
+		listSchemes = fs.Bool("schemes", false, "print the scheme spec syntax and the -scheme spec's threshold function, and exit")
 		mapUnits    = fs.Int("map", 5, "square map side in 500m units (1,3,5,7,9,11)")
 		hosts       = fs.Int("hosts", 100, "number of mobile hosts")
 		requests    = fs.Int("requests", 100, "broadcast operations to simulate")
@@ -90,11 +91,6 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 
-	if *listSchemes {
-		fmt.Fprint(stdout, "scheme specs:\n", scheme.Usage())
-		return 0
-	}
-
 	fail := func(code int, err error) int {
 		fmt.Fprintln(stderr, "stormsim:", err)
 		return code
@@ -103,6 +99,22 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 	sch, err := scheme.Parse(*schemeSpec)
 	if err != nil {
 		return fail(2, err)
+	}
+
+	if *listSchemes {
+		fmt.Fprint(stdout, "scheme specs:\n", scheme.Usage(), "\n")
+		if err := printSchemeFuncs(stdout, *schemeSpec, 15); err != nil {
+			return fail(2, err)
+		}
+		return 0
+	}
+
+	// manet.Config reads a zero count as "use the default", so a 0 here
+	// would run a different world from the one asked for.
+	for _, name := range []string{"hosts", "map", "requests", "hello-interval"} {
+		if v := fs.Lookup(name).Value.(flag.Getter).Get().(int); v <= 0 {
+			return fail(2, fmt.Errorf("-%s must be positive, got %d", name, v))
+		}
 	}
 
 	switch {
@@ -329,4 +341,46 @@ func writeTelemetry(path string, cfg manet.Config, sch scheme.Scheme, col *obs.C
 		return err
 	}
 	return f.Close()
+}
+
+// printSchemeFuncs tabulates the decision threshold a parsed spec would
+// apply at each neighbor count n — the paper's C(n) and A(n) curves
+// (Figs. 6, 8) for the adaptive schemes, or the constant threshold for
+// the fixed ones.
+func printSchemeFuncs(stdout io.Writer, spec string, maxN int) error {
+	s, err := scheme.Parse(spec)
+	if err != nil {
+		return err
+	}
+	switch v := s.(type) {
+	case scheme.AdaptiveCounter:
+		fn := v.C
+		if fn == nil {
+			fn = scheme.DefaultCounterFunc()
+		}
+		fmt.Fprintf(stdout, "%s counter threshold C(n):\n", v.Name())
+		for n := 0; n <= maxN; n++ {
+			fmt.Fprintf(stdout, "  n=%-3d  C=%d\n", n, fn(n))
+		}
+	case scheme.AdaptiveLocation:
+		fn := v.A
+		if fn == nil {
+			fn = scheme.DefaultLocationFunc()
+		}
+		fmt.Fprintf(stdout, "%s coverage threshold A(n), fraction of pi*r^2:\n", v.Name())
+		for n := 0; n <= maxN; n++ {
+			fmt.Fprintf(stdout, "  n=%-3d  A=%.4f\n", n, fn(n))
+		}
+	case scheme.Counter:
+		fmt.Fprintf(stdout, "%s: fixed counter threshold C=%d for all n\n", v.Name(), v.C)
+	case scheme.Distance:
+		fmt.Fprintf(stdout, "%s: fixed distance threshold D=%g m for all n\n", v.Name(), v.D)
+	case scheme.Location:
+		fmt.Fprintf(stdout, "%s: fixed coverage threshold A=%g for all n\n", v.Name(), v.A)
+	case scheme.Probabilistic:
+		fmt.Fprintf(stdout, "%s: rebroadcast probability P=%g for all n\n", v.Name(), v.P)
+	default:
+		fmt.Fprintf(stdout, "%s: no tunable threshold function (decision is structural)\n", s.Name())
+	}
+	return nil
 }

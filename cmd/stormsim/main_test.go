@@ -27,8 +27,8 @@ func runTool(t *testing.T, argv []string) (int, string, string) {
 }
 
 // TestRunSmoke checks the report names the configuration that ran: a
-// zero -hosts/-map means the default, and the map line must say so
-// instead of echoing the flags.
+// zero -speed means the paper's rule of 10 km/h per map unit, and the
+// map line must say so instead of echoing the flag.
 func TestRunSmoke(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -36,9 +36,9 @@ func TestRunSmoke(t *testing.T) {
 		want string // substring of stdout
 	}{
 		{"flags as given", base(), "map               1x1 units (20 hosts, max 10 km/h)"},
-		{"zero hosts and map mean the defaults",
-			[]string{"-scheme", "ac", "-hosts", "0", "-map", "0", "-requests", "2", "-seed", "3"},
-			"map               5x5 units (100 hosts, max 50 km/h)"},
+		{"zero speed means the paper rule",
+			[]string{"-scheme", "ac", "-hosts", "20", "-map", "3", "-speed", "0", "-requests", "2", "-seed", "3"},
+			"map               3x3 units (20 hosts, max 30 km/h)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, out, errs := runTool(t, tc.argv)
@@ -225,6 +225,77 @@ func TestFlagContradictions(t *testing.T) {
 			t.Fatalf("%v: exit %d, want usage error 2", argv, code)
 		}
 	}
+	// manet.Config reads a zero count as its default, so the tool has to
+	// refuse one instead of running another world.
+	for _, argv := range [][]string{
+		base("-hosts", "0"),
+		base("-map", "0"),
+		base("-map", "-1"),
+		base("-requests", "0"),
+		base("-hello-interval", "0"),
+	} {
+		code, out, errs := runTool(t, argv)
+		if code != 2 || out != "" || strings.Count(errs, "\n") != 1 {
+			t.Fatalf("%v: exit %d, stdout %q, stderr %q; want 2, no stdout and one stderr line", argv, code, out, errs)
+		}
+	}
+}
+
+// TestSchemesPrintsThresholds: -schemes closes with the -scheme spec's
+// threshold at n = 0..15 neighbors, the lines the paper's C(n) and A(n)
+// curves are read from.
+func TestSchemesPrintsThresholds(t *testing.T) {
+	for _, tc := range []struct{ spec, want string }{
+		{"ac", `AC counter threshold C(n):
+  n=0    C=2
+  n=1    C=2
+  n=2    C=3
+  n=3    C=4
+  n=4    C=5
+  n=5    C=5
+  n=6    C=4
+  n=7    C=4
+  n=8    C=4
+  n=9    C=3
+  n=10   C=3
+  n=11   C=2
+  n=12   C=2
+  n=13   C=2
+  n=14   C=2
+  n=15   C=2
+`},
+		{"al:n1=6,n2=12", `AL coverage threshold A(n), fraction of pi*r^2:
+  n=0    A=0.0000
+  n=1    A=0.0000
+  n=2    A=0.0000
+  n=3    A=0.0000
+  n=4    A=0.0000
+  n=5    A=0.0000
+  n=6    A=0.0000
+  n=7    A=0.0312
+  n=8    A=0.0623
+  n=9    A=0.0935
+  n=10   A=0.1247
+  n=11   A=0.1558
+  n=12   A=0.1870
+  n=13   A=0.1870
+  n=14   A=0.1870
+  n=15   A=0.1870
+`},
+		{"counter:C=3", "C=3: fixed counter threshold C=3 for all n\n"},
+	} {
+		code, out, errs := runTool(t, []string{"-scheme", tc.spec, "-schemes"})
+		if code != 0 {
+			t.Fatalf("%s: exit %d: %s", tc.spec, code, errs)
+		}
+		syntax, funcs, ok := strings.Cut(out, "\n\n")
+		if !ok || !strings.HasPrefix(syntax, "scheme specs:\n") || funcs != tc.want {
+			t.Errorf("-scheme %s -schemes printed\n%s\nwant the syntax, a blank line and\n%s", tc.spec, out, tc.want)
+		}
+	}
+	if code, out, _ := runTool(t, []string{"-scheme", "nosuch", "-schemes"}); code != 2 || out != "" {
+		t.Errorf("unknown spec: exit %d, stdout %q; want 2 and nothing printed", code, out)
+	}
 }
 
 // TestUncheckpointableRefusedBeforeRun: telemetry cannot be
@@ -258,7 +329,7 @@ func TestEarlyExitStopsProfile(t *testing.T) {
 		{"resume missing file", base("-resume", filepath.Join(dir, "missing.ck")), 1},
 		{"shards not a power of two", base("-shards", "3"), 1},
 		{"negative speed", base("-speed", "-5"), 1},
-		{"negative hello interval", base("-hello-interval", "-5"), 1},
+		{"negative hello interval", base("-hello-interval", "-5"), 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			argv := append(tc.argv, "-cpuprofile", filepath.Join(dir, "early.prof"))

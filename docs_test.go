@@ -38,10 +38,15 @@ const designMaxLines = 1000
 //   - a bare `Test…`, `Fuzz…` or `Benchmark…` name: some
 //     package declares it.
 //
+// Anywhere in a document, inline code, fenced `go run` lines and prose
+// alike, a cmd/<name>, ./cmd/<name> or examples/<name> names a
+// directory of the tree.
+//
 // It parses the sources with go/parser alone, so a rename in code that
 // the documents still cite fails here, not in a reader's search.
 func TestDocsNameLiveCode(t *testing.T) {
 	tree := parseTree(t)
+	stale := map[string]bool{}
 	for _, doc := range citingDocs {
 		src, err := os.ReadFile(filepath.FromSlash(doc))
 		if err != nil {
@@ -56,7 +61,39 @@ func TestDocsNameLiveCode(t *testing.T) {
 				t.Errorf("%s:%d: `%s` names %s, which is not in the tree", doc, c.line, c.text, bad)
 			}
 		}
+		for _, m := range toolDir.FindAllStringSubmatchIndex(text, -1) {
+			dir := text[m[2]:m[3]]
+			if m[4] >= 0 {
+				continue // a file in the directory, not the directory
+			}
+			if st, err := os.Stat(filepath.FromSlash(dir)); err == nil && st.IsDir() {
+				continue
+			}
+			if _, ok := knownStaleDirs[doc+" "+dir]; ok {
+				stale[doc+" "+dir] = true
+				continue
+			}
+			t.Errorf("%s:%d: %s names no directory of the tree", doc, 1+strings.Count(text[:m[2]], "\n"), dir)
+		}
 	}
+	for k := range knownStaleDirs {
+		if !stale[k] {
+			t.Errorf("knownStaleDirs lists %q, which no document cites any more: delete the entry", k)
+		}
+	}
+}
+
+// toolDir matches a command or example directory: cmd/<name>,
+// ./cmd/<name> or examples/<name>, not inside a longer path, with the
+// extension that follows when it names a file instead.
+var toolDir = regexp.MustCompile(`(?:^|[^\w./-])(?:\./)?((?:cmd|examples)/[\w-]+)(\.\w+)?`)
+
+// knownStaleDirs are directory citations, keyed "<doc> <dir>", that a
+// document this tree cannot edit alone still makes, each with why it
+// stays. An entry no document makes any more fails the test, so each
+// leaves with its citation.
+var knownStaleDirs = map[string]string{
+	"bench/README.md cmd/benchjson": "bench/ changes only together with the benchmark; ROADMAP carries the fix",
 }
 
 type span struct {

@@ -92,7 +92,7 @@ func TestRunMatrixMergesReplicas(t *testing.T) {
 }
 
 func TestRegistryCoversAllFigures(t *testing.T) {
-	want := []string{"fig1", "fig2", "fig5a", "fig5b", "fig5c", "fig5d",
+	want := []string{"constants", "fig1", "fig2", "fig5a", "fig5b", "fig5c", "fig5d",
 		"fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13"}
 	reg := Registry()
 	if len(reg) != len(want) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
+	"repro/internal/geom"
 	"repro/internal/manet"
 	"repro/internal/scheme"
 	"repro/internal/sim"
@@ -26,6 +27,12 @@ type Spec struct {
 // Registry returns all experiment specs in paper order.
 func Registry() []Spec {
 	return []Spec{
+		{
+			ID:    "constants",
+			Title: "Closed-form constants of the storm analysis (any radius)",
+			Paper: "max additional coverage ~0.61, mean additional coverage ~0.41, contention probability ~0.59",
+			Run:   runConstants,
+		},
 		{
 			ID:    "fig1",
 			Title: "Expected additional coverage EAC(k) after hearing a packet k times",
@@ -194,6 +201,18 @@ func LookupAny(id string) (Spec, bool) {
 }
 
 // --- Analysis figures (no network simulation) ---
+
+// runConstants evaluates the three closed forms of the paper's §2.2
+// analysis. Each is a fraction of the disk, so the radius is arbitrary.
+// Four digits: rounded to three, 3√3/4π = 0.41350 reads 0.413.
+func runConstants(Options) []*Table {
+	const r = 500.0
+	t := NewTable("constants", "closed-form storm constants", "quantity", "value")
+	t.AddRow("max additional coverage at d=r, of pi r^2", fmt.Sprintf("%.4f", geom.AdditionalCoverageFraction(r, r)))
+	t.AddRow("mean additional coverage (1 sender), of pi r^2", fmt.Sprintf("%.4f", geom.ExpectedAdditionalCoverageFraction(r)))
+	t.AddRow("pairwise contention probability", fmt.Sprintf("%.4f", geom.ExpectedContentionProbability(r)))
+	return []*Table{t}
+}
 
 func runFig1(o Options) []*Table {
 	o = o.WithDefaults()

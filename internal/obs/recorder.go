@@ -65,6 +65,11 @@ func (e Event) String() string {
 // concurrent use; a simulation is single-threaded.
 type Recorder struct {
 	events []Event
+	// byBroadcast groups events[:grouped] by broadcast, each group in
+	// recording order. Broadcast extends it over the events recorded
+	// since, so dumping every broadcast of a run reads each event once.
+	byBroadcast map[packet.BroadcastID][]int
+	grouped     int
 }
 
 // NewRecorder creates an empty recorder.
@@ -84,11 +89,16 @@ func (r *Recorder) Events() []Event { return r.events }
 
 // Broadcast returns the events of one broadcast in time order.
 func (r *Recorder) Broadcast(bid packet.BroadcastID) []Event {
+	if r.byBroadcast == nil {
+		r.byBroadcast = make(map[packet.BroadcastID][]int)
+	}
+	for i, e := range r.events[r.grouped:] {
+		r.byBroadcast[e.Broadcast] = append(r.byBroadcast[e.Broadcast], r.grouped+i)
+	}
+	r.grouped = len(r.events)
 	var out []Event
-	for _, e := range r.events {
-		if e.Broadcast == bid {
-			out = append(out, e)
-		}
+	for _, i := range r.byBroadcast[bid] {
+		out = append(out, r.events[i])
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,6 +32,29 @@ func TestRecordAndQuery(t *testing.T) {
 		if events[i].At < events[i-1].At {
 			t.Error("Broadcast() not time-ordered")
 		}
+	}
+}
+
+// TestBroadcastSeesLaterEvents: events recorded after a query are in
+// the next answer, in time order, and other broadcasts stay apart.
+func TestBroadcastSeesLaterEvents(t *testing.T) {
+	r := NewRecorder()
+	r.Record(10, Originate, bid(1, 1), 1)
+	if got := len(r.Broadcast(bid(1, 1))); got != 1 {
+		t.Fatalf("first query: %d events, want 1", got)
+	}
+	r.Record(30, Transmit, bid(1, 1), 2)
+	r.Record(5, Originate, bid(2, 1), 2)
+	r.Record(20, Deliver, bid(1, 1), 2)
+	var kinds []Kind
+	for _, e := range r.Broadcast(bid(1, 1)) {
+		kinds = append(kinds, e.Kind)
+	}
+	if want := []Kind{Originate, Deliver, Transmit}; !slices.Equal(kinds, want) {
+		t.Errorf("second query: kinds %v, want %v", kinds, want)
+	}
+	if got := r.Broadcast(bid(2, 1)); len(got) != 1 || got[0].Host != 2 {
+		t.Errorf("other broadcast: %v", got)
 	}
 }
 
