@@ -182,22 +182,24 @@ func TestRejectsNonFinite(t *testing.T) {
 }
 
 func TestResumeContradictoryConfig(t *testing.T) {
-	ck := filepath.Join(t.TempDir(), "run.ck")
-	if code, _, errs := runTool(t, base("-checkpoint", ck, "-checkpoint-every", "6000")); code != 0 {
-		t.Fatalf("checkpointing run failed: %s", errs)
-	}
-	for _, tc := range []struct{ name, flag, value string }{
-		{"seed", "-seed", "77"},
-		{"scheme", "-scheme", "flooding"},
-		{"hosts", "-hosts", "21"},
+	dir := t.TempDir()
+	for _, tc := range []struct{ name, scheme, flag, value string }{
+		{"seed", "ac", "-seed", "77"},
+		{"scheme", "ac", "-scheme", "flooding"},
+		{"hosts", "ac", "-hosts", "21"},
+		// Same label, different decisions: the name rounds P to 0.70 and
+		// max to 0.187, the digest must not.
+		{"prob below label precision", "prob:P=0.701", "-scheme", "prob:P=0.704"},
+		{"al below label precision", "al:n1=6,n2=12,max=0.1871", "-scheme", "al:n1=6,n2=12,max=0.1874"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			argv := append([]string{
-				"-scheme", "ac", "-map", "1", "-hosts", "20", "-requests", "5", "-seed", "3",
-				"-resume", ck,
-			}, tc.flag, tc.value)
+			ck := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "-")+".ck")
+			argv := []string{"-scheme", tc.scheme, "-map", "1", "-hosts", "20", "-requests", "5", "-seed", "3"}
+			if code, _, errs := runTool(t, append(argv, "-checkpoint", ck, "-checkpoint-every", "2000")); code != 0 {
+				t.Fatalf("checkpointing run failed: %s", errs)
+			}
 			// Later flags win, so the contradiction overrides the base value.
-			code, _, errs := runTool(t, argv)
+			code, _, errs := runTool(t, append(argv, "-resume", ck, tc.flag, tc.value))
 			if code != 1 {
 				t.Fatalf("exit %d, want 1 (stderr: %s)", code, errs)
 			}

@@ -39,8 +39,8 @@ const designMaxLines = 1000
 //     package declares it.
 //
 // Anywhere in a document, inline code, fenced `go run` lines and prose
-// alike, a cmd/<name>, ./cmd/<name> or examples/<name> names a
-// directory of the tree.
+// alike, a cmd/<name>, ./cmd/<name>, examples/<name>, internal/<name> or
+// ./internal/<name> names a directory of the tree.
 //
 // It parses the sources with go/parser alone, so a rename in code that
 // the documents still cite fails here, not in a reader's search.
@@ -83,10 +83,11 @@ func TestDocsNameLiveCode(t *testing.T) {
 	}
 }
 
-// toolDir matches a command or example directory: cmd/<name>,
-// ./cmd/<name> or examples/<name>, not inside a longer path, with the
-// extension that follows when it names a file instead.
-var toolDir = regexp.MustCompile(`(?:^|[^\w./-])(?:\./)?((?:cmd|examples)/[\w-]+)(\.\w+)?`)
+// toolDir matches a command, example or internal package directory:
+// cmd/<name>, ./cmd/<name>, examples/<name>, internal/<name> or
+// ./internal/<name>, not inside a longer path, with the extension that
+// follows when it names a file instead.
+var toolDir = regexp.MustCompile(`(?:^|[^\w./-])(?:\./)?((?:cmd|examples|internal)/[\w-]+)(\.\w+)?`)
 
 // knownStaleDirs are directory citations, keyed "<doc> <dir>", that a
 // document this tree cannot edit alone still makes, each with why it

@@ -21,11 +21,11 @@ import (
 // Keys are the package path below internal/, then the identifier, with a
 // method written Type.Method.
 var exportAllowList = map[string]string{
-	"check.Auditor.Err":        "the verdict the storm.Auditor doc tells users to read",
-	"check.Auditor.Ok":         "the verdict the storm.Auditor doc tells users to read",
-	"check.Auditor.Violations": "the verdict the storm.Auditor doc tells users to read",
-	"check.Auditor.Total":      "the verdict the storm.Auditor doc tells users to read",
-	"check.Auditor.SummaryChecked": "manet's audited-run tests assert the end-of-run reconciliation " +
+	"obs.Auditor.Err":        "the verdict the storm.Auditor doc tells users to read",
+	"obs.Auditor.Ok":         "the verdict the storm.Auditor doc tells users to read",
+	"obs.Auditor.Violations": "the verdict the storm.Auditor doc tells users to read",
+	"obs.Auditor.Total":      "the verdict the storm.Auditor doc tells users to read",
+	"obs.Auditor.SummaryChecked": "manet's audited-run tests assert the end-of-run reconciliation " +
 		"ran, and a test in another package cannot reach an export_test.go",
 	"snapshot.ObsNone": "the zero member of the ObsKind iota enum",
 }

@@ -16,8 +16,9 @@ import (
 // from the calling goroutine, annotated with the failing (point,
 // replica, seed): experiment specs are code, and a config they build
 // that fails validation is a programming error. So is a config carrying
-// a manet.Arena — the matrix would hand the one arena to every worker —
-// which panics naming the point before any worker starts.
+// a manet.Arena, a Telemetry collector or an Audit auditor — the matrix
+// would hand the one object to every replica, on every worker — which
+// panics naming the point before any worker starts.
 func RunMatrix(cfgs []manet.Config, o Options) []metrics.Summary {
 	reps := runReplicas(cfgs, o)
 	merged := make([]metrics.Summary, len(reps))
@@ -38,10 +39,15 @@ func runReplicas(cfgs []manet.Config, o Options) [][]metrics.Summary {
 	}
 	tasks := make([]task, 0, len(cfgs)*o.Replicas)
 	for p, cfg := range cfgs {
-		if cfg.Arena != nil {
-			// Every replica below is a copy of cfg, so all of them — on
-			// several workers at once — would build into this one arena.
+		// Every replica below is a copy of cfg, so all of them — on
+		// several workers at once — would share what these point at.
+		switch {
+		case cfg.Arena != nil:
 			panic(fmt.Sprintf("experiment: point %d carries a manet.Arena: an Arena backs one live Network; RunMatrix runs several", p))
+		case cfg.Telemetry != nil:
+			panic(fmt.Sprintf("experiment: point %d carries a Telemetry collector: a collector observes one run; RunMatrix runs several", p))
+		case cfg.Audit != nil:
+			panic(fmt.Sprintf("experiment: point %d carries an Audit auditor: an auditor observes one run; RunMatrix runs several", p))
 		}
 		if cfg.Hosts == 0 {
 			cfg.Hosts = o.Hosts

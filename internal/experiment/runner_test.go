@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/manet"
+	"repro/internal/obs"
 	"repro/internal/scheme"
 )
 
@@ -82,6 +83,35 @@ func TestRunMatrixRefusesSharedArena(t *testing.T) {
 	}
 	if n := judges.Load(); n != 0 {
 		t.Errorf("%d scheme decisions ran before the refusal", n)
+	}
+}
+
+// A collector or an auditor observes one run, and RunMatrix copies each
+// Config to every replica, so the replicas would all feed one observer —
+// concurrently, with several workers. The refusal names the point and
+// comes before any worker starts.
+func TestRunMatrixRefusesSharedObserver(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		attach     func(*manet.Config)
+	}{
+		{"telemetry", "a collector observes one run", func(c *manet.Config) { c.Telemetry = obs.New(0) }},
+		{"audit", "an auditor observes one run", func(c *manet.Config) { c.Audit = obs.NewAuditor() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var judges atomic.Int64
+			plain := manet.Config{Scheme: countScheme{&judges}, MapUnits: 1, Hosts: 8, Requests: 2}
+			observed := plain
+			tc.attach(&observed)
+			o := Options{Replicas: 2, Workers: 2}
+			msg := recoverMatrixPanic(t, func() { RunMatrix([]manet.Config{plain, observed}, o) })
+			if !strings.Contains(msg, "point 1") || !strings.Contains(msg, tc.want) {
+				t.Errorf("panic does not name the point and the contract: %q", msg)
+			}
+			if n := judges.Load(); n != 0 {
+				t.Errorf("%d scheme decisions ran before the refusal", n)
+			}
+		})
 	}
 }
 

@@ -14,6 +14,7 @@
 package mac
 
 import (
+	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/phy"
 	"repro/internal/sim"
@@ -92,18 +93,6 @@ type Stats struct {
 // smaller value keeps simulated storms from compounding).
 const RetryLimit = 4
 
-// Auditor is the MAC's view of the runtime invariant auditor
-// (implemented by internal/check.Auditor): it tracks the Pending-record
-// pool so a double-release or use-after-release of a recycled record is
-// reported instead of silently corrupting a later frame. Declared here
-// as a narrow interface so mac does not depend on the auditor package;
-// a nil Auditor (the default) costs one branch per hook point.
-type Auditor interface {
-	AuditAcquire(at sim.Time, pool string, rec any)
-	AuditRelease(at sim.Time, pool string, rec any)
-	AuditUse(at sim.Time, pool string, rec any)
-}
-
 // Shared is the state every MAC of one world has in common: the
 // scheduler, the channel with its timing, the RTS threshold and the
 // auditor. Each MAC reaches it through one pointer, so none of it is
@@ -117,8 +106,10 @@ type Shared struct {
 	// rtsThreshold enables RTS/CTS for unicast data frames of at least
 	// this many bytes; 0 disables the exchange entirely.
 	rtsThreshold int
-	// audit, when non-nil, observes the Pending pool lifecycle.
-	audit Auditor
+	// audit, when non-nil, observes the Pending pool lifecycle, so a
+	// double-release or use-after-release of a recycled record is
+	// reported instead of silently corrupting a later frame.
+	audit *obs.Auditor
 }
 
 // NewShared returns the shared block for the MACs of one world on ch.
@@ -135,7 +126,7 @@ func (w *Shared) SetRTSThreshold(threshold int) { w.rtsThreshold = threshold }
 // SetAudit attaches an invariant auditor observing the Pending-record
 // pools of every MAC of the world. A nil auditor (the default) leaves
 // them unaudited.
-func (w *Shared) SetAudit(a Auditor) { w.audit = a }
+func (w *Shared) SetAudit(a *obs.Auditor) { w.audit = a }
 
 // MAC is the per-host medium access controller. It implements
 // phy.Listener; the host's upper layer receives frames through the

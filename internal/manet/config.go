@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/check"
 	"repro/internal/geom"
 	"repro/internal/mobility"
 	"repro/internal/neighbor"
@@ -188,9 +187,9 @@ type Config struct {
 	// scheduler, channel, MACs, frame pools, and neighbor tables. Like
 	// Telemetry it is observation-only: it schedules no events and draws
 	// no random numbers, so an audited run produces the identical Summary
-	// (asserted by check.TestAuditTransparency). Inspect the auditor's
+	// (asserted by obs.TestAuditTransparency). Inspect the auditor's
 	// Violations after Run.
-	Audit *check.Auditor
+	Audit *obs.Auditor
 
 	// Seed selects the deterministic random streams.
 	Seed uint64

@@ -3,7 +3,7 @@ package manet
 import (
 	"testing"
 
-	"repro/internal/check"
+	"repro/internal/obs"
 	"repro/internal/scheme"
 	"repro/internal/sim"
 )
@@ -111,7 +111,7 @@ func TestMoverSpeedAuditClean(t *testing.T) {
 		},
 	} {
 		cfg := mk()
-		a := check.New()
+		a := obs.NewAuditor()
 		cfg.Audit = a
 		cfg.Seed = 11
 		n, err := New(cfg)
@@ -130,7 +130,7 @@ func TestMoverSpeedAuditClean(t *testing.T) {
 // sweep compares against auditSpeed, so shrinking it after construction
 // simulates a mobility model that outruns its declared cap).
 func TestMoverSpeedAuditFlagsExcess(t *testing.T) {
-	a := check.New()
+	a := obs.NewAuditor()
 	n, err := New(Config{
 		Scheme: scheme.Flooding{}, Hosts: 25, MapUnits: 3, Requests: 5,
 		Audit: a, Seed: 11,
@@ -142,13 +142,13 @@ func TestMoverSpeedAuditFlagsExcess(t *testing.T) {
 	n.Run()
 	found := false
 	for _, v := range a.Violations() {
-		if v.Invariant == check.InvMobility {
+		if v.Invariant == obs.InvMobility {
 			found = true
 			break
 		}
 	}
 	if !found {
 		t.Fatalf("no %s violation despite movers exceeding the bound (total violations: %d)",
-			check.InvMobility, a.Total())
+			obs.InvMobility, a.Total())
 	}
 }

@@ -270,14 +270,14 @@ func (h *host) onBroadcast(f *packet.Frame) {
 		if judge.Initial() == scheme.Inhibit {
 			scheme.ReleaseJudge(judge)
 			if h.net.obs != nil {
-				h.net.obs.Inc(h.net.obsInhibitInit)
+				h.net.inhibitInitial++
 			}
 			h.net.noteActivity(bid, h)
 			h.net.trace(obs.Inhibit, bid, h.id)
 			return
 		}
 		if h.net.obs != nil {
-			h.net.obs.Inc(h.net.obsProceedInit)
+			h.net.proceedInitial++
 		}
 		p := h.newPendingRebroadcast(bid, judge, payload)
 		h.trackPending(p)
@@ -301,11 +301,11 @@ func (h *host) onBroadcast(f *packet.Frame) {
 	}
 	if p.judge.OnDuplicate(rx) == scheme.Inhibit {
 		if h.net.obs != nil {
-			h.net.obs.Inc(h.net.obsInhibitDup)
+			h.net.inhibitDup++
 		}
 		h.inhibit(p)
 	} else if h.net.obs != nil {
-		h.net.obs.Inc(h.net.obsProceedDup)
+		h.net.proceedDup++
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"repro/internal/check"
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/metrics"
@@ -65,19 +64,19 @@ type Network struct {
 	CheckpointHook  func(now sim.Time) error
 
 	// Telemetry plumbing (cfg.Telemetry): the collector plus the scheme
-	// decision counters the hosts bump. All access is gated on obs !=
-	// nil, so an uninstrumented run pays one pointer test per decision.
-	obs            *obs.Collector
-	obsProceedInit obs.CounterID
-	obsInhibitInit obs.CounterID
-	obsProceedDup  obs.CounterID
-	obsInhibitDup  obs.CounterID
+	// decision counts the hosts bump and its first four gauges read.
+	// Every increment is gated on obs != nil: an uninstrumented run pays
+	// one pointer test per decision, and a speculative window — whose
+	// lanes decide concurrently — only opens when obs is nil.
+	obs                            *obs.Collector
+	proceedInitial, inhibitInitial int
+	proceedDup, inhibitDup         int
 
 	// Invariant auditor plumbing (cfg.Audit): the auditor itself plus the
 	// mobility speed bound the neighbor-soundness sweep uses to expand the
 	// radio radius for drift since a HELLO was heard. All hot-path access
 	// is gated on audit != nil, so an unaudited run pays one pointer test.
-	audit      *check.Auditor
+	audit      *obs.Auditor
 	auditSpeed float64 // fastest possible host speed, m/s
 
 	// Scratch reused by idealHelloDeliver's unit-disk query so it does
@@ -453,16 +452,16 @@ func (n *Network) shardOfY(y float64) int {
 	return s
 }
 
-// observe registers the network-level telemetry series. Counters are
-// bumped at the scheme decision points in host.go; gauges are pure
-// reads of already-maintained state, evaluated only when the tick hook
-// samples.
+// observe registers the network-level telemetry series. Every series is
+// a pure read of already-maintained state, evaluated only when the tick
+// hook samples; the four scheme.* series read the decision counts
+// host.go bumps, and come first in the JSONL column order.
 func (n *Network) observe(o *obs.Collector) {
 	n.obs = o
-	n.obsProceedInit = o.Counter("scheme.proceed_initial")
-	n.obsInhibitInit = o.Counter("scheme.inhibit_initial")
-	n.obsProceedDup = o.Counter("scheme.proceed_duplicate")
-	n.obsInhibitDup = o.Counter("scheme.inhibit_duplicate")
+	o.Gauge("scheme.proceed_initial", func() float64 { return float64(n.proceedInitial) })
+	o.Gauge("scheme.inhibit_initial", func() float64 { return float64(n.inhibitInitial) })
+	o.Gauge("scheme.proceed_duplicate", func() float64 { return float64(n.proceedDup) })
+	o.Gauge("scheme.inhibit_duplicate", func() float64 { return float64(n.inhibitDup) })
 	o.Gauge("sim.pending_events", func() float64 { return float64(n.sched.Pending()) })
 	o.Gauge("sim.event_pool_hit_rate", func() float64 { return n.sched.PoolHitRate() })
 	o.Gauge("mac.backoff_stalls", func() float64 { return float64(n.MACStats().Stalls) })
@@ -614,26 +613,18 @@ func (n *Network) recycleFrame(f *packet.Frame, lane int32) {
 // reused: it is the sender's announced set, which receivers keep.
 func (n *Network) newHelloFrame(sender packet.NodeID, pos geom.Point, interval sim.Duration) *packet.Frame {
 	f, ok := pop(&n.helloPool)
-	if ok {
-		recent := f.Recent[:0]
-		*f = packet.Frame{
-			Kind:          packet.KindHello,
-			Sender:        sender,
-			Dest:          packet.DestBroadcast,
-			Bytes:         packet.HelloBaseBytes,
-			SenderPos:     pos,
-			HelloInterval: interval,
-		}
-		f.Recent = recent
-	} else {
-		f = &packet.Frame{
-			Kind:          packet.KindHello,
-			Sender:        sender,
-			Dest:          packet.DestBroadcast,
-			Bytes:         packet.HelloBaseBytes,
-			SenderPos:     pos,
-			HelloInterval: interval,
-		}
+	if !ok {
+		f = new(packet.Frame)
+	}
+	recent := f.Recent[:0]
+	*f = packet.Frame{
+		Kind:          packet.KindHello,
+		Sender:        sender,
+		Dest:          packet.DestBroadcast,
+		Bytes:         packet.HelloBaseBytes,
+		SenderPos:     pos,
+		HelloInterval: interval,
+		Recent:        recent,
 	}
 	if n.audit != nil {
 		n.audit.AuditAcquire(n.sched.Now(), "frame", f)

@@ -3,7 +3,7 @@ package manet
 import (
 	"testing"
 
-	"repro/internal/check"
+	"repro/internal/obs"
 	"repro/internal/scheme"
 	"repro/internal/sim"
 )
@@ -93,7 +93,7 @@ func TestHighSpeedShardedMatchesOracle(t *testing.T) {
 	}
 
 	audited := base
-	audited.Audit = check.New()
+	audited.Audit = obs.NewAuditor()
 	anet, err := New(audited)
 	if err != nil {
 		t.Fatal(err)

@@ -8,8 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/check"
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/scheme"
 	"repro/internal/sim"
 )
@@ -172,7 +172,7 @@ func TestShardedAuditClean(t *testing.T) {
 	want := plain.Run()
 
 	audited := base
-	audited.Audit = check.New()
+	audited.Audit = obs.NewAuditor()
 	net, err := New(audited)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package manet
 
 import (
 	"fmt"
+	"hash/fnv"
 	"io"
 	"slices"
 
@@ -43,10 +44,49 @@ func (n *Network) checkpointDigest() string {
 		"scheme=%q requests=%d arrival=%d hello=%d hi=%d expiry=%d slots=%d warmup=%d drain=%d "+
 		"engine=%d shards=%d nocoll=%t idealhello=%t loss=%g capture=%g repair=%t retain=%t seed=%d",
 		c.Hosts, c.MapUnits, c.UnitMeters, c.Radius, c.MaxSpeedKMH, c.Static, c.Mobility, c.Placement,
-		c.Scheme.Name(), c.Requests, c.ArrivalSpread, c.HelloMode, c.HelloInterval, c.ExpiryIntervals, c.AssessmentSlots, c.Warmup, c.Drain,
+		schemeDigest(c.Scheme, c.Hosts), c.Requests, c.ArrivalSpread, c.HelloMode, c.HelloInterval, c.ExpiryIntervals, c.AssessmentSlots, c.Warmup, c.Drain,
 		n.engine, n.shards, c.DisableCollisions, c.IdealHello,
 		c.LossRate, c.CaptureRatio, c.Repair, c.RetainRecords, c.Seed)
 	return n.digestCache
+}
+
+// schemeDigest renders a scheme for the checkpoint digest with every
+// parameter its decisions depend on. A Name is a table label that
+// rounds fixed thresholds (P=%.2f, A=%.4f, D=%.0f) and lets a Label
+// stand for any threshold function, so these follow it at full
+// precision, and a custom C(n) or A(n) as a hash of its values over
+// n = 0..hosts-1. A scheme whose name fixes its decisions (flooding,
+// C=k, the default AC and AL, NC) renders as its name alone, so digests
+// taken under it do not change.
+func schemeDigest(s scheme.Scheme, hosts int) string {
+	name := s.Name()
+	h := fnv.New64a()
+	switch s := s.(type) {
+	case scheme.Probabilistic, scheme.Distance, scheme.Location:
+		return fmt.Sprintf("%s %+v", name, s)
+	case scheme.AdaptiveCounter:
+		if s.C == nil {
+			return name
+		}
+		for n := range hosts {
+			fmt.Fprint(h, s.C(n), " ")
+		}
+	case scheme.AdaptiveLocation:
+		if s.A == nil {
+			return name
+		}
+		for n := range hosts {
+			fmt.Fprint(h, s.A(n), " ")
+		}
+	case scheme.Cluster:
+		if s.Inner != nil && schemeDigest(s.Inner, hosts) != s.Inner.Name() {
+			return fmt.Sprintf("%s inner=(%s)", name, schemeDigest(s.Inner, hosts))
+		}
+		return name
+	default:
+		return name
+	}
+	return fmt.Sprintf("%s fn=%016x", name, h.Sum64())
 }
 
 // checkpointable reports why this network cannot be checkpointed, nil

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/check"
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/metrics"
@@ -187,7 +186,7 @@ func TestRestoredRunAuditClean(t *testing.T) {
 	bufs, want := captureCheckpoints(t, cfg)
 
 	audited := cfg
-	audited.Audit = check.New()
+	audited.Audit = obs.NewAuditor()
 	restored, err := RestoreNetwork(bytes.NewReader(bufs[1]), audited)
 	if err != nil {
 		t.Fatal(err)
@@ -333,6 +332,44 @@ func TestRestoreContradictoryConfig(t *testing.T) {
 			t.Fatal("RestoreNetwork accepted a truncated checkpoint")
 		}
 	})
+
+	// A scheme's name rounds its parameters (P=%.2f, AL(%d,%d,%.3f)), so
+	// these pairs print the same label and still decide differently. The
+	// checkpoint resumes under its own spec and is refused under the other.
+	for _, tc := range []struct{ name, from, to string }{
+		{"prob-below-label-precision", "prob:P=0.701", "prob:P=0.704"},
+		{"al-below-label-precision", "al:n1=6,n2=12,max=0.1871", "al:n1=6,n2=12,max=0.1874"},
+		{"cluster-inner-below-label-precision", "cluster:inner=prob:P=0.701", "cluster:inner=prob:P=0.704"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			from, err := scheme.Parse(tc.from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			to, err := scheme.Parse(tc.to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if from.Name() != to.Name() {
+				t.Fatalf("names differ (%q, %q): the row no longer tests rounding", from.Name(), to.Name())
+			}
+			cfg := resumeBase(from, 2)
+			bufs, want := captureCheckpoints(t, cfg)
+			restored, err := RestoreNetwork(bytes.NewReader(bufs[1]), cfg)
+			if err != nil {
+				t.Fatalf("same-spec resume refused: %v", err)
+			}
+			if got := restored.Run(); got != want {
+				t.Fatalf("same-spec resume diverges:\nresumed:  %+v\nstraight: %+v", got, want)
+			}
+			bad := cfg
+			bad.Scheme = to
+			_, err = RestoreNetwork(bytes.NewReader(bufs[1]), bad)
+			if err == nil || !strings.Contains(err.Error(), "different configuration") {
+				t.Fatalf("RestoreNetwork under %s = %v, want a different-configuration refusal", tc.to, err)
+			}
+		})
+	}
 }
 
 // restoreForged decodes doc, applies forge, and restores the result

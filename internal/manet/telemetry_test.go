@@ -2,6 +2,7 @@ package manet
 
 import (
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -91,6 +92,37 @@ func lastValue(t *testing.T, c *obs.Collector, name string) float64 {
 	}
 	t.Fatalf("series %q not registered (have %v)", name, names)
 	return 0
+}
+
+// TestTelemetrySeriesPinned pins one small sharded run's series list
+// and its four scheme-decision counts at the end. The list is the JSONL
+// column order, so a change to how a layer registers its series —
+// the scheme.* counts must come first — shows here, not as a silently
+// reordered export.
+func TestTelemetrySeriesPinned(t *testing.T) {
+	c := obs.New(0)
+	n, err := New(Config{
+		Scheme: scheme.AdaptiveCounter{}, MapUnits: 3, Hosts: 40, Requests: 10, Seed: 2,
+		Engine: EngineSharded, Shards: 2, Telemetry: c,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Run()
+	want := []string{
+		"scheme.proceed_initial", "scheme.inhibit_initial", "scheme.proceed_duplicate", "scheme.inhibit_duplicate",
+		"sim.pending_events", "sim.event_pool_hit_rate", "mac.backoff_stalls", "manet.hello_sent", "manet.broadcasts",
+		"engine.barriers", "engine.barrier_wait_ns", "engine.border_share", "engine.shard0_executed", "engine.shard1_executed",
+		"phy.busy_radio_seconds", "phy.active_transmissions", "phy.transmissions", "phy.deliveries", "phy.collisions",
+		"phy.lost", "phy.tx_pool_hit_rate", "phy.nbr_memo_hit_rate",
+	}
+	if got := c.SeriesNames(); !slices.Equal(got, want) {
+		t.Fatalf("series list changed:\n got: %q\nwant: %q", got, want)
+	}
+	ss := c.Samples()
+	if got, want := ss[len(ss)-1].Values[:4], []float64{384, 0, 174, 137}; !slices.Equal(got, want) {
+		t.Errorf("final scheme decision counts = %v, want %v", got, want)
+	}
 }
 
 func TestProgressOutput(t *testing.T) {

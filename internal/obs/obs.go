@@ -1,20 +1,20 @@
 // Package obs is the one way to observe a run: a low-overhead collector
-// of simulated-time series and counters threaded through the DES kernel,
-// PHY, MAC, and manet layers; a Recorder of the per-broadcast event
-// trace (originations, deliveries, duplicates, transmissions, inhibit
-// decisions, garbled copies); and one versioned JSONL format that
-// carries both, written by Export and read back by Decode.
+// of simulated-time series threaded through the DES kernel, PHY, MAC,
+// and manet layers; a Recorder of the per-broadcast event trace; an
+// Auditor of runtime invariants (audit.go); and one versioned JSONL
+// format that carries series and trace, written by Export and read back
+// by Decode.
 //
 // The paper's results (RE, SRB, latency) are aggregate endpoints;
 // explaining *why* a scheme saves rebroadcasts needs visibility into
 // contention, collision, and suppression dynamics over simulated time —
 // the channel-load analysis the broadcast-reliability literature uses.
-// A Collector samples registered counters and gauges on a configurable
-// sim-time tick (channel busy fraction, concurrent transmissions,
-// collision counts, backoff stalls, pending-event depth, per-scheme
-// inhibit/proceed decisions) without perturbing the simulation: sampling
-// rides the scheduler's tick hook, schedules no events, and draws no
-// random numbers, so an instrumented run produces a byte-identical
+// A Collector samples registered gauges on a configurable sim-time tick
+// (channel busy fraction, concurrent transmissions, collision counts,
+// backoff stalls, pending-event depth, per-scheme inhibit/proceed
+// decisions) without perturbing the simulation: sampling rides the
+// scheduler's tick hook, schedules no events, and draws no random
+// numbers, so an instrumented run produces a byte-identical
 // metrics.Summary (asserted by manet's telemetry equivalence test).
 //
 // A nil *Collector is valid everywhere and disables telemetry at zero
@@ -31,41 +31,27 @@ import "repro/internal/sim"
 // milliseconds), coarse enough that a minutes-long run stays small.
 const DefaultTick = 100 * sim.Millisecond
 
-// CounterID identifies a registered counter; obtain one with Counter.
-// The zero value is safe to Inc only through a nil Collector (every
-// instrument point that holds a CounterID also holds the Collector it
-// was registered on).
-type CounterID int
-
-type counterSlot struct {
-	name  string
-	value int64
-}
-
 type gaugeSlot struct {
 	name string
 	fn   func() float64
 }
 
-// Sample is one row of the time series: every registered counter and
-// gauge evaluated at one simulated instant. Values align with
-// SeriesNames (counters first, in registration order, then gauges).
+// Sample is one row of the time series: every registered gauge
+// evaluated at one simulated instant. Values align with SeriesNames.
 type Sample struct {
 	At     sim.Time
 	Values []float64
 }
 
 // Collector accumulates one run's telemetry. Build it with New, hand it
-// to manet.Config.Telemetry (or register series directly), and read the
+// to manet.Config.Telemetry (or register gauges directly), and read the
 // samples back — or Export them as JSONL — after the run. A Collector is
 // single-use and, like the simulation that feeds it, not safe for
 // concurrent use.
 type Collector struct {
-	tick     sim.Duration
-	counters []counterSlot
-	gauges   []gaugeSlot
-	byName   map[string]CounterID
-	samples  []Sample
+	tick    sim.Duration
+	gauges  []gaugeSlot
+	samples []Sample
 }
 
 // New creates a collector sampling every tick of simulated time;
@@ -74,7 +60,7 @@ func New(tick sim.Duration) *Collector {
 	if tick <= 0 {
 		tick = DefaultTick
 	}
-	return &Collector{tick: tick, byName: make(map[string]CounterID)}
+	return &Collector{tick: tick}
 }
 
 // Tick returns the sampling interval (0 on a nil collector).
@@ -85,35 +71,11 @@ func (c *Collector) Tick() sim.Duration {
 	return c.tick
 }
 
-// Counter registers (or finds) a counter by name and returns its id.
-// Registering on a nil collector returns 0; the matching Inc calls are
-// no-ops there too, so instrument points need no nil checks of
-// their own beyond guarding genuinely expensive bookkeeping.
-func (c *Collector) Counter(name string) CounterID {
-	if c == nil {
-		return 0
-	}
-	if id, ok := c.byName[name]; ok {
-		return id
-	}
-	id := CounterID(len(c.counters))
-	c.counters = append(c.counters, counterSlot{name: name})
-	c.byName[name] = id
-	return id
-}
-
-// Inc increments a registered counter by one. Safe on a nil collector.
-func (c *Collector) Inc(id CounterID) {
-	if c == nil {
-		return
-	}
-	c.counters[id].value++
-}
-
 // Gauge registers a sampled series evaluated at every tick. Gauges must
 // be pure reads of simulation state: they run inside the scheduler's
 // tick hook, so mutating state or drawing random numbers there would
-// change the run they are observing. Safe on a nil collector.
+// change the run they are observing. A counter is a gauge reading a
+// plain integer its owner bumps. Safe on a nil collector.
 func (c *Collector) Gauge(name string, fn func() float64) {
 	if c == nil {
 		return
@@ -121,35 +83,28 @@ func (c *Collector) Gauge(name string, fn func() float64) {
 	c.gauges = append(c.gauges, gaugeSlot{name: name, fn: fn})
 }
 
-// SeriesNames returns every sampled series name: counters first in
-// registration order, then gauges in registration order — the column
-// order of Sample.Values.
+// SeriesNames returns every sampled series name in registration order —
+// the column order of Sample.Values.
 func (c *Collector) SeriesNames() []string {
 	if c == nil {
 		return nil
 	}
-	names := make([]string, 0, len(c.counters)+len(c.gauges))
-	for _, s := range c.counters {
-		names = append(names, s.name)
-	}
+	names := make([]string, 0, len(c.gauges))
 	for _, g := range c.gauges {
 		names = append(names, g.name)
 	}
 	return names
 }
 
-// Sample snapshots every counter and gauge at the given simulated time,
-// appending one row to the series. Consecutive calls at the same
-// instant coalesce (the later call wins), so an explicit end-of-run
-// sample can follow a tick that already fired at the same time.
+// Sample evaluates every gauge at the given simulated time, appending
+// one row to the series. Consecutive calls at the same instant coalesce
+// (the later call wins), so an explicit end-of-run sample can follow a
+// tick that already fired at the same time.
 func (c *Collector) Sample(at sim.Time) {
 	if c == nil {
 		return
 	}
-	row := Sample{At: at, Values: make([]float64, 0, len(c.counters)+len(c.gauges))}
-	for _, s := range c.counters {
-		row.Values = append(row.Values, float64(s.value))
-	}
+	row := Sample{At: at, Values: make([]float64, 0, len(c.gauges))}
 	for _, g := range c.gauges {
 		row.Values = append(row.Values, g.fn())
 	}

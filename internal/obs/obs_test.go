@@ -17,8 +17,6 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 func TestNilCollectorIsInert(t *testing.T) {
 	var c *Collector
-	id := c.Counter("x")
-	c.Inc(id)
 	c.Gauge("g", func() float64 { t.Fatal("gauge called on nil collector"); return 0 })
 	c.Sample(sim.Time(1))
 	if c.Tick() != 0 {
@@ -37,20 +35,17 @@ func TestCollectorCountersAndGauges(t *testing.T) {
 	if c.Tick() != DefaultTick {
 		t.Fatalf("Tick = %v, want DefaultTick %v", c.Tick(), DefaultTick)
 	}
-	a := c.Counter("a")
-	b := c.Counter("b")
-	if again := c.Counter("a"); again != a {
-		t.Fatalf("re-registering a counter returned a new id: %d vs %d", again, a)
-	}
+	// A counter is a gauge reading an integer its owner bumps.
+	var a, b int
+	c.Gauge("a", func() float64 { return float64(a) })
+	c.Gauge("b", func() float64 { return float64(b) })
 	g := 1.5
 	c.Gauge("g", func() float64 { return g })
 
-	for range 3 {
-		c.Inc(a)
-	}
-	c.Inc(b)
+	a += 3
+	b++
 	c.Sample(sim.Time(100))
-	c.Inc(a)
+	a++
 	g = 2.5
 	c.Sample(sim.Time(200))
 
@@ -69,10 +64,11 @@ func TestCollectorCountersAndGauges(t *testing.T) {
 
 func TestSampleCoalescesSameInstant(t *testing.T) {
 	c := New(sim.Second)
-	a := c.Counter("a")
-	c.Inc(a)
+	a := 0
+	c.Gauge("a", func() float64 { return float64(a) })
+	a++
 	c.Sample(sim.Time(500))
-	c.Inc(a)
+	a++
 	c.Sample(sim.Time(500)) // end-of-run sample at the same instant
 	got := c.Samples()
 	if len(got) != 1 {
@@ -89,17 +85,17 @@ func TestSampleCoalescesSameInstant(t *testing.T) {
 func syntheticExport(t *testing.T) []byte {
 	t.Helper()
 	c := New(50 * sim.Millisecond)
-	tx := c.Counter("scheme.proceed_initial")
-	inh := c.Counter("scheme.inhibit_duplicate")
+	var tx, inh int
+	c.Gauge("scheme.proceed_initial", func() float64 { return float64(tx) })
+	c.Gauge("scheme.inhibit_duplicate", func() float64 { return float64(inh) })
 	busy := 0.0
 	c.Gauge("phy.busy_radio_seconds", func() float64 { return busy })
 
-	c.Inc(tx)
+	tx++
 	busy = 0.0125
 	c.Sample(sim.Time(50 * sim.Millisecond))
-	c.Inc(tx)
-	c.Inc(tx)
-	c.Inc(inh)
+	tx += 2
+	inh++
 	busy = 0.0500
 	c.Sample(sim.Time(100 * sim.Millisecond))
 

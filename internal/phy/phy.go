@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/nodeset"
+	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/pdes"
 	"repro/internal/sim"
@@ -62,31 +63,6 @@ type TxEndFunc func()
 
 // TxEnded implements TxEnder.
 func (f TxEndFunc) TxEnded() { f() }
-
-// Auditor is the channel's view of the runtime invariant auditor
-// (implemented by internal/check.Auditor): pure observation callbacks
-// for packet conservation and the transmission-record/frame pool
-// lifecycle. Declared here as a narrow interface so phy does not depend
-// on the auditor package; a nil Auditor (the default) costs one branch
-// per hook point.
-type Auditor interface {
-	// AuditTransmit observes a frame going on the air with the given
-	// number of in-range receivers.
-	AuditTransmit(at sim.Time, sender, receivers int)
-	// AuditTransmitEnd observes the transmission's airtime ending after
-	// all of its copies resolved; transmissions still in flight when a
-	// run stops never report it.
-	AuditTransmitEnd(at sim.Time, sender, receivers int)
-	// AuditDelivered / AuditCollided / AuditLost observe each in-range
-	// copy's single resolution.
-	AuditDelivered(at sim.Time, receiver int)
-	AuditCollided(at sim.Time, receiver int)
-	AuditLost(at sim.Time, receiver int)
-	// AuditAcquire / AuditRelease / AuditUse track pooled records.
-	AuditAcquire(at sim.Time, pool string, rec any)
-	AuditRelease(at sim.Time, pool string, rec any)
-	AuditUse(at sim.Time, pool string, rec any)
-}
 
 // Timing describes the physical layer bit timing. The zero value is not
 // usable; use DSSSTiming for the paper's parameters.
@@ -291,7 +267,7 @@ type Channel struct {
 
 	// audit, when non-nil, receives conservation and pool-lifecycle
 	// observations (SetAudit).
-	audit Auditor
+	audit *obs.Auditor
 
 	// Worker pool (nil on the sequential engine): parallelizes snapshot
 	// position evaluation across index ranges. Positions are pure
@@ -323,7 +299,7 @@ func NewChannel(sched *sim.Scheduler, timing Timing, radius float64) *Channel {
 // SetAudit attaches an invariant auditor observing this channel's
 // transmissions, per-copy outcomes, and transmission-record pool. Call
 // before traffic starts; a nil auditor leaves the channel unaudited.
-func (c *Channel) SetAudit(a Auditor) { c.audit = a }
+func (c *Channel) SetAudit(a *obs.Auditor) { c.audit = a }
 
 // Timing returns the channel's PHY timing parameters.
 func (c *Channel) Timing() Timing { return c.timing }

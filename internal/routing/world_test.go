@@ -5,8 +5,8 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/check"
 	"repro/internal/manet"
+	"repro/internal/obs"
 	"repro/internal/scheme"
 	"repro/internal/sim"
 )
@@ -21,7 +21,7 @@ func TestAuditedRouteRunIsClean(t *testing.T) {
 		DataInterval: 300 * sim.Millisecond, Seed: 7,
 	}.WithDefaults()
 	wcfg := cfg.world()
-	audit := check.New()
+	audit := obs.NewAuditor()
 	wcfg.Audit = audit
 	n, err := newNetwork(cfg, wcfg)
 	if err != nil {

@@ -24,7 +24,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/check"
 	"repro/internal/geom"
 	"repro/internal/manet"
 	"repro/internal/metrics"
@@ -122,10 +121,10 @@ const (
 // soundness, metric sanity). Auditing is observation-only: the Summary
 // is byte-identical with or without it. Inspect Err, Ok, Violations, or
 // Total after the run.
-type Auditor = check.Auditor
+type Auditor = obs.Auditor
 
 // Violation is one invariant breach an Auditor observed.
-type Violation = check.Violation
+type Violation = obs.Violation
 
 // Simulated-time units.
 const (
@@ -267,7 +266,7 @@ func NewRecorder() *Recorder { return obs.NewRecorder() }
 
 // NewAuditor creates a runtime invariant auditor for one run; attach it
 // via Config.Audit.
-func NewAuditor() *Auditor { return check.New() }
+func NewAuditor() *Auditor { return obs.NewAuditor() }
 
 // PaperMaxSpeedKMH is the paper's speed rule: 10 km/h per map unit.
 func PaperMaxSpeedKMH(units int) float64 { return manet.PaperMaxSpeedKMH(units) }
