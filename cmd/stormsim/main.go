@@ -22,7 +22,9 @@
 // configuration the checkpoint was taken under, and the resumed run's
 // metrics are byte-identical to an uninterrupted one. -fork-seed
 // re-seeds the restored hosts instead, turning the checkpoint into the
-// shared past of a what-if run:
+// shared past of a what-if run. A run that ends before its first
+// checkpoint still prints its report, then exits 1 saying no checkpoint
+// was written:
 //
 //	stormsim -scheme ac -map 7 -checkpoint run.ck -checkpoint-every 10000
 //	stormsim -scheme ac -map 7 -resume run.ck
@@ -205,12 +207,14 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 			return fail(1, err)
 		}
 	}
+	ckptWritten := false
 	if *ckptPath != "" {
 		n.CheckpointEvery = sim.Duration(*ckptEvery) * sim.Millisecond
 		n.CheckpointHook = func(now sim.Time) error {
 			if err := writeCheckpoint(n, *ckptPath); err != nil {
 				return err
 			}
+			ckptWritten = true
 			if *progress {
 				fmt.Fprintf(stderr, "checkpoint at %.1f s -> %s\n", now.Seconds(), *ckptPath)
 			}
@@ -300,6 +304,10 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprint(stdout, viz.ConnectivitySummary(pts, n.Config().Radius))
 	}
 
+	if *ckptPath != "" && !ckptWritten {
+		return fail(1, fmt.Errorf("no checkpoint written: the run ended at %.1f s, before the first -checkpoint-every %d ms",
+			s.SimulatedTime.Seconds(), *ckptEvery))
+	}
 	return 0
 }
 

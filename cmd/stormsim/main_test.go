@@ -316,6 +316,25 @@ func TestUncheckpointableRefusedBeforeRun(t *testing.T) {
 	}
 }
 
+// TestCheckpointCadenceNeverReached: a run that ends before its first
+// -checkpoint-every leaves no file for a later -resume, so it prints its
+// report and then fails with one line saying so.
+func TestCheckpointCadenceNeverReached(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "f")
+	code, out, errs := runTool(t, []string{"-scheme", "prob:P=0.701", "-map", "1", "-hosts", "20",
+		"-requests", "5", "-seed", "3", "-checkpoint", ck, "-checkpoint-every", "6000"})
+	if code != 1 || !strings.Contains(out, "simulated time            6.0 s") {
+		t.Fatalf("exit %d, stdout:\n%s\nwant 1 after the full report", code, out)
+	}
+	want := "stormsim: no checkpoint written: the run ended at 6.0 s, before the first -checkpoint-every 6000 ms\n"
+	if errs != want {
+		t.Fatalf("stderr = %q, want %q", errs, want)
+	}
+	if _, err := os.Stat(ck); !os.IsNotExist(err) {
+		t.Fatalf("checkpoint file: %v, want none", err)
+	}
+}
+
 // An early exit must not leave the process-wide CPU profiler running:
 // after each one, a successful profiled run in the same process has to
 // start its own profile and flush it.

@@ -4,15 +4,15 @@ import (
 	"repro/internal/geom"
 )
 
-// This file provides an oracle bound for the rebroadcast-saving metric:
-// a broadcast reaches every host in the source's component if and only
-// if the set of transmitters dominates the component and is connected
+// This file provides an oracle for the rebroadcast-saving metric: a
+// broadcast reaches every host in the source's component if and only if
+// the set of transmitters dominates the component and is connected
 // (every non-transmitter neighbors a transmitter, and the transmitters
 // form a connected relay backbone containing the source). The smallest
 // such set is a minimum connected dominating set (MCDS) — NP-hard, so we
-// compute greedy approximations. |CDS| / |component| lower-bounds the
-// fraction of hosts that must transmit, i.e. 1 - |CDS|/|component| is an
-// upper bound on the SRB any scheme can achieve at full reachability.
+// compute greedy approximations. A greedy CDS is at least as large as
+// the minimum one, so 1 - |CDS|/|component| is an SRB some relay set
+// achieves at full reachability, not a ceiling: a scheme may beat it.
 
 // UnitDiskAdjacency builds the adjacency lists of the unit-disk graph on
 // the given points with radio radius r.
@@ -161,12 +161,13 @@ func GreedyCDS(adj [][]int, src int) []int {
 	return cds
 }
 
-// SRBUpperBound returns the best saved-rebroadcast ratio achievable at
-// full reachability for a broadcast from src on the given topology:
+// AchievableSRB returns a saved-rebroadcast ratio achievable at full
+// reachability for a broadcast from src on the given topology:
 // 1 - |CDS|/|component|, using the smaller of the greedy and BFS-tree
-// CDS constructions. Components of size 1 return 0 (the source must
-// still transmit under every scheme modeled here).
-func SRBUpperBound(points []geom.Point, r float64, src int) float64 {
+// CDS constructions. Both are approximations, so the minimum CDS may
+// save more. Components of size 1 return 0 (the source must still
+// transmit under every scheme modeled here).
+func AchievableSRB(points []geom.Point, r float64, src int) float64 {
 	adj := UnitDiskAdjacency(points, r)
 	comp := Component(adj, src)
 	if len(comp) <= 1 {

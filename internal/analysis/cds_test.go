@@ -108,8 +108,8 @@ func TestCDSIsolatedVertex(t *testing.T) {
 	if len(cds) != 1 || cds[0] != 0 {
 		t.Errorf("isolated CDS = %v", cds)
 	}
-	if got := SRBUpperBound(pts, radius, 0); got != 0 {
-		t.Errorf("isolated SRB bound = %v, want 0", got)
+	if got := AchievableSRB(pts, radius, 0); got != 0 {
+		t.Errorf("isolated achievable SRB = %v, want 0", got)
 	}
 }
 
@@ -138,21 +138,21 @@ func TestCDSRandomTopologies(t *testing.T) {
 	}
 }
 
-func TestSRBUpperBoundChain(t *testing.T) {
+func TestAchievableSRBChain(t *testing.T) {
 	// Chain of 10: component 10, best CDS ~9 (interior + endpoint src)
-	// so the bound is small — chains admit almost no saving.
+	// so the saving is small — chains admit almost none.
 	pts := chainPoints(10, 450)
-	bound := SRBUpperBound(pts, radius, 0)
-	if bound > 0.2 {
-		t.Errorf("chain SRB bound = %v, chains cannot save much", bound)
+	got := AchievableSRB(pts, radius, 0)
+	if got > 0.2 {
+		t.Errorf("chain achievable SRB = %v, chains cannot save much", got)
 	}
 	// Clique of 10: everyone but the source can stay silent.
 	clique := make([]geom.Point, 10)
 	for i := range clique {
 		clique[i] = geom.Point{X: float64(i) * 10}
 	}
-	bound = SRBUpperBound(clique, radius, 0)
-	if bound < 0.89 {
-		t.Errorf("clique SRB bound = %v, want 0.9", bound)
+	got = AchievableSRB(clique, radius, 0)
+	if got < 0.89 {
+		t.Errorf("clique achievable SRB = %v, want 0.9", got)
 	}
 }

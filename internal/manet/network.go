@@ -469,12 +469,12 @@ func (n *Network) observe(o *obs.Collector) {
 	o.Gauge("manet.broadcasts", func() float64 { return float64(n.seq) })
 	if n.shards > 0 {
 		// Barrier-execution series (see parallel.go): per-shard drained
-		// event counts expose load imbalance, border_share is the fraction
-		// of events the sequential border lane executed (1.0 when the
-		// parallel path is ineligible), and barrier_wait_ns integrates
-		// worker idle time at drain barriers.
+		// event counts expose load imbalance, and border_share is the
+		// fraction of events the sequential border lane executed (1.0
+		// when the parallel path is ineligible). Worker idle time at the
+		// barriers is wall-clock, so it stays in ParallelStats.WaitNS and
+		// out of the series, which two runs of one seed must repeat.
 		o.Gauge("engine.barriers", func() float64 { return float64(n.pstats.Barriers) })
-		o.Gauge("engine.barrier_wait_ns", func() float64 { return float64(n.pstats.WaitNS) })
 		o.Gauge("engine.border_share", func() float64 {
 			exec := n.sched.Executed()
 			if exec == 0 {

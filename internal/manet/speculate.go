@@ -173,9 +173,6 @@ func (n *Network) classifySpec(events []*sim.Event) bool {
 		n.specExtract[s] = n.specExtract[s][:0]
 	}
 	for _, e := range events {
-		if e.HasFunc() {
-			return false // closures carry no owner
-		}
 		var lane int32
 		switch r := e.Runner().(type) {
 		case *pendingRebroadcast:
@@ -184,7 +181,8 @@ func (n *Network) classifySpec(events []*sim.Event) bool {
 			lane = int32(r.Lane())
 		default:
 			// The origination clamp keeps originationEvents out of the
-			// window; anything else unrecognized aborts classification.
+			// window; anything else unrecognized, closures included,
+			// aborts classification.
 			sender, ok := phy.TransmissionSender(e.Runner())
 			if !ok {
 				return false

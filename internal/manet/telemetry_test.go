@@ -1,6 +1,7 @@
 package manet
 
 import (
+	"bytes"
 	"io"
 	"slices"
 	"strings"
@@ -112,7 +113,7 @@ func TestTelemetrySeriesPinned(t *testing.T) {
 	want := []string{
 		"scheme.proceed_initial", "scheme.inhibit_initial", "scheme.proceed_duplicate", "scheme.inhibit_duplicate",
 		"sim.pending_events", "sim.event_pool_hit_rate", "mac.backoff_stalls", "manet.hello_sent", "manet.broadcasts",
-		"engine.barriers", "engine.barrier_wait_ns", "engine.border_share", "engine.shard0_executed", "engine.shard1_executed",
+		"engine.barriers", "engine.border_share", "engine.shard0_executed", "engine.shard1_executed",
 		"phy.busy_radio_seconds", "phy.active_transmissions", "phy.transmissions", "phy.deliveries", "phy.collisions",
 		"phy.lost", "phy.tx_pool_hit_rate", "phy.nbr_memo_hit_rate",
 	}
@@ -122,6 +123,43 @@ func TestTelemetrySeriesPinned(t *testing.T) {
 	ss := c.Samples()
 	if got, want := ss[len(ss)-1].Values[:4], []float64{384, 0, 174, 137}; !slices.Equal(got, want) {
 		t.Errorf("final scheme decision counts = %v, want %v", got, want)
+	}
+}
+
+// TestShardedTelemetryReproducible: two exports of one sharded run
+// (stormsim -scheme nc -hello dynamic -map 5 -engine sharded -shards 2)
+// are byte-identical, so no series may read the wall clock, as a
+// barrier-wait gauge once did.
+func TestShardedTelemetryReproducible(t *testing.T) {
+	export := func() []byte {
+		c := obs.New(100 * sim.Millisecond)
+		n, err := New(Config{
+			Scheme: scheme.NeighborCoverage{}, HelloMode: HelloDynamic, MapUnits: 5, Hosts: 100,
+			Requests: 100, Seed: 1, Engine: EngineSharded, Shards: 2, Telemetry: c,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := obs.NewRecorder()
+		n.Tracer = rec
+		n.Run()
+		if n.ParallelStats().Barriers == 0 {
+			t.Fatal("the sharded run crossed no barrier, so it proves nothing")
+		}
+		var buf bytes.Buffer
+		if err := obs.Export(&buf, obs.Meta{Hosts: 100, MapUnits: 5, Seed: 1}, c, rec.Events()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if a, b := export(), export(); !bytes.Equal(a, b) {
+		la, lb := strings.Split(string(a), "\n"), strings.Split(string(b), "\n")
+		for i := range min(len(la), len(lb)) {
+			if la[i] != lb[i] {
+				t.Fatalf("exports differ at line %d:\n%s\n%s", i+1, la[i], lb[i])
+			}
+		}
+		t.Fatalf("exports differ in length: %d and %d lines", len(la), len(lb))
 	}
 }
 

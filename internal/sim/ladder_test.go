@@ -15,6 +15,7 @@ import (
 type eventQueue interface {
 	Now() Time
 	Schedule(at Time, fn func()) *Event
+	ScheduleRunner(at Time, r Runner) *Event
 	After(d Duration, fn func()) *Event
 	Cancel(e *Event)
 	Step() bool
@@ -64,11 +65,15 @@ func (q *refQueue) Pop() any {
 func (q *refQueue) Now() Time { return q.now }
 
 func (q *refQueue) Schedule(at Time, fn func()) *Event {
+	return q.ScheduleRunner(at, funcRunner(fn))
+}
+
+func (q *refQueue) ScheduleRunner(at Time, r Runner) *Event {
 	if at < q.now {
 		panic(fmt.Sprintf("ref: schedule at %v before now %v", at, q.now))
 	}
 	q.seq++
-	e := &Event{at: at, seq: q.seq, fn: fn}
+	e := &Event{at: at, seq: q.seq, runner: r}
 	heap.Push(q, e)
 	return e
 }
@@ -84,7 +89,7 @@ func (q *refQueue) nextSeq() uint64 {
 }
 
 func (q *refQueue) scheduleKey(at Time, seq uint64, fn func()) *Event {
-	e := &Event{at: at, seq: seq, fn: fn}
+	e := &Event{at: at, seq: seq, runner: funcRunner(fn)}
 	heap.Push(q, e)
 	return e
 }
@@ -106,7 +111,7 @@ func (q *refQueue) Step() bool {
 	e := heap.Pop(q).(*Event)
 	q.now = e.at
 	e.fired = true
-	e.fn()
+	e.runner.RunEvent()
 	return true
 }
 
@@ -482,11 +487,11 @@ func TestLadderStorageTracksPending(t *testing.T) {
 }
 
 // TestEventSize keeps the event record, which mega-sharded worlds hold
-// by the hundred thousand in one slab, from growing silently: 48 bytes of
-// key, callback and flags plus the chain link.
+// by the hundred thousand in one slab, from growing silently: 40 bytes of
+// key, the one callback interface and flags plus the chain link.
 func TestEventSize(t *testing.T) {
-	if size := unsafe.Sizeof(Event{}); unsafe.Sizeof(uintptr(0)) == 8 && size > 56 {
-		t.Errorf("Event is %d bytes, budget 56", size)
+	if size := unsafe.Sizeof(Event{}); unsafe.Sizeof(uintptr(0)) == 8 && size > 48 {
+		t.Errorf("Event is %d bytes, budget 48", size)
 	}
 }
 
@@ -540,11 +545,22 @@ func TestLadderCancelRecyclesTombstones(t *testing.T) {
 }
 
 // firing is one callback a FuzzLadderRekey queue ran: the clock and the
-// key of what fired; who is the keyed owner, or -1 for a plain event.
+// key of what fired; who is the keyed owner, or -1 for a plain closure
+// and -2 for a plain Runner.
 type firing struct {
 	at  Time
 	seq uint64
 	who int
+}
+
+// plainRunner is a plain event scheduled through ScheduleRunner.
+type plainRunner struct {
+	w   *rekeyWorld
+	seq uint64
+}
+
+func (p *plainRunner) RunEvent() {
+	p.w.log = append(p.w.log, firing{p.w.q.Now(), p.seq, -2})
 }
 
 // rekeyOwner is a Keyed runner whose key the fuzz input moves.
@@ -599,9 +615,15 @@ func (w *rekeyWorld) apply(op, arg, who byte) {
 	now := w.q.Now()
 	o := &w.owners[int(who)%len(w.owners)]
 	switch op {
-	case 0: // a plain event
+	case 0: // a plain event: a closure for an even owner byte, a Runner for an odd one
+		at := now.Add(rekeyDelay(arg))
+		if who%2 == 1 {
+			p := &plainRunner{w: w}
+			p.seq = w.q.ScheduleRunner(at, p).Seq()
+			return
+		}
 		var seq uint64
-		seq = w.q.Schedule(now.Add(rekeyDelay(arg)), func() {
+		seq = w.q.Schedule(at, func() {
 			w.log = append(w.log, firing{w.q.Now(), seq, -1})
 		}).Seq()
 	case 1: // move o's key later, arming o if it is not
@@ -632,7 +654,9 @@ func (w *rekeyWorld) apply(op, arg, who byte) {
 // FuzzLadderRekey holds keyed events to the reference heap. The input is
 // a list of (op, arg, owner) triples:
 //
-//	0  schedule a plain event arg µs ahead (rekeyDelay)
+//	0  schedule a plain event arg µs ahead (rekeyDelay): a closure
+//	   through Schedule for an even owner byte, a Runner through
+//	   ScheduleRunner for an odd one
 //	1  move the owner's key later (arming it if unarmed)
 //	2  move the owner's key earlier: cancel and schedule anew
 //	3  cancel the owner's event
@@ -642,16 +666,17 @@ func (w *rekeyWorld) apply(op, arg, who byte) {
 //
 // The ladder leaves a moved-later event where it is and moves it when
 // it reaches it; the reference cancels and re-inserts at every move. The
-// two must fire the same (at, seq) sequence with the same clock and
-// pending count after every op; the ladder's Executed must count
-// firings only, and its audit hook must see exactly the firings, never
-// a move. Op 6 ends the input: the ladder must panic when it reaches
-// the event.
+// two must fire the same (at, seq) sequence, callback kinds included,
+// with the same clock and pending count after every op; the ladder's
+// Executed must count firings only, and its audit hook must see exactly
+// the firings, never a move. Op 6 ends the input: the ladder must panic
+// when it reaches the event.
 func FuzzLadderRekey(f *testing.F) {
 	f.Add([]byte{1, 3, 0, 1, 2, 1, 0, 1, 0, 1, 4, 0, 4, 2, 0, 4, 7, 0})
 	f.Add([]byte{1, 5, 0, 0, 5, 0, 1, 1, 0, 1, 2, 0, 5, 0, 0, 5, 0, 0, 2, 1, 0, 4, 9, 0})
 	f.Add([]byte{1, 0xff, 1, 1, 0xc0, 2, 0, 0xd0, 0, 1, 0xe0, 1, 4, 0xff, 0, 3, 0, 2, 4, 0xff, 0})
 	f.Add([]byte{1, 4, 0, 1, 1, 0, 6, 0, 0})
+	f.Add([]byte{0, 2, 0, 0, 2, 1, 1, 2, 0, 0, 2, 1, 0, 2, 0, 5, 0, 0, 0, 1, 1, 0, 1, 0, 4, 9, 0})
 	rng := rand.New(rand.NewSource(1))
 	long := make([]byte, 3*400)
 	for i := range long {

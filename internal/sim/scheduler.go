@@ -18,22 +18,26 @@ import "fmt"
 type Event struct {
 	at     Time
 	seq    uint64
-	fn     func()
-	runner Runner // fires when fn is nil
+	runner Runner // the callback; Schedule's closures ride it as a funcRunner
 	next   *Event // chain link while in a ladder or shard-wheel bucket
 	fired  bool
 	cancel bool
 	keyed  bool // runner is a Keyed whose key may have moved later
 }
 
-// Runner is the allocation-free alternative to a func() callback: an
-// object scheduled via ScheduleRunner/AfterRunner (or the shard
-// variants) has its RunEvent method invoked at fire time. Binding a
-// method value or closure per schedule call costs one heap allocation;
-// an interface value of an existing object costs none, which is what
-// lets per-host recurring timers (mobility turns, HELLO beacons, MAC
-// attempts) schedule without allocating.
+// Runner is the one callback an event record carries; RunEvent is
+// invoked at fire time. Schedule and After wrap a func() in a
+// funcRunner, and binding a method value or closure per call costs one
+// heap allocation; an interface value of an existing object costs none,
+// which is what lets per-host recurring timers (mobility turns, HELLO
+// beacons, MAC attempts) schedule without allocating.
 type Runner interface{ RunEvent() }
+
+// funcRunner adapts a func() to Runner; a func value is one pointer, so
+// the interface holds it without allocating.
+type funcRunner func()
+
+func (f funcRunner) RunEvent() { f() }
 
 // Keyed is a Runner whose one queued event stands for a key that may
 // move later while it waits: a neighbor table's expiry event stands for
@@ -149,43 +153,40 @@ func (s *Scheduler) PoolHitRate() float64 {
 	return float64(s.poolHits) / float64(total)
 }
 
-// alloc produces a cleared Event record, reusing the free-list when
-// possible. Flags are cleared here rather than at recycle time so a
-// stale handle keeps reporting its final Cancelled/Fired state until the
+// allocFrom produces an Event record keyed (at, seq) with its flags
+// cleared, popped off free when it holds one, and counts the pool hit or
+// miss. Flags are cleared here rather than at recycle time so a stale
+// handle keeps reporting its final Cancelled/Fired state until the
 // record is actually reused.
-func (s *Scheduler) alloc(at Time, fn func()) *Event {
-	e := s.allocAny(at)
-	e.fn = fn
+func allocFrom(free *[]*Event, hits, misses *uint64, at Time, seq uint64) *Event {
+	var e *Event
+	if n := len(*free); n > 0 {
+		e = (*free)[n-1]
+		(*free)[n-1] = nil
+		*free = (*free)[:n-1]
+		*hits++
+	} else {
+		e = &Event{}
+		*misses++
+	}
+	e.at, e.seq = at, seq
+	e.fired, e.cancel, e.keyed = false, false, false
 	return e
 }
 
-func (s *Scheduler) allocAny(at Time) *Event {
-	var e *Event
-	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		s.poolHits++
-	} else {
-		e = &Event{}
-		s.poolMisses++
-	}
+// alloc produces a record from the shared free-list at the shared
+// counter's current seq.
+func (s *Scheduler) alloc(at Time) *Event {
 	if s.seq >= laneSeqBase(0) {
 		panic("sim: shared sequence counter exhausted its namespace")
 	}
-	e.at = at
-	e.seq = s.seq
-	e.fired = false
-	e.cancel = false
-	e.keyed = false
-	return e
+	return allocFrom(&s.free, &s.poolHits, &s.poolMisses, at, s.seq)
 }
 
 // recycleInto returns a dead event record to the given free-list. The
 // callback is dropped immediately so the pool does not pin closures (and
 // whatever they capture) until reuse.
 func recycleInto(free *[]*Event, e *Event) {
-	e.fn = nil
 	e.runner = nil
 	*free = append(*free, e)
 }
@@ -204,22 +205,14 @@ func (s *Scheduler) assertSequential(api string) {
 	}
 }
 
-// Schedule queues fn to run at the absolute time at. Scheduling in the
-// past (before Now) panics: it always indicates a logic error in a model,
-// and silently clamping would hide it.
+// Schedule queues fn to run at the absolute time at, as a funcRunner.
+// Scheduling in the past (before Now) panics: it always indicates a
+// logic error in a model, and silently clamping would hide it.
 func (s *Scheduler) Schedule(at Time, fn func()) *Event {
-	s.assertSequential("Schedule")
-	if at < s.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, s.now))
-	}
 	if fn == nil {
-		panic("sim: schedule with nil callback")
+		panic("sim: schedule with nil callback") // funcRunner(nil) is a non-nil Runner
 	}
-	s.seq++
-	e := s.alloc(at, fn)
-	s.lq.insert(e)
-	s.live++
-	return e
+	return s.ScheduleRunner(at, funcRunner(fn))
 }
 
 // After queues fn to run d after the current time. Negative d panics.
@@ -228,9 +221,8 @@ func (s *Scheduler) After(d Duration, fn func()) *Event {
 }
 
 // ScheduleRunner queues r's RunEvent to fire at the absolute time at.
-// Unlike Schedule it performs no callback allocation: the interface
-// value of an already-live object is stored directly in the event
-// record.
+// The interface value is stored directly in the event record, so an
+// already-live object schedules without allocating.
 func (s *Scheduler) ScheduleRunner(at Time, r Runner) *Event {
 	s.assertSequential("ScheduleRunner")
 	if at < s.now {
@@ -240,7 +232,7 @@ func (s *Scheduler) ScheduleRunner(at Time, r Runner) *Event {
 		panic("sim: schedule with nil runner")
 	}
 	s.seq++
-	e := s.allocAny(at)
+	e := s.alloc(at)
 	e.runner = r
 	s.lq.insert(e)
 	s.live++
@@ -277,7 +269,7 @@ func (s *Scheduler) ScheduleKeyed(r Keyed) *Event {
 	if seq > s.seq {
 		panic(fmt.Sprintf("sim: keyed event seq %d not drawn yet (counter at %d)", seq, s.seq))
 	}
-	e := s.allocAny(at)
+	e := s.alloc(at)
 	e.seq = seq
 	e.runner = r
 	e.keyed = true
@@ -312,7 +304,7 @@ func (s *Scheduler) ScheduleShardRunner(shard int, at Time, r Runner) *Event {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, s.now))
 	}
 	s.seq++
-	e := s.allocAny(at)
+	e := s.alloc(at)
 	e.runner = r
 	s.wheels[shard].insert(e)
 	s.live++
@@ -377,7 +369,7 @@ type laneState struct {
 // laneSeqShift partitions the 64-bit sequence space: the shared counter
 // owns [0, 2^48) and lane i owns [(i+1)<<48, (i+2)<<48). 2^48 events on
 // one counter is orders of magnitude beyond any run this simulator can
-// hold in memory, and allocAny panics if the shared counter ever reaches
+// hold in memory, and alloc panics if the shared counter ever reaches
 // the first lane namespace.
 const laneSeqShift = 48
 
@@ -386,23 +378,8 @@ func laneSeqBase(lane int) uint64 { return (uint64(lane) + 1) << laneSeqShift }
 // alloc produces a cleared event record from the lane's own free-list
 // with the lane's next namespaced sequence number.
 func (ln *laneState) alloc(at Time) *Event {
-	var e *Event
-	if n := len(ln.free); n > 0 {
-		e = ln.free[n-1]
-		ln.free[n-1] = nil
-		ln.free = ln.free[:n-1]
-		ln.poolHits++
-	} else {
-		e = &Event{}
-		ln.poolMisses++
-	}
 	ln.seq++
-	e.at = at
-	e.seq = ln.seq
-	e.fired = false
-	e.cancel = false
-	e.keyed = false
-	return e
+	return allocFrom(&ln.free, &ln.poolHits, &ln.poolMisses, at, ln.seq)
 }
 
 // NowFor returns the clock a callback on the given shard observes: the
@@ -479,11 +456,7 @@ func (s *Scheduler) DrainShardUntil(shard int, deadline Time) uint64 {
 		e.fired = true
 		fired++
 		ln.liveDelta--
-		if fn := e.fn; fn != nil {
-			fn()
-		} else {
-			e.runner.RunEvent()
-		}
+		e.runner.RunEvent()
 		recycleInto(&ln.free, e)
 	}
 	if ln.now < deadline {
@@ -640,11 +613,7 @@ func (s *Scheduler) Step() bool {
 	e.fired = true
 	s.executed++
 	s.live--
-	if fn := e.fn; fn != nil {
-		fn()
-	} else {
-		e.runner.RunEvent()
-	}
+	e.runner.RunEvent()
 	// Recycled only after the callback returns: the callback may read its
 	// own handle (e.g. to clear a stored timer field) and must still see
 	// this firing, not a reused record.

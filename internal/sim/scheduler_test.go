@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -122,11 +123,18 @@ func TestSchedulePastPanics(t *testing.T) {
 	s.Schedule(5, func() {})
 }
 
+// TestScheduleNilPanics: a nil func is refused at the Schedule call,
+// before it is wrapped as a (non-nil) Runner, queued or given a seq —
+// not when the event would fire.
 func TestScheduleNilPanics(t *testing.T) {
 	s := NewScheduler()
 	defer func() {
-		if recover() == nil {
-			t.Error("scheduling nil callback did not panic")
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "nil callback") {
+			t.Fatalf("Schedule(1, nil) panicked with %q, want one naming the nil callback", msg)
+		}
+		if s.Pending() != 0 || s.NextSeq() != 1 {
+			t.Errorf("the refused Schedule left %d events pending or drew a seq", s.Pending())
 		}
 	}()
 	s.Schedule(1, nil)

@@ -61,34 +61,15 @@ type specLane struct {
 // alloc produces a cleared event record from the lane's own free-list
 // with the lane's next provisional sequence number.
 func (ln *specLane) alloc(at Time) *Event {
-	var e *Event
-	if n := len(ln.free); n > 0 {
-		e = ln.free[n-1]
-		ln.free[n-1] = nil
-		ln.free = ln.free[:n-1]
-		ln.poolHits++
-	} else {
-		e = &Event{}
-		ln.poolMisses++
-	}
 	ln.seq++
-	e.at = at
-	e.seq = ln.seq
-	e.fired = false
-	e.cancel = false
-	e.keyed = false
-	return e
+	return allocFrom(&ln.free, &ln.poolHits, &ln.poolMisses, at, ln.seq)
 }
 
-// Runner returns the event's runner callback, or nil when the event
-// carries a func callback instead. Speculative classification uses it to
-// route an extracted event to the lane owning its state.
+// Runner returns the event's callback. Speculative classification uses
+// it to route an extracted event to the lane owning its state; a closure
+// scheduled through Schedule comes back as an unexported funcRunner,
+// which names no owner.
 func (e *Event) Runner() Runner { return e.runner }
-
-// HasFunc reports whether the event carries a func() callback. Closures
-// cannot be classified by owner, so a window containing one is executed
-// sequentially.
-func (e *Event) HasFunc() bool { return e.fn != nil }
 
 // ExtractUntil removes and returns every pending event with timestamp at
 // or before deadline, in global (time, seq) order — the exact order
@@ -317,11 +298,7 @@ func (s *Scheduler) RunLane(lane int, extracted []*Event, barrier Time) {
 		ln.now = e.at
 		e.fired = true
 		ln.fired = append(ln.fired, e)
-		if fn := e.fn; fn != nil {
-			fn()
-		} else {
-			e.runner.RunEvent()
-		}
+		e.runner.RunEvent()
 	}
 }
 
