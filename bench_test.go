@@ -80,12 +80,12 @@ func BenchmarkScaling(b *testing.B) {
 // BenchmarkMegaScale runs million-host-class worlds: populations far
 // beyond the paper's 100 hosts on maps hundreds of units across, the
 // regime the per-kind host slabs, the per-world shared MAC and mover
-// blocks, the two-level (macro over fine) grid, and the streaming
-// record fold exist for. The map keeps the paper's density rule out of
-// reach on purpose — mean degree is below the percolation threshold, so
-// broadcasts touch small components while the machinery (movement,
-// spatial index maintenance, interference buckets) carries the full
-// population.
+// blocks, and the streaming record fold exist for. The map keeps the
+// paper's density rule out of reach on purpose — mean degree is below
+// the percolation threshold, so broadcasts touch small components while
+// the machinery (movement, spatial index maintenance) carries the full
+// population, and the handful of flights on the air is what the
+// channel's reach-filtered overlap scan walks.
 //
 // It reports run-bytes/op — the heap allocated during Run — which must
 // track the event count and the handful of active broadcasts, not the

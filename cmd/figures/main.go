@@ -18,7 +18,8 @@
 //
 // -compare takes scheme registry specs separated by whitespace (specs
 // themselves contain commas; run -schemes for the syntax) and sweeps
-// them over every map size like the paper figures do.
+// them over every map size like the paper figures do. It replaces -fig,
+// so the two are refused together, and needs at least one spec.
 package main
 
 import (
@@ -113,6 +114,13 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 	if *fig == "" && *compare == "" {
 		return fail(2, fmt.Errorf("-fig, -compare, or -list required (try -fig fig7)"))
 	}
+	if *fig != "" && *compare != "" {
+		return fail(2, fmt.Errorf("-fig and -compare are exclusive"))
+	}
+	compareSpecs := strings.Fields(*compare)
+	if *compare != "" && len(compareSpecs) == 0 {
+		return fail(2, fmt.Errorf("-compare needs at least one scheme spec"))
+	}
 
 	opts := experiment.Options{
 		Hosts:    *hosts,
@@ -139,9 +147,9 @@ func run(argv []string, stdout, stderr io.Writer) (code int) {
 
 	var specs []experiment.Spec
 	switch {
-	case *compare != "":
+	case len(compareSpecs) > 0:
 		var parsed []scheme.Scheme
-		for _, spec := range strings.Fields(*compare) {
+		for _, spec := range compareSpecs {
 			s, err := scheme.Parse(spec)
 			if err != nil {
 				return fail(2, err)

@@ -16,8 +16,9 @@ import (
 // TestRunSmoke runs the invocation CI's "CLIs and examples" step uses,
 // a small -compare sweep, an undefined flag, the negative counts, a
 // replica count that would collide seeds across points, -ci from one
-// replica, and an unknown figure or compare scheme; each refusal must
-// exit 2 with one line on stderr and without running anything.
+// replica, an unknown figure or compare scheme, a blank -compare, and
+// -fig beside -compare; each refusal must exit 2 with one line on
+// stderr and without running anything.
 func TestRunSmoke(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -37,6 +38,8 @@ func TestRunSmoke(t *testing.T) {
 		{"ci from one replica", []string{"-fig", "fig5c", "-replicas", "1", "-ci"}, 2, ""},
 		{"unknown figure", []string{"-fig", "nosuch"}, 2, ""},
 		{"unknown compare scheme", []string{"-compare", "flooding nosuch"}, 2, ""},
+		{"blank compare", []string{"-compare", " "}, 2, ""},
+		{"fig with compare", []string{"-fig", "fig7", "-compare", "flooding"}, 2, ""},
 		{"compare", []string{"-compare", "flooding ac", "-hosts", "20", "-requests", "4", "-replicas", "1"}, 0, "== compare:"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

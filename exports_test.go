@@ -179,11 +179,8 @@ var configSetterAllowList = map[string]string{
 	"manet.Config.UnitMeters": "bench/ reads the defaulted map unit to place its worlds",
 	"manet.Config.Warmup": "bench/ reads the defaulted warm-up to cut ckpt-resume halfway, and the " +
 		"dynamic-HELLO golden rows pin a 5 s warm-up through it",
-	"manet.Config.Audit":           "the tests' reference checker: an audited run is how a test proves a world clean",
-	"routing.Config.RouteLifetime": "tests drive route expiry through it",
-	"routing.Config.RingTimeout":   "tests drive ring escalation through it",
-	"routing.Config.DataInterval":  "tests drive data spacing through it",
-	"routing.Config.Drain":         "tests keep a run going past route expiry and long data flows through it",
+	"manet.Config.Audit":   "the tests' reference checker: an audited run is how a test proves a world clean",
+	"routing.Config.Drain": "tests keep a run going past route expiry and long data flows through it",
 }
 
 // TestConfigFieldsHaveProductionSetters is the options gate: every field

@@ -31,25 +31,7 @@ type Grid struct {
 	// points in index order).
 	start []int32
 	items []int32
-
-	// Macro level: a second, coarser grid whose cells are square blocks
-	// of 2^macroShift fine cells. Rebuild picks the smallest shift that
-	// keeps the macro-cell count at or below maxMacroCells, so on small
-	// maps the shift is zero and the macro level coincides with the fine
-	// level, while a sparse mega-map (300×300 fine cells) collapses to a
-	// few thousand macro cells. Consumers that keep per-cell side tables
-	// (the channel's interference buckets) key them by macro cell, so
-	// their O(cells) clear/rebuild cost is bounded by maxMacroCells no
-	// matter how large the map grows.
-	macroShift           int
-	macroCols, macroRows int
 }
-
-// maxMacroCells bounds the macro-level cell count. 4096 keeps a side
-// table of slice headers under 100 KB — small enough to clear per
-// snapshot rebuild — while a 64×64 macro layout still localizes queries
-// on any map this simulator runs.
-const maxMacroCells = 4096
 
 // Rebuild indexes the given snapshot with the given cell edge (normally
 // the radio radius). The snapshot slice is retained until the next
@@ -62,7 +44,6 @@ func (g *Grid) Rebuild(pts []Point, cell float64) {
 	g.pts = pts
 	if len(pts) == 0 {
 		g.cols, g.rows = 0, 0
-		g.macroShift, g.macroCols, g.macroRows = 0, 0, 0
 		return
 	}
 
@@ -77,14 +58,6 @@ func (g *Grid) Rebuild(pts []Point, cell float64) {
 	g.minX, g.minY = minX, minY
 	g.cols = int((maxX-minX)/cell) + 1
 	g.rows = int((maxY-minY)/cell) + 1
-
-	shift := 0
-	for ((g.cols+(1<<shift)-1)>>shift)*((g.rows+(1<<shift)-1)>>shift) > maxMacroCells {
-		shift++
-	}
-	g.macroShift = shift
-	g.macroCols = (g.cols + (1 << shift) - 1) >> shift
-	g.macroRows = (g.rows + (1 << shift) - 1) >> shift
 
 	ncells := g.cols * g.rows
 	if cap(g.start) < ncells+1 {
@@ -133,25 +106,15 @@ func (g *Grid) cellIndex(p Point) int32 {
 	return int32(cy*g.cols + cx)
 }
 
-// CellOf returns the clamped cell coordinates containing p. Points
-// outside the indexed bounding box map to the nearest boundary cell, so
-// the result is always a valid coordinate pair for a non-empty grid.
-// Row-major cell index = cy*cols + cx.
-func (g *Grid) CellOf(p Point) (cx, cy int) {
-	cx = clampCell(int((p.X-g.minX)/g.cell), g.cols)
-	cy = clampCell(int((p.Y-g.minY)/g.cell), g.rows)
-	return cx, cy
-}
-
 // CellRange returns the clamped cell-coordinate rectangle covering the
-// disk of radius r around p: any point q with Dist(p, q) <= r has
-// CellOf(q) within [cx0, cx1] x [cy0, cy1]. Because both CellOf and the
-// range endpoints clamp into the grid, the covering property holds even
-// for disks that extend past (or centers that lie outside) the indexed
-// bounding box — out-of-bounds points collapse into boundary cells the
-// range then includes. Callers iterate the rectangle for neighborhood
-// scans wider than the 3x3 block the cell = radius layout gives Within
-// (e.g. the channel's radius-2r interference queries).
+// disk of radius r around p: any point q with Dist(p, q) <= r lies in a
+// cell of [cx0, cx1] x [cy0, cy1] once clamped into the grid. Because
+// both the cell lookup and the range endpoints clamp, the covering
+// property holds even for disks that extend past (or centers that lie
+// outside) the indexed bounding box — out-of-bounds points collapse into
+// boundary cells the range then includes. Gather walks this rectangle,
+// so a query radius wider than the cell edge (the channel's
+// drift-inflated stale queries) spans more than the 3x3 block.
 func (g *Grid) CellRange(p Point, r float64) (cx0, cy0, cx1, cy1 int) {
 	cx0 = clampCell(int((p.X-r-g.minX)/g.cell), g.cols)
 	cx1 = clampCell(int((p.X+r-g.minX)/g.cell), g.cols)
@@ -213,28 +176,4 @@ func clampCell(c, n int) int {
 		return n - 1
 	}
 	return c
-}
-
-// MacroCells returns the macro-level dimensions (columns, rows). Both
-// are zero before the first Rebuild or when the snapshot is empty. The
-// product never exceeds maxMacroCells.
-func (g *Grid) MacroCells() (cols, rows int) { return g.macroCols, g.macroRows }
-
-// MacroOf returns the clamped macro-cell coordinates containing p:
-// CellOf shifted down to the macro level, so the same clamping rules
-// apply. Row-major macro index = my*macroCols + mx.
-func (g *Grid) MacroOf(p Point) (mx, my int) {
-	cx, cy := g.CellOf(p)
-	return cx >> g.macroShift, cy >> g.macroShift
-}
-
-// MacroRange returns the clamped macro-cell rectangle covering the disk
-// of radius r around p: any point q with Dist(p, q) <= r has MacroOf(q)
-// within [mx0, mx1] x [my0, my1]. It inherits CellRange's covering
-// property — shifting both endpoints of a fine-cell interval down
-// preserves containment of every shifted fine cell in between.
-func (g *Grid) MacroRange(p Point, r float64) (mx0, my0, mx1, my1 int) {
-	cx0, cy0, cx1, cy1 := g.CellRange(p, r)
-	s := g.macroShift
-	return cx0 >> s, cy0 >> s, cx1 >> s, cy1 >> s
 }

@@ -144,85 +144,3 @@ func TestGridBoundaryProperty(t *testing.T) {
 		}
 	}
 }
-
-// The macro level must tile the fine level exactly: every fine cell maps
-// into a macro cell inside the declared dimensions, the macro-cell count
-// respects the cap, and small maps collapse to shift 0 (macro == fine).
-func TestGridMacroLevel(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var g geom.Grid
-	for _, tc := range []struct {
-		n         int
-		w, h      float64
-		cell      float64
-		wantShift int // -1 = don't care, assert invariants only
-	}{
-		{50, 1000, 1000, 500, 0},       // 3x3 fine cells: macro == fine
-		{200, 5500, 5500, 500, 0},      // 12x12 = 144 <= 4096
-		{500, 150000, 150000, 500, -1}, // 301x301 = 90601 fine cells: shift > 0
-		{100, 150000, 500, 500, -1},    // degenerate strip
-	} {
-		pts := randomPoints(rng, tc.n, tc.w, tc.h)
-		g.Rebuild(pts, tc.cell)
-		cols, rows := g.Cells()
-		mcols, mrows := g.MacroCells()
-		shift := g.MacroShift()
-		if tc.wantShift >= 0 && shift != tc.wantShift {
-			t.Fatalf("%gx%g/%g: MacroShift = %d, want %d", tc.w, tc.h, tc.cell, shift, tc.wantShift)
-		}
-		if mcols*mrows > 4096 {
-			t.Fatalf("%gx%g/%g: %d macro cells exceed the cap", tc.w, tc.h, tc.cell, mcols*mrows)
-		}
-		if want := (cols + (1 << shift) - 1) >> shift; mcols != want {
-			t.Fatalf("macro cols = %d, want %d", mcols, want)
-		}
-		if want := (rows + (1 << shift) - 1) >> shift; mrows != want {
-			t.Fatalf("macro rows = %d, want %d", mrows, want)
-		}
-		if shift == 0 && (mcols != cols || mrows != rows) {
-			t.Fatalf("shift 0 but macro %dx%d != fine %dx%d", mcols, mrows, cols, rows)
-		}
-		// MacroOf must agree with CellOf >> shift for arbitrary points,
-		// clamped inside the macro dimensions.
-		for k := 0; k < 200; k++ {
-			p := geom.Point{X: rng.Float64()*tc.w*1.4 - 0.2*tc.w, Y: rng.Float64()*tc.h*1.4 - 0.2*tc.h}
-			cx, cy := g.CellOf(p)
-			mx, my := g.MacroOf(p)
-			if mx != cx>>shift || my != cy>>shift {
-				t.Fatalf("MacroOf(%+v) = (%d,%d), want CellOf>>%d = (%d,%d)", p, mx, my, shift, cx>>shift, cy>>shift)
-			}
-			if mx < 0 || my < 0 || mx >= mcols || my >= mrows {
-				t.Fatalf("MacroOf(%+v) = (%d,%d) outside %dx%d", p, mx, my, mcols, mrows)
-			}
-		}
-	}
-}
-
-// MacroRange inherits CellRange's covering property at the macro level.
-func TestGridMacroRangeCovers(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	var g geom.Grid
-	pts := randomPoints(rng, 400, 60000, 60000)
-	g.Rebuild(pts, 500) // ~121x121 fine cells: forces a nonzero shift
-	if g.MacroShift() == 0 {
-		t.Fatalf("expected a nonzero macro shift for %dx%d fine cells", 121, 121)
-	}
-	mcols, mrows := g.MacroCells()
-	for trial := 0; trial < 2000; trial++ {
-		p := geom.Point{X: rng.Float64()*80000 - 10000, Y: rng.Float64()*80000 - 10000}
-		r := rng.Float64() * 5000
-		mx0, my0, mx1, my1 := g.MacroRange(p, r)
-		if mx0 < 0 || my0 < 0 || mx1 >= mcols || my1 >= mrows || mx0 > mx1 || my0 > my1 {
-			t.Fatalf("MacroRange(%+v, %g) = (%d,%d)-(%d,%d) outside %dx%d",
-				p, r, mx0, my0, mx1, my1, mcols, mrows)
-		}
-		ang := rng.Float64() * 2 * math.Pi
-		rad := rng.Float64() * r
-		q := geom.Point{X: p.X + rad*math.Cos(ang), Y: p.Y + rad*math.Sin(ang)}
-		qx, qy := g.MacroOf(q)
-		if qx < mx0 || qx > mx1 || qy < my0 || qy > my1 {
-			t.Fatalf("q=%+v (macro %d,%d) escapes MacroRange(%+v, %g) = (%d,%d)-(%d,%d)",
-				q, qx, qy, p, r, mx0, my0, mx1, my1)
-		}
-	}
-}

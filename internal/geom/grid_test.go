@@ -151,7 +151,7 @@ func TestGridCellOfAndCells(t *testing.T) {
 
 // CellRange must cover: for any center p (inside or outside the indexed
 // box) and any point q within r of p, CellOf(q) lies inside
-// CellRange(p, r). The interference engine's locality argument rests on
+// CellRange(p, r). Gather's exactness at any query radius rests on
 // exactly this property.
 func TestGridCellRangeCovers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))

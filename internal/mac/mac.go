@@ -650,7 +650,8 @@ func (m *MAC) ctsReceived() {
 			return // pathological overlap; the ACK timeout will retry
 		}
 		m.transmitting = true
-		m.w.ch.Transmit(m.radio, p.Frame, phy.TxEndFunc(func() { m.finishTransmission(p) }))
+		m.inflight = p
+		m.w.ch.Transmit(m.radio, p.Frame, (*dataEnd)(m))
 	})
 }
 

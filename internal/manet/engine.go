@@ -22,11 +22,10 @@ const (
 	EngineSequentialOracle
 
 	// EngineSharded partitions the map into power-of-two shard regions
-	// (bands of spatial-grid macro-cell rows). Each shard owns a
-	// calendar-wheel scheduler for its hosts' mobility events, merged
-	// with the central ladder in strict (time, seq) order, and a worker
-	// in the shared pool that parallelizes construction and snapshot
-	// rebuilds.
+	// (horizontal map bands). Each shard owns a calendar-wheel scheduler
+	// for its hosts' mobility events, merged with the central ladder in
+	// strict (time, seq) order, and a worker in the shared pool that
+	// parallelizes construction and snapshot rebuilds.
 	EngineSharded
 
 	// EngineSpeculative is the sharded engine plus optimistic barrier

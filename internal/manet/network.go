@@ -434,13 +434,11 @@ func (n *Network) buildHosts(moveRNG, macRNG, hostRNG *sim.RNG) {
 }
 
 // shardOfY maps a map Y coordinate onto a shard; it is meaningful only
-// with shard wheels (n.shards > 0). Shards are horizontal bands of
-// spatial-grid macro-cell rows; macro rows are uniform in Y, so banding
-// Y directly yields the same power-of-two partition. A
-// roamer keeps its initial band's wheel for life: the assignment only
-// decides which wheel stores its turn events, never their (time, seq)
-// firing order, so migrating wheels on border crossings would buy
-// nothing.
+// with shard wheels (n.shards > 0). Shards are horizontal map bands of
+// equal height, a power-of-two partition of Y. A roamer keeps its
+// initial band's wheel for life: the assignment only decides which
+// wheel stores its turn events, never their (time, seq) firing order,
+// so migrating wheels on border crossings would buy nothing.
 func (n *Network) shardOfY(y float64) int {
 	s := int(y / n.area.Height * float64(n.shards))
 	if s < 0 {

@@ -14,8 +14,8 @@ package manet
 // assessment, delivery, and record event, i.e. everything whose
 // interaction disk could cross a band border within the window — runs
 // sequentially on the owning goroutine. That sequential merged drain is
-// the deterministic border lane: cross-shard state (interference
-// buckets, neighbor tables, broadcast records) is only ever touched
+// the deterministic border lane: cross-shard state (the channel's
+// active flights, neighbor tables, broadcast records) is only ever touched
 // there, in exact (time, seq) order, so completed broadcast records
 // fold into the streaming summary at barriers precisely as the
 // sequential oracle folds them.

@@ -13,7 +13,7 @@ import (
 
 // engines are the two ways a test puts a frame on the air: the
 // channel's own Transmit, which resolves overlap only against the
-// flights its grid buckets hold within interference reach, and
+// active flights whose senders lie within interference reach, and
 // transmitGlobal, the reference that scans every active flight. Every
 // collision edge case must behave identically on both.
 var engines = []struct {
@@ -27,7 +27,7 @@ var engines = []struct {
 // transmitGlobal is the reference the localized overlap scan is held
 // to: Transmit with the receivers found by a linear scan over live
 // positions and overlap resolved against every active transmission, so
-// no snapshot, grid bucket or speed bound takes part.
+// no snapshot, reach prefilter or speed bound takes part.
 func transmitGlobal(c *Channel, radio int, f *packet.Frame) {
 	now := c.sched.Now()
 	tx := c.newTransmission(f, radio, now.Add(c.timing.Airtime(f.Bytes)))
@@ -294,11 +294,11 @@ func diffAgainstGlobal(t *testing.T, hosts int, mkPos func(i int) PositionFunc, 
 }
 
 // TestInterferenceDifferentialMegaMap repeats the engine cross-check on
-// a map large enough that the grid's macro level actually coarsens
-// (fewer macro cells than fine cells), with hosts clustered into distant patches so
-// collisions still occur locally. This pins the macro-bucketed
-// interference index against the global scan in exactly the regime the
-// hierarchical grid exists for.
+// a map far wider than the interference reach, with hosts clustered into
+// distant patches so collisions occur locally while most concurrent
+// flights are out of reach of each other. This pins the reach prefilter
+// against the global scan in the regime where it both accepts and
+// rejects: skipping the distant flights must change no outcome.
 func TestInterferenceDifferentialMegaMap(t *testing.T) {
 	const (
 		side     = 60000.0 // 120x120 fine cells at radius 500
@@ -339,22 +339,25 @@ func TestInterferenceDifferentialMegaMap(t *testing.T) {
 			script := genScript(rng, hosts, 500, 40000*sim.Microsecond, air)
 
 			diffAgainstGlobal(t, hosts, mkPos, 0, speed, script)
-			// The regime check: the snapshot grid over this population must
-			// actually have coarsened, or the test is not exercising the
-			// macro path.
-			var g geom.Grid
-			pts := make([]geom.Point, hosts)
-			for i := range pts {
-				pts[i] = trajs[i].p0
+			// The regime check: some transmission must find concurrent
+			// flights on both sides of the prefilter's reach, or the test
+			// does not exercise the skip.
+			var near, far int
+			probe := func(ch *Channel, radio int, f *packet.Frame) {
+				pos := ch.positions[radio].PositionAt(ch.sched.Now())
+				reach := 2*ch.radius + ch.speedBound*air.Seconds() + driftEpsilon
+				for _, o := range ch.active {
+					if o.senderPos.Dist2(pos) <= reach*reach {
+						near++
+					} else {
+						far++
+					}
+				}
+				ch.Transmit(radio, f, nil)
 			}
-			g.Rebuild(pts, 500)
-			var far geom.Point // the bounding box's far corner: the last cell
-			for _, p := range pts {
-				far = geom.Point{X: max(far.X, p.X), Y: max(far.Y, p.Y)}
-			}
-			cx, cy := g.CellOf(far)
-			if mx, my := g.MacroOf(far); mx == cx && my == cy {
-				t.Fatalf("mega map did not coarsen the macro level (cells %dx%d)", cx+1, cy+1)
+			runScript(hosts, mkPos, 0, speed, probe, script)
+			if near == 0 || far == 0 {
+				t.Fatalf("prefilter not exercised both ways: %d concurrent flights within reach, %d beyond", near, far)
 			}
 		})
 	}

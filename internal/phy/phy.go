@@ -58,12 +58,6 @@ type TxEnder interface {
 	TxEnded()
 }
 
-// TxEndFunc adapts a bare function to TxEnder.
-type TxEndFunc func()
-
-// TxEnded implements TxEnder.
-func (f TxEndFunc) TxEnded() { f() }
-
 // Timing describes the physical layer bit timing. The zero value is not
 // usable; use DSSSTiming for the paper's parameters.
 type Timing struct {
@@ -121,9 +115,6 @@ type transmission struct {
 	// bitsets, so overlap resolves by intersecting backing words.
 	recvSet    *nodeset.Set // receiver bitset (mirror of receivers)
 	garbledSet *nodeset.Set // receivers whose copy was destroyed
-	// cell is the interference-index bucket currently holding this
-	// record (-1 while unindexed).
-	cell int32
 	// onDone is the caller's completion handler for this flight. The
 	// record is its own end-of-airtime sim.Runner (RunEvent calls
 	// ch.finish), so scheduling the finish allocates no closure and the
@@ -206,7 +197,6 @@ type Channel struct {
 	grid       geom.Grid
 	snapTime   sim.Time
 	gridOK     bool
-	gridGen    uint64 // bumped on every snapshot rebuild
 	snap       []geom.Point
 	speedBound float64
 
@@ -227,23 +217,10 @@ type Channel struct {
 	nbrMemoHit  uint64
 	nbrMemoMiss uint64
 
-	// Interference index: the active transmissions bucketed by the grid
-	// macro cell of their sender's start position, rebuilt lazily (from
-	// the tiny active list) whenever the snapshot grid re-snapshots.
-	// Senders more than 2×radius + drift apart cannot share a receiver,
-	// so a new transmission resolves overlap only against the buckets
-	// its MacroRange(senderPos, 2r+drift) rectangle covers. Keying by
-	// macro cell (geom.Grid's coarse level, capped at a few thousand
-	// cells however large the map) bounds the per-rebuild clear and the
-	// bucket table itself, so a sparse mega-map does not pay O(fine
-	// cells) here; on small maps the macro level coincides with the fine
-	// level and nothing changes. maxAir bounds how long any flight can
-	// have been on the air, and hence how far a receiver can have
-	// drifted between two membership snapshots.
-	buckets  [][]*transmission
-	ifxGen   uint64 // gridGen the buckets were last rebuilt for
-	ifxDirty bool   // buckets hold stale pointers (a speculative window stripped them)
-	maxAir   sim.Duration
+	// maxAir bounds how long any flight can have been on the air, and
+	// hence how far a receiver can have drifted between two membership
+	// snapshots: the reach of localOverlapScan's prefilter.
+	maxAir sim.Duration
 
 	// Speculative-window state: while specBands > 0 the active list is
 	// partitioned into one chLane per horizontal map band and every
@@ -546,7 +523,6 @@ func (c *Channel) rebuildSnapshot(now sim.Time) {
 	c.grid.Rebuild(c.snap, c.radius)
 	c.snapTime = now
 	c.gridOK = true
-	c.gridGen++
 	// Every memoised list described the previous snapshot.
 	c.nbrMemo, c.nbrChunk = nil, nil
 	if c.speedBound == 0 {
@@ -652,7 +628,6 @@ func (c *Channel) Transmit(radio int, f *packet.Frame, onDone TxEnder) sim.Durat
 		}
 	}
 	c.active = append(c.active, tx)
-	c.bucketAdd(tx)
 	if c.audit != nil {
 		// The frame must be live at the moment it goes on the air: a
 		// pooled frame recycled while still queued would surface here.
@@ -722,11 +697,10 @@ func (c *Channel) SpecWindowViable(bands int, height float64) bool {
 
 // BeginSpecWindow opens a speculative window over the given number of
 // horizontal bands of a map of the given height. It partitions the
-// active transmissions into per-band lanes (stripping them from the
-// interference buckets, which rebuild lazily afterwards) and reports
-// whether the partition is sound: false means some in-flight
-// transmission's disk crosses a band border — it may interact with two
-// bands — and the caller must run the window sequentially instead.
+// active transmissions into per-band lanes and reports whether the
+// partition is sound: false means some in-flight transmission's disk
+// crosses a band border — it may interact with two bands — and the
+// caller must run the window sequentially instead.
 // Must be called from the scheduler's owning goroutine with no lane
 // running.
 func (c *Channel) BeginSpecWindow(bands int, height float64) bool {
@@ -751,13 +725,11 @@ func (c *Channel) BeginSpecWindow(bands int, height float64) bool {
 	}
 	for _, tx := range c.active {
 		tx.lane = int32(c.specBandOf(tx.senderPos.Y))
-		tx.cell = -1
 		ln := &c.specLanes[tx.lane]
 		ln.active = append(ln.active, tx)
 	}
 	clearTxs(c.active)
 	c.active = c.active[:0]
-	c.ifxDirty = true
 	return true
 }
 
@@ -865,7 +837,7 @@ func (c *Channel) newTransmissionLane(ln *chLane, f *packet.Frame, radio int, en
 		tx.garbledSet.Clear()
 		ln.txPoolHits++
 	} else {
-		tx = &transmission{cell: -1, lane: -1, ch: c}
+		tx = &transmission{lane: -1, ch: c}
 		tx.recvSet = nodeset.New(len(c.positions))
 		tx.garbledSet = nodeset.New(len(c.positions))
 		ln.txPoolMisses++
@@ -889,7 +861,7 @@ func (c *Channel) newTransmission(f *packet.Frame, radio int, end sim.Time) *tra
 		tx.garbledSet.Clear()
 		c.txPoolHits++
 	} else {
-		tx = &transmission{cell: -1, lane: -1, ch: c}
+		tx = &transmission{lane: -1, ch: c}
 		tx.recvSet = nodeset.New(len(c.positions))
 		tx.garbledSet = nodeset.New(len(c.positions))
 		c.txPoolMisses++
@@ -915,22 +887,15 @@ func (c *Channel) newTransmission(f *packet.Frame, radio int, end sim.Time) *tra
 // and now-t0 is capped by o's airtime (<= maxAir). The same bound covers
 // the two half-duplex rules (a sender is a point of its own flight). Any
 // active sender farther than 2r + v·maxAir away is therefore provably
-// interference-free and never touched, turning the per-Transmit scan
-// from O(all active) into O(locally active).
+// interference-free and skipped before any bitset is touched. The
+// active list holds only the flights on the air, so one pass over it
+// with this prefilter is the whole index.
 func (c *Channel) localOverlapScan(tx *transmission, now sim.Time) {
-	c.syncBuckets()
 	reach := 2*c.radius + c.speedBound*c.maxAir.Seconds() + driftEpsilon
-	cx0, cy0, cx1, cy1 := c.grid.MacroRange(tx.senderPos, reach)
-	cols, _ := c.grid.MacroCells()
 	reach2 := reach * reach
-	for cy := cy0; cy <= cy1; cy++ {
-		row := cy * cols
-		for cx := cx0; cx <= cx1; cx++ {
-			for _, other := range c.buckets[row+cx] {
-				if other.senderPos.Dist2(tx.senderPos) <= reach2 {
-					c.resolveAgainst(tx, other, now)
-				}
-			}
+	for _, other := range c.active {
+		if other.senderPos.Dist2(tx.senderPos) <= reach2 {
+			c.resolveAgainst(tx, other, now)
 		}
 	}
 }
@@ -993,59 +958,6 @@ func (c *Channel) resolveOverlap(a, b *transmission, i int, now sim.Time) {
 	b.garble(i)
 }
 
-// syncBuckets rebuilds the interference-index buckets when the snapshot
-// grid has re-snapshotted since they were last laid out (cell geometry
-// follows the snapshot's bounding box). The rebuild walks only the
-// active list, so it is O(macro cells + active) — and the macro-cell
-// count is capped by the grid regardless of map size — amortizing with
-// the grid rebuild that triggered it.
-func (c *Channel) syncBuckets() {
-	cols, rows := c.grid.MacroCells()
-	n := cols * rows
-	if !c.ifxDirty && c.ifxGen == c.gridGen && len(c.buckets) == n {
-		return
-	}
-	if cap(c.buckets) < n {
-		c.buckets = make([][]*transmission, n)
-	} else {
-		c.buckets = c.buckets[:n]
-		for i := range c.buckets {
-			c.buckets[i] = c.buckets[i][:0]
-		}
-	}
-	for _, tx := range c.active {
-		c.bucketAdd(tx)
-	}
-	c.ifxGen = c.gridGen
-	c.ifxDirty = false
-}
-
-// bucketAdd places an active transmission in the bucket of its sender's
-// (clamped) macro cell.
-func (c *Channel) bucketAdd(tx *transmission) {
-	cx, cy := c.grid.MacroOf(tx.senderPos)
-	cols, _ := c.grid.MacroCells()
-	cell := int32(cy*cols + cx)
-	tx.cell = cell
-	c.buckets[cell] = append(c.buckets[cell], tx)
-}
-
-// bucketRemove takes a finished transmission out of its bucket
-// (swap-remove; buckets hold a handful of records at most).
-func (c *Channel) bucketRemove(tx *transmission) {
-	b := c.buckets[tx.cell]
-	for i, o := range b {
-		if o == tx {
-			last := len(b) - 1
-			b[i] = b[last]
-			b[last] = nil
-			c.buckets[tx.cell] = b[:last]
-			break
-		}
-	}
-	tx.cell = -1
-}
-
 // SetCapture enables the capture effect with the given power ratio
 // (e.g. 4 = a 6 dB advantage lets the stronger frame survive). ratio <=
 // 1 panics; call with 0 via the zero value to keep capture off.
@@ -1079,9 +991,6 @@ func (c *Channel) finish(tx *transmission) {
 		}
 	}
 	c.transmitting[tx.sender] = false
-	if tx.cell >= 0 {
-		c.bucketRemove(tx)
-	}
 
 	c.lowerBusy(tx.sender)
 	for _, i := range tx.receivers {

@@ -39,6 +39,11 @@ func (l *fakeListener) DeliverGarbled(f *packet.Frame) {
 	}
 }
 
+// endFunc adapts a bare function to TxEnder.
+type endFunc func()
+
+func (f endFunc) TxEnded() { f() }
+
 func static(p geom.Point) PositionFunc {
 	return func(sim.Time) geom.Point { return p }
 }
@@ -70,7 +75,7 @@ func TestDeliveryInRange(t *testing.T) {
 	ch.Attach(static(geom.Point{X: 901}), far)
 
 	done := false
-	air := ch.Transmit(ra, bcastFrame(0), TxEndFunc(func() { done = true }))
+	air := ch.Transmit(ra, bcastFrame(0), endFunc(func() { done = true }))
 	if air != 2432*sim.Microsecond {
 		t.Fatalf("airtime = %v", air)
 	}

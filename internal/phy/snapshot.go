@@ -34,9 +34,8 @@ type TxState struct {
 // ChannelState is the channel's checkpointed dynamic state: delivery
 // counters, the loss stream, the airtime bound feeding the interference
 // window, and every flight on the air. The spatial grid, its position
-// snapshot, the static-neighbour memo, the interference buckets and the
-// transmission-record pool are pure caches rebuilt on demand and are not
-// serialized.
+// snapshot, the static-neighbour memo and the transmission-record pool
+// are pure caches rebuilt on demand and are not serialized.
 type ChannelState struct {
 	Stats   Stats
 	HasLoss bool
@@ -118,7 +117,6 @@ func (c *Channel) Restore(st ChannelState, frame func(uint32) *packet.Frame, end
 			return fmt.Errorf("phy: restore transmission from radio %d without its frame", ts.Sender)
 		}
 		tx := &transmission{
-			cell:      -1,
 			lane:      -1,
 			ch:        c,
 			frame:     f,

@@ -37,7 +37,7 @@ const (
 func (r *router) startFlow(d *discovery) {
 	for k := 1; k <= r.cfg.DataPerRoute; k++ {
 		msg := dataPacket{Flow: d.flow, Seq: k, Target: d.target}
-		r.sched.After(sim.Duration(k)*r.cfg.DataInterval, func() {
+		r.sched.After(sim.Duration(k)*dataInterval, func() {
 			r.dataSent++
 			r.forwardData(d.flow.Source, msg)
 		})

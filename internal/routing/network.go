@@ -29,45 +29,41 @@ type Config struct {
 	// Discoveries is how many route discoveries to attempt.
 	Discoveries int
 
-	// RouteLifetime is how long an installed route stays valid.
-	RouteLifetime sim.Duration
-
 	// RingTTLs, when non-empty, enables expanding-ring search: each
 	// discovery first floods with RingTTLs[0] hops, then escalates to
-	// the next TTL after RingTimeout without a reply (0 = unlimited,
+	// the next TTL after ringTimeout without a reply (0 = unlimited,
 	// the classical final ring). Empty disables the optimization.
 	RingTTLs []int
-	// RingTimeout is the per-ring wait before escalating.
-	RingTimeout sim.Duration
 
 	// RTSThreshold enables the 802.11 RTS/CTS exchange for unicast data
 	// frames (the RREPs) of at least this many bytes; 0 disables it.
 	RTSThreshold int
 
 	// DataPerRoute, when positive, pushes that many data packets along
-	// every successfully discovered route (route-maintenance workload).
+	// every successfully discovered route (route-maintenance workload),
+	// dataInterval apart.
 	DataPerRoute int
-	// DataInterval spaces the data packets of one flow (0 = 200 ms).
-	DataInterval sim.Duration
 	// Drain is extra simulated time after the last discovery, as in
 	// manet.Config.
 	Drain sim.Duration
 }
+
+// The protocol's timers.
+const (
+	// routeLifetime is how long an installed route stays valid.
+	routeLifetime = 10 * sim.Second
+	// ringTimeout is the per-ring wait before an expanding-ring search
+	// escalates.
+	ringTimeout = 250 * sim.Millisecond
+	// dataInterval spaces the data packets of one flow.
+	dataInterval = 200 * sim.Millisecond
+)
 
 // WithDefaults fills the unset route-discovery fields. The fields shared
 // with manet.Config are defaulted by manet when the world is built.
 func (c Config) WithDefaults() Config {
 	if c.Discoveries == 0 {
 		c.Discoveries = 50
-	}
-	if c.RouteLifetime == 0 {
-		c.RouteLifetime = 10 * sim.Second
-	}
-	if len(c.RingTTLs) > 0 && c.RingTimeout == 0 {
-		c.RingTimeout = 250 * sim.Millisecond
-	}
-	if c.DataPerRoute > 0 && c.DataInterval == 0 {
-		c.DataInterval = 200 * sim.Millisecond
 	}
 	return c
 }
@@ -84,16 +80,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("routing: need at least two hosts to discover routes, have %d", w.Hosts)
 	case c.Discoveries < 0:
 		return fmt.Errorf("routing: negative discovery count %d", c.Discoveries)
-	case c.RouteLifetime < 0:
-		return fmt.Errorf("routing: negative route lifetime %v", c.RouteLifetime)
-	case c.RingTimeout < 0:
-		return fmt.Errorf("routing: negative ring timeout %v", c.RingTimeout)
 	case c.RTSThreshold < 0:
 		return fmt.Errorf("routing: negative RTS threshold %d", c.RTSThreshold)
 	case c.DataPerRoute < 0:
 		return fmt.Errorf("routing: negative data packets per route %d", c.DataPerRoute)
-	case c.DataInterval < 0:
-		return fmt.Errorf("routing: negative data interval %v", c.DataInterval)
 	}
 	for _, ttl := range c.RingTTLs {
 		if ttl < 0 {

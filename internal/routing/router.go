@@ -87,7 +87,7 @@ func (r *router) issueRing(d *discovery, origin packet.NodeID, k int) {
 		r.ringEscalations++
 	}
 	if k+1 < len(ttls) {
-		r.sched.After(r.cfg.RingTimeout, func() { r.issueRing(d, origin, k+1) })
+		r.sched.After(ringTimeout, func() { r.issueRing(d, origin, k+1) })
 	}
 }
 
@@ -137,7 +137,7 @@ func (r *router) recordRoute(host, dst, nextHop packet.NodeID, hops int) {
 	if ok && cur.expires > now && cur.hops <= hops {
 		return
 	}
-	r.routes[host][dst] = routeEntry{nextHop: nextHop, hops: hops, expires: now.Add(r.cfg.RouteLifetime)}
+	r.routes[host][dst] = routeEntry{nextHop: nextHop, hops: hops, expires: now.Add(routeLifetime)}
 }
 
 // route returns host's live route entry for dst, if any.

@@ -119,14 +119,13 @@ func TestReverseRoutesInstalled(t *testing.T) {
 
 func TestRouteExpiry(t *testing.T) {
 	cfg := Config{
-		Hosts:         10,
-		MapUnits:      1,
-		Static:        true,
-		Scheme:        scheme.Flooding{},
-		Discoveries:   1,
-		RouteLifetime: 1 * sim.Second,
-		Drain:         5 * sim.Second,
-		Seed:          11,
+		Hosts:       10,
+		MapUnits:    1,
+		Static:      true,
+		Scheme:      scheme.Flooding{},
+		Discoveries: 1,
+		Drain:       15 * sim.Second,
+		Seed:        11,
 	}
 	n, err := New(cfg)
 	if err != nil {
@@ -136,8 +135,8 @@ func TestRouteExpiry(t *testing.T) {
 	if r.Succeeded != 1 {
 		t.Fatalf("single discovery on a static 1x1 map failed (%d succeeded); the expiry check needs its route", r.Succeeded)
 	}
-	// All routes were installed at least 5 s (the drain) before the run
-	// ended, with a 1 s lifetime: nothing should remain.
+	// All routes were installed at least 15 s (the drain) before the run
+	// ended, with a 10 s lifetime: nothing should remain.
 	for a := 0; a < cfg.Hosts; a++ {
 		for b := 0; b < cfg.Hosts; b++ {
 			if a == b {
@@ -189,9 +188,6 @@ func TestConfigValidation(t *testing.T) {
 		"negative rts threshold":  {RTSThreshold: -1},
 		"negative data per route": {DataPerRoute: -1},
 		"negative drain":          {Drain: -sim.Second},
-		"negative ring timeout":   {RingTTLs: []int{1, 0}, RingTimeout: -sim.Second},
-		"negative data interval":  {DataPerRoute: 5, DataInterval: -sim.Second},
-		"negative route lifetime": {RouteLifetime: -sim.Second},
 		"negative ring ttl":       {RingTTLs: []int{-1, 0}},
 	} {
 		if _, err := New(bad); err == nil {
@@ -246,7 +242,6 @@ func TestExpandingRingFindsNearTargetCheaply(t *testing.T) {
 
 	ring := base
 	ring.RingTTLs = []int{2, 0}
-	ring.RingTimeout = 300 * sim.Millisecond
 	nr, err := New(ring)
 	if err != nil {
 		t.Fatal(err)
@@ -340,8 +335,7 @@ func TestMobilityBreaksRoutes(t *testing.T) {
 		MaxSpeedKMH:  120,
 		Scheme:       scheme.Flooding{},
 		Discoveries:  15,
-		DataPerRoute: 20,
-		DataInterval: 500 * sim.Millisecond,
+		DataPerRoute: 50,
 		Drain:        12 * sim.Second,
 		Seed:         53,
 	}

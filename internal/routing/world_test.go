@@ -8,7 +8,6 @@ import (
 	"repro/internal/manet"
 	"repro/internal/obs"
 	"repro/internal/scheme"
-	"repro/internal/sim"
 )
 
 // Route discovery runs on the manet world, so it inherits what that
@@ -17,8 +16,7 @@ import (
 func TestAuditedRouteRunIsClean(t *testing.T) {
 	cfg := Config{
 		Hosts: 60, MapUnits: 5, Scheme: scheme.AdaptiveCounter{},
-		Discoveries: 15, RingTTLs: []int{2, 0}, DataPerRoute: 5,
-		DataInterval: 300 * sim.Millisecond, Seed: 7,
+		Discoveries: 15, RingTTLs: []int{2, 0}, DataPerRoute: 5, Seed: 7,
 	}.WithDefaults()
 	wcfg := cfg.world()
 	audit := obs.NewAuditor()
