@@ -233,3 +233,19 @@ func FoldIntoRange(x, w float64) float64 {
 	}
 	return x
 }
+
+// BandOf maps a Y coordinate onto one of bands horizontal bands of equal
+// height splitting a map of the given height, clamping coordinates off
+// the map into the first or last band. It is the one band map of the
+// sharded engines: the band that owns a host and the band a
+// transmission's disk must stay inside are the same number.
+func BandOf(y, height float64, bands int) int {
+	b := int(y / height * float64(bands))
+	if b < 0 {
+		return 0
+	}
+	if b >= bands {
+		return bands - 1
+	}
+	return b
+}

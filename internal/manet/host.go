@@ -89,14 +89,10 @@ func (p *pendingRebroadcast) TxStarted() {
 // TxDone implements mac.TxObserver: the transmission ended.
 func (p *pendingRebroadcast) TxDone() { p.h.complete(p) }
 
-// newPendingRebroadcast takes a waiting-state record off the network's
-// pool (or allocates one). Lane routing as in Network.acquireSet.
+// newPendingRebroadcast takes a waiting-state record off the pool of
+// the host's lane (or allocates one).
 func (h *host) newPendingRebroadcast(bid packet.BroadcastID, judge scheme.Judge, payload any) *pendingRebroadcast {
-	pool := &h.net.prPool
-	if h.net.specOpen && h.lane >= 0 {
-		pool = &h.net.specPRs[h.lane]
-	}
-	p, ok := pop(pool)
+	p, ok := pop(&h.net.poolsOf(h.lane).prs)
 	if !ok {
 		p = new(pendingRebroadcast)
 	}
@@ -116,11 +112,8 @@ func (h *host) recyclePendingRebroadcast(p *pendingRebroadcast) {
 		h.net.audit.AuditRelease(h.net.sched.Now(), "manet.pending", p)
 	}
 	*p = pendingRebroadcast{}
-	if h.net.specOpen && h.lane >= 0 {
-		h.net.specPRs[h.lane] = append(h.net.specPRs[h.lane], p)
-		return
-	}
-	h.net.prPool = append(h.net.prPool, p)
+	pl := h.net.poolsOf(h.lane)
+	pl.prs = append(pl.prs, p)
 }
 
 // trackPending registers an open rebroadcast decision.

@@ -83,19 +83,16 @@ type Network struct {
 	// not allocate per call.
 	nbrScratch []int
 
-	// Object pools (single-threaded, so plain slices): open rebroadcast
-	// decisions, scratch bitsets for the neighbor-coverage judges,
-	// coverage states for the location judges (derived state, so not
-	// checkpointed), broadcast frames for the rebroadcast path, and HELLO
-	// beacons (a beacon carries its sender's immutable announced set,
-	// which receiver tables keep without the frame, so a beacon can be
-	// recycled the moment its transmission completes). Decisions pend at
-	// a handful of hosts at once, so one network pool holds far fewer
-	// records than one free list per host would.
-	prPool    []*pendingRebroadcast
-	setPool   []*nodeset.Set
-	covPool   []*geom.Coverage
-	framePool []*packet.Frame
+	// Object pools. The broadcast path's pools (see pools) exist once
+	// for lane -1 and once per speculative lane (lanePools, sized at
+	// construction for EngineSpeculative), and the acting host's lane
+	// picks the set, so no two lanes share one. helloPool recycles HELLO
+	// beacons, which never run on a lane (a beacon carries its sender's
+	// immutable announced set, which receiver tables keep without the
+	// frame, so a beacon can be recycled the moment its transmission
+	// completes).
+	pools
+	lanePools []pools
 	helloPool []*packet.Frame
 
 	// Per-broadcast bookkeeping: records live in an arena ordered by
@@ -123,20 +120,17 @@ type Network struct {
 
 	// Speculative-window state (see speculate.go): specOpen is true only
 	// while lanes are running, and routes record notes into the per-lane
-	// journals and pool traffic into the per-lane pools; specAssigned
-	// records the one-time band assignment; specFails/specSkip implement
-	// the adaptive backoff after rolled-back windows.
+	// journals; specAssigned records the one-time band assignment;
+	// specFails/specSkip implement the adaptive backoff after rolled-back
+	// windows.
 	specOpen     bool
 	specAssigned bool
 	specFails    uint
 	specSkip     int
 	specJournals []recJournal
-	specFrames   [][]*packet.Frame
-	specPRs      [][]*pendingRebroadcast
-	specSets     [][]*nodeset.Set
-	specCovs     [][]*geom.Coverage
 	specExtract  [][]*sim.Event
-	specMergeIdx []int // scratch for the journal k-way merge
+	specMergeIdx []int    // scratch for the journal k-way merge
+	specFired    []uint64 // scratch: each lane's fired count, read before commit
 
 	// ckDoc is the pooled checkpoint document: Checkpoint and every
 	// speculative segment's micro-checkpoint re-snapshot into the same
@@ -205,6 +199,9 @@ func New(cfg Config) (*Network, error) {
 		area:   mobility.NewSquareMap(cfg.MapUnits, cfg.UnitMeters),
 		engine: engine,
 		shards: shards,
+	}
+	if engine == EngineSpeculative {
+		n.lanePools = make([]pools, shards)
 	}
 	// The engine's whole say in construction: a worker pool and shard
 	// wheels, or neither. What is built is the same either way.
@@ -440,14 +437,7 @@ func (n *Network) buildHosts(moveRNG, macRNG, hostRNG *sim.RNG) {
 // wheel stores its turn events, never their (time, seq) firing order,
 // so migrating wheels on border crossings would buy nothing.
 func (n *Network) shardOfY(y float64) int {
-	s := int(y / n.area.Height * float64(n.shards))
-	if s < 0 {
-		s = 0
-	}
-	if s >= n.shards {
-		s = n.shards - 1
-	}
-	return s
+	return geom.BandOf(y, n.area.Height, n.shards)
 }
 
 // observe registers the network-level telemetry series. Every series is
@@ -497,16 +487,37 @@ func (n *Network) observe(o *obs.Collector) {
 	n.ch.Observe(o)
 }
 
-// acquireSet borrows a scratch bitset for a coverage judge; contents are
-// unspecified (judges overwrite via CopyFrom). While a speculative
-// window is open the acting host's lane pool serves the request, so no
-// two lanes touch the shared pool concurrently.
-func (n *Network) acquireSet(lane int32) *nodeset.Set {
-	pool := &n.setPool
-	if n.specOpen && lane >= 0 {
-		pool = &n.specSets[lane]
+// pools is one set of recycled broadcast-path objects (plain slices:
+// each set has one user at a time): open rebroadcast decisions, scratch
+// bitsets for the neighbor-coverage judges, coverage states for the
+// location judges (derived state, so not checkpointed), and broadcast
+// frames. Decisions pend at a handful of hosts at once, so one set per
+// lane holds far fewer records than one free list per host would.
+// Pools are caches: every object is fully overwritten when it is
+// acquired, so which set serves a request is unobservable.
+type pools struct {
+	prs    []*pendingRebroadcast
+	sets   []*nodeset.Set
+	covs   []*geom.Coverage
+	frames []*packet.Frame
+}
+
+// poolsOf returns the pool set of a host on the given lane: the
+// network's own for lane -1, the lane's otherwise. Every object a host
+// acquires and releases is its own, and a lane's hosts run on its
+// goroutine alone while a window is open, so the lanes never share a
+// set.
+func (n *Network) poolsOf(lane int32) *pools {
+	if lane < 0 {
+		return &n.pools
 	}
-	if s, ok := pop(pool); ok {
+	return &n.lanePools[lane]
+}
+
+// acquireSet borrows a scratch bitset for a coverage judge; contents are
+// unspecified (judges overwrite via CopyFrom).
+func (n *Network) acquireSet(lane int32) *nodeset.Set {
+	if s, ok := pop(&n.poolsOf(lane).sets); ok {
 		return s
 	}
 	return nodeset.New(len(n.hosts))
@@ -514,21 +525,14 @@ func (n *Network) acquireSet(lane int32) *nodeset.Set {
 
 // releaseSet returns a judge's scratch bitset to the pool.
 func (n *Network) releaseSet(s *nodeset.Set, lane int32) {
-	if n.specOpen && lane >= 0 {
-		n.specSets[lane] = append(n.specSets[lane], s)
-		return
-	}
-	n.setPool = append(n.setPool, s)
+	p := n.poolsOf(lane)
+	p.sets = append(p.sets, s)
 }
 
 // acquireCoverage borrows a coverage state for a location judge, which
-// Resets it; lane routing as in acquireSet.
+// Resets it.
 func (n *Network) acquireCoverage(lane int32) *geom.Coverage {
-	pool := &n.covPool
-	if n.specOpen && lane >= 0 {
-		pool = &n.specCovs[lane]
-	}
-	if c, ok := pop(pool); ok {
+	if c, ok := pop(&n.poolsOf(lane).covs); ok {
 		return c
 	}
 	return new(geom.Coverage)
@@ -536,11 +540,8 @@ func (n *Network) acquireCoverage(lane int32) *geom.Coverage {
 
 // releaseCoverage returns a location judge's coverage state to the pool.
 func (n *Network) releaseCoverage(c *geom.Coverage, lane int32) {
-	if n.specOpen && lane >= 0 {
-		n.specCovs[lane] = append(n.specCovs[lane], c)
-		return
-	}
-	n.covPool = append(n.covPool, c)
+	p := n.poolsOf(lane)
+	p.covs = append(p.covs, c)
 }
 
 // pop takes the most recently returned object off pool and clears its
@@ -558,17 +559,9 @@ func pop[T any](pool *[]T) (T, bool) {
 }
 
 // newBroadcastFrame builds (or recycles) a broadcast data frame carrying
-// payload (nil outside a Protocol's broadcasts). Lane routing as in
-// acquireSet: a speculative lane recycles through its own pool and
-// allocates fresh on a miss rather than touching the shared pool. Pool depths may therefore exceed the oracle's — pools are pure
-// caches, and frames are fully overwritten on reuse, so nothing
-// observable depends on them.
+// payload (nil outside a Protocol's broadcasts).
 func (n *Network) newBroadcastFrame(bid packet.BroadcastID, payload any, sender packet.NodeID, pos geom.Point, lane int32) *packet.Frame {
-	pool := &n.framePool
-	if n.specOpen && lane >= 0 {
-		pool = &n.specFrames[lane]
-	}
-	f, ok := pop(pool)
+	f, ok := pop(&n.poolsOf(lane).frames)
 	if ok {
 		*f = packet.Frame{
 			Kind:      packet.KindBroadcast,
@@ -595,14 +588,11 @@ func (n *Network) newBroadcastFrame(bid packet.BroadcastID, payload any, sender 
 // entry, or channel record dereferences the frame after its completion
 // callback has run.
 func (n *Network) recycleFrame(f *packet.Frame, lane int32) {
-	if n.specOpen && lane >= 0 {
-		n.specFrames[lane] = append(n.specFrames[lane], f)
-		return
-	}
 	if n.audit != nil {
 		n.audit.AuditRelease(n.sched.Now(), "frame", f)
 	}
-	n.framePool = append(n.framePool, f)
+	p := n.poolsOf(lane)
+	p.frames = append(p.frames, f)
 }
 
 // newHelloFrame builds (or recycles) a HELLO beacon with no Neighbors

@@ -43,6 +43,7 @@ package manet
 import (
 	"context"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"time"
 
@@ -122,15 +123,8 @@ func (n *Network) parallelEligible() bool {
 // Worker idle time (each worker's gap to the slowest drain of the
 // window) accumulates into WaitNS for load-imbalance visibility.
 func (n *Network) drainWindow(barrier sim.Time) {
+	n.sizeWindowAccounting()
 	st := &n.pstats
-	if st.ShardExecuted == nil {
-		st.ShardExecuted = make([]uint64, n.shards)
-		n.drainDurs = make([]time.Duration, n.shards)
-		n.shardLabels = make([]pprof.LabelSet, n.shards)
-		for s := range n.shardLabels {
-			n.shardLabels[s] = pprof.Labels("shard", strconv.Itoa(s))
-		}
-	}
 	n.sched.BeginParallelDrain()
 	n.pool.Do(n.shards, func(_, lo, hi int) {
 		for s := lo; s < hi; s++ {
@@ -142,13 +136,29 @@ func (n *Network) drainWindow(barrier sim.Time) {
 		}
 	})
 	n.sched.EndParallelDrain()
-	var slowest time.Duration
-	for _, d := range n.drainDurs {
-		if d > slowest {
-			slowest = d
-		}
+	n.foldDrainWait()
+}
+
+// sizeWindowAccounting allocates, on a network's first parallel window,
+// the per-shard accounting both window kinds fill: the executed counts,
+// the drain durations and the pprof labels.
+func (n *Network) sizeWindowAccounting() {
+	if n.pstats.ShardExecuted != nil {
+		return
 	}
+	n.pstats.ShardExecuted = make([]uint64, n.shards)
+	n.drainDurs = make([]time.Duration, n.shards)
+	n.shardLabels = make([]pprof.LabelSet, n.shards)
+	for s := range n.shardLabels {
+		n.shardLabels[s] = pprof.Labels("shard", strconv.Itoa(s))
+	}
+}
+
+// foldDrainWait adds the window's worker idle time to WaitNS: each
+// drain's gap to the slowest drain of the window.
+func (n *Network) foldDrainWait() {
+	slowest := slices.Max(n.drainDurs)
 	for _, d := range n.drainDurs {
-		st.WaitNS += int64(slowest - d)
+		n.pstats.WaitNS += int64(slowest - d)
 	}
 }

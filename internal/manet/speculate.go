@@ -22,8 +22,11 @@ package manet
 //     sequentially between two speculative segments.
 //  3. One worker per band drains its lane concurrently
 //     (sim.RunLane): lane-local clocks, lane-local provisional
-//     sequence numbers, lane-local transmission lists and record
-//     journals. The conflict detector is in the transmit path
+//     sequence numbers and record journals. The channel's flight
+//     state and the network's object pools are data the lane selects
+//     (phy's chLane, poolsOf), run by the same code as outside a
+//     window; the pools persist across windows and never merge. The
+//     conflict detector is in the transmit path
 //     (phy.TransmitLane): any transmission whose interaction disk is
 //     not wholly inside its band flags the lane.
 //  4. Commit validates the window (no flagged lane, no cross-band
@@ -56,12 +59,9 @@ import (
 	"context"
 	"fmt"
 	"runtime/pprof"
-	"strconv"
 	"time"
 
-	"repro/internal/geom"
 	"repro/internal/mac"
-	"repro/internal/nodeset"
 	"repro/internal/packet"
 	"repro/internal/phy"
 	"repro/internal/sim"
@@ -122,8 +122,9 @@ func (n *Network) speculativeEligible() bool {
 
 // assignSpecLanes performs the one-time window setup: every host (and
 // its MAC) is stamped with the band owning its position — fixed for
-// the whole run on a static world — and the per-lane journals, pools,
-// and profiling labels are sized.
+// the whole run on a static world — and the per-lane journals and the
+// window accounting are sized. The per-lane pools were sized at
+// construction.
 func (n *Network) assignSpecLanes() {
 	if n.specAssigned {
 		return
@@ -132,24 +133,9 @@ func (n *Network) assignSpecLanes() {
 	n.bindSpecLanes()
 	if n.specJournals == nil {
 		n.specJournals = make([]recJournal, n.shards)
-		n.specFrames = make([][]*packet.Frame, n.shards)
-		n.specPRs = make([][]*pendingRebroadcast, n.shards)
-		n.specSets = make([][]*nodeset.Set, n.shards)
-		n.specCovs = make([][]*geom.Coverage, n.shards)
 		n.specExtract = make([][]*sim.Event, n.shards)
 	}
-	if n.pstats.ShardExecuted == nil {
-		n.pstats.ShardExecuted = make([]uint64, n.shards)
-	}
-	if n.drainDurs == nil {
-		n.drainDurs = make([]time.Duration, n.shards)
-	}
-	if n.shardLabels == nil {
-		n.shardLabels = make([]pprof.LabelSet, n.shards)
-		for s := range n.shardLabels {
-			n.shardLabels[s] = pprof.Labels("shard", strconv.Itoa(s))
-		}
-	}
+	n.sizeWindowAccounting()
 }
 
 // bindSpecLanes stamps each host and its MAC with the band of its
@@ -309,29 +295,21 @@ func (n *Network) specSegment(specEnd sim.Time) bool {
 		}
 	})
 	n.specOpen = false
-	fired := make([]uint64, n.shards)
-	for s := range fired {
-		fired[s] = n.sched.LaneFired(s) // read before CommitSpec truncates
+	fired := n.specFired[:0]
+	for s := 0; s < n.shards; s++ {
+		fired = append(fired, n.sched.LaneFired(s)) // read before CommitSpec truncates
 	}
+	n.specFired = fired
 
 	if n.sched.CommitSpec(specEnd) {
 		n.ch.CommitSpecWindow()
 		n.applySpecJournals()
-		n.mergeSpecPools()
 		st := &n.pstats
 		st.Committed++
 		for s, f := range fired {
 			st.ShardExecuted[s] += f
 		}
-		var slowest time.Duration
-		for _, d := range n.drainDurs {
-			if d > slowest {
-				slowest = d
-			}
-		}
-		for _, d := range n.drainDurs {
-			st.WaitNS += int64(slowest - d)
-		}
+		n.foldDrainWait()
 		n.specFails = 0
 		return true
 	}
@@ -341,8 +319,9 @@ func (n *Network) specSegment(specEnd sim.Time) bool {
 
 // rollbackSpec discards the conflicted window: the micro-checkpoint is
 // restored into a fresh Network (the ordinary construction-and-restore
-// path) whose state this Network adopts, the failed window's journals
-// and lane pools are dropped, and the exponential backoff advances.
+// path) whose state — fresh pools included — this Network adopts, the
+// failed window's journals are dropped, and the exponential backoff
+// advances.
 func (n *Network) rollbackSpec(ck *snapshot.Checkpoint) {
 	n2, err := RestoreCheckpoint(ck, n.cfg)
 	if err != nil {
@@ -353,10 +332,6 @@ func (n *Network) rollbackSpec(ck *snapshot.Checkpoint) {
 	n.adoptRestored(n2)
 	for s := range n.specJournals {
 		n.specJournals[s].ops = n.specJournals[s].ops[:0]
-		drainLane(&n.specFrames[s], nil)
-		drainLane(&n.specPRs[s], nil)
-		drainLane(&n.specSets[s], nil)
-		drainLane(&n.specCovs[s], nil)
 	}
 	n.pstats.RolledBack++
 	n.specFails++
@@ -375,7 +350,7 @@ func (n *Network) adoptRestored(n2 *Network) {
 	old := n.pool
 	pstats := n.pstats
 	drainDurs, labels := n.drainDurs, n.shardLabels
-	journals, frames, prs, sets, covs, extract := n.specJournals, n.specFrames, n.specPRs, n.specSets, n.specCovs, n.specExtract
+	journals, extract := n.specJournals, n.specExtract
 	mergeIdx := n.specMergeIdx
 	fails, skip := n.specFails, n.specSkip
 	ckEvery, ckHook := n.CheckpointEvery, n.CheckpointHook
@@ -392,7 +367,7 @@ func (n *Network) adoptRestored(n2 *Network) {
 	n.ckDoc, n.ckBuf, n.digestCache = ckDoc, ckBuf, digest
 	n.pstats = pstats
 	n.drainDurs, n.shardLabels = drainDurs, labels
-	n.specJournals, n.specFrames, n.specPRs, n.specSets, n.specCovs, n.specExtract = journals, frames, prs, sets, covs, extract
+	n.specJournals, n.specExtract = journals, extract
 	n.specMergeIdx = mergeIdx
 	n.specFails, n.specSkip = fails, skip
 	n.specAssigned = true
@@ -474,28 +449,4 @@ func (n *Network) applyRecOp(op recOp) {
 	default:
 		panic(fmt.Sprintf("manet: unknown journaled record op %d", op.kind))
 	}
-}
-
-// mergeSpecPools folds the lanes' frame, record, bitset and coverage
-// pools back into the shared pools at commit, in band order. Lane pools
-// start each window empty and allocate on miss, so merged pool depths
-// may exceed the sequential oracle's — pools are unobservable caches,
-// and their objects are fully overwritten on reuse.
-func (n *Network) mergeSpecPools() {
-	for s := range n.specFrames {
-		drainLane(&n.specFrames[s], &n.framePool)
-		drainLane(&n.specPRs[s], &n.prPool)
-		drainLane(&n.specSets[s], &n.setPool)
-		drainLane(&n.specCovs[s], &n.covPool)
-	}
-}
-
-// drainLane empties a lane pool into shared, or drops its objects when
-// shared is nil, clearing its slots so the lane keeps no reference.
-func drainLane[T any](lane, shared *[]T) {
-	if shared != nil {
-		*shared = append(*shared, *lane...)
-	}
-	clear(*lane)
-	*lane = (*lane)[:0]
 }

@@ -196,3 +196,45 @@ func TestSpeculativeDegradesGracefully(t *testing.T) {
 		t.Fatalf("ineligible run attempted speculation: %+v", st)
 	}
 }
+
+// TestSpeculativeWindowDecisions pins which windows the engine
+// speculates, commits and rolls back, and how many events its lanes
+// fire. A summary cannot tell these apart — a rolled-back window
+// replays to the same bytes — so a refactor of the lane state that
+// changed the decisions would pass every summary check. The counters
+// depend only on simulation state (see TestSpeculativeForcedRollback),
+// so they are exact at any GOMAXPROCS.
+func TestSpeculativeWindowDecisions(t *testing.T) {
+	type decisions struct{ speculated, committed, rolledBack, laneEvents int }
+	// Read at the commit before the lanes' radio and pool state became
+	// data the lane selects; shards 2, then shards 4.
+	want := map[string][2]decisions{
+		"flooding-sparse":        {{8, 7, 1, 46}, {7, 6, 1, 36}},
+		"counter-sparse":         {{7, 6, 1, 38}, {5, 4, 1, 22}},
+		"distance-sparse":        {{4, 2, 2, 15}, {4, 2, 2, 15}},
+		"location-sparse":        {{4, 2, 2, 15}, {4, 2, 2, 15}},
+		"probabilistic-conflict": {{2, 0, 2, 0}, {0, 0, 0, 0}},
+		"flooding-conflict":      {{2, 0, 2, 0}, {0, 0, 0, 0}},
+	}
+	for _, tc := range speculativeCases {
+		for i, shards := range []int{2, 4} {
+			cfg := tc.cfg
+			cfg.Seed = 1
+			cfg.Engine = EngineSpeculative
+			cfg.Shards = shards
+			net, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net.Run()
+			st := net.ParallelStats()
+			got := decisions{st.Speculated, st.Committed, st.RolledBack, 0}
+			for _, c := range st.ShardExecuted {
+				got.laneEvents += int(c)
+			}
+			if got != want[tc.name][i] {
+				t.Errorf("%s shards %d: windows %+v, want %+v", tc.name, shards, got, want[tc.name][i])
+			}
+		}
+	}
+}

@@ -30,7 +30,7 @@ var engines = []struct {
 // no snapshot, reach prefilter or speed bound takes part.
 func transmitGlobal(c *Channel, radio int, f *packet.Frame) {
 	now := c.sched.Now()
-	tx := c.newTransmission(f, radio, now.Add(c.timing.Airtime(f.Bytes)))
+	tx := c.newTransmission(&c.chLane, f, radio, now, now.Add(c.timing.Airtime(f.Bytes)))
 	c.stats.Transmissions++
 	c.transmitting[radio] = true
 	tx.senderPos = c.positions[radio].PositionAt(now)

@@ -131,7 +131,7 @@ type transmission struct {
 }
 
 // RunEvent implements sim.Runner: the end-of-airtime callback.
-func (tx *transmission) RunEvent() { tx.ch.finish(tx) }
+func (tx *transmission) RunEvent() { tx.ch.finish(tx.ch.laneOf(tx), tx) }
 
 // TransmissionSender reports the sending radio of an armed end-of-airtime
 // event's runner. The speculative classifier uses it to route extracted
@@ -174,15 +174,16 @@ type Channel struct {
 	sched  *sim.Scheduler
 	timing Timing
 	radius float64
-	stats  Stats
+
+	// The channel's own flight state; inside a speculative window each
+	// lane's flights live in its own (specLanes).
+	chLane
 
 	positions []Positioner
 	listeners []Listener
 	// busyCount[i] is the number of active transmissions whose range
 	// covers radio i (including radio i's own transmission).
 	busyCount []int
-	// active transmissions currently on the air, for overlap checks.
-	active []*transmission
 	// transmitting[i] reports whether radio i is currently sending.
 	transmitting []bool
 
@@ -217,11 +218,6 @@ type Channel struct {
 	nbrMemoHit  uint64
 	nbrMemoMiss uint64
 
-	// maxAir bounds how long any flight can have been on the air, and
-	// hence how far a receiver can have drifted between two membership
-	// snapshots: the reach of localOverlapScan's prefilter.
-	maxAir sim.Duration
-
 	// Speculative-window state: while specBands > 0 the active list is
 	// partitioned into one chLane per horizontal map band and every
 	// transmission runs entirely inside its band (guarded at TransmitLane;
@@ -231,16 +227,9 @@ type Channel struct {
 	specHeight float64
 	specLanes  []chLane
 
-	// Scratch reused across Transmit calls so the hot path does not
-	// allocate: ovl holds the receiver intersection the capture rule
-	// walks, and txFree recycles finished transmission records (receiver
-	// slices and garbled sets included).
-	ovl    []packet.NodeID
-	txFree []*transmission
-	// Transmission-record pool effectiveness, exposed via TxPoolHitRate
-	// and the phy.tx_pool_hit_rate telemetry gauge.
-	txPoolHits   uint64
-	txPoolMisses uint64
+	// ovl is scratch the capture rule's receiver intersection reuses, so
+	// the hot path does not allocate.
+	ovl []packet.NodeID
 
 	// audit, when non-nil, receives conservation and pool-lifecycle
 	// observations (SetAudit).
@@ -593,18 +582,9 @@ func (c *Channel) staleNeighbors(i int, pi geom.Point, now sim.Time, buf []int) 
 // channel does not police access timing. onDone, if non-nil, runs when
 // the transmission ends (after delivery callbacks).
 func (c *Channel) Transmit(radio int, f *packet.Frame, onDone TxEnder) sim.Duration {
-	if c.transmitting[radio] {
-		panic(fmt.Sprintf("phy: radio %d transmitting twice", radio))
-	}
 	now := c.sched.Now()
 	air := c.timing.Airtime(f.Bytes)
-	if air > c.maxAir {
-		c.maxAir = air
-	}
-	tx := c.newTransmission(f, radio, now.Add(air))
-	c.stats.Transmissions++
-	c.transmitting[radio] = true
-
+	tx := c.newTransmission(&c.chLane, f, radio, now, now.Add(air))
 	c.refresh()
 	if now == c.snapTime {
 		tx.senderPos = c.snap[radio]
@@ -613,68 +593,64 @@ func (c *Channel) Transmit(radio int, f *packet.Frame, onDone TxEnder) sim.Durat
 		tx.senderPos = c.positions[radio].PositionAt(now)
 		tx.receivers = c.staleNeighbors(radio, tx.senderPos, now, tx.receivers)
 	}
-
-	// Collision rule: any temporal overlap at a common receiver garbles
-	// both copies (unless the capture effect lets the much-stronger one
-	// through); a receiver that is itself transmitting cannot decode.
-	for _, i := range tx.receivers {
-		tx.recvSet.Add(packet.NodeID(i))
-	}
-	c.localOverlapScan(tx, now)
-	for _, i := range tx.receivers {
-		// A receiver already transmitting cannot decode the new frame.
-		if c.transmitting[i] {
-			tx.garble(i)
-		}
-	}
-	c.active = append(c.active, tx)
-	if c.audit != nil {
-		// The frame must be live at the moment it goes on the air: a
-		// pooled frame recycled while still queued would surface here.
-		c.audit.AuditUse(now, "frame", f)
-		c.audit.AuditTransmit(now, radio, len(tx.receivers))
-	}
-
-	// Carrier becomes busy for the sender and all in-range radios.
-	c.raiseBusy(radio)
-	for _, i := range tx.receivers {
-		c.raiseBusy(i)
-	}
-
-	tx.onDone = onDone
-	tx.endEvent = c.sched.ScheduleRunner(tx.end, tx)
+	c.launch(&c.chLane, -1, tx, now, onDone)
 	return air
 }
 
-// chLane is the per-band resource set a speculative window's lane runs
-// on: its share of the active list, its own stats and transmission-
-// record pool, all folded back into the shared fields at commit.
-// Everything here is touched only by the lane's own goroutine while a
-// window is open.
+// chLane is one set of flight state: the flights on the air, the
+// channel counters, the airtime bound and the transmission-record pool.
+// The channel embeds its own. A speculative window gives each band a
+// lane of its own, touched only by that lane's goroutine while the
+// window is open; commit folds it into the channel's (fold), and its
+// record pool stays with the lane for the next window.
 type chLane struct {
-	active       []*transmission
-	stats        Stats
-	maxAir       sim.Duration
+	// active transmissions currently on the air, for overlap checks.
+	active []*transmission
+	stats  Stats
+	// maxAir bounds how long any flight can have been on the air, and
+	// hence how far a receiver can have drifted between two membership
+	// snapshots: the reach of overlapScan's prefilter.
+	maxAir sim.Duration
+	// txFree recycles finished transmission records (receiver slices
+	// and garbled sets included), so the hot path does not allocate.
+	// Its effectiveness is exposed via TxPoolHitRate and the
+	// phy.tx_pool_hit_rate telemetry gauge.
 	txFree       []*transmission
 	txPoolHits   uint64
 	txPoolMisses uint64
 }
 
-// specBandOf maps a Y coordinate to its band, with the same clamped
-// linear mapping the manet engine uses to assign hosts to shards.
-func (c *Channel) specBandOf(y float64) int {
-	return bandOf(y, c.specHeight, c.specBands)
+// laneOf returns the flight state tx lives in: its speculative lane's
+// while a window is open, the channel's own otherwise (lane -1).
+func (c *Channel) laneOf(tx *transmission) *chLane {
+	if tx.lane < 0 {
+		return &c.chLane
+	}
+	return &c.specLanes[tx.lane]
 }
 
-func bandOf(y, height float64, bands int) int {
-	b := int(y / height * float64(bands))
-	if b < 0 {
-		return 0
+// fold moves lane's flights (start order kept) and counters into ln,
+// leaving lane empty but for its record pool.
+func (ln *chLane) fold(lane *chLane) {
+	for _, tx := range lane.active {
+		tx.lane = -1
+		ln.active = append(ln.active, tx)
 	}
-	if b >= bands {
-		return bands - 1
-	}
-	return b
+	clear(lane.active)
+	ln.stats.Transmissions += lane.stats.Transmissions
+	ln.stats.Deliveries += lane.stats.Deliveries
+	ln.stats.Collisions += lane.stats.Collisions
+	ln.stats.Lost += lane.stats.Lost
+	ln.maxAir = max(ln.maxAir, lane.maxAir)
+	ln.txPoolHits += lane.txPoolHits
+	ln.txPoolMisses += lane.txPoolMisses
+	*lane = chLane{active: lane.active[:0], txFree: lane.txFree}
+}
+
+// specBandOf maps a Y coordinate to its band, with the same function
+// the manet engine uses to assign hosts to shards.
+func (c *Channel) specBandOf(y float64) int {
+	return geom.BandOf(y, c.specHeight, c.specBands)
 }
 
 // SpecWindowViable reports whether BeginSpecWindow would succeed on the
@@ -688,7 +664,7 @@ func (c *Channel) SpecWindowViable(bands int, height float64) bool {
 	}
 	guard := c.radius + driftEpsilon
 	for _, tx := range c.active {
-		if bandOf(tx.senderPos.Y-guard, height, bands) != bandOf(tx.senderPos.Y+guard, height, bands) {
+		if geom.BandOf(tx.senderPos.Y-guard, height, bands) != geom.BandOf(tx.senderPos.Y+guard, height, bands) {
 			return false
 		}
 	}
@@ -698,28 +674,21 @@ func (c *Channel) SpecWindowViable(bands int, height float64) bool {
 // BeginSpecWindow opens a speculative window over the given number of
 // horizontal bands of a map of the given height. It partitions the
 // active transmissions into per-band lanes and reports whether the
-// partition is sound: false means some in-flight transmission's disk
-// crosses a band border — it may interact with two bands — and the
-// caller must run the window sequentially instead.
-// Must be called from the scheduler's owning goroutine with no lane
-// running.
+// partition is sound: false (SpecWindowViable's answer) means some
+// in-flight transmission's disk crosses a band border — it may interact
+// with two bands — and the caller must run the window sequentially
+// instead. Must be called from the scheduler's owning goroutine with no
+// lane running.
 func (c *Channel) BeginSpecWindow(bands int, height float64) bool {
-	if bands <= 1 {
-		return false
-	}
 	if c.specBands != 0 {
 		panic("phy: speculative window already open")
+	}
+	if !c.SpecWindowViable(bands, height) {
+		return false
 	}
 	c.refresh() // lanes query the grid concurrently; make it usable now
 	c.specBands = bands
 	c.specHeight = height
-	guard := c.radius + driftEpsilon
-	for _, tx := range c.active {
-		if c.specBandOf(tx.senderPos.Y-guard) != c.specBandOf(tx.senderPos.Y+guard) {
-			c.specBands = 0
-			return false
-		}
-	}
 	for len(c.specLanes) < bands {
 		c.specLanes = append(c.specLanes, chLane{})
 	}
@@ -728,66 +697,38 @@ func (c *Channel) BeginSpecWindow(bands int, height float64) bool {
 		ln := &c.specLanes[tx.lane]
 		ln.active = append(ln.active, tx)
 	}
-	clearTxs(c.active)
+	clear(c.active)
 	c.active = c.active[:0]
 	return true
 }
 
-func clearTxs(txs []*transmission) {
-	for i := range txs {
-		txs[i] = nil
-	}
-}
-
-// CommitSpecWindow closes a validated window: lane actives merge back
-// into the shared list (band order; start order within a band) and lane
-// counters fold into the shared stats. On rollback the channel object is
-// discarded wholesale instead, so there is no abort counterpart.
+// CommitSpecWindow closes a validated window: each lane folds into the
+// channel's own state in band order (start order within a band). On
+// rollback the channel object is discarded wholesale instead, so there
+// is no abort counterpart.
 func (c *Channel) CommitSpecWindow() {
 	if c.specBands == 0 {
 		panic("phy: CommitSpecWindow without an open window")
 	}
-	for i := 0; i < c.specBands; i++ {
-		ln := &c.specLanes[i]
-		for _, tx := range ln.active {
-			tx.lane = -1
-			c.active = append(c.active, tx)
-		}
-		clearTxs(ln.active)
-		ln.active = ln.active[:0]
-		c.stats.Transmissions += ln.stats.Transmissions
-		c.stats.Deliveries += ln.stats.Deliveries
-		c.stats.Collisions += ln.stats.Collisions
-		c.stats.Lost += ln.stats.Lost
-		ln.stats = Stats{}
-		if ln.maxAir > c.maxAir {
-			c.maxAir = ln.maxAir
-		}
-		ln.maxAir = 0
-		c.txPoolHits += ln.txPoolHits
-		c.txPoolMisses += ln.txPoolMisses
-		ln.txPoolHits, ln.txPoolMisses = 0, 0
+	for i := range c.specLanes[:c.specBands] {
+		c.chLane.fold(&c.specLanes[i])
 	}
 	c.specBands = 0
 }
 
 // TransmitLane is Transmit routed through a speculative lane: outside a
 // window (or for lane -1) it is exactly Transmit; inside one it runs the
-// same transmission pipeline against the lane's private active list and
-// pools, after proving the sender's whole interference disk lies inside
-// the lane's band. Two transmissions whose disks lie inside disjoint
-// bands cannot share a receiver, sense each other's carrier, or garble
-// one another, so the per-lane pipeline resolves exactly the
-// interactions the sequential engine would — a sender that cannot prove
-// this flags its lane for rollback and bails before mutating anything.
+// same flight against the lane's state, after proving the sender's
+// whole interference disk lies inside the lane's band. Two
+// transmissions whose disks lie inside disjoint bands cannot share a
+// receiver, sense each other's carrier, or garble one another, so the
+// lane resolves exactly the interactions the sequential engine would —
+// a sender that cannot prove this flags its lane for rollback and bails
+// before mutating anything.
 func (c *Channel) TransmitLane(radio int, f *packet.Frame, onDone TxEnder, lane int) sim.Duration {
 	if c.specBands == 0 || lane < 0 {
 		return c.Transmit(radio, f, onDone)
 	}
-	if c.transmitting[radio] {
-		panic(fmt.Sprintf("phy: radio %d transmitting twice", radio))
-	}
-	ln := &c.specLanes[lane]
 	now := c.sched.LaneNow(lane)
 	air := c.timing.Airtime(f.Bytes)
 	senderPos := c.positions[radio].PositionAt(now)
@@ -796,38 +737,23 @@ func (c *Channel) TransmitLane(radio int, f *packet.Frame, onDone TxEnder, lane 
 		c.sched.FlagLaneConflict(lane)
 		return air
 	}
-	if air > ln.maxAir {
-		ln.maxAir = air
-	}
-	tx := c.newTransmissionLane(ln, f, radio, now.Add(air))
-	tx.lane = int32(lane)
-	ln.stats.Transmissions++
-	c.transmitting[radio] = true
+	ln := &c.specLanes[lane]
+	tx := c.newTransmission(ln, f, radio, now, now.Add(air))
 	tx.senderPos = senderPos
+	// Lanes run concurrently, so they skip the neighbour memo that
+	// exactNeighbors writes; the stale query gives the same answer.
 	tx.receivers = c.staleNeighbors(radio, senderPos, now, tx.receivers)
-	for _, i := range tx.receivers {
-		tx.recvSet.Add(packet.NodeID(i))
-	}
-	for _, other := range ln.active {
-		c.resolveAgainst(tx, other, now)
-	}
-	for _, i := range tx.receivers {
-		if c.transmitting[i] {
-			tx.garble(i)
-		}
-	}
-	ln.active = append(ln.active, tx)
-	c.raiseBusy(radio)
-	for _, i := range tx.receivers {
-		c.raiseBusy(i)
-	}
-	tx.onDone = onDone
-	tx.endEvent = c.sched.LaneScheduleRunner(lane, tx.end, tx)
+	c.launch(ln, lane, tx, now, onDone)
 	return air
 }
 
-// newTransmissionLane is newTransmission against a lane's private pool.
-func (c *Channel) newTransmissionLane(ln *chLane, f *packet.Frame, radio int, end sim.Time) *transmission {
+// newTransmission takes a transmission record off the lane's free list
+// (or allocates one), so steady-state transmissions reuse their receiver
+// slices and garbled sets instead of allocating per frame.
+func (c *Channel) newTransmission(ln *chLane, f *packet.Frame, radio int, now, end sim.Time) *transmission {
+	if c.transmitting[radio] {
+		panic(fmt.Sprintf("phy: radio %d transmitting twice", radio))
+	}
 	var tx *transmission
 	if n := len(ln.txFree); n > 0 {
 		tx = ln.txFree[n-1]
@@ -845,38 +771,57 @@ func (c *Channel) newTransmissionLane(ln *chLane, f *packet.Frame, radio int, en
 	tx.frame = f
 	tx.sender = radio
 	tx.end = end
-	return tx
-}
-
-// newTransmission takes a transmission record off the free list (or
-// allocates one), so steady-state transmissions reuse their receiver
-// slices and garbled sets instead of allocating per frame.
-func (c *Channel) newTransmission(f *packet.Frame, radio int, end sim.Time) *transmission {
-	var tx *transmission
-	if n := len(c.txFree); n > 0 {
-		tx = c.txFree[n-1]
-		c.txFree = c.txFree[:n-1]
-		tx.receivers = tx.receivers[:0]
-		tx.recvSet.Clear()
-		tx.garbledSet.Clear()
-		c.txPoolHits++
-	} else {
-		tx = &transmission{lane: -1, ch: c}
-		tx.recvSet = nodeset.New(len(c.positions))
-		tx.garbledSet = nodeset.New(len(c.positions))
-		c.txPoolMisses++
-	}
-	tx.frame = f
-	tx.sender = radio
-	tx.end = end
 	if c.audit != nil {
-		c.audit.AuditAcquire(c.sched.Now(), "phy.tx", tx)
+		c.audit.AuditAcquire(now, "phy.tx", tx)
 	}
 	return tx
 }
 
-// localOverlapScan resolves overlap for tx against only the active
-// transmissions whose senders can possibly share a receiver with it.
+// launch is the flight tail both transmit heads share once the sender's
+// position and receivers are known: it counts the flight on ln, resolves
+// overlap against ln's flights, puts it on the air, raises the carrier,
+// and arms the end of airtime on the lane's clock (lane -1: the
+// channel's own state and the shared scheduler).
+func (c *Channel) launch(ln *chLane, lane int, tx *transmission, now sim.Time, onDone TxEnder) {
+	if air := tx.end.Sub(now); air > ln.maxAir {
+		ln.maxAir = air
+	}
+	ln.stats.Transmissions++
+	c.transmitting[tx.sender] = true
+	tx.lane = int32(lane)
+
+	// Collision rule: any temporal overlap at a common receiver garbles
+	// both copies (unless the capture effect lets the much-stronger one
+	// through); a receiver that is itself transmitting cannot decode.
+	for _, i := range tx.receivers {
+		tx.recvSet.Add(packet.NodeID(i))
+	}
+	c.overlapScan(ln, tx, now)
+	for _, i := range tx.receivers {
+		// A receiver already transmitting cannot decode the new frame.
+		if c.transmitting[i] {
+			tx.garble(i)
+		}
+	}
+	ln.active = append(ln.active, tx)
+	if c.audit != nil {
+		// The frame must be live at the moment it goes on the air: a
+		// pooled frame recycled while still queued would surface here.
+		c.audit.AuditUse(now, "frame", tx.frame)
+		c.audit.AuditTransmit(now, tx.sender, len(tx.receivers))
+	}
+
+	// Carrier becomes busy for the sender and all in-range radios.
+	c.raiseBusy(tx.sender)
+	for _, i := range tx.receivers {
+		c.raiseBusy(i)
+	}
+
+	tx.onDone = onDone
+	tx.endEvent = c.sched.LaneScheduleRunner(lane, tx.end, tx)
+}
+
+// overlapScan resolves overlap for tx against only the flights of ln whose senders can possibly share a receiver with it.
 // Receiver membership is fixed when a flight starts, so if receiver i
 // is covered by both tx (starting now) and an older flight o (started
 // at t0), the triangle inequality bounds the sender separation:
@@ -884,16 +829,18 @@ func (c *Channel) newTransmission(f *packet.Frame, radio int, end sim.Time) *tra
 //	|tx.senderPos - o.senderPos| <= r + r + v·(now-t0)
 //
 // — i's two membership positions differ by at most the drift v·(now-t0),
-// and now-t0 is capped by o's airtime (<= maxAir). The same bound covers
+// and now-t0 is capped by o's airtime (<= maxAir: a lane's flights
+// started in its window or before it, under the lane's bound or the
+// channel's). The same bound covers
 // the two half-duplex rules (a sender is a point of its own flight). Any
 // active sender farther than 2r + v·maxAir away is therefore provably
 // interference-free and skipped before any bitset is touched. The
 // active list holds only the flights on the air, so one pass over it
 // with this prefilter is the whole index.
-func (c *Channel) localOverlapScan(tx *transmission, now sim.Time) {
-	reach := 2*c.radius + c.speedBound*c.maxAir.Seconds() + driftEpsilon
+func (c *Channel) overlapScan(ln *chLane, tx *transmission, now sim.Time) {
+	reach := 2*c.radius + c.speedBound*max(c.maxAir, ln.maxAir).Seconds() + driftEpsilon
 	reach2 := reach * reach
-	for _, other := range c.active {
+	for _, other := range ln.active {
 		if other.senderPos.Dist2(tx.senderPos) <= reach2 {
 			c.resolveAgainst(tx, other, now)
 		}
@@ -968,13 +915,15 @@ func (c *Channel) SetCapture(ratio float64) {
 	c.captureRatio = ratio
 }
 
-// finish ends a transmission: delivers intact copies, reports garbled
-// ones, and releases the carrier.
-func (c *Channel) finish(tx *transmission) {
-	if c.specBands > 0 && tx.lane >= 0 {
-		c.finishLane(tx)
-		return
-	}
+// finish ends a transmission on ln, the state it flew in: delivers
+// intact copies, reports garbled ones, and releases the carrier. A
+// lane's flight has all its receivers inside the lane's band
+// (TransmitLane proved the disk in-band when it started, or the window
+// partition did), so every carrier transition and delivery lands on
+// the lane's own hosts. Speculation eligibility excludes the loss
+// model, capture, the auditor, and the channel-load observer, so a
+// lane never reaches their shared state.
+func (c *Channel) finish(ln *chLane, tx *transmission) {
 	if c.audit != nil {
 		// Both the record and its frame must still be live at airtime
 		// end; a recycle while in flight is a use-after-release.
@@ -984,11 +933,8 @@ func (c *Channel) finish(tx *transmission) {
 	}
 	// Remove from active list first so deliveries that trigger immediate
 	// new transmissions (same instant) do not overlap with this one.
-	for i, a := range c.active {
-		if a == tx {
-			c.active = append(c.active[:i], c.active[i+1:]...)
-			break
-		}
+	if i := slices.Index(ln.active, tx); i >= 0 {
+		ln.active = slices.Delete(ln.active, i, i+1)
 	}
 	c.transmitting[tx.sender] = false
 
@@ -999,7 +945,7 @@ func (c *Channel) finish(tx *transmission) {
 	for _, i := range tx.receivers {
 		switch {
 		case tx.isGarbled(i) && !c.DisableCollisions:
-			c.stats.Collisions++
+			ln.stats.Collisions++
 			if c.audit != nil {
 				c.audit.AuditCollided(c.sched.Now(), i)
 			}
@@ -1007,12 +953,12 @@ func (c *Channel) finish(tx *transmission) {
 		case c.lossRate > 0 && c.lossRNG.Float64() < c.lossRate:
 			// Fading loss: the copy silently vanishes (the receiver still
 			// sensed carrier, so MAC timing is unaffected).
-			c.stats.Lost++
+			ln.stats.Lost++
 			if c.audit != nil {
 				c.audit.AuditLost(c.sched.Now(), i)
 			}
 		default:
-			c.stats.Deliveries++
+			ln.stats.Deliveries++
 			if c.audit != nil {
 				c.audit.AuditDelivered(c.sched.Now(), i)
 			}
@@ -1029,48 +975,6 @@ func (c *Channel) finish(tx *transmission) {
 		now := c.sched.Now()
 		c.audit.AuditTransmitEnd(now, tx.sender, len(tx.receivers))
 		c.audit.AuditRelease(now, "phy.tx", tx)
-	}
-	tx.frame = nil
-	tx.onDone = nil
-	tx.endEvent = nil
-	c.txFree = append(c.txFree, tx)
-}
-
-// finishLane is finish inside a speculative window: the same pipeline
-// against the owning lane's active list, stats, and record pool. The
-// flight's receivers all lie inside the lane's band (TransmitLane proved
-// the disk in-band when it started, or the window partition did), so
-// every carrier transition and delivery lands on this lane's own hosts.
-// Speculation eligibility excludes the loss model, capture, the auditor,
-// and the channel-load observer, so none of their shared state is
-// reachable here.
-func (c *Channel) finishLane(tx *transmission) {
-	ln := &c.specLanes[tx.lane]
-	for i, a := range ln.active {
-		if a == tx {
-			last := len(ln.active) - 1
-			copy(ln.active[i:], ln.active[i+1:])
-			ln.active[last] = nil
-			ln.active = ln.active[:last]
-			break
-		}
-	}
-	c.transmitting[tx.sender] = false
-	c.lowerBusy(tx.sender)
-	for _, i := range tx.receivers {
-		c.lowerBusy(i)
-	}
-	for _, i := range tx.receivers {
-		if tx.isGarbled(i) && !c.DisableCollisions {
-			ln.stats.Collisions++
-			c.listeners[i].DeliverGarbled(tx.frame)
-		} else {
-			ln.stats.Deliveries++
-			c.listeners[i].Deliver(tx.frame)
-		}
-	}
-	if tx.onDone != nil {
-		tx.onDone.TxEnded()
 	}
 	tx.frame = nil
 	tx.onDone = nil
