@@ -16,7 +16,7 @@ func dataFrame(src, dst packet.NodeID) *packet.Frame {
 func TestUnicastGetsAcked(t *testing.T) {
 	r := newRig(geom.Point{X: 0}, geom.Point{X: 100})
 	var delivered int
-	r.macs[1].Receiver = ReceiverFunc(func(f *packet.Frame) {
+	r.macs[1].Upper = ReceiverFunc(func(f *packet.Frame) {
 		if f.Kind != packet.KindData {
 			t.Errorf("host layer saw %v frame", f.Kind)
 		}
@@ -46,8 +46,8 @@ func TestUnicastGetsAcked(t *testing.T) {
 func TestAcksInvisibleToHostLayer(t *testing.T) {
 	r := newRig(geom.Point{X: 0}, geom.Point{X: 100})
 	var kinds []packet.Kind
-	r.macs[0].Receiver = ReceiverFunc(func(f *packet.Frame) { kinds = append(kinds, f.Kind) })
-	r.macs[1].Receiver = ReceiverFunc(func(*packet.Frame) {})
+	r.macs[0].Upper = ReceiverFunc(func(f *packet.Frame) { kinds = append(kinds, f.Kind) })
+	r.macs[1].Upper = ReceiverFunc(func(*packet.Frame) {})
 	r.macs[0].Enqueue(dataFrame(0, 1), nil)
 	r.sched.Run()
 	for _, k := range kinds {
@@ -95,7 +95,7 @@ func TestOnStartFiresOnceAcrossRetries(t *testing.T) {
 
 func TestBroadcastNeverAwaitsAck(t *testing.T) {
 	r := newRig(geom.Point{X: 0}, geom.Point{X: 100})
-	r.macs[1].Receiver = ReceiverFunc(func(*packet.Frame) {})
+	r.macs[1].Upper = ReceiverFunc(func(*packet.Frame) {})
 	r.macs[0].Enqueue(frame(0, 1), nil)
 	r.sched.Run()
 	st := r.macs[0].Stats()
@@ -112,13 +112,13 @@ func TestUnicastChainUnderContention(t *testing.T) {
 	// storm runs. With ARQ every data frame must eventually arrive.
 	r := newRig(geom.Point{X: 0}, geom.Point{X: 100}, geom.Point{X: 200})
 	got := map[packet.NodeID]int{}
-	r.macs[1].Receiver = ReceiverFunc(func(f *packet.Frame) {
+	r.macs[1].Upper = ReceiverFunc(func(f *packet.Frame) {
 		if f.Kind == packet.KindData && f.Dest == 1 {
 			got[f.Sender]++
 		}
 	})
-	r.macs[2].Receiver = ReceiverFunc(func(*packet.Frame) {})
-	r.macs[0].Receiver = ReceiverFunc(func(*packet.Frame) {})
+	r.macs[2].Upper = ReceiverFunc(func(*packet.Frame) {})
+	r.macs[0].Upper = ReceiverFunc(func(*packet.Frame) {})
 	for i := 0; i < 5; i++ {
 		r.macs[0].Enqueue(dataFrame(0, 1), nil)
 		r.macs[2].Enqueue(dataFrame(2, 1), nil)

@@ -43,7 +43,7 @@ func TestAckTimingExactlySIFS(t *testing.T) {
 
 	a := New(sched, ch, phy.PositionFunc(func(sim.Time) geom.Point { return geom.Point{} }), rng.Fork(1))
 	b := New(sched, ch, phy.PositionFunc(func(sim.Time) geom.Point { return geom.Point{X: 100} }), rng.Fork(2))
-	b.Receiver = ReceiverFunc(func(*packet.Frame) {})
+	b.Upper = ReceiverFunc(func(*packet.Frame) {})
 	watcher := &spy{sched: sched}
 	ch.Attach(phy.PositionFunc(func(sim.Time) geom.Point { return geom.Point{X: 50} }), watcher)
 
@@ -80,7 +80,7 @@ func TestRTSCTSDataTiming(t *testing.T) {
 	a := New(sched, ch, phy.PositionFunc(func(sim.Time) geom.Point { return geom.Point{} }), rng.Fork(1))
 	b := New(sched, ch, phy.PositionFunc(func(sim.Time) geom.Point { return geom.Point{X: 100} }), rng.Fork(2))
 	a.World().SetRTSThreshold(1)
-	b.Receiver = ReceiverFunc(func(*packet.Frame) {})
+	b.Upper = ReceiverFunc(func(*packet.Frame) {})
 	watcher := &spy{sched: sched}
 	ch.Attach(phy.PositionFunc(func(sim.Time) geom.Point { return geom.Point{X: 50} }), watcher)
 
@@ -144,7 +144,7 @@ func TestNAVValueMatchesExchange(t *testing.T) {
 	a := New(sched, ch, phy.PositionFunc(func(sim.Time) geom.Point { return geom.Point{} }), rng.Fork(1))
 	b := New(sched, ch, phy.PositionFunc(func(sim.Time) geom.Point { return geom.Point{X: 100} }), rng.Fork(2))
 	a.World().SetRTSThreshold(1)
-	b.Receiver = ReceiverFunc(func(*packet.Frame) {})
+	b.Upper = ReceiverFunc(func(*packet.Frame) {})
 
 	var nav sim.Duration
 	watcher := &navSpy{sched: sched, navs: &nav}

@@ -2,17 +2,26 @@ package mac
 
 import "repro/internal/packet"
 
-// ReceiverFunc adapts a function to FrameReceiver.
+// ReceiverFunc adapts a function taking intact frames to Upper; it
+// drops collided ones.
 type ReceiverFunc func(f *packet.Frame)
 
-// ReceiveFrame implements FrameReceiver.
+// ReceiveFrame implements Upper.
 func (fn ReceiverFunc) ReceiveFrame(f *packet.Frame) { fn(f) }
 
-// GarbledFunc adapts a function to GarbledReceiver.
-type GarbledFunc func(f *packet.Frame)
+// ReceiveGarbled implements Upper.
+func (fn ReceiverFunc) ReceiveGarbled(*packet.Frame) {}
 
-// ReceiveGarbled implements GarbledReceiver.
-func (fn GarbledFunc) ReceiveGarbled(f *packet.Frame) { fn(f) }
+// UpperFuncs adapts a function per intake to Upper.
+type UpperFuncs struct {
+	Frame, Garbled func(f *packet.Frame)
+}
+
+// ReceiveFrame implements Upper.
+func (u UpperFuncs) ReceiveFrame(f *packet.Frame) { u.Frame(f) }
+
+// ReceiveGarbled implements Upper.
+func (u UpperFuncs) ReceiveGarbled(f *packet.Frame) { u.Garbled(f) }
 
 // Started reports whether the frame's transmission has begun.
 func (p *Pending) Started() bool { return p.started }

@@ -130,78 +130,111 @@ func (w *Shared) SetAudit(a *obs.Auditor) { w.audit = a }
 
 // MAC is the per-host medium access controller. It implements
 // phy.Listener; the host's upper layer receives frames through the
-// Receiver callback. It holds only what differs between hosts: the
-// world's constants sit in the Shared block w points to, and the
-// callback adapters (respTimer, dataEnd, rtsEnd, ackSend) are defined
-// types over MAC, so a MAC converts its own pointer instead of storing
-// one per role.
+// Upper field. It holds only what every host uses: the world's
+// constants sit in the Shared block w points to, the callback adapters
+// (respTimer, dataEnd, rtsEnd, ackSend) are defined types over MAC, so
+// a MAC converts its own pointer instead of storing one per role, and
+// the unicast exchange's state sits in a record the MAC allocates on
+// its first use (unicastState), so a broadcast-only world never pays
+// for it. Small integers are stored in 32 bits.
 type MAC struct {
-	w     *Shared
-	radio int
-	rng   *sim.RNG
-	stats Stats
-	cw    int // current contention window (grows on retries)
+	w   *Shared
+	rng *sim.RNG
 
-	// Receiver, if set, receives every intact frame delivered to this
-	// radio. GarbledReceiver, if set, receives collided frames. Both are
-	// interfaces rather than function fields so a host implementing them
-	// attaches itself without allocating bound closures.
-	Receiver        FrameReceiver
-	GarbledReceiver GarbledReceiver
+	// Upper, if set, receives every intact frame delivered to this
+	// radio and every collided one. It is an interface rather than
+	// function fields so a host implementing it attaches itself without
+	// allocating bound closures.
+	Upper Upper
 
 	// queue[qhead:] is the FIFO of waiting frames; consuming by index
 	// instead of reslicing keeps the backing array's capacity, so a
 	// steady-state MAC stops allocating queue storage.
 	queue []*Pending
-	qhead int
 
 	// Pending recycling, so the steady-state per-frame path allocates
 	// nothing.
 	pFree    []*Pending
 	inflight *Pending // the frame whose airtime end dataEnd awaits
 
-	// The delayed link-layer ACK owed after receiving unicast data: the
-	// armed SIFS timer and its destination. At most one is pending —
-	// a second data frame cannot end within SIFS of the first without
-	// the two having collided.
-	ackTimer *sim.Event
-	ackTo    packet.NodeID
-	addr     packet.NodeID // link-layer address (the owning host's id)
-
-	transmitting bool
-	busy         bool
-	awaitKind    awaitKind
-	idleSince    sim.Time
-
-	// backoffRemaining is the frozen residual backoff in slots; -1 means
-	// no backoff is owed and the MAC may use immediate access after DIFS.
-	backoffRemaining int
-
-	// awaiting is the unicast frame whose control response (CTS or ACK)
-	// we are waiting for, with its timeout event and retry count.
-	awaiting   *Pending
-	awaitTimer *sim.Event
-	retries    int
-
-	// navUntil is the network allocation vector: overheard RTS/CTS
-	// reservations keep the (virtual) medium busy until this time.
-	navUntil sim.Time
-	navEvent *sim.Event
-
-	// lane is the speculative lane owning this MAC's host, -1 (the
-	// default) outside the speculative engine. Hot-path timers route
-	// through the scheduler's Lane* entry points with it, which fall
-	// through to the shared path whenever no window is open.
-	lane int
+	// uc is the unicast exchange's state, nil until the MAC first sends
+	// or receives a unicast frame, an RTS or a CTS.
+	uc *unicast
 
 	// A scheduled future transmission attempt, if any.
 	txEvent *sim.Event
 	// txEventBase/txEventSlots reconstruct consumed slots if the attempt
 	// is interrupted by carrier. txEventSlots == -1 marks an
 	// immediate-access attempt (no backoff in progress).
-	txEventBase  sim.Time
-	txEventSlots int
+	txEventBase sim.Time
+	idleSince   sim.Time
+
+	stats counters
+
+	radio int32
+	cw    int32 // current contention window (grows on retries)
+	qhead int32
+	// lane is the speculative lane owning this MAC's host, -1 (the
+	// default) outside the speculative engine. Hot-path timers route
+	// through the scheduler's Lane* entry points with it, which fall
+	// through to the shared path whenever no window is open.
+	lane int32
+
+	// backoffRemaining is the frozen residual backoff in slots; -1 means
+	// no backoff is owed and the MAC may use immediate access after DIFS.
+	backoffRemaining int32
+	txEventSlots     int32
+
+	addr packet.NodeID // link-layer address (the owning host's id)
+
+	transmitting bool
+	busy         bool
 }
+
+// counters are the Stats every MAC keeps, in 32 bits: a run enqueues
+// far fewer than 2³² frames on one host, and restore refuses a
+// document whose counter does not fit.
+type counters struct {
+	enqueued, sent, cancelled, stalls uint32
+}
+
+// unicast is the state only the unicast exchange touches. A MAC
+// allocates it on its first unicast send or reception, RTS/CTS or NAV.
+type unicast struct {
+	// The delayed link-layer ACK owed after receiving unicast data: the
+	// armed SIFS timer and its destination. At most one is pending —
+	// a second data frame cannot end within SIFS of the first without
+	// the two having collided.
+	ackTimer *sim.Event
+
+	// awaiting is the unicast frame whose control response (CTS or ACK)
+	// we are waiting for, with its timeout event and retry count.
+	awaiting   *Pending
+	awaitTimer *sim.Event
+
+	// navUntil is the network allocation vector: overheard RTS/CTS
+	// reservations keep the (virtual) medium busy until this time.
+	navUntil sim.Time
+	navEvent *sim.Event
+
+	ackTo     packet.NodeID
+	retries   int32
+	awaitKind awaitKind
+
+	acksSent, retried, dropped uint32 // Stats.AcksSent, Retries, Dropped
+}
+
+// unicastState returns the MAC's unicast record, allocating it on first
+// use.
+func (m *MAC) unicastState() *unicast {
+	if m.uc == nil {
+		m.uc = new(unicast)
+	}
+	return m.uc
+}
+
+// awaits reports whether the MAC waits for a control frame of kind k.
+func (m *MAC) awaits(k awaitKind) bool { return m.uc != nil && m.uc.awaitKind == k }
 
 // awaitKind discriminates what control frame the MAC is waiting for.
 type awaitKind uint8
@@ -212,13 +245,10 @@ const (
 	awaitACK
 )
 
-// FrameReceiver is the upper layer's intake for intact frames.
-type FrameReceiver interface {
+// Upper is the host layer above a MAC: ReceiveFrame takes every intact
+// frame delivered to the radio, ReceiveGarbled every collided one.
+type Upper interface {
 	ReceiveFrame(f *packet.Frame)
-}
-
-// GarbledReceiver is the upper layer's intake for collided frames.
-type GarbledReceiver interface {
 	ReceiveGarbled(f *packet.Frame)
 }
 
@@ -260,17 +290,22 @@ func (e *rtsEnd) TxEnded() {
 // construct MACs from parallel workers: SetRadio writes are per-slot and
 // therefore disjoint, unlike a shared append.
 func NewInto(m *MAC, w *Shared, pos phy.Positioner, rng *sim.RNG, radio int) {
+	m.init(w, rng, radio)
+	w.ch.SetRadio(radio, pos, m)
+}
+
+// init writes the complete record of a MAC on radio over w.
+func (m *MAC) init(w *Shared, rng *sim.RNG, radio int) {
 	*m = MAC{
 		w:                w,
 		rng:              rng,
-		cw:               w.t.CWMin,
+		cw:               int32(w.t.CWMin),
 		backoffRemaining: -1,
 		idleSince:        w.sched.Now(),
-		radio:            radio,
+		radio:            int32(radio),
 		addr:             packet.NodeID(radio),
 		lane:             -1,
 	}
-	w.ch.SetRadio(radio, pos, m)
 }
 
 // allocPending takes a record off the free list or allocates one.
@@ -310,29 +345,40 @@ func (m *MAC) SetAddr(a packet.NodeID) { m.addr = a }
 func (m *MAC) Addr() packet.NodeID { return m.addr }
 
 // Radio returns the channel radio index of this MAC.
-func (m *MAC) Radio() int { return m.radio }
+func (m *MAC) Radio() int { return int(m.radio) }
 
 // SetLane assigns the speculative lane owning this MAC (-1 detaches).
 // The speculative engine sets it once per static world; it must equal
 // the band of the owning host's position.
-func (m *MAC) SetLane(lane int) { m.lane = lane }
+func (m *MAC) SetLane(lane int) { m.lane = int32(lane) }
 
 // Lane returns the speculative lane owning this MAC, -1 if none.
-func (m *MAC) Lane() int { return m.lane }
+func (m *MAC) Lane() int { return int(m.lane) }
 
 // now returns the clock this MAC observes: its lane clock while a
 // speculative window is open, the shared clock otherwise.
-func (m *MAC) now() sim.Time { return m.w.sched.LaneNow(m.lane) }
+func (m *MAC) now() sim.Time { return m.w.sched.LaneNow(int(m.lane)) }
 
 // Stats returns the MAC counters.
-func (m *MAC) Stats() Stats { return m.stats }
+func (m *MAC) Stats() Stats {
+	st := Stats{
+		Enqueued:  int(m.stats.enqueued),
+		Sent:      int(m.stats.sent),
+		Cancelled: int(m.stats.cancelled),
+		Stalls:    int(m.stats.stalls),
+	}
+	if u := m.uc; u != nil {
+		st.AcksSent, st.Retries, st.Dropped = int(u.acksSent), int(u.retried), int(u.dropped)
+	}
+	return st
+}
 
 // Enqueue submits a frame for transmission and returns its handle. obs
 // (which may be nil) observes the transmission's start and end.
 func (m *MAC) Enqueue(f *packet.Frame, obs TxObserver) *Pending {
 	p := m.allocPending(f, obs)
 	m.queue = append(m.queue, p)
-	m.stats.Enqueued++
+	m.stats.enqueued++
 	// A frame arriving to a busy medium owes a fresh backoff draw, per
 	// the DCF access rules.
 	if m.busy && m.backoffRemaining < 0 {
@@ -352,7 +398,7 @@ func (m *MAC) Cancel(p *Pending) bool {
 		return true
 	}
 	p.cancelled = true
-	m.stats.Cancelled++
+	m.stats.cancelled++
 	// If this was the head frame with a pending attempt, retract the
 	// attempt; the residual backoff is preserved for the next frame.
 	if m.txEvent != nil && m.headPending() == nil {
@@ -365,12 +411,12 @@ func (m *MAC) Cancel(p *Pending) bool {
 // headPending returns the first non-cancelled queued frame, trimming
 // cancelled entries from the front.
 func (m *MAC) headPending() *Pending {
-	for m.qhead < len(m.queue) && m.queue[m.qhead].cancelled {
+	for int(m.qhead) < len(m.queue) && m.queue[m.qhead].cancelled {
 		m.recyclePending(m.queue[m.qhead])
 		m.queue[m.qhead] = nil
 		m.qhead++
 	}
-	if m.qhead == len(m.queue) {
+	if int(m.qhead) == len(m.queue) {
 		m.queue = m.queue[:0]
 		m.qhead = 0
 		return nil
@@ -382,30 +428,27 @@ func (m *MAC) headPending() *Pending {
 // window starts at CWMin and doubles on unicast retransmissions up to
 // CWMax, per the DCF's binary exponential backoff; broadcast frames are
 // never retransmitted and always see CWMin.
-func (m *MAC) drawBackoff() int {
-	return m.rng.IntN(m.cw + 1)
+func (m *MAC) drawBackoff() int32 {
+	return int32(m.rng.IntN(int(m.cw) + 1))
 }
 
 // growCW doubles the contention window after a missing ACK.
 func (m *MAC) growCW() {
-	m.cw = (m.cw+1)*2 - 1
-	if m.cw > m.w.t.CWMax {
-		m.cw = m.w.t.CWMax
-	}
+	m.cw = min((m.cw+1)*2-1, int32(m.w.t.CWMax))
 }
 
 // resetCW restores the contention window after success or drop.
-func (m *MAC) resetCW() { m.cw = m.w.t.CWMin }
+func (m *MAC) resetCW() { m.cw = int32(m.w.t.CWMin) }
 
 // maybeSchedule arranges the next transmission attempt if conditions
 // allow: a frame is queued, nothing is being transmitted, no attempt is
 // already scheduled, and the medium is idle.
 func (m *MAC) maybeSchedule() {
-	if m.transmitting || m.awaiting != nil || m.txEvent != nil || m.busy {
+	if m.transmitting || m.txEvent != nil || m.busy {
 		return
 	}
-	if m.now() < m.navUntil {
-		return // virtual carrier (NAV) still set; navEvent will resume us
+	if u := m.uc; u != nil && (u.awaiting != nil || m.now() < u.navUntil) {
+		return // awaiting a response, or the virtual carrier (NAV) is set and navEvent will resume us
 	}
 	if m.headPending() == nil {
 		return
@@ -419,7 +462,7 @@ func (m *MAC) maybeSchedule() {
 			// least DIFS, so the frame goes out right away.
 			m.txEventBase = now
 			m.txEventSlots = -1
-			m.txEvent = m.w.sched.LaneScheduleRunner(m.lane, now, m)
+			m.txEvent = m.w.sched.LaneScheduleRunner(int(m.lane), now, m)
 			return
 		}
 		// The medium has not been idle long enough: the DCF requires a
@@ -432,17 +475,14 @@ func (m *MAC) maybeSchedule() {
 	// Backoff countdown: slots elapse only while the medium has been
 	// idle longer than DIFS, so credit any already-elapsed idle slots.
 	if now > effStart {
-		consumed := int(now.Sub(effStart) / m.w.t.SlotTime)
-		if consumed > m.backoffRemaining {
-			consumed = m.backoffRemaining
-		}
-		m.backoffRemaining -= consumed
+		consumed := min(now.Sub(effStart)/m.w.t.SlotTime, sim.Duration(m.backoffRemaining))
+		m.backoffRemaining -= int32(consumed)
 		effStart = now
 	}
 	at := effStart.Add(sim.Duration(m.backoffRemaining) * m.w.t.SlotTime)
 	m.txEventBase = effStart
 	m.txEventSlots = m.backoffRemaining
-	m.txEvent = m.w.sched.LaneScheduleRunner(m.lane, at, m)
+	m.txEvent = m.w.sched.LaneScheduleRunner(int(m.lane), at, m)
 }
 
 // interruptAttempt cancels the scheduled attempt. If freeze is true the
@@ -452,7 +492,7 @@ func (m *MAC) interruptAttempt(freeze bool) {
 	if m.txEvent == nil {
 		return
 	}
-	m.w.sched.LaneCancel(m.lane, m.txEvent)
+	m.w.sched.LaneCancel(int(m.lane), m.txEvent)
 	m.txEvent = nil
 	if !freeze {
 		if m.txEventSlots >= 0 {
@@ -467,14 +507,11 @@ func (m *MAC) interruptAttempt(freeze bool) {
 		m.backoffRemaining = m.drawBackoff()
 		return
 	}
-	consumed := 0
+	var consumed sim.Duration
 	if now > m.txEventBase {
-		consumed = int(now.Sub(m.txEventBase) / m.w.t.SlotTime)
+		consumed = min(now.Sub(m.txEventBase)/m.w.t.SlotTime, sim.Duration(m.txEventSlots))
 	}
-	if consumed > m.txEventSlots {
-		consumed = m.txEventSlots
-	}
-	m.backoffRemaining = m.txEventSlots - consumed
+	m.backoffRemaining = m.txEventSlots - int32(consumed)
 }
 
 // startTransmission fires when deferral and backoff have elapsed.
@@ -486,14 +523,14 @@ func (m *MAC) startTransmission() {
 	}
 	m.queue[m.qhead] = nil
 	m.qhead++
-	if m.qhead == len(m.queue) {
+	if int(m.qhead) == len(m.queue) {
 		m.queue = m.queue[:0]
 		m.qhead = 0
 	}
 	m.transmitting = true
 	m.backoffRemaining = -1
 	p.started = true
-	m.stats.Sent++
+	m.stats.sent++
 	if m.w.audit != nil {
 		m.w.audit.AuditUse(m.w.sched.Now(), "mac.pending", p)
 	}
@@ -507,11 +544,11 @@ func (m *MAC) startTransmission() {
 	if m.useRTS(p.Frame) {
 		// Reserve the medium first: RTS now, data after the CTS.
 		nav := m.exchangeNAV(p.Frame)
-		rts := packet.NewRTS(m.addr, p.Frame.Dest, nav, m.w.ch.PositionOf(m.radio))
-		m.w.ch.Transmit(m.radio, rts, (*rtsEnd)(m))
+		rts := packet.NewRTS(m.addr, p.Frame.Dest, nav, m.w.ch.PositionOf(int(m.radio)))
+		m.w.ch.Transmit(int(m.radio), rts, (*rtsEnd)(m))
 		return
 	}
-	m.w.ch.TransmitLane(m.radio, p.Frame, (*dataEnd)(m), m.lane)
+	m.w.ch.TransmitLane(int(m.radio), p.Frame, (*dataEnd)(m), int(m.lane))
 }
 
 // useRTS reports whether the frame warrants an RTS/CTS exchange.
@@ -530,10 +567,11 @@ func (m *MAC) exchangeNAV(f *packet.Frame) sim.Duration {
 // finishRTS arms the CTS timeout after the RTS airtime ends.
 func (m *MAC) finishRTS(p *Pending) {
 	m.transmitting = false
-	m.awaiting = p
-	m.awaitKind = awaitCTS
+	u := m.unicastState()
+	u.awaiting = p
+	u.awaitKind = awaitCTS
 	timeout := m.w.t.SIFS + m.w.t.Airtime(packet.CTSBytes) + 2*m.w.t.SlotTime
-	m.awaitTimer = m.w.sched.AfterRunner(timeout, (*respTimer)(m))
+	u.awaitTimer = m.w.sched.AfterRunner(timeout, (*respTimer)(m))
 }
 
 // finishTransmission runs at airtime end. Broadcast (and ACK) frames
@@ -545,12 +583,13 @@ func (m *MAC) finishTransmission(p *Pending) {
 		m.w.audit.AuditUse(m.w.sched.Now(), "mac.pending", p)
 	}
 	if p.Frame.Dest != packet.DestBroadcast && p.Frame.Kind != packet.KindAck {
-		m.awaiting = p
-		m.awaitKind = awaitACK
+		u := m.unicastState()
+		u.awaiting = p
+		u.awaitKind = awaitACK
 		// The ACK arrives SIFS + ACK airtime after our frame ends; allow
 		// two slots of slack before declaring it missing.
 		timeout := m.w.t.SIFS + m.w.t.Airtime(packet.AckBytes) + 2*m.w.t.SlotTime
-		m.awaitTimer = m.w.sched.AfterRunner(timeout, (*respTimer)(m))
+		u.awaitTimer = m.w.sched.AfterRunner(timeout, (*respTimer)(m))
 		return
 	}
 	m.backoffRemaining = m.drawBackoff()
@@ -575,18 +614,19 @@ func (r *respTimer) RunEvent() { (*MAC)(r).responseTimeout() }
 // retry the whole exchange with a doubled contention window, or drop the
 // frame after RetryLimit.
 func (m *MAC) responseTimeout() {
-	p := m.awaiting
-	m.awaiting = nil
-	m.awaitKind = awaitNone
-	m.awaitTimer = nil
+	u := m.uc
+	p := u.awaiting
+	u.awaiting = nil
+	u.awaitKind = awaitNone
+	u.awaitTimer = nil
 	if p == nil {
 		return
 	}
-	if m.retries >= RetryLimit {
-		m.retries = 0
+	if u.retries >= RetryLimit {
+		u.retries = 0
 		m.resetCW()
 		p.failed = true
-		m.stats.Dropped++
+		u.dropped++
 		m.backoffRemaining = m.drawBackoff()
 		if p.obs != nil {
 			p.obs.TxDone()
@@ -595,8 +635,8 @@ func (m *MAC) responseTimeout() {
 		m.maybeSchedule()
 		return
 	}
-	m.retries++
-	m.stats.Retries++
+	u.retries++
+	u.retried++
 	m.growCW()
 	m.backoffRemaining = m.drawBackoff()
 	p.retransmit = true
@@ -614,14 +654,15 @@ func (m *MAC) responseTimeout() {
 
 // ackReceived completes the awaited unicast frame successfully.
 func (m *MAC) ackReceived() {
-	p := m.awaiting
-	m.awaiting = nil
-	m.awaitKind = awaitNone
-	if m.awaitTimer != nil {
-		m.w.sched.Cancel(m.awaitTimer)
-		m.awaitTimer = nil
+	u := m.uc
+	p := u.awaiting
+	u.awaiting = nil
+	u.awaitKind = awaitNone
+	if u.awaitTimer != nil {
+		m.w.sched.Cancel(u.awaitTimer)
+		u.awaitTimer = nil
 	}
-	m.retries = 0
+	u.retries = 0
 	m.resetCW()
 	m.backoffRemaining = m.drawBackoff()
 	if p != nil {
@@ -635,12 +676,13 @@ func (m *MAC) ackReceived() {
 
 // ctsReceived sends the reserved data frame SIFS after the CTS.
 func (m *MAC) ctsReceived() {
-	p := m.awaiting
-	m.awaiting = nil
-	m.awaitKind = awaitNone
-	if m.awaitTimer != nil {
-		m.w.sched.Cancel(m.awaitTimer)
-		m.awaitTimer = nil
+	u := m.uc
+	p := u.awaiting
+	u.awaiting = nil
+	u.awaitKind = awaitNone
+	if u.awaitTimer != nil {
+		m.w.sched.Cancel(u.awaitTimer)
+		u.awaitTimer = nil
 	}
 	if p == nil {
 		return
@@ -651,7 +693,7 @@ func (m *MAC) ctsReceived() {
 		}
 		m.transmitting = true
 		m.inflight = p
-		m.w.ch.Transmit(m.radio, p.Frame, (*dataEnd)(m))
+		m.w.ch.Transmit(int(m.radio), p.Frame, (*dataEnd)(m))
 	})
 }
 
@@ -659,18 +701,19 @@ func (m *MAC) ctsReceived() {
 // RTS or CTS addressed to someone else.
 func (m *MAC) setNAV(until sim.Time) {
 	now := m.w.sched.Now()
-	if until <= now || until <= m.navUntil {
+	if until <= now || m.uc != nil && until <= m.uc.navUntil {
 		return
 	}
-	m.navUntil = until
+	u := m.unicastState()
+	u.navUntil = until
 	if m.txEvent != nil {
 		m.interruptAttempt(true)
 	}
-	if m.navEvent != nil {
-		m.w.sched.Cancel(m.navEvent)
+	if u.navEvent != nil {
+		m.w.sched.Cancel(u.navEvent)
 	}
-	m.navEvent = m.w.sched.Schedule(until, func() {
-		m.navEvent = nil
+	u.navEvent = m.w.sched.Schedule(until, func() {
+		u.navEvent = nil
 		if !m.busy {
 			// The DIFS deferral restarts when the reservation releases.
 			m.idleSince = m.w.sched.Now()
@@ -689,8 +732,8 @@ func (m *MAC) sendCTS(to packet.NodeID, nav sim.Duration) {
 		if grant < 0 {
 			grant = 0
 		}
-		cts := packet.NewCTS(m.addr, to, grant, m.w.ch.PositionOf(m.radio))
-		m.w.ch.Transmit(m.radio, cts, nil)
+		cts := packet.NewCTS(m.addr, to, grant, m.w.ch.PositionOf(int(m.radio)))
+		m.w.ch.Transmit(int(m.radio), cts, nil)
 	})
 }
 
@@ -704,32 +747,34 @@ func (a *ackSend) RunEvent() { (*MAC)(a).fireAck() }
 // sendAck transmits the link-layer ACK after SIFS, bypassing the backoff
 // machinery (SIFS precedence is what guarantees ACKs win the medium).
 func (m *MAC) sendAck(to packet.NodeID) {
-	if m.ackTimer != nil {
+	u := m.unicastState()
+	if u.ackTimer != nil {
 		// Unreachable with a physical channel (a second data frame
 		// cannot end within SIFS of the first without colliding), but a
 		// direct Deliver must not leak the old timer.
-		m.w.sched.Cancel(m.ackTimer)
+		m.w.sched.Cancel(u.ackTimer)
 	}
-	m.ackTo = to
-	m.ackTimer = m.w.sched.AfterRunner(m.w.t.SIFS, (*ackSend)(m))
+	u.ackTo = to
+	u.ackTimer = m.w.sched.AfterRunner(m.w.t.SIFS, (*ackSend)(m))
 }
 
 // fireAck puts the owed ACK on the air when its SIFS gap elapses.
 func (m *MAC) fireAck() {
-	m.ackTimer = nil
+	u := m.uc
+	u.ackTimer = nil
 	if m.transmitting {
 		return // pathological overlap; drop the ACK
 	}
-	m.stats.AcksSent++
-	ack := packet.NewAck(m.addr, m.ackTo, m.w.ch.PositionOf(m.radio))
-	m.w.ch.Transmit(m.radio, ack, nil)
+	u.acksSent++
+	ack := packet.NewAck(m.addr, u.ackTo, m.w.ch.PositionOf(int(m.radio)))
+	m.w.ch.Transmit(int(m.radio), ack, nil)
 }
 
 // CarrierBusy implements phy.Listener.
 func (m *MAC) CarrierBusy() {
 	m.busy = true
 	if m.txEvent != nil {
-		m.stats.Stalls++
+		m.stats.stalls++
 		m.interruptAttempt(true)
 	}
 }
@@ -745,7 +790,7 @@ func (m *MAC) CarrierIdle() {
 func (m *MAC) Deliver(f *packet.Frame) {
 	switch f.Kind {
 	case packet.KindAck:
-		if f.Dest == m.addr && m.awaitKind == awaitACK {
+		if f.Dest == m.addr && m.awaits(awaitACK) {
 			m.ackReceived()
 		}
 		return // control frames never reach the host layer
@@ -757,7 +802,7 @@ func (m *MAC) Deliver(f *packet.Frame) {
 		}
 		return
 	case packet.KindCTS:
-		if f.Dest == m.addr && m.awaitKind == awaitCTS {
+		if f.Dest == m.addr && m.awaits(awaitCTS) {
 			m.ctsReceived()
 		} else if f.Dest != m.addr {
 			m.setNAV(m.w.sched.Now().Add(f.NAV))
@@ -768,14 +813,14 @@ func (m *MAC) Deliver(f *packet.Frame) {
 	if f.Dest == m.addr && f.Kind == packet.KindData {
 		m.sendAck(f.Sender)
 	}
-	if m.Receiver != nil {
-		m.Receiver.ReceiveFrame(f)
+	if m.Upper != nil {
+		m.Upper.ReceiveFrame(f)
 	}
 }
 
 // DeliverGarbled implements phy.Listener.
 func (m *MAC) DeliverGarbled(f *packet.Frame) {
-	if m.GarbledReceiver != nil {
-		m.GarbledReceiver.ReceiveGarbled(f)
+	if m.Upper != nil {
+		m.Upper.ReceiveGarbled(f)
 	}
 }

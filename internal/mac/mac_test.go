@@ -36,7 +36,7 @@ func frame(src packet.NodeID, seq uint32) *packet.Frame {
 func TestImmediateAccessAfterLongIdle(t *testing.T) {
 	r := newRig(geom.Point{X: 0}, geom.Point{X: 100})
 	got := make([]*packet.Frame, 0, 1)
-	r.macs[1].Receiver = ReceiverFunc(func(f *packet.Frame) { got = append(got, f) })
+	r.macs[1].Upper = ReceiverFunc(func(f *packet.Frame) { got = append(got, f) })
 
 	// Medium idle since t=0; enqueue at t=1s: DIFS already satisfied, so
 	// the transmission must start immediately.
@@ -130,7 +130,7 @@ func TestCancelBeforeStart(t *testing.T) {
 	r := newRig(geom.Point{X: 0}, geom.Point{X: 100})
 	started := false
 	var received int
-	r.macs[1].Receiver = ReceiverFunc(func(*packet.Frame) { received++ })
+	r.macs[1].Upper = ReceiverFunc(func(*packet.Frame) { received++ })
 
 	// Occupy the medium so the enqueued frame must wait, then cancel it.
 	// Host 0 starts within DIFS+CW slots (by 670us) and holds the medium
@@ -188,7 +188,7 @@ func TestCancelIsIdempotent(t *testing.T) {
 func TestQueueDrainsInOrder(t *testing.T) {
 	r := newRig(geom.Point{X: 0}, geom.Point{X: 100})
 	var got []uint32
-	r.macs[1].Receiver = ReceiverFunc(func(f *packet.Frame) { got = append(got, f.Broadcast.Seq) })
+	r.macs[1].Upper = ReceiverFunc(func(f *packet.Frame) { got = append(got, f.Broadcast.Seq) })
 	for seq := uint32(1); seq <= 5; seq++ {
 		r.macs[0].Enqueue(frame(0, seq), nil)
 	}
@@ -207,8 +207,8 @@ func TestCancelHeadPromotesNext(t *testing.T) {
 	r := newRig(geom.Point{X: 0}, geom.Point{X: 100})
 	var got []uint32
 	collect := ReceiverFunc(func(f *packet.Frame) { got = append(got, f.Broadcast.Seq) })
-	r.macs[0].Receiver = collect
-	r.macs[1].Receiver = collect
+	r.macs[0].Upper = collect
+	r.macs[1].Upper = collect
 
 	// Busy the medium so host 1's frames queue up, then cancel the first.
 	r.macs[0].Enqueue(frame(0, 99), nil) // on the air 50us..2482us
@@ -239,7 +239,7 @@ func TestCancelHeadPromotesNext(t *testing.T) {
 func TestTwoContendersEventuallyBothSend(t *testing.T) {
 	r := newRig(geom.Point{X: 0}, geom.Point{X: 100}, geom.Point{X: 200})
 	var got int
-	r.macs[1].Receiver = ReceiverFunc(func(*packet.Frame) { got++ })
+	r.macs[1].Upper = ReceiverFunc(func(*packet.Frame) { got++ })
 
 	// Hosts 0 and 2 both enqueue while the medium is busy with an
 	// initial transmission from host 1; their backoffs are drawn from
@@ -282,8 +282,10 @@ func TestGarbledFramesReachGarbledReceiver(t *testing.T) {
 	// the middle gets both frames garbled.
 	r := newRig(geom.Point{X: 0}, geom.Point{X: 450}, geom.Point{X: 900})
 	var garbled, ok int
-	r.macs[1].Receiver = ReceiverFunc(func(*packet.Frame) { ok++ })
-	r.macs[1].GarbledReceiver = GarbledFunc(func(*packet.Frame) { garbled++ })
+	r.macs[1].Upper = UpperFuncs{
+		Frame:   func(*packet.Frame) { ok++ },
+		Garbled: func(*packet.Frame) { garbled++ },
+	}
 
 	r.macs[0].Enqueue(frame(0, 1), nil)
 	r.macs[2].Enqueue(frame(2, 1), nil)

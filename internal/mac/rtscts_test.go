@@ -20,7 +20,7 @@ func rtsRig(positions ...geom.Point) *rig {
 func TestRTSCTSExchangeDeliversData(t *testing.T) {
 	r := rtsRig(geom.Point{X: 0}, geom.Point{X: 100})
 	var got int
-	r.macs[1].Receiver = ReceiverFunc(func(f *packet.Frame) {
+	r.macs[1].Upper = ReceiverFunc(func(f *packet.Frame) {
 		if f.Kind == packet.KindData {
 			got++
 		}
@@ -44,8 +44,8 @@ func TestRTSCTSExchangeDeliversData(t *testing.T) {
 func TestControlFramesInvisibleToHost(t *testing.T) {
 	r := rtsRig(geom.Point{X: 0}, geom.Point{X: 100}, geom.Point{X: 200})
 	var kinds []packet.Kind
-	r.macs[2].Receiver = ReceiverFunc(func(f *packet.Frame) { kinds = append(kinds, f.Kind) })
-	r.macs[1].Receiver = ReceiverFunc(func(*packet.Frame) {})
+	r.macs[2].Upper = ReceiverFunc(func(f *packet.Frame) { kinds = append(kinds, f.Kind) })
+	r.macs[1].Upper = ReceiverFunc(func(*packet.Frame) {})
 	r.macs[0].Enqueue(dataFrame(0, 1), nil)
 	r.sched.Run()
 	for _, k := range kinds {
@@ -63,7 +63,7 @@ func TestHiddenTerminalProtection(t *testing.T) {
 	// A at 0, B at 450, C at 900: A and C are hidden from each other.
 	r := rtsRig(geom.Point{X: 0}, geom.Point{X: 450}, geom.Point{X: 900})
 	var dataAtB int
-	r.macs[1].Receiver = ReceiverFunc(func(f *packet.Frame) {
+	r.macs[1].Upper = ReceiverFunc(func(f *packet.Frame) {
 		if f.Kind == packet.KindData {
 			dataAtB++
 		}
@@ -92,7 +92,7 @@ func TestHiddenTerminalProtection(t *testing.T) {
 func TestHiddenTerminalWithoutRTSCollides(t *testing.T) {
 	r := newRig(geom.Point{X: 0}, geom.Point{X: 450}, geom.Point{X: 900})
 	var dataAtB int
-	r.macs[1].Receiver = ReceiverFunc(func(f *packet.Frame) {
+	r.macs[1].Upper = ReceiverFunc(func(f *packet.Frame) {
 		if f.Kind == packet.KindData {
 			dataAtB++
 		}
@@ -118,7 +118,7 @@ func TestNAVDefersThirdParty(t *testing.T) {
 	// All three in mutual range. While 0 talks to 1 under RTS/CTS, host
 	// 2's broadcast must wait for the reservation to end.
 	r := rtsRig(geom.Point{X: 0}, geom.Point{X: 100}, geom.Point{X: 200})
-	r.macs[1].Receiver = ReceiverFunc(func(*packet.Frame) {})
+	r.macs[1].Upper = ReceiverFunc(func(*packet.Frame) {})
 	tm := r.ch.Timing()
 
 	var exchangeEnd, bStart sim.Time
@@ -146,7 +146,7 @@ func TestNAVDefersThirdParty(t *testing.T) {
 
 func TestBroadcastIgnoresRTSThreshold(t *testing.T) {
 	r := rtsRig(geom.Point{X: 0}, geom.Point{X: 100})
-	r.macs[1].Receiver = ReceiverFunc(func(*packet.Frame) {})
+	r.macs[1].Upper = ReceiverFunc(func(*packet.Frame) {})
 	r.macs[0].Enqueue(frame(0, 1), nil)
 	r.sched.Run()
 	// Just the broadcast itself: no RTS, no CTS, no ACK.

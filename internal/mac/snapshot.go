@@ -2,6 +2,7 @@ package mac
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/packet"
 	"repro/internal/phy"
@@ -77,6 +78,10 @@ type MACState struct {
 // owning MAC.
 func (m *MAC) DataEnder() phy.TxEnder { return (*dataEnd)(m) }
 
+// noUnicast is the unicast record a MAC without unicast history reads
+// as; never written.
+var noUnicast unicast
+
 // describePending translates one record through the caller's resolvers.
 // A cancelled record's frame and observer may already be recycled by the
 // layer that owns them and are never read again, so they are recorded as
@@ -108,22 +113,26 @@ func describePending(p *Pending, frameRef func(*packet.Frame) uint32, obsRef fun
 // state — a CTS await, a NAV reservation, or an enabled threshold —
 // cannot be checkpointed.
 func (m *MAC) Snapshot(frameRef func(*packet.Frame) uint32, obsRef func(TxObserver) uint32) (MACState, error) {
+	u := m.uc
+	if u == nil {
+		u = &noUnicast // a MAC without unicast history reads as the zero record
+	}
 	switch {
 	case m.w.rtsThreshold > 0:
 		return MACState{}, fmt.Errorf("mac: checkpoint unsupported with RTS/CTS enabled")
-	case m.navEvent != nil || m.awaitKind == awaitCTS:
+	case u.navEvent != nil || u.awaitKind == awaitCTS:
 		return MACState{}, fmt.Errorf("mac: checkpoint with RTS/CTS exchange in progress")
-	case m.awaiting != nil && m.awaitTimer == nil:
+	case u.awaiting != nil && u.awaitTimer == nil:
 		return MACState{}, fmt.Errorf("mac: awaited frame without a timeout timer")
 	}
 	st := MACState{
-		Stats:            m.stats,
-		CW:               m.cw,
+		Stats:            m.Stats(),
+		CW:               int(m.cw),
 		RNG:              m.rng.State(),
 		Busy:             m.busy,
 		IdleSince:        m.idleSince,
-		BackoffRemaining: m.backoffRemaining,
-		Retries:          m.retries,
+		BackoffRemaining: int(m.backoffRemaining),
+		Retries:          int(u.retries),
 	}
 	for _, p := range m.queue[m.qhead:] {
 		ps, err := describePending(p, frameRef, obsRef)
@@ -140,28 +149,28 @@ func (m *MAC) Snapshot(frameRef func(*packet.Frame) uint32, obsRef func(TxObserv
 		st.HasInflight = true
 		st.Inflight = ps
 	}
-	if m.awaiting != nil {
-		ps, err := describePending(m.awaiting, frameRef, obsRef)
+	if u.awaiting != nil {
+		ps, err := describePending(u.awaiting, frameRef, obsRef)
 		if err != nil {
 			return MACState{}, err
 		}
 		st.HasAwait = true
 		st.Await = ps
-		st.AwaitTimerAt = m.awaitTimer.At()
-		st.AwaitTimerSeq = m.awaitTimer.Seq()
+		st.AwaitTimerAt = u.awaitTimer.At()
+		st.AwaitTimerSeq = u.awaitTimer.Seq()
 	}
 	if m.txEvent != nil {
 		st.HasTxEvent = true
 		st.TxEventAt = m.txEvent.At()
 		st.TxEventSeq = m.txEvent.Seq()
 		st.TxEventBase = m.txEventBase
-		st.TxEventSlots = m.txEventSlots
+		st.TxEventSlots = int(m.txEventSlots)
 	}
-	if m.ackTimer != nil {
+	if u.ackTimer != nil {
 		st.HasAck = true
-		st.AckTo = m.ackTo
-		st.AckAt = m.ackTimer.At()
-		st.AckSeq = m.ackTimer.Seq()
+		st.AckTo = u.ackTo
+		st.AckAt = u.ackTimer.At()
+		st.AckSeq = u.ackTimer.Seq()
 	}
 	return st, nil
 }
@@ -171,25 +180,43 @@ func (m *MAC) Snapshot(frameRef func(*packet.Frame) uint32, obsRef func(TxObserv
 // obs resolve the references Snapshot recorded; bound is invoked for
 // every restored record with its observer reference, so the layer that
 // holds Pending handles (the host's open rebroadcast decisions) can
-// re-link them.
+// re-link them. The unicast record is allocated only when the state
+// holds unicast history.
 func (m *MAC) Restore(st MACState,
 	frame func(uint32) *packet.Frame,
 	obs func(uint32) TxObserver,
 	bound func(ref uint32, p *Pending)) error {
-	if len(m.queue) != 0 || m.transmitting || m.awaiting != nil ||
-		m.txEvent != nil || m.ackTimer != nil || m.stats.Enqueued != 0 {
+	if len(m.queue) != 0 || m.transmitting || m.uc != nil ||
+		m.txEvent != nil || m.stats.enqueued != 0 {
 		return fmt.Errorf("mac: restore into a MAC with traffic history")
 	}
 	if err := m.checkContention(st); err != nil {
 		return err
 	}
-	m.stats = st.Stats
-	m.cw = st.CW
+	if err := checkCounters(st.Stats); err != nil {
+		return err
+	}
+	s := st.Stats
+	m.stats = counters{
+		enqueued:  uint32(s.Enqueued),
+		sent:      uint32(s.Sent),
+		cancelled: uint32(s.Cancelled),
+		stalls:    uint32(s.Stalls),
+	}
+	u := unicast{
+		retries:  int32(st.Retries),
+		acksSent: uint32(s.AcksSent),
+		retried:  uint32(s.Retries),
+		dropped:  uint32(s.Dropped),
+	}
+	if st.HasAwait || st.HasAck || u != (unicast{}) {
+		m.uc = &u
+	}
+	m.cw = int32(st.CW)
 	m.rng.SetState(st.RNG)
 	m.busy = st.Busy
 	m.idleSince = st.IdleSince
-	m.backoffRemaining = st.BackoffRemaining
-	m.retries = st.Retries
+	m.backoffRemaining = int32(st.BackoffRemaining)
 	revive := func(ps PendingState) *Pending {
 		p := &Pending{
 			Frame:      frame(ps.FrameRef),
@@ -216,13 +243,13 @@ func (m *MAC) Restore(st MACState,
 		m.transmitting = true
 	}
 	if st.HasAwait {
-		m.awaiting = revive(st.Await)
-		m.awaitKind = awaitACK
+		m.uc.awaiting = revive(st.Await)
+		m.uc.awaitKind = awaitACK
 		ev, err := m.w.sched.RestoreRunner(-1, st.AwaitTimerAt, st.AwaitTimerSeq, (*respTimer)(m))
 		if err != nil {
 			return fmt.Errorf("mac: restore response timeout: %w", err)
 		}
-		m.awaitTimer = ev
+		m.uc.awaitTimer = ev
 	}
 	if st.HasTxEvent {
 		ev, err := m.w.sched.RestoreRunner(-1, st.TxEventAt, st.TxEventSeq, m)
@@ -231,15 +258,15 @@ func (m *MAC) Restore(st MACState,
 		}
 		m.txEvent = ev
 		m.txEventBase = st.TxEventBase
-		m.txEventSlots = st.TxEventSlots
+		m.txEventSlots = int32(st.TxEventSlots)
 	}
 	if st.HasAck {
 		ev, err := m.w.sched.RestoreRunner(-1, st.AckAt, st.AckSeq, (*ackSend)(m))
 		if err != nil {
 			return fmt.Errorf("mac: restore delayed ACK: %w", err)
 		}
-		m.ackTimer = ev
-		m.ackTo = st.AckTo
+		m.uc.ackTimer = ev
+		m.uc.ackTo = st.AckTo
 	}
 	return nil
 }
@@ -273,6 +300,24 @@ func (m *MAC) checkContention(st MACState) error {
 	return nil
 }
 
+// checkCounters refuses a counter no MAC can hold: each is stored in 32
+// bits, so a value outside [0, 2³²−1] would be truncated silently.
+func checkCounters(s Stats) error {
+	for _, c := range []struct {
+		name string
+		v    int
+	}{
+		{"Enqueued", s.Enqueued}, {"Sent", s.Sent}, {"Cancelled", s.Cancelled},
+		{"AcksSent", s.AcksSent}, {"Retries", s.Retries}, {"Dropped", s.Dropped},
+		{"Stalls", s.Stalls},
+	} {
+		if c.v < 0 || c.v > math.MaxUint32 {
+			return fmt.Errorf("mac: restore state has counter Stats.%s %d outside [0, %d]", c.name, c.v, uint32(math.MaxUint32))
+		}
+	}
+	return nil
+}
+
 // PendingEvents returns how many scheduler events the MAC currently has
 // armed (attempt timer, response timeout, delayed ACK), for the
 // checkpoint exhaustiveness cross-check.
@@ -281,11 +326,13 @@ func (m *MAC) PendingEvents() int {
 	if m.txEvent != nil {
 		n++
 	}
-	if m.awaitTimer != nil {
-		n++
-	}
-	if m.ackTimer != nil {
-		n++
+	if u := m.uc; u != nil {
+		if u.awaitTimer != nil {
+			n++
+		}
+		if u.ackTimer != nil {
+			n++
+		}
 	}
 	return n
 }

@@ -3,15 +3,14 @@ package manet
 import (
 	"repro/internal/mac"
 	"repro/internal/mobility"
-	"repro/internal/neighbor"
 	"repro/internal/phy"
 	"repro/internal/sim"
 )
 
 // Arena retains a Network's bulk allocations — everything whose size
 // grows with the population — across Networks, on every engine: the
-// hosts, MACs, RNG streams and random-turn movers, the neighbor tables
-// of HELLO worlds, the dedup bitset, the scheduler's event slab and
+// hosts, MACs, RNG streams and random-turn movers, the HELLO state
+// (neighbor tables included) of HELLO worlds, the dedup bitset, the scheduler's event slab and
 // free-list backing, and the channel's per-radio arrays, position
 // snapshot, spatial index and reachability marks. There is one host
 // builder (buildHosts) and it builds into these whether or not a worker
@@ -60,8 +59,8 @@ type Arena struct {
 	moveSlab   []sim.RNG
 	roamerSlab []mobility.Roamer
 	events     []sim.Event
-	tableSlab  []neighbor.Table // HELLO worlds only; survives HELLO-off worlds
-	dedup      []uint64         // the largest dedup bitset built so far
+	helloSlab  []helloState // HELLO worlds only; survives HELLO-off worlds
+	dedup      []uint64     // the largest dedup bitset built so far
 
 	// The last world's channel and scheduler, whose population-sized
 	// storage the next world's take over whatever its shape.

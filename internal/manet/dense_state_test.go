@@ -86,8 +86,8 @@ func TestNackedStaysBounded(t *testing.T) {
 	}
 	total := 0
 	for i, h := range n.hosts {
-		total += len(h.nacked)
-		for bid := range h.nacked {
+		total += len(h.hello.nacked)
+		for bid := range h.hello.nacked {
 			if n.dedup.seen(h.id, bid.Seq) {
 				t.Errorf("host %d retains a NACK marker for %v it already received", i, bid)
 			}

@@ -25,10 +25,10 @@ type host struct {
 	net   *Network
 	mac   *mac.MAC
 	mover mobility.Mover
-	// table is nil in a HELLO-off world: no scheme that reads neighbor
-	// knowledge runs without HELLO (Config.Validate), so no table is
-	// built.
-	table *neighbor.Table
+	// hello is nil in a HELLO-off world: no scheme that reads neighbor
+	// knowledge runs without HELLO, and neither does repair
+	// (Config.Validate), so none of its state is built.
+	hello *helloState
 	rng   *sim.RNG // assessment delays and hello phase
 
 	// Broadcasts whose rebroadcast decision is still open, in an
@@ -37,14 +37,21 @@ type host struct {
 	// so lookup is a short linear scan and a map's hashing and bucket
 	// storage would be pure overhead.
 	livePending []*pendingRebroadcast
+}
 
-	// helloTimer is the armed next-HELLO event, nil once beaconing stops;
-	// the host fires it, and observes its beacons, through its helloTx
-	// view. helloFly is the FIFO of beacons currently on the air. HELLO
-	// frames are broadcast, so the MAC completes them in enqueue order —
-	// the front of helloFly is always the frame whose TxDone is firing.
-	helloTimer *sim.Event
-	helloFly   []*packet.Frame
+// helloState is the per-host state only HELLO worlds build, in a slab
+// of its own (buildHosts): the neighbor table, the beaconing state and
+// the repair extension's, which runs on HELLO.
+type helloState struct {
+	table neighbor.Table
+
+	// timer is the armed next-HELLO event, nil once beaconing stops; the
+	// host fires it, and observes its beacons, through its helloTx view.
+	// fly is the FIFO of beacons currently on the air. HELLO frames are
+	// broadcast, so the MAC completes them in enqueue order — the front
+	// of fly is always the frame whose TxDone is firing.
+	timer *sim.Event
+	fly   []*packet.Frame
 
 	// Reliable-broadcast repair state (Config.Repair): recently received
 	// broadcasts to advertise, and ids NACKed but not yet repaired. The
@@ -161,18 +168,18 @@ func (h *host) Position() geom.Point { return h.mover.Position() }
 func (h *host) Radius() float64 { return h.net.ch.Radius() }
 
 // NeighborCount implements scheme.HostView.
-func (h *host) NeighborCount() int { return h.table.Count() }
+func (h *host) NeighborCount() int { return h.hello.table.Count() }
 
 // Neighbors implements scheme.HostView.
-func (h *host) Neighbors() []packet.NodeID { return h.table.Neighbors() }
+func (h *host) Neighbors() []packet.NodeID { return h.hello.table.Neighbors() }
 
 // TwoHop implements scheme.HostView.
 func (h *host) TwoHop(n packet.NodeID) []packet.NodeID {
-	return h.table.TwoHop(n)
+	return h.hello.table.TwoHop(n)
 }
 
 // NeighborNodeSet implements scheme.NodeSetSource.
-func (h *host) NeighborNodeSet() *nodeset.Set { return h.table.NeighborSet() }
+func (h *host) NeighborNodeSet() *nodeset.Set { return h.hello.table.NeighborSet() }
 
 // AcquireNodeSet implements scheme.NodeSetSource.
 func (h *host) AcquireNodeSet() *nodeset.Set { return h.net.acquireSet(h.lane) }
@@ -186,7 +193,7 @@ func (h *host) AcquireCoverage() *geom.Coverage { return h.net.acquireCoverage(h
 // ReleaseCoverage implements scheme.CoverageSource.
 func (h *host) ReleaseCoverage(c *geom.Coverage) { h.net.releaseCoverage(c, h.lane) }
 
-// ReceiveGarbled implements mac.GarbledReceiver: a collided broadcast
+// ReceiveGarbled implements mac.Upper: a collided broadcast
 // is worth a trace event (the metrics layer counts collisions at the
 // channel, so nothing else happens here).
 func (h *host) ReceiveGarbled(f *packet.Frame) {
@@ -204,7 +211,7 @@ type helloTx host
 // RunEvent fires the HELLO timer.
 func (o *helloTx) RunEvent() {
 	h := (*host)(o)
-	h.helloTimer = nil
+	h.hello.timer = nil
 	h.sendHello()
 }
 
@@ -214,20 +221,20 @@ func (o *helloTx) TxStarted() { o.net.helloSent++ }
 // TxDone implements mac.TxObserver: the beacon's airtime ended; retire
 // the oldest in-flight HELLO frame.
 func (o *helloTx) TxDone() {
-	h := (*host)(o)
-	f := h.helloFly[0]
-	rest := copy(h.helloFly, h.helloFly[1:])
-	h.helloFly[rest] = nil
-	h.helloFly = h.helloFly[:rest]
-	h.net.recycleHelloFrame(f)
+	hs := o.hello
+	f := hs.fly[0]
+	rest := copy(hs.fly, hs.fly[1:])
+	hs.fly[rest] = nil
+	hs.fly = hs.fly[:rest]
+	o.net.recycleHelloFrame(f)
 }
 
-// ReceiveFrame implements mac.FrameReceiver: an intact frame delivered
+// ReceiveFrame implements mac.Upper: an intact frame delivered
 // by the MAC.
 func (h *host) ReceiveFrame(f *packet.Frame) {
 	switch f.Kind {
 	case packet.KindHello:
-		h.table.OnHello(f.Sender, f.Neighbors, f.HelloInterval)
+		h.hello.table.OnHello(f.Sender, f.Neighbors, f.HelloInterval)
 		if h.net.cfg.Repair {
 			h.onHelloRecent(f.Sender, f.Recent)
 		}
@@ -400,13 +407,13 @@ func (h *host) scheduleHello() {
 		first = neighbor.HIMin
 	}
 	phase := h.rng.UniformDuration(0, first)
-	h.helloTimer = h.net.sched.AfterRunner(phase, (*helloTx)(h))
+	h.hello.timer = h.net.sched.AfterRunner(phase, (*helloTx)(h))
 }
 
 // currentHelloInterval evaluates the fixed or dynamic hello interval.
 func (h *host) currentHelloInterval() sim.Duration {
 	if h.net.cfg.HelloMode == HelloDynamic {
-		return neighbor.DHIInterval(h.table.Variation())
+		return neighbor.DHIInterval(h.hello.table.Variation())
 	}
 	return h.net.cfg.HelloInterval
 }
@@ -423,14 +430,14 @@ func (h *host) sendHello() {
 		h.net.idealHelloDeliver(h, interval)
 	} else {
 		f := h.net.newHelloFrame(h.id, h.Position(), interval)
-		f.Neighbors = h.table.Announce()
+		f.Neighbors = h.hello.table.Announce()
 		f.Bytes = packet.HelloBaseBytes + packet.HelloPerNeighborBytes*len(f.Neighbors)
 		if h.net.cfg.Repair {
 			f.Recent = h.appendRecentIDs(f.Recent)
 			f.Bytes += packet.HelloPerRecentBytes * len(f.Recent)
 		}
-		h.helloFly = append(h.helloFly, f)
+		h.hello.fly = append(h.hello.fly, f)
 		h.mac.Enqueue(f, (*helloTx)(h))
 	}
-	h.helloTimer = h.net.sched.AfterRunner(interval, (*helloTx)(h))
+	h.hello.timer = h.net.sched.AfterRunner(interval, (*helloTx)(h))
 }

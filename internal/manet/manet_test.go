@@ -275,37 +275,37 @@ func TestAnnouncedSetOutlivesSenderAndFrame(t *testing.T) {
 			}
 			sender, receiver := n.hosts[1], n.hosts[2]
 			n.sched.RunUntil(sim.Time(3 * sim.Second))
-			got := receiver.table.TwoHop(sender.id)
+			got := receiver.hello.table.TwoHop(sender.id)
 			want := []packet.NodeID{2}
 			if !slices.Equal(got, want) {
 				t.Fatalf("receiver's two-hop set for the sender is %v, want %v", got, want)
 			}
-			if &got[0] != &sender.table.Announce()[0] {
+			if &got[0] != &sender.hello.table.Announce()[0] {
 				t.Error("the receiver copied the announced set instead of sharing it")
 			}
 			// The sender's neighborhood changes ahead of the announced id.
-			sender.table.OnHello(0, nil, 10*sim.Second)
-			if got := receiver.table.TwoHop(sender.id); !slices.Equal(got, want) {
+			sender.hello.table.OnHello(0, nil, 10*sim.Second)
+			if got := receiver.hello.table.TwoHop(sender.id); !slices.Equal(got, want) {
 				t.Fatalf("after the sender's table changed, the receiver reads %v, want %v", got, want)
 			}
 			// Run to the sender's next beacon, which takes a recycled frame
 			// on the channel path, but not to its delivery.
 			pooled := slices.Clone(n.helloPool)
-			n.sched.RunUntil(sender.helloTimer.At())
+			n.sched.RunUntil(sender.hello.timer.At())
 			if !ideal {
-				if len(sender.helloFly) != 1 || !slices.Contains(pooled, sender.helloFly[0]) {
+				if len(sender.hello.fly) != 1 || !slices.Contains(pooled, sender.hello.fly[0]) {
 					t.Fatalf("the sender's beacon is not a recycled frame (%d in flight, %d pooled)",
-						len(sender.helloFly), len(pooled))
+						len(sender.hello.fly), len(pooled))
 				}
-				if f := sender.helloFly[0]; !slices.Equal(f.Neighbors, []packet.NodeID{0, 2}) {
+				if f := sender.hello.fly[0]; !slices.Equal(f.Neighbors, []packet.NodeID{0, 2}) {
 					t.Fatalf("the new beacon announces %v, want [0 2]", f.Neighbors)
 				}
-				if got := receiver.table.TwoHop(sender.id); !slices.Equal(got, want) {
+				if got := receiver.hello.table.TwoHop(sender.id); !slices.Equal(got, want) {
 					t.Fatalf("after the beacon frame was reused, the receiver reads %v, want %v", got, want)
 				}
 			}
 			n.sched.RunUntil(n.sched.Now().Add(100 * sim.Millisecond))
-			if got := receiver.table.TwoHop(sender.id); !slices.Equal(got, []packet.NodeID{0, 2}) {
+			if got := receiver.hello.table.TwoHop(sender.id); !slices.Equal(got, []packet.NodeID{0, 2}) {
 				t.Fatalf("after the new beacon, the receiver reads %v, want [0 2]", got)
 			}
 		})

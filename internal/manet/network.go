@@ -322,30 +322,31 @@ func (n *Network) buildHosts(moveRNG, macRNG, hostRNG *sim.RNG) {
 			roamerSlab = make([]mobility.Roamer, hostsN)
 		}
 		if a != nil {
-			tables := a.tableSlab
-			if len(tables) != hostsN {
-				tables = nil
+			hellos := a.helloSlab
+			if len(hellos) != hostsN {
+				hellos = nil
 			}
 			*a = Arena{
 				hostsN: hostsN, slabMovers: slabMovers,
 				hosts: n.hosts, hostSlab: hostSlab, macSlab: macSlab,
-				rngSlab: rngSlab, moveSlab: moveSlab, tableSlab: tables,
+				rngSlab: rngSlab, moveSlab: moveSlab, helloSlab: hellos,
 				roamerSlab: roamerSlab, events: events, dedup: a.dedup,
 				ch: a.ch, sched: a.sched,
 			}
 		}
 	}
-	// Neighbor tables exist only where HELLO runs. Like the dedup slab
-	// below, the arena keeps the table slab apart from the fit test, so a
-	// HELLO-off world between two HELLO worlds leaves it parked.
-	var tableSlab []neighbor.Table
+	// HELLO state (neighbor tables, beacons, repair) exists only where
+	// HELLO runs. Like the dedup slab below, the arena keeps its slab
+	// apart from the fit test, so a HELLO-off world between two HELLO
+	// worlds leaves it parked.
+	var helloSlab []helloState
 	if cfg.HelloMode != HelloOff {
-		if a != nil && len(a.tableSlab) == hostsN {
-			tableSlab = a.tableSlab
+		if a != nil && len(a.helloSlab) == hostsN {
+			helloSlab = a.helloSlab
 		} else {
-			tableSlab = make([]neighbor.Table, hostsN)
+			helloSlab = make([]helloState, hostsN)
 			if a != nil {
-				a.tableSlab = tableSlab
+				a.helloSlab = helloSlab
 			}
 		}
 	}
@@ -407,13 +408,14 @@ func (n *Network) buildHosts(moveRNG, macRNG, hostRNG *sim.RNG) {
 			macRNG.ForkInto(&rngSlab[2*i+1], uint64(i))
 			mac.NewInto(&macSlab[i], n.macs, h.mover, &rngSlab[2*i+1], base+i)
 			h.mac = &macSlab[i]
-			if tableSlab != nil {
-				neighbor.InitTable(&tableSlab[i], h.id, sched, cfg.ExpiryIntervals, hostsN)
-				h.table = &tableSlab[i]
+			if helloSlab != nil {
+				hs := &helloSlab[i]
+				*hs = helloState{}
+				neighbor.InitTable(&hs.table, h.id, sched, cfg.ExpiryIntervals, hostsN)
+				h.hello = hs
 			}
 			h.mac.SetAddr(h.id)
-			h.mac.Receiver = h
-			h.mac.GarbledReceiver = h
+			h.mac.Upper = h
 			n.hosts[i] = h
 		}
 	}
@@ -870,10 +872,10 @@ func (n *Network) auditNeighborSweep(now sim.Time) {
 		owner := h
 		pos := owner.mover.Position()
 		n.audit.AuditMoverSpeed(now, owner.id, owner.mover.Speed(), n.auditSpeed)
-		if owner.table == nil {
+		if owner.hello == nil {
 			continue
 		}
-		owner.table.AuditEntries(func(id packet.NodeID, lastHeard sim.Time, interval sim.Duration) {
+		owner.hello.table.AuditEntries(func(id packet.NodeID, lastHeard sim.Time, interval sim.Duration) {
 			age := now.Sub(lastHeard)
 			bound := sim.Duration(n.cfg.ExpiryIntervals) * interval
 			dist := pos.Dist(n.hosts[id].mover.Position())
@@ -1074,9 +1076,9 @@ func (n *Network) Area() (width, height float64) {
 // the channel entirely.
 func (n *Network) idealHelloDeliver(src *host, interval sim.Duration) {
 	n.helloSent++
-	neighbors := src.table.Announce()
+	neighbors := src.hello.table.Announce()
 	n.nbrScratch = n.ch.Neighbors(src.mac.Radio(), n.nbrScratch[:0])
 	for _, j := range n.nbrScratch {
-		n.hosts[j].table.OnHello(src.id, neighbors, interval)
+		n.hosts[j].hello.table.OnHello(src.id, neighbors, interval)
 	}
 }

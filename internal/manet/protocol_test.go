@@ -79,6 +79,39 @@ func TestProtocolRidesRebroadcastPath(t *testing.T) {
 	}
 }
 
+// TestUnicastRecordOnlyWhereUnicast checks that only hosts whose MAC
+// takes part in a unicast exchange pay for its state: after an AC run,
+// all broadcasts and HELLOs, no MAC holds the unicast record; after a
+// route-discovery run (hopProtocol's broadcast request answered by
+// unicast replies) the hosts that replied and those they replied to
+// hold it, and the host that only overheard a reply does not.
+func TestUnicastRecordOnlyWhereUnicast(t *testing.T) {
+	ac := mustNew(t, Config{Hosts: 100, MapUnits: 5, Scheme: scheme.AdaptiveCounter{}, Requests: 20, Seed: 3})
+	ac.Run()
+	for i := range ac.hosts {
+		if ac.HoldsUnicast(i) {
+			t.Errorf("AC run: host %d holds a unicast record", i)
+		}
+	}
+
+	n := mustNew(t, Config{
+		Hosts: 5, MapUnits: 5, Static: true, Placement: chain(5, 450),
+		Scheme: scheme.Flooding{}, Seed: 1,
+	})
+	n.Protocol = &hopProtocol{
+		n: n, stop: 3,
+		hops:  map[packet.NodeID]int{},
+		acked: map[packet.NodeID]bool{},
+		dests: map[packet.NodeID]packet.NodeID{},
+	}
+	n.Run()
+	for i, want := range []bool{true, true, true, true, false} {
+		if got := n.HoldsUnicast(i); got != want {
+			t.Errorf("route discovery: host %d holds a unicast record: %v, want %v", i, got, want)
+		}
+	}
+}
+
 func TestCheckpointRefusesProtocol(t *testing.T) {
 	n := mustNew(t, Config{Hosts: 3, MapUnits: 1, Requests: 1, Seed: 1})
 	n.Protocol = &hopProtocol{n: n}

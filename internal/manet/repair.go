@@ -55,38 +55,41 @@ func (h *host) noteRecent(bid packet.BroadcastID) {
 	if !h.net.cfg.Repair {
 		return
 	}
-	if h.nacked != nil {
-		delete(h.nacked, bid)
+	hs := h.hello
+	if hs.nacked != nil {
+		delete(hs.nacked, bid)
 	}
-	h.recent = append(h.recent, recentEntry{id: bid, heard: h.net.sched.Now()})
+	hs.recent = append(hs.recent, recentEntry{id: bid, heard: h.net.sched.Now()})
 }
 
 // appendRecentIDs appends the ids still inside the advertisement window
 // to buf, pruning expired entries in place.
 func (h *host) appendRecentIDs(buf []packet.BroadcastID) []packet.BroadcastID {
 	cutoff := h.net.sched.Now().Add(-repairWindow)
-	keep := h.recent[:0]
-	for _, e := range h.recent {
+	hs := h.hello
+	keep := hs.recent[:0]
+	for _, e := range hs.recent {
 		if e.heard >= cutoff {
 			keep = append(keep, e)
 			buf = append(buf, e.id)
 		}
 	}
-	h.recent = keep
+	hs.recent = keep
 	return buf
 }
 
 // onHelloRecent reacts to a neighbor's advertisement: request any packet
 // we missed, once.
 func (h *host) onHelloRecent(from packet.NodeID, recent []packet.BroadcastID) {
+	hs := h.hello
 	for _, bid := range recent {
-		if h.net.dedup.seen(h.id, bid.Seq) || h.nacked[bid] {
+		if h.net.dedup.seen(h.id, bid.Seq) || hs.nacked[bid] {
 			continue
 		}
-		if h.nacked == nil {
-			h.nacked = make(map[packet.BroadcastID]bool)
+		if hs.nacked == nil {
+			hs.nacked = make(map[packet.BroadcastID]bool)
 		}
-		h.nacked[bid] = true
+		hs.nacked[bid] = true
 		h.net.repairsRequested++
 		h.net.Unicast(h.id, from, repairRequestBytes, repairRequest{ID: bid}, nil)
 	}

@@ -291,9 +291,12 @@ func (n *Network) snapshotInto(ck *snapshot.Checkpoint) error {
 		if hs.Mover.HasTurn {
 			armed++
 		}
-		if h.table != nil {
-			hs.Table = h.table.Snapshot()
-			armed += h.table.PendingEvents()
+		hello := h.hello
+		if hello == nil {
+			hello = &noHello // a HELLO-off host reads as the zero record
+		} else {
+			hs.Table = hello.table.Snapshot()
+			armed += hello.table.PendingEvents()
 		}
 		for _, p := range h.livePending {
 			pd := snapshot.PendingDecision{Bid: p.bid, Judge: scheme.SnapshotJudge(&p.judge), Started: p.started}
@@ -319,23 +322,23 @@ func (n *Network) snapshotInto(ck *snapshot.Checkpoint) error {
 		}
 		hs.MAC = st
 		armed += h.mac.PendingEvents()
-		for _, f := range h.helloFly {
+		for _, f := range hello.fly {
 			ref := frameRef(f)
 			if ref == phy.BadRef {
 				return tableErr
 			}
 			hs.HelloFly = append(hs.HelloFly, ref)
 		}
-		if h.helloTimer != nil {
+		if hello.timer != nil {
 			hs.HasHelloTimer = true
-			hs.HelloAt = h.helloTimer.At()
-			hs.HelloSeq = h.helloTimer.Seq()
+			hs.HelloAt = hello.timer.At()
+			hs.HelloSeq = hello.timer.Seq()
 			armed++
 		}
-		for _, e := range h.recent {
+		for _, e := range hello.recent {
 			hs.Recent = append(hs.Recent, snapshot.RecentBroadcast{ID: e.id, Heard: e.heard})
 		}
-		for bid := range h.nacked {
+		for bid := range hello.nacked {
 			hs.Nacked = append(hs.Nacked, bid)
 		}
 		slices.SortFunc(hs.Nacked, packet.CompareBroadcastID)
@@ -575,25 +578,25 @@ func (n *Network) restore(ck *snapshot.Checkpoint) error {
 		if err := roamer.Restore(hs.Mover); err != nil {
 			return fmt.Errorf("manet: restore %v: %w", h.id, err)
 		}
-		if h.table != nil {
-			if err := h.table.Restore(hs.Table); err != nil {
+		if hello := h.hello; hello != nil {
+			if err := hello.table.Restore(hs.Table); err != nil {
 				return fmt.Errorf("manet: restore %v: %w", h.id, err)
 			}
-		}
-		for _, e := range hs.Recent {
-			h.recent = append(h.recent, recentEntry{id: e.ID, heard: e.Heard})
-		}
-		if len(hs.Nacked) > 0 {
-			h.nacked = make(map[packet.BroadcastID]bool, len(hs.Nacked))
-			for _, bid := range hs.Nacked {
-				h.nacked[bid] = true
+			for _, e := range hs.Recent {
+				hello.recent = append(hello.recent, recentEntry{id: e.ID, heard: e.Heard})
+			}
+			if len(hs.Nacked) > 0 {
+				hello.nacked = make(map[packet.BroadcastID]bool, len(hs.Nacked))
+				for _, bid := range hs.Nacked {
+					hello.nacked[bid] = true
+				}
 			}
 		}
 		// Open rebroadcast decisions come back before the MAC: its
 		// observer resolver finds them through lookupPending, and the
 		// bound callback re-links each decision's MAC handle.
 		for _, pd := range hs.Pending {
-			if pd.Judge.Kind == scheme.JudgeCoverage && h.table == nil {
+			if pd.Judge.Kind == scheme.JudgeCoverage && h.hello == nil {
 				return fmt.Errorf("manet: restore %v: neighbor-coverage judge in a HELLO-off world", h.id)
 			}
 			for _, id := range pd.Judge.Pending {
@@ -634,14 +637,14 @@ func (n *Network) restore(ck *snapshot.Checkpoint) error {
 			if err != nil {
 				return fmt.Errorf("manet: restore %v: hello timer: %w", h.id, err)
 			}
-			h.helloTimer = ev
+			h.hello.timer = ev
 		}
 		for _, ref := range hs.HelloFly {
 			f := frameAt(ref)
 			if f == nil {
 				return fmt.Errorf("manet: restore %v: in-flight HELLO without its frame", h.id)
 			}
-			h.helloFly = append(h.helloFly, f)
+			h.hello.fly = append(h.hello.fly, f)
 		}
 	}
 
@@ -686,8 +689,8 @@ func (n *Network) restore(ck *snapshot.Checkpoint) error {
 	for i, h := range n.hosts {
 		hs := &ck.Hosts[i]
 		armed += h.mac.PendingEvents()
-		if h.table != nil {
-			armed += h.table.PendingEvents()
+		if h.hello != nil {
+			armed += h.hello.table.PendingEvents()
 		}
 		if hs.Mover.HasTurn {
 			armed++
@@ -746,10 +749,13 @@ func (n *Network) checkBroadcastIDs(ck *snapshot.Checkpoint) error {
 	return err
 }
 
+// noHello is the HELLO state a HELLO-off host reads as; never written.
+var noHello helloState
+
 // checkHelloOff refuses HELLO state in a document restored into a
-// HELLO-off world, which builds no neighbor tables: a beacon, a HELLO
-// timer or observer, or a host's neighbor knowledge could only come
-// from a forged document.
+// HELLO-off world, which builds no per-host HELLO state: a beacon, a
+// HELLO timer or observer, a host's neighbor knowledge or its repair
+// advertisements could only come from a forged document.
 func (n *Network) checkHelloOff(ck *snapshot.Checkpoint) error {
 	if n.cfg.HelloMode != HelloOff {
 		return nil
@@ -771,6 +777,9 @@ func (n *Network) checkHelloOff(ck *snapshot.Checkpoint) error {
 		}
 		if len(hs.Table.Entries) > 0 || len(hs.Table.Changes) > 0 {
 			return fmt.Errorf("manet: restore %d: neighbor knowledge in a HELLO-off world", i)
+		}
+		if len(hs.Recent) > 0 || len(hs.Nacked) > 0 {
+			return fmt.Errorf("manet: restore %d: repair advertisement in a HELLO-off world", i)
 		}
 	}
 	return nil

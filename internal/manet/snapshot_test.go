@@ -394,10 +394,12 @@ func restoreForged(t *testing.T, cfg Config, doc []byte, forge func(*snapshot.Ch
 }
 
 // TestRestoreForgedCountersAllocateNothing forges run counters of a
-// middle checkpoint to 2⁴⁰, one at a time and all together. A counter
-// only counts: restore sizes nothing by it, so decoding, re-encoding
-// and restoring the document stays within the bound that refusing a
-// forged dedup list keeps.
+// middle checkpoint to 2⁴⁰, one at a time and all together; a MAC
+// counter, stored in 32 bits, to 2³²−1, the most it holds
+// (TestRestoreForgedContention refuses 2³²). A counter only counts:
+// restore sizes nothing by it, so decoding, re-encoding and restoring
+// the document stays within the bound that refusing a forged dedup list
+// keeps.
 func TestRestoreForgedCountersAllocateNothing(t *testing.T) {
 	cfg := resumeBase(scheme.Counter{C: 3}, 2)
 	bufs, _ := captureCheckpoints(t, cfg)
@@ -407,7 +409,7 @@ func TestRestoreForgedCountersAllocateNothing(t *testing.T) {
 		forge func(*snapshot.Checkpoint)
 	}
 	counters := []forgery{
-		{"Hosts.MAC.Stats.Enqueued", func(ck *snapshot.Checkpoint) { ck.Hosts[0].MAC.Stats.Enqueued = big }},
+		{"Hosts.MAC.Stats.Enqueued", func(ck *snapshot.Checkpoint) { ck.Hosts[0].MAC.Stats.Enqueued = math.MaxUint32 }},
 		{"Channel.Stats.Transmissions", func(ck *snapshot.Checkpoint) { ck.Channel.Stats.Transmissions = big }},
 		{"Net.HelloSent", func(ck *snapshot.Checkpoint) { ck.Net.HelloSent = big }},
 		{"Sched.Executed", func(ck *snapshot.Checkpoint) { ck.Sched.Executed = big }},
@@ -434,8 +436,10 @@ func TestRestoreForgedCountersAllocateNothing(t *testing.T) {
 }
 
 // TestRestoreForgedContention forges MAC contention state no run
-// reaches. Restore has to refuse each: a contention window below zero
-// used to restore and then panic the run at its first backoff draw.
+// reaches, and MAC counters outside the 32 bits that hold them. Restore
+// has to refuse each: a contention window below zero used to restore
+// and then panic the run at its first backoff draw, and a counter
+// would be truncated silently.
 func TestRestoreForgedContention(t *testing.T) {
 	cfg := resumeBase(scheme.Counter{C: 3}, 2)
 	bufs, _ := captureCheckpoints(t, cfg)
@@ -452,6 +456,13 @@ func TestRestoreForgedContention(t *testing.T) {
 		{"TxEventSlots=CW+1", func(st *mac.MACState) { st.HasTxEvent, st.TxEventSlots = true, st.CW+1 }, "attempt slot count"},
 		{"Retries=-1", func(st *mac.MACState) { st.Retries = -1 }, "retry count"},
 		{"Retries=RetryLimit+1", func(st *mac.MACState) { st.Retries = mac.RetryLimit + 1 }, "retry count"},
+		{"Stats.Enqueued=2^32", func(st *mac.MACState) { st.Stats.Enqueued = math.MaxUint32 + 1 }, "Stats.Enqueued"},
+		{"Stats.Sent=-1", func(st *mac.MACState) { st.Stats.Sent = -1 }, "Stats.Sent"},
+		{"Stats.Cancelled=2^32", func(st *mac.MACState) { st.Stats.Cancelled = math.MaxUint32 + 1 }, "Stats.Cancelled"},
+		{"Stats.Stalls=-1", func(st *mac.MACState) { st.Stats.Stalls = -1 }, "Stats.Stalls"},
+		{"Stats.AcksSent=2^32", func(st *mac.MACState) { st.Stats.AcksSent = math.MaxUint32 + 1 }, "Stats.AcksSent"},
+		{"Stats.Retries=-1", func(st *mac.MACState) { st.Stats.Retries = -1 }, "Stats.Retries"},
+		{"Stats.Dropped=2^32", func(st *mac.MACState) { st.Stats.Dropped = math.MaxUint32 + 1 }, "Stats.Dropped"},
 	}
 	for _, tc := range forgeries {
 		t.Run(tc.name, func(t *testing.T) {
@@ -510,9 +521,10 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 }
 
 // TestRestoreHelloStateIntoHelloOff forges HELLO state into a HELLO-off
-// document. A HELLO-off world builds no neighbor tables, so restore has
-// to refuse neighbor entries, change-log times, beacons and HELLO
-// timers instead of handing them to a table that is not there.
+// document. A HELLO-off world builds no per-host HELLO state, so
+// restore has to refuse neighbor entries, change-log times, beacons,
+// HELLO timers and repair advertisements instead of handing them to a
+// record that is not there.
 func TestRestoreHelloStateIntoHelloOff(t *testing.T) {
 	cfg := resumeBase(scheme.Counter{C: 3}, 2)
 	if cfg.WithDefaults().HelloMode != HelloOff {
@@ -534,6 +546,10 @@ func TestRestoreHelloStateIntoHelloOff(t *testing.T) {
 		{"Frames", func(ck *snapshot.Checkpoint) {
 			ck.Frames = append(ck.Frames, snapshot.Frame{Kind: uint8(packet.KindHello)})
 		}, "HELLO frame"},
+		{"Recent", func(ck *snapshot.Checkpoint) {
+			ck.Hosts[0].Recent = []snapshot.RecentBroadcast{{ID: heardID(ck), Heard: ck.Sched.Now}}
+		}, "repair advertisement"},
+		{"Nacked", func(ck *snapshot.Checkpoint) { ck.Hosts[0].Nacked = []packet.BroadcastID{heardID(ck)} }, "repair advertisement"},
 	}
 	for _, tc := range forgeries {
 		t.Run(tc.name, func(t *testing.T) {
@@ -543,6 +559,15 @@ func TestRestoreHelloStateIntoHelloOff(t *testing.T) {
 			}
 		})
 	}
+}
+
+// heardID returns a broadcast id the document's first host has seen, so
+// a forgery carrying it passes the broadcast-id checks.
+func heardID(ck *snapshot.Checkpoint) packet.BroadcastID {
+	if d := ck.Hosts[0].Dedup; len(d) > 0 {
+		return d[0]
+	}
+	panic("host 0 has seen no broadcast")
 }
 
 // pendingCheckpoint runs cfg, checkpointing every 50 ms, and returns the

@@ -182,8 +182,9 @@ type Channel struct {
 	positions []Positioner
 	listeners []Listener
 	// busyCount[i] is the number of active transmissions whose range
-	// covers radio i (including radio i's own transmission).
-	busyCount []int
+	// covers radio i (including radio i's own transmission); it never
+	// exceeds the radio count.
+	busyCount []int32
 	// transmitting[i] reports whether radio i is currently sending.
 	transmitting []bool
 
@@ -302,9 +303,16 @@ func (c *Channel) AttachBatch(n int) int {
 }
 
 // extend appends n zero elements to s, in place when its capacity (a
-// previous world's, after ReuseStorage) allows.
+// previous world's, after ReuseStorage) allows. It grows by one make
+// rather than slices.Grow, whose append of a zeroed slice allocates
+// that slice too in builds (-race) that do not elide it.
 func extend[T any](s []T, n int) []T {
-	s = slices.Grow(s, n)[:len(s)+n]
+	if need := len(s) + n; need > cap(s) {
+		g := make([]T, need, max(need, 2*cap(s)))
+		copy(g, s)
+		return g
+	}
+	s = s[:len(s)+n]
 	clear(s[len(s)-n:])
 	return s
 }
